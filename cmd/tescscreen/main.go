@@ -14,13 +14,15 @@
 // ordered by a cheap co-occurrence prior and evaluated best-first with
 // confidence-bound early termination, returning provably the same
 // ranking as the exhaustive sweep without paying for it (see
-// docs/SCREENING.md). Planned results carry raw p-values: -correction
-// needs the whole p-value family and is rejected.
+// docs/SCREENING.md). Planned results carry raw p-values: a -correction
+// other than none needs the whole p-value family and is rejected.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"text/tabwriter"
@@ -32,112 +34,115 @@ import (
 	"tesc/internal/stats"
 )
 
+// errUsage reports missing required flags; the usage text is already
+// printed.
+var errUsage = errors.New("usage")
+
 func main() {
-	var (
-		graphPath  = flag.String("graph", "", "edge-list graph file (required)")
-		eventsPath = flag.String("events", "", "event occurrence file (required)")
-		hLevel     = flag.Int("h-level", 1, "vicinity level h")
-		n          = flag.Int("n", 900, "reference sample size per pair")
-		alpha      = flag.Float64("alpha", 0.05, "significance level on adjusted p-values")
-		tail       = flag.String("tail", "both", "alternative: both | positive | negative")
-		minOcc     = flag.Int("min-occ", 10, "minimum occurrences per event")
-		correction = flag.String("correction", "fdr", "multiple-testing correction: fdr | fwer | none")
-		top        = flag.Int("top", 20, "print at most this many pairs (0 = all)")
-		topk       = flag.Int("topk", 0, "planned screen: return only the k best pairs by score (0 = exhaustive sweep)")
-		theta      = flag.Float64("theta", math.NaN(), "planned screen: return every pair scoring >= theta")
-		workers    = flag.Int("workers", 0, "concurrent tests (0 = GOMAXPROCS)")
-		seed       = flag.Uint64("seed", 1, "random seed")
-	)
-	flag.Parse()
-	if *graphPath == "" || *eventsPath == "" {
-		flag.Usage()
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	switch {
+	case err == nil:
+	case errors.Is(err, errUsage), errors.Is(err, flag.ErrHelp):
 		os.Exit(2)
-	}
-	if err := run(*graphPath, *eventsPath, *hLevel, *n, *alpha, *tail, *minOcc, *correction, *top, *topk, *theta, *workers, *seed); err != nil {
+	default:
 		fmt.Fprintln(os.Stderr, "tescscreen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(graphPath, eventsPath string, h, n int, alpha float64, tail string, minOcc int, correction string, top, topk int, theta float64, workers int, seed uint64) error {
-	gf, err := graphio.OpenMaybeGzip(graphPath)
-	if err != nil {
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("tescscreen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		graphPath  = fs.String("graph", "", "edge-list graph file (required)")
+		eventsPath = fs.String("events", "", "event occurrence file (required)")
+		hLevel     = fs.Int("h-level", 1, "vicinity level h")
+		n          = fs.Int("n", 900, "reference sample size per pair")
+		alpha      = fs.Float64("alpha", 0.05, "significance level on adjusted p-values")
+		tail       = fs.String("tail", "both", "alternative: both | positive | negative")
+		minOcc     = fs.Int("min-occ", 10, "minimum occurrences per event")
+		correction = fs.String("correction", "fdr", "multiple-testing correction: fdr | fwer | none")
+		top        = fs.Int("top", 20, "print at most this many pairs (0 = all)")
+		topk       = fs.Int("topk", 0, "planned screen: return only the k best pairs by score (0 = exhaustive sweep)")
+		theta      = fs.Float64("theta", math.NaN(), "planned screen: return every pair scoring >= theta")
+		workers    = fs.Int("workers", 0, "concurrent tests (0 = GOMAXPROCS)")
+		seed       = fs.Uint64("seed", 1, "random seed")
+	)
+	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	defer gf.Close()
-	g, err := graphio.ReadEdgeList(gf)
-	if err != nil {
-		return err
-	}
-	ef, err := graphio.OpenMaybeGzip(eventsPath)
-	if err != nil {
-		return err
-	}
-	defer ef.Close()
-	store, err := graphio.ReadEvents(ef, g.NumNodes())
-	if err != nil {
-		return err
+	if *graphPath == "" || *eventsPath == "" {
+		fs.Usage()
+		return errUsage
 	}
 
-	var alt stats.Alternative
-	switch tail {
+	cfg := screen.Config{
+		H:              *hLevel,
+		SampleSize:     *n,
+		Alpha:          *alpha,
+		MinOccurrences: *minOcc,
+		Workers:        *workers,
+		Seed:           *seed,
+	}
+	switch *tail {
 	case "both":
-		alt = stats.TwoSided
+		cfg.Alternative = stats.TwoSided
 	case "positive":
-		alt = stats.Greater
+		cfg.Alternative = stats.Greater
 	case "negative":
-		alt = stats.Less
+		cfg.Alternative = stats.Less
 	default:
-		return fmt.Errorf("unknown tail %q", tail)
+		return fmt.Errorf("unknown tail %q", *tail)
 	}
-	var corr screen.Correction
-	switch correction {
+	switch *correction {
 	case "fdr":
-		corr = screen.FDR
+		cfg.Correction = screen.FDR
 	case "fwer":
-		corr = screen.FWER
+		cfg.Correction = screen.FWER
 	case "none":
-		corr = screen.None
+		cfg.Correction = screen.None
 	default:
-		return fmt.Errorf("unknown correction %q", correction)
+		return fmt.Errorf("unknown correction %q", *correction)
 	}
-
-	pairs := screen.AllPairs(store, minOcc)
-	if topk > 0 || !math.IsNaN(theta) {
-		if corr == screen.FWER {
-			return fmt.Errorf("-correction fwer is incompatible with -topk/-theta: a planned screen reports raw p-values")
+	planned := *topk > 0 || !math.IsNaN(*theta)
+	if planned {
+		// Only an explicit -correction conflicts: the fdr default is the
+		// exhaustive sweep's, not a request.
+		set := false
+		fs.Visit(func(f *flag.Flag) { set = set || f.Name == "correction" })
+		if set && cfg.Correction != screen.None {
+			return fmt.Errorf("-correction %s is incompatible with -topk/-theta: a planned screen reports raw p-values", *correction)
 		}
-		return runPlanned(g, store, pairs, h, n, alpha, alt, minOcc, topk, theta, top, workers, seed, tail)
 	}
-	fmt.Fprintf(os.Stderr, "screening %d pairs of %d events (h=%d, n=%d, %s, %s-corrected)...\n",
-		len(pairs), store.NumEvents(), h, n, tail, correction)
 
-	res, err := screen.Run(g, store, pairs, screen.Config{
-		H:              h,
-		SampleSize:     n,
-		Alpha:          alpha,
-		Alternative:    alt,
-		MinOccurrences: minOcc,
-		Correction:     corr,
-		Workers:        workers,
-		Seed:           seed,
-	})
+	g, store, err := load(*graphPath, *eventsPath)
+	if err != nil {
+		return err
+	}
+	pairs := screen.AllPairs(store, *minOcc)
+	if planned {
+		return runPlanned(stdout, stderr, g, store, pairs, cfg, *topk, *theta, *top, *tail)
+	}
+	fmt.Fprintf(stderr, "screening %d pairs of %d events (h=%d, n=%d, %s, %s-corrected)...\n",
+		len(pairs), store.NumEvents(), cfg.H, cfg.SampleSize, *tail, *correction)
+
+	res, err := screen.Run(g, store, pairs, cfg)
 	if err != nil {
 		return err
 	}
 
-	fmt.Printf("tested %d pairs, skipped %d, significant %d (alpha=%g)\n",
-		res.Tested, res.Skipped, res.Rejected, alpha)
-	fmt.Printf("density traversals %d, memo hits %d (one BFS per distinct reference node per sweep)\n\n",
+	fmt.Fprintf(stdout, "tested %d pairs, skipped %d, significant %d (alpha=%g)\n",
+		res.Tested, res.Skipped, res.Rejected, cfg.Alpha)
+	fmt.Fprintf(stdout, "density traversals %d, memo hits %d (one BFS per distinct reference node per sweep)\n\n",
 		res.BFSRuns, res.MemoHits)
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "rank\tevent a\tevent b\tocc\ttau\tz\tp\tadj-p\tsig")
 	printed := 0
 	for i, p := range res.Pairs {
 		if p.Skipped != "" {
 			continue
 		}
-		if top > 0 && printed >= top {
+		if *top > 0 && printed >= *top {
 			break
 		}
 		printed++
@@ -151,30 +156,41 @@ func run(graphPath, eventsPath string, h, n int, alpha float64, tail string, min
 	return tw.Flush()
 }
 
+// load reads the graph and its event occurrences.
+func load(graphPath, eventsPath string) (*graph.Graph, *events.Store, error) {
+	gf, err := graphio.OpenMaybeGzip(graphPath)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer gf.Close()
+	g, err := graphio.ReadEdgeList(gf)
+	if err != nil {
+		return nil, nil, err
+	}
+	ef, err := graphio.OpenMaybeGzip(eventsPath)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer ef.Close()
+	store, err := graphio.ReadEvents(ef, g.NumNodes())
+	if err != nil {
+		return nil, nil, err
+	}
+	return g, store, nil
+}
+
 // runPlanned runs the prioritized top-k / threshold screen and reports
 // the ranking plus the planner's work accounting.
-func runPlanned(g *graph.Graph, store *events.Store, pairs [][2]string,
-	h, n int, alpha float64, alt stats.Alternative, minOcc, topk int, theta float64,
-	top, workers int, seed uint64, tail string) error {
-	cfg := screen.PlanConfig{
-		Config: screen.Config{
-			H:              h,
-			SampleSize:     n,
-			Alpha:          alpha,
-			Alternative:    alt,
-			MinOccurrences: minOcc,
-			Workers:        workers,
-			Seed:           seed,
-		},
-		K: topk,
-	}
+func runPlanned(stdout, stderr io.Writer, g *graph.Graph, store *events.Store, pairs [][2]string,
+	base screen.Config, topk int, theta float64, top int, tail string) error {
+	cfg := screen.PlanConfig{Config: base, K: topk}
 	if topk > 0 {
-		fmt.Fprintf(os.Stderr, "planning top-%d of %d candidate pairs (h=%d, n=%d, %s, raw p-values)...\n",
-			topk, len(pairs), h, n, tail)
+		fmt.Fprintf(stderr, "planning top-%d of %d candidate pairs (h=%d, n=%d, %s, raw p-values)...\n",
+			topk, len(pairs), cfg.H, cfg.SampleSize, tail)
 	} else {
 		cfg.Theta = theta
-		fmt.Fprintf(os.Stderr, "planning threshold %.3f over %d candidate pairs (h=%d, n=%d, %s, raw p-values)...\n",
-			theta, len(pairs), h, n, tail)
+		fmt.Fprintf(stderr, "planning threshold %.3f over %d candidate pairs (h=%d, n=%d, %s, raw p-values)...\n",
+			theta, len(pairs), cfg.H, cfg.SampleSize, tail)
 	}
 
 	res, err := screen.Plan(g, store, pairs, cfg)
@@ -182,11 +198,11 @@ func runPlanned(g *graph.Graph, store *events.Store, pairs [][2]string,
 		return err
 	}
 	st := res.Stats
-	fmt.Printf("candidates %d: full tests %d, pruned early %d, pruned by prior %d, skipped %d (checkpoints %d)\n",
+	fmt.Fprintf(stdout, "candidates %d: full tests %d, pruned early %d, pruned by prior %d, skipped %d (checkpoints %d)\n",
 		st.Candidates, st.FullTests, st.PrunedEarly, st.PrunedPrior, st.Skipped, st.Checkpoints)
-	fmt.Printf("density evaluations %d, traversals %d, memo hits %d — an exhaustive sweep pays %d full tests\n\n",
+	fmt.Fprintf(stdout, "density evaluations %d, traversals %d, memo hits %d — an exhaustive sweep pays %d full tests\n\n",
 		st.DensityEvals, st.BFSRuns, st.MemoHits, st.Candidates)
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "rank\tevent a\tevent b\tocc\ttau\tz\tp\tsig")
 	for i, p := range res.Pairs {
 		if top > 0 && i >= top {

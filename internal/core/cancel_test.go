@@ -119,7 +119,7 @@ func TestEvalAllCtxMatchesEvalAll(t *testing.T) {
 	wantSA, wantSB, wantDS := seq.EvalAll(rs)
 
 	chk := NewDensityEvaluator(p, 2)
-	gotSA, gotSB, gotDS, err := chk.evalAllCtx(context.Background(), rs)
+	gotSA, gotSB, gotDS, err := chk.EvalAllCtx(context.Background(), rs)
 	if err != nil {
 		t.Fatal(err)
 	}

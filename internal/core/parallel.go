@@ -105,10 +105,12 @@ func (e *DensityEvaluator) EvalAllParallelCtx(ctx context.Context, rs []graph.No
 	return sa, sb, ds, nil
 }
 
-// evalAllCtx is the sequential density pass with cancellation checked
+// EvalAllCtx is the sequential density pass with cancellation checked
 // every parallelChunk traversals — the same granularity the parallel
 // workers use, so a canceled sequential test stops just as promptly.
-func (e *DensityEvaluator) evalAllCtx(ctx context.Context, rs []graph.NodeID) (sa, sb []float64, ds []Density, err error) {
+// On cancellation the density slices must be discarded; a nil ctx
+// never cancels.
+func (e *DensityEvaluator) EvalAllCtx(ctx context.Context, rs []graph.NodeID) (sa, sb []float64, ds []Density, err error) {
 	sa = make([]float64, len(rs))
 	sb = make([]float64, len(rs))
 	ds = make([]Density, len(rs))

@@ -216,7 +216,7 @@ func Test(p *Problem, opts Options) (Result, error) {
 		}
 		if opts.Workers == 0 || opts.Workers == 1 {
 			if opts.Ctx != nil {
-				sa, sb, ds, err = eval.evalAllCtx(opts.Ctx, sample.Nodes)
+				sa, sb, ds, err = eval.EvalAllCtx(opts.Ctx, sample.Nodes)
 			} else {
 				sa, sb, ds = eval.EvalAll(sample.Nodes)
 			}

@@ -105,17 +105,12 @@ func TestPlanCanceled(t *testing.T) {
 		t.Fatalf("pre-canceled Plan produced pairs: %+v", res.Pairs)
 	}
 
-	// Oracle: the exhaustive sweep with raw p-values, whose per-pair
+	// Oracle: the reference sweep's raw-p results, whose per-pair
 	// statistics the planner reproduces exactly (same seed, pair-keyed
 	// RNG). The partial ranking may contain pairs a complete plan would
 	// later displace from the top-k, so the comparison target is the
 	// full result set, not the final top-k.
-	oracleCfg := base
-	oracleCfg.Correction = None
-	oracle, err := Run(g, store, pairs, oracleCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	oracle, _ := referenceSweep(t, g, store, pairs, base)
 
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	mid := base
@@ -134,7 +129,7 @@ func TestPlanCanceled(t *testing.T) {
 	// Every pair the partial ranking carries was fully evaluated before
 	// the cancel: its statistics must match the oracle's field-for-field.
 	byPair := map[[2]string]PairResult{}
-	for _, p := range oracle.Pairs {
+	for _, p := range oracle {
 		if p.Skipped == "" {
 			byPair[[2]string{p.A, p.B}] = p
 		}

@@ -13,9 +13,9 @@ import (
 
 // memoBudgetBytes caps the dense density memo's footprint. The memo
 // stores one K-vector of int32 counts plus a size and a state word per
-// graph node; past the budget (huge graph × large vocabulary) Run falls
-// back to per-pair density evaluation rather than risk an allocation in
-// the gigabytes.
+// graph node; past the budget (huge graph × large vocabulary) the sweep
+// falls back to per-pair density evaluation rather than risk an
+// allocation in the gigabytes.
 const memoBudgetBytes = 256 << 20
 
 // densityMemo deduplicates density-phase BFS traversals across the
@@ -92,7 +92,7 @@ func (m *densityMemo) eval(r graph.NodeID, multi *core.MultiEvaluator, scratch [
 	}
 }
 
-// SharedMemo is a density memo that outlives a single Run: the caller
+// SharedMemo is a density memo that outlives a single sweep: the caller
 // owns it, hands it to successive sweeps via Config.Memo, and entries
 // published by one run are served to the next. It is the substrate of
 // standing queries — a monitor re-screening the same event pair after
@@ -104,10 +104,10 @@ func (m *densityMemo) eval(r graph.NodeID, multi *core.MultiEvaluator, scratch [
 // with every node whose h-vicinity or vicinity event content may have
 // changed (vicinity.DirtySet yields exactly that set for edge flips;
 // the reverse h-ball around changed occurrence nodes covers event
-// mutations) BEFORE the next Run. Entries that survive invalidation
+// mutations) BEFORE the next sweep. Entries that survive invalidation
 // are served as-is, which is what makes the reuse bit-identical rather
-// than approximate. Not safe for use by concurrent Runs; serialize
-// runs and invalidations.
+// than approximate. Not safe for use by concurrent sweeps; serialize
+// sweeps and invalidations.
 type SharedMemo struct {
 	names []string // sorted vocabulary; count vectors are indexed by it
 	memo  *densityMemo

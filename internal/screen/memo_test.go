@@ -39,30 +39,10 @@ func memoFixture(t *testing.T, directed bool, k, occ int, seed uint64) (*graph.G
 	return g, eb.Build()
 }
 
-// samePairs compares the exported statistics of two screening reports
-// with exact float equality — the memo must be bit-invisible.
-func samePairs(t *testing.T, memo, ref Result) {
-	t.Helper()
-	if len(memo.Pairs) != len(ref.Pairs) {
-		t.Fatalf("pair counts differ: %d vs %d", len(memo.Pairs), len(ref.Pairs))
-	}
-	if memo.Tested != ref.Tested || memo.Skipped != ref.Skipped || memo.Rejected != ref.Rejected {
-		t.Fatalf("summary differs: %+v vs %+v", memo, ref)
-	}
-	for i := range memo.Pairs {
-		m, r := memo.Pairs[i], ref.Pairs[i]
-		if m.A != r.A || m.B != r.B || m.OccA != r.OccA || m.OccB != r.OccB ||
-			m.Tau != r.Tau || m.Z != r.Z || m.P != r.P || m.AdjP != r.AdjP ||
-			m.Significant != r.Significant || m.Skipped != r.Skipped {
-			t.Fatalf("pair %d differs:\nmemo %+v\nref  %+v", i, m, r)
-		}
-	}
-}
-
 // TestMemoBitIdentical is the sweep-level differential test: screening
-// with the cross-pair density memo produces reports bit-identical to
-// the retained per-pair reference path, over directed and undirected
-// graphs at h = 1..3, while actually deduplicating traversals.
+// with and without the cross-pair density memo produces reports
+// bit-identical to the reference sweep, over directed and undirected
+// graphs at h = 1..3, while the memo actually deduplicates traversals.
 func TestMemoBitIdentical(t *testing.T) {
 	for _, directed := range []bool{false, true} {
 		for h := 1; h <= 3; h++ {
@@ -75,16 +55,22 @@ func TestMemoBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				refCfg := cfg
-				refCfg.NoMemo = true
-				refRes, err := Run(g, store, pairs, refCfg)
+				noMemoCfg := cfg
+				noMemoCfg.NoMemo = true
+				refRes, err := Run(g, store, pairs, noMemoCfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 
-				samePairs(t, memoRes, refRes)
+				raw, refBFS := referenceSweep(t, g, store, pairs, cfg)
+				want := referenceRun(raw, cfg)
+				sameRun(t, "memo", memoRes, want)
+				sameRun(t, "no memo", refRes, want)
 				if refRes.MemoHits != 0 {
-					t.Fatalf("reference path reported %d memo hits", refRes.MemoHits)
+					t.Fatalf("memo-less sweep reported %d memo hits", refRes.MemoHits)
+				}
+				if refRes.BFSRuns != refBFS {
+					t.Fatalf("memo-less sweep paid %d traversals, reference %d", refRes.BFSRuns, refBFS)
 				}
 				if memoRes.MemoHits == 0 {
 					t.Fatal("memo path reported zero hits on an overlapping workload")
@@ -116,7 +102,10 @@ func TestMemoWithEnginePool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	samePairs(t, plain, pooled)
+	raw, _ := referenceSweep(t, g, store, pairs, cfg)
+	want := referenceRun(raw, cfg)
+	sameRun(t, "plain", plain, want)
+	sameRun(t, "pooled", pooled, want)
 }
 
 // TestScreenSampleRoutesThroughLogLinearKendall audits the satellite

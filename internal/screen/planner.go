@@ -1,24 +1,20 @@
 package screen
 
 import (
-	"fmt"
 	"math"
-	"math/rand/v2"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
-	"tesc/internal/core"
 	"tesc/internal/events"
 	"tesc/internal/graph"
 	"tesc/internal/stats"
 	"tesc/internal/vicinity"
 )
 
-// This file is the top-k screening planner: the best-first alternative
-// to Run's exhaustive K² sweep for the production questions "which
-// pairs correlate most" and "did anything cross θ". The planner orders
+// This file is the top-k screening planner's policy — the bar, the
+// bounds and the prior — for the production questions "which pairs
+// correlate most" and "did anything cross θ"; sweep.go is the engine it
+// shares with Run's exhaustive K² sweep. The planner orders
 // candidate pairs by a cheap co-occurrence prior, evaluates densities
 // incrementally over each pair's reference sample, and terminates a
 // pair as soon as an upper bound on its final score falls below the
@@ -37,10 +33,10 @@ import (
 // the bar, and the bar never exceeds the final k-th best exact score,
 // a pruned pair provably cannot belong to the top k (ties at the bar
 // always run to completion). Completed pairs draw the exact reference
-// sample Run would draw (same pairSeed rng, same BatchBFS sampler) and
-// push the same density vectors through the same Kendall kernel, so
-// their Tau/Z/P are bit-identical to the exhaustive sweep's — the
-// differential battery in planner_diff_test.go pins this equivalence.
+// sample the exhaustive sweep draws (same pairSeed rng, same BatchBFS
+// sampler) and push the same density vectors through the same Kendall
+// kernel, so their Tau/Z/P are bit-identical — the differential battery
+// in planner_diff_test.go pins both against a test-only reference.
 // See docs/SCREENING.md for the full argument.
 
 // PlanConfig parameterizes a planned (top-k or threshold) screening
@@ -214,11 +210,11 @@ type planBar struct {
 	k      int     // 0 = threshold mode
 	theta  float64 // threshold-mode bar
 	scores []float64
-	// completed accumulates every fully tested pair for the final
-	// ranking; streaming snapshots are cut from it.
-	completed []PairResult
-	alt       stats.Alternative
+	alt    stats.Alternative
+	// stream, when non-nil, receives ranked snapshots cut from
+	// completed, which is kept only for it.
 	stream    func([]PairResult)
+	completed []PairResult
 }
 
 func (b *planBar) bar() float64 {
@@ -238,15 +234,17 @@ func (b *planBar) bar() float64 {
 func (b *planBar) offer(res PairResult) {
 	score := rankScore(b.alt, res.Tau)
 	b.mu.Lock()
-	b.completed = append(b.completed, res)
 	// insert into the descending score list
 	i := sort.Search(len(b.scores), func(i int) bool { return b.scores[i] < score })
 	b.scores = append(b.scores, 0)
 	copy(b.scores[i+1:], b.scores[i:])
 	b.scores[i] = score
 	var snapshot []PairResult
-	if b.stream != nil && b.visible(score) {
-		snapshot = b.ranked()
+	if b.stream != nil {
+		b.completed = append(b.completed, res)
+		if b.visible(score) {
+			snapshot = rankCut(append([]PairResult(nil), b.completed...), b.k, b.theta, b.alt)
+		}
 	}
 	b.mu.Unlock()
 	if snapshot != nil {
@@ -266,20 +264,16 @@ func (b *planBar) visible(score float64) bool {
 	return score >= b.scores[b.k-1]
 }
 
-// ranked cuts the current result set from the completed pairs: top-k
-// or everything at θ, in rank order. Caller holds mu (or owns b).
-func (b *planBar) ranked() []PairResult {
-	out := append([]PairResult(nil), b.completed...)
-	sort.Slice(out, func(i, j int) bool { return rankLess(&out[i], &out[j], b.alt) })
-	if b.k > 0 {
-		if len(out) > b.k {
-			out = out[:b.k]
-		}
-		return out
+// rankCut sorts completed pairs into rank order, in place, and cuts the
+// result set: the top k, or (k == 0) everything scoring at least θ.
+func rankCut(out []PairResult, k int, theta float64, alt stats.Alternative) []PairResult {
+	sort.Slice(out, func(i, j int) bool { return rankLess(&out[i], &out[j], alt) })
+	if k > 0 {
+		return out[:min(k, len(out))]
 	}
 	cut := len(out)
 	for i, r := range out {
-		if rankScore(b.alt, r.Tau) < b.theta {
+		if rankScore(alt, r.Tau) < theta {
 			cut = i
 			break
 		}
@@ -287,239 +281,31 @@ func (b *planBar) ranked() []PairResult {
 	return out[:cut]
 }
 
-// planCandidate is one queued pair with its precomputed priority and
-// prior score bound.
+// planCandidate is one queued pair — an index into the sweep's
+// results, which already name the pair and its occurrence counts — with
+// its precomputed priority and prior score bound.
 type planCandidate struct {
-	pair     [2]string
-	occA     int
-	occB     int
+	idx      int
 	priority float64
 	priorUB  float64
 }
 
 // Plan runs the prioritized top-k / threshold screen over the given
 // candidate pairs. The returned pairs carry raw p-values (AdjP == P,
-// Significant = P < Alpha); see PlanConfig for the two modes.
+// Significant = P < Alpha); see PlanConfig for the two modes. A
+// canceled plan is the one abandonment that keeps its partial work:
+// every ranked pair completed its full exact test, so the ranking is
+// sound over the pairs evaluated, and it comes back alongside the
+// error.
 func Plan(g *graph.Graph, store *events.Store, pairs [][2]string, cfg PlanConfig) (PlanResult, error) {
-	if cfg.H < 1 {
-		return PlanResult{}, fmt.Errorf("screen: H must be >= 1")
-	}
-	if cfg.SampleSize == 0 {
-		cfg.SampleSize = 900
-	}
-	if cfg.SampleSize < 2 {
-		return PlanResult{}, fmt.Errorf("screen: sample size must be >= 2, got %d", cfg.SampleSize)
-	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = 0.05
-	}
-	if cfg.Alpha <= 0 || cfg.Alpha >= 1 || math.IsNaN(cfg.Alpha) {
-		return PlanResult{}, fmt.Errorf("screen: alpha must be in (0,1), got %g", cfg.Alpha)
-	}
-	if cfg.MinOccurrences < 1 {
-		cfg.MinOccurrences = 1
-	}
-	switch {
-	case cfg.K < 0:
-		return PlanResult{}, fmt.Errorf("screen: plan k must be >= 0, got %d", cfg.K)
-	case cfg.K == 0:
-		if math.IsNaN(cfg.Theta) || cfg.Theta < -1 || cfg.Theta > 1 {
-			return PlanResult{}, fmt.Errorf("screen: threshold mode needs theta in [-1,1], got %g", cfg.Theta)
-		}
-	case cfg.Theta != 0:
-		return PlanResult{}, fmt.Errorf("screen: theta is a threshold-mode parameter; it must be 0 when k > 0")
-	}
-	if math.IsNaN(cfg.BoundAlpha) || cfg.BoundAlpha >= 1 {
-		return PlanResult{}, fmt.Errorf("screen: bound alpha must be below 1 (negative disables the statistical bound), got %g", cfg.BoundAlpha)
-	}
-	if cfg.BoundAlpha == 0 {
-		cfg.BoundAlpha = defaultBoundAlpha
-	}
-	if cfg.FirstCheckpoint == 0 {
-		cfg.FirstCheckpoint = stats.KendallNaiveCutoff
-	}
-	if cfg.FirstCheckpoint < 2 {
-		return PlanResult{}, fmt.Errorf("screen: first checkpoint must be >= 2, got %d", cfg.FirstCheckpoint)
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
-
-	stale := func() bool { return cfg.CurrentEpoch != nil && cfg.CurrentEpoch() != cfg.Epoch }
-	if stale() {
-		return PlanResult{}, ErrStaleEpoch
-	}
-	if err := cfg.canceled(); err != nil {
-		return PlanResult{}, err
-	}
-
-	memo, mem, eventIdx, err := bindSweepMemo(g, store, pairs, cfg.Config)
-	if err != nil {
-		return PlanResult{}, err
-	}
-	var hitsBefore int64
-	if memo != nil {
-		hitsBefore = memo.memoHits.Load()
-	}
-
-	st := PlanStats{Candidates: len(pairs)}
-	bar := &planBar{k: cfg.K, theta: cfg.Theta, alt: cfg.Alternative, stream: cfg.Stream}
-
-	// Phase 1 — the prior pass: skip degenerate pairs, compute each
-	// survivor's priority (occurrence-set cosine overlap, a pure
-	// co-location heuristic: order affects only how fast the bar
-	// rises, never which pairs survive) and, when the vicinity index
-	// allows, a sound prior bound on its score. This is the planner's
-	// "query planning" step: O(K²) set intersections instead of O(K²)
-	// full tests.
-	total := len(pairs)
-	var done atomic.Int64
-	// Same contract as Run's Progress: exactly once per candidate,
-	// each value 1..total delivered once, no lock held.
-	progress := func() {
-		d := int(done.Add(1))
-		if cfg.Progress != nil {
-			cfg.Progress(d, total)
+	results, st, err := sweep(g, store, pairs, cfg)
+	var tested []PairResult
+	for _, r := range results {
+		if r.Skipped == "" {
+			tested = append(tested, r)
 		}
 	}
-	reach := priorReach(g, store, cfg)
-	queue := make([]planCandidate, 0, len(pairs))
-	var skippedEarly int
-	for _, pair := range pairs {
-		c := planCandidate{pair: pair, occA: store.Count(pair[0]), occB: store.Count(pair[1]), priorUB: 1}
-		if c.occA < cfg.MinOccurrences || c.occB < cfg.MinOccurrences {
-			skippedEarly++
-			progress()
-			continue
-		}
-		va, vb := store.Set(pair[0]), store.Set(pair[1])
-		overlap := va.CountIn(vb.Members())
-		c.priority = float64(overlap) / math.Sqrt(float64(c.occA)*float64(c.occB))
-		if reach != nil {
-			c.priorUB = math.Min(reach.scoreUB(pair[0], c.occA, c.occB), reach.scoreUB(pair[1], c.occA, c.occB))
-		}
-		queue = append(queue, c)
-	}
-	st.Skipped = skippedEarly
-	// The materialized max-priority queue: priorities are static, so a
-	// deterministic sort plus an atomic cursor is the queue — workers
-	// pop best-first without a heap's lock traffic.
-	sort.Slice(queue, func(i, j int) bool {
-		if queue[i].priority != queue[j].priority {
-			return queue[i].priority > queue[j].priority
-		}
-		if queue[i].pair[0] != queue[j].pair[0] {
-			return queue[i].pair[0] < queue[j].pair[0]
-		}
-		return queue[i].pair[1] < queue[j].pair[1]
-	})
-
-	// Phase 2 — best-first evaluation with bound pruning.
-	var (
-		next       atomic.Int64
-		staleStop  atomic.Bool
-		cancelStop atomic.Bool
-		mu         sync.Mutex // guards the shared counters below
-	)
-	worker := func() {
-		sampler := &core.BatchBFSSampler{Engines: cfg.Engines}
-		var src *memoSource
-		if memo != nil {
-			var bfs *graph.BFS
-			if cfg.Engines != nil && cfg.Engines.Graph() == g {
-				bfs = cfg.Engines.Get()
-				defer cfg.Engines.Put(bfs)
-			}
-			multi, err := core.NewMultiEvaluator(g, mem, cfg.H, bfs)
-			if err == nil {
-				src = &memoSource{memo: memo, multi: multi, scratch: make([]int32, mem.NumEvents()), shared: cfg.Memo}
-			}
-		}
-		var local planStats64
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(queue) {
-				break
-			}
-			if stale() {
-				staleStop.Store(true)
-				break
-			}
-			if cfg.canceled() != nil {
-				cancelStop.Store(true)
-				break
-			}
-			c := queue[i]
-			var fate pairFate
-			if c.priorUB < bar.bar() {
-				// The reach bound already caps this pair below the bar:
-				// discarded without sampling a single reference.
-				fate = fatePrunedPrior
-			} else {
-				var res PairResult
-				res, fate = planPair(g, store, c, cfg, sampler, src, eventIdx, bar, &local)
-				if fate == fateCanceled {
-					cancelStop.Store(true)
-					break
-				}
-				if fate == fateFull {
-					bar.offer(res)
-				}
-			}
-			mu.Lock()
-			switch fate {
-			case fateFull:
-				st.FullTests++
-			case fatePrunedEarly:
-				st.PrunedEarly++
-			case fatePrunedPrior:
-				st.PrunedPrior++
-			case fateSkipped:
-				st.Skipped++
-			}
-			mu.Unlock()
-			progress()
-		}
-		mu.Lock()
-		st.Checkpoints += int(local.checkpoints)
-		st.DensityEvals += local.densityEvals
-		st.BFSRuns += local.bfsRuns
-		mu.Unlock()
-	}
-	if workers <= 1 {
-		worker()
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				worker()
-			}()
-		}
-		wg.Wait()
-	}
-	if staleStop.Load() || stale() {
-		return PlanResult{}, ErrStaleEpoch
-	}
-
-	if memo != nil {
-		st.MemoHits = memo.memoHits.Load() - hitsBefore
-	}
-	out := PlanResult{Pairs: bar.ranked(), Stats: st}
-	if cancelStop.Load() {
-		// A canceled plan is the one abandonment that keeps its partial
-		// work: every pair in the bar completed its full exact test, so
-		// the ranking-so-far is sound over the pairs evaluated — the
-		// planner API already models partial results for streaming.
-		// The error still reports the sweep as incomplete.
-		return out, cfg.canceled()
-	}
-	return out, nil
+	return PlanResult{Pairs: rankCut(tested, cfg.K, cfg.Theta, cfg.Alternative), Stats: st}, err
 }
 
 // checkpointScoreBound is the planner's pruning core: given the
@@ -539,115 +325,6 @@ func checkpointScoreBound(alt stats.Alternative, k stats.TauResult, m, n int, bo
 		}
 	}
 	return scoreInterval(alt, lo, hi)
-}
-
-// pairFate classifies how the planner disposed of a candidate.
-type pairFate int
-
-const (
-	fateFull pairFate = iota
-	fatePrunedEarly
-	fatePrunedPrior
-	fateSkipped
-	// fateCanceled marks a pair abandoned mid-evaluation because the
-	// sweep's context was canceled; the worker stops and Plan returns
-	// the bar's partial ranking with the cancellation error.
-	fateCanceled
-)
-
-// planStats64 is a worker's private accounting, folded once at exit.
-type planStats64 struct {
-	checkpoints  int64
-	densityEvals int64
-	bfsRuns      int64
-}
-
-// planPair evaluates one candidate incrementally: draw the exact
-// reference sample Run would draw, then walk the checkpoint schedule,
-// extending the density prefix and pruning as soon as the score bound
-// drops below the bar. A pair that survives every checkpoint finishes
-// with the full-sample Kendall statistic — bit-identical to
-// screenOne's, since the same density vectors reach the same kernel.
-func planPair(g *graph.Graph, store *events.Store, c planCandidate, cfg PlanConfig, sampler core.Sampler, src *memoSource, eventIdx map[string]int, bar *planBar, local *planStats64) (PairResult, pairFate) {
-	res := PairResult{A: c.pair[0], B: c.pair[1], OccA: c.occA, OccB: c.occB}
-
-	var p *core.Problem
-	var err error
-	if src != nil && src.shared != nil {
-		p, err = src.shared.problemFor(g, store, c.pair)
-	} else {
-		p, err = core.NewProblem(g, store.Set(c.pair[0]), store.Set(c.pair[1]))
-	}
-	if err != nil {
-		res.Skipped = err.Error()
-		return res, fateSkipped
-	}
-
-	// The same per-pair rng screenOne builds: the sampler consumes it
-	// identically, so the reference sample is the exhaustive sweep's.
-	seed := pairSeed(cfg.Seed, c.pair[0], c.pair[1])
-	rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
-	sample, err := sampler.SampleReferences(p, cfg.H, cfg.SampleSize, rng)
-	if err != nil {
-		res.Skipped = err.Error()
-		return res, fateSkipped
-	}
-	nodes := sample.Nodes
-	n := len(nodes)
-
-	var source core.DensitySource
-	if src != nil {
-		src.retarget(eventIdx[c.pair[0]], eventIdx[c.pair[1]])
-		source = src
-	} else {
-		var eval *core.DensityEvaluator
-		if cfg.Engines != nil && cfg.Engines.Graph() == g {
-			bfs := cfg.Engines.Get()
-			defer cfg.Engines.Put(bfs)
-			eval = core.NewDensityEvaluatorBFS(p, cfg.H, bfs)
-		} else {
-			eval = core.NewDensityEvaluator(p, cfg.H)
-		}
-		source = eval
-	}
-
-	sa := make([]float64, 0, n)
-	sb := make([]float64, 0, n)
-	evalTo := func(m int) {
-		before := source.Traversals()
-		csa, csb, _ := source.EvalAll(nodes[len(sa):m])
-		local.bfsRuns += source.Traversals() - before
-		local.densityEvals += int64(len(csa))
-		sa = append(sa, csa...)
-		sb = append(sb, csb...)
-	}
-
-	for _, m := range checkpointSchedule(cfg.FirstCheckpoint, n) {
-		// Checkpoints are the planner's natural cancellation points:
-		// the densities already paid for stay in the memo, and nothing
-		// partial ever reaches the bar.
-		if cfg.canceled() != nil {
-			return res, fateCanceled
-		}
-		evalTo(m)
-		local.checkpoints++
-		k := stats.KendallAuto(sa, sb)
-		_, scoreUB := checkpointScoreBound(cfg.Alternative, k, m, n, cfg.BoundAlpha)
-		// Strictly below the bar: the pair's final score cannot reach
-		// the k-th best completed score (or θ), under the bound. Ties
-		// at the bar keep running — that is what makes the planned
-		// top-k set exactly the exhaustive one's.
-		if scoreUB < bar.bar() {
-			return res, fatePrunedEarly
-		}
-	}
-	evalTo(n)
-	k := stats.KendallAuto(sa, sb)
-	res.Tau, res.Z = k.Tau, k.Z
-	res.P = stats.PValueZ(res.Z, cfg.Alternative)
-	res.AdjP = res.P
-	res.Significant = res.P < cfg.Alpha
-	return res, fateFull
 }
 
 // priorReach precomputes the per-event vicinity reach used by the

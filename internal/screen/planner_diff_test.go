@@ -1,6 +1,7 @@
 package screen
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -10,15 +11,15 @@ import (
 	"tesc/internal/stats"
 )
 
-// This file is the PR's center of gravity: the differential battery
-// proving Plan ≡ Run. Every trial builds a seeded random workload
-// (graph shape, event layout with deliberate ties and co-location,
-// test parameters), runs the exhaustive sweep as the oracle, and
-// demands the planner return the byte-identical top-k (and threshold)
-// result — same pairs, same order, same Tau/Z/P bits. The trial count
-// is ≥ 200 workloads as the acceptance criterion requires; each trial
-// exercises several k values, so the planner-vs-oracle comparisons run
-// to several hundred.
+// This file is the differential battery holding both entry points of
+// the sweep engine to the test-only reference sweep. Every trial builds
+// a seeded random workload (graph shape, event layout with deliberate
+// ties and co-location, test parameters), runs the reference as the
+// oracle, and demands the planner return the byte-identical top-k (and
+// threshold) result — same pairs, same order, same Tau/Z/P bits — and
+// the exhaustive Run the reference's corrected, ordered report. The
+// battery runs 220 workloads; each trial exercises several k values and
+// all three corrections, so the comparisons run to over a thousand.
 
 // diffWorkload is one seeded random workload.
 type diffWorkload struct {
@@ -105,34 +106,6 @@ func randomDiffWorkload(trial int, rng *rand.Rand) diffWorkload {
 	return diffWorkload{g: g, store: store, pairs: AllPairs(store, 1)}
 }
 
-// diffOracle is planOracle without the testing.T plumbing: the ranked
-// tested pairs of an exhaustive raw-p Run.
-func diffOracle(t *testing.T, w diffWorkload, cfg Config) []PairResult {
-	t.Helper()
-	runCfg := cfg
-	runCfg.Correction = None
-	res, err := Run(w.g, w.store, w.pairs, runCfg)
-	if err != nil {
-		t.Fatalf("oracle Run: %v", err)
-	}
-	var out []PairResult
-	for _, p := range res.Pairs {
-		if p.Skipped == "" {
-			out = append(out, p)
-		}
-	}
-	sortRanked(out, cfg.Alternative)
-	return out
-}
-
-func sortRanked(out []PairResult, alt stats.Alternative) {
-	for i := 1; i < len(out); i++ { // insertion sort: slices are small
-		for j := i; j > 0 && rankLess(&out[j], &out[j-1], alt); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-}
-
 func truncTopK(ranked []PairResult, k int) []PairResult {
 	if len(ranked) > k {
 		return ranked[:k]
@@ -152,12 +125,15 @@ func truncTheta(ranked []PairResult, alt stats.Alternative, theta float64) []Pai
 }
 
 // TestPlannerDifferentialBattery is the ≥200-workload equivalence
-// sweep: planner top-k ≡ exhaustive top-k, bit-identical scores,
-// stable tie-break order, across graph shapes (community, uniform,
-// power-law, directed), h ∈ {1,2,3}, all three alternatives, k ∈
-// {1, 5, K²}, tie-heavy event layouts, worker counts, memo on/off,
-// and both bound regimes (statistical+deterministic, and
-// deterministic-only on every fourth trial).
+// sweep against the reference: planner top-k ≡ reference top-k,
+// bit-identical scores, stable tie-break order, and the exhaustive Run
+// ≡ reference plus FDR, FWER or no correction (pair order, AdjP,
+// Significant, skip reasons, summary counts), across graph shapes
+// (community, uniform, power-law, directed), h ∈ {1,2,3}, all three
+// alternatives, k ∈ {1, 5, K²}, tie-heavy event layouts, occurrence
+// thresholds that skip pairs, worker counts, memo on/off, and both
+// bound regimes (statistical+deterministic, and deterministic-only on
+// every fourth trial).
 func TestPlannerDifferentialBattery(t *testing.T) {
 	const trials = 220
 	alts := []stats.Alternative{stats.Greater, stats.TwoSided, stats.Less}
@@ -180,7 +156,21 @@ func TestPlannerDifferentialBattery(t *testing.T) {
 			plan.BoundAlpha = -1 // deterministic-only pruning regime
 		}
 
-		oracle := diffOracle(t, w, base)
+		raw, refBFS := referenceSweep(t, w.g, w.store, w.pairs, base)
+		oracle := referenceRanked(raw, base.Alternative)
+
+		for _, corr := range []Correction{FDR, FWER, None} {
+			cfg := base
+			cfg.Correction = corr
+			got, err := Run(w.g, w.store, w.pairs, cfg)
+			if err != nil {
+				t.Fatalf("trial %d correction %d: %v", trial, corr, err)
+			}
+			sameRun(t, fmt.Sprintf("trial %d correction %d", trial, corr), got, referenceRun(raw, cfg))
+			if base.NoMemo && got.BFSRuns != refBFS {
+				t.Fatalf("trial %d: memo-less Run paid %d traversals, reference %d", trial, got.BFSRuns, refBFS)
+			}
+		}
 
 		for _, k := range []int{1, 5, len(w.pairs)} {
 			if k < 1 {
@@ -202,7 +192,7 @@ func TestPlannerDifferentialBattery(t *testing.T) {
 			}
 			for i := range want {
 				if got.Pairs[i] != want[i] {
-					t.Fatalf("trial %d k=%d rank %d: planner diverged from exhaustive sweep\n got %+v\nwant %+v",
+					t.Fatalf("trial %d k=%d rank %d: planner diverged from the reference\n got %+v\nwant %+v",
 						trial, k, i, got.Pairs[i], want[i])
 				}
 			}
@@ -241,7 +231,7 @@ func TestPlannerDifferentialBattery(t *testing.T) {
 
 // TestPlannerDifferentialEngines repeats a slice of the battery with a
 // pooled BFS engine wired in (the tescd serving configuration), since
-// the engine path changes which evaluator planPair builds.
+// the engine pool changes which evaluator planPair builds.
 func TestPlannerDifferentialEngines(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		rng := rand.New(rand.NewPCG(0xe49, uint64(trial)))
@@ -254,7 +244,17 @@ func TestPlannerDifferentialEngines(t *testing.T) {
 			Seed:        uint64(trial) + 40,
 			Engines:     graph.NewEnginePool(w.g),
 		}
-		oracle := diffOracle(t, w, base)
+		raw, _ := referenceSweep(t, w.g, w.store, w.pairs, base)
+		for _, noMemo := range []bool{false, true} {
+			rc := base
+			rc.NoMemo = noMemo
+			full, err := Run(w.g, w.store, w.pairs, rc)
+			if err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			sameRun(t, fmt.Sprintf("trial %d engine-pooled Run (no memo: %v)", trial, noMemo), full, referenceRun(raw, rc))
+		}
+		oracle := referenceRanked(raw, base.Alternative)
 		cfg := PlanConfig{Config: base, K: 5, FirstCheckpoint: 8}
 		got, err := Plan(w.g, w.store, w.pairs, cfg)
 		if err != nil {

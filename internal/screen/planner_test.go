@@ -14,26 +14,15 @@ import (
 	"tesc/internal/vicinity"
 )
 
-// planOracle derives the planner's expected output from an exhaustive
-// Run: keep the tested pairs, order them by the planner's total order,
-// then cut to top-k (or everything at θ). Run with Correction None
-// makes the whole PairResult comparable field-for-field (AdjP == P,
-// Significant = P < α — exactly the planner's raw-p semantics).
+// planOracle derives the planner's expected output from the reference
+// sweep: its tested pairs in the planner's total order, cut to top-k
+// (or everything at θ). The reference's raw-p results (AdjP == P,
+// Significant = P < α) are exactly the planner's semantics, so whole
+// PairResults compare field-for-field.
 func planOracle(t *testing.T, g *graph.Graph, store *events.Store, pairs [][2]string, cfg PlanConfig) []PairResult {
 	t.Helper()
-	runCfg := cfg.Config
-	runCfg.Correction = None
-	res, err := Run(g, store, pairs, runCfg)
-	if err != nil {
-		t.Fatalf("oracle Run: %v", err)
-	}
-	var out []PairResult
-	for _, p := range res.Pairs {
-		if p.Skipped == "" {
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return rankLess(&out[i], &out[j], cfg.Alternative) })
+	raw, _ := referenceSweep(t, g, store, pairs, cfg.Config)
+	out := referenceRanked(raw, cfg.Alternative)
 	if cfg.K > 0 {
 		if len(out) > cfg.K {
 			out = out[:cfg.K]
@@ -396,9 +385,12 @@ func TestRankOrdering(t *testing.T) {
 
 // TestPlanBarStrictness pins the bar semantics the soundness argument
 // rests on: the bar is −Inf until k completions, equals the k-th best
-// completed score after, and only ever rises.
+// completed score after, and only ever rises; its streamed snapshot is
+// the current top k (or everything at θ).
 func TestPlanBarStrictness(t *testing.T) {
-	b := &planBar{k: 2, alt: stats.Greater}
+	var ranked []PairResult
+	keep := func(top []PairResult) { ranked = top }
+	b := &planBar{k: 2, alt: stats.Greater, stream: keep}
 	if got := b.bar(); !math.IsInf(got, -1) {
 		t.Fatalf("empty bar = %g, want -Inf", got)
 	}
@@ -420,18 +412,16 @@ func TestPlanBarStrictness(t *testing.T) {
 	if got := b.bar(); got != 0.7 {
 		t.Fatalf("bar = %g, want 0.7", got)
 	}
-	ranked := b.ranked()
 	if len(ranked) != 2 || ranked[0].Tau != 0.9 || ranked[1].Tau != 0.7 {
 		t.Fatalf("ranked = %+v", ranked)
 	}
 	// Threshold mode: the bar is θ from the start.
-	tb := &planBar{theta: 0.25, alt: stats.Greater}
+	tb := &planBar{theta: 0.25, alt: stats.Greater, stream: keep}
 	if got := tb.bar(); got != 0.25 {
 		t.Fatalf("threshold bar = %g, want 0.25", got)
 	}
 	tb.offer(PairResult{A: "a", B: "b", Tau: 0.25}) // exactly at θ: stays
 	tb.offer(PairResult{A: "a", B: "c", Tau: 0.2})  // below θ: cut
-	ranked = tb.ranked()
 	if len(ranked) != 1 || ranked[0].Tau != 0.25 {
 		t.Fatalf("threshold ranked = %+v, want exactly the at-θ pair", ranked)
 	}

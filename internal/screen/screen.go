@@ -15,13 +15,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand/v2"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
-	"tesc/internal/core"
 	"tesc/internal/events"
 	"tesc/internal/graph"
 	"tesc/internal/stats"
@@ -78,10 +73,10 @@ type Config struct {
 	// pair sets.
 	Progress func(done, total int)
 	// NoMemo disables the cross-pair density memo, forcing every pair
-	// to evaluate densities with its own fresh traversals — the
-	// retained reference path. Reports are bit-identical either way
-	// (the differential tests pin this); the only observable difference
-	// is BFSRuns/MemoHits. The memo also disables itself when the dense
+	// to evaluate densities with its own fresh traversals. Reports are
+	// bit-identical either way (the differential tests pin both against
+	// a test-only reference sweep); the only observable difference is
+	// BFSRuns/MemoHits. The memo also disables itself when the dense
 	// node × event arrays would exceed the memory budget.
 	NoMemo bool
 	// Engines, when non-nil, supplies pooled BFS engines bound to g for
@@ -98,8 +93,8 @@ type Config struct {
 	// must match g. Result.MemoHits counts only this run's hits.
 	Memo *SharedMemo
 	// Epoch and CurrentEpoch, when CurrentEpoch is non-nil, pin the
-	// sweep to one snapshot version: Run re-validates before testing
-	// each pair and once more after the last pair, and fails with
+	// sweep to one snapshot version: the sweep re-validates before
+	// testing each pair and once more after the last pair, and fails with
 	// ErrStaleEpoch as soon as CurrentEpoch() != Epoch — a mutation
 	// landed mid-sweep and the caller's (graph, store, memo) view can
 	// no longer be assumed internally consistent. Leave CurrentEpoch
@@ -107,12 +102,13 @@ type Config struct {
 	Epoch        uint64
 	CurrentEpoch func() uint64
 	// Ctx, when non-nil, lets the caller abandon the sweep: workers
-	// check it before each pair (like the stale-epoch check) and the
-	// in-flight pair's density phase checks it between traversal
-	// chunks. A canceled Run discards its partial results and returns
-	// an error wrapping the context's cause; Plan instead returns the
-	// bar's partial ranking alongside the error (the planner API
-	// already models partial results). Nil means run to completion.
+	// check it before each pair (like the stale-epoch check), and an
+	// in-flight pair checks it at each planner checkpoint and, without
+	// the memo, between traversal chunks. A canceled Run discards its
+	// partial results and returns an error wrapping the context's
+	// cause; Plan instead returns the ranking over the pairs it
+	// completed alongside the error (the planner API already models
+	// partial results). Nil means run to completion.
 	Ctx context.Context
 }
 
@@ -185,137 +181,34 @@ func AllPairs(store *events.Store, minOcc int) [][2]string {
 	return pairs
 }
 
-// Run screens the given pairs on g using occurrences from store.
+// Run screens the given pairs on g using occurrences from store: the
+// exhaustive sweep, a plan with k = every pair whose bar never prunes,
+// followed by the multiple-testing correction over the whole p-value
+// family. Pairs come back ordered by adjusted p-value, then |Z|
+// descending, then names; skipped pairs last. Any error — including a
+// stale epoch or a cancel that lands after the last pair — returns an
+// empty Result.
 func Run(g *graph.Graph, store *events.Store, pairs [][2]string, cfg Config) (Result, error) {
-	if cfg.H < 1 {
-		return Result{}, fmt.Errorf("screen: H must be >= 1")
-	}
-	if cfg.SampleSize == 0 {
-		cfg.SampleSize = 900
-	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = 0.05
-	}
-	if cfg.MinOccurrences < 1 {
-		cfg.MinOccurrences = 1
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
-
-	stale := func() bool { return cfg.CurrentEpoch != nil && cfg.CurrentEpoch() != cfg.Epoch }
-	if stale() {
-		return Result{}, ErrStaleEpoch
-	}
-	if err := cfg.canceled(); err != nil {
-		return Result{}, err
-	}
-
-	memo, mem, eventIdx, err := bindSweepMemo(g, store, pairs, cfg)
+	cfg, err := cfg.normalized()
 	if err != nil {
 		return Result{}, err
 	}
-	var hitsBefore int64
-	if memo != nil {
-		hitsBefore = memo.memoHits.Load()
+	results, st, err := sweep(g, store, pairs, PlanConfig{Config: cfg, K: len(pairs)})
+	if err == nil {
+		// A cancel landing during the last pair stops no worker, but that
+		// pair may have been abandoned mid-density-phase: re-check so a
+		// canceled sweep never passes for a complete one.
+		err = cfg.canceled()
 	}
-
-	results := make([]PairResult, len(pairs))
-	var wg sync.WaitGroup
-	// The completed counter is atomic and Progress runs outside any
-	// lock: serializing the callback under a mutex stalled every other
-	// worker for the duration of each call on large pair sets. Work is
-	// handed out by a second atomic counter — one fetch-add per pair —
-	// instead of a feeder goroutine pushing indexes down a channel.
-	var completed, nextPair atomic.Int64
-	var bfsRuns atomic.Int64
-	var staleStop, cancelStop atomic.Bool
-	worker := func() {
-		sampler := &core.BatchBFSSampler{Engines: cfg.Engines}
-		var src *memoSource
-		if memo != nil {
-			var bfs *graph.BFS
-			if cfg.Engines != nil && cfg.Engines.Graph() == g {
-				bfs = cfg.Engines.Get()
-				defer cfg.Engines.Put(bfs)
-			}
-			multi, err := core.NewMultiEvaluator(g, mem, cfg.H, bfs)
-			if err == nil {
-				src = &memoSource{memo: memo, multi: multi, scratch: make([]int32, mem.NumEvents()), shared: cfg.Memo}
-			}
-		}
-		var localBFS int64
-		for {
-			i := int(nextPair.Add(1)) - 1
-			if i >= len(pairs) {
-				break
-			}
-			// Re-validate the pinned epoch before spending BFS work
-			// on this pair; a stale sweep is discarded whole. A
-			// canceled sweep stops the same way: the caller is gone,
-			// so every further traversal is wasted work.
-			if stale() {
-				staleStop.Store(true)
-				break
-			}
-			if cfg.canceled() != nil {
-				cancelStop.Store(true)
-				break
-			}
-			var pairBFS int64
-			if src != nil {
-				src.retarget(eventIdx[pairs[i][0]], eventIdx[pairs[i][1]])
-				results[i], pairBFS = screenOne(g, store, pairs[i], cfg, sampler, src)
-			} else {
-				results[i], pairBFS = screenOne(g, store, pairs[i], cfg, sampler, nil)
-			}
-			localBFS += pairBFS
-			if cfg.Progress != nil {
-				cfg.Progress(int(completed.Add(1)), len(pairs))
-			}
-		}
-		bfsRuns.Add(localBFS)
-	}
-	if workers == 1 {
-		// A single-worker sweep (every standing-query re-screen is one)
-		// runs inline: no goroutine spawn, no scheduler handoff, and
-		// the caller's warm stack.
-		worker()
-	} else {
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				worker()
-			}()
-		}
-		wg.Wait()
-	}
-	// The closing re-validation: a delta that landed after the last
-	// per-pair check still invalidates the sweep — some pairs may have
-	// sampled reference nodes from the superseded snapshot's view.
-	if staleStop.Load() || stale() {
-		return Result{}, ErrStaleEpoch
-	}
-	// Same for cancellation: a cancel landing during the last pair sets
-	// no flag (no worker re-enters the loop), but that pair's test may
-	// have aborted mid-density-phase — re-check so it cannot escape as
-	// a mislabeled skip.
-	if cancelStop.Load() || cfg.canceled() != nil {
-		return Result{}, cfg.canceled()
+	if err != nil {
+		return Result{}, err
 	}
 
 	// correction over the tested pairs only
-	var tested []int
-	var ps []float64
-	for i := range results {
-		if results[i].Skipped == "" {
-			tested = append(tested, i)
-			ps = append(ps, results[i].P)
+	ps := make([]float64, 0, len(results))
+	for _, r := range results {
+		if r.Skipped == "" {
+			ps = append(ps, r.P)
 		}
 	}
 	var adj []float64
@@ -327,16 +220,15 @@ func Run(g *graph.Graph, store *events.Store, pairs [][2]string, cfg Config) (Re
 	default:
 		adj = stats.BenjaminiHochberg(ps)
 	}
-	out := Result{Pairs: results, Tested: len(tested), Skipped: len(results) - len(tested), BFSRuns: bfsRuns.Load()}
-	if memo != nil {
-		// Report this run's hits only: a SharedMemo's counter spans its
-		// whole lifetime across many runs.
-		out.MemoHits = memo.memoHits.Load() - hitsBefore
-	}
-	for k, i := range tested {
-		results[i].AdjP = adj[k]
-		results[i].Significant = adj[k] < cfg.Alpha
-		if results[i].Significant {
+	out := Result{Pairs: results, Tested: len(ps), Skipped: len(results) - len(ps), BFSRuns: st.BFSRuns, MemoHits: st.MemoHits}
+	for i := range results {
+		r := &results[i]
+		if r.Skipped != "" {
+			continue
+		}
+		r.AdjP, adj = adj[0], adj[1:]
+		r.Significant = r.AdjP < cfg.Alpha
+		if r.Significant {
 			out.Rejected++
 		}
 	}
@@ -359,108 +251,6 @@ func Run(g *graph.Graph, store *events.Store, pairs [][2]string, cfg Config) (Re
 		return pa.B < pb.B
 	})
 	return out, nil
-}
-
-// bindSweepMemo sets up a sweep's cross-pair density memo. The memo
-// needs the event vocabulary as an indexed set: the distinct event
-// names of the pair list (sorted for determinism) and their occurrence
-// sets. A caller-owned SharedMemo supplies its own (fixed) vocabulary
-// instead, so its cached count vectors keep their layout across runs;
-// NoMemo (or a budget miss) returns all-nil and the sweep evaluates
-// densities per pair. Shared by Run and Plan.
-func bindSweepMemo(g *graph.Graph, store *events.Store, pairs [][2]string, cfg Config) (*densityMemo, *core.EventMembership, map[string]int, error) {
-	var memo *densityMemo
-	var mem *core.EventMembership
-	eventIdx := make(map[string]int)
-	switch {
-	case cfg.NoMemo:
-	case cfg.Memo != nil:
-		m, err := cfg.Memo.bind(g.NumNodes(), store, pairs, eventIdx)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		mem = m
-		memo = cfg.Memo.memo
-	default:
-		var names []string
-		for _, p := range pairs {
-			for _, name := range []string{p[0], p[1]} {
-				if _, ok := eventIdx[name]; !ok {
-					eventIdx[name] = -1 // mark; index assigned after sort
-					names = append(names, name)
-				}
-			}
-		}
-		sort.Strings(names)
-		sets := make([]*graph.NodeSet, len(names))
-		for k, name := range names {
-			eventIdx[name] = k
-			sets[k] = store.Set(name)
-		}
-		if m, err := core.NewEventMembership(g.NumNodes(), sets); err == nil {
-			mem = m
-			memo = newDensityMemo(g.NumNodes(), len(names))
-		}
-	}
-	return memo, mem, eventIdx, nil
-}
-
-// screenOne tests a single pair, returning the result and the pair's
-// density-phase traversal count (folded into Result.BFSRuns; kept out
-// of PairResult so the report stays a pure function of the
-// statistics — with the memo, which pair pays for a shared node's
-// traversal depends on scheduling). densities, when non-nil, is the
-// worker's memo-backed density source, already retargeted at this
-// pair's event indices; nil evaluates densities with the pair's own
-// traversals (the reference path).
-func screenOne(g *graph.Graph, store *events.Store, pair [2]string, cfg Config, sampler core.Sampler, densities core.DensitySource) (PairResult, int64) {
-	res := PairResult{
-		A: pair[0], B: pair[1],
-		OccA: store.Count(pair[0]), OccB: store.Count(pair[1]),
-	}
-	if res.OccA < cfg.MinOccurrences || res.OccB < cfg.MinOccurrences {
-		res.Skipped = "below occurrence threshold"
-		return res, 0
-	}
-	var p *core.Problem
-	var err error
-	if ms, ok := densities.(*memoSource); ok && ms.shared != nil {
-		// Standing queries re-test the same pair across snapshots; the
-		// shared memo caches the pair's Va∪b so only real occurrence
-		// changes rebuild it.
-		p, err = ms.shared.problemFor(g, store, pair)
-	} else {
-		p, err = core.NewProblem(g, store.Set(pair[0]), store.Set(pair[1]))
-	}
-	if err != nil {
-		res.Skipped = err.Error()
-		return res, 0
-	}
-	seed := pairSeed(cfg.Seed, pair[0], pair[1])
-	opts := core.Options{
-		H:           cfg.H,
-		SampleSize:  cfg.SampleSize,
-		Sampler:     sampler,
-		Alternative: cfg.Alternative,
-		Alpha:       cfg.Alpha,
-		Rand:        rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)),
-		Engines:     cfg.Engines,
-		Ctx:         cfg.Ctx,
-	}
-	if densities != nil {
-		opts.Densities = densities
-	}
-	tr, err := core.Test(p, opts)
-	if err != nil {
-		// A canceled test is not a skipped pair: the whole sweep is
-		// being abandoned, and Skipped would mislabel the pair if the
-		// partial result ever escaped. The worker loop's cancel check
-		// discards the sweep right after.
-		res.Skipped = err.Error()
-		return res, 0
-	}
-	res.Tau, res.Z, res.P = tr.Tau, tr.Z, tr.P
-	return res, tr.DensityBFS
 }
 
 func pairSeed(seed uint64, a, b string) uint64 {

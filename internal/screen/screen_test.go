@@ -1,6 +1,7 @@
 package screen
 
 import (
+	"math"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -140,6 +141,40 @@ func TestRunSkipsAndErrors(t *testing.T) {
 	// invalid config
 	if _, err := Run(g, store, nil, Config{H: 0}); err == nil {
 		t.Error("H=0 accepted")
+	}
+}
+
+// TestRunRejectsInvalidConfig is the regression test for an exhaustive
+// sweep that "succeeded" with every pair skipped: an out-of-range alpha
+// or sample size is an error from Run, Plan and Config.Validate alike,
+// while the zero values still select the defaults.
+func TestRunRejectsInvalidConfig(t *testing.T) {
+	g, store := fixture(t)
+	pairs := AllPairs(store, 5)
+	for _, cfg := range []Config{
+		{H: 1, Alpha: 1.5},
+		{H: 1, Alpha: 1},
+		{H: 1, Alpha: -0.1},
+		{H: 1, Alpha: math.NaN()},
+		{H: 1, SampleSize: 1},
+		{H: 1, SampleSize: -3},
+	} {
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("Validate accepted %+v", cfg)
+		}
+		if res, err := Run(g, store, pairs, cfg); err == nil {
+			t.Errorf("Run accepted %+v: %d tested, %d skipped", cfg, res.Tested, res.Skipped)
+		}
+		if _, err := Plan(g, store, pairs, PlanConfig{Config: cfg, K: 3}); err == nil {
+			t.Errorf("Plan accepted %+v", cfg)
+		}
+	}
+	ok := Config{H: 1, SampleSize: 0, Alpha: 0, Seed: 1}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("defaults rejected: %v", err)
+	}
+	if res, err := Run(g, store, pairs[:2], ok); err != nil || res.Tested != 2 {
+		t.Fatalf("defaults: %+v, %v", res, err)
 	}
 }
 

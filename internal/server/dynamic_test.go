@@ -59,12 +59,18 @@ func TestConcurrentMutationsAndQueries(t *testing.T) {
 		mutations atomic.Int64
 		mutWG     sync.WaitGroup
 		workerWG  sync.WaitGroup
+		// first closes once the edge mutator has landed a delta (or
+		// given up): on a loaded scheduler the workers could otherwise
+		// finish before the mutator ever ran.
+		first     = make(chan struct{})
+		firstOnce sync.Once
 	)
 
 	// Edge mutator: random single-edge flips, index refreshed in place.
 	mutWG.Add(1)
 	go func() {
 		defer mutWG.Done()
+		defer firstOnce.Do(func() { close(first) })
 		rng := rand.New(rand.NewPCG(21, 12))
 		n := g.NumNodes()
 		for !stop.Load() {
@@ -81,6 +87,7 @@ func TestConcurrentMutationsAndQueries(t *testing.T) {
 				return
 			}
 			mutations.Add(1)
+			firstOnce.Do(func() { close(first) })
 		}
 	}()
 
@@ -100,6 +107,7 @@ func TestConcurrentMutationsAndQueries(t *testing.T) {
 		}
 	}()
 
+	<-first
 	for w := 0; w < workers; w++ {
 		workerWG.Add(1)
 		go func(w int) {

@@ -645,6 +645,12 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 		writeError(w, api.CodeBadRequest, "bound_alpha applies only to planned screens (set top_k or theta)")
 		return
 	}
+	// The sweep's own validation of alpha and sample_size, applied
+	// before a job slot is taken: a bad request is a 400, never a job.
+	if err := (screen.Config{H: req.H, SampleSize: req.SampleSize, Alpha: req.Alpha}).Validate(); err != nil {
+		writeError(w, api.CodeBadRequest, "%v", err)
+		return
+	}
 	// One snapshot for the whole sweep: a long screening job keeps its
 	// consistent graph + event view while mutations continue to land.
 	snap := e.Snapshot()

@@ -25,9 +25,11 @@ func plannerEvents(t *testing.T, env *testEnv) tesc.EventSet {
 // pollJob polls the job until it leaves JobRunning, failing on timeout.
 func pollJob(t *testing.T, env *testEnv, id string) JobView {
 	t.Helper()
-	var view JobView
 	deadline := time.Now().Add(30 * time.Second)
 	for {
+		// A fresh view per poll: decoding into the previous one would
+		// keep fields the newer body omits (a finished job's partial).
+		var view JobView
 		env.do(t, http.StatusOK, "GET", "/v1/jobs/"+id, nil, &view)
 		if view.Status == JobDone || view.Status == JobFailed {
 			return view
@@ -41,13 +43,15 @@ func pollJob(t *testing.T, env *testEnv, id string) JobView {
 
 // TestPlannedScreenJob runs a top-k screening job and compares the
 // polled result with the direct tesc.ScreenTopK call: the ranked pairs
-// must be bit-identical and the planner accounting must surface.
+// must be bit-identical and the planner accounting must surface. One
+// worker on both sides: with several, how many pairs a racing bar
+// prunes depends on scheduling (the ranking does not).
 func TestPlannedScreenJob(t *testing.T) {
 	env := newTestEnv(t)
 	ev := plannerEvents(t, env)
 
 	want, err := tesc.ScreenTopK(env.graph, ev, tesc.ScreenTopKOptions{
-		ScreenOptions: tesc.ScreenOptions{H: 1, SampleSize: 200, Seed: 11},
+		ScreenOptions: tesc.ScreenOptions{H: 1, SampleSize: 200, Seed: 11, Workers: 1},
 		K:             2,
 	})
 	if err != nil {
@@ -56,7 +60,7 @@ func TestPlannedScreenJob(t *testing.T) {
 
 	var accepted screenResponse
 	env.do(t, http.StatusAccepted, "POST", "/v1/graphs/g/screen",
-		map[string]any{"h": 1, "sample_size": 200, "seed": 11, "top_k": 2}, &accepted)
+		map[string]any{"h": 1, "sample_size": 200, "seed": 11, "top_k": 2, "workers": 1}, &accepted)
 	view := pollJob(t, env, accepted.JobID)
 	if view.Status != JobDone {
 		t.Fatalf("job failed: %s", view.Error)
@@ -148,6 +152,46 @@ func TestPlannedScreenValidation(t *testing.T) {
 		if err := env.doErr(http.StatusBadRequest, "POST", "/v1/graphs/g/screen", body, nil); err != nil {
 			t.Errorf("%+v: %v", body, err)
 		}
+	}
+}
+
+// TestScreenRejectsBadAlphaAndSampleSize: an out-of-range alpha or
+// sample_size is a 400 for exhaustive and planned screens alike, decided
+// before a background job slot is taken — with every slot held the bad
+// request still gets its 400, not a 503, and no job is ever created.
+func TestScreenRejectsBadAlphaAndSampleSize(t *testing.T) {
+	env := newTestEnv(t)
+	var holds []func()
+	for {
+		release, ok := env.srv.adm.acquireJobSlot()
+		if !ok {
+			break
+		}
+		holds = append(holds, release)
+	}
+	defer func() {
+		for _, release := range holds {
+			release()
+		}
+	}()
+	if err := env.doErr(http.StatusServiceUnavailable, "POST", "/v1/graphs/g/screen", map[string]any{"h": 1}, nil); err != nil {
+		t.Fatalf("saturated gate: %v", err)
+	}
+	for _, body := range []map[string]any{
+		{"h": 1, "alpha": 1.5},
+		{"h": 1, "alpha": -0.1},
+		{"h": 1, "alpha": 1},
+		{"h": 1, "sample_size": 1},
+		{"h": 1, "sample_size": -4},
+		{"h": 1, "top_k": 2, "alpha": 1.5},
+		{"h": 1, "theta": 0.1, "sample_size": 1},
+	} {
+		if err := env.doErr(http.StatusBadRequest, "POST", "/v1/graphs/g/screen", body, nil); err != nil {
+			t.Errorf("%+v: %v", body, err)
+		}
+	}
+	if ids := env.srv.jobs.IDs(); len(ids) != 0 {
+		t.Fatalf("rejected requests created jobs %v", ids)
 	}
 }
 

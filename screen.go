@@ -103,36 +103,8 @@ type ScreenResult struct {
 // populations, occurrence counts below MinOccurrences) are skipped, not
 // failed.
 func Screen(g *Graph, ev EventSet, opts ScreenOptions) (ScreenResult, error) {
-	b := events.NewBuilder(g.NumNodes())
-	for name, nodes := range ev {
-		for _, v := range nodes {
-			b.Add(name, graph.NodeID(v))
-		}
-	}
-	store := b.Build()
-
-	cfg := screen.Config{
-		H:              opts.H,
-		SampleSize:     opts.SampleSize,
-		Alpha:          opts.Alpha,
-		Alternative:    opts.Tail.alternative(),
-		MinOccurrences: opts.MinOccurrences,
-		Workers:        opts.Workers,
-		Seed:           opts.Seed,
-		Progress:       opts.Progress,
-		NoMemo:         opts.NoMemo,
-		Ctx:            opts.Ctx,
-	}
-	if opts.Engines != nil {
-		cfg.Engines = opts.Engines.p
-	}
-	if opts.Bonferroni {
-		cfg.Correction = screen.FWER
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 0x5c4ee
-	}
-	res, err := screen.Run(g.g, store, screen.AllPairs(store, max(1, opts.MinOccurrences)), cfg)
+	store, pairs, cfg := opts.sweepInputs(g, ev)
+	res, err := screen.Run(g.g, store, pairs, cfg)
 	if err != nil {
 		return ScreenResult{}, err
 	}
@@ -201,43 +173,19 @@ type ScreenTopKResult struct {
 // family, which a pruned sweep deliberately never computes. See
 // docs/SCREENING.md for the design and the termination argument.
 func ScreenTopK(g *Graph, ev EventSet, opts ScreenTopKOptions) (ScreenTopKResult, error) {
-	b := events.NewBuilder(g.NumNodes())
-	for name, nodes := range ev {
-		for _, v := range nodes {
-			b.Add(name, graph.NodeID(v))
-		}
-	}
-	store := b.Build()
-
+	store, pairs, base := opts.sweepInputs(g, ev)
 	cfg := screen.PlanConfig{
-		Config: screen.Config{
-			H:              opts.H,
-			SampleSize:     opts.SampleSize,
-			Alpha:          opts.Alpha,
-			Alternative:    opts.Tail.alternative(),
-			MinOccurrences: opts.MinOccurrences,
-			Workers:        opts.Workers,
-			Seed:           opts.Seed,
-			Progress:       opts.Progress,
-			NoMemo:         opts.NoMemo,
-			Ctx:            opts.Ctx,
-		},
+		Config:     base,
 		K:          opts.K,
 		Theta:      opts.Theta,
 		BoundAlpha: opts.BoundAlpha,
-	}
-	if opts.Engines != nil {
-		cfg.Engines = opts.Engines.p
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 0x5c4ee
 	}
 	if opts.Stream != nil {
 		cfg.Stream = func(top []screen.PairResult) {
 			opts.Stream(screenedPairs(top))
 		}
 	}
-	res, err := screen.Plan(g.g, store, screen.AllPairs(store, max(1, opts.MinOccurrences)), cfg)
+	res, err := screen.Plan(g.g, store, pairs, cfg)
 	out := ScreenTopKResult{
 		Pairs:        screenedPairs(res.Pairs),
 		Candidates:   res.Stats.Candidates,
@@ -250,12 +198,44 @@ func ScreenTopK(g *Graph, ev EventSet, opts ScreenTopKOptions) (ScreenTopKResult
 		BFSRuns:      res.Stats.BFSRuns,
 		MemoHits:     res.Stats.MemoHits,
 	}
-	if err != nil {
-		// A canceled plan carries the ranking over the pairs it finished
-		// (see ScreenOptions.Ctx); every other error leaves it empty.
-		return out, err
+	// A canceled plan carries the ranking over the pairs it finished
+	// (see ScreenOptions.Ctx); every other error leaves it empty.
+	return out, err
+}
+
+// sweepInputs builds the inputs Screen and ScreenTopK share: the event
+// store, its candidate pairs and the sweep configuration. The planner
+// ignores the correction Bonferroni selects.
+func (opts ScreenOptions) sweepInputs(g *Graph, ev EventSet) (*events.Store, [][2]string, screen.Config) {
+	b := events.NewBuilder(g.NumNodes())
+	for name, nodes := range ev {
+		for _, v := range nodes {
+			b.Add(name, graph.NodeID(v))
+		}
 	}
-	return out, nil
+	store := b.Build()
+	cfg := screen.Config{
+		H:              opts.H,
+		SampleSize:     opts.SampleSize,
+		Alpha:          opts.Alpha,
+		Alternative:    opts.Tail.alternative(),
+		MinOccurrences: opts.MinOccurrences,
+		Workers:        opts.Workers,
+		Seed:           opts.Seed,
+		Progress:       opts.Progress,
+		NoMemo:         opts.NoMemo,
+		Ctx:            opts.Ctx,
+	}
+	if opts.Engines != nil {
+		cfg.Engines = opts.Engines.p
+	}
+	if opts.Bonferroni {
+		cfg.Correction = screen.FWER
+	}
+	if cfg.Seed == 0 {
+		cfg.Seed = 0x5c4ee
+	}
+	return store, screen.AllPairs(store, max(1, opts.MinOccurrences)), cfg
 }
 
 func screenedPairs(in []screen.PairResult) []ScreenedPair {

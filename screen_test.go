@@ -62,6 +62,20 @@ func TestScreenFacade(t *testing.T) {
 	if _, err := Screen(g, ev, ScreenOptions{H: 0}); err == nil {
 		t.Error("H=0 accepted")
 	}
+	// An out-of-range alpha or sample size is an error from both
+	// entry points, not a sweep with every pair skipped.
+	for _, bad := range []ScreenOptions{
+		{H: 1, Alpha: 1.5},
+		{H: 1, Alpha: -0.05},
+		{H: 1, SampleSize: 1},
+	} {
+		if res, err := Screen(g, ev, bad); err == nil {
+			t.Errorf("Screen accepted %+v: %d tested, %d skipped", bad, res.Tested, res.Skipped)
+		}
+		if _, err := ScreenTopK(g, ev, ScreenTopKOptions{ScreenOptions: bad, K: 2}); err == nil {
+			t.Errorf("ScreenTopK accepted %+v", bad)
+		}
+	}
 }
 
 func TestScreenTopKFacade(t *testing.T) {
