@@ -141,9 +141,10 @@ func BenchmarkSamplerRejection(b *testing.B) {
 
 func benchSampler(b *testing.B, s core.Sampler) {
 	rng := rand.New(rand.NewPCG(4, 4))
+	bfs := graph.NewBFS(microGraph)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.SampleReferences(microProblem, 2, 300, rng); err != nil {
+		if _, err := s.SampleReferences(microProblem, 2, 300, rng, bfs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -255,7 +256,7 @@ func BenchmarkAblationSeparateBFS(b *testing.B) {
 		r := graph.NodeID(rng.IntN(microGraph.NumNodes()))
 		// pass 1: densities
 		var size, ca, cb int
-		bfs.Run([]graph.NodeID{r}, 2, func(v graph.NodeID, _ int) {
+		for _, v := range bfs.Collect([]graph.NodeID{r}, 2) {
 			size++
 			if microProblem.Va.Contains(v) {
 				ca++
@@ -263,14 +264,14 @@ func BenchmarkAblationSeparateBFS(b *testing.B) {
 			if microProblem.Vb.Contains(v) {
 				cb++
 			}
-		})
+		}
 		// pass 2: union count for p(r)
 		cu := 0
-		bfs.Run([]graph.NodeID{r}, 2, func(v graph.NodeID, _ int) {
+		for _, v := range bfs.Collect([]graph.NodeID{r}, 2) {
 			if microProblem.Union.Contains(v) {
 				cu++
 			}
-		})
+		}
 		_, _, _, _ = size, ca, cb, cu
 	}
 }

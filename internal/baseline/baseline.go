@@ -233,13 +233,18 @@ func (m ProximityMiner) PairSupports(g *graph.Graph, occurrences map[string][]gr
 	bfs := graph.NewBFS(g)
 	for e, name := range names {
 		w := make([]float32, n)
-		bfs.Run(occurrences[name], m.H, func(v graph.NodeID, d int) {
+		vis := bfs.Collect(occurrences[name], m.H)
+		lo := 0
+		for d, hi := range bfs.LevelEnds() {
+			wd := float32(1)
 			if m.Alpha > 0 {
-				w[v] = float32(math.Exp(-m.Alpha * float64(d)))
-			} else {
-				w[v] = 1
+				wd = float32(math.Exp(-m.Alpha * float64(d)))
 			}
-		})
+			for _, v := range vis[lo:hi] {
+				w[v] = wd
+			}
+			lo = hi
+		}
 		weights[e] = w
 	}
 

@@ -63,10 +63,11 @@ func RunFig9(cfg Config) ([]Figure, error) {
 				return nil, err
 			}
 
+			bfs := graph.NewBFS(g)
 			timeSampler := func(s core.Sampler) float64 {
 				start := time.Now()
 				for rep := 0; rep < cfg.Reps; rep++ {
-					if _, err := s.SampleReferences(p, h, cfg.SampleSize, rng); err != nil {
+					if _, err := s.SampleReferences(p, h, cfg.SampleSize, rng, bfs); err != nil {
 						return -1
 					}
 				}

@@ -60,9 +60,8 @@ func bench100kSetup(tb testing.TB) {
 
 // BenchmarkDensityPhaseFlat measures the PR 4 fast path: the
 // single-pair density phase (900 reference evaluations at h=2, single
-// worker) through EvalAll — flat label kernel over batched MS-BFS
-// traversals. Compare against BenchmarkDensityPhaseReference — the
-// acceptance criterion is >= 2x.
+// worker) through EvalAll — flat label kernel over Collect traversals.
+// BENCH_pr4.json records it against the callback kernel it replaced.
 func BenchmarkDensityPhaseFlat(b *testing.B) {
 	bench100kSetup(b)
 	eval := NewDensityEvaluator(bench100k.problem, benchH)
@@ -71,20 +70,6 @@ func BenchmarkDensityPhaseFlat(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _, _ = eval.EvalAll(bench100k.sample)
-	}
-}
-
-// BenchmarkDensityPhaseReference is the same workload through the
-// retained callback-based kernel (the pre-PR 4 code path).
-func BenchmarkDensityPhaseReference(b *testing.B) {
-	bench100kSetup(b)
-	eval := NewDensityEvaluator(bench100k.problem, benchH)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, r := range bench100k.sample {
-			_ = eval.EvalReference(r)
-		}
 	}
 }
 

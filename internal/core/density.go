@@ -92,11 +92,11 @@ func (e *DensityEvaluator) Traversals() int64 { return e.BFSCount }
 // This is the flat fast path: the traversal (BFS.Collect) runs without
 // a per-node callback, and the density accumulation is a branch-light
 // scan of the visited buffer against the problem's packed label array —
-// one byte load per node instead of two bitset probes behind a closure
-// call. EvalReference retains the original callback-based kernel; the
-// two are bit-identical (see TestFlatKernelMatchesReference), because
-// the flat kernel accumulates in the exact visit order of the reference
-// path and unit-intensity sums of 1.0 are exact in float64.
+// one byte load per node instead of two bitset probes. It is
+// bit-identical to a per-node bitset kernel over a plain queue BFS (the
+// test oracle of TestFlatKernelMatchesReference), because it
+// accumulates in BFS visit order and unit-intensity sums of 1.0 are
+// exact in float64.
 func (e *DensityEvaluator) Eval(r graph.NodeID) Density {
 	e.BFSCount++
 	nodes := e.bfs.Collect([]graph.NodeID{r}, e.h)
@@ -117,8 +117,7 @@ func (e *DensityEvaluator) Eval(r graph.NodeID) Density {
 		return d
 	}
 	// Intensity-weighted variant: float64 accumulation order matters for
-	// bit-identical sums, so add in the same visit order as the
-	// reference kernel.
+	// bit-identical sums, so add in visit order.
 	for _, v := range nodes {
 		l := labels[v]
 		if l&LabelA != 0 {
@@ -141,43 +140,6 @@ func (e *DensityEvaluator) Eval(r graph.NodeID) Density {
 			d.CountUnion++
 		}
 	}
-	return d
-}
-
-// EvalReference is the original closure-based density kernel: one
-// BFS.Run with a visit callback testing the occurrence bitsets per
-// node. It is retained as the differential-testing oracle for Eval and
-// MultiEvaluator (and is the "before" side of the PR 4 benchmarks); it
-// advances BFSCount like Eval.
-func (e *DensityEvaluator) EvalReference(r graph.NodeID) Density {
-	e.BFSCount++
-	var d Density
-	va, vb := e.p.Va, e.p.Vb
-	ia, ib := e.p.IntensityA, e.p.IntensityB
-	e.bfs.Run([]graph.NodeID{r}, e.h, func(v graph.NodeID, _ int) {
-		d.VicinitySize++
-		inA := va.Contains(v)
-		inB := vb.Contains(v)
-		if inA {
-			d.CountA++
-			if ia != nil {
-				d.SumA += ia[v]
-			} else {
-				d.SumA++
-			}
-		}
-		if inB {
-			d.CountB++
-			if ib != nil {
-				d.SumB += ib[v]
-			} else {
-				d.SumB++
-			}
-		}
-		if inA || inB {
-			d.CountUnion++
-		}
-	})
 	return d
 }
 

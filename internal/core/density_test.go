@@ -109,12 +109,11 @@ func TestDensityAgainstNaive(t *testing.T) {
 	va := graph.NewNodeSet(36, []graph.NodeID{0, 7, 14, 21})
 	vb := graph.NewNodeSet(36, []graph.NodeID{35, 28, 21})
 	p := MustNewProblem(g, va, vb)
-	bfs := graph.NewBFS(g)
 	for _, h := range []int{1, 2, 3} {
 		e := NewDensityEvaluator(p, h)
 		for v := 0; v < 36; v++ {
 			d := e.Eval(graph.NodeID(v))
-			vic := bfs.Vicinity(graph.NodeID(v), h, nil)
+			vic := queueBFS(g, graph.NodeID(v), h)
 			if d.VicinitySize != len(vic) {
 				t.Fatalf("h=%d v=%d: vicinity size %d != %d", h, v, d.VicinitySize, len(vic))
 			}

@@ -72,14 +72,9 @@ func (e *DensityEvaluator) EvalAllParallelCtx(ctx context.Context, rs []graph.No
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var local *DensityEvaluator
-			if e.Engines != nil && e.Engines.Graph() == e.p.G {
-				bfs := e.Engines.Get()
-				defer e.Engines.Put(bfs)
-				local = NewDensityEvaluatorBFS(e.p, e.h, bfs)
-			} else {
-				local = NewDensityEvaluator(e.p, e.h)
-			}
+			bfs := e.Engines.Acquire(e.p.G)
+			defer e.Engines.Put(bfs)
+			local := NewDensityEvaluatorBFS(e.p, e.h, bfs)
 			for {
 				if ctxErr(ctx) != nil {
 					canceled.Store(true)

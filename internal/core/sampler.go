@@ -35,16 +35,33 @@ type SamplerStats struct {
 	Population int   // N = |V^h_{a∪b}| when enumerated (Batch BFS), else -1
 }
 
-// Sampler draws reference nodes for a TESC test. Implementations reuse
-// internal BFS buffers and are therefore not safe for concurrent use;
-// create one per goroutine.
+// Sampler draws reference nodes for a TESC test. Samplers own no
+// traversal state: the caller lends the BFS engine, so one sampler may
+// serve concurrent calls that pass distinct engines.
 type Sampler interface {
 	// Name identifies the strategy in reports ("batch-bfs", ...).
 	Name() string
 	// SampleReferences draws up to n distinct reference nodes from
-	// V^h_{a∪b}. Fewer than n nodes are returned only when the reference
-	// population (or the sampler's draw budget) is exhausted.
-	SampleReferences(p *Problem, h, n int, rng *rand.Rand) (RefSample, error)
+	// V^h_{a∪b}, traversing with bfs, which must be bound to p.G (Test
+	// and the screening sweep pass the engine their density pass runs
+	// on). The engine is optional so that four-argument calls keep
+	// working; without one the sampler allocates a fresh engine
+	// (BatchBFSSampler: from its Engines pool). Fewer than n nodes are
+	// returned only when the reference population (or the sampler's
+	// draw budget) is exhausted.
+	SampleReferences(p *Problem, h, n int, rng *rand.Rand, bfs ...*graph.BFS) (RefSample, error)
+}
+
+// engine returns the engine a sampler traverses with: the caller's, or
+// a fresh one bound to p.G.
+func engine(p *Problem, bfs []*graph.BFS) *graph.BFS {
+	if len(bfs) == 0 {
+		return graph.NewBFS(p.G)
+	}
+	if bfs[0].Graph() != p.G {
+		panic("core: BFS engine bound to a different graph")
+	}
+	return bfs[0]
 }
 
 // maxDrawFactor bounds the draw loops of the rejection and importance
@@ -66,31 +83,27 @@ const (
 // O(|V|+|E|)) and then draws n nodes uniformly without replacement.
 type BatchBFSSampler struct {
 	// Engines, when non-nil and bound to the problem's graph, supplies
-	// the traversal engine from a shared pool instead of a sampler-owned
-	// allocation — the serving tier's per-graph-version pooling.
+	// the traversal engine of calls that pass none.
 	Engines *graph.EnginePool
-
-	bfs *graph.BFS
 }
 
 // Name implements Sampler.
 func (s *BatchBFSSampler) Name() string { return "batch-bfs" }
 
 // SampleReferences implements Sampler.
-func (s *BatchBFSSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand) (RefSample, error) {
-	bfs := s.bfs
-	if s.Engines != nil && s.Engines.Graph() == p.G {
-		bfs = s.Engines.Get()
-		defer s.Engines.Put(bfs)
-	} else if bfs == nil || bfs.Graph() != p.G {
-		bfs = graph.NewBFS(p.G)
-		s.bfs = bfs
+func (s *BatchBFSSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand, bfs ...*graph.BFS) (RefSample, error) {
+	var e *graph.BFS
+	if len(bfs) > 0 {
+		e = engine(p, bfs)
+	} else {
+		e = s.Engines.Acquire(p.G)
+		defer s.Engines.Put(e)
 	}
 	// The engine's flat visit buffer IS the enumerated population; the
 	// draw shuffles its prefix in place (engine scratch is fair game
 	// between traversals), so materializing V^h_{a∪b} costs no copy and
 	// the draw costs O(n) rather than O(N) random numbers.
-	pop := bfs.Collect(p.EventNodes(), h)
+	pop := e.Collect(p.EventNodes(), h)
 	N := len(pop)
 	if N < 2 {
 		return RefSample{}, ErrTooFewReferences
@@ -119,7 +132,7 @@ type AllNodesSampler struct{}
 func (s *AllNodesSampler) Name() string { return "all-nodes(invalid)" }
 
 // SampleReferences implements Sampler.
-func (s *AllNodesSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand) (RefSample, error) {
+func (s *AllNodesSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand, _ ...*graph.BFS) (RefSample, error) {
 	total := p.G.NumNodes()
 	if total < 2 {
 		return RefSample{}, ErrTooFewReferences
@@ -150,22 +163,18 @@ func (s *AllNodesSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand)
 type RejectionSampler struct {
 	// Index must cover level h for the problem's graph.
 	Index *vicinity.Index
-
-	bfs *graph.BFS
-	buf []graph.NodeID
 }
 
 // Name implements Sampler.
 func (s *RejectionSampler) Name() string { return "rejection" }
 
 // SampleReferences implements Sampler.
-func (s *RejectionSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand) (RefSample, error) {
+func (s *RejectionSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand, bfs ...*graph.BFS) (RefSample, error) {
 	if err := s.checkIndex(p, h); err != nil {
 		return RefSample{}, err
 	}
-	if s.bfs == nil || s.bfs.Graph() != p.G {
-		s.bfs = graph.NewBFS(p.G)
-	}
+	e := engine(p, bfs)
+	labels := p.Labels()
 	eventNodes := p.EventNodes()
 	alias, err := sampling.NewAlias(s.Index.Weights(eventNodes, h))
 	if err != nil {
@@ -182,17 +191,16 @@ func (s *RejectionSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand
 		// Step 1: v ∝ |V^h_v|.
 		v := eventNodes[alias.Draw(rng)]
 		// Step 2: u uniform from V^h_v.
-		s.buf = s.buf[:0]
-		s.buf = s.bfs.Vicinity(v, h, s.buf)
+		vic := e.Collect([]graph.NodeID{v}, h)
 		st.BFSCount++
-		u := s.buf[rng.IntN(len(s.buf))]
+		u := vic[rng.IntN(len(vic))]
 		// Step 3: c = |V^h_u ∩ Va∪b|.
 		c := 0
-		s.bfs.Run([]graph.NodeID{u}, h, func(w graph.NodeID, _ int) {
-			if p.Union.Contains(w) {
+		for _, w := range e.Collect([]graph.NodeID{u}, h) {
+			if labels[w]&LabelUnion != 0 {
 				c++
 			}
-		})
+		}
 		st.BFSCount++
 		// Step 4: accept with probability 1/c.
 		if c < 1 || rng.Float64() >= 1/float64(c) {
@@ -243,9 +251,6 @@ type ImportanceSampler struct {
 	// BatchSize is the number of reference nodes drawn per event-node
 	// BFS; 0 or 1 means the plain Algorithm 2.
 	BatchSize int
-
-	bfs *graph.BFS
-	buf []graph.NodeID
 }
 
 // Name implements Sampler.
@@ -257,14 +262,12 @@ func (s *ImportanceSampler) Name() string {
 }
 
 // SampleReferences implements Sampler.
-func (s *ImportanceSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand) (RefSample, error) {
+func (s *ImportanceSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand, bfs ...*graph.BFS) (RefSample, error) {
 	rs := &RejectionSampler{Index: s.Index}
 	if err := rs.checkIndex(p, h); err != nil {
 		return RefSample{}, fmt.Errorf("tesc: importance sampler: %w", err)
 	}
-	if s.bfs == nil || s.bfs.Graph() != p.G {
-		s.bfs = graph.NewBFS(p.G)
-	}
+	e := engine(p, bfs)
 	batch := s.BatchSize
 	if batch < 1 {
 		batch = 1
@@ -284,11 +287,11 @@ func (s *ImportanceSampler) SampleReferences(p *Problem, h, n int, rng *rand.Ran
 	for len(nodes) < n && st.Draws < maxDraws {
 		// Line 4: v ∝ |V^h_v|.
 		v := eventNodes[alias.Draw(rng)]
-		// Line 5: BFS from v, then draw from V^h_v.
-		s.buf = s.buf[:0]
-		s.buf = s.bfs.Vicinity(v, h, s.buf)
+		// Line 5: BFS from v, then draw from V^h_v (SampleK copies out of
+		// the engine's buffer).
+		vic := e.Collect([]graph.NodeID{v}, h)
 		st.BFSCount++
-		drawn := sampling.SampleK(s.buf, batch, rng)
+		drawn := sampling.SampleK(vic, batch, rng)
 		for _, r := range drawn {
 			st.Draws++
 			if i, ok := pos[r]; ok {
@@ -319,18 +322,15 @@ func (s *ImportanceSampler) SampleReferences(p *Problem, h, n int, rng *rand.Ran
 // the expected number of wasted examinations is n·|V|/N − n (§4.4), so
 // the strategy only pays off when V^h_{a∪b} covers much of the graph
 // (large |Va∪b| and/or large h).
-type WholeGraphSampler struct {
-	bfs *graph.BFS
-}
+type WholeGraphSampler struct{}
 
 // Name implements Sampler.
 func (s *WholeGraphSampler) Name() string { return "whole-graph" }
 
 // SampleReferences implements Sampler.
-func (s *WholeGraphSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand) (RefSample, error) {
-	if s.bfs == nil || s.bfs.Graph() != p.G {
-		s.bfs = graph.NewBFS(p.G)
-	}
+func (s *WholeGraphSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand, bfs ...*graph.BFS) (RefSample, error) {
+	e := engine(p, bfs)
+	labels := p.Labels()
 	var st SamplerStats
 	st.Population = -1
 	nodes := make([]graph.NodeID, 0, n)
@@ -341,15 +341,14 @@ func (s *WholeGraphSampler) SampleReferences(p *Problem, h, n int, rng *rand.Ran
 			break // population exhausted
 		}
 		st.Examined++
-		// Eligibility test with early exit on the first event node seen.
+		// Eligible: some event node lies in V^h_v.
 		eligible := false
-		s.bfs.RunUntil([]graph.NodeID{graph.NodeID(v)}, h, func(w graph.NodeID, _ int) bool {
-			if p.Union.Contains(w) {
+		for _, w := range e.Collect([]graph.NodeID{graph.NodeID(v)}, h) {
+			if labels[w]&LabelUnion != 0 {
 				eligible = true
-				return false
+				break
 			}
-			return true
-		})
+		}
 		st.BFSCount++
 		if eligible {
 			nodes = append(nodes, graph.NodeID(v))

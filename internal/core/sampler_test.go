@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"tesc/internal/graph"
@@ -92,6 +93,7 @@ func TestSamplersStayInPopulation(t *testing.T) {
 		&ImportanceSampler{Index: idx, BatchSize: 3},
 		&WholeGraphSampler{},
 	}
+	lent := graph.NewBFS(p.G) // shared across samplers: warm, stale stamps
 	for _, h := range []int{1, 2} {
 		pop := referencePopulation(p, h)
 		for _, s := range samplers {
@@ -99,6 +101,11 @@ func TestSamplersStayInPopulation(t *testing.T) {
 			sample, err := s.SampleReferences(p, h, 40, rng)
 			if err != nil {
 				t.Fatalf("%s h=%d: %v", s.Name(), h, err)
+			}
+			// A caller-lent engine draws exactly the same sample.
+			again, err := s.SampleReferences(p, h, 40, rand.New(rand.NewPCG(76, uint64(h))), lent)
+			if err != nil || !slices.Equal(again.Nodes, sample.Nodes) || !slices.Equal(again.Freq, sample.Freq) || again.Stats != sample.Stats {
+				t.Fatalf("%s h=%d: sample with a lent engine differs (err %v)", s.Name(), h, err)
 			}
 			if len(sample.Nodes) < 2 {
 				t.Fatalf("%s h=%d: only %d nodes", s.Name(), h, len(sample.Nodes))

@@ -62,9 +62,9 @@ type Options struct {
 	Densities DensitySource
 	// Engines, when non-nil, supplies pooled BFS engines bound to the
 	// problem's graph, so repeated tests stop allocating an O(|V|) mark
-	// array each (tescd pools one per graph version). Used by the
-	// built-in density evaluator and the BatchBFS sampler; ignored when
-	// bound to a different graph.
+	// array each (tescd pools one per graph version). The test's one
+	// engine serves the sampler and the density pass; ignored when bound
+	// to a different graph.
 	Engines *graph.EnginePool
 	// Ctx, when non-nil, lets a caller abandon the test: the density
 	// phase (the dominant cost — n independent h-hop BFS) checks it
@@ -175,7 +175,7 @@ func Test(p *Problem, opts Options) (Result, error) {
 	}
 	sampler := opts.Sampler
 	if sampler == nil {
-		sampler = &BatchBFSSampler{Engines: opts.Engines}
+		sampler = &BatchBFSSampler{}
 	}
 	rng := opts.Rand
 	if rng == nil {
@@ -186,7 +186,9 @@ func Test(p *Problem, opts Options) (Result, error) {
 		return Result{}, err
 	}
 
-	sample, err := sampler.SampleReferences(p, opts.H, opts.SampleSize, rng)
+	bfs := opts.Engines.Acquire(p.G)
+	defer opts.Engines.Put(bfs)
+	sample, err := sampler.SampleReferences(p, opts.H, opts.SampleSize, rng, bfs)
 	if err != nil {
 		return Result{}, err
 	}
@@ -205,15 +207,8 @@ func Test(p *Problem, opts Options) (Result, error) {
 		sa, sb, ds = opts.Densities.EvalAll(sample.Nodes)
 		densityBFS = opts.Densities.Traversals() - before
 	} else {
-		var eval *DensityEvaluator
-		if opts.Engines != nil && opts.Engines.Graph() == p.G {
-			bfs := opts.Engines.Get()
-			defer opts.Engines.Put(bfs)
-			eval = NewDensityEvaluatorBFS(p, opts.H, bfs)
-			eval.Engines = opts.Engines // parallel workers draw from the pool too
-		} else {
-			eval = NewDensityEvaluator(p, opts.H)
-		}
+		eval := NewDensityEvaluatorBFS(p, opts.H, bfs)
+		eval.Engines = opts.Engines // parallel workers draw from the pool too
 		if opts.Workers == 0 || opts.Workers == 1 {
 			if opts.Ctx != nil {
 				sa, sb, ds, err = eval.EvalAllCtx(opts.Ctx, sample.Nodes)

@@ -58,22 +58,6 @@ func BenchmarkCollect(b *testing.B) {
 	}
 }
 
-// BenchmarkRunCallback is the same workload through the retained
-// callback engine — the pre-PR 4 traversal path.
-func BenchmarkRunCallback(b *testing.B) {
-	benchGraphSetup(b)
-	bfs := NewBFS(benchGraph.g)
-	count := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, s := range benchGraph.srcs {
-			bfs.Run([]NodeID{s}, 2, func(NodeID, int) { count++ })
-		}
-	}
-	_ = count
-}
-
 // BenchmarkEnginePool measures the pooled engine round-trip against the
 // per-query allocation it replaces (one O(|V|) mark array each).
 func BenchmarkEnginePool(b *testing.B) {

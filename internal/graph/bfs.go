@@ -1,37 +1,38 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // BFS is a reusable breadth-first-search engine over a fixed graph.
+// Its one traversal, Collect, is the repository's only h-hop BFS
+// kernel.
 //
 // TESC testing performs thousands of h-hop BFS traversals per event pair
 // (one per density evaluation, plus the traversals inside the samplers),
-// so the engine keeps its frontier queues and an epoch-stamped visited
+// so the engine keeps its visit buffer and an epoch-stamped visited
 // array across calls: after warm-up a traversal performs zero heap
 // allocations. The engine is NOT safe for concurrent use; create one per
 // goroutine (see NewBFS).
 type BFS struct {
 	g       *Graph
-	mark    []uint32
-	epoch   uint32
-	cur     []NodeID
-	next    []NodeID
 	visited []NodeID // Collect's flat visit-order buffer
+	ends    []int    // Collect's level ends, see LevelEnds
 
-	// Collect's dense visited stamps: one byte per node instead of
-	// Run's four, so the randomly probed working set is 4x smaller —
-	// the probe is the hot load of the flat kernels. Epochs 1..255
-	// cycle; the wrap clear is a vectorized memclr (~µs per 255
-	// traversals). Lazily allocated.
-	mark8  []uint8
-	epoch8 uint8
+	// Dense visited stamps, one byte per node, so the randomly probed
+	// working set stays small — the probe is the hot load of the
+	// traversal. Epochs 1..255 cycle; the wrap clear is a vectorized
+	// memclr (~µs per 255 traversals).
+	mark  []uint8
+	epoch uint8
 }
 
 // NewBFS returns a BFS engine bound to g.
 func NewBFS(g *Graph) *BFS {
 	return &BFS{
 		g:    g,
-		mark: make([]uint32, g.NumNodes()),
+		mark: make([]uint8, g.NumNodes()),
 	}
 }
 
@@ -40,13 +41,13 @@ func (b *BFS) Graph() *Graph { return b.g }
 
 // Rebind points the engine at a different graph with the same node
 // count, keeping all its allocated scratch. Soundness rests on the
-// scratch being purely per-traversal: the mark arrays are epoch
+// scratch being purely per-traversal: the mark array holds epoch
 // stamps compared against the *current* traversal's epoch (stale
 // stamps from traversals over the previous graph are never read as
-// visited), and the frontier/visit buffers are reset by every
-// traversal. The monitor subsystem rebinds its retained engines
-// across graph snapshots so a standing-query re-screen allocates no
-// O(|V|) scratch per mutation.
+// visited), and the visit buffer is reset by every traversal. The
+// monitor subsystem rebinds its retained engines across graph
+// snapshots so a standing-query re-screen allocates no O(|V|) scratch
+// per mutation.
 func (b *BFS) Rebind(g *Graph) error {
 	if g.NumNodes() != len(b.mark) {
 		return fmt.Errorf("graph: rebinding BFS engine for %d nodes to a %d-node graph", len(b.mark), g.NumNodes())
@@ -55,143 +56,103 @@ func (b *BFS) Rebind(g *Graph) error {
 	return nil
 }
 
-func (b *BFS) bump() {
-	b.epoch++
-	if b.epoch == 0 { // epoch counter wrapped; reset stamps
-		for i := range b.mark {
-			b.mark[i] = 0
-		}
-		b.epoch = 1
-	}
-}
-
-// Run performs a breadth-first search of depth at most h starting from
-// sources, invoking visit exactly once per distinct reached node with its
-// BFS depth (sources have depth 0). Duplicate sources are visited once.
+// Collect performs a breadth-first search of depth at most h starting
+// from sources and returns every distinct reached node in visit order:
+// the sources first (duplicates once), then each BFS level in turn,
+// each node's unvisited neighbors in adjacency order. h < 0 visits
+// nothing. The visited set is accumulated level by level in one flat
+// buffer that doubles as the frontier queue (nodes of BFS level d
+// occupy a contiguous run of the buffer, see LevelEnds), so the hot
+// loop pays no per-node indirect call. The returned slice aliases the
+// engine's internal buffer: it is valid only until the next traversal
+// on this engine, and callers may reorder it in place.
 //
 // With len(sources) > 1 this is exactly the paper's Batch BFS
 // (Algorithm 1): the multi-source traversal that retrieves V^h of a node
 // set in one pass, equivalent to an (h+1)-hop BFS from a virtual node
 // attached to every source, with worst-case cost O(|V|+|E|) instead of
 // O(|sources|·(|V|+|E|)).
-func (b *BFS) Run(sources []NodeID, h int, visit func(v NodeID, depth int)) {
-	b.RunUntil(sources, h, func(v NodeID, depth int) bool {
-		visit(v, depth)
-		return true
-	})
-}
-
-// RunUntil is Run with early termination: the traversal stops as soon as
-// visit returns false (the node it returned false for has still been
-// visited). Whole-graph sampling (Algorithm 3) uses this to abort the
-// eligibility BFS the moment an event node is seen.
-func (b *BFS) RunUntil(sources []NodeID, h int, visit func(v NodeID, depth int) bool) {
-	if h < 0 {
-		return
-	}
-	b.bump()
-	b.cur = b.cur[:0]
-	for _, s := range sources {
-		if b.mark[s] != b.epoch {
-			b.mark[s] = b.epoch
-			b.cur = append(b.cur, s)
-			if !visit(s, 0) {
-				return
-			}
-		}
-	}
-	for depth := 1; depth <= h && len(b.cur) > 0; depth++ {
-		b.next = b.next[:0]
-		for _, v := range b.cur {
-			for _, u := range b.g.Neighbors(v) {
-				if b.mark[u] != b.epoch {
-					b.mark[u] = b.epoch
-					b.next = append(b.next, u)
-					if !visit(u, depth) {
-						return
-					}
-				}
-			}
-		}
-		b.cur, b.next = b.next, b.cur
-	}
-}
-
-// Collect performs the same traversal as Run but without invoking a
-// callback per node: the visited set is accumulated level by level in
-// one flat buffer that doubles as the frontier queue (nodes of BFS
-// level d occupy a contiguous run of the buffer), which removes the
-// per-node indirect call from the hot loop. The returned slice lists
-// every distinct reached node in visit order — identical to the order
-// Run invokes its callback in — and aliases the engine's internal
-// buffer: it is valid only until the next traversal on this engine.
 //
 // This is the traversal half of the repository's decoupled
-// traversal/computation density kernels (docs/PERFORMANCE.md): callers
-// scan the returned slice with flat array kernels instead of paying a
-// closure call per visited node.
+// traversal/computation kernels (docs/PERFORMANCE.md): callers scan the
+// returned slice with flat array kernels.
 func (b *BFS) Collect(sources []NodeID, h int) []NodeID {
 	vis := b.visited[:0]
+	b.ends = b.ends[:0]
 	if h < 0 {
 		return vis
 	}
-	if b.mark8 == nil {
-		b.mark8 = make([]uint8, b.g.NumNodes())
+	b.epoch++
+	if b.epoch == 0 {
+		clear(b.mark)
+		b.epoch = 1
 	}
-	b.epoch8++
-	if b.epoch8 == 0 {
-		clear(b.mark8)
-		b.epoch8 = 1
-	}
-	mark, epoch := b.mark8, b.epoch8
+	mark, epoch := b.mark, b.epoch
 	for _, s := range sources {
 		if mark[s] != epoch {
 			mark[s] = epoch
 			vis = append(vis, s)
 		}
 	}
-	offsets, adj := b.g.offsets, b.g.adj
-	// The expansion loop is branchless in the visited test: marking is
-	// idempotent so the stamp store runs unconditionally, the candidate
-	// is written to the buffer unconditionally, and the cursor advances
-	// by the comparison result (SETcc + ADD, no branch). The visited
-	// probe is a ~50% data-dependent branch in overlapping vicinities —
-	// exactly what branch predictors can't learn — so trading it for a
-	// dead store measurably beats the naive loop.
-	buf := vis[:cap(vis)]
-	n := len(vis)
-	lo, hi := 0, n
-	for depth := 1; depth <= h && lo < hi; depth++ {
-		for j := lo; j < hi; j++ {
-			v := buf[j]
-			row := adj[offsets[v]:offsets[v+1]]
-			if len(buf)-n < len(row) {
-				grown := make([]NodeID, (n+len(row))*2+64)
-				copy(grown, buf[:n])
-				buf = grown
-			}
-			for _, u := range row {
-				inc := 0
-				if mark[u] != epoch {
-					inc = 1
-				}
-				mark[u] = epoch
-				buf[n] = u
-				n += inc
-			}
+	b.visited = vis
+	b.ends = append(b.ends, len(vis))
+	for depth, lo := 1, 0; depth <= h; depth++ {
+		hi := len(b.visited)
+		b.expand(lo, hi)
+		if len(b.visited) == hi {
+			break // level depth is empty: nothing further is reachable
 		}
-		lo, hi = hi, n
+		b.ends = append(b.ends, len(b.visited))
+		lo = hi
 	}
-	b.visited = buf[:n]
 	return b.visited
 }
 
-// Vicinity appends every node of the h-vicinity of u (Definition 1:
-// all nodes within distance h of u, including u itself) to out and
-// returns the extended slice. Routed through the flat Collect kernel.
-func (b *BFS) Vicinity(u NodeID, h int, out []NodeID) []NodeID {
-	return append(out, b.Collect([]NodeID{u}, h)...)
+// expand appends the unvisited neighbors of visited[lo:hi] — one BFS
+// level — to the visit buffer, stamping them. It is a function of its
+// own so that the level bookkeeping stays out of the hot loop's
+// registers.
+//
+// The loop is branchless in the visited test: marking is idempotent so
+// the stamp store runs unconditionally, the candidate is written to the
+// buffer unconditionally, and the cursor advances by the comparison
+// result (SETcc + ADD, no branch). The visited probe is a ~50%
+// data-dependent branch in overlapping vicinities — exactly what branch
+// predictors can't learn — so trading it for a dead store measurably
+// beats the naive loop.
+func (b *BFS) expand(lo, hi int) {
+	buf := b.visited[:cap(b.visited)]
+	n := len(b.visited)
+	mark, epoch := b.mark, b.epoch
+	offsets, adj := b.g.offsets, b.g.adj
+	for j := lo; j < hi; j++ {
+		v := buf[j]
+		row := adj[offsets[v]:offsets[v+1]]
+		if len(buf)-n < len(row) {
+			grown := make([]NodeID, (n+len(row))*2+64)
+			copy(grown, buf[:n])
+			buf = grown
+		}
+		for _, u := range row {
+			inc := 0
+			if mark[u] != epoch {
+				inc = 1
+			}
+			mark[u] = epoch
+			buf[n] = u
+			n += inc
+		}
+	}
+	b.visited = buf[:n]
 }
+
+// LevelEnds returns the level boundaries of the last Collect: ends[d]
+// is the number of visited nodes at depth <= d, so level d is
+// visited[ends[d-1]:ends[d]] (level 0, the sources, is
+// visited[:ends[0]]), and len(ends)-1 is the depth of the deepest node
+// reached. Empty after a traversal with h < 0. The slice aliases
+// engine scratch, valid until the next traversal.
+func (b *BFS) LevelEnds() []int { return b.ends }
 
 // VicinitySize returns |V^h_u|, the node count of u's h-vicinity.
 func (b *BFS) VicinitySize(u NodeID, h int) int {
@@ -199,11 +160,9 @@ func (b *BFS) VicinitySize(u NodeID, h int) int {
 }
 
 // SetVicinity appends every node of the h-vicinity of the node set
-// sources (Definition 2) to out and returns the extended slice. This is
-// the paper's Batch BFS (Algorithm 1) used to materialize the full
-// reference node set V^h_{a∪b}, routed through the flat Collect kernel
-// — the multi-source traversal is a sampler-side hot path too (one per
-// screened pair).
+// sources (Definition 2; with one source, Definition 1's V^h_u) to out
+// and returns the extended slice: the paper's Batch BFS (Algorithm 1)
+// materializing V^h_{a∪b}.
 func (b *BFS) SetVicinity(sources []NodeID, h int, out []NodeID) []NodeID {
 	return append(out, b.Collect(sources, h)...)
 }
@@ -211,37 +170,31 @@ func (b *BFS) SetVicinity(sources []NodeID, h int, out []NodeID) []NodeID {
 // Distance returns the hop distance from u to v, or -1 if v is not
 // reachable from u. It expands at most the whole graph.
 func (b *BFS) Distance(u, v NodeID) int {
-	if u == v {
-		return 0
-	}
-	dist := -1
-	b.Run([]NodeID{u}, b.g.NumNodes(), func(w NodeID, d int) {
-		if w == v && dist < 0 {
-			dist = d
+	for i, w := range b.Collect([]NodeID{u}, b.g.NumNodes()) {
+		if w == v {
+			return sort.SearchInts(b.ends, i+1) // the level holding index i
 		}
-	})
-	return dist
+	}
+	return -1
 }
 
 // Eccentricity returns the largest BFS depth reached from u (the
 // eccentricity of u within its connected component).
 func (b *BFS) Eccentricity(u NodeID) int {
-	max := 0
-	b.Run([]NodeID{u}, b.g.NumNodes(), func(_ NodeID, d int) {
-		if d > max {
-			max = d
-		}
-	})
-	return max
+	b.Collect([]NodeID{u}, b.g.NumNodes())
+	return len(b.ends) - 1
 }
 
 // NodesAtDistance appends to out every node at hop distance exactly d
 // from u and returns the extended slice.
 func (b *BFS) NodesAtDistance(u NodeID, d int, out []NodeID) []NodeID {
-	b.Run([]NodeID{u}, d, func(v NodeID, depth int) {
-		if depth == d {
-			out = append(out, v)
-		}
-	})
-	return out
+	vis := b.Collect([]NodeID{u}, d)
+	if d < 0 || d >= len(b.ends) {
+		return out
+	}
+	lo := 0
+	if d > 0 {
+		lo = b.ends[d-1]
+	}
+	return append(out, vis[lo:b.ends[d]]...)
 }

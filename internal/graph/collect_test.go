@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -24,54 +25,130 @@ func randomTestGraph(t *testing.T, n, m int, directed bool, seed uint64) *Graph 
 	return g
 }
 
-// TestCollectMatchesRunOrder pins Collect's contract: the returned
-// slice is exactly the sequence of nodes Run's callback would see, in
-// the same order — the property the flat density kernels rely on for
-// bit-identical intensity sums.
-func TestCollectMatchesRunOrder(t *testing.T) {
+// refBFS is the test oracle for Collect: a plain FIFO-queue BFS with a
+// []bool visited array. It returns the reached nodes in visit order and
+// the depth of each.
+func refBFS(g *Graph, sources []NodeID, h int) (order []NodeID, depth map[NodeID]int) {
+	depth = make(map[NodeID]int)
+	if h < 0 {
+		return nil, depth
+	}
+	visited := make([]bool, g.NumNodes())
+	for _, s := range sources {
+		if !visited[s] {
+			visited[s] = true
+			depth[s] = 0
+			order = append(order, s)
+		}
+	}
+	for i := 0; i < len(order); i++ {
+		v := order[i]
+		if depth[v] == h {
+			continue
+		}
+		for _, u := range g.Neighbors(v) {
+			if !visited[u] {
+				visited[u] = true
+				depth[u] = depth[v] + 1
+				order = append(order, u)
+			}
+		}
+	}
+	return order, depth
+}
+
+// checkCollect compares one Collect (order and level ends) with refBFS.
+func checkCollect(t *testing.T, b *BFS, sources []NodeID, h int) {
+	t.Helper()
+	want, depth := refBFS(b.Graph(), sources, h)
+	if got := b.Collect(sources, h); !slices.Equal(got, want) {
+		t.Fatalf("sources=%v h=%d: Collect %v, reference %v", sources, h, got, want)
+	}
+	// ends[d] counts the nodes at depth <= d, up to the deepest one.
+	var wantEnds []int
+	for i, v := range want {
+		if d := depth[v]; d == len(wantEnds) {
+			wantEnds = append(wantEnds, i+1)
+		} else {
+			wantEnds[d] = i + 1
+		}
+	}
+	if h >= 0 && len(want) == 0 {
+		wantEnds = []int{0}
+	}
+	if ends := b.LevelEnds(); !slices.Equal(ends, wantEnds) {
+		t.Fatalf("sources=%v h=%d: level ends %v, want %v", sources, h, ends, wantEnds)
+	}
+}
+
+// TestCollectMatchesReferenceBFS pins Collect's contract against the
+// queue oracle: the exact visit order (what the flat density kernels
+// rely on for bit-identical intensity sums) and the level ends, on
+// directed and undirected graphs, for single sources, duplicate
+// sources, h = 0, h < 0 and h beyond every eccentricity.
+func TestCollectMatchesReferenceBFS(t *testing.T) {
 	for _, directed := range []bool{false, true} {
 		g := randomTestGraph(t, 200, 600, directed, 12)
 		b := NewBFS(g)
-		for h := 0; h <= 3; h++ {
+		for _, h := range []int{-1, 0, 1, 2, 3, g.NumNodes()} {
 			for v := 0; v < g.NumNodes(); v += 7 {
-				var viaRun []NodeID
-				b.Run([]NodeID{NodeID(v)}, h, func(u NodeID, _ int) {
-					viaRun = append(viaRun, u)
-				})
-				got := b.Collect([]NodeID{NodeID(v)}, h)
-				if len(got) != len(viaRun) {
-					t.Fatalf("directed=%v h=%d v=%d: Collect %d nodes, Run %d", directed, h, v, len(got), len(viaRun))
+				checkCollect(t, b, []NodeID{NodeID(v)}, h)
+			}
+			// Multi-source with duplicate sources, like the batch samplers use.
+			checkCollect(t, b, []NodeID{3, 9, 3, 27}, h)
+		}
+		checkCollect(t, b, nil, 2)
+	}
+}
+
+// TestDistanceQueriesMatchReferenceBFS pins Distance, Eccentricity and
+// NodesAtDistance against the queue oracle's depths.
+func TestDistanceQueriesMatchReferenceBFS(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		g := randomTestGraph(t, 120, 200, directed, 5)
+		b := NewBFS(g)
+		for u := 0; u < g.NumNodes(); u += 5 {
+			src := NodeID(u)
+			order, depth := refBFS(g, []NodeID{src}, g.NumNodes())
+			ecc := 0
+			for v := 0; v < g.NumNodes(); v++ {
+				want, ok := depth[NodeID(v)]
+				if !ok {
+					want = -1
 				}
-				for i := range got {
-					if got[i] != viaRun[i] {
-						t.Fatalf("directed=%v h=%d v=%d: order diverges at %d: %d vs %d",
-							directed, h, v, i, got[i], viaRun[i])
+				if got := b.Distance(src, NodeID(v)); got != want {
+					t.Fatalf("directed=%v: Distance(%d,%d) = %d, want %d", directed, u, v, got, want)
+				}
+				ecc = max(ecc, want)
+			}
+			if got := b.Eccentricity(src); got != ecc {
+				t.Fatalf("directed=%v: Eccentricity(%d) = %d, want %d", directed, u, got, ecc)
+			}
+			for d := -1; d <= ecc+1; d++ {
+				var want []NodeID
+				for _, v := range order {
+					if depth[v] == d {
+						want = append(want, v)
 					}
 				}
-			}
-		}
-		// Multi-source with duplicate sources, like the batch samplers use.
-		sources := []NodeID{3, 9, 3, 27}
-		var viaRun []NodeID
-		b.Run(sources, 2, func(u NodeID, _ int) { viaRun = append(viaRun, u) })
-		got := b.Collect(sources, 2)
-		if len(got) != len(viaRun) {
-			t.Fatalf("multi-source: %d vs %d nodes", len(got), len(viaRun))
-		}
-		for i := range got {
-			if got[i] != viaRun[i] {
-				t.Fatalf("multi-source order diverges at %d", i)
+				if got := b.NodesAtDistance(src, d, nil); !slices.Equal(got, want) {
+					t.Fatalf("directed=%v: NodesAtDistance(%d,%d) = %v, want %v", directed, u, d, got, want)
+				}
 			}
 		}
 	}
 }
 
-// TestCollectNegativeDepth matches Run's h < 0 no-op contract.
+// TestCollectNegativeDepth pins the h < 0 no-op: nothing visited, no
+// levels.
 func TestCollectNegativeDepth(t *testing.T) {
 	g := randomTestGraph(t, 10, 20, false, 1)
 	b := NewBFS(g)
 	if got := b.Collect([]NodeID{0}, -1); len(got) != 0 {
 		t.Fatalf("Collect(h=-1) visited %d nodes", len(got))
+	}
+	if ends := b.LevelEnds(); len(ends) != 0 {
+		t.Fatalf("LevelEnds after h=-1 = %v, want none", ends)
 	}
 }
 

@@ -153,14 +153,15 @@ func TestClassicGraphs(t *testing.T) {
 func TestBFSDepthsOnPath(t *testing.T) {
 	g := Path(10)
 	b := NewBFS(g)
-	depths := map[NodeID]int{}
-	b.Run([]NodeID{0}, 4, func(v NodeID, d int) { depths[v] = d })
-	if len(depths) != 5 {
-		t.Fatalf("4-hop BFS from path end reached %d nodes, want 5", len(depths))
+	vis := b.Collect([]NodeID{0}, 4)
+	if len(vis) != 5 {
+		t.Fatalf("4-hop BFS from path end reached %d nodes, want 5", len(vis))
 	}
+	// One node per level: node v sits alone at depth v.
+	ends := b.LevelEnds()
 	for v := NodeID(0); v <= 4; v++ {
-		if depths[v] != int(v) {
-			t.Errorf("depth(%d) = %d, want %d", v, depths[v], v)
+		if vis[v] != v || ends[v] != int(v)+1 {
+			t.Errorf("depth %d: node %d, level end %d", v, vis[v], ends[v])
 		}
 	}
 }
@@ -169,7 +170,9 @@ func TestBFSVisitsOnce(t *testing.T) {
 	g := Cycle(8)
 	b := NewBFS(g)
 	seen := map[NodeID]int{}
-	b.Run([]NodeID{0}, 8, func(v NodeID, _ int) { seen[v]++ })
+	for _, v := range b.Collect([]NodeID{0}, 8) {
+		seen[v]++
+	}
 	for v, c := range seen {
 		if c != 1 {
 			t.Errorf("node %d visited %d times", v, c)
@@ -183,9 +186,7 @@ func TestBFSVisitsOnce(t *testing.T) {
 func TestBFSDuplicateSources(t *testing.T) {
 	g := Path(5)
 	b := NewBFS(g)
-	count := 0
-	b.Run([]NodeID{2, 2, 2}, 0, func(NodeID, int) { count++ })
-	if count != 1 {
+	if count := len(b.Collect([]NodeID{2, 2, 2}, 0)); count != 1 {
 		t.Errorf("duplicate sources visited %d times, want 1", count)
 	}
 }
@@ -193,9 +194,7 @@ func TestBFSDuplicateSources(t *testing.T) {
 func TestBFSNegativeHops(t *testing.T) {
 	g := Path(5)
 	b := NewBFS(g)
-	count := 0
-	b.Run([]NodeID{2}, -1, func(NodeID, int) { count++ })
-	if count != 0 {
+	if count := len(b.Collect([]NodeID{2}, -1)); count != 0 {
 		t.Errorf("h=-1 visited %d nodes, want 0", count)
 	}
 }
@@ -205,11 +204,11 @@ func TestVicinityMatchesDefinition(t *testing.T) {
 	g := Grid(5, 5)
 	b := NewBFS(g)
 	center := NodeID(12)
-	v1 := b.Vicinity(center, 1, nil)
+	v1 := b.SetVicinity([]NodeID{center}, 1, nil)
 	if len(v1) != 5 {
 		t.Fatalf("|V^1| of grid center = %d, want 5", len(v1))
 	}
-	v2 := b.Vicinity(center, 2, nil)
+	v2 := b.SetVicinity([]NodeID{center}, 2, nil)
 	if len(v2) != 13 {
 		t.Fatalf("|V^2| of grid center = %d, want 13", len(v2))
 	}
@@ -221,7 +220,7 @@ func TestVicinityMatchesDefinition(t *testing.T) {
 func TestVicinityZeroHop(t *testing.T) {
 	g := Path(5)
 	b := NewBFS(g)
-	v := b.Vicinity(3, 0, nil)
+	v := b.SetVicinity([]NodeID{3}, 0, nil)
 	if len(v) != 1 || v[0] != 3 {
 		t.Fatalf("0-vicinity = %v, want [3]", v)
 	}
@@ -246,7 +245,7 @@ func TestBatchBFSEqualsUnion(t *testing.T) {
 
 		var union []NodeID
 		for _, s := range sources {
-			union = b.Vicinity(s, h, union)
+			union = b.SetVicinity([]NodeID{s}, h, union)
 		}
 		want := NewNodeSet(g.NumNodes(), union)
 
@@ -318,7 +317,7 @@ func TestNodesAtDistance(t *testing.T) {
 func TestBFSEpochWrap(t *testing.T) {
 	g := Path(4)
 	b := NewBFS(g)
-	b.epoch = ^uint32(0) - 1 // force a wrap within two runs
+	b.epoch = ^uint8(0) - 1 // force a wrap within two runs
 	if n := b.VicinitySize(0, 3); n != 4 {
 		t.Fatalf("pre-wrap vicinity = %d, want 4", n)
 	}

@@ -80,15 +80,13 @@ func EstimateDiameter(g *Graph, rounds int, rng *rand.Rand) int {
 	best := 0
 	for i := 0; i < rounds; i++ {
 		start := comp[rng.IntN(len(comp))]
-		var far NodeID
-		farD := -1
-		b.Run([]NodeID{start}, g.NumNodes(), func(v NodeID, d int) {
-			if d > farD {
-				farD = d
-				far = v
-			}
-		})
-		if ecc := b.Eccentricity(far); ecc > best {
+		vis := b.Collect([]NodeID{start}, g.NumNodes())
+		// far is the first node of the deepest level.
+		ends, deepest := b.LevelEnds(), 0
+		if len(ends) > 1 {
+			deepest = ends[len(ends)-2]
+		}
+		if ecc := b.Eccentricity(vis[deepest]); ecc > best {
 			best = ecc
 		}
 	}

@@ -382,7 +382,6 @@ func reverseBall(g *graph.Graph, sources []graph.NodeID, h int) []graph.NodeID {
 	if g.Directed() {
 		rg = g.Transpose()
 	}
-	var out []graph.NodeID
 	valid := sources[:0:0]
 	for _, v := range sources {
 		if g.Valid(v) {
@@ -392,8 +391,5 @@ func reverseBall(g *graph.Graph, sources []graph.NodeID, h int) []graph.NodeID {
 	if len(valid) == 0 {
 		return nil
 	}
-	graph.NewBFS(rg).Run(valid, h, func(v graph.NodeID, _ int) {
-		out = append(out, v)
-	})
-	return out
+	return graph.NewBFS(rg).SetVicinity(valid, h, nil)
 }

@@ -273,7 +273,7 @@ type Monitor struct {
 	memo  *screen.SharedMemo
 	// engines are the retained BFS engines of this monitor, rebound to
 	// each new graph snapshot before a re-screen: the O(|V|) scratch
-	// (mark arrays, frontiers) is allocated once per monitor, not once
+	// (mark array, visit buffer) is allocated once per monitor, not once
 	// per mutation. Guarded by runMu.
 	engines []*graph.BFS
 
@@ -502,13 +502,15 @@ func (m *Monitor) screenOnce(g *graph.Graph, store *events.Store, epoch uint64, 
 
 // bindEngines rebinds this monitor's retained BFS engines to the
 // current snapshot and lends them to the run through a pool: the
-// O(|V|) scratch (mark arrays, frontiers) is allocated once per
+// O(|V|) scratch (mark array, visit buffer) is allocated once per
 // monitor, not once per mutation. Engines that cannot rebind (node
 // count changed — impossible under live mutation, possible across
 // exotic restores) are dropped and reallocated. Callers hold runMu.
 func (m *Monitor) bindEngines(g *graph.Graph) *graph.EnginePool {
 	if m.engines == nil {
-		m.engines = []*graph.BFS{graph.NewBFS(g), graph.NewBFS(g)}
+		// Both screen paths run one sweep worker, which traverses
+		// with one engine.
+		m.engines = []*graph.BFS{graph.NewBFS(g)}
 	}
 	pool := graph.NewEnginePool(g)
 	kept := m.engines[:0]

@@ -164,14 +164,10 @@ func sweep(g *graph.Graph, store *events.Store, pairs [][2]string, cfg PlanConfi
 		mu         sync.Mutex // guards st while workers fold
 	)
 	worker := func() {
-		w := sweepWorker{g: g, store: store, cfg: &cfg, eventIdx: eventIdx, bar: bar, prune: prune,
-			sampler: &core.BatchBFSSampler{Engines: cfg.Engines}}
+		bfs := cfg.Engines.Acquire(g)
+		defer cfg.Engines.Put(bfs)
+		w := sweepWorker{g: g, store: store, cfg: &cfg, eventIdx: eventIdx, bar: bar, prune: prune, bfs: bfs}
 		if memo != nil {
-			var bfs *graph.BFS
-			if cfg.Engines != nil && cfg.Engines.Graph() == g {
-				bfs = cfg.Engines.Get()
-				defer cfg.Engines.Put(bfs)
-			}
 			if multi, err := core.NewMultiEvaluator(g, mem, cfg.H, bfs); err == nil {
 				w.src = &memoSource{memo: memo, multi: multi, scratch: make([]int32, mem.NumEvents()), shared: cfg.Memo}
 			}
@@ -377,10 +373,10 @@ type sweepWorker struct {
 	bar      *planBar
 	prune    bool // false: no checkpoints, each pair is one density pass
 
-	sampler core.Sampler
-	src     *memoSource // nil without the memo: per-pair evaluators
-	sa, sb  []float64   // density prefix scratch for checkpointed pairs
-	stats   PlanStats   // folded into the sweep's at exit
+	bfs    *graph.BFS  // the worker's engine: sampling and density passes
+	src    *memoSource // nil without the memo: per-pair evaluators
+	sa, sb []float64   // density prefix scratch for checkpointed pairs
+	stats  PlanStats   // folded into the sweep's at exit
 }
 
 // planPair tests one candidate: draw its reference sample (the pair's
@@ -410,7 +406,7 @@ func (w *sweepWorker) planPair(res PairResult) (PairResult, pairFate) {
 
 	seed := pairSeed(cfg.Seed, res.A, res.B)
 	rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
-	sample, err := w.sampler.SampleReferences(p, cfg.H, cfg.SampleSize, rng)
+	sample, err := new(core.BatchBFSSampler).SampleReferences(p, cfg.H, cfg.SampleSize, rng, w.bfs)
 	if err != nil {
 		res.Skipped = err.Error()
 		return res, fateSkipped
@@ -424,13 +420,7 @@ func (w *sweepWorker) planPair(res PairResult) (PairResult, pairFate) {
 		w.src.retarget(w.eventIdx[res.A], w.eventIdx[res.B])
 		source = w.src
 	} else {
-		if cfg.Engines != nil && cfg.Engines.Graph() == w.g {
-			bfs := cfg.Engines.Get()
-			defer cfg.Engines.Put(bfs)
-			eval = core.NewDensityEvaluatorBFS(p, cfg.H, bfs)
-		} else {
-			eval = core.NewDensityEvaluator(p, cfg.H)
-		}
+		eval = core.NewDensityEvaluatorBFS(p, cfg.H, w.bfs)
 		source = eval
 	}
 	// density evaluates rs. The memo source returns its per-worker

@@ -73,6 +73,11 @@ type cacheEntry struct {
 	done  bool          // set under IndexCache.mu once the build finished
 	idx   *tesc.VicinityIndex
 	err   error
+
+	// waiters counts the readers that joined a stale side build instead
+	// of starting it (under IndexCache.mu): the witness that they all
+	// share it.
+	waiters int
 }
 
 // NewIndexCache returns a cache holding at most capacity indexes
@@ -165,6 +170,7 @@ func (c *IndexCache) Get(e *GraphEntry, snap Snapshot, maxLevel, workers int) (*
 func (c *IndexCache) getStaleLocked(snap Snapshot, key IndexKey, workers int) (*tesc.VicinityIndex, error) {
 	sk := staleKey{IndexKey: key, gv: snap.GraphVersion}
 	if ce, ok := c.stale[sk]; ok {
+		ce.waiters++
 		c.mu.Unlock()
 		<-ce.ready
 		return ce.idx, ce.err

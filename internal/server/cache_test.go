@@ -249,7 +249,8 @@ func TestCacheStaleSnapshotSingleFlight(t *testing.T) {
 	}
 	buildsBefore := c.Builds()
 
-	// Stall the build so all stale readers provably overlap it.
+	// Stall the build until every other stale reader has joined it, so
+	// none can arrive after it returned and start a second one.
 	const readers = 16
 	inner := c.build
 	var calls atomic.Int64
@@ -269,7 +270,16 @@ func TestCacheStaleSnapshotSingleFlight(t *testing.T) {
 			results[i], errs[i] = c.Get(e, before, 2, 1)
 		}(i)
 	}
-	for calls.Load() == 0 {
+	joined := func() int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		n := 0
+		for _, ce := range c.stale {
+			n += ce.waiters
+		}
+		return n
+	}
+	for calls.Load() == 0 || joined() < readers-1 {
 		runtime.Gosched()
 	}
 	close(release)

@@ -63,14 +63,13 @@ func Build(g *graph.Graph, maxLevel int, opts Options) (*Index, error) {
 		go func() {
 			defer wg.Done()
 			bfs := graph.NewBFS(g)
-			counts := make([]int32, maxLevel+1)
 			for lo := range next {
 				hi := lo + chunk
 				if hi > n {
 					hi = n
 				}
 				for v := lo; v < hi; v++ {
-					idx.computeNode(bfs, graph.NodeID(v), counts)
+					idx.computeNode(bfs, graph.NodeID(v))
 				}
 			}
 		}()
@@ -79,21 +78,13 @@ func Build(g *graph.Graph, maxLevel int, opts Options) (*Index, error) {
 	return idx, nil
 }
 
-// computeNode runs one maxLevel-hop BFS from v and fills sizes[*][v].
-// counts is scratch of length maxLevel+1.
-func (idx *Index) computeNode(bfs *graph.BFS, v graph.NodeID, counts []int32) {
-	for i := range counts {
-		counts[i] = 0
-	}
-	bfs.Run([]graph.NodeID{v}, idx.maxLevel, func(_ graph.NodeID, d int) {
-		counts[d]++
-	})
-	cum := int32(0)
-	for h := 0; h <= idx.maxLevel; h++ {
-		cum += counts[h]
-		if h >= 1 {
-			idx.sizes[h-1][v] = cum
-		}
+// computeNode runs one maxLevel-hop BFS from v and fills sizes[*][v]
+// from the traversal's level ends.
+func (idx *Index) computeNode(bfs *graph.BFS, v graph.NodeID) {
+	bfs.Collect([]graph.NodeID{v}, idx.maxLevel)
+	ends := bfs.LevelEnds()
+	for h := 1; h <= idx.maxLevel; h++ {
+		idx.sizes[h-1][v] = int32(ends[min(h, len(ends)-1)])
 	}
 }
 
@@ -131,14 +122,13 @@ func BuildForNodes(g *graph.Graph, nodes []graph.NodeID, maxLevel int, opts Opti
 		go func() {
 			defer wg.Done()
 			bfs := graph.NewBFS(g)
-			counts := make([]int32, maxLevel+1)
 			for lo := range next {
 				hi := lo + chunk
 				if hi > len(nodes) {
 					hi = len(nodes)
 				}
 				for _, v := range nodes[lo:hi] {
-					idx.computeNode(bfs, v, counts)
+					idx.computeNode(bfs, v)
 				}
 			}
 		}()
@@ -291,15 +281,15 @@ func DirtySet(oldG, newG *graph.Graph, changes []graph.EdgeChange, maxLevel int)
 	if oldG.Directed() {
 		reachOld, reachNew = oldG.Transpose(), newG.Transpose()
 	}
+	dirty := graph.NewBFS(reachOld).SetVicinity(endpoints, maxLevel, nil)
 	dirtyMark := make([]bool, oldG.NumNodes())
-	var dirty []graph.NodeID
-	for _, rg := range [2]*graph.Graph{reachOld, reachNew} {
-		graph.NewBFS(rg).Run(endpoints, maxLevel, func(v graph.NodeID, _ int) {
-			if !dirtyMark[v] {
-				dirtyMark[v] = true
-				dirty = append(dirty, v)
-			}
-		})
+	for _, v := range dirty {
+		dirtyMark[v] = true
+	}
+	for _, v := range graph.NewBFS(reachNew).Collect(endpoints, maxLevel) {
+		if !dirtyMark[v] {
+			dirty = append(dirty, v)
+		}
 	}
 	return dirty, nil
 }
@@ -342,9 +332,8 @@ func (idx *Index) ApplyDeltaDirty(newG *graph.Graph, changes []graph.EdgeChange,
 	const chunk = 256
 	if len(dirty) <= chunk || workers == 1 {
 		bfs := graph.NewBFS(newG)
-		counts := make([]int32, idx.maxLevel+1)
 		for _, v := range dirty {
-			idx.computeNode(bfs, v, counts)
+			idx.computeNode(bfs, v)
 		}
 		return dirty, nil
 	}
@@ -361,11 +350,10 @@ func (idx *Index) ApplyDeltaDirty(newG *graph.Graph, changes []graph.EdgeChange,
 		go func() {
 			defer wg.Done()
 			bfs := graph.NewBFS(newG)
-			counts := make([]int32, idx.maxLevel+1)
 			for lo := range next {
 				hi := min(lo+chunk, len(dirty))
 				for _, v := range dirty[lo:hi] {
-					idx.computeNode(bfs, v, counts)
+					idx.computeNode(bfs, v)
 				}
 			}
 		}()

@@ -15,6 +15,30 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
+// bfsSizes is the index's test oracle, independent of graph.BFS: a
+// level-by-level BFS with a []bool visited array returning |V^h_v| for
+// h = 0..maxLevel.
+func bfsSizes(g *graph.Graph, v graph.NodeID, maxLevel int) []int {
+	visited := make([]bool, g.NumNodes())
+	visited[v] = true
+	frontier := []graph.NodeID{v}
+	sizes := []int{1}
+	for d := 1; d <= maxLevel; d++ {
+		var next []graph.NodeID
+		for _, x := range frontier {
+			for _, u := range g.Neighbors(x) {
+				if !visited[u] {
+					visited[u] = true
+					next = append(next, u)
+				}
+			}
+		}
+		sizes = append(sizes, sizes[d-1]+len(next))
+		frontier = next
+	}
+	return sizes
+}
+
 func TestIndexMatchesDirectBFS(t *testing.T) {
 	rng := rand.New(rand.NewPCG(61, 1))
 	g := graphgen.ErdosRenyi(300, 900, rng)
@@ -22,10 +46,10 @@ func TestIndexMatchesDirectBFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bfs := graph.NewBFS(g)
 	for v := 0; v < g.NumNodes(); v++ {
+		sizes := bfsSizes(g, graph.NodeID(v), 3)
 		for h := 1; h <= 3; h++ {
-			want := bfs.VicinitySize(graph.NodeID(v), h)
+			want := sizes[h]
 			if got := idx.Size(graph.NodeID(v), h); got != want {
 				t.Fatalf("Size(%d, %d) = %d, want %d", v, h, got, want)
 			}

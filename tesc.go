@@ -241,7 +241,7 @@ func (x *VicinityIndex) BuiltFor(g *Graph) bool { return x.idx.Graph() == g.g }
 
 // EnginePool is a free list of BFS traversal engines bound to one graph
 // snapshot. Each engine owns O(NumNodes) scratch (an epoch-stamped mark
-// array plus frontier buffers), so a serving tier that runs many
+// array plus a visit buffer), so a serving tier that runs many
 // correlation queries against the same graph should create one pool per
 // graph snapshot and pass it via Options.Engines / ScreenOptions.Engines:
 // queries then reuse warm scratch instead of allocating it per request.
@@ -362,8 +362,8 @@ type Options struct {
 	// outside the corresponding occurrence list, and positive on it.
 	IntensityA, IntensityB []float64
 	// Engines, when non-nil and bound to this graph, lends pooled BFS
-	// engines to the density evaluator and the BatchBFS sampler so
-	// repeated queries stop allocating O(NumNodes) scratch each (see
+	// engines to the sampler and the density pass so repeated queries
+	// stop allocating O(NumNodes) scratch each (see
 	// Graph.NewEnginePool). Results are identical with or without it.
 	Engines *EnginePool
 	// Ctx, when non-nil, lets the caller abandon the test: the density
@@ -487,11 +487,7 @@ func Correlation(g *Graph, va, vb []int, opts Options) (Result, error) {
 func makeSampler(opts Options) (core.Sampler, error) {
 	switch opts.Method {
 	case BatchBFS:
-		s := &core.BatchBFSSampler{}
-		if opts.Engines != nil {
-			s.Engines = opts.Engines.p
-		}
-		return s, nil
+		return &core.BatchBFSSampler{}, nil
 	case Importance:
 		if opts.Index == nil {
 			return nil, fmt.Errorf("tesc: Importance sampling requires Options.Index (see Graph.BuildVicinityIndex)")
