@@ -1,8 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // EdgeChange is one edge flip: the insertion (Insert == true) or
@@ -19,10 +20,13 @@ type EdgeChange struct {
 // Delta is a mutable edge-set overlay on an immutable CSR Graph: edge
 // insertions and deletions accumulate in small hash overlays while the
 // base graph stays shared and untouched, and Compact merges both into a
-// fresh CSR snapshot in O(n + m + Δ log Δ) — no re-sort of the full
-// adjacency. This is the write path of the dynamic-graph subsystem: the
-// paper's index structures assume an immutable graph (§4.2), so updates
-// are staged here and published as new snapshots.
+// fresh CSR snapshot. A snapshot is n+1 offsets and 2m adjacency
+// entries (m when directed), so Compact writes that much, but in bulk
+// copies; the per-change work — sorting the Δ staged flips and merging
+// the rows they touch — is O(Δ log Δ) plus those rows' degrees. This is
+// the write path of the dynamic-graph subsystem: the paper's index
+// structures assume an immutable graph (§4.2), so updates are staged
+// here and published as new snapshots.
 //
 // A Delta is not safe for concurrent use; the serving tier serializes
 // writers and publishes compacted snapshots to readers.
@@ -121,7 +125,9 @@ func (d *Delta) DeleteEdge(u, v NodeID) (bool, error) {
 
 // Apply stages a batch of changes, skipping no-ops (inserting a present
 // edge, deleting an absent one). It returns the changes that took
-// effect — the exact flip list an incremental index update must see.
+// effect — the exact flip list an incremental index update must see —
+// in a slice the caller owns: later Apply and Compact calls leave it
+// alone.
 func (d *Delta) Apply(changes []EdgeChange) ([]EdgeChange, error) {
 	start := len(d.log)
 	for _, c := range changes {
@@ -135,7 +141,7 @@ func (d *Delta) Apply(changes []EdgeChange) ([]EdgeChange, error) {
 			return nil, err
 		}
 	}
-	return d.log[start:], nil
+	return slices.Clone(d.log[start:]), nil
 }
 
 // NumEdges returns the edge count of the overlaid graph (arc count when
@@ -152,11 +158,19 @@ func (d *Delta) Pending() int { return len(d.added) + len(d.removed) }
 // internal storage.
 func (d *Delta) Changes() []EdgeChange { return d.log }
 
+// arcFlip is one staged change seen from one row: the arc u→v is
+// inserted or deleted.
+type arcFlip struct {
+	u, v   NodeID
+	insert bool
+}
+
 // Compact merges the overlay into a fresh CSR snapshot and resets the
-// delta onto it: a single O(n + m + Δ log Δ) pass that keeps each
-// adjacency list sorted by merging the base list with the per-node
-// staged insertions, instead of rebuilding (and re-sorting) the whole
-// graph through a Builder.
+// delta onto it. Only the rows the overlay touches are merged; each run
+// of untouched rows between them is one bulk copy of the base adjacency
+// whose offsets shift by one constant. The cost is one copy of the
+// adjacency and one pass over the offsets, plus O(Δ log Δ) and the
+// touched rows' degrees for the staged changes.
 func (d *Delta) Compact() *Graph {
 	if len(d.added) == 0 && len(d.removed) == 0 {
 		return d.base
@@ -164,71 +178,67 @@ func (d *Delta) Compact() *Graph {
 	g := d.base
 	n := g.NumNodes()
 
-	// Per-node staged insertions and removals, as half-edges (both
-	// directions for undirected graphs), insertions sorted per node.
-	// Nodes untouched by the overlay — almost all of them under a small
-	// delta — keep their base adjacency via one bulk copy, so the merge
-	// runs at memcpy speed instead of per-edge hash lookups.
-	ins := make(map[NodeID][]NodeID, len(d.added)*2)
-	for k := range d.added {
-		u, v := NodeID(k>>32), NodeID(uint32(k))
-		ins[u] = append(ins[u], v)
-		if !g.directed {
-			ins[v] = append(ins[v], u)
+	// The staged changes as arcs (both directions for undirected
+	// graphs), sorted by row and then by neighbor, so each touched row's
+	// flips are one run in its own adjacency order.
+	flips := make([]arcFlip, 0, 2*d.Pending())
+	stage := func(set map[uint64]struct{}, insert bool) {
+		for k := range set {
+			u, v := NodeID(k>>32), NodeID(uint32(k))
+			flips = append(flips, arcFlip{u, v, insert})
+			if !g.directed {
+				flips = append(flips, arcFlip{v, u, insert})
+			}
 		}
 	}
-	for u := range ins {
-		s := ins[u]
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	}
-	del := make(map[NodeID][]NodeID, len(d.removed)*2)
-	for k := range d.removed {
-		u, v := NodeID(k>>32), NodeID(uint32(k))
-		del[u] = append(del[u], v)
-		if !g.directed {
-			del[v] = append(del[v], u)
-		}
-	}
-	for u := range del {
-		s := del[u]
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	}
+	stage(d.added, true)
+	stage(d.removed, false)
+	slices.SortFunc(flips, func(a, b arcFlip) int {
+		return cmp.Or(cmp.Compare(a.u, b.u), cmp.Compare(a.v, b.v))
+	})
 
 	offsets := make([]int64, n+1)
-	half := int64(d.m)
+	half := d.m
 	if !g.directed {
 		half *= 2
 	}
 	adj := make([]NodeID, 0, half)
-	for u := 0; u < n; u++ {
-		offsets[u] = int64(len(adj))
-		base := g.Neighbors(NodeID(u))
-		add, gone := ins[NodeID(u)], del[NodeID(u)]
-		if len(add) == 0 && len(gone) == 0 {
-			adj = append(adj, base...)
-			continue
+	// copyRows appends the untouched rows [lo, hi) in one copy.
+	copyRows := func(lo, hi int) {
+		shift := int64(len(adj)) - g.offsets[lo]
+		dst, src := offsets[lo:hi], g.offsets[lo:hi]
+		for i := range dst {
+			dst[i] = src[i] + shift
 		}
-		// Three-cursor sorted merge: base minus gone, interleaved with
-		// add — O(degree + staged changes) for the node.
-		i, j, k := 0, 0, 0
-		for i < len(base) || j < len(add) {
-			switch {
-			case j == len(add) || (i < len(base) && base[i] < add[j]):
-				for k < len(gone) && gone[k] < base[i] {
-					k++
-				}
-				if k < len(gone) && gone[k] == base[i] {
-					k++
-				} else {
-					adj = append(adj, base[i])
-				}
-				i++
-			default:
-				adj = append(adj, add[j])
+		adj = append(adj, g.adj[g.offsets[lo]:g.offsets[hi]]...)
+	}
+	next := 0 // first row not yet written
+	for i := 0; i < len(flips); {
+		u := flips[i].u
+		copyRows(next, int(u))
+		// Merge u's base row with its flips, both sorted by neighbor. A
+		// staged deletion is always a base arc, and a staged insertion
+		// never is.
+		offsets[u] = int64(len(adj))
+		row := g.Neighbors(u)
+		for ; i < len(flips) && flips[i].u == u; i++ {
+			f := flips[i]
+			j := 0
+			for j < len(row) && row[j] < f.v {
 				j++
 			}
+			adj = append(adj, row[:j]...)
+			row = row[j:]
+			if f.insert {
+				adj = append(adj, f.v)
+			} else {
+				row = row[1:]
+			}
 		}
+		adj = append(adj, row...)
+		next = int(u) + 1
 	}
+	copyRows(next, n)
 	offsets[n] = int64(len(adj))
 
 	out := &Graph{offsets: offsets, adj: adj, m: d.m, directed: g.directed}
