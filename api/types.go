@@ -202,9 +202,10 @@ type ScreenedPair struct {
 // versus Candidates is the sweep work the planner saved: the exhaustive
 // sweep pays a full test per candidate.
 type PlannerStats struct {
-	Candidates   int   `json:"candidates"`
-	FullTests    int   `json:"full_tests"`
-	PrunedEarly  int   `json:"pruned_early"`
+	Candidates  int `json:"candidates"`
+	FullTests   int `json:"full_tests"`
+	PrunedEarly int `json:"pruned_early"`
+	// PrunedPrior always reads 0: no pair is discarded before sampling.
 	PrunedPrior  int   `json:"pruned_prior"`
 	Checkpoints  int   `json:"checkpoints"`
 	DensityEvals int64 `json:"density_evals"`

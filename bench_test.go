@@ -299,12 +299,9 @@ func BenchmarkAblationBFSFresh(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDensity{Sequential,Parallel} measure the density
-// phase (the dominant per-test cost) with and without the worker pool.
-func BenchmarkAblationDensitySequential(b *testing.B) { benchDensityPhase(b, 1) }
-func BenchmarkAblationDensityParallel(b *testing.B)   { benchDensityPhase(b, -1) }
-
-func benchDensityPhase(b *testing.B, workers int) {
+// BenchmarkAblationDensitySequential measures the density phase, the
+// dominant per-test cost: n = 900 independent h-hop traversals.
+func BenchmarkAblationDensitySequential(b *testing.B) {
 	microSetup(b)
 	eval := core.NewDensityEvaluator(microProblem, 2)
 	rng := rand.New(rand.NewPCG(11, 11))
@@ -314,11 +311,7 @@ func benchDensityPhase(b *testing.B, workers int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if workers == 1 {
-			eval.EvalAll(refs)
-		} else {
-			eval.EvalAllParallel(refs, workers)
-		}
+		eval.EvalAll(refs)
 	}
 }
 

@@ -37,23 +37,20 @@ func allNodes(n int) []graph.NodeID {
 // with the context's cause wrapped, and does no density work.
 func TestTestCanceledBeforeStart(t *testing.T) {
 	p := bigProblem(t)
-	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		opts := DefaultOptions(2)
-		opts.SampleSize = 100
-		opts.Workers = workers
-		opts.Ctx = ctx
-		_, err := Test(p, opts)
-		if err == nil {
-			t.Fatalf("workers=%d: pre-canceled Test returned no error", workers)
-		}
-		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("workers=%d: err = %v, want errors.Is(ErrCanceled)", workers, err)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want the context cause wrapped", workers, err)
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opts := DefaultOptions(2)
+	opts.SampleSize = 100
+	opts.Ctx = ctx
+	_, err := Test(p, opts)
+	if err == nil {
+		t.Fatal("pre-canceled Test returned no error")
+	}
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want errors.Is(ErrCanceled)", err)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want the context cause wrapped", err)
 	}
 }
 
@@ -72,41 +69,50 @@ func TestTestDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// EvalAllParallelCtx: a cancel mid-phase stops the workers early and
-// reports the cancellation; a nil context runs to completion and
-// matches the sequential evaluator bit-for-bit.
-func TestEvalAllParallelCtx(t *testing.T) {
+// nthCheckCtx wraps a canceled context but hides that until the n-th
+// call to Done: earlier calls return a nil channel, which never fires.
+// It cancels a density pass at an exact, scheduler-free chunk boundary.
+type nthCheckCtx struct {
+	context.Context
+	checks, n int
+}
+
+func (c *nthCheckCtx) Done() <-chan struct{} {
+	c.checks++
+	if c.checks < c.n {
+		return nil
+	}
+	return c.Context.Done()
+}
+
+// EvalAllCtx checks its context before every chunk: a context that
+// fires at its k-th check stops the pass after k−1 chunks, with the
+// cause wrapped in ErrCanceled. A pass that ends before the k-th check
+// runs to completion.
+func TestEvalAllCtxCancelMidPhase(t *testing.T) {
 	p := bigProblem(t)
-	rs := allNodes(500)
-
-	seq := NewDensityEvaluator(p, 2)
-	wantSA, wantSB, wantDS := seq.EvalAll(rs)
-
-	par := NewDensityEvaluator(p, 2)
-	gotSA, gotSB, gotDS, err := par.EvalAllParallelCtx(nil, rs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rs {
-		if gotSA[i] != wantSA[i] || gotSB[i] != wantSB[i] || gotDS[i] != wantDS[i] {
-			t.Fatalf("node %d: parallel (%g,%g) != sequential (%g,%g)", i, gotSA[i], gotSB[i], wantSA[i], wantSB[i])
+	rs := allNodes(500) // 8 chunks
+	chunks := (len(rs) + densityChunk - 1) / densityChunk
+	errStop := errors.New("caller went away")
+	for _, k := range []int{1, 2, 5, chunks, chunks + 1} {
+		parent, cancel := context.WithCancelCause(context.Background())
+		cancel(errStop)
+		ctx := &nthCheckCtx{Context: parent, n: k}
+		ev := NewDensityEvaluator(p, 2)
+		_, _, _, err := ev.EvalAllCtx(ctx, rs)
+		if k > chunks {
+			if err != nil || ev.BFSCount != int64(len(rs)) {
+				t.Fatalf("k=%d: err = %v, BFSCount = %d; want a full pass of %d", k, err, ev.BFSCount, len(rs))
+			}
+			continue
 		}
-	}
-	if par.BFSCount != seq.BFSCount {
-		t.Fatalf("parallel BFSCount = %d, sequential %d", par.BFSCount, seq.BFSCount)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ev := NewDensityEvaluator(p, 2)
-	_, _, _, err = ev.EvalAllParallelCtx(ctx, rs, 4)
-	if err == nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-canceled parallel eval: err = %v, want errors.Is(context.Canceled)", err)
-	}
-	// The workers bailed at a chunk boundary: far fewer traversals than
-	// the full 500-node phase.
-	if ev.BFSCount >= int64(len(rs)) {
-		t.Fatalf("canceled eval still ran all %d traversals", ev.BFSCount)
+		if !errors.Is(err, ErrCanceled) || !errors.Is(err, errStop) {
+			t.Fatalf("k=%d: err = %v, want ErrCanceled wrapping the cause", k, err)
+		}
+		lo, hi := int64((k-1)*densityChunk), int64(k*densityChunk)
+		if ev.BFSCount < lo || ev.BFSCount > hi {
+			t.Fatalf("k=%d: BFSCount = %d, want within one chunk of %d (in [%d, %d])", k, ev.BFSCount, hi, lo, hi)
+		}
 	}
 }
 

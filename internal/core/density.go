@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"tesc/internal/graph"
 )
 
@@ -33,36 +35,16 @@ func (d Density) SB() float64 { return d.SumB / float64(d.VicinitySize) }
 // "out-of-sight" nodes).
 func (d Density) InSight() bool { return d.CountUnion > 0 }
 
-// DensitySource abstracts the density phase of a TESC test: given the
-// sampled reference nodes it produces the paired density vectors and
-// the per-node Density records. DensityEvaluator is the default
-// implementation; screen's cross-pair memo substitutes one that reuses
-// traversals across event pairs (Options.Densities).
-//
-// ds may be nil: custom sources only serve uniform samples (Test
-// rejects them for importance-weighted ones), and the uniform
-// statistics consume only sa/sb — the per-node records exist for the
-// weighted estimator and diagnostics. Sources that can produce them
-// cheaply should; screen's memo skips them to keep a standing query's
-// re-screen free of O(n) record construction.
-//
-// Traversals reports the cumulative number of h-hop BFS performed by
-// the source since its creation; Test differences it around the EvalAll
-// call to attribute traversal counts to one test.
-type DensitySource interface {
-	EvalAll(rs []graph.NodeID) (sa, sb []float64, ds []Density)
-	Traversals() int64
-}
-
 // DensityEvaluator computes Density records over a fixed problem and
 // vicinity level, reusing one BFS engine. Not safe for concurrent use.
 type DensityEvaluator struct {
 	p   *Problem
 	h   int
 	bfs *graph.BFS
-	// Engines, when non-nil and bound to p.G, supplies the private BFS
-	// engines EvalAllParallel's workers use, so a pooled serving tier
-	// stops allocating O(|V|) traversal scratch per worker per query.
+	// Engines is not read: every traversal runs on the evaluator's one
+	// engine.
+	//
+	// Deprecated: kept so that callers which still set it compile.
 	Engines *graph.EnginePool
 	// evaluation counters for the complexity experiments (Fig. 10a)
 	BFSCount int64 // number of h-hop traversals performed
@@ -83,9 +65,6 @@ func NewDensityEvaluatorBFS(p *Problem, h int, bfs *graph.BFS) *DensityEvaluator
 	}
 	return &DensityEvaluator{p: p, h: h, bfs: bfs}
 }
-
-// Traversals implements DensitySource.
-func (e *DensityEvaluator) Traversals() int64 { return e.BFSCount }
 
 // Eval runs one h-hop BFS from r and returns its Density.
 //
@@ -143,23 +122,36 @@ func (e *DensityEvaluator) Eval(r graph.NodeID) Density {
 	return d
 }
 
-// EvalAll evaluates every node in rs and returns the parallel density
+// EvalAll evaluates every node in rs and returns the paired density
 // vectors s^h_a and s^h_b plus the full records.
 func (e *DensityEvaluator) EvalAll(rs []graph.NodeID) (sa, sb []float64, ds []Density) {
-	sa = make([]float64, len(rs))
-	sb = make([]float64, len(rs))
-	ds = make([]Density, len(rs))
-	e.evalInto(rs, sa, sb, ds)
+	sa, sb, ds, _ = e.EvalAllCtx(context.TODO(), rs)
 	return sa, sb, ds
 }
 
-// evalInto is EvalAll into caller-owned slices (len(rs) each), the
-// shared core of the sequential and parallel phases.
-func (e *DensityEvaluator) evalInto(rs []graph.NodeID, sa, sb []float64, ds []Density) {
-	for i, r := range rs {
-		d := e.Eval(r)
-		ds[i] = d
-		sa[i] = d.SA()
-		sb[i] = d.SB()
+// densityChunk is the number of traversals EvalAllCtx runs between two
+// cancellation checks: a check per chunk keeps the context off the hot
+// path, and an abandoned test stops within one chunk.
+const densityChunk = 64
+
+// EvalAllCtx is EvalAll with cancellation, checked before every chunk
+// of densityChunk traversals. On cancellation it returns the context's
+// cause wrapped in ErrCanceled, and the density slices must be
+// discarded. A nil ctx never cancels.
+func (e *DensityEvaluator) EvalAllCtx(ctx context.Context, rs []graph.NodeID) (sa, sb []float64, ds []Density, err error) {
+	sa = make([]float64, len(rs))
+	sb = make([]float64, len(rs))
+	ds = make([]Density, len(rs))
+	for lo := 0; lo < len(rs); lo += densityChunk {
+		if err := ctxErr(ctx); err != nil {
+			return sa, sb, ds, err
+		}
+		for i := lo; i < min(lo+densityChunk, len(rs)); i++ {
+			d := e.Eval(rs[i])
+			ds[i] = d
+			sa[i] = d.SA()
+			sb[i] = d.SB()
+		}
 	}
+	return sa, sb, ds, nil
 }

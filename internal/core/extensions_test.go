@@ -7,6 +7,7 @@ import (
 
 	"tesc/internal/graph"
 	"tesc/internal/graphgen"
+	"tesc/internal/sampling"
 	"tesc/internal/stats"
 )
 
@@ -154,50 +155,36 @@ func TestSpearmanRejectsWeightedSamples(t *testing.T) {
 	}
 }
 
-// --- parallel density phase --------------------------------------------
-
-func TestEvalAllParallelMatchesSequential(t *testing.T) {
-	p, _ := erProblem(t, 400, 1200, 15, 15, 207)
-	eval := NewDensityEvaluator(p, 2)
-	refs := make([]graph.NodeID, 150)
-	rng := rand.New(rand.NewPCG(208, 1))
-	for i := range refs {
-		refs[i] = graph.NodeID(rng.IntN(400))
-	}
-	sa1, sb1, ds1 := eval.EvalAll(refs)
-	for _, workers := range []int{-1, 2, 7, 64} {
-		sa2, sb2, ds2 := eval.EvalAllParallel(refs, workers)
-		for i := range refs {
-			if sa1[i] != sa2[i] || sb1[i] != sb2[i] || ds1[i] != ds2[i] {
-				t.Fatalf("workers=%d: parallel density differs at %d", workers, i)
-			}
-		}
-	}
-	// empty input
-	sa, sb, ds := eval.EvalAllParallel(nil, 4)
-	if len(sa) != 0 || len(sb) != 0 || len(ds) != 0 {
-		t.Error("empty input should give empty outputs")
-	}
-}
-
-func TestTestWithWorkers(t *testing.T) {
-	p, _ := erProblem(t, 300, 900, 12, 12, 209)
-	seq, err := Test(p, Options{H: 1, SampleSize: 80, Alpha: 0.05,
-		Rand: rand.New(rand.NewPCG(9, 9))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Test(p, Options{H: 1, SampleSize: 80, Alpha: 0.05, Workers: -1,
-		Rand: rand.New(rand.NewPCG(9, 9))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Tau != par.Tau || seq.Z != par.Z {
-		t.Errorf("parallel test differs: %v vs %v", seq, par)
-	}
-}
-
 // --- all-nodes sampler (§3.2 ablation) ---------------------------------
+
+// AllNodesSampler draws reference nodes uniformly from the WHOLE graph,
+// including out-of-sight nodes whose h-vicinity contains no event
+// occurrence. The paper's §3.2 (Figure 3) argues this is wrong — the
+// shared 0-ties of the out-of-sight block simultaneously add concordant
+// pairs and shrink the null variance, inflating z. It exists only to
+// reproduce that argument empirically.
+type AllNodesSampler struct{}
+
+// Name implements Sampler.
+func (s *AllNodesSampler) Name() string { return "all-nodes(invalid)" }
+
+// SampleReferences implements Sampler.
+func (s *AllNodesSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand, _ ...*graph.BFS) (RefSample, error) {
+	total := p.G.NumNodes()
+	if total < 2 {
+		return RefSample{}, ErrTooFewReferences
+	}
+	picker := sampling.NewUniformNoReplace(total, rng)
+	nodes := make([]graph.NodeID, 0, n)
+	for len(nodes) < n {
+		v, ok := picker.Next()
+		if !ok {
+			break
+		}
+		nodes = append(nodes, graph.NodeID(v))
+	}
+	return RefSample{Nodes: nodes, Stats: SamplerStats{Population: total}}, nil
+}
 
 func TestAllNodesSamplerInflatesZ(t *testing.T) {
 	// localized mildly-attracting events on a sparse graph: legal

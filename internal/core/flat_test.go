@@ -187,43 +187,6 @@ func TestMultiEvaluatorMatchesReference(t *testing.T) {
 	}
 }
 
-// TestEvalAllParallelBFSCountRaceSafe pins that the atomic-counter
-// work distribution returns results identical to EvalAll and that
-// BFSCount folds in race-safely (exactly one increment per node, also
-// when two parallel evaluations share the evaluator — the plain `+=`
-// the old feeder-channel implementation used would lose counts here).
-func TestEvalAllParallelBFSCountRaceSafe(t *testing.T) {
-	g := randomGraph(t, 500, 1500, false, 77)
-	p := randomProblem(t, g, 50, false, 78)
-	rs := make([]graph.NodeID, 0, g.NumNodes())
-	for v := 0; v < g.NumNodes(); v++ {
-		rs = append(rs, graph.NodeID(v))
-	}
-	seq := NewDensityEvaluator(p, 2)
-	sa0, sb0, ds0 := seq.EvalAll(rs)
-
-	par := NewDensityEvaluator(p, 2)
-	done := make(chan struct{})
-	go func() { // concurrent use of one evaluator: counts must not be lost
-		par.EvalAllParallel(rs, 4)
-		close(done)
-	}()
-	sa1, sb1, ds1 := par.EvalAllParallel(rs, 4)
-	<-done
-
-	for i := range rs {
-		if sa0[i] != sa1[i] || sb0[i] != sb1[i] || ds0[i] != ds1[i] {
-			t.Fatalf("node %d: parallel result diverges", i)
-		}
-	}
-	if want := int64(2 * len(rs)); par.BFSCount != want {
-		t.Fatalf("BFSCount = %d, want %d (two concurrent passes)", par.BFSCount, want)
-	}
-	if seq.BFSCount != int64(len(rs)) {
-		t.Fatalf("sequential BFSCount = %d, want %d", seq.BFSCount, len(rs))
-	}
-}
-
 // TestPooledEnginesIdenticalResults runs the same test with and without
 // a shared engine pool: pooling is invisible in the statistics.
 func TestPooledEnginesIdenticalResults(t *testing.T) {

@@ -116,40 +116,6 @@ func (s *BatchBFSSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand,
 }
 
 // ---------------------------------------------------------------------
-// All-nodes sampling (§3.2 ablation)
-// ---------------------------------------------------------------------
-
-// AllNodesSampler draws reference nodes uniformly from the WHOLE graph,
-// including out-of-sight nodes whose h-vicinity contains no event
-// occurrence. The paper's §3.2 (Figure 3) argues this is wrong — the
-// shared 0-ties of the out-of-sight block simultaneously add concordant
-// pairs and shrink the null variance, inflating z. The sampler exists to
-// reproduce that argument empirically (see the out-of-sight tests and
-// the ablation benchmark); do not use it for real measurements.
-type AllNodesSampler struct{}
-
-// Name implements Sampler.
-func (s *AllNodesSampler) Name() string { return "all-nodes(invalid)" }
-
-// SampleReferences implements Sampler.
-func (s *AllNodesSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand, _ ...*graph.BFS) (RefSample, error) {
-	total := p.G.NumNodes()
-	if total < 2 {
-		return RefSample{}, ErrTooFewReferences
-	}
-	picker := sampling.NewUniformNoReplace(total, rng)
-	nodes := make([]graph.NodeID, 0, n)
-	for len(nodes) < n {
-		v, ok := picker.Next()
-		if !ok {
-			break
-		}
-		nodes = append(nodes, graph.NodeID(v))
-	}
-	return RefSample{Nodes: nodes, Stats: SamplerStats{Population: total}}, nil
-}
-
-// ---------------------------------------------------------------------
 // Rejection sampling (Procedure RejectSamp)
 // ---------------------------------------------------------------------
 
@@ -170,7 +136,7 @@ func (s *RejectionSampler) Name() string { return "rejection" }
 
 // SampleReferences implements Sampler.
 func (s *RejectionSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand, bfs ...*graph.BFS) (RefSample, error) {
-	if err := s.checkIndex(p, h); err != nil {
+	if err := checkIndex(s.Name(), s.Index, p, h); err != nil {
 		return RefSample{}, err
 	}
 	e := engine(p, bfs)
@@ -218,14 +184,16 @@ func (s *RejectionSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand
 	return RefSample{Nodes: nodes, Stats: st}, nil
 }
 
-func (s *RejectionSampler) checkIndex(p *Problem, h int) error {
+// checkIndex reports why idx cannot serve the named index-based sampler
+// at level h on p's graph, or nil when it can.
+func checkIndex(sampler string, idx *vicinity.Index, p *Problem, h int) error {
 	switch {
-	case s.Index == nil:
-		return fmt.Errorf("tesc: %s sampler requires a vicinity index", s.Name())
-	case s.Index.Graph() != p.G:
-		return fmt.Errorf("tesc: vicinity index bound to a different graph")
-	case s.Index.MaxLevel() < h:
-		return fmt.Errorf("tesc: vicinity index covers levels 1..%d, need %d", s.Index.MaxLevel(), h)
+	case idx == nil:
+		return fmt.Errorf("tesc: %s sampler requires a vicinity index", sampler)
+	case idx.Graph() != p.G:
+		return fmt.Errorf("tesc: %s sampler: vicinity index bound to a different graph", sampler)
+	case idx.MaxLevel() < h:
+		return fmt.Errorf("tesc: %s sampler: vicinity index covers levels 1..%d, need %d", sampler, idx.MaxLevel(), h)
 	}
 	return nil
 }
@@ -263,9 +231,8 @@ func (s *ImportanceSampler) Name() string {
 
 // SampleReferences implements Sampler.
 func (s *ImportanceSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand, bfs ...*graph.BFS) (RefSample, error) {
-	rs := &RejectionSampler{Index: s.Index}
-	if err := rs.checkIndex(p, h); err != nil {
-		return RefSample{}, fmt.Errorf("tesc: importance sampler: %w", err)
+	if err := checkIndex(s.Name(), s.Index, p, h); err != nil {
+		return RefSample{}, err
 	}
 	e := engine(p, bfs)
 	batch := s.BatchSize

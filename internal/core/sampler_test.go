@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"slices"
+	"strings"
 	"testing"
 
 	"tesc/internal/graph"
@@ -270,21 +271,37 @@ func TestSamplerIndexValidation(t *testing.T) {
 	p, idx := erProblem(t, 100, 300, 5, 5, 81)
 	rng := rand.New(rand.NewPCG(82, 1))
 
-	// missing index
-	if _, err := (&RejectionSampler{}).SampleReferences(p, 1, 10, rng); err == nil {
-		t.Error("nil index should fail")
-	}
-	if _, err := (&ImportanceSampler{}).SampleReferences(p, 1, 10, rng); err == nil {
-		t.Error("nil index should fail")
-	}
-	// insufficient level
-	if _, err := (&RejectionSampler{Index: idx}).SampleReferences(p, 5, 10, rng); err == nil {
-		t.Error("h beyond index level should fail")
-	}
-	// index for another graph
 	other, _ := vicinity.Build(graph.Path(100), 3, vicinity.Options{})
-	if _, err := (&ImportanceSampler{Index: other}).SampleReferences(p, 1, 10, rng); err == nil {
-		t.Error("foreign index should fail")
+	cases := []struct {
+		what string
+		idx  *vicinity.Index
+		h    int
+	}{
+		{"missing index", nil, 1},
+		{"h beyond index level", idx, 5},
+		{"foreign index", other, 1},
+	}
+	for _, c := range cases {
+		samplers := []struct {
+			s      Sampler
+			prefix string
+		}{
+			{&RejectionSampler{Index: c.idx}, "tesc: rejection sampler"},
+			{&ImportanceSampler{Index: c.idx}, "tesc: importance sampler"},
+			{&ImportanceSampler{Index: c.idx, BatchSize: 3}, "tesc: importance-batch3 sampler"},
+		}
+		for _, sc := range samplers {
+			_, err := sc.s.SampleReferences(p, c.h, 10, rng)
+			if err == nil {
+				t.Errorf("%s: %s accepted it", c.what, sc.s.Name())
+				continue
+			}
+			// Each message names its own sampler, once.
+			msg := err.Error()
+			if !strings.HasPrefix(msg, sc.prefix) || strings.Count(msg, "sampler") != 1 {
+				t.Errorf("%s: %s error %q, want one %q prefix", c.what, sc.s.Name(), msg, sc.prefix)
+			}
+		}
 	}
 }
 

@@ -49,17 +49,6 @@ type Options struct {
 	// Statistic selects Kendall's τ (default, the paper's measure) or
 	// Spearman's ρ.
 	Statistic Statistic
-	// Workers parallelizes the density phase (n independent h-hop BFS)
-	// over a goroutine pool: 0 or 1 evaluates sequentially, negative
-	// values select GOMAXPROCS. Results are identical either way.
-	Workers int
-	// Densities, when non-nil, replaces the built-in density evaluation
-	// with a custom source — screen's cross-pair memo injects one that
-	// reuses traversals across event pairs. Custom sources are only
-	// valid with uniform samplers: the importance estimator needs the
-	// per-node union counts a shared-vocabulary source cannot supply.
-	// Ignores Workers.
-	Densities DensitySource
 	// Engines, when non-nil, supplies pooled BFS engines bound to the
 	// problem's graph, so repeated tests stop allocating an O(|V|) mark
 	// array each (tescd pools one per graph version). The test's one
@@ -125,10 +114,7 @@ type Result struct {
 	// Weighted reports whether the t̃ estimator was used.
 	Weighted bool
 	// SamplerStats records the sampler's work; DensityBFS the density
-	// phase's h-hop traversal count — N with the built-in evaluator,
-	// possibly fewer with a memoizing Options.Densities source (screen's
-	// cross-pair memo attributes a shared node's traversal to the first
-	// pair that needed it).
+	// phase's h-hop traversal count (N: one per reference node).
 	SamplerStats SamplerStats
 	DensityBFS   int64
 	// SA, SB are the reference-node density vectors (diagnostics; length
@@ -192,36 +178,13 @@ func Test(p *Problem, opts Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if err := ctxErr(opts.Ctx); err != nil {
-		return Result{}, err
-	}
 
-	var sa, sb []float64
-	var ds []Density
-	var densityBFS int64
-	if opts.Densities != nil {
-		if sample.Weighted() {
-			return Result{}, fmt.Errorf("tesc: custom density sources do not support importance-weighted samples")
-		}
-		before := opts.Densities.Traversals()
-		sa, sb, ds = opts.Densities.EvalAll(sample.Nodes)
-		densityBFS = opts.Densities.Traversals() - before
-	} else {
-		eval := NewDensityEvaluatorBFS(p, opts.H, bfs)
-		eval.Engines = opts.Engines // parallel workers draw from the pool too
-		if opts.Workers == 0 || opts.Workers == 1 {
-			if opts.Ctx != nil {
-				sa, sb, ds, err = eval.EvalAllCtx(opts.Ctx, sample.Nodes)
-			} else {
-				sa, sb, ds = eval.EvalAll(sample.Nodes)
-			}
-		} else {
-			sa, sb, ds, err = eval.EvalAllParallelCtx(opts.Ctx, sample.Nodes, opts.Workers)
-		}
-		if err != nil {
-			return Result{}, err
-		}
-		densityBFS = eval.BFSCount
+	// The density pass checks opts.Ctx before its first traversal, so a
+	// test abandoned during sampling stops here.
+	eval := NewDensityEvaluatorBFS(p, opts.H, bfs)
+	sa, sb, ds, err := eval.EvalAllCtx(opts.Ctx, sample.Nodes)
+	if err != nil {
+		return Result{}, err
 	}
 
 	res := Result{
@@ -231,7 +194,7 @@ func Test(p *Problem, opts Options) (Result, error) {
 		SamplerName:  sampler.Name(),
 		Weighted:     sample.Weighted(),
 		SamplerStats: sample.Stats,
-		DensityBFS:   densityBFS,
+		DensityBFS:   eval.BFSCount,
 		SA:           sa,
 		SB:           sb,
 		Nodes:        sample.Nodes,

@@ -41,8 +41,8 @@ type densityMemo struct {
 	counts []int32         // flat [node*k + event] occurrence counts
 
 	// memoHits counts evaluations served from the memo; traversals
-	// performed are accounted per pair by the workers (each source's
-	// Traversals() diff), not here.
+	// performed are accounted per pair by the workers (the BFSCount
+	// diff of each source's evaluator), not here.
 	memoHits atomic.Int64
 }
 
@@ -262,8 +262,8 @@ func (m *SharedMemo) problemFor(g *graph.Graph, store *events.Store, pair [2]str
 	return core.NewProblemWithUnion(g, va, vb, union)
 }
 
-// memoSource adapts the memo to core.DensitySource for one event pair
-// (a, b): densities are the memoized count vectors divided by the
+// memoSource serves one event pair's (a, b) density pass from the
+// memo: densities are the memoized count vectors divided by the
 // memoized vicinity sizes — bit-identical to what a fresh
 // DensityEvaluator would compute, since unit-intensity sums are exact
 // integers in float64. One memoSource per worker; retarget per pair.
@@ -285,15 +285,11 @@ type memoSource struct {
 // retarget points the source at the next pair's event indices.
 func (s *memoSource) retarget(a, b int) { s.a, s.b = a, b }
 
-// Traversals implements core.DensitySource.
-func (s *memoSource) Traversals() int64 { return s.multi.BFSCount }
-
-// EvalAll implements core.DensitySource. The per-node Density records
-// are skipped (nil ds, per the DensitySource contract): the memo only
-// serves uniform samples, whose statistics consume sa/sb alone, and a
-// standing-query re-screen should not pay O(n) record construction for
-// data nothing reads.
-func (s *memoSource) EvalAll(rs []graph.NodeID) (sa, sb []float64, ds []core.Density) {
+// EvalAll returns the pair's density vectors over rs. It builds no
+// per-node Density records: the sweep's uniform samples need sa/sb
+// alone, and a standing-query re-screen should not pay O(n) record
+// construction for data nothing reads.
+func (s *memoSource) EvalAll(rs []graph.NodeID) (sa, sb []float64) {
 	if cap(s.sa) < len(rs) {
 		s.sa = make([]float64, len(rs))
 		s.sb = make([]float64, len(rs))
@@ -306,5 +302,5 @@ func (s *memoSource) EvalAll(rs []graph.NodeID) (sa, sb []float64, ds []core.Den
 		sa[i] = float64(counts[s.a]) / float64(size)
 		sb[i] = float64(counts[s.b]) / float64(size)
 	}
-	return sa, sb, nil
+	return sa, sb
 }

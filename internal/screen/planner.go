@@ -8,7 +8,6 @@ import (
 	"tesc/internal/events"
 	"tesc/internal/graph"
 	"tesc/internal/stats"
-	"tesc/internal/vicinity"
 )
 
 // This file is the top-k screening planner's policy — the bar, the
@@ -64,27 +63,23 @@ type PlanConfig struct {
 	// completion bound: pruning then never lies, at the cost of only
 	// terminating pairs late in their sample.
 	BoundAlpha float64
-	// FirstCheckpoint is the first sample prefix at which bounds are
-	// evaluated (default 64, the Kendall cutoff); the schedule doubles
-	// from there and densifies near the full sample where the
-	// deterministic bound sharpens. Must be ≥ 2 when set.
-	FirstCheckpoint int
-	// Index, when non-nil and built on g at a level ≥ H (undirected
-	// graphs only), enables the prior reach bound: an event whose
-	// occurrence vicinities cover fewer than the sample's worth of
-	// nodes caps |τ| before any sampling, so hopeless pairs are pruned
-	// without a single traversal.
-	Index *vicinity.Index
 	// Stream, when non-nil, is called with the current ranked result
 	// set each time a completed pair improves it — top-k results
 	// stream out while the sweep runs. Calls are serialized and the
 	// slice is the callback's to keep; keep the callback cheap, it is
 	// invoked on the worker path.
 	Stream func(top []PairResult)
+
+	// firstCheckpoint is the first sample prefix at which bounds are
+	// evaluated (default 64, the Kendall cutoff); the schedule doubles
+	// from there and densifies near the full sample where the
+	// deterministic bound sharpens. Must be ≥ 2 when set; tests lower
+	// it so small samples still reach checkpoints.
+	firstCheckpoint int
 }
 
 // PlanStats accounts for the planner's work. Candidates is always
-// Skipped + PrunedPrior + PrunedEarly + FullTests.
+// Skipped + PrunedEarly + FullTests.
 type PlanStats struct {
 	// Candidates is the number of candidate pairs considered.
 	Candidates int
@@ -94,8 +89,8 @@ type PlanStats struct {
 	FullTests int
 	// PrunedEarly counts pairs terminated at a bound checkpoint.
 	PrunedEarly int
-	// PrunedPrior counts pairs discarded by the prior reach bound
-	// before any sampling.
+	// PrunedPrior is always 0: the planner has no pass that discards
+	// pairs before sampling. It stays for the callers that read it.
 	PrunedPrior int
 	// Skipped counts degenerate pairs (below MinOccurrences, empty
 	// reference populations, ...) — the same pairs Run marks Skipped.
@@ -283,11 +278,10 @@ func rankCut(out []PairResult, k int, theta float64, alt stats.Alternative) []Pa
 
 // planCandidate is one queued pair — an index into the sweep's
 // results, which already name the pair and its occurrence counts — with
-// its precomputed priority and prior score bound.
+// its precomputed priority.
 type planCandidate struct {
 	idx      int
 	priority float64
-	priorUB  float64
 }
 
 // Plan runs the prioritized top-k / threshold screen over the given
@@ -325,50 +319,4 @@ func checkpointScoreBound(alt stats.Alternative, k stats.TauResult, m, n int, bo
 		}
 	}
 	return scoreInterval(alt, lo, hi)
-}
-
-// priorReach precomputes the per-event vicinity reach used by the
-// prior bound: on an undirected graph, a reference node's density for
-// event E is nonzero only if the node lies within h of an occurrence
-// of E, and at most Σ_{v∈E} |V^h_v| nodes do. When that reach is
-// smaller than the sample, most sampled references tie at density 0
-// and |τ| is capped at 1 − C(n−nz,2)/C(n,2) — computable from the
-// index alone, before any test work.
-type priorReachBound struct {
-	sampleSize int
-	reach      map[string]float64
-}
-
-func priorReach(g *graph.Graph, store *events.Store, cfg PlanConfig) *priorReachBound {
-	ix := cfg.Index
-	if ix == nil || g.Directed() || ix.Graph() != g || ix.MaxLevel() < cfg.H {
-		return nil
-	}
-	r := &priorReachBound{sampleSize: cfg.SampleSize, reach: make(map[string]float64, len(store.Names()))}
-	for _, name := range store.Names() {
-		r.reach[name] = ix.SumSizes(store.Set(name).Members(), cfg.H)
-	}
-	return r
-}
-
-// scoreUB bounds the event's contribution to any pair score. The
-// sample size is not known before sampling (the population can be
-// smaller than the request), so the bound is maximized over every
-// feasible size: n' ≥ min(SampleSize, max(occA, occB)) because the
-// union's own occurrence nodes are always in the population. Returns
-// 1 (no information) whenever the reach covers the sample.
-func (r *priorReachBound) scoreUB(event string, occA, occB int) float64 {
-	reach, ok := r.reach[event]
-	if !ok {
-		return 1
-	}
-	nLow := min(r.sampleSize, max(occA, occB))
-	if nLow < 2 || reach >= float64(nLow) {
-		return 1
-	}
-	nz := reach
-	nf := float64(nLow)
-	// 1 − C(n−nz,2)/C(n,2): the zero-density ties contribute nothing
-	// to the Kendall numerator.
-	return 1 - ((nf-nz)*(nf-nz-1))/(nf*(nf-1))
 }

@@ -151,7 +151,7 @@ func TestPlannerDifferentialBattery(t *testing.T) {
 			Seed:           uint64(trial)*0x9e37 + 1,
 		}
 		plan := PlanConfig{Config: base}
-		plan.FirstCheckpoint = 8 // small samples still hit checkpoints
+		plan.firstCheckpoint = 8 // small samples still hit checkpoints
 		if trial%4 == 3 {
 			plan.BoundAlpha = -1 // deterministic-only pruning regime
 		}
@@ -255,7 +255,7 @@ func TestPlannerDifferentialEngines(t *testing.T) {
 			sameRun(t, fmt.Sprintf("trial %d engine-pooled Run (no memo: %v)", trial, noMemo), full, referenceRun(raw, rc))
 		}
 		oracle := referenceRanked(raw, base.Alternative)
-		cfg := PlanConfig{Config: base, K: 5, FirstCheckpoint: 8}
+		cfg := PlanConfig{Config: base, K: 5, firstCheckpoint: 8}
 		got, err := Plan(w.g, w.store, w.pairs, cfg)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)

@@ -86,7 +86,7 @@ func FuzzPlannerConfig(f *testing.F) {
 			K:               k,
 			Theta:           theta,
 			BoundAlpha:      boundAlpha,
-			FirstCheckpoint: firstCP,
+			firstCheckpoint: firstCP,
 		}
 		pairs := AllPairs(store, 1)
 		res, err := Plan(g, store, pairs, cfg)

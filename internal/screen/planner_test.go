@@ -9,9 +9,7 @@ import (
 
 	"tesc/internal/events"
 	"tesc/internal/graph"
-	"tesc/internal/graphgen"
 	"tesc/internal/stats"
-	"tesc/internal/vicinity"
 )
 
 // planOracle derives the planner's expected output from the reference
@@ -53,7 +51,7 @@ func comparePlanned(t *testing.T, got, want []PairResult, label string) {
 
 func checkPlanStats(t *testing.T, st PlanStats, label string) {
 	t.Helper()
-	if st.Skipped+st.PrunedPrior+st.PrunedEarly+st.FullTests != st.Candidates {
+	if st.Skipped+st.PrunedEarly+st.FullTests != st.Candidates || st.PrunedPrior != 0 {
 		t.Fatalf("%s: stats do not partition the candidates: %+v", label, st)
 	}
 }
@@ -187,7 +185,7 @@ func TestPlanConfigValidation(t *testing.T) {
 		{Config: Config{H: 1}, K: 0, Theta: math.NaN()}, // θ NaN
 		{Config: Config{H: 1}, K: 1, BoundAlpha: 1},     // risk ≥ 1
 		{Config: Config{H: 1}, K: 1, BoundAlpha: math.NaN()},
-		{Config: Config{H: 1}, K: 1, FirstCheckpoint: 1},
+		{Config: Config{H: 1}, K: 1, firstCheckpoint: 1},
 	}
 	for i, cfg := range bad {
 		if _, err := Plan(g, store, pairs, cfg); err == nil {
@@ -506,84 +504,6 @@ func TestCheckpointScoreBoundExactEdge(t *testing.T) {
 	if sHiStat > sHi {
 		t.Fatalf("intersection widened the bound: %g > %g", sHiStat, sHi)
 	}
-}
-
-// TestPriorReachBound unit-tests the index-driven prescreen: a
-// low-reach event's score cap must bound the exhaustive result, and a
-// covering reach must return the no-information 1.
-func TestPriorReachBound(t *testing.T) {
-	g, store := fixture(t)
-	ix, err := vicinity.Build(g, 2, vicinity.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := PlanConfig{Config: Config{H: 2, SampleSize: 200}}
-	cfg.Index = ix
-	r := priorReach(g, store, cfg)
-	if r == nil {
-		t.Fatal("priorReach returned nil with a valid index")
-	}
-	// The rare event occurs once: its reach is one vicinity, far below
-	// the sample, so its score cap must be well below 1.
-	ub := r.scoreUB("rare", 1, 40)
-	if ub >= 1 {
-		t.Fatalf("rare-event score cap = %g, want < 1", ub)
-	}
-	if ub < 0 {
-		t.Fatalf("score cap went negative: %g", ub)
-	}
-	// A widely-occurring event covers the sample: no information.
-	if ub := r.scoreUB("noise-a", 40, 40); ub != 1 {
-		t.Fatalf("covering reach should yield 1, got %g", ub)
-	}
-	// Unknown events are never capped.
-	if ub := r.scoreUB("nope", 5, 5); ub != 1 {
-		t.Fatalf("unknown event capped: %g", ub)
-	}
-
-	// Level too shallow, wrong graph, or directed graph: bound disabled.
-	shallow, err := vicinity.Build(g, 1, vicinity.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Index = shallow
-	if priorReach(g, store, cfg) != nil {
-		t.Fatal("shallow index accepted for the prior bound")
-	}
-	other := graphgen.WattsStrogatz(50, 2, 0, rand.New(rand.NewPCG(1, 1)))
-	cfg.Index = ix
-	if priorReach(other, store, cfg) != nil {
-		t.Fatal("foreign-graph index accepted for the prior bound")
-	}
-}
-
-// TestPlanPriorBoundEquivalent: enabling the prior reach bound changes
-// only the work accounting, never the result — on a workload where the
-// rare event pairs are capped below the bar.
-func TestPlanPriorBoundEquivalent(t *testing.T) {
-	g, store := fixture(t)
-	ix, err := vicinity.Build(g, 2, vicinity.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs := AllPairs(store, 1) // includes the rare event's pairs
-	base := PlanConfig{
-		Config: Config{H: 2, SampleSize: 200, Alternative: stats.Greater, Seed: 7, Workers: 1},
-		K:      3,
-	}
-	plain, err := Plan(g, store, pairs, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withIx := base
-	withIx.Index = ix
-	bounded, err := Plan(g, store, pairs, withIx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comparePlanned(t, bounded.Pairs, plain.Pairs, "prior bound")
-	checkPlanStats(t, bounded.Stats, "prior bound")
-	comparePlanned(t, bounded.Pairs, planOracle(t, g, store, pairs, base), "prior bound vs oracle")
 }
 
 // TestPlanPrunesWork: on the planted fixture with a clear winner and a

@@ -76,11 +76,11 @@ func (cfg PlanConfig) normalized() (PlanConfig, error) {
 	if cfg.BoundAlpha == 0 {
 		cfg.BoundAlpha = defaultBoundAlpha
 	}
-	if cfg.FirstCheckpoint == 0 {
-		cfg.FirstCheckpoint = stats.KendallNaiveCutoff
+	if cfg.firstCheckpoint == 0 {
+		cfg.firstCheckpoint = stats.KendallNaiveCutoff
 	}
-	if cfg.FirstCheckpoint < 2 {
-		return cfg, fmt.Errorf("screen: first checkpoint must be >= 2, got %d", cfg.FirstCheckpoint)
+	if cfg.firstCheckpoint < 2 {
+		return cfg, fmt.Errorf("screen: first checkpoint must be >= 2, got %d", cfg.firstCheckpoint)
 	}
 	return cfg, nil
 }
@@ -136,16 +136,16 @@ func sweep(g *graph.Graph, store *events.Store, pairs [][2]string, cfg PlanConfi
 			progress()
 			continue
 		}
-		queue = append(queue, planCandidate{idx: i, priorUB: 1})
+		queue = append(queue, planCandidate{idx: i})
 	}
 	// The bar can prune only in threshold mode or when k leaves some
-	// candidate out. Otherwise — the exhaustive sweep — the prior pass
-	// and the checkpoint schedule are pure overhead: pairs run in input
-	// order, each in one density pass, and the bar matters only to a
-	// Stream.
+	// candidate out. Otherwise — the exhaustive sweep — the priority
+	// order and the checkpoint schedule are pure overhead: pairs run in
+	// input order, each in one density pass, and the bar matters only
+	// to a Stream.
 	prune := cfg.K == 0 || cfg.K < len(queue)
 	if prune {
-		prioritize(g, store, queue, results, cfg)
+		prioritize(store, queue, results)
 	}
 	bar := &planBar{k: cfg.K, theta: cfg.Theta, alt: cfg.Alternative, stream: cfg.Stream}
 	offer := prune || cfg.Stream != nil
@@ -189,18 +189,14 @@ func sweep(g *graph.Graph, store *events.Store, pairs [][2]string, cfg PlanConfi
 				break
 			}
 			c := &queue[i]
-			fate := fatePrunedPrior
-			// The reach bound may already cap this pair below the bar:
-			// discarded without sampling a single reference.
-			if c.priorUB >= bar.bar() {
-				results[c.idx], fate = w.planPair(results[c.idx])
-				if fate == fateCanceled {
-					cancelStop.Store(true)
-					break
-				}
-				if fate == fateFull && offer {
-					bar.offer(results[c.idx])
-				}
+			var fate pairFate
+			results[c.idx], fate = w.planPair(results[c.idx])
+			if fate == fateCanceled {
+				cancelStop.Store(true)
+				break
+			}
+			if fate == fateFull && offer {
+				bar.offer(results[c.idx])
 			}
 			fates[c.idx] = fate
 			w.stats.count(fate)
@@ -248,23 +244,18 @@ func sweep(g *graph.Graph, store *events.Store, pairs [][2]string, cfg PlanConfi
 	return kept, st, nil
 }
 
-// prioritize is the planner's prior pass, the "query planning" step:
-// each survivor gets its priority (occurrence-set cosine overlap, a pure
-// co-location heuristic: order affects only how fast the bar rises,
-// never which pairs survive) and, when the vicinity index allows, a
-// sound prior bound on its score. O(K²) set intersections instead of
-// O(K²) full tests. The queue is then sorted best-first: priorities are
-// static, so a deterministic sort plus the workers' atomic cursor is
-// the max-priority queue, without a heap's lock traffic.
-func prioritize(g *graph.Graph, store *events.Store, queue []planCandidate, pairs []PairResult, cfg PlanConfig) {
-	reach := priorReach(g, store, cfg)
+// prioritize is the planner's "query planning" step: each survivor gets
+// its priority (occurrence-set cosine overlap, a pure co-location
+// heuristic: order affects only how fast the bar rises, never which
+// pairs survive). O(K²) set intersections instead of O(K²) full tests.
+// The queue is then sorted best-first: priorities are static, so a
+// deterministic sort plus the workers' atomic cursor is the
+// max-priority queue, without a heap's lock traffic.
+func prioritize(store *events.Store, queue []planCandidate, pairs []PairResult) {
 	for i := range queue {
 		c, p := &queue[i], &pairs[queue[i].idx]
 		va, vb := store.Set(p.A), store.Set(p.B)
 		c.priority = float64(va.CountIn(vb.Members())) / math.Sqrt(float64(p.OccA)*float64(p.OccB))
-		if reach != nil {
-			c.priorUB = math.Min(reach.scoreUB(p.A, p.OccA, p.OccB), reach.scoreUB(p.B, p.OccA, p.OccB))
-		}
 	}
 	sort.Slice(queue, func(i, j int) bool {
 		if queue[i].priority != queue[j].priority {
@@ -331,7 +322,6 @@ const (
 	fatePending pairFate = iota
 	fateFull
 	fatePrunedEarly
-	fatePrunedPrior
 	fateSkipped
 	// fateCanceled marks a pair abandoned mid-evaluation because the
 	// sweep's context was canceled; the worker stops.
@@ -345,8 +335,6 @@ func (s *PlanStats) count(f pairFate) {
 		s.FullTests++
 	case fatePrunedEarly:
 		s.PrunedEarly++
-	case fatePrunedPrior:
-		s.PrunedPrior++
 	case fateSkipped:
 		s.Skipped++
 	}
@@ -356,7 +344,6 @@ func (s *PlanStats) count(f pairFate) {
 func (s *PlanStats) add(o PlanStats) {
 	s.FullTests += o.FullTests
 	s.PrunedEarly += o.PrunedEarly
-	s.PrunedPrior += o.PrunedPrior
 	s.Skipped += o.Skipped
 	s.Checkpoints += o.Checkpoints
 	s.DensityEvals += o.DensityEvals
@@ -414,33 +401,32 @@ func (w *sweepWorker) planPair(res PairResult) (PairResult, pairFate) {
 	nodes := sample.Nodes
 	n := len(nodes)
 
-	var source core.DensitySource
 	var eval *core.DensityEvaluator
 	if w.src != nil {
 		w.src.retarget(w.eventIdx[res.A], w.eventIdx[res.B])
-		source = w.src
 	} else {
 		eval = core.NewDensityEvaluatorBFS(p, cfg.H, w.bfs)
-		source = eval
 	}
 	// density evaluates rs. The memo source returns its per-worker
 	// scratch, valid until the next call; a fresh evaluator checks the
 	// context between traversal chunks.
 	density := func(rs []graph.NodeID) (sa, sb []float64, err error) {
-		before := source.Traversals()
 		if eval != nil {
+			before := eval.BFSCount
 			sa, sb, _, err = eval.EvalAllCtx(cfg.Ctx, rs)
+			w.stats.BFSRuns += eval.BFSCount - before
 		} else {
-			sa, sb, _ = w.src.EvalAll(rs)
+			before := w.src.multi.BFSCount
+			sa, sb = w.src.EvalAll(rs)
+			w.stats.BFSRuns += w.src.multi.BFSCount - before
 		}
-		w.stats.BFSRuns += source.Traversals() - before
 		w.stats.DensityEvals += int64(len(rs))
 		return sa, sb, err
 	}
 
 	var schedule []int
 	if w.prune {
-		schedule = checkpointSchedule(cfg.FirstCheckpoint, n)
+		schedule = checkpointSchedule(cfg.firstCheckpoint, n)
 	}
 	var sa, sb []float64
 	if len(schedule) == 0 {

@@ -707,7 +707,7 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 				s.bfsRuns.Add(res.BFSRuns)
 				s.memoHits.Add(res.MemoHits)
 				s.screensPlanned.Add(1)
-				s.pairsPruned.Add(int64(res.PrunedEarly + res.PrunedPrior))
+				s.pairsPruned.Add(int64(res.PrunedEarly))
 			}
 			return res, err
 		})

@@ -1,10 +1,149 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"sync"
 	"testing"
 )
+
+// The asymptotic normality of τ's null distribution is only a good
+// approximation for n > 30 (Kendall & Gibbons, quoted in §3.1 of the
+// paper). This file keeps, as a test oracle for that approximation, the
+// exact null distribution of the τ numerator under H0 (all rankings equally
+// likely, no ties): the number of permutations of n items with k
+// inversions — the Mahonian distribution — computed by the classical
+// insertion recurrence on probabilities:
+//
+//	f_n(k) = (1/n) · Σ_{j=0..n-1} f_{n-1}(k−j)
+//
+// Under H0 the observed discordant-pair count D is Mahonian(n), and the
+// numerator is C − D = n(n−1)/2 − 2D.
+
+// exactCache memoizes the inversion-count distributions per n.
+var exactCache sync.Map // int → []float64 (probabilities over k = 0..n(n-1)/2)
+
+// MaxExactN bounds the exact computation; beyond it the table would be
+// large and the normal approximation is excellent anyway.
+const MaxExactN = 170
+
+// mahonian returns the probability mass function of the inversion count
+// of a uniform random permutation of n items.
+func mahonian(n int) []float64 {
+	if v, ok := exactCache.Load(n); ok {
+		return v.([]float64)
+	}
+	pmf := []float64{1} // n = 1: zero inversions
+	for m := 2; m <= n; m++ {
+		maxK := m * (m - 1) / 2
+		next := make([]float64, maxK+1)
+		// prefix sums of pmf for O(1) window sums
+		prefix := make([]float64, len(pmf)+1)
+		for i, p := range pmf {
+			prefix[i+1] = prefix[i] + p
+		}
+		for k := 0; k <= maxK; k++ {
+			lo := k - (m - 1)
+			if lo < 0 {
+				lo = 0
+			}
+			hi := k
+			if hi > len(pmf)-1 {
+				hi = len(pmf) - 1
+			}
+			if lo <= hi {
+				next[k] = (prefix[hi+1] - prefix[lo]) / float64(m)
+			}
+		}
+		pmf = next
+	}
+	exactCache.Store(n, pmf)
+	return pmf
+}
+
+// ExactNullPValue returns the exact p-value of an observed τ-numerator
+// (C − D) for a tie-free sample of size n under the given alternative:
+//
+//	Greater:  P(numerator ≥ observed)
+//	Less:     P(numerator ≤ observed)
+//	TwoSided: P(|numerator| ≥ |observed|)
+//
+// It returns an error for n < 2, n > MaxExactN, or an observed value
+// outside the attainable range / parity (the numerator always has the
+// same parity as n(n−1)/2).
+func ExactNullPValue(n int, numerator int64, alt Alternative) (float64, error) {
+	if n < 2 {
+		return 0, fmt.Errorf("stats: exact test requires n >= 2, got %d", n)
+	}
+	if n > MaxExactN {
+		return 0, fmt.Errorf("stats: exact test limited to n <= %d, got %d", MaxExactN, n)
+	}
+	n0 := int64(n) * int64(n-1) / 2
+	if numerator < -n0 || numerator > n0 {
+		return 0, fmt.Errorf("stats: numerator %d outside [-%d, %d]", numerator, n0, n0)
+	}
+	if (n0-numerator)%2 != 0 {
+		return 0, fmt.Errorf("stats: numerator %d has impossible parity for n = %d", numerator, n)
+	}
+	pmf := mahonian(n)
+	// numerator = n0 − 2D  ⟺  D = (n0 − numerator)/2
+	d := (n0 - numerator) / 2
+
+	tailGE := func(dMax int64) float64 { // P(D ≤ dMax) = P(numerator ≥ n0 − 2 dMax)
+		var s float64
+		for k := int64(0); k <= dMax && k < int64(len(pmf)); k++ {
+			s += pmf[k]
+		}
+		return s
+	}
+	switch alt {
+	case Greater:
+		return tailGE(d), nil
+	case Less:
+		// P(numerator ≤ observed) = P(D ≥ d)
+		var s float64
+		for k := d; k < int64(len(pmf)); k++ {
+			s += pmf[k]
+		}
+		return s, nil
+	default:
+		if numerator == 0 {
+			return 1, nil
+		}
+		abs := numerator
+		if abs < 0 {
+			abs = -abs
+		}
+		dHi := (n0 - abs) / 2 // D for numerator = +|obs|
+		dLo := (n0 + abs) / 2 // D for numerator = −|obs|
+		var s float64
+		for k := int64(0); k <= dHi && k < int64(len(pmf)); k++ {
+			s += pmf[k]
+		}
+		for k := dLo; k < int64(len(pmf)); k++ {
+			s += pmf[k]
+		}
+		if s > 1 {
+			s = 1
+		}
+		return s, nil
+	}
+}
+
+// ExactKendall runs the tie-free Kendall test with an exact p-value: it
+// computes the τ statistic with Kendall (erroring if ties are present,
+// since the Mahonian null assumes distinct ranks) and evaluates the
+// observed numerator against the exact null distribution.
+func ExactKendall(x, y []float64, alt Alternative) (TauResult, float64, error) {
+	r := Kendall(x, y)
+	if r.TiesX+r.TiesY+r.TiesBoth > 0 {
+		return r, 0, fmt.Errorf("stats: exact test requires tie-free samples (found %d tied pairs)",
+			r.TiesX+r.TiesY+r.TiesBoth)
+	}
+	p, err := ExactNullPValue(r.N, r.Numerator(), alt)
+	return r, p, err
+}
 
 func TestMahonianSmall(t *testing.T) {
 	// n=3: 6 permutations with inversion counts 0,1,1,2,2,3.

@@ -13,40 +13,13 @@ type WeightedTauResult struct {
 	Tau         float64 // Numerator / Denominator
 }
 
-// WeightedTauNaive computes Eq. 8 by pair enumeration in O(n²). omega[i]
-// must hold ωi = wi/p(ri); the pair weight ωiωj then equals
-// wi·wj/(p(ri)p(rj)) as in the paper. It is the oracle for WeightedTau.
-func WeightedTauNaive(x, y, omega []float64) WeightedTauResult {
-	n := mustSameLen(x, y)
-	if len(omega) != n {
-		panic("stats: weight vector length mismatch")
-	}
-	var r WeightedTauResult
-	r.N = n
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			w := omega[i] * omega[j]
-			r.Denominator += w
-			dx, dy := x[i]-x[j], y[i]-y[j]
-			switch {
-			case dx*dy > 0:
-				r.Numerator += w
-			case dx != 0 && dy != 0:
-				r.Numerator -= w
-			}
-		}
-	}
-	if r.Denominator > 0 {
-		r.Tau = r.Numerator / r.Denominator
-	}
-	return r
-}
-
-// WeightedTau computes the same estimator in O(n log n) with a Fenwick
-// tree over compressed y-ranks: elements are processed in ascending
-// (x, y) order, one x-tie-group at a time; for each element, the weight
-// mass of already-processed elements with smaller (resp. larger) y gives
-// its concordant (resp. discordant) contribution.
+// WeightedTau computes Eq. 8 in O(n log n) with a Fenwick tree over
+// compressed y-ranks; omega[i] must hold ωi = wi/p(ri), so the pair
+// weight ωiωj equals wi·wj/(p(ri)p(rj)) as in the paper. Elements are
+// processed in ascending (x, y) order, one x-tie-group at a time; for
+// each element, the weight mass of already-processed elements with
+// smaller (resp. larger) y gives its concordant (resp. discordant)
+// contribution.
 func WeightedTau(x, y, omega []float64) WeightedTauResult {
 	n := mustSameLen(x, y)
 	if len(omega) != n {

@@ -6,6 +6,34 @@ import (
 	"testing/quick"
 )
 
+// WeightedTauNaive computes Eq. 8 by pair enumeration in O(n²), the
+// oracle for WeightedTau.
+func WeightedTauNaive(x, y, omega []float64) WeightedTauResult {
+	n := mustSameLen(x, y)
+	if len(omega) != n {
+		panic("stats: weight vector length mismatch")
+	}
+	var r WeightedTauResult
+	r.N = n
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			w := omega[i] * omega[j]
+			r.Denominator += w
+			dx, dy := x[i]-x[j], y[i]-y[j]
+			switch {
+			case dx*dy > 0:
+				r.Numerator += w
+			case dx != 0 && dy != 0:
+				r.Numerator -= w
+			}
+		}
+	}
+	if r.Denominator > 0 {
+		r.Tau = r.Numerator / r.Denominator
+	}
+	return r
+}
+
 func TestWeightedTauUnitWeightsMatchPlain(t *testing.T) {
 	// With ωi = 1 the estimator degenerates to plain τ (Eq. 8 → Eq. 4).
 	rng := rand.New(rand.NewPCG(31, 1))

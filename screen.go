@@ -153,7 +153,7 @@ type ScreenTopKResult struct {
 	Candidates  int // candidate pairs considered
 	FullTests   int // pairs whose whole sample was evaluated
 	PrunedEarly int // pairs terminated at a bound checkpoint
-	PrunedPrior int // pairs discarded by the prior reach bound
+	PrunedPrior int // always 0: no pair is discarded before sampling
 	Skipped     int // degenerate pairs
 	Checkpoints int // bound evaluations performed
 
