@@ -167,8 +167,10 @@ func TestEnginePool(t *testing.T) {
 		t.Fatal("pooled engine bound to wrong graph")
 	}
 	pool.Put(e)
-	if again := pool.Get(); again != e {
-		t.Error("engine was not recycled") // sync.Pool may drop, but not immediately in a quiet test
+	// sync.Pool may drop, but not immediately in a quiet test — except
+	// under -race, which drops Put items at random on purpose.
+	if again := pool.Get(); again != e && !raceEnabled {
+		t.Error("engine was not recycled")
 	}
 	foreign := NewBFS(g2)
 	pool.Put(foreign) // must not panic, must not recycle

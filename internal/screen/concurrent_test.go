@@ -1,0 +1,161 @@
+package screen
+
+import (
+	"reflect"
+	"sync"
+	"testing"
+)
+
+// checkAccounting asserts a sweep's own density accounting: every
+// evaluation is either a memo hit or a traversal, counted once.
+func checkAccounting(t *testing.T, label string, st PlanStats) {
+	t.Helper()
+	if st.MemoHits+st.BFSRuns != st.DensityEvals {
+		t.Errorf("%s: memo hits %d + BFS runs %d != density evals %d",
+			label, st.MemoHits, st.BFSRuns, st.DensityEvals)
+	}
+}
+
+// TestSharedMemoConcurrentSweepAccounting runs a second sweep on a
+// shared memo entirely inside the first one's lifetime: the first
+// sweep parks in its first Progress callback until the second has
+// finished. Each must report only its own hits — a memo-wide counter
+// would charge the second sweep's hits to the first. Free-running
+// concurrent pairs then check the same invariant under real
+// interleavings (run with -race).
+func TestSharedMemoConcurrentSweepAccounting(t *testing.T) {
+	g, store := memoFixture(t, false, 5, 25, 3)
+	memo, err := NewSharedMemo(g.NumNodes(), store.Names())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := AllPairs(store, 1)
+	base := PlanConfig{Config: Config{H: 2, SampleSize: 150, Memo: memo}, K: len(pairs)}
+
+	outer, inner := base, base
+	outer.Seed, outer.Workers = 1, 1
+	inner.Seed, inner.Workers = 2, 2
+	started, innerDone := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	outer.Progress = func(done, total int) {
+		once.Do(func() {
+			close(started)
+			<-innerDone
+		})
+	}
+	var outerRes, innerRes PlanResult
+	var outerErr, innerErr error
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		outerRes, outerErr = Plan(g, store, pairs, outer)
+	}()
+	go func() {
+		defer wg.Done()
+		defer close(innerDone)
+		<-started
+		innerRes, innerErr = Plan(g, store, pairs, inner)
+	}()
+	wg.Wait()
+	if outerErr != nil || innerErr != nil {
+		t.Fatal(outerErr, innerErr)
+	}
+	if innerRes.Stats.MemoHits == 0 {
+		t.Fatal("the inner sweep had no memo hits; the test proves nothing")
+	}
+	checkAccounting(t, "outer sweep", outerRes.Stats)
+	checkAccounting(t, "inner sweep", innerRes.Stats)
+
+	for round := range 4 {
+		memo.Reset()
+		var res [2]PlanResult
+		var errs [2]error
+		for i := range res {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				cfg := base
+				cfg.Seed, cfg.Workers = uint64(10*round+i), 2
+				res[i], errs[i] = Plan(g, store, pairs, cfg)
+			}()
+		}
+		wg.Wait()
+		for i := range res {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			checkAccounting(t, "free-running sweep", res[i].Stats)
+		}
+	}
+}
+
+// TestSharedMemoConcurrentPlanAndRun pins the concurrency contract:
+// a planned and an exhaustive sweep with different seeds share one
+// memo at the same time, round after round, and each is bit-identical
+// — pairs, τ, z, p and skip reasons — to the same sweep on a memo of
+// its own.
+func TestSharedMemoConcurrentPlanAndRun(t *testing.T) {
+	g, store := fixture(t)
+	shared, err := NewSharedMemo(g.NumNodes(), store.Names())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := AllPairs(store, 1)
+	fresh := func() *SharedMemo {
+		m, err := NewSharedMemo(g.NumNodes(), store.Names())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	for round := range 4 {
+		runCfg := Config{H: 2, SampleSize: 120, Workers: 2, MinOccurrences: 5, Seed: uint64(100 + round)}
+		planCfg := PlanConfig{Config: runCfg, K: 4}
+		planCfg.Seed = uint64(200 + round)
+
+		var got Result
+		var gotPlan PlanResult
+		var runErr, planErr error
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			cfg := runCfg
+			cfg.Memo = shared
+			got, runErr = Run(g, store, pairs, cfg)
+		}()
+		go func() {
+			defer wg.Done()
+			cfg := planCfg
+			cfg.Memo = shared
+			gotPlan, planErr = Plan(g, store, pairs, cfg)
+		}()
+		wg.Wait()
+		if runErr != nil || planErr != nil {
+			t.Fatal(runErr, planErr)
+		}
+
+		runCfg.Memo = fresh()
+		want, err := Run(g, store, pairs, runCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		planCfg.Memo = fresh()
+		wantPlan, err := Plan(g, store, pairs, planCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Skipped == 0 {
+			t.Fatal("no pair skipped; the fixture no longer covers skip reasons")
+		}
+		if !reflect.DeepEqual(got.Pairs, want.Pairs) || got.Tested != want.Tested ||
+			got.Skipped != want.Skipped || got.Rejected != want.Rejected {
+			t.Fatalf("round %d: Run on the shared memo diverged from a fresh memo\n got %+v\nwant %+v", round, got, want)
+		}
+		comparePlanned(t, gotPlan.Pairs, wantPlan.Pairs, "Plan on the shared memo")
+		if gotPlan.Stats.Skipped != wantPlan.Stats.Skipped {
+			t.Fatalf("round %d: plan skipped %d, fresh %d", round, gotPlan.Stats.Skipped, wantPlan.Stats.Skipped)
+		}
+	}
+}

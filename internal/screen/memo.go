@@ -11,12 +11,13 @@ import (
 	"tesc/internal/graph"
 )
 
-// memoBudgetBytes caps the dense density memo's footprint. The memo
+// MemoBudgetBytes caps the dense density memo's footprint. The memo
 // stores one K-vector of int32 counts plus a size and a state word per
 // graph node; past the budget (huge graph × large vocabulary) the sweep
 // falls back to per-pair density evaluation rather than risk an
-// allocation in the gigabytes.
-const memoBudgetBytes = 256 << 20
+// allocation in the gigabytes. tescd bounds the memos it retains across
+// all graphs by the same total.
+const MemoBudgetBytes = 256 << 20
 
 // densityMemo deduplicates density-phase BFS traversals across the
 // event pairs of one screening sweep. §5.4's workload tests K(K−1)/2
@@ -33,27 +34,23 @@ const memoBudgetBytes = 256 << 20
 // worker that loses the claim race while the winner is mid-flight
 // computes locally into its own scratch instead of spinning — duplicate
 // work on a window so narrow it is unmeasurable, in exchange for no
-// blocking anywhere.
+// blocking anywhere. The memo keeps no counters: hits and traversals
+// are tallied by the worker that evaluated, so sweeps sharing one memo
+// each see only their own.
 type densityMemo struct {
 	k      int
 	states []atomic.Uint32 // 0 empty, 1 claimed, 2 published
 	sizes  []int32         // |V^h_r| per node
 	counts []int32         // flat [node*k + event] occurrence counts
-
-	// memoHits counts evaluations served from the memo; traversals
-	// performed are accounted per pair by the workers (the BFSCount
-	// diff of each source's evaluator), not here.
-	memoHits atomic.Int64
 }
 
 // newDensityMemo returns a memo for n nodes × k events, or nil when the
-// dense arrays would exceed memoBudgetBytes.
+// dense arrays would exceed MemoBudgetBytes.
 func newDensityMemo(n, k int) *densityMemo {
 	if n <= 0 || k <= 0 {
 		return nil
 	}
-	bytes := int64(n)*8 + int64(n)*int64(k)*4
-	if bytes > memoBudgetBytes {
+	if denseBytes(n, k) > MemoBudgetBytes {
 		return nil
 	}
 	return &densityMemo{
@@ -64,19 +61,23 @@ func newDensityMemo(n, k int) *densityMemo {
 	}
 }
 
+// denseBytes is the footprint of a memo's dense arrays for n nodes × k
+// events: a state word and a size per node plus the count vectors.
+func denseBytes(n, k int) int64 { return int64(n)*8 + int64(n)*int64(k)*4 }
+
 // eval returns the K-vector of occurrence counts and |V^h_r| for
 // reference node r, traversing at most once per distinct node across
-// the whole sweep. scratch (len K) is used when a concurrent claimer
-// owns the node mid-flight; the returned slice aliases either the memo
-// or scratch and is valid until the caller's next eval.
-func (m *densityMemo) eval(r graph.NodeID, multi *core.MultiEvaluator, scratch []int32) (counts []int32, size int32) {
+// the memo's lifetime; hit reports that no traversal ran. scratch (len
+// K) is used when a concurrent claimer owns the node mid-flight; the
+// returned slice aliases either the memo or scratch and is valid until
+// the caller's next eval.
+func (m *densityMemo) eval(r graph.NodeID, multi *core.MultiEvaluator, scratch []int32) (counts []int32, size int32, hit bool) {
 	st := &m.states[r]
 	lo := int64(r) * int64(m.k)
 	for {
 		switch st.Load() {
 		case 2:
-			m.memoHits.Add(1)
-			return m.counts[lo : lo+int64(m.k)], m.sizes[r]
+			return m.counts[lo : lo+int64(m.k)], m.sizes[r], true
 		case 0:
 			if !st.CompareAndSwap(0, 1) {
 				continue // raced; reinspect the new state
@@ -84,10 +85,10 @@ func (m *densityMemo) eval(r graph.NodeID, multi *core.MultiEvaluator, scratch [
 			region := m.counts[lo : lo+int64(m.k)]
 			m.sizes[r] = int32(multi.Eval(r, region))
 			st.Store(2)
-			return region, m.sizes[r]
+			return region, m.sizes[r], false
 		default: // claimed by another worker: compute locally, don't wait
 			sz := multi.Eval(r, scratch)
-			return scratch, int32(sz)
+			return scratch, int32(sz), false
 		}
 	}
 }
@@ -106,8 +107,18 @@ func (m *densityMemo) eval(r graph.NodeID, multi *core.MultiEvaluator, scratch [
 // the reverse h-ball around changed occurrence nodes covers event
 // mutations) BEFORE the next sweep. Entries that survive invalidation
 // are served as-is, which is what makes the reuse bit-identical rather
-// than approximate. Not safe for use by concurrent sweeps; serialize
-// sweeps and invalidations.
+// than approximate.
+//
+// Concurrent sweeps may share one memo: density entries are claimed
+// and published per node without locks, the membership and union
+// caches sit behind a mutex, and each sweep counts its own hits and
+// traversals. Invalidate and Reset must not overlap any sweep's density
+// evaluation: call them between sweeps, or from the Progress callback
+// of a single-worker sweep that has the memo to itself (a monitor does
+// both). Sweeps that run together must see the same graph and store
+// (tescd keys its shared memos by snapshot epoch): a sweep on another
+// version needs the invalidation above first, which cannot happen
+// while the others run.
 type SharedMemo struct {
 	names []string // sorted vocabulary; count vectors are indexed by it
 	memo  *densityMemo
@@ -120,10 +131,12 @@ type SharedMemo struct {
 	memMu    sync.Mutex
 	memStore *events.Store
 	mem      *core.EventMembership
+	memBytes int64 // mem's footprint
 
 	// Union cache (same store-keyed lifetime): Va∪b per screened pair,
 	// another O(|V|) build edge deltas cannot have changed.
-	unions map[[2]string]*graph.NodeSet
+	unions     map[[2]string]*graph.NodeSet
+	unionBytes int64 // the cached unions' footprint
 }
 
 // NewSharedMemo returns a persistent memo over a fixed event
@@ -147,7 +160,7 @@ func NewSharedMemo(numNodes int, names []string) (*SharedMemo, error) {
 	m := newDensityMemo(numNodes, len(sorted))
 	if m == nil {
 		return nil, fmt.Errorf("screen: shared memo for %d nodes x %d events exceeds the %d MB budget",
-			numNodes, len(sorted), memoBudgetBytes>>20)
+			numNodes, len(sorted), MemoBudgetBytes>>20)
 	}
 	return &SharedMemo{names: sorted, memo: m}, nil
 }
@@ -172,6 +185,15 @@ func (m *SharedMemo) Invalidate(nodes []graph.NodeID) int {
 		}
 	}
 	return dropped
+}
+
+// Bytes returns the memo's retained footprint: the dense count arrays
+// plus the membership and Va∪b caches filled so far. The caches grow
+// as sweeps bind the memo and screen new pairs.
+func (m *SharedMemo) Bytes() int64 {
+	m.memMu.Lock()
+	defer m.memMu.Unlock()
+	return denseBytes(len(m.memo.states), m.memo.k) + m.memBytes + m.unionBytes
 }
 
 // Reset clears every cached entry.
@@ -221,15 +243,19 @@ func (m *SharedMemo) bind(numNodes int, store *events.Store, pairs [][2]string, 
 		return m.mem, nil
 	}
 	sets := make([]*graph.NodeSet, len(m.names))
+	occurrences := 0
 	for k, name := range m.names {
 		sets[k] = store.Set(name)
+		occurrences += sets[k].Len()
 	}
 	mem, err := core.NewEventMembership(numNodes, sets)
 	if err != nil {
 		return nil, err
 	}
 	m.memStore, m.mem = store, mem
-	m.unions = nil // occurrence sets changed; cached unions are stale
+	m.memBytes = int64(numNodes+1+occurrences) * 4 // offsets + event lists
+	// The occurrence sets changed, so the cached unions are stale.
+	m.unions, m.unionBytes = nil, 0
 	return mem, nil
 }
 
@@ -239,7 +265,7 @@ func (m *SharedMemo) bind(numNodes int, store *events.Store, pairs [][2]string, 
 func (m *SharedMemo) problemFor(g *graph.Graph, store *events.Store, pair [2]string) (*core.Problem, error) {
 	m.memMu.Lock()
 	if m.memStore != store {
-		m.unions = nil
+		m.unions, m.unionBytes = nil, 0
 	}
 	union := m.unions[pair]
 	m.memMu.Unlock()
@@ -254,7 +280,10 @@ func (m *SharedMemo) problemFor(g *graph.Graph, store *events.Store, pair [2]str
 			if m.unions == nil {
 				m.unions = make(map[[2]string]*graph.NodeSet)
 			}
-			m.unions[pair] = p.Union
+			if _, ok := m.unions[pair]; !ok {
+				m.unions[pair] = p.Union
+				m.unionBytes += int64((p.Union.Universe()+63)/64*8 + p.Union.Len()*4) // bitset + members
+			}
 		}
 		m.memMu.Unlock()
 		return p, nil
@@ -285,22 +314,26 @@ type memoSource struct {
 // retarget points the source at the next pair's event indices.
 func (s *memoSource) retarget(a, b int) { s.a, s.b = a, b }
 
-// EvalAll returns the pair's density vectors over rs. It builds no
-// per-node Density records: the sweep's uniform samples need sa/sb
-// alone, and a standing-query re-screen should not pay O(n) record
-// construction for data nothing reads.
-func (s *memoSource) EvalAll(rs []graph.NodeID) (sa, sb []float64) {
+// EvalAll returns the pair's density vectors over rs and how many of
+// them the memo served without a traversal. It builds no per-node
+// Density records: the sweep's uniform samples need sa/sb alone, and a
+// standing-query re-screen should not pay O(n) record construction for
+// data nothing reads.
+func (s *memoSource) EvalAll(rs []graph.NodeID) (sa, sb []float64, hits int64) {
 	if cap(s.sa) < len(rs) {
 		s.sa = make([]float64, len(rs))
 		s.sb = make([]float64, len(rs))
 	}
 	sa, sb = s.sa[:len(rs)], s.sb[:len(rs)]
 	for i, r := range rs {
-		counts, size := s.memo.eval(r, s.multi, s.scratch)
+		counts, size, hit := s.memo.eval(r, s.multi, s.scratch)
+		if hit {
+			hits++
+		}
 		// Unit-intensity sums are exact integers in float64, so these
 		// divisions are bit-identical to Density.SA()/SB().
 		sa[i] = float64(counts[s.a]) / float64(size)
 		sb[i] = float64(counts[s.b]) / float64(size)
 	}
-	return sa, sb
+	return sa, sb, hits
 }

@@ -101,7 +101,10 @@ type PlanStats struct {
 	// (from the memo or fresh); an exhaustive sweep pays one per
 	// sampled reference of every candidate.
 	DensityEvals int64
-	// BFSRuns / MemoHits mirror Result's density-phase accounting.
+	// BFSRuns / MemoHits mirror Result's density-phase accounting:
+	// every evaluation is one or the other, so they sum to
+	// DensityEvals, counted for this sweep alone even when other
+	// sweeps share its memo.
 	BFSRuns  int64
 	MemoHits int64
 }

@@ -31,6 +31,11 @@ import (
 // (the monitor scheduler's drain loop does exactly that).
 var ErrStaleEpoch = errors.New("screen: bound snapshot epoch advanced mid-sweep")
 
+// DefaultSeed is the sweep seed tesc.Screen, tesc.ScreenTopK and tescd
+// screen jobs use when the caller leaves the seed at 0, so a served job
+// and a library call with the same options sample the same references.
+const DefaultSeed = 0x5c4ee
+
 // Correction selects the multiple-testing adjustment.
 type Correction int
 
@@ -62,6 +67,8 @@ type Config struct {
 	// Workers bounds test concurrency; 0 means GOMAXPROCS.
 	Workers int
 	// Seed drives the per-pair reference sampling deterministically.
+	// Zero is a seed like any other here; the public API and tescd map
+	// an unset seed to DefaultSeed first.
 	Seed uint64
 	// Progress, when non-nil, is called after each pair finishes with
 	// the number of completed pairs and the total. It is invoked

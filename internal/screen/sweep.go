@@ -106,10 +106,6 @@ func sweep(g *graph.Graph, store *events.Store, pairs [][2]string, cfg PlanConfi
 	if err != nil {
 		return nil, PlanStats{}, err
 	}
-	var hitsBefore int64
-	if memo != nil {
-		hitsBefore = memo.memoHits.Load()
-	}
 
 	// Progress: exactly once per candidate, each value 1..total
 	// delivered once, no lock held.
@@ -227,11 +223,6 @@ func sweep(g *graph.Graph, store *events.Store, pairs [][2]string, cfg PlanConfi
 	if staleStop.Load() || stale() {
 		return nil, PlanStats{}, ErrStaleEpoch
 	}
-	if memo != nil {
-		// This sweep's hits only: a SharedMemo's counter spans its whole
-		// lifetime across many sweeps.
-		st.MemoHits = memo.memoHits.Load() - hitsBefore
-	}
 	kept := results[:0]
 	for i := range results {
 		if fates[i] == fateFull || fates[i] == fateSkipped {
@@ -348,6 +339,7 @@ func (s *PlanStats) add(o PlanStats) {
 	s.Checkpoints += o.Checkpoints
 	s.DensityEvals += o.DensityEvals
 	s.BFSRuns += o.BFSRuns
+	s.MemoHits += o.MemoHits
 }
 
 // sweepWorker is one worker's view of a sweep: the shared inputs plus
@@ -417,8 +409,10 @@ func (w *sweepWorker) planPair(res PairResult) (PairResult, pairFate) {
 			w.stats.BFSRuns += eval.BFSCount - before
 		} else {
 			before := w.src.multi.BFSCount
-			sa, sb = w.src.EvalAll(rs)
+			var hits int64
+			sa, sb, hits = w.src.EvalAll(rs)
 			w.stats.BFSRuns += w.src.multi.BFSCount - before
+			w.stats.MemoHits += hits
 		}
 		w.stats.DensityEvals += int64(len(rs))
 		return sa, sb, err

@@ -605,7 +605,11 @@ func resolveEventPair(snap Snapshot, req *correlateRequest) (va, vb []int, code 
 
 // handleScreen implements POST /v1/graphs/{name}/screen: an
 // asynchronous all-pairs screening sweep over the graph's registered
-// events. Returns 202 with a job ID for progress polling.
+// events. Returns 202 with a job ID for progress polling. The sweep
+// runs on the snapshot's own graph and event store with the entry's
+// retained density memo, so jobs on an unchanged snapshot share their
+// traversals; results are bit-identical to tesc.Screen/ScreenTopK on
+// the same events.
 func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 	e, ok := s.entry(w, r)
 	if !ok {
@@ -619,7 +623,7 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 		writeError(w, api.CodeBadRequest, "h must be >= 1")
 		return
 	}
-	tail, err := parseTail(req.Tail)
+	alt, err := parseTailAlt(req.Tail)
 	if err != nil {
 		writeError(w, api.CodeBadRequest, "%v", err)
 		return
@@ -645,9 +649,24 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 		writeError(w, api.CodeBadRequest, "bound_alpha applies only to planned screens (set top_k or theta)")
 		return
 	}
+	cfg := screen.Config{
+		H:              req.H,
+		SampleSize:     req.SampleSize,
+		Alpha:          req.Alpha,
+		Alternative:    alt,
+		MinOccurrences: req.MinOccurrences,
+		Workers:        req.Workers,
+		Seed:           req.Seed,
+	}
+	if cfg.Seed == 0 {
+		cfg.Seed = screen.DefaultSeed
+	}
+	if req.Bonferroni {
+		cfg.Correction = screen.FWER
+	}
 	// The sweep's own validation of alpha and sample_size, applied
 	// before a job slot is taken: a bad request is a 400, never a job.
-	if err := (screen.Config{H: req.H, SampleSize: req.SampleSize, Alpha: req.Alpha}).Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		writeError(w, api.CodeBadRequest, "%v", err)
 		return
 	}
@@ -657,23 +676,10 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 	if !s.freshEnough(w, e.Name(), snap.Epoch, req.MinEpoch) {
 		return
 	}
-	ev := eventSetOf(snap.Store)
-	if len(ev) < 2 {
-		writeError(w, api.CodeUnprocessable, "screening needs at least 2 registered events, have %d", len(ev))
+	if n := snap.Store.NumEvents(); n < 2 {
+		writeError(w, api.CodeUnprocessable, "screening needs at least 2 registered events, have %d", n)
 		return
 	}
-	g := snap.Graph
-	opts := tesc.ScreenOptions{
-		H:              req.H,
-		SampleSize:     req.SampleSize,
-		Alpha:          req.Alpha,
-		Tail:           tail,
-		MinOccurrences: req.MinOccurrences,
-		Bonferroni:     req.Bonferroni,
-		Workers:        req.Workers,
-		Seed:           req.Seed,
-	}
-	opts.Engines = e.EnginePool(snap)
 	// A screen job holds a background admission slot for its whole
 	// lifetime — the middleware only applied quota/drain/deadline for
 	// this class (classBackgroundJob), so the concurrency bound is
@@ -685,39 +691,38 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 			"background capacity exhausted (%d screen/monitor tasks in flight)", s.adm.bg.inflight())
 		return
 	}
+	g, store := snap.Graph.Internal(), snap.Store
+	pairs := screen.AllPairs(store, max(1, req.MinOccurrences))
+	cfg.Memo, cfg.Engines = e.screenMemo(snap, req.H)
 	// The job runs under the tracker's cancellable context, NOT
 	// r.Context(): the handler returns at the 202 and Go cancels the
 	// request context with it, which must not kill the async sweep.
 	// Cancellation comes from DELETE /v1/jobs/{id} or server drain.
 	if planned {
-		popts := tesc.ScreenTopKOptions{
-			ScreenOptions: opts,
-			K:             req.TopK,
-			BoundAlpha:    req.BoundAlpha,
-		}
+		pcfg := screen.PlanConfig{Config: cfg, K: req.TopK, BoundAlpha: req.BoundAlpha}
 		if req.Theta != nil {
-			popts.Theta = *req.Theta
+			pcfg.Theta = *req.Theta
 		}
-		job := s.jobs.StartPlanned(e.Name(), release, func(ctx context.Context, j *Job) (tesc.ScreenTopKResult, error) {
-			popts.Ctx = ctx
-			popts.Progress = j.setProgress
-			popts.Stream = j.setPartial
-			res, err := tesc.ScreenTopK(g, ev, popts)
+		job := s.jobs.StartPlanned(e.Name(), release, func(ctx context.Context, j *Job) (screen.PlanResult, error) {
+			pcfg.Ctx = ctx
+			pcfg.Progress = j.setProgress
+			pcfg.Stream = j.setPartial
+			res, err := screen.Plan(g, store, pairs, pcfg)
 			if err == nil {
-				s.bfsRuns.Add(res.BFSRuns)
-				s.memoHits.Add(res.MemoHits)
+				s.bfsRuns.Add(res.Stats.BFSRuns)
+				s.memoHits.Add(res.Stats.MemoHits)
 				s.screensPlanned.Add(1)
-				s.pairsPruned.Add(int64(res.PrunedEarly))
+				s.pairsPruned.Add(int64(res.Stats.PrunedEarly))
 			}
 			return res, err
 		})
 		writeJSON(w, http.StatusAccepted, screenResponse{JobID: job.ID})
 		return
 	}
-	job := s.jobs.Start(e.Name(), release, func(ctx context.Context, progress func(done, total int)) (tesc.ScreenResult, error) {
-		opts.Ctx = ctx
-		opts.Progress = progress
-		res, err := tesc.Screen(g, ev, opts)
+	job := s.jobs.Start(e.Name(), release, func(ctx context.Context, progress func(done, total int)) (screen.Result, error) {
+		cfg.Ctx = ctx
+		cfg.Progress = progress
+		res, err := screen.Run(g, store, pairs, cfg)
 		if err == nil {
 			s.bfsRuns.Add(res.BFSRuns)
 			s.memoHits.Add(res.MemoHits)

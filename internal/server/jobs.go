@@ -7,8 +7,8 @@ import (
 	"sync"
 	"time"
 
-	"tesc"
 	"tesc/api"
+	"tesc/internal/screen"
 )
 
 // JobStatus and its states live in the public api package; the aliases
@@ -42,9 +42,9 @@ type Job struct {
 	status   JobStatus
 	done     int
 	total    int
-	result   *tesc.ScreenResult
-	planned  *tesc.ScreenTopKResult
-	partial  []tesc.ScreenedPair
+	result   *screen.Result
+	planned  *screen.PlanResult
+	partial  []screen.PairResult
 	err      string
 	created  time.Time
 	finished time.Time
@@ -57,7 +57,7 @@ type (
 	ScreenResultView = api.ScreenResult
 )
 
-func screenedPairViews(pairs []tesc.ScreenedPair) []ScreenedPairView {
+func screenedPairViews(pairs []screen.PairResult) []ScreenedPairView {
 	out := make([]ScreenedPairView, len(pairs))
 	for i, p := range pairs {
 		out[i] = ScreenedPairView{
@@ -72,7 +72,7 @@ func screenedPairViews(pairs []tesc.ScreenedPair) []ScreenedPairView {
 	return out
 }
 
-func screenResultView(r *tesc.ScreenResult) *ScreenResultView {
+func screenResultView(r *screen.Result) *ScreenResultView {
 	if r == nil {
 		return nil
 	}
@@ -86,7 +86,7 @@ func screenResultView(r *tesc.ScreenResult) *ScreenResultView {
 	}
 }
 
-func plannedResultView(r *tesc.ScreenTopKResult) *ScreenResultView {
+func plannedResultView(r *screen.PlanResult) *ScreenResultView {
 	if r == nil {
 		return nil
 	}
@@ -96,20 +96,21 @@ func plannedResultView(r *tesc.ScreenTopKResult) *ScreenResultView {
 			rejected++
 		}
 	}
+	st := r.Stats
 	return &ScreenResultView{
 		Pairs:    screenedPairViews(r.Pairs),
-		Tested:   r.FullTests,
-		Skipped:  r.Skipped,
+		Tested:   st.FullTests,
+		Skipped:  st.Skipped,
 		Rejected: rejected,
-		BFSRuns:  r.BFSRuns,
-		MemoHits: r.MemoHits,
+		BFSRuns:  st.BFSRuns,
+		MemoHits: st.MemoHits,
 		Planner: &PlannerStatsView{
-			Candidates:   r.Candidates,
-			FullTests:    r.FullTests,
-			PrunedEarly:  r.PrunedEarly,
-			PrunedPrior:  r.PrunedPrior,
-			Checkpoints:  r.Checkpoints,
-			DensityEvals: r.DensityEvals,
+			Candidates:   st.Candidates,
+			FullTests:    st.FullTests,
+			PrunedEarly:  st.PrunedEarly,
+			PrunedPrior:  st.PrunedPrior,
+			Checkpoints:  st.Checkpoints,
+			DensityEvals: st.DensityEvals,
 		},
 	}
 }
@@ -151,7 +152,7 @@ func (j *Job) Snapshot() JobView {
 }
 
 // setProgress folds concurrent progress reports with max: screening
-// workers call ScreenOptions.Progress without a lock, so completion
+// workers call screen.Config.Progress without a lock, so completion
 // counts can arrive out of order, and a gauge that last-write-wins
 // would be seen moving backwards by pollers.
 func (j *Job) setProgress(done, total int) {
@@ -164,10 +165,10 @@ func (j *Job) setProgress(done, total int) {
 }
 
 // setPartial replaces the job's in-flight ranked result set, suitable
-// for ScreenTopKOptions.Stream (whose calls are serialized). The slice
-// is copied: the planner reuses its backing array across improvements.
-func (j *Job) setPartial(top []tesc.ScreenedPair) {
-	cp := make([]tesc.ScreenedPair, len(top))
+// for PlanConfig.Stream (whose calls are serialized). The slice is
+// copied: the planner reuses its backing array across improvements.
+func (j *Job) setPartial(top []screen.PairResult) {
+	cp := make([]screen.PairResult, len(top))
 	copy(cp, top)
 	j.mu.Lock()
 	j.partial = cp
@@ -281,10 +282,10 @@ func (j *Job) finish(err error, commit func()) {
 
 // Start registers a new job for the named graph and runs fn in a fresh
 // goroutine. fn receives the job's cancellable context (wire it into
-// ScreenOptions.Ctx) and progress sink (ScreenOptions.Progress).
+// screen.Config.Ctx) and progress sink (screen.Config.Progress).
 // release, when non-nil, is the job's admission slot, returned when the
 // job finishes.
-func (js *Jobs) Start(graphName string, release func(), fn func(ctx context.Context, progress func(done, total int)) (tesc.ScreenResult, error)) *Job {
+func (js *Jobs) Start(graphName string, release func(), fn func(ctx context.Context, progress func(done, total int)) (screen.Result, error)) *Job {
 	j, ctx := js.register(graphName)
 	j.release = release
 	js.wg.Add(1)
@@ -299,10 +300,10 @@ func (js *Jobs) Start(graphName string, release func(), fn func(ctx context.Cont
 // StartPlanned registers a planned (top-k / threshold) screening job.
 // fn receives the job's context and the job itself so it can wire the
 // progress sink and the partial-ranking stream (Job.setPartial) into
-// ScreenTopKOptions. A cancelled planned sweep returns its ranking so
+// screen.PlanConfig. A cancelled planned sweep returns its ranking so
 // far alongside the error; the pairs it completed are exact, so they
 // are kept as the job's final partial.
-func (js *Jobs) StartPlanned(graphName string, release func(), fn func(ctx context.Context, j *Job) (tesc.ScreenTopKResult, error)) *Job {
+func (js *Jobs) StartPlanned(graphName string, release func(), fn func(ctx context.Context, j *Job) (screen.PlanResult, error)) *Job {
 	j, ctx := js.register(graphName)
 	j.release = release
 	js.wg.Add(1)

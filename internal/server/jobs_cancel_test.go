@@ -8,8 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"tesc"
 	"tesc/api"
+	"tesc/internal/screen"
 )
 
 // waitStatus polls until the job reaches the wanted status, failing
@@ -33,10 +33,10 @@ func waitStatus(t *testing.T, j *Job, want JobStatus) {
 func TestJobCancelLandsInCancelled(t *testing.T) {
 	js := NewJobs()
 	started := make(chan struct{})
-	j := js.Start("g", nil, func(ctx context.Context, progress func(done, total int)) (tesc.ScreenResult, error) {
+	j := js.Start("g", nil, func(ctx context.Context, progress func(done, total int)) (screen.Result, error) {
 		close(started)
 		<-ctx.Done()
-		return tesc.ScreenResult{}, ctx.Err()
+		return screen.Result{}, ctx.Err()
 	})
 	<-started
 	if !js.Cancel(j.ID) {
@@ -56,8 +56,8 @@ func TestJobCancelLandsInCancelled(t *testing.T) {
 // Canceled both mean somebody stopped wanting the sweep.
 func TestJobDeadlineLandsInCancelled(t *testing.T) {
 	js := NewJobs()
-	j := js.Start("g", nil, func(ctx context.Context, progress func(done, total int)) (tesc.ScreenResult, error) {
-		return tesc.ScreenResult{}, context.DeadlineExceeded
+	j := js.Start("g", nil, func(ctx context.Context, progress func(done, total int)) (screen.Result, error) {
+		return screen.Result{}, context.DeadlineExceeded
 	})
 	waitStatus(t, j, JobCancelled)
 }
@@ -66,11 +66,11 @@ func TestJobDeadlineLandsInCancelled(t *testing.T) {
 // it finished are exact, and they are all the client gets.
 func TestPlannedJobCancelKeepsPartial(t *testing.T) {
 	js := NewJobs()
-	partial := []tesc.ScreenedPair{{A: "x", B: "y", Tau: 0.4}}
-	j := js.StartPlanned("g", nil, func(ctx context.Context, j *Job) (tesc.ScreenTopKResult, error) {
+	partial := []screen.PairResult{{A: "x", B: "y", Tau: 0.4}}
+	j := js.StartPlanned("g", nil, func(ctx context.Context, j *Job) (screen.PlanResult, error) {
 		<-ctx.Done()
 		// The planner returns the ranking-so-far alongside the error.
-		return tesc.ScreenTopKResult{Pairs: partial}, ctx.Err()
+		return screen.PlanResult{Pairs: partial}, ctx.Err()
 	})
 	js.Cancel(j.ID)
 	waitStatus(t, j, JobCancelled)
@@ -94,9 +94,9 @@ func TestJobReleasesSlotOnCancel(t *testing.T) {
 	if !ok {
 		t.Fatal("no slot on an idle gate")
 	}
-	j := js.Start("g", release, func(ctx context.Context, progress func(done, total int)) (tesc.ScreenResult, error) {
+	j := js.Start("g", release, func(ctx context.Context, progress func(done, total int)) (screen.Result, error) {
 		<-ctx.Done()
-		return tesc.ScreenResult{}, ctx.Err()
+		return screen.Result{}, ctx.Err()
 	})
 	if _, ok := a.acquireJobSlot(); ok {
 		t.Fatal("slot free while the job holds it")
@@ -122,9 +122,9 @@ func TestJobsCancelAllAndWait(t *testing.T) {
 	js := NewJobs()
 	var jobs []*Job
 	for i := 0; i < 4; i++ {
-		jobs = append(jobs, js.Start("g", nil, func(ctx context.Context, progress func(done, total int)) (tesc.ScreenResult, error) {
+		jobs = append(jobs, js.Start("g", nil, func(ctx context.Context, progress func(done, total int)) (screen.Result, error) {
 			<-ctx.Done()
-			return tesc.ScreenResult{}, ctx.Err()
+			return screen.Result{}, ctx.Err()
 		}))
 	}
 	js.CancelAll()
@@ -139,8 +139,8 @@ func TestJobsCancelAllAndWait(t *testing.T) {
 		}
 	}
 	// A job registered after CancelAll is born with a dead context.
-	late := js.Start("g", nil, func(ctx context.Context, progress func(done, total int)) (tesc.ScreenResult, error) {
-		return tesc.ScreenResult{}, ctx.Err()
+	late := js.Start("g", nil, func(ctx context.Context, progress func(done, total int)) (screen.Result, error) {
+		return screen.Result{}, ctx.Err()
 	})
 	waitStatus(t, late, JobCancelled)
 }
@@ -154,9 +154,9 @@ func TestJobsCancelAllAndWait(t *testing.T) {
 // of a real mid-flight sweep is covered at the screen/planner layer.
 func TestCancelJobEndpoint(t *testing.T) {
 	env := newTestEnv(t)
-	j := env.srv.jobs.Start("g", nil, func(ctx context.Context, progress func(done, total int)) (tesc.ScreenResult, error) {
+	j := env.srv.jobs.Start("g", nil, func(ctx context.Context, progress func(done, total int)) (screen.Result, error) {
 		<-ctx.Done()
-		return tesc.ScreenResult{}, ctx.Err()
+		return screen.Result{}, ctx.Err()
 	})
 
 	var view JobView

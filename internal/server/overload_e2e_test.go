@@ -16,6 +16,7 @@ import (
 
 	"tesc"
 	"tesc/api"
+	"tesc/internal/screen"
 )
 
 // newOverloadEnv is newTestEnv with an explicit server config: the
@@ -330,9 +331,9 @@ func TestDrainFlushesAndRecovers(t *testing.T) {
 	ackedEpoch := mut.Epoch
 
 	// A running job to drain away.
-	job := env.srv.jobs.Start("g", nil, func(ctx context.Context, progress func(done, total int)) (tesc.ScreenResult, error) {
+	job := env.srv.jobs.Start("g", nil, func(ctx context.Context, progress func(done, total int)) (screen.Result, error) {
 		<-ctx.Done()
-		return tesc.ScreenResult{}, ctx.Err()
+		return screen.Result{}, ctx.Err()
 	})
 
 	// The drain sequence ListenAndServe runs on SIGTERM.

@@ -19,6 +19,7 @@
 package server
 
 import (
+	"container/list"
 	"errors"
 	"fmt"
 	"sort"
@@ -28,6 +29,7 @@ import (
 	"tesc"
 	"tesc/internal/events"
 	"tesc/internal/graph"
+	"tesc/internal/screen"
 )
 
 // ErrAlreadyRegistered reports a graph-name collision; handlers match
@@ -76,6 +78,107 @@ type GraphEntry struct {
 	poolMu      sync.Mutex
 	pool        *tesc.EnginePool
 	poolVersion uint64
+
+	// memos bounds the screening memos of all the registry's entries;
+	// memo is this entry's, guarded by memos.mu.
+	memos *screenMemos
+	memo  retainedMemo
+}
+
+// retainedMemo is the screening state an entry keeps for the jobs of
+// one (epoch, h): the density memo and an engine pool bound to that
+// epoch's graph. elem is the entry's place in the LRU, nil when
+// nothing is retained.
+type retainedMemo struct {
+	memo    *screen.SharedMemo
+	engines *graph.EnginePool
+	epoch   uint64
+	h       int
+	elem    *list.Element
+	removed bool // the entry left the registry; retain nothing more
+}
+
+// screenMemos bounds the screening memos retained across one
+// registry's entries: their total footprint stays under the budget
+// (screen.MemoBudgetBytes), and the least recently used goes first.
+// Footprints grow while jobs fill a memo's union cache, so the total is
+// re-checked whenever a job installs a memo.
+type screenMemos struct {
+	mu     sync.Mutex
+	budget int64
+	lru    list.List // *GraphEntry; front = most recently used
+}
+
+// screenMemo returns the density memo and engine pool for a screen job
+// on snap at vicinity level h. A memo holds densities of one graph,
+// store and h, and Epoch bumps on every edge or event mutation, so the
+// entry retains one memo keyed by (Epoch, h), shared by every job on
+// that key; a job on the current epoch with another key replaces it.
+// A job pinned to an older snapshot shares the retained memo only if it
+// is still keyed by that snapshot; otherwise it gets nil for both and
+// its sweep builds a per-run memo, so it never serves from, makes or
+// replaces a newer one. Nil also comes back when a memo over the
+// snapshot's vocabulary exceeds the budget on its own.
+func (e *GraphEntry) screenMemo(snap Snapshot, h int) (*screen.SharedMemo, *graph.EnginePool) {
+	c := e.memos
+	c.mu.Lock()
+	r := &e.memo
+	if r.elem != nil && r.epoch == snap.Epoch && r.h == h {
+		c.lru.MoveToFront(r.elem)
+		defer c.mu.Unlock()
+		return r.memo, r.engines
+	}
+	c.mu.Unlock()
+	if snap.Epoch < e.Epoch() {
+		return nil, nil
+	}
+	memo, err := screen.NewSharedMemo(snap.Graph.NumNodes(), snap.Store.Names())
+	if err != nil {
+		return nil, nil
+	}
+	engines := graph.NewEnginePool(snap.Graph.Internal())
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch {
+	case r.elem != nil && r.epoch == snap.Epoch && r.h == h:
+		// A concurrent job installed this key first; share its memo.
+		c.lru.MoveToFront(r.elem)
+		return r.memo, r.engines
+	case r.removed || (r.elem != nil && r.epoch > snap.Epoch):
+		return nil, nil
+	}
+	if r.elem != nil {
+		c.lru.Remove(r.elem)
+	}
+	*r = retainedMemo{memo: memo, engines: engines, epoch: snap.Epoch, h: h, elem: c.lru.PushFront(e)}
+	c.evictLocked()
+	return memo, engines
+}
+
+// evictLocked drops least recently used memos until the retained total
+// fits the budget. The most recently used memo always stays: it fit
+// the budget alone when it was made.
+func (c *screenMemos) evictLocked() {
+	var total int64
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		total += el.Value.(*GraphEntry).memo.memo.Bytes()
+	}
+	for total > c.budget && c.lru.Len() > 1 {
+		e := c.lru.Back().Value.(*GraphEntry)
+		total -= e.memo.memo.Bytes()
+		c.lru.Remove(e.memo.elem)
+		e.memo = retainedMemo{}
+	}
+}
+
+// release drops the entry's memo for good: the entry left the registry.
+func (c *screenMemos) release(e *GraphEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e.memo.elem != nil {
+		c.lru.Remove(e.memo.elem)
+	}
+	e.memo = retainedMemo{removed: true}
 }
 
 // Name returns the registry name of the graph.
@@ -327,25 +430,6 @@ func (e *GraphEntry) Occurrences(name string) ([]int, error) {
 	return storeOccurrences(e.Store(), name)
 }
 
-// eventSetOf snapshots a store's events as the public screening input
-// type.
-func eventSetOf(store *events.Store) tesc.EventSet {
-	out := make(tesc.EventSet, store.NumEvents())
-	for _, name := range store.Names() {
-		occ := store.Occurrences(name)
-		nodes := make([]int, len(occ))
-		for i, v := range occ {
-			nodes[i] = int(v)
-		}
-		out[name] = nodes
-	}
-	return out
-}
-
-// EventSet snapshots all registered events as the public screening
-// input type.
-func (e *GraphEntry) EventSet() tesc.EventSet { return eventSetOf(e.Store()) }
-
 // NumEvents returns the number of distinct registered events.
 func (e *GraphEntry) NumEvents() int { return e.Store().NumEvents() }
 
@@ -355,11 +439,12 @@ func (e *GraphEntry) NumEvents() int { return e.Store().NumEvents() }
 type Registry struct {
 	mu     sync.RWMutex
 	graphs map[string]*GraphEntry
+	memos  *screenMemos
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{graphs: make(map[string]*GraphEntry)}
+	return &Registry{graphs: make(map[string]*GraphEntry), memos: &screenMemos{budget: screen.MemoBudgetBytes}}
 }
 
 // Register adds a graph under a unique name.
@@ -376,6 +461,7 @@ func (r *Registry) Register(name string, g *tesc.Graph) (*GraphEntry, error) {
 		name:    name,
 		created: time.Now(),
 		builder: events.NewBuilder(g.NumNodes()),
+		memos:   r.memos,
 	}
 	e.cur = Snapshot{Graph: g, Store: e.builder.Build(), Epoch: 1, GraphVersion: 1}
 	r.graphs[name] = e
@@ -413,6 +499,7 @@ func (r *Registry) RegisterRestored(name string, g *tesc.Graph, store *events.St
 		name:    name,
 		created: time.Now(),
 		builder: builder,
+		memos:   r.memos,
 	}
 	e.cur = Snapshot{Graph: g, Store: store, Epoch: epoch, GraphVersion: graphVersion}
 	r.graphs[name] = e
@@ -427,13 +514,17 @@ func (r *Registry) Get(name string) (*GraphEntry, bool) {
 	return e, ok
 }
 
-// Remove deletes the named graph, returning the removed entry so the
-// caller can release resources keyed on it (cached indexes).
+// Remove deletes the named graph and releases its screening memo,
+// returning the removed entry so the caller can release the other
+// resources keyed on it (cached indexes).
 func (r *Registry) Remove(name string) (*GraphEntry, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e, ok := r.graphs[name]
-	delete(r.graphs, name)
+	if ok {
+		delete(r.graphs, name)
+		r.memos.release(e)
+	}
 	return e, ok
 }
 

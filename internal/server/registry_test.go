@@ -5,8 +5,28 @@ import (
 	"sync"
 	"testing"
 
+	"tesc"
 	"tesc/internal/events"
 )
+
+// eventSetOf snapshots a store's events as the public screening input
+// type, for comparing served results with tesc.Screen/ScreenTopK.
+func eventSetOf(store *events.Store) tesc.EventSet {
+	out := make(tesc.EventSet, store.NumEvents())
+	for _, name := range store.Names() {
+		occ := store.Occurrences(name)
+		nodes := make([]int, len(occ))
+		for i, v := range occ {
+			nodes[i] = int(v)
+		}
+		out[name] = nodes
+	}
+	return out
+}
+
+// EventSet snapshots all registered events as the public screening
+// input type.
+func (e *GraphEntry) EventSet() tesc.EventSet { return eventSetOf(e.Store()) }
 
 func TestRegistryRegisterGetRemove(t *testing.T) {
 	g := testGraph(t)

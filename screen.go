@@ -233,7 +233,7 @@ func (opts ScreenOptions) sweepInputs(g *Graph, ev EventSet) (*events.Store, [][
 		cfg.Correction = screen.FWER
 	}
 	if cfg.Seed == 0 {
-		cfg.Seed = 0x5c4ee
+		cfg.Seed = screen.DefaultSeed
 	}
 	return store, screen.AllPairs(store, max(1, opts.MinOccurrences)), cfg
 }
