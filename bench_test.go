@@ -6,8 +6,8 @@ package tesc
 // minutes), plus the ablation benchmarks DESIGN.md §5 calls out for the
 // repository's own design decisions.
 //
-// For paper-scale outputs run the cmd/tescbench binary instead; the
-// committed EXPERIMENTS.md records those results.
+// For paper-scale outputs run `tescbench -exp` instead (README,
+// "Benchmarks").
 
 import (
 	"io"

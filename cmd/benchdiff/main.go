@@ -1,44 +1,40 @@
-// Command benchdiff compares `go test -bench` output against a
-// committed ns/op baseline and gates CI on regressions: a benchmark
-// more than the fail threshold slower than its baseline (default
-// +25%) fails the run, one between the warn and fail thresholds
-// (default +10%..+25%) is soft-warned into the summary.
+// Command benchdiff compares the `go test -bench` output of a parent
+// revision against the change's, both taken on the same machine, and
+// gates CI on regressions: a benchmark more than +25% slower than at the
+// parent fails the run, one between +10% and +25% is soft-warned into
+// the summary. A benchmark only the change has is reported as new, one
+// only the parent has as removed; neither fails, because the addition or
+// deletion is in the diff under review.
 //
 // Benchmarks are keyed by package + name (GOMAXPROCS suffix stripped)
-// and folded with min over repeated runs (-count=N), which is the
+// and each side is folded with min over its repeated runs, which is the
 // right estimator for a noisy CI box: the minimum is the run least
 // disturbed by neighbors, and a genuine regression raises the minimum.
 //
 // Usage:
 //
-//	go test -run='^$' -bench=. -benchtime=2s -count=3 ./... | tee bench.txt
-//	benchdiff -baseline BENCH_baseline.json bench.txt
-//	benchdiff -baseline BENCH_baseline.json -update bench.txt   # refresh
-//	benchdiff -baseline BENCH_baseline.json -summary "$GITHUB_STEP_SUMMARY" bench.txt
+//	benchdiff old.txt new.txt
+//	benchdiff -summary "$GITHUB_STEP_SUMMARY" old.txt new.txt
+//
+// cmd/benchdiff/gate.sh produces the two inputs in alternating rounds.
 package main
 
 import (
 	"bufio"
-	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
-// Baseline is the committed reference file.
-type Baseline struct {
-	Generated string `json:"generated"`
-	Go        string `json:"go"`
-	Command   string `json:"command"`
-	// Benchmarks maps "pkg.BenchmarkName" to baseline ns/op (min over
-	// the runs that produced the file).
-	Benchmarks map[string]float64 `json:"benchmarks"`
-}
+// The gate's thresholds on the change/parent ns/op ratio.
+const (
+	failThreshold = 1.25
+	warnThreshold = 1.10
+)
 
 // parseBench extracts min ns/op per benchmark key from go test -bench
 // output. The "pkg:" header lines qualify benchmark names, so the same
@@ -77,8 +73,8 @@ func parseBench(r io.Reader) (map[string]float64, error) {
 			return nil, fmt.Errorf("benchdiff: bad ns/op %q in line %q", fields[nsIdx-1], line)
 		}
 		name := fields[0]
-		// Strip the -GOMAXPROCS suffix so baselines survive core-count
-		// changes in name only (the numbers still move, the key not).
+		// Strip the -GOMAXPROCS suffix so both sides key alike even when
+		// one ran with another core count.
 		if i := strings.LastIndexByte(name, '-'); i > 0 {
 			if _, err := strconv.Atoi(name[i+1:]); err == nil {
 				name = name[:i]
@@ -102,157 +98,70 @@ func parseBench(r io.Reader) (map[string]float64, error) {
 }
 
 type row struct {
-	key      string
-	base, ns float64
-	ratio    float64
-	status   string
+	key            string
+	parent, change float64 // min ns/op; 0 when the side lacks the benchmark
+	ratio          float64 // change/parent; 0 unless both sides have it
+	status         string
 }
 
-func main() {
-	var (
-		baselinePath = ""
-		update       = false
-		summaryPath  = ""
-		failThresh   = 1.25
-		warnThresh   = 1.10
-	)
-	args := os.Args[1:]
-	var inputs []string
-	for i := 0; i < len(args); i++ {
-		switch args[i] {
-		case "-baseline":
-			i++
-			if i >= len(args) {
-				usage("missing -baseline value")
-			}
-			baselinePath = args[i]
-		case "-update":
-			update = true
-		case "-summary":
-			i++
-			if i >= len(args) {
-				usage("missing -summary value")
-			}
-			summaryPath = args[i]
-		case "-fail-threshold":
-			i++
-			if i >= len(args) {
-				usage("missing -fail-threshold value")
-			}
-			v, err := strconv.ParseFloat(args[i], 64)
-			if err != nil || v <= 1 {
-				usage("bad -fail-threshold (want > 1)")
-			}
-			failThresh = v
-		case "-warn-threshold":
-			i++
-			if i >= len(args) {
-				usage("missing -warn-threshold value")
-			}
-			v, err := strconv.ParseFloat(args[i], 64)
-			if err != nil || v <= 1 {
-				usage("bad -warn-threshold (want > 1)")
-			}
-			warnThresh = v
-		case "-h", "-help", "--help":
-			usage("")
-		default:
-			if strings.HasPrefix(args[i], "-") {
-				usage("unknown flag " + args[i])
-			}
-			inputs = append(inputs, args[i])
-		}
-	}
-	if baselinePath == "" {
-		usage("-baseline is required")
-	}
-	if warnThresh > failThresh {
-		usage("-warn-threshold must be <= -fail-threshold")
-	}
-
-	var in io.Reader = os.Stdin
-	if len(inputs) == 1 {
-		f, err := os.Open(inputs[0])
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		in = f
-	} else if len(inputs) > 1 {
-		usage("at most one input file")
-	}
-	measured, err := parseBench(in)
-	if err != nil {
-		fatal(err)
-	}
-
-	if update {
-		b := Baseline{
-			Generated:  time.Now().UTC().Format(time.RFC3339),
-			Go:         runtime.Version(),
-			Command:    "go test -run='^$' -bench=. -benchtime=2s -count=3 (min ns/op per benchmark)",
-			Benchmarks: measured,
-		}
-		buf, err := json.MarshalIndent(b, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(baselinePath, append(buf, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("benchdiff: wrote %s with %d benchmarks\n", baselinePath, len(measured))
-		return
-	}
-
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		fatal(err)
-	}
-	var base Baseline
-	if err := json.Unmarshal(raw, &base); err != nil {
-		fatal(fmt.Errorf("benchdiff: parsing %s: %w", baselinePath, err))
-	}
-
-	var rows []row
-	regressions, warnings := 0, 0
-	for key, ns := range measured {
-		r := row{key: key, ns: ns}
-		if b, ok := base.Benchmarks[key]; ok && b > 0 {
-			r.base = b
-			r.ratio = ns / b
+// diff builds one row per benchmark either side ran, sorted by key, and
+// counts the regressions and warnings among them.
+func diff(parent, change map[string]float64) (rows []row, regressions, warnings int) {
+	for key, ns := range change {
+		r := row{key: key, change: ns, status: "new"}
+		if p, ok := parent[key]; ok && p > 0 {
+			r.parent = p
+			r.ratio = ns / p
 			switch {
-			case r.ratio > failThresh:
+			case r.ratio > failThreshold:
 				r.status = "REGRESSION"
 				regressions++
-			case r.ratio > warnThresh:
+			case r.ratio > warnThreshold:
 				r.status = "warn"
 				warnings++
-			case r.ratio < 1/failThresh:
+			case r.ratio < 1/failThreshold:
 				r.status = "improved"
 			default:
 				r.status = "ok"
 			}
-		} else {
-			r.status = "new"
 		}
 		rows = append(rows, r)
 	}
-	for key := range base.Benchmarks {
-		if _, ok := measured[key]; !ok {
-			// Fail closed: a benchmark the baseline pins that no longer
-			// runs means the hot path is silently ungated (renamed,
-			// deleted, or filtered out). Intentional removals refresh
-			// the baseline with -update.
-			rows = append(rows, row{key: key, base: base.Benchmarks[key], status: "MISSING"})
-			regressions++
+	for key, p := range parent {
+		if _, ok := change[key]; !ok {
+			rows = append(rows, row{key: key, parent: p, status: "removed"})
 		}
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].key < rows[j].key })
+	return rows, regressions, warnings
+}
 
-	table := renderTable(rows, failThresh, warnThresh, regressions, warnings)
+func main() {
+	fs := flag.NewFlagSet("benchdiff", flag.ExitOnError)
+	summaryPath := fs.String("summary", "", "also append the table to this file (e.g. $GITHUB_STEP_SUMMARY)")
+	fs.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: benchdiff [-summary FILE] old.txt new.txt")
+		fs.PrintDefaults()
+	}
+	_ = fs.Parse(os.Args[1:]) // ExitOnError: Parse exits on a bad flag
+	if fs.NArg() != 2 {
+		fs.Usage()
+		os.Exit(2)
+	}
+	parent, err := parseFile(fs.Arg(0))
+	if err != nil {
+		fatal(err)
+	}
+	change, err := parseFile(fs.Arg(1))
+	if err != nil {
+		fatal(err)
+	}
+
+	rows, regressions, warnings := diff(parent, change)
+	table := renderTable(rows, regressions, warnings)
 	fmt.Print(table)
-	if summaryPath != "" {
-		f, err := os.OpenFile(summaryPath, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if *summaryPath != "" {
+		f, err := os.OpenFile(*summaryPath, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 		if err != nil {
 			fatal(err)
 		}
@@ -264,26 +173,39 @@ func main() {
 		}
 	}
 	if regressions > 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: %d benchmark(s) regressed more than %.0f%% or went missing\n", regressions, (failThresh-1)*100)
+		fmt.Fprintf(os.Stderr, "benchdiff: %d benchmark(s) regressed more than %.0f%% against the parent\n", regressions, (failThreshold-1)*100)
 		os.Exit(1)
 	}
 }
 
-func renderTable(rows []row, failThresh, warnThresh float64, regressions, warnings int) string {
+func parseFile(path string) (map[string]float64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	m, err := parseBench(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return m, nil
+}
+
+func renderTable(rows []row, regressions, warnings int) string {
 	var sb strings.Builder
 	sb.WriteString("### Benchmark regression gate\n\n")
-	fmt.Fprintf(&sb, "Thresholds: fail > +%.0f%%, warn > +%.0f%% (ns/op vs baseline, min over runs)\n\n",
-		(failThresh-1)*100, (warnThresh-1)*100)
-	sb.WriteString("| benchmark | baseline ns/op | current ns/op | delta | status |\n")
+	fmt.Fprintf(&sb, "Thresholds: fail > +%.0f%%, warn > +%.0f%% (change vs parent ns/op, min over runs)\n\n",
+		(failThreshold-1)*100, (warnThreshold-1)*100)
+	sb.WriteString("| benchmark | parent ns/op | change ns/op | delta | status |\n")
 	sb.WriteString("|---|---:|---:|---:|---|\n")
 	for _, r := range rows {
 		delta := "—"
-		baseStr, nsStr := "—", "—"
-		if r.base > 0 {
-			baseStr = fmt.Sprintf("%.0f", r.base)
+		parentStr, changeStr := "—", "—"
+		if r.parent > 0 {
+			parentStr = fmt.Sprintf("%.0f", r.parent)
 		}
-		if r.ns > 0 {
-			nsStr = fmt.Sprintf("%.0f", r.ns)
+		if r.change > 0 {
+			changeStr = fmt.Sprintf("%.0f", r.change)
 		}
 		if r.ratio > 0 {
 			delta = fmt.Sprintf("%+.1f%%", (r.ratio-1)*100)
@@ -291,23 +213,13 @@ func renderTable(rows []row, failThresh, warnThresh float64, regressions, warnin
 		status := r.status
 		if status == "REGRESSION" {
 			status = "❌ REGRESSION"
-		} else if status == "MISSING" {
-			status = "❌ MISSING (baseline benchmark not run; refresh with -update if removal was intended)"
 		} else if status == "warn" {
 			status = "⚠️ warn"
 		}
-		fmt.Fprintf(&sb, "| %s | %s | %s | %s | %s |\n", r.key, baseStr, nsStr, delta, status)
+		fmt.Fprintf(&sb, "| %s | %s | %s | %s | %s |\n", r.key, parentStr, changeStr, delta, status)
 	}
 	fmt.Fprintf(&sb, "\n%d regression(s), %d warning(s)\n", regressions, warnings)
 	return sb.String()
-}
-
-func usage(msg string) {
-	if msg != "" {
-		fmt.Fprintln(os.Stderr, "benchdiff:", msg)
-	}
-	fmt.Fprintln(os.Stderr, "usage: benchdiff -baseline FILE [-update] [-summary FILE] [-fail-threshold 1.25] [-warn-threshold 1.10] [bench.txt]")
-	os.Exit(2)
 }
 
 func fatal(err error) {

@@ -47,16 +47,67 @@ func TestParseBenchEmpty(t *testing.T) {
 	}
 }
 
+// TestDiffStatuses builds the rows from two parsed inputs: every status
+// the gate can report, with only the regression counted as a failure
+// and only the warn as a warning.
+func TestDiffStatuses(t *testing.T) {
+	const parentOut = `pkg: tesc/internal/x
+BenchmarkSlower-2    10   300 ns/op
+BenchmarkSlower-2    10   100 ns/op
+BenchmarkWarn-2      10   100 ns/op
+BenchmarkSame-2      10   100 ns/op
+BenchmarkFaster-2    10   100 ns/op
+BenchmarkGone-2      10   100 ns/op
+`
+	const changeOut = `pkg: tesc/internal/x
+BenchmarkSlower-2    10   130 ns/op
+BenchmarkWarn-2      10   115 ns/op
+BenchmarkSame-2      10   105 ns/op
+BenchmarkFaster-2    10    70 ns/op
+BenchmarkAdded-2     10    50 ns/op
+`
+	parent, err := parseBench(strings.NewReader(parentOut))
+	if err != nil {
+		t.Fatal(err)
+	}
+	change, err := parseBench(strings.NewReader(changeOut))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, regressions, warnings := diff(parent, change)
+	if regressions != 1 || warnings != 1 {
+		t.Errorf("regressions, warnings = %d, %d; want 1, 1", regressions, warnings)
+	}
+	want := []struct {
+		name, status string
+	}{
+		{"Added", "new"},
+		{"Faster", "improved"},
+		{"Gone", "removed"},
+		{"Same", "ok"},
+		{"Slower", "REGRESSION"}, // min over runs: 100 -> 130
+		{"Warn", "warn"},
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("got %d rows, want %d: %+v", len(rows), len(want), rows)
+	}
+	for i, w := range want {
+		if key := "tesc/internal/x.Benchmark" + w.name; rows[i].key != key || rows[i].status != w.status {
+			t.Errorf("row %d = %s %s, want %s %s", i, rows[i].key, rows[i].status, key, w.status)
+		}
+	}
+}
+
 func TestRenderTableStatuses(t *testing.T) {
 	rows := []row{
-		{key: "a", base: 100, ns: 300, ratio: 3, status: "REGRESSION"},
-		{key: "b", base: 100, ns: 115, ratio: 1.15, status: "warn"},
-		{key: "c", base: 100, ns: 100, ratio: 1, status: "ok"},
-		{key: "d", ns: 50, status: "new"},
-		{key: "e", base: 100, status: "MISSING"},
+		{key: "a", parent: 100, change: 300, ratio: 3, status: "REGRESSION"},
+		{key: "b", parent: 100, change: 115, ratio: 1.15, status: "warn"},
+		{key: "c", parent: 100, change: 100, ratio: 1, status: "ok"},
+		{key: "d", change: 50, status: "new"},
+		{key: "e", parent: 100, status: "removed"},
 	}
-	table := renderTable(rows, 1.25, 1.10, 2, 1)
-	for _, want := range []string{"REGRESSION", "warn", "| ok |", "| new |", "MISSING", "+200.0%", "2 regression(s), 1 warning(s)"} {
+	table := renderTable(rows, 1, 1)
+	for _, want := range []string{"REGRESSION", "warn", "| ok |", "| new |", "| removed |", "+200.0%", "1 regression(s), 1 warning(s)"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("table missing %q:\n%s", want, table)
 		}

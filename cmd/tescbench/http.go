@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"strings"
 
 	"tesc/api"
 )
@@ -32,6 +34,20 @@ func postJSON(client *http.Client, url string, body, out any) error {
 	}
 	if out == nil {
 		return nil
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// getJSON decodes a GET response body into out.
+func getJSON(client *http.Client, url string, out any) error {
+	resp, err := client.Get(url)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		b, _ := io.ReadAll(resp.Body)
+		return fmt.Errorf("GET %s: %s: %s", url, resp.Status, strings.TrimSpace(string(b)))
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }

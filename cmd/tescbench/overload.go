@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,38 +21,21 @@ import (
 	"tesc/internal/server"
 )
 
-// overloadConfig parameterizes the -overload benchmark: an in-process
-// tescd with deliberately tight admission bounds, measured unloaded
-// and then under a 2x flood with background screens and a hog tenant,
-// so the degradation ladder (typed sheds, per-tenant quotas, bounded
-// foreground latency) is observable as numbers rather than prose.
-type overloadConfig struct {
-	FG     int // foreground concurrency bound (MaxInflightFG)
-	BG     int // background job bound (MaxInflightBG)
-	QPS    float64
-	Burst  float64
-	Rounds int // flood rounds per client
-	Nodes  int
-	Seed   uint64
-}
-
 // Every 429/503/504 carries the unified api.Error envelope (see
 // docs/OVERLOAD.md); shed accounting keys on its machine code.
 
-// overloadResult is one classified response: terminal status, the shed
-// reason when typed, and the latency when accepted.
+// overloadResult is one classified response: terminal status and the
+// shed reason when typed.
 type overloadResult struct {
 	status  int
 	reason  string
 	retryOK bool
-	elapsed time.Duration
 	body    string // raw reply, kept for violation diagnostics
 }
 
 // overloadPost fires one request with an optional tenant header and
-// classifies the reply. Accepted replies (2xx) record latency; shed
-// replies must carry the unified body and a Retry-After header or the
-// caller treats them as protocol violations.
+// classifies the reply. Shed replies must carry the unified body and a
+// Retry-After header or the caller treats them as protocol violations.
 func overloadPost(client *http.Client, url, tenant string, body any) (overloadResult, error) {
 	buf, err := json.Marshal(body)
 	if err != nil {
@@ -67,13 +49,12 @@ func overloadPost(client *http.Client, url, tenant string, body any) (overloadRe
 	if tenant != "" {
 		req.Header.Set("X-Tesc-Tenant", tenant)
 	}
-	start := time.Now()
 	resp, err := client.Do(req)
 	if err != nil {
 		return overloadResult{}, err
 	}
 	defer resp.Body.Close()
-	out := overloadResult{status: resp.StatusCode, elapsed: time.Since(start)}
+	out := overloadResult{status: resp.StatusCode}
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return out, err
@@ -92,254 +73,6 @@ func overloadPost(client *http.Client, url, tenant string, body any) (overloadRe
 		out.retryOK = resp.Header.Get("Retry-After") != ""
 	}
 	return out, nil
-}
-
-// pctDur picks the p-quantile of a sorted latency slice.
-func pctDur(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(p * float64(len(sorted)-1))
-	return sorted[idx]
-}
-
-// runOverload is the -overload mode. Phase A measures the service
-// unloaded; phase B floods it with 2x the foreground bound plus
-// background screens plus one hog tenant, and the table at the end is
-// the acceptance argument: accepted-foreground p99 stays within 2x of
-// unloaded while the excess is shed with typed, Retry-After-stamped
-// answers. Numbers from this run feed BENCH_pr9.json.
-func runOverload(cfg overloadConfig, w io.Writer) error {
-	if cfg.FG < 1 || cfg.BG < 1 {
-		return fmt.Errorf("-overload-fg and -overload-bg must be >= 1 (got %d, %d)", cfg.FG, cfg.BG)
-	}
-	srv := server.New(server.Config{
-		IndexCacheCapacity: 8,
-		Admission: server.AdmissionConfig{
-			MaxInflightFG: cfg.FG,
-			MaxInflightBG: cfg.BG,
-			TenantQPS:     cfg.QPS,
-			TenantBurst:   cfg.Burst,
-		},
-	})
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	// A generous idle pool: the default transport keeps only two idle
-	// connections per host, and the resulting handshake churn would
-	// throttle the flood below the admission bounds it is meant to hit.
-	client := &http.Client{
-		Timeout: 2 * time.Minute,
-		Transport: &http.Transport{
-			MaxIdleConns:        256,
-			MaxIdleConnsPerHost: 256,
-		},
-	}
-	base := ts.URL
-
-	// Workload: a community graph big enough that a correlate query does
-	// real sampling work, with event occurrences planted in two regions.
-	g := tesc.RandomCommunityGraph(8, cfg.Nodes/8, 6, 0.5, cfg.Seed)
-	var sb strings.Builder
-	if err := g.WriteGraph(&sb); err != nil {
-		return err
-	}
-	if err := postJSON(client, base+"/v1/graphs", map[string]any{"name": "ovl", "edge_list": sb.String()}, nil); err != nil {
-		return fmt.Errorf("registering graph: %w", err)
-	}
-	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15))
-	region := cfg.Nodes / 8
-	events := map[string][]int{}
-	for e := 0; e < 8; e++ {
-		ids := make([]int, 40)
-		for i := range ids {
-			ids[i] = e*region + rng.IntN(region)
-		}
-		events[fmt.Sprintf("e%d", e)] = ids
-	}
-	if err := postJSON(client, base+"/v1/graphs/ovl/events",
-		map[string]any{"events": events}, nil); err != nil {
-		return fmt.Errorf("registering events: %w", err)
-	}
-
-	correlateBody := func(seed uint64) map[string]any {
-		// A unique seed per request keys a unique flight, so coalescing
-		// never collapses the flood and every latency sample is a real
-		// end-to-end evaluation.
-		return map[string]any{
-			"a": "e0", "b": "e1", "h": 3, "sample_size": 6000, "seed": seed,
-		}
-	}
-
-	// Warmup pays the vicinity-index build once.
-	if _, err := overloadPost(client, base+"/v1/graphs/ovl/correlate", "", correlateBody(1)); err != nil {
-		return fmt.Errorf("warmup: %w", err)
-	}
-
-	// Phase A: unloaded baseline at concurrency 1, paced just under the
-	// per-tenant quota so nothing sheds and every sample is a clean
-	// end-to-end latency.
-	const baselineN = 60
-	pace := time.Duration(float64(time.Second)/cfg.QPS) + time.Millisecond
-	baseline := make([]time.Duration, 0, baselineN)
-	for i := 0; i < baselineN; i++ {
-		r, err := overloadPost(client, base+"/v1/graphs/ovl/correlate", "baseline", correlateBody(1000+uint64(i)))
-		if err != nil {
-			return fmt.Errorf("baseline: %w", err)
-		}
-		if r.status != http.StatusOK {
-			return fmt.Errorf("baseline request shed with %d — admission bounds too tight for phase A", r.status)
-		}
-		baseline = append(baseline, r.elapsed)
-		time.Sleep(pace)
-	}
-	sort.Slice(baseline, func(i, j int) bool { return baseline[i] < baseline[j] })
-
-	// Phase B: flood. 2x the foreground bound in correlate clients, the
-	// background bound x4 in screen submitters, one hog tenant hammering
-	// with no pacing. Every response must be 200/202 or a typed shed.
-	var (
-		mu          sync.Mutex
-		fgAccepted  []time.Duration
-		shed        = map[string]int64{}
-		shedByClass = map[string]int64{}
-		bgAccepted  int64
-		hogOK       int64
-		violations  int64
-	)
-	record := func(r overloadResult, class string) {
-		mu.Lock()
-		defer mu.Unlock()
-		switch {
-		case r.status == http.StatusOK && class == "fg":
-			fgAccepted = append(fgAccepted, r.elapsed)
-		case r.status == http.StatusAccepted && class == "bg":
-			bgAccepted++
-		case r.reason != "" && r.retryOK:
-			shed[r.reason]++
-			shedByClass[class]++
-		case r.status == http.StatusOK && class == "hog":
-			hogOK++
-		default:
-			violations++
-		}
-	}
-
-	var wg sync.WaitGroup
-	floodStart := time.Now()
-	var reqSeed atomic.Uint64
-	reqSeed.Store(1 << 20)
-	for c := 0; c < 2*cfg.FG; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			// One tenant per client keeps everyone inside their quota:
-			// what sheds here is the foreground concurrency gate, the
-			// overload signal this phase is about.
-			tenant := fmt.Sprintf("fg-%d", c)
-			for i := 0; i < cfg.Rounds; i++ {
-				r, err := overloadPost(client, base+"/v1/graphs/ovl/correlate", tenant, correlateBody(reqSeed.Add(1)))
-				if err != nil {
-					mu.Lock()
-					violations++
-					mu.Unlock()
-					return
-				}
-				record(r, "fg")
-			}
-		}(c)
-	}
-	for c := 0; c < 4*cfg.BG; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < cfg.Rounds/2+1; i++ {
-				r, err := overloadPost(client, base+"/v1/graphs/ovl/screen", fmt.Sprintf("bg-%d", c),
-					map[string]any{"h": 1, "sample_size": 400, "min_occurrences": 1, "seed": uint64(c*1000 + i)})
-				if err != nil {
-					mu.Lock()
-					violations++
-					mu.Unlock()
-					return
-				}
-				record(r, "bg")
-			}
-		}(c)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 4*cfg.Rounds; i++ {
-			r, err := overloadPost(client, base+"/v1/graphs/ovl/correlate", "hog", correlateBody(reqSeed.Add(1)))
-			if err != nil {
-				mu.Lock()
-				violations++
-				mu.Unlock()
-				return
-			}
-			record(r, "hog")
-		}
-	}()
-	wg.Wait()
-	floodWall := time.Since(floodStart)
-
-	// Let background jobs finish, then read the server-side SLO view.
-	drainCtx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	srv.Drain(drainCtx)
-	var health struct {
-		SLO map[string]any `json:"slo"`
-	}
-	if err := getJSON(client, base+"/healthz", &health); err != nil {
-		return fmt.Errorf("healthz: %w", err)
-	}
-
-	sort.Slice(fgAccepted, func(i, j int) bool { return fgAccepted[i] < fgAccepted[j] })
-	bp50, bp95, bp99 := pctDur(baseline, 0.50), pctDur(baseline, 0.95), pctDur(baseline, 0.99)
-	fp50, fp95, fp99 := pctDur(fgAccepted, 0.50), pctDur(fgAccepted, 0.95), pctDur(fgAccepted, 0.99)
-	totalFG := int64(len(fgAccepted)) + shedByClass["fg"]
-	shedRateFG := 100 * float64(shedByClass["fg"]) / float64(totalFG)
-	totalBG := bgAccepted + shedByClass["bg"]
-	shedRateBG := float64(0)
-	if totalBG > 0 {
-		shedRateBG = 100 * float64(shedByClass["bg"]) / float64(totalBG)
-	}
-
-	fmt.Fprintf(w, "== overload (fg=%d bg=%d qps=%.0f burst=%.0f, %d nodes, seed %d) ==\n",
-		cfg.FG, cfg.BG, cfg.QPS, cfg.Burst, g.NumNodes(), cfg.Seed)
-	fmt.Fprintf(w, "flood: %d fg clients x %d rounds, %d bg submitters, 1 hog tenant; wall %v\n",
-		2*cfg.FG, cfg.Rounds, 4*cfg.BG, floodWall.Round(time.Millisecond))
-	fmt.Fprintf(w, "%-22s %12s %12s %12s %10s %10s\n", "phase", "p50", "p95", "p99", "accepted", "shed")
-	fmt.Fprintf(w, "%-22s %12v %12v %12v %10d %10s\n", "unloaded correlate",
-		bp50.Round(time.Microsecond), bp95.Round(time.Microsecond), bp99.Round(time.Microsecond), len(baseline), "-")
-	fmt.Fprintf(w, "%-22s %12v %12v %12v %10d %9.1f%%\n", "flood fg accepted",
-		fp50.Round(time.Microsecond), fp95.Round(time.Microsecond), fp99.Round(time.Microsecond), len(fgAccepted), shedRateFG)
-	fmt.Fprintf(w, "%-22s %12s %12s %12s %10d %9.1f%%\n", "flood bg accepted", "-", "-", "-", bgAccepted, shedRateBG)
-	fmt.Fprintf(w, "shed by reason:")
-	reasons := make([]string, 0, len(shed))
-	for r := range shed {
-		reasons = append(reasons, r)
-	}
-	sort.Strings(reasons)
-	for _, r := range reasons {
-		fmt.Fprintf(w, " %s=%d", r, shed[r])
-	}
-	fmt.Fprintf(w, "\nhog tenant: %d ok, %d shed (quota isolates the polite tenants)\n", hogOK, shedByClass["hog"])
-	fmt.Fprintf(w, "server slo: %v\n", health.SLO)
-
-	if violations > 0 {
-		return fmt.Errorf("overload: %d responses were neither accepted nor typed sheds with Retry-After", violations)
-	}
-	bound := 2 * bp99
-	if floor := 250 * time.Millisecond; bound < floor {
-		bound = floor
-	}
-	if fp99 > bound {
-		return fmt.Errorf("overload: flood fg p99 %v exceeds 2x unloaded p99 bound %v", fp99, bound)
-	}
-	fmt.Fprintf(w, "acceptance: flood fg p99 %v <= bound %v (2x unloaded p99, 250ms floor); all sheds typed\n",
-		fp99.Round(time.Microsecond), bound.Round(time.Microsecond))
-	return nil
 }
 
 // runSoakOverload is the -soak-overload mode, built for the nightly

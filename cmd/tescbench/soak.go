@@ -1,269 +1,19 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand/v2"
-	"net/http"
 	"net/http/httptest"
 	"os"
-	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"tesc"
-	"tesc/internal/events"
-	"tesc/internal/graph"
 	"tesc/internal/graphgen"
-	"tesc/internal/monitor"
-	"tesc/internal/screen"
 	"tesc/internal/server"
-	"tesc/internal/stats"
-	"tesc/internal/vicinity"
-	"tesc/internal/wal"
 )
-
-// churnConfig parameterizes the -churn workload: FlipStream mutation
-// batches interleaved with standing-query re-screens, reporting
-// incremental re-screen latency against a from-scratch screen at the
-// same epoch — the serving-tier payoff of the monitor subsystem's
-// dirty-set scheduler.
-type churnConfig struct {
-	Scale      float64 // coauthorship surrogate scale (1.0 = ~100k nodes)
-	H          int
-	SampleSize int
-	Batches    int // mutation batches
-	Flips      int // edge flips per batch
-	Occ        int // occurrences per event
-	Region     int // nodes of the community region events cluster in
-	Seed       uint64
-	// Fsync lists WAL policies ("always", "interval", "off") to time
-	// the mutation log against; empty skips the WAL column.
-	Fsync []string
-}
-
-// churnWorld is the evolving state driven by runChurn, mirroring the
-// serving tier's ordering contract (notify before publish).
-type churnWorld struct {
-	mgr *monitor.Manager
-
-	mu    sync.Mutex
-	g     *graph.Graph
-	store *events.Store
-	epoch uint64
-}
-
-func (w *churnWorld) snap() (*graph.Graph, *events.Store, uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.g, w.store, w.epoch
-}
-
-// runChurn executes the churn benchmark and prints the report.
-func runChurn(cfg churnConfig, w io.Writer) error {
-	if cfg.H < 1 || cfg.Batches < 1 || cfg.Flips < 1 {
-		return fmt.Errorf("churn: h, batches and flips must all be >= 1")
-	}
-	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15))
-	fmt.Fprintf(w, "== churn workload: standing-query re-screen vs full re-screen ==\n")
-	g := tesc.RandomCoauthorshipGraph(cfg.Scale, cfg.Seed).Internal()
-	n := g.NumNodes()
-	region := cfg.Region
-	if region > n {
-		region = n
-	}
-	b := events.NewBuilder(n)
-	for _, name := range []string{"churn-a", "churn-b"} {
-		for i := 0; i < cfg.Occ; i++ {
-			b.Add(name, graph.NodeID(rng.IntN(region)))
-		}
-	}
-	world := &churnWorld{mgr: monitor.NewManager(), g: g, store: b.Build(), epoch: 1}
-	fmt.Fprintf(w, "graph: %d nodes, %d edges; events: 2 x %d occurrences in a %d-node region; h=%d n=%d\n",
-		n, g.NumEdges(), cfg.Occ, region, cfg.H, cfg.SampleSize)
-
-	def := monitor.Definition{
-		A: "churn-a", B: "churn-b",
-		H:          cfg.H,
-		SampleSize: cfg.SampleSize,
-		Seed:       cfg.Seed ^ 0x5eed,
-		Mode:       monitor.Manual,
-	}
-	mon, err := world.mgr.Create("churn", def, world.snap)
-	if err != nil {
-		return err
-	}
-	def = mon.Def()
-
-	fullCfg := screen.Config{
-		H:           def.H,
-		SampleSize:  def.SampleSize,
-		Alpha:       def.Alpha,
-		Alternative: stats.TwoSided,
-		Seed:        def.Seed,
-	}
-	pairs := [][2]string{{def.A, def.B}}
-
-	// Phase 1 — the monitor path: stream mutation batches, timing only
-	// the incremental re-screens. The full-screen comparison runs in a
-	// second phase over a deterministic replay of the same batches, so
-	// neither path's allocation/GC bill leaks into the other's timings.
-	stream := graphgen.NewFlipStream(g, 0.5, rng)
-	incMS := make([]float64, 0, cfg.Batches)
-	fullMS := make([]float64, 0, cfg.Batches)
-	batches := make([][]graph.EdgeChange, 0, cfg.Batches)
-	samples := make([]monitor.Sample, 0, cfg.Batches)
-	var reused, recomputed, dirtyTotal int64
-	for batch := 0; batch < cfg.Batches; batch++ {
-		changes := stream.Take(cfg.Flips)
-		world.mu.Lock()
-		oldG, epoch := world.g, world.epoch
-		world.mu.Unlock()
-		d := graph.NewDelta(oldG)
-		applied, err := d.Apply(changes)
-		if err != nil {
-			return err
-		}
-		newG := d.Compact()
-		batches = append(batches, applied)
-		// Pay the dirty ball once, like the serving tier does, and
-		// account its size (the "<= 1% of nodes touched" criterion).
-		dirty, err := vicinity.DirtySet(oldG, newG, applied, def.H)
-		if err != nil {
-			return err
-		}
-		dirtyTotal += int64(len(dirty))
-		world.mgr.NotifyEdgeDelta("churn", oldG, newG, applied, epoch+1, dirty, def.H)
-		world.mu.Lock()
-		world.g = newG
-		world.epoch++
-		world.mu.Unlock()
-
-		// Collect the mutation pipeline's garbage (Compact builds a
-		// whole successor CSR) before timing, so the re-screen numbers
-		// measure the re-screen, not inherited allocator debt. Both
-		// phases get the same treatment.
-		runtime.GC()
-		start := time.Now()
-		sample, ran, err := mon.Refresh(false)
-		if err != nil {
-			return err
-		}
-		if !ran {
-			return fmt.Errorf("churn: batch %d did not trigger a re-screen", batch)
-		}
-		incMS = append(incMS, float64(time.Since(start).Microseconds())/1000)
-		samples = append(samples, sample)
-		reused += sample.Reused
-		recomputed += sample.Recomputed
-	}
-
-	// Phase 2 — the from-scratch path: replay the identical batch
-	// sequence and run a cold screen at every epoch, checking
-	// bit-identity against the monitor's recorded samples.
-	replayG := g
-	runtime.GC()
-	for batch, applied := range batches {
-		d := graph.NewDelta(replayG)
-		if _, err := d.Apply(applied); err != nil {
-			return err
-		}
-		replayG = d.Compact()
-		runtime.GC()
-		start := time.Now()
-		full, err := screen.Run(replayG, world.store, pairs, fullCfg)
-		if err != nil {
-			return err
-		}
-		fullMS = append(fullMS, float64(time.Since(start).Microseconds())/1000)
-		fp := full.Pairs[0]
-		s := samples[batch]
-		if fp.Tau != s.Tau || fp.Z != s.Z || fp.P != s.P {
-			return fmt.Errorf("churn: batch %d diverged from from-scratch run (tau %v vs %v)", batch, s.Tau, fp.Tau)
-		}
-	}
-
-	incMean, incP50 := meanMedian(incMS)
-	fullMean, fullP50 := meanMedian(fullMS)
-	evals := reused + recomputed
-	fmt.Fprintf(w, "batches: %d x %d flips; dirty ball: %.0f nodes/batch (%.2f%% of graph)\n",
-		cfg.Batches, cfg.Flips, float64(dirtyTotal)/float64(cfg.Batches),
-		100*float64(dirtyTotal)/float64(cfg.Batches)/float64(n))
-	fmt.Fprintf(w, "incremental re-screen:  mean %8.3f ms   p50 %8.3f ms\n", incMean, incP50)
-	fmt.Fprintf(w, "full re-screen:         mean %8.3f ms   p50 %8.3f ms\n", fullMean, fullP50)
-	fmt.Fprintf(w, "speedup (mean):         %8.2fx\n", fullMean/incMean)
-	fmt.Fprintf(w, "density evaluations:    %d reused / %d total (%.1f%% served from cache)\n",
-		reused, evals, 100*float64(reused)/float64(evals))
-	fmt.Fprintf(w, "results: bit-identical to from-scratch screen at every epoch\n")
-	if len(cfg.Fsync) > 0 {
-		if err := churnFsyncColumn(batches, cfg.Fsync, w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// churnFsyncColumn times the mutation WAL's append path — the cost
-// every acknowledged edge batch now pays before publication — for the
-// same batch sequence the churn phases used, one row per fsync policy.
-// The spread between "off" and "always" is the price of the
-// no-lost-acks durability contract on this hardware.
-func churnFsyncColumn(batches [][]graph.EdgeChange, policies []string, w io.Writer) error {
-	fmt.Fprintf(w, "wal append (per batch, %d batches):\n", len(batches))
-	for _, name := range policies {
-		policy, err := wal.ParsePolicy(name)
-		if err != nil {
-			return fmt.Errorf("churn: %w", err)
-		}
-		dir, err := os.MkdirTemp("", "tescbench-wal-")
-		if err != nil {
-			return err
-		}
-		lg, _, err := wal.Open(dir, wal.Options{FS: wal.OSFS{}, Policy: policy})
-		if err != nil {
-			os.RemoveAll(dir)
-			return err
-		}
-		appendMS := make([]float64, 0, len(batches))
-		epoch := uint64(1)
-		for _, applied := range batches {
-			changes := make([]wal.EdgeChange, len(applied))
-			for i, c := range applied {
-				changes[i] = wal.EdgeChange{U: int(c.U), V: int(c.V), Insert: c.Insert}
-			}
-			epoch++
-			start := time.Now()
-			err := lg.Append(&wal.Record{Kind: wal.KindEdges, Graph: "churn", Epoch: epoch, GraphVersion: epoch, Changes: changes})
-			appendMS = append(appendMS, float64(time.Since(start).Microseconds())/1000)
-			if err != nil {
-				lg.Close()
-				os.RemoveAll(dir)
-				return err
-			}
-		}
-		fsyncs := lg.Fsyncs()
-		lg.Close()
-		os.RemoveAll(dir)
-		mean, p50 := meanMedian(appendMS)
-		fmt.Fprintf(w, "  fsync=%-9s mean %8.4f ms   p50 %8.4f ms   (%d fsyncs)\n", name, mean, p50, fsyncs)
-	}
-	return nil
-}
-
-func meanMedian(xs []float64) (mean, median float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	for _, v := range sorted {
-		mean += v
-	}
-	return mean / float64(len(sorted)), sorted[len(sorted)/2]
-}
 
 // runSoak drives a live in-process tescd with FlipStream mutations
 // against standing monitors for the given duration: one edge mutator,
@@ -545,18 +295,4 @@ func runSoakRecover(d time.Duration, seed uint64, w io.Writer) error {
 		cycles, crashes, cycles-crashes, batches, replayed, wantEpoch)
 	fmt.Fprintf(w, "epoch continuity held on every restart: zero lost acknowledged mutations\n")
 	return nil
-}
-
-// getJSON decodes a GET response body into out.
-func getJSON(client *http.Client, url string, out any) error {
-	resp, err := client.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("GET %s: %s: %s", url, resp.Status, strings.TrimSpace(string(b)))
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
 }

@@ -45,8 +45,9 @@ type Config struct {
 	Workers int
 }
 
-// DefaultConfig returns the laptop-sized configuration used for the
-// committed EXPERIMENTS.md outputs: minutes per figure, shapes intact.
+// DefaultConfig returns the laptop-sized configuration `tescbench -exp`
+// runs by default (README, "Benchmarks"): minutes per figure, shapes
+// intact.
 func DefaultConfig() Config {
 	return Config{
 		DBLPScale:       0.2, // ≈20k nodes

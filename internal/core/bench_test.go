@@ -61,7 +61,7 @@ func bench100kSetup(tb testing.TB) {
 // BenchmarkDensityPhaseFlat measures the PR 4 fast path: the
 // single-pair density phase (900 reference evaluations at h=2, single
 // worker) through EvalAll — flat label kernel over Collect traversals.
-// BENCH_pr4.json records it against the callback kernel it replaced.
+// docs/PERFORMANCE.md quotes its current figure.
 func BenchmarkDensityPhaseFlat(b *testing.B) {
 	bench100kSetup(b)
 	eval := NewDensityEvaluator(bench100k.problem, benchH)

@@ -2,8 +2,8 @@ package graph
 
 import "math/rand/v2"
 
-// Stats summarizes structural properties of a graph. It backs the dataset
-// descriptions in EXPERIMENTS.md (node/edge counts, degree profile) and
+// Stats summarizes structural properties of a graph. It backs the
+// `tescbench -exp datasets` table (node/edge counts, degree profile) and
 // the surrogate-vs-paper comparisons in DESIGN.md.
 type Stats struct {
 	Nodes          int

@@ -13,9 +13,8 @@ import (
 // benchWorld builds the churn benchmark's shape at a bench-friendly
 // scale: a sparse surrogate with the event pair clustered in a region,
 // so random flips mostly land outside the reference sample — the
-// locality the incremental path exploits. (The full-scale 100k-node
-// acceptance numbers are produced by `tescbench -churn`; these
-// benchmarks exist so the hot path is watched by the CI bench gate.)
+// locality the incremental path exploits. docs/MONITORING.md quotes
+// the two benchmarks below at this 20k-node scale.
 func benchWorld(b *testing.B, nodes int) (*Manager, *world, *graphgen.FlipStream, *rand.Rand) {
 	b.Helper()
 	rng := rand.New(rand.NewPCG(9, 9))

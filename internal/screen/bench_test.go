@@ -113,8 +113,7 @@ func sweepK32Setup(tb testing.TB) {
 
 // BenchmarkScreenPlanTopK is the acceptance workload: top-10 of the
 // K=32 (496-pair) surrogate. full_tests is the planner's headline
-// saving versus the exhaustive sweep's 496; `tescbench -topk` records
-// the same comparison in BENCH_pr8.json.
+// saving: compare it with BenchmarkScreenSweepK32's full_tests (496).
 func BenchmarkScreenPlanTopK(b *testing.B) {
 	sweepK32Setup(b)
 	cfg := PlanConfig{
@@ -147,5 +146,6 @@ func BenchmarkScreenSweepK32(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(res.BFSRuns), "bfs_runs")
+		b.ReportMetric(float64(res.Tested), "full_tests")
 	}
 }
