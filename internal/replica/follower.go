@@ -317,7 +317,7 @@ func (f *Follower) applyRecord(pos wal.ShipCursor, rec *wal.Record) error {
 		return fmt.Errorf("replica: unknown record kind %d at %v", rec.Kind, pos)
 	}
 
-	epoch, gv, ok := f.st.Meta(g)
+	epoch, _, ok := f.st.Meta(g)
 	if !ok {
 		if f.missing[g] {
 			// Known-dropped on the primary: a dead generation's record.
@@ -335,7 +335,7 @@ func (f *Follower) applyRecord(pos wal.ShipCursor, rec *wal.Record) error {
 			f.skipped.Add(1)
 			return nil
 		}
-		if epoch, gv, ok = f.st.Meta(g); !ok {
+		if epoch, _, ok = f.st.Meta(g); !ok {
 			f.skipped.Add(1)
 			return nil
 		}
@@ -347,15 +347,7 @@ func (f *Follower) applyRecord(pos wal.ShipCursor, rec *wal.Record) error {
 		f.skipped.Add(1)
 		return nil
 	}
-	aerr := ErrDiverged
-	if rec.Epoch == epoch+1 {
-		switch {
-		case rec.Kind == wal.KindEdges && rec.GraphVersion == gv+1:
-			aerr = f.st.ApplyEdges(g, rec.Epoch, rec.GraphVersion, rec.Changes)
-		case rec.Kind == wal.KindEvents:
-			aerr = f.st.ApplyEvents(g, rec.Epoch, rec.Add, rec.Remove)
-		}
-	}
+	aerr := f.st.Apply(rec)
 	if aerr == nil {
 		f.applied.Add(1)
 		return nil

@@ -96,16 +96,17 @@ type Transport interface {
 // not (or no longer does) have the graph.
 var ErrUnknownGraph = errors.New("replica: unknown graph on primary")
 
-// ErrDiverged is returned by State mutators when a record cannot
+// ErrDiverged is wrapped by State.Apply's error when a record cannot
 // extend the follower's state (epoch gap, graph-version mismatch, or a
 // change batch that did not take effect identically). The follower
 // answers it by re-bootstrapping the graph from a fresh snapshot.
 var ErrDiverged = errors.New("replica: state diverged from log")
 
 // State is the follower-side application surface, implemented by the
-// server so every replicated record goes through the same serialized
-// registry mutations (index migration and monitor notification
-// included) that live requests and WAL replay use.
+// server so every replicated record goes through the same record
+// applier — and so the same serialized registry mutations, index
+// migration and monitor notification included — that the server's own
+// WAL replay uses at boot.
 type State interface {
 	// Meta reports a graph's current epoch and graph version.
 	Meta(name string) (epoch, graphVersion uint64, ok bool)
@@ -114,14 +115,13 @@ type State interface {
 	// Monitors fingerprints the graph's local standing-query set, with
 	// the same function the primary uses for GraphStatus.Monitors.
 	Monitors(name string) uint64
-	// ApplyEdges applies one KindEdges record. It must verify the
-	// record extends the chain (epoch == current+1, graphVersion ==
-	// current+1, every change takes effect) and return ErrDiverged
-	// otherwise; other errors mean "retry later" (local durability).
-	ApplyEdges(name string, epoch, graphVersion uint64, changes []wal.EdgeChange) error
-	// ApplyEvents applies one KindEvents record under the same
-	// contract (no graph-version check — events do not bump it).
-	ApplyEvents(name string, epoch uint64, add, remove map[string][]int) error
+	// Apply applies one KindEdges or KindEvents record. It verifies the
+	// record extends the graph's chain — epoch == current+1, for edges
+	// graph version == current+1, every logged change takes effect, and
+	// the graph lands on the record's epoch — and returns an error
+	// wrapping ErrDiverged otherwise; other errors mean "retry later"
+	// (local durability).
+	Apply(rec *wal.Record) error
 	// Drop deregisters a graph (KindDrop, or reconciliation against a
 	// primary that no longer has it).
 	Drop(name string) error

@@ -96,18 +96,10 @@ func (c *checkingState) record(name string, epoch uint64) {
 	set[epoch] = true
 }
 
-func (c *checkingState) ApplyEdges(name string, epoch, gv uint64, changes []wal.EdgeChange) error {
-	err := c.State.ApplyEdges(name, epoch, gv, changes)
+func (c *checkingState) Apply(rec *wal.Record) error {
+	err := c.State.Apply(rec)
 	if err == nil {
-		c.record(name, epoch)
-	}
-	return err
-}
-
-func (c *checkingState) ApplyEvents(name string, epoch uint64, add, remove map[string][]int) error {
-	err := c.State.ApplyEvents(name, epoch, add, remove)
-	if err == nil {
-		c.record(name, epoch)
+		c.record(rec.Graph, rec.Epoch)
 	}
 	return err
 }

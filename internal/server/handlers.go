@@ -13,7 +13,6 @@ import (
 	"tesc/api"
 	"tesc/internal/graphio"
 	"tesc/internal/screen"
-	"tesc/internal/wal"
 )
 
 // ---- wire types -----------------------------------------------------
@@ -250,25 +249,15 @@ func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if cur, ok := s.registry.Get(name); ok {
-		// Log the drop before removing anything: a crash right after
-		// the registry removal must not let this generation's WAL
-		// records replay into a future graph registered under the same
-		// name. A spurious drop record (the Get/Remove race losing to
-		// another DELETE) is harmless — replay only skips records.
-		if err := s.walAppend(&wal.Record{Kind: wal.KindDrop, Graph: name, Epoch: cur.Epoch()}); err != nil {
-			writeError(w, api.CodeUnavailable, "durability unavailable: wal append: %v", err)
-			return
-		}
+	removed, err := s.dropGraph(name)
+	if err != nil {
+		writeError(w, api.CodeUnavailable, "%v", err)
+		return
 	}
-	e, removed := s.registry.Remove(name)
 	if !removed {
 		writeError(w, api.CodeNotFound, "unknown graph %q", name)
 		return
 	}
-	s.cache.EvictGraph(e)
-	s.monitors.DropGraph(name)
-	s.removeSnapshot(name)
 	w.WriteHeader(http.StatusNoContent)
 }
 

@@ -107,8 +107,9 @@ func snapshotName(fileName string) (string, bool) {
 // needed. It returns the number of graphs restored. A snapshot file
 // that fails validation (torn, corrupted, foreign) is skipped with a
 // log line — one bad file must not keep the daemon from serving the
-// good ones — and a torn WAL tail replays up to the tear; a missing
-// or unreadable directory is a real error.
+// good ones — and a torn WAL segment replays up to its tear, the
+// segments after it in full, while a corrupt frame ends the replay; a
+// missing or unreadable directory is a real error.
 func (s *Server) LoadData() (int, error) {
 	p := s.persist
 	if p == nil {
@@ -147,7 +148,7 @@ func (s *Server) LoadData() (int, error) {
 		return loaded, fmt.Errorf("opening wal: %w", err)
 	}
 	if recovered.Torn {
-		s.logf("wal: torn tail: %v (replaying the %d intact records)", recovered.TornErr, len(recovered.Records))
+		s.logf("wal: torn segment: %v (replaying the %d intact records)", recovered.TornErr, len(recovered.Records))
 	}
 	// Replay BEFORE publishing the log for appends: the replayed
 	// records are already durable in the old segments, and re-logging

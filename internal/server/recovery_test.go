@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand/v2"
 	"net/http"
@@ -602,6 +603,162 @@ func TestRestartAfterKillE2E(t *testing.T) {
 	if !reflect.DeepEqual(preScreen, recScreen) {
 		t.Fatalf("post-recovery screen diverged:\n  pre  %+v\n  post %+v", preScreen, recScreen)
 	}
+}
+
+// TestAcksAfterTornAppendSurviveKill: a crash mid-append leaves half
+// a frame at the end of the active segment, and a process kill (unlike
+// a power cut) keeps those bytes. The reboot acknowledges more edge
+// batches into a fresh segment; the boot after the next kill must
+// recover every acknowledged epoch, not stop at the earlier tear.
+func TestAcksAfterTornAppendSurviveKill(t *testing.T) {
+	base, err := graph.FromEdges(20, [][2]graph.NodeID{{0, 1}, {1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := tesc.FromInternal(base)
+	batch := func(k int) []tesc.EdgeChange {
+		return []tesc.EdgeChange{{U: k, V: k + 10, Insert: true}}
+	}
+	oraS := New(Config{IndexCacheCapacity: 4})
+	oraE, err := oraS.registry.Register("g", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ack := func(srv *Server, k int) {
+		t.Helper()
+		for _, s := range []*Server{srv, oraS} {
+			if _, err := s.applyEdges(s.registry.mustGet(t, "g"), batch(k), true); err != nil {
+				t.Fatalf("batch %d: %v", k, err)
+			}
+		}
+	}
+
+	fsys := wal.NewFaultFS()
+	srv, err := newFaultServer(fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.registry.Register("g", g); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.durableAck("g"); err != nil {
+		t.Fatal(err)
+	}
+	ack(srv, 2)
+	fsys.TornWrite = func(size int) int { return size / 2 }
+	fsys.SetCrashAfter(0)
+	if _, err := srv.applyEdges(srv.registry.mustGet(t, "g"), batch(3), true); err == nil {
+		t.Fatal("append during the injected crash was acknowledged")
+	}
+	srv.Kill()
+	fsys.TornWrite = nil
+	fsys.ClearFault() // the process died; the torn bytes stay on disk
+
+	if srv, err = newFaultServer(fsys); err != nil {
+		t.Fatalf("first reboot: %v", err)
+	}
+	if got := srv.registry.mustGet(t, "g").Epoch(); got != 2 {
+		t.Fatalf("first reboot at epoch %d, want 2", got)
+	}
+	for k := 3; k <= 5; k++ {
+		ack(srv, k)
+	}
+	srv.Kill()
+
+	if srv, err = newFaultServer(fsys); err != nil {
+		t.Fatalf("second reboot: %v", err)
+	}
+	want := oraE.Snapshot()
+	if got := srv.recoveryEpoch.Load(); got != want.Epoch {
+		t.Fatalf("recovery_epoch = %d, want the last acked epoch %d", got, want.Epoch)
+	}
+	assertStateEqual(t, "second reboot", srv.registry.mustGet(t, "g").Snapshot(), want)
+}
+
+// TestCorruptFrameDoesNotReplayOldTimeline: a corrupt frame mid-segment
+// hides acknowledged epochs 3–4, and a later segment holds epoch 5. The
+// reboot stands the graph at epoch 2 and acknowledges new writes that
+// refill epochs 3–4; once a checkpoint covers them, the boot after must
+// not graft the old epoch-5 record onto the new timeline, even though
+// its epoch and graph version are exactly next.
+func TestCorruptFrameDoesNotReplayOldTimeline(t *testing.T) {
+	base, err := graph.FromEdges(20, [][2]graph.NodeID{{0, 1}, {1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := tesc.FromInternal(base)
+	batch := func(k int) []tesc.EdgeChange {
+		return []tesc.EdgeChange{{U: k, V: k + 10, Insert: true}}
+	}
+	apply := func(srv *Server, k int) edgeMutation {
+		t.Helper()
+		res, err := srv.applyEdges(srv.registry.mustGet(t, "g"), batch(k), true)
+		if err != nil {
+			t.Fatalf("batch %d: %v", k, err)
+		}
+		return res
+	}
+	oraS := New(Config{IndexCacheCapacity: 4})
+	if _, err := oraS.registry.Register("g", g); err != nil {
+		t.Fatal(err)
+	}
+	ack := func(srv *Server, k int) {
+		t.Helper()
+		apply(srv, k)
+		apply(oraS, k)
+	}
+
+	fsys := wal.NewFaultFS()
+	srv, err := newFaultServer(fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.registry.Register("g", g); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.durableAck("g"); err != nil {
+		t.Fatal(err)
+	}
+	ack(srv, 2)
+	res := apply(srv, 3)
+	hidden, err := wal.EncodeFrame(&wal.Record{Kind: wal.KindEdges, Graph: "g",
+		Epoch: res.snap.Epoch, GraphVersion: res.snap.GraphVersion, Changes: walChanges(res.applied)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	apply(srv, 4)
+	if err := srv.persist.log().Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	apply(srv, 5)
+	srv.Kill()
+
+	seg := fsys.List("data/wal-")[0]
+	data := fsys.Bytes(seg)
+	at := bytes.Index(data, hidden)
+	if at < 0 {
+		t.Fatal("epoch-3 frame not found in the first segment")
+	}
+	data[at+len(hidden)-1] ^= 0x40
+	fsys.SetFile(seg, data)
+
+	if srv, err = newFaultServer(fsys); err != nil {
+		t.Fatalf("first reboot: %v", err)
+	}
+	if got := srv.registry.mustGet(t, "g").Epoch(); got != 2 {
+		t.Fatalf("first reboot at epoch %d, want 2", got)
+	}
+	ack(srv, 8)
+	ack(srv, 9)
+	if _, err := srv.Checkpoint("g"); err != nil {
+		t.Fatal(err)
+	}
+	srv.Kill()
+
+	if srv, err = newFaultServer(fsys); err != nil {
+		t.Fatalf("second reboot: %v", err)
+	}
+	assertStateEqual(t, "second reboot", srv.registry.mustGet(t, "g").Snapshot(), oraS.registry.mustGet(t, "g").Snapshot())
 }
 
 // mustGet fetches a registry entry or fails the test.

@@ -258,68 +258,24 @@ func (s *Server) monitorFingerprint(name string) uint64 {
 	return h.Sum64()
 }
 
-func (f followerState) ApplyEdges(name string, epoch, graphVersion uint64, changes []wal.EdgeChange) error {
-	e, ok := f.s.registry.Get(name)
+func (f followerState) Apply(r *wal.Record) error {
+	e, ok := f.s.registry.Get(r.Graph)
 	if !ok {
-		return replica.ErrDiverged
+		return fmt.Errorf("%w: unknown graph %q", replica.ErrDiverged, r.Graph)
 	}
-	cur := e.Snapshot()
-	if cur.Epoch+1 != epoch || cur.GraphVersion+1 != graphVersion {
-		return replica.ErrDiverged
-	}
-	res, err := f.s.applyEdges(e, publicChanges(changes), true)
-	if err != nil {
+	if err := f.s.applyRecord(e, r, true); err != nil {
 		if errors.Is(err, errDurability) {
 			return err // local trouble, retry the record later
 		}
+		// Only a fresh snapshot restores bit-for-bit agreement.
 		return fmt.Errorf("%w: %v", replica.ErrDiverged, err)
-	}
-	if len(res.applied) != len(changes) || res.snap.Epoch != epoch {
-		// A change that was a no-op here took effect on the primary:
-		// the graphs differ. The epoch advanced regardless, so only a
-		// fresh snapshot restores bit-for-bit agreement.
-		return fmt.Errorf("%w: %d of %d changes took effect", replica.ErrDiverged, len(res.applied), len(changes))
 	}
 	return nil
 }
 
-func (f followerState) ApplyEvents(name string, epoch uint64, add, remove map[string][]int) error {
-	e, ok := f.s.registry.Get(name)
-	if !ok {
-		return replica.ErrDiverged
-	}
-	if e.Epoch()+1 != epoch {
-		return replica.ErrDiverged
-	}
-	if err := f.s.applyEvents(e, add, remove, true); err != nil {
-		if errors.Is(err, errDurability) {
-			return err
-		}
-		return fmt.Errorf("%w: %v", replica.ErrDiverged, err)
-	}
-	if e.Epoch() != epoch {
-		return replica.ErrDiverged
-	}
-	return nil
-}
-
-// Drop mirrors handleDeleteGraph: local drop record first, then the
-// registry removal and every attached resource.
 func (f followerState) Drop(name string) error {
-	s := f.s
-	if cur, ok := s.registry.Get(name); ok {
-		if err := s.walAppend(&wal.Record{Kind: wal.KindDrop, Graph: name, Epoch: cur.Epoch()}); err != nil {
-			return fmt.Errorf("%w: wal append: %v", errDurability, err)
-		}
-	}
-	e, ok := s.registry.Remove(name)
-	if !ok {
-		return nil
-	}
-	s.cache.EvictGraph(e)
-	s.monitors.DropGraph(name)
-	s.removeSnapshot(name)
-	return nil
+	_, err := f.s.dropGraph(name)
+	return err
 }
 
 // Install replaces (or creates) a graph from a shipped snapshot image:
@@ -362,29 +318,13 @@ func (f followerState) SaveCursor(cur wal.ShipCursor) error {
 	if err != nil {
 		return err
 	}
-	// Atomic like a snapshot: temp file, rename, directory sync — a
-	// crash mid-save leaves the previous cursor, never a torn one.
-	target := path.Join(p.dir, cursorFile)
-	tmp := target + ".tmp"
-	fl, err := p.fs.Create(tmp)
-	if err != nil {
+	// Atomic like a snapshot: a crash mid-save leaves the previous
+	// cursor, never a torn one.
+	_, err = wal.WriteFileAtomic(p.fs, path.Join(p.dir, cursorFile), func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	if _, err := fl.Write(data); err != nil {
-		fl.Close()
-		return err
-	}
-	if err := fl.Sync(); err != nil {
-		fl.Close()
-		return err
-	}
-	if err := fl.Close(); err != nil {
-		return err
-	}
-	if err := p.fs.Rename(tmp, target); err != nil {
-		return err
-	}
-	return p.fs.SyncDir(p.dir)
+	})
+	return err
 }
 
 func (f followerState) LoadCursor() (wal.ShipCursor, bool) {

@@ -127,6 +127,69 @@ func (s *Server) applyEvents(e *GraphEntry, add, remove map[string][]int, logIt 
 	return nil
 }
 
+// applyRecord is the one record applier boot replay and replication
+// share: it applies a logged KindEdges or KindEvents record to e
+// through applyEdges/applyEvents, re-logging it when logIt is set (a
+// follower's own WAL; replay passes false — the record IS the log). The
+// record must extend e's chain: epoch == current+1, for edges graph
+// version == current+1, every logged change takes effect, and e lands
+// on the record's epoch. Any violation is an error; an errDurability
+// error from the append passes through as is.
+func (s *Server) applyRecord(e *GraphEntry, r *wal.Record, logIt bool) error {
+	cur := e.Snapshot()
+	if r.Epoch != cur.Epoch+1 {
+		return fmt.Errorf("epoch gap (log %d after entry %d)", r.Epoch, cur.Epoch)
+	}
+	switch r.Kind {
+	case wal.KindEdges:
+		if r.GraphVersion != cur.GraphVersion+1 {
+			return fmt.Errorf("graph version gap (log %d after entry %d)", r.GraphVersion, cur.GraphVersion)
+		}
+		res, err := s.applyEdges(e, publicChanges(r.Changes), logIt)
+		if err != nil {
+			return err
+		}
+		if len(res.applied) != len(r.Changes) {
+			// A change that is a no-op here took effect where it was
+			// logged: the graphs differ.
+			return fmt.Errorf("logged %d changes, %d took effect", len(r.Changes), len(res.applied))
+		}
+	case wal.KindEvents:
+		if err := s.applyEvents(e, r.Add, r.Remove, logIt); err != nil {
+			return err
+		}
+	default:
+		return fmt.Errorf("%v record is not a mutation", r.Kind)
+	}
+	if got := e.Epoch(); got != r.Epoch {
+		return fmt.Errorf("logged epoch %d, entry landed on %d", r.Epoch, got)
+	}
+	return nil
+}
+
+// dropGraph deregisters a graph with everything attached to it — the
+// teardown DELETE and a replicated drop share. The drop record is
+// logged before anything is removed: a crash right after the registry
+// removal must not let this generation's WAL records replay into a
+// future graph registered under the same name. A spurious drop record
+// (the Get/Remove race losing to another drop) is harmless — replay
+// only skips records. It reports whether the graph was registered.
+func (s *Server) dropGraph(name string) (bool, error) {
+	if cur, ok := s.registry.Get(name); ok {
+		if err := s.walAppend(&wal.Record{Kind: wal.KindDrop, Graph: name, Epoch: cur.Epoch()}); err != nil {
+			return false, fmt.Errorf("%w: wal append: %v", errDurability, err)
+		}
+	}
+	e, ok := s.registry.Remove(name)
+	if !ok {
+		return false, nil
+	}
+	s.cache.EvictGraph(e)
+	s.monitors.DropGraph(name)
+	s.removeSnapshot(name)
+	return true, nil
+}
+
 // durableAck makes a non-logged structural change (graph registration,
 // monitor create/delete) durable before the response acknowledges it.
 // With the WAL open these rare operations checkpoint synchronously —
@@ -149,14 +212,13 @@ func (s *Server) durableAck(name string) error {
 }
 
 // replayWAL applies the recovered log tail on top of the snapshot
-// state, through the same applyEdges/applyEvents path the live server
-// uses (index migration and monitor notification included). Records a
-// snapshot already covers (epoch ≤ the restored entry's) are skipped;
-// a gap or application failure halts replay for that graph only —
-// its state stays at the last consistent epoch, other graphs recover
-// fully. Records older than a graph's last KindDrop belong to a
-// previous generation of the name and are never replayed into its
-// successor.
+// state through applyRecord, the applier replication uses too (index
+// migration and monitor notification included). Records a snapshot
+// already covers (epoch ≤ the restored entry's) are skipped; a gap or
+// application failure halts replay for that graph only — its state
+// stays at the last consistent epoch, other graphs recover fully.
+// Records older than a graph's last KindDrop belong to a previous
+// generation of the name and are never replayed into its successor.
 func (s *Server) replayWAL(records []wal.Record) {
 	lastDrop := make(map[string]int)
 	for i := range records {
@@ -184,30 +246,10 @@ func (s *Server) replayWAL(records []wal.Record) {
 			// saw a 201 and there is nothing to recover.
 			continue
 		}
-		cur := e.Snapshot()
-		if r.Epoch <= cur.Epoch {
+		if r.Epoch <= e.Epoch() {
 			continue // the snapshot already contains this mutation
 		}
-		if r.Epoch != cur.Epoch+1 {
-			s.logf("wal: %s: epoch gap (log %d after entry %d); halting replay for this graph", r.Graph, r.Epoch, cur.Epoch)
-			halted[r.Graph] = true
-			continue
-		}
-		var err error
-		switch r.Kind {
-		case wal.KindEdges:
-			if r.GraphVersion != cur.GraphVersion+1 {
-				err = fmt.Errorf("graph version gap (log %d after entry %d)", r.GraphVersion, cur.GraphVersion)
-				break
-			}
-			var res edgeMutation
-			if res, err = s.applyEdges(e, publicChanges(r.Changes), false); err == nil && len(res.applied) != len(r.Changes) {
-				err = fmt.Errorf("logged %d changes, %d took effect", len(r.Changes), len(res.applied))
-			}
-		case wal.KindEvents:
-			err = s.applyEvents(e, r.Add, r.Remove, false)
-		}
-		if err != nil {
+		if err := s.applyRecord(e, r, false); err != nil {
 			s.logf("wal: %s: replaying epoch %d: %v; halting replay for this graph", r.Graph, r.Epoch, err)
 			halted[r.Graph] = true
 			continue

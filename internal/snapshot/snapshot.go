@@ -69,9 +69,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"path/filepath"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"tesc/internal/events"
@@ -386,11 +384,6 @@ func encodeEvents(s *events.Store) []byte {
 	return buf
 }
 
-func appendString(buf []byte, s string) []byte {
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
-	return append(buf, s...)
-}
-
 // encodeMonitors serializes fixed-pair monitors (watchlist == false,
 // MNTR layout) or watchlists (watchlist == true, WTCH layout — the
 // pair strings are replaced by top-k/min-occurrences and each sample
@@ -400,10 +393,10 @@ func encodeMonitors(monitors []monitor.State, watchlist bool) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(monitors)))
 	for _, st := range monitors {
 		def := st.Def
-		buf = appendString(buf, def.ID)
+		buf = wal.AppendString(buf, def.ID)
 		if !watchlist {
-			buf = appendString(buf, def.A)
-			buf = appendString(buf, def.B)
+			buf = wal.AppendString(buf, def.A)
+			buf = wal.AppendString(buf, def.B)
 		}
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(def.H))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(def.SampleSize))
@@ -429,15 +422,15 @@ func encodeMonitors(monitors []monitor.State, watchlist bool) []byte {
 				flags |= 1
 			}
 			buf = append(buf, flags)
-			buf = appendString(buf, smp.Skipped)
+			buf = wal.AppendString(buf, smp.Skipped)
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(smp.Reused))
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(smp.Recomputed))
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(smp.ElapsedMS))
 			if watchlist {
 				buf = binary.LittleEndian.AppendUint32(buf, uint32(len(smp.Top)))
 				for _, tp := range smp.Top {
-					buf = appendString(buf, tp.A)
-					buf = appendString(buf, tp.B)
+					buf = wal.AppendString(buf, tp.A)
+					buf = wal.AppendString(buf, tp.B)
 					for _, f := range [3]float64{tp.Tau, tp.Z, tp.P} {
 						buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
 					}
@@ -652,34 +645,25 @@ func decodeMeta(b []byte, snap *Snapshot) error {
 }
 
 func decodeGraph(b []byte) (*graph.Graph, error) {
-	c := cursor{b: b, what: "GRPH"}
-	flags, err := c.u8()
-	if err != nil {
-		return nil, err
-	}
-	if flags&^byte(1) != 0 {
-		return nil, fmt.Errorf("snapshot: GRPH unknown flag bits %#02x", flags)
-	}
-	n64, err := c.u64()
-	if err != nil {
-		return nil, err
-	}
-	arcs, err := c.u64()
-	if err != nil {
-		return nil, err
-	}
-	if n64 > uint64(graph.MaxNodes) {
-		return nil, fmt.Errorf("snapshot: GRPH node count %d exceeds max %d", n64, graph.MaxNodes)
-	}
-	n := int(n64)
+	c := wal.NewReader(b, "snapshot: GRPH")
+	flags, n64, arcs := c.U8(), c.U64(), c.U64()
+	switch {
+	case flags&^byte(1) != 0:
+		c.Failf("snapshot: GRPH unknown flag bits %#02x", flags)
+	case n64 > uint64(graph.MaxNodes):
+		c.Failf("snapshot: GRPH node count %d exceeds max %d", n64, graph.MaxNodes)
 	// Exact size equation before any O(n) allocation: the payload must
 	// hold precisely the declared degrees and arcs.
-	if arcs > math.MaxInt64/4 || uint64(c.remaining()) != 4*n64+4*arcs {
-		return nil, fmt.Errorf("snapshot: GRPH payload %d bytes does not match n=%d, arcs=%d", len(b), n64, arcs)
+	case arcs > math.MaxInt64/4 || uint64(c.Remaining()) != 4*n64+4*arcs:
+		c.Failf("snapshot: GRPH payload %d bytes does not match n=%d, arcs=%d", len(b), n64, arcs)
 	}
-	// Bulk-decode both arrays (size-checked above) — per-value cursor
+	if err := c.Err(); err != nil {
+		return nil, err
+	}
+	n := int(n64)
+	// Bulk-decode both arrays (size-checked above) — per-value reader
 	// calls are measurable on the warm-start path at Twitter scale.
-	degBytes, _ := c.bytes(4 * n)
+	degBytes := c.Bytes(4 * n)
 	offsets := make([]int64, n+1)
 	for v := 0; v < n; v++ {
 		offsets[v+1] = offsets[v] + int64(binary.LittleEndian.Uint32(degBytes[4*v:]))
@@ -687,7 +671,7 @@ func decodeGraph(b []byte) (*graph.Graph, error) {
 	if offsets[n] != int64(arcs) {
 		return nil, fmt.Errorf("snapshot: GRPH degrees sum to %d, declared %d arcs", offsets[n], arcs)
 	}
-	adjBytes, _ := c.bytes(4 * int(arcs))
+	adjBytes := c.Bytes(4 * int(arcs))
 	adj := make([]graph.NodeID, arcs)
 	for i := range adj {
 		adj[i] = graph.NodeID(binary.LittleEndian.Uint32(adjBytes[4*i:]))
@@ -700,73 +684,41 @@ func decodeGraph(b []byte) (*graph.Graph, error) {
 }
 
 func decodeEvents(b []byte, universe int) (*events.Store, error) {
-	c := cursor{b: b, what: "EVTS"}
-	epoch, err := c.u64()
-	if err != nil {
+	c := wal.NewReader(b, "snapshot: EVTS")
+	// Every event record is at least 8 bytes.
+	epoch, u64v, numEvents := c.U64(), c.U64(), c.Count(8)
+	switch {
+	case epoch < 1:
+		c.Failf("snapshot: EVTS epoch %d must be >= 1", epoch)
+	case u64v != uint64(universe):
+		c.Failf("snapshot: EVTS universe %d != graph nodes %d", u64v, universe)
+	}
+	if err := c.Err(); err != nil {
 		return nil, err
-	}
-	if epoch < 1 {
-		return nil, fmt.Errorf("snapshot: EVTS epoch %d must be >= 1", epoch)
-	}
-	u64v, err := c.u64()
-	if err != nil {
-		return nil, err
-	}
-	if u64v != uint64(universe) {
-		return nil, fmt.Errorf("snapshot: EVTS universe %d != graph nodes %d", u64v, universe)
-	}
-	numEvents, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	// Every event record is at least 8 bytes; a lying count fails here
-	// instead of sizing any allocation.
-	if uint64(numEvents)*8 > uint64(c.remaining()) {
-		return nil, fmt.Errorf("snapshot: EVTS declares %d events in %d remaining bytes", numEvents, c.remaining())
 	}
 	builder := events.NewBuilder(universe)
 	prevName := ""
 	for e := uint32(0); e < numEvents; e++ {
-		nameLen, err := c.u16()
-		if err != nil {
-			return nil, err
-		}
-		nameBytes, err := c.bytes(int(nameLen))
-		if err != nil {
-			return nil, err
-		}
-		name := string(nameBytes)
-		if name == "" {
-			return nil, fmt.Errorf("snapshot: EVTS event %d has empty name", e)
-		}
-		if e > 0 && name <= prevName {
-			return nil, fmt.Errorf("snapshot: EVTS event names not strictly ascending (%q after %q)", name, prevName)
+		name, flags, count := c.Str(), c.U8(), c.U32()
+		switch {
+		case name == "":
+			c.Failf("snapshot: EVTS event %d has empty name", e)
+		case e > 0 && name <= prevName:
+			c.Failf("snapshot: EVTS event names not strictly ascending (%q after %q)", name, prevName)
+		case flags&^byte(1) != 0:
+			c.Failf("snapshot: EVTS event %q unknown flag bits %#02x", name, flags)
+		case count == 0:
+			c.Failf("snapshot: EVTS event %q has no occurrences", name)
 		}
 		prevName = name
-		flags, err := c.u8()
-		if err != nil {
-			return nil, err
-		}
-		if flags&^byte(1) != 0 {
-			return nil, fmt.Errorf("snapshot: EVTS event %q unknown flag bits %#02x", name, flags)
-		}
 		weighted := flags&1 != 0
-		count, err := c.u32()
-		if err != nil {
-			return nil, err
-		}
-		if count == 0 {
-			return nil, fmt.Errorf("snapshot: EVTS event %q has no occurrences", name)
-		}
-		nodeBytes, err := c.bytes(4 * int(count))
-		if err != nil {
-			return nil, err
-		}
+		nodeBytes := c.Bytes(4 * int(count))
 		var intensityBytes []byte
 		if weighted {
-			if intensityBytes, err = c.bytes(8 * int(count)); err != nil {
-				return nil, err
-			}
+			intensityBytes = c.Bytes(8 * int(count))
+		}
+		if err := c.Err(); err != nil {
+			return nil, err
 		}
 		prev := int64(-1)
 		for k := 0; k < int(count); k++ {
@@ -788,8 +740,8 @@ func decodeEvents(b []byte, universe int) (*events.Store, error) {
 			builder.AddWeighted(name, graph.NodeID(v), w)
 		}
 	}
-	if c.remaining() != 0 {
-		return nil, fmt.Errorf("snapshot: EVTS has %d trailing bytes", c.remaining())
+	if c.Remaining() != 0 {
+		return nil, fmt.Errorf("snapshot: EVTS has %d trailing bytes", c.Remaining())
 	}
 	store, err := builder.BuildAt(epoch)
 	if err != nil {
@@ -799,28 +751,23 @@ func decodeEvents(b []byte, universe int) (*events.Store, error) {
 }
 
 func decodeIndex(b []byte, g *graph.Graph) (*vicinity.Index, error) {
-	c := cursor{b: b, what: "VIDX"}
-	levels, err := c.u32()
-	if err != nil {
+	c := wal.NewReader(b, "snapshot: VIDX")
+	levels, n64 := c.U32(), c.U64()
+	switch {
+	case levels < 1 || levels > MaxVicinityLevels:
+		c.Failf("snapshot: VIDX max level %d outside [1,%d]", levels, MaxVicinityLevels)
+	case n64 != uint64(g.NumNodes()):
+		c.Failf("snapshot: VIDX node count %d != graph nodes %d", n64, g.NumNodes())
+	case uint64(c.Remaining()) != 4*uint64(levels)*n64:
+		c.Failf("snapshot: VIDX payload %d bytes does not match %d levels × %d nodes", len(b), levels, n64)
+	}
+	if err := c.Err(); err != nil {
 		return nil, err
-	}
-	if levels < 1 || levels > MaxVicinityLevels {
-		return nil, fmt.Errorf("snapshot: VIDX max level %d outside [1,%d]", levels, MaxVicinityLevels)
-	}
-	n64, err := c.u64()
-	if err != nil {
-		return nil, err
-	}
-	if n64 != uint64(g.NumNodes()) {
-		return nil, fmt.Errorf("snapshot: VIDX node count %d != graph nodes %d", n64, g.NumNodes())
-	}
-	if uint64(c.remaining()) != 4*uint64(levels)*n64 {
-		return nil, fmt.Errorf("snapshot: VIDX payload %d bytes does not match %d levels × %d nodes", len(b), levels, n64)
 	}
 	n := int(n64)
 	sizes := make([][]int32, levels)
 	for h := range sizes {
-		colBytes, _ := c.bytes(4 * n)
+		colBytes := c.Bytes(4 * n)
 		col := make([]int32, n)
 		for v := 0; v < n; v++ {
 			raw := binary.LittleEndian.Uint32(colBytes[4*v:])
@@ -845,360 +792,129 @@ func decodeMonitors(b []byte, watchlist bool) ([]monitor.State, error) {
 	if watchlist {
 		what = "WTCH"
 	}
-	c := cursor{b: b, what: what}
-	count, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	if count > MaxMonitors {
-		return nil, fmt.Errorf("snapshot: %s declares %d monitors, limit %d", what, count, MaxMonitors)
-	}
+	c := wal.NewReader(b, "snapshot: "+what)
 	// Every monitor record is at least 44 bytes of fixed fields (WTCH
-	// records are larger still); a lying count fails before sizing
-	// anything.
-	if uint64(count)*44 > uint64(c.remaining()) {
-		return nil, fmt.Errorf("snapshot: %s declares %d monitors in %d remaining bytes", what, count, c.remaining())
+	// records are larger still).
+	count := c.Count(44)
+	if count > MaxMonitors {
+		c.Failf("snapshot: %s declares %d monitors, limit %d", what, count, MaxMonitors)
 	}
-	readString := func(field string) (string, error) {
-		n, err := c.u16()
-		if err != nil {
-			return "", err
-		}
-		sb, err := c.bytes(int(n))
-		if err != nil {
-			return "", fmt.Errorf("snapshot: %s %s: %w", what, field, err)
-		}
-		return string(sb), nil
+	if err := c.Err(); err != nil {
+		return nil, err
 	}
 	out := make([]monitor.State, 0, count)
 	seen := make(map[string]bool, count)
 	for i := uint32(0); i < count; i++ {
 		var def monitor.Definition
-		if def.ID, err = readString("id"); err != nil {
-			return nil, err
-		}
+		def.ID = c.Str()
 		if !watchlist {
-			if def.A, err = readString("event a"); err != nil {
-				return nil, err
-			}
-			if def.B, err = readString("event b"); err != nil {
-				return nil, err
-			}
+			def.A, def.B = c.Str(), c.Str()
 		}
-		h, err := c.u32()
-		if err != nil {
-			return nil, err
-		}
-		sample, err := c.u32()
-		if err != nil {
-			return nil, err
-		}
-		alphaBits, err := c.u64()
-		if err != nil {
-			return nil, err
-		}
-		alt, err := c.u8()
-		if err != nil {
-			return nil, err
-		}
-		mode, err := c.u8()
-		if err != nil {
-			return nil, err
-		}
-		seed, err := c.u64()
-		if err != nil {
-			return nil, err
-		}
-		debounce, err := c.u64()
-		if err != nil {
-			return nil, err
-		}
-		histCap, err := c.u32()
-		if err != nil {
-			return nil, err
-		}
+		h, sample, alpha, alt, mode := c.U32(), c.U32(), c.F64(), c.U8(), c.U8()
+		seed, debounce, histCap := c.U64(), c.U64(), c.U32()
 		if watchlist {
-			topk, err := c.u32()
-			if err != nil {
-				return nil, err
-			}
-			minOcc, err := c.u32()
-			if err != nil {
-				return nil, err
-			}
-			def.TopK = int(topk)
-			def.MinOccurrences = int(minOcc)
+			def.TopK, def.MinOccurrences = int(c.U32()), int(c.U32())
 		}
-		histLen, err := c.u32()
-		if err != nil {
+		// Each history record is at least 77 bytes.
+		histLen := c.Count(77)
+		switch {
+		case def.ID == "":
+			c.Failf("snapshot: %s monitor %d has no ID", what, i)
+		case seen[def.ID]:
+			c.Failf("snapshot: %s duplicate monitor ID %q", what, def.ID)
+		case h > MaxVicinityLevels:
+			c.Failf("snapshot: %s monitor %q level %d exceeds limit %d", what, def.ID, h, MaxVicinityLevels)
+		case math.IsNaN(alpha) || math.IsInf(alpha, 0):
+			c.Failf("snapshot: %s monitor %q has non-finite alpha", what, def.ID)
+		case alt > uint8(stats.Less):
+			c.Failf("snapshot: %s monitor %q unknown alternative %d", what, def.ID, alt)
+		case mode > uint8(monitor.Manual):
+			c.Failf("snapshot: %s monitor %q unknown mode %d", what, def.ID, mode)
+		case debounce > math.MaxInt64:
+			c.Failf("snapshot: %s monitor %q debounce %d overflows", what, def.ID, debounce)
+		case histLen > histCap:
+			c.Failf("snapshot: %s monitor %q history %d exceeds its capacity %d", what, def.ID, histLen, histCap)
+		case watchlist && def.TopK == 0:
+			c.Failf("snapshot: %s monitor %q declares top-k 0", what, def.ID)
+		}
+		if err := c.Err(); err != nil {
 			return nil, err
 		}
+		seen[def.ID] = true
 		def.H = int(h)
 		def.SampleSize = int(sample)
-		def.Alpha = math.Float64frombits(alphaBits)
+		def.Alpha = alpha
 		def.Alternative = stats.Alternative(alt)
 		def.Seed = seed
 		def.Mode = monitor.Mode(mode)
-		def.HistoryCap = int(histCap)
-		switch {
-		case def.ID == "":
-			return nil, fmt.Errorf("snapshot: %s monitor %d has no ID", what, i)
-		case seen[def.ID]:
-			return nil, fmt.Errorf("snapshot: %s duplicate monitor ID %q", what, def.ID)
-		case h > MaxVicinityLevels:
-			return nil, fmt.Errorf("snapshot: %s monitor %q level %d exceeds limit %d", what, def.ID, h, MaxVicinityLevels)
-		case math.IsNaN(def.Alpha) || math.IsInf(def.Alpha, 0):
-			return nil, fmt.Errorf("snapshot: %s monitor %q has non-finite alpha", what, def.ID)
-		case alt > uint8(stats.Less):
-			return nil, fmt.Errorf("snapshot: %s monitor %q unknown alternative %d", what, def.ID, alt)
-		case mode > uint8(monitor.Manual):
-			return nil, fmt.Errorf("snapshot: %s monitor %q unknown mode %d", what, def.ID, mode)
-		case debounce > math.MaxInt64:
-			return nil, fmt.Errorf("snapshot: %s monitor %q debounce %d overflows", what, def.ID, debounce)
-		case histLen > histCap:
-			return nil, fmt.Errorf("snapshot: %s monitor %q history %d exceeds its capacity %d", what, def.ID, histLen, histCap)
-		case watchlist && def.TopK == 0:
-			return nil, fmt.Errorf("snapshot: %s monitor %q declares top-k 0", what, def.ID)
-		}
-		seen[def.ID] = true
 		def.Debounce = time.Duration(debounce)
+		def.HistoryCap = int(histCap)
 		if err := def.Normalize(); err != nil {
 			return nil, fmt.Errorf("snapshot: %s monitor %q: %w", what, def.ID, err)
-		}
-		// Each history record is at least 77 bytes; check before sizing.
-		if uint64(histLen)*77 > uint64(c.remaining()) {
-			return nil, fmt.Errorf("snapshot: %s monitor %q declares %d samples in %d remaining bytes", what, def.ID, histLen, c.remaining())
 		}
 		st := monitor.State{Def: def}
 		prevEpoch := uint64(0)
 		for k := uint32(0); k < histLen; k++ {
 			var smp monitor.Sample
-			epoch, err := c.u64()
-			if err != nil {
-				return nil, err
-			}
-			atNanos, err := c.u64()
-			if err != nil {
-				return nil, err
-			}
-			batches, err := c.u32()
-			if err != nil {
-				return nil, err
-			}
-			var stat [4]float64
-			for j := range stat {
-				bits, err := c.u64()
-				if err != nil {
-					return nil, err
-				}
-				stat[j] = math.Float64frombits(bits)
-			}
-			flags, err := c.u8()
-			if err != nil {
-				return nil, err
-			}
-			if flags&^byte(1) != 0 {
-				return nil, fmt.Errorf("snapshot: %s monitor %q sample %d unknown flag bits %#02x", what, def.ID, k, flags)
-			}
-			skipped, err := readString("skipped reason")
-			if err != nil {
-				return nil, err
-			}
-			reused, err := c.u64()
-			if err != nil {
-				return nil, err
-			}
-			recomputed, err := c.u64()
-			if err != nil {
-				return nil, err
-			}
-			elapsedBits, err := c.u64()
-			if err != nil {
-				return nil, err
-			}
+			epoch, atNanos, batches := c.U64(), c.U64(), c.U32()
+			smp.Tau, smp.Z, smp.P, smp.AdjP = c.F64(), c.F64(), c.F64(), c.F64()
+			flags, skipped := c.U8(), c.Str()
+			reused, recomputed, elapsed := c.U64(), c.U64(), c.F64()
 			if watchlist {
-				topLen, err := c.u32()
-				if err != nil {
-					return nil, err
-				}
+				// Each ranked entry is at least 29 bytes.
+				topLen := c.Count(29)
 				if int(topLen) > def.TopK {
-					return nil, fmt.Errorf("snapshot: %s monitor %q sample %d ranks %d pairs, top-k is %d", what, def.ID, k, topLen, def.TopK)
+					c.Failf("snapshot: %s monitor %q sample %d ranks %d pairs, top-k is %d", what, def.ID, k, topLen, def.TopK)
 				}
-				// Each ranked entry is at least 29 bytes; check before
-				// sizing.
-				if uint64(topLen)*29 > uint64(c.remaining()) {
-					return nil, fmt.Errorf("snapshot: %s monitor %q sample %d declares %d ranked pairs in %d remaining bytes", what, def.ID, k, topLen, c.remaining())
-				}
-				if topLen > 0 {
-					smp.Top = make([]monitor.TopPair, 0, topLen)
-				}
-				for j := uint32(0); j < topLen; j++ {
-					var tp monitor.TopPair
-					if tp.A, err = readString("ranked event a"); err != nil {
-						return nil, err
-					}
-					if tp.B, err = readString("ranked event b"); err != nil {
-						return nil, err
-					}
-					var f [3]float64
-					for x := range f {
-						bits, err := c.u64()
-						if err != nil {
-							return nil, err
-						}
-						f[x] = math.Float64frombits(bits)
-					}
-					tp.Tau, tp.Z, tp.P = f[0], f[1], f[2]
-					tflags, err := c.u8()
-					if err != nil {
-						return nil, err
-					}
+				for j := uint32(0); j < topLen && c.Err() == nil; j++ {
+					tp := monitor.TopPair{A: c.Str(), B: c.Str()}
+					tp.Tau, tp.Z, tp.P = c.F64(), c.F64(), c.F64()
+					tflags := c.U8()
 					if tflags&^byte(1) != 0 {
-						return nil, fmt.Errorf("snapshot: %s monitor %q sample %d rank %d unknown flag bits %#02x", what, def.ID, k, j, tflags)
+						c.Failf("snapshot: %s monitor %q sample %d rank %d unknown flag bits %#02x", what, def.ID, k, j, tflags)
 					}
 					tp.Significant = tflags&1 != 0
 					smp.Top = append(smp.Top, tp)
 				}
 			}
-			if epoch < prevEpoch {
-				return nil, fmt.Errorf("snapshot: %s monitor %q history epochs not non-decreasing (%d after %d)", what, def.ID, epoch, prevEpoch)
+			switch {
+			case flags&^byte(1) != 0:
+				c.Failf("snapshot: %s monitor %q sample %d unknown flag bits %#02x", what, def.ID, k, flags)
+			case epoch < prevEpoch:
+				c.Failf("snapshot: %s monitor %q history epochs not non-decreasing (%d after %d)", what, def.ID, epoch, prevEpoch)
+			case reused > math.MaxInt64 || recomputed > math.MaxInt64:
+				c.Failf("snapshot: %s monitor %q sample %d reuse counters overflow", what, def.ID, k)
+			}
+			if err := c.Err(); err != nil {
+				return nil, err
 			}
 			prevEpoch = epoch
-			if reused > math.MaxInt64 || recomputed > math.MaxInt64 {
-				return nil, fmt.Errorf("snapshot: %s monitor %q sample %d reuse counters overflow", what, def.ID, k)
-			}
 			smp.Epoch = epoch
 			smp.At = time.Unix(0, int64(atNanos))
 			smp.Batches = int(batches)
-			smp.Tau, smp.Z, smp.P, smp.AdjP = stat[0], stat[1], stat[2], stat[3]
 			smp.Significant = flags&1 != 0
 			smp.Skipped = skipped
 			smp.Reused = int64(reused)
 			smp.Recomputed = int64(recomputed)
-			smp.ElapsedMS = math.Float64frombits(elapsedBits)
+			smp.ElapsedMS = elapsed
 			st.History = append(st.History, smp)
 		}
 		out = append(out, st)
 	}
-	if c.remaining() != 0 {
-		return nil, fmt.Errorf("snapshot: %s has %d trailing bytes", what, c.remaining())
+	if c.Remaining() != 0 {
+		return nil, fmt.Errorf("snapshot: %s has %d trailing bytes", what, c.Remaining())
 	}
 	return out, nil
-}
-
-// cursor is a bounds-checked reader over a section payload.
-type cursor struct {
-	b    []byte
-	off  int
-	what string
-}
-
-func (c *cursor) remaining() int { return len(c.b) - c.off }
-
-func (c *cursor) bytes(n int) ([]byte, error) {
-	if n < 0 || c.remaining() < n {
-		return nil, fmt.Errorf("snapshot: %s truncated: need %d bytes at offset %d, have %d", c.what, n, c.off, c.remaining())
-	}
-	out := c.b[c.off : c.off+n]
-	c.off += n
-	return out, nil
-}
-
-func (c *cursor) u8() (byte, error) {
-	b, err := c.bytes(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (c *cursor) u16() (uint16, error) {
-	b, err := c.bytes(2)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b), nil
-}
-
-func (c *cursor) u32() (uint32, error) {
-	b, err := c.bytes(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (c *cursor) u64() (uint64, error) {
-	b, err := c.bytes(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
 }
 
 // ---- files ----------------------------------------------------------
 
-// tmpSeq numbers temp files within the process. Uniqueness per
-// directory is all the rename dance needs, and deterministic names
-// keep the fault-injection crash sweeps reproducible (no randomness
-// in the operation schedule).
-var tmpSeq atomic.Uint64
-
-// SaveFileFS writes the snapshot to path atomically through fsys: the
-// bytes go to a temp file in the same directory, are fsynced, the
-// temp is renamed over path, and finally the DIRECTORY is fsynced. A
-// crash mid-write leaves at worst a torn temp file — which boot-time
-// scans ignore by extension — never a torn snapshot.
-//
-// The directory fsync is load-bearing, not ceremony: on POSIX a
-// rename is not durable until the containing directory is synced, so
-// without it a crash shortly after SaveFileFS returned could roll the
-// file back to the previous version — fatal once WAL compaction has
-// deleted the log records that produced the newer one. The
-// fault-injection harness (wal.FaultFS) models exactly that rollback
-// and TestSaveFileCrashSweep fails without this line.
+// SaveFileFS writes the snapshot to path atomically through fsys
+// (wal.WriteFileAtomic): a crash mid-write leaves at worst a torn temp
+// file — which boot-time scans ignore by extension — never a torn
+// snapshot. It returns the file's size.
 func SaveFileFS(fsys wal.FS, path string, s *Snapshot) (int64, error) {
-	dir := filepath.Dir(path)
-	tmpPath := fmt.Sprintf("%s.tmp-%d", path, tmpSeq.Add(1))
-	tmp, err := fsys.Create(tmpPath)
-	if err != nil {
-		return 0, err
-	}
-	cleanup := func() {
-		tmp.Close()
-		_ = fsys.Remove(tmpPath)
-	}
-	cw := &countingWriter{w: tmp}
-	if err := Save(cw, s); err != nil {
-		cleanup()
-		return 0, err
-	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return 0, err
-	}
-	if err := tmp.Close(); err != nil {
-		_ = fsys.Remove(tmpPath)
-		return 0, err
-	}
-	if err := fsys.Rename(tmpPath, path); err != nil {
-		_ = fsys.Remove(tmpPath)
-		return 0, err
-	}
-	return cw.n, fsys.SyncDir(dir)
-}
-
-// countingWriter tallies the snapshot's on-disk size as it streams
-// out, sparing the caller a stat through the FS abstraction.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
+	return wal.WriteFileAtomic(fsys, path, func(w io.Writer) error { return Save(w, s) })
 }
 
 // SaveFile is SaveFileFS over the real filesystem.

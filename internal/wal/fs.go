@@ -16,10 +16,12 @@
 package wal
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"sync/atomic"
 )
 
 // File is a writable log or snapshot file. Sync must not return until
@@ -117,3 +119,67 @@ func (OSFS) SyncDir(dir string) error {
 }
 
 func (OSFS) IsNotExist(err error) bool { return os.IsNotExist(err) }
+
+// tmpSeq numbers temp files within the process. Uniqueness per
+// directory is all the rename dance needs, and deterministic names
+// keep the fault-injection crash sweeps reproducible (no randomness
+// in the operation schedule).
+var tmpSeq atomic.Uint64
+
+// WriteFileAtomic replaces path through fsys so that a crash at any
+// point leaves either the previous file or the new one there, never a
+// torn one: write streams the content into a temp file in the same
+// directory, the temp is fsynced and renamed over path, and finally
+// the DIRECTORY is fsynced. It returns the bytes written. The temp
+// file's ".tmp-N" suffix keeps boot-time scans, which match on
+// extension, from ever opening a torn one.
+//
+// The directory fsync is load-bearing, not ceremony: on POSIX a rename
+// is not durable until the containing directory is synced, so without
+// it a crash shortly after WriteFileAtomic returned could roll the
+// file back to the previous version — fatal once WAL compaction has
+// deleted the log records that produced the newer one. FaultFS models
+// exactly that rollback, and snapshot's TestSaveFileCrashSweep fails
+// without this step.
+func WriteFileAtomic(fsys FS, path string, write func(io.Writer) error) (int64, error) {
+	tmpPath := fmt.Sprintf("%s.tmp-%d", path, tmpSeq.Add(1))
+	tmp, err := fsys.Create(tmpPath)
+	if err != nil {
+		return 0, err
+	}
+	cleanup := func() {
+		tmp.Close()
+		_ = fsys.Remove(tmpPath)
+	}
+	cw := &countingWriter{w: tmp}
+	if err := write(cw); err != nil {
+		cleanup()
+		return 0, err
+	}
+	if err := tmp.Sync(); err != nil {
+		cleanup()
+		return 0, err
+	}
+	if err := tmp.Close(); err != nil {
+		_ = fsys.Remove(tmpPath)
+		return 0, err
+	}
+	if err := fsys.Rename(tmpPath, path); err != nil {
+		_ = fsys.Remove(tmpPath)
+		return 0, err
+	}
+	return cw.n, fsys.SyncDir(filepath.Dir(path))
+}
+
+// countingWriter tallies the bytes streamed through it, sparing the
+// caller a stat through the FS abstraction.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
+}

@@ -97,7 +97,7 @@ func encodeRecord(r *Record) ([]byte, error) {
 	}
 	buf := make([]byte, 0, 64)
 	buf = append(buf, byte(r.Kind))
-	buf = appendString(buf, r.Graph)
+	buf = AppendString(buf, r.Graph)
 	buf = binary.LittleEndian.AppendUint64(buf, r.Epoch)
 	switch r.Kind {
 	case KindEdges:
@@ -133,7 +133,9 @@ func encodeRecord(r *Record) ([]byte, error) {
 	return buf, nil
 }
 
-func appendString(buf []byte, s string) []byte {
+// AppendString appends s in the durable formats' string encoding: a
+// u16 length, then the bytes. Callers check the length fits first.
+func AppendString(buf []byte, s string) []byte {
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
 	return append(buf, s...)
 }
@@ -156,7 +158,7 @@ func appendEventMap(buf []byte, m map[string][]int, what string) ([]byte, error)
 		if len(nodes) > math.MaxUint32 {
 			return nil, fmt.Errorf("wal: event %q: %d nodes exceed the format's count field", name, len(nodes))
 		}
-		buf = appendString(buf, name)
+		buf = AppendString(buf, name)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(nodes)))
 		for _, v := range nodes {
 			if v < 0 || v > math.MaxUint32 {
@@ -173,156 +175,159 @@ func appendEventMap(buf []byte, m map[string][]int, what string) ([]byte, error)
 // allocation is sized by it, so a hostile payload fails cleanly
 // instead of panicking or ballooning memory.
 func decodeRecord(b []byte) (Record, error) {
-	c := rcursor{b: b}
-	kind, err := c.u8()
-	if err != nil {
-		return Record{}, err
-	}
-	rec := Record{Kind: Kind(kind)}
-	if rec.Graph, err = c.str(); err != nil {
-		return Record{}, err
-	}
+	c := NewReader(b, "wal: record")
+	rec := Record{Kind: Kind(c.U8()), Graph: c.Str(), Epoch: c.U64()}
 	if rec.Graph == "" {
-		return Record{}, fmt.Errorf("wal: record without a graph name")
-	}
-	if rec.Epoch, err = c.u64(); err != nil {
-		return Record{}, err
+		c.Failf("wal: record without a graph name")
 	}
 	switch rec.Kind {
 	case KindEdges:
-		if rec.GraphVersion, err = c.u64(); err != nil {
-			return Record{}, err
-		}
-		count, err := c.u32()
-		if err != nil {
-			return Record{}, err
-		}
-		// 9 bytes per change; a lying count fails before the make.
-		if uint64(count)*9 > uint64(c.remaining()) {
-			return Record{}, fmt.Errorf("wal: edges record declares %d changes in %d remaining bytes", count, c.remaining())
-		}
-		rec.Changes = make([]EdgeChange, count)
+		rec.GraphVersion = c.U64()
+		rec.Changes = make([]EdgeChange, c.Count(9))
 		for i := range rec.Changes {
-			u, _ := c.u32()
-			v, _ := c.u32()
-			flags, err := c.u8()
-			if err != nil {
-				return Record{}, err
-			}
+			u, v, flags := c.U32(), c.U32(), c.U8()
 			if flags&^byte(1) != 0 {
-				return Record{}, fmt.Errorf("wal: edges record unknown flag bits %#02x", flags)
+				c.Failf("wal: edges record unknown flag bits %#02x", flags)
 			}
 			rec.Changes[i] = EdgeChange{U: int(u), V: int(v), Insert: flags&1 != 0}
 		}
 	case KindEvents:
-		if rec.Add, err = c.eventMap(); err != nil {
-			return Record{}, err
-		}
-		if rec.Remove, err = c.eventMap(); err != nil {
-			return Record{}, err
-		}
+		rec.Add = decodeEventMap(&c)
+		rec.Remove = decodeEventMap(&c)
 	case KindCheckpoint, KindDrop:
 	default:
-		return Record{}, fmt.Errorf("wal: unknown record kind %d", kind)
+		c.Failf("wal: unknown record kind %d", uint8(rec.Kind))
 	}
-	if c.remaining() != 0 {
-		return Record{}, fmt.Errorf("wal: record has %d trailing bytes", c.remaining())
+	if c.Remaining() != 0 {
+		c.Failf("wal: record has %d trailing bytes", c.Remaining())
+	}
+	if err := c.Err(); err != nil {
+		return Record{}, err
 	}
 	return rec, nil
 }
 
-// rcursor is a bounds-checked reader over a record payload.
-type rcursor struct {
-	b   []byte
-	off int
-}
-
-func (c *rcursor) remaining() int { return len(c.b) - c.off }
-
-func (c *rcursor) bytes(n int) ([]byte, error) {
-	if n < 0 || c.remaining() < n {
-		return nil, fmt.Errorf("wal: record truncated: need %d bytes at offset %d, have %d", n, c.off, c.remaining())
-	}
-	out := c.b[c.off : c.off+n]
-	c.off += n
-	return out, nil
-}
-
-func (c *rcursor) u8() (byte, error) {
-	b, err := c.bytes(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (c *rcursor) u32() (uint32, error) {
-	b, err := c.bytes(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (c *rcursor) u64() (uint64, error) {
-	b, err := c.bytes(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
-func (c *rcursor) str() (string, error) {
-	b, err := c.bytes(2)
-	if err != nil {
-		return "", err
-	}
-	sb, err := c.bytes(int(binary.LittleEndian.Uint16(b)))
-	if err != nil {
-		return "", err
-	}
-	return string(sb), nil
-}
-
-func (c *rcursor) eventMap() (map[string][]int, error) {
-	count, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	if count == 0 {
-		return nil, nil
-	}
+// decodeEventMap reads one KindEvents map: a count, then per entry a
+// name (non-empty, strictly ascending) and its node IDs. Failures land
+// in c.
+func decodeEventMap(c *Reader) map[string][]int {
 	// Each entry is at least 6 bytes (empty name, zero nodes).
-	if uint64(count)*6 > uint64(c.remaining()) {
-		return nil, fmt.Errorf("wal: events record declares %d entries in %d remaining bytes", count, c.remaining())
+	count := c.Count(6)
+	if count == 0 {
+		return nil
 	}
 	m := make(map[string][]int, count)
 	prev := ""
-	for i := uint32(0); i < count; i++ {
-		name, err := c.str()
-		if err != nil {
-			return nil, err
-		}
-		if name == "" {
-			return nil, fmt.Errorf("wal: events record entry %d has empty name", i)
-		}
-		if i > 0 && name <= prev {
-			return nil, fmt.Errorf("wal: events record names not strictly ascending (%q after %q)", name, prev)
+	for i := uint32(0); i < count && c.Err() == nil; i++ {
+		name := c.Str()
+		switch {
+		case name == "":
+			c.Failf("wal: events record entry %d has empty name", i)
+		case i > 0 && name <= prev:
+			c.Failf("wal: events record names not strictly ascending (%q after %q)", name, prev)
 		}
 		prev = name
-		n, err := c.u32()
-		if err != nil {
-			return nil, err
-		}
-		if uint64(n)*4 > uint64(c.remaining()) {
-			return nil, fmt.Errorf("wal: event %q declares %d nodes in %d remaining bytes", name, n, c.remaining())
-		}
-		nodes := make([]int, n)
+		nodes := make([]int, c.Count(4))
 		for k := range nodes {
-			v, _ := c.u32()
-			nodes[k] = int(v)
+			nodes[k] = int(c.U32())
 		}
 		m[name] = nodes
 	}
-	return m, nil
+	return m
 }
+
+// Reader is a bounds-checked little-endian reader over one payload of
+// a durable format: a WAL record here, a snapshot section in package
+// snapshot. The first failure sticks: every later read returns a zero
+// value without moving, so a decoder checks Err once per record or
+// section rather than after every field. Zero values never size an
+// allocation past the bytes actually present.
+type Reader struct {
+	b    []byte
+	off  int
+	what string
+	err  error
+}
+
+// NewReader reads b; what prefixes truncation errors ("wal: record",
+// "snapshot: GRPH").
+func NewReader(b []byte, what string) Reader { return Reader{b: b, what: what} }
+
+// Err returns the first failure, or nil.
+func (c *Reader) Err() error { return c.err }
+
+// Failf records a validation failure unless an earlier one is already
+// recorded, so a truncation wins over any check tripped by the zero
+// values it left behind.
+func (c *Reader) Failf(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf(format, args...)
+	}
+}
+
+// Remaining returns the number of unread bytes.
+func (c *Reader) Remaining() int { return len(c.b) - c.off }
+
+// Bytes returns the next n bytes, aliasing the payload, or nil once
+// the reader has failed.
+func (c *Reader) Bytes(n int) []byte {
+	if c.err != nil {
+		return nil
+	}
+	if n < 0 || c.Remaining() < n {
+		c.err = fmt.Errorf("%s truncated: need %d bytes at offset %d, have %d", c.what, n, c.off, c.Remaining())
+		return nil
+	}
+	out := c.b[c.off : c.off+n]
+	c.off += n
+	return out
+}
+
+// Count reads a u32 element count and checks that that many elements
+// of at least minSize bytes each fit in the bytes left, so a lying
+// count fails here, before it can size an allocation. It returns 0 on
+// failure.
+func (c *Reader) Count(minSize int) uint32 {
+	n := c.U32()
+	if uint64(n)*uint64(minSize) > uint64(c.Remaining()) {
+		c.Failf("%s declares %d elements of at least %d bytes in %d remaining bytes", c.what, n, minSize, c.Remaining())
+		return 0
+	}
+	return n
+}
+
+// U8, U16, U32 and U64 read little-endian unsigned integers; each
+// returns 0 once the reader has failed.
+func (c *Reader) U8() byte {
+	if b := c.Bytes(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (c *Reader) U16() uint16 {
+	if b := c.Bytes(2); b != nil {
+		return binary.LittleEndian.Uint16(b)
+	}
+	return 0
+}
+
+func (c *Reader) U32() uint32 {
+	if b := c.Bytes(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+func (c *Reader) U64() uint64 {
+	if b := c.Bytes(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+// Str reads a string written by AppendString.
+func (c *Reader) Str() string { return string(c.Bytes(int(c.U16()))) }
+
+// F64 reads a float64 by its IEEE-754 bits.
+func (c *Reader) F64() float64 { return math.Float64frombits(c.U64()) }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 )
 
 // ErrShortFrame reports a frame cut off mid-bytes — the wire signature
@@ -126,16 +125,16 @@ func (l *Log) EndCursor() ShipCursor {
 type shipSeg struct {
 	seq    uint64
 	path   string
-	limit  int64 // readable bytes (active: complete appends only; frozen: whole file)
+	limit  int64 // readable bytes (active: complete appends only; frozen: -1, the whole file)
 	active bool
 }
 
 // Ship reads whole frames starting at cur, up to roughly maxBytes, all
 // from one segment. It is safe to call concurrently with appends,
 // rotation and compaction: the active tail is capped at the last
-// complete append, a torn tail in a frozen segment skips to the next
-// segment (torn records were never acknowledged, so followers must not
-// see them), and a cursor into a compacted-away segment comes back
+// complete append, a torn tail or corrupt frame in a frozen segment
+// skips to the next segment (followers must not see its bytes), and a
+// cursor into a compacted-away segment comes back
 // TooOld rather than as an error.
 func (l *Log) Ship(cur ShipCursor, maxBytes int) (ShipBatch, error) {
 	if maxBytes <= 0 {
@@ -165,7 +164,7 @@ func (l *Log) Ship(cur ShipCursor, maxBytes int) (ShipBatch, error) {
 		if sg.seq != cur.Seg {
 			continue
 		}
-		data, err := l.readSegment(sg)
+		data, err := readSegment(l.fs, sg.path, sg.limit)
 		if err != nil {
 			if !sg.active {
 				// Compaction removed the file between the snapshot above
@@ -175,31 +174,23 @@ func (l *Log) Ship(cur ShipCursor, maxBytes int) (ShipBatch, error) {
 			}
 			return ShipBatch{}, err
 		}
-		off := cur.Off
-		if off < segHeaderLen {
-			off = segHeaderLen
-		}
-		torn := false
-		for off < int64(len(data)) && len(batch.Frames) < maxBytes {
-			_, n, err := DecodeFrame(data[off:])
-			if err != nil {
-				// Torn or corrupt bytes. In the active segment this can
-				// only be a poisoned tail a failed append left behind
-				// (complete appends end before the limit) — stop here;
-				// the next append rotates it away. In a frozen segment it
-				// is a crash's torn tail: nothing at or after it was ever
-				// acknowledged, so skip to the next segment.
-				torn = true
-				break
-			}
-			batch.Frames = append(batch.Frames, data[off:off+int64(n)]...)
+		end, err := walkFrames(data, int(max(cur.Off, segHeaderLen)), func(_ *Record, frame []byte) bool {
+			batch.Frames = append(batch.Frames, frame...)
 			batch.Records++
-			off += int64(n)
-		}
-		if !sg.active && (torn || off >= int64(len(data))) {
+			return len(batch.Frames) < maxBytes
+		})
+		// Torn or corrupt bytes (err != nil) end the segment. In the
+		// active segment they can only be a poisoned tail a failed append
+		// left behind (complete appends end before the limit) — stop
+		// there; the next append rotates it away. In a frozen segment
+		// skip to the next one: behind a torn last frame nothing was ever
+		// acknowledged, exactly as Open's recovery scan reads it. Past a
+		// corrupt frame, which ends Open's scan, the follower's epoch gate
+		// meets the hole and re-bootstraps behind a snapshot barrier.
+		if !sg.active && (err != nil || end >= len(data)) {
 			batch.Next = ShipCursor{Seg: sg.seq + 1, Off: segHeaderLen}
 		} else {
-			batch.Next = ShipCursor{Seg: sg.seq, Off: off}
+			batch.Next = ShipCursor{Seg: sg.seq, Off: int64(end)}
 		}
 		return batch, nil
 	}
@@ -207,29 +198,4 @@ func (l *Log) Ship(cur ShipCursor, maxBytes int) (ShipBatch, error) {
 	// — compaction won the race between the bounds check and the scan.
 	batch.TooOld = true
 	return batch, nil
-}
-
-// readSegment reads one segment's shippable bytes: the whole file for
-// frozen segments, only complete appends for the active one.
-func (l *Log) readSegment(sg shipSeg) ([]byte, error) {
-	f, err := l.fs.Open(sg.path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	limit := int64(1 << 31)
-	if sg.limit >= 0 {
-		limit = sg.limit
-	}
-	data, err := io.ReadAll(io.LimitReader(f, limit))
-	if err != nil {
-		return nil, err
-	}
-	if len(data) < segHeaderLen {
-		return nil, fmt.Errorf("wal: segment %s: short header (%d bytes)", sg.path, len(data))
-	}
-	if [8]byte(data[:8]) != segMagic {
-		return nil, fmt.Errorf("wal: segment %s: bad magic %q", sg.path, data[:8])
-	}
-	return data, nil
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -88,16 +89,17 @@ type Options struct {
 
 // Recovery reports what Open found on disk.
 type Recovery struct {
-	// Records holds every intact record, in append order across
-	// segments.
+	// Records holds every intact record the scan reached, in append
+	// order across segments.
 	Records []Record
 	// Segments counts the segment files scanned.
 	Segments int
-	// Torn is set when scanning stopped at a corrupt or truncated
-	// record — the expected signature of a crash mid-append. Records
-	// still holds the intact prefix.
+	// Torn is set when a corrupt or truncated record ended a segment
+	// early — a truncated last frame is the expected signature of a
+	// crash mid-append, and Records still holds the later segments'
+	// records; a corrupt frame ends the scan.
 	Torn bool
-	// TornErr describes the defect that stopped the scan.
+	// TornErr describes the first such defect.
 	TornErr error
 }
 
@@ -161,11 +163,14 @@ func segSeq(name string) (uint64, bool) {
 	return seq, true
 }
 
-// Open scans the log directory, decodes every intact record (stopping
-// at the first torn or corrupt one — everything after a tear is
-// untrusted), and opens a fresh active segment for new appends. The
-// torn tail, if any, stays isolated in its now-frozen segment; it is
-// never overwritten and never replayed.
+// Open scans the log directory, decodes every intact record, and opens
+// a fresh active segment for new appends. A torn last frame ends its own
+// segment, not the log — the rule Ship applies too: a crash or a failed
+// append tears only the segment it was writing, and the appends
+// acknowledged after it went to later segments. Any other defect stops
+// the scan: everything after a corrupt frame is untrusted. Damaged bytes
+// stay isolated in their now-frozen segment; they are never overwritten
+// and never replayed.
 func Open(dir string, opts Options) (*Log, *Recovery, error) {
 	fsys := opts.FS
 	if fsys == nil {
@@ -201,22 +206,36 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 	}
 	rec := &Recovery{}
 	var maxSeq uint64
+	corrupt := false
 	for _, seq := range seqs {
 		maxSeq = seq
 		meta := &segmentMeta{seq: seq, path: path.Join(dir, segName(seq)), maxEpoch: make(map[string]uint64)}
 		l.frozen = append(l.frozen, meta)
-		if rec.Torn {
-			// Everything after the tear is untrusted and must never be
-			// compacted away silently; mark it unscanned.
+		if corrupt {
+			// Everything after a corrupt frame is untrusted and must never
+			// be compacted away silently; mark it unscanned.
 			meta.unknown = true
 			continue
 		}
 		rec.Segments++
-		if err := scanSegment(fsys, meta, rec); err != nil {
+		err := scanSegment(fsys, meta, rec)
+		if err == nil {
+			continue
+		}
+		if !rec.Torn {
 			rec.Torn = true
 			rec.TornErr = fmt.Errorf("segment %s: %w", segName(seq), err)
-			meta.unknown = true
 		}
+		// A truncated last frame is what a crash or a failed append
+		// leaves: the bytes it hides were never acknowledged, so every
+		// record before it is counted, the segment compacts once they
+		// are covered, and later segments still replay. Any other defect
+		// may hide acknowledged records, leaving per-graph epoch holes
+		// that later writes refill on a new timeline — replaying past it
+		// could graft this log's older records onto that timeline, so
+		// the scan stops there.
+		meta.unknown = !errors.Is(err, ErrShortFrame)
+		corrupt = meta.unknown
 	}
 
 	// A fresh active segment, made durable before any append can be
@@ -261,55 +280,96 @@ func (l *Log) openActive() error {
 	return nil
 }
 
-// scanSegment decodes one segment into rec, filling meta's coverage
-// map as it goes.
+// scanSegment decodes one segment's intact records into rec, filling
+// meta's coverage map as it goes. A non-nil error is the defect that
+// ended the segment early.
 func scanSegment(fsys FS, meta *segmentMeta, rec *Recovery) error {
-	f, err := fsys.Open(meta.path)
+	data, err := readSegment(fsys, meta.path, -1)
 	if err != nil {
 		return err
-	}
-	data, err := io.ReadAll(io.LimitReader(f, 1<<31))
-	f.Close()
-	if err != nil {
-		return err
-	}
-	if len(data) < segHeaderLen {
-		return fmt.Errorf("wal: short header (%d bytes)", len(data))
-	}
-	if [8]byte(data[:8]) != segMagic {
-		return fmt.Errorf("wal: bad magic %q", data[:8])
-	}
-	if v := binary.LittleEndian.Uint32(data[8:12]); v != FormatVersion {
-		return fmt.Errorf("wal: unsupported format version %d (supported: %d)", v, FormatVersion)
 	}
 	meta.bytes = int64(len(data))
-	off := segHeaderLen
-	for off < len(data) {
-		if len(data)-off < frameLen {
-			return fmt.Errorf("wal: torn frame header at offset %d", off)
-		}
-		plen := binary.LittleEndian.Uint32(data[off:])
-		wantCRC := binary.LittleEndian.Uint32(data[off+4:])
-		if plen == 0 || plen > MaxRecordBytes {
-			return fmt.Errorf("wal: record length %d at offset %d outside (0,%d]", plen, off, MaxRecordBytes)
-		}
-		if uint64(len(data)-off-frameLen) < uint64(plen) {
-			return fmt.Errorf("wal: torn record at offset %d: declared %d bytes, have %d", off, plen, len(data)-off-frameLen)
-		}
-		payload := data[off+frameLen : off+frameLen+int(plen)]
-		if got := crc32.ChecksumIEEE(payload); got != wantCRC {
-			return fmt.Errorf("wal: CRC mismatch at offset %d (file %08x, computed %08x)", off, wantCRC, got)
-		}
-		r, err := decodeRecord(payload)
-		if err != nil {
-			return fmt.Errorf("wal: offset %d: %w", off, err)
-		}
-		rec.Records = append(rec.Records, r)
+	_, err = walkFrames(data, segHeaderLen, func(r *Record, _ []byte) bool {
+		rec.Records = append(rec.Records, *r)
 		meta.records++
-		meta.note(&r)
-		off += frameLen + int(plen)
+		meta.note(r)
+		return true
+	})
+	return err
+}
+
+// readSegment reads a segment file, or its first limit bytes when
+// limit >= 0, and checks its header.
+func readSegment(fsys FS, p string, limit int64) ([]byte, error) {
+	f, err := fsys.Open(p)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	defer f.Close()
+	if limit < 0 {
+		limit = 1 << 31
+	}
+	data, err := io.ReadAll(io.LimitReader(f, limit))
+	if err != nil {
+		return nil, err
+	}
+	if len(data) < segHeaderLen {
+		return nil, fmt.Errorf("wal: short header (%d bytes)", len(data))
+	}
+	if [8]byte(data[:8]) != segMagic {
+		return nil, fmt.Errorf("wal: bad magic %q", data[:8])
+	}
+	if v := binary.LittleEndian.Uint32(data[8:12]); v != FormatVersion {
+		return nil, fmt.Errorf("wal: unsupported format version %d (supported: %d)", v, FormatVersion)
+	}
+	return data, nil
+}
+
+// walkFrames decodes the frames of a segment image from off, handing
+// each intact record and its raw frame bytes to fn until fn returns
+// false. It returns the offset past the last frame handed out and, if
+// a defect ended the walk before the image did, that defect:
+// ErrShortFrame for a truncated last frame, any other error for
+// corruption.
+func walkFrames(data []byte, off int, fn func(r *Record, frame []byte) bool) (int, error) {
+	for off < len(data) {
+		r, n, err := DecodeFrame(data[off:])
+		if errors.Is(err, ErrShortFrame) && !lastFrame(data[off:]) {
+			// A corrupted length field can point past the end too, but
+			// the frames it swallowed are still there.
+			err = fmt.Errorf("short frame followed by an intact one")
+		}
+		if err != nil {
+			return off, fmt.Errorf("offset %d: %w", off, err)
+		}
+		off += n
+		if !fn(&r, data[off-n:off]) {
+			break
+		}
+	}
+	return off, nil
+}
+
+// lastFrame reports whether a truncated frame at the start of b is all
+// that is left. A crash or a failed append tears at most one frame and
+// hides nothing behind it: no prefix of the cut payload matches the
+// frame's CRC (as it would under a corrupted length field), and no
+// intact frame starts anywhere after the frame's first byte.
+func lastFrame(b []byte) bool {
+	if len(b) > frameLen {
+		want, crc := binary.LittleEndian.Uint32(b[4:8]), uint32(0)
+		for i := frameLen; i < len(b); i++ {
+			if crc = crc32.Update(crc, crc32.IEEETable, b[i:i+1]); crc == want {
+				return false
+			}
+		}
+	}
+	for p := 1; p+frameLen <= len(b); p++ {
+		if _, _, err := DecodeFrame(b[p:]); err == nil {
+			return false
+		}
+	}
+	return true
 }
 
 // note folds a record into the segment's compaction-coverage map.
