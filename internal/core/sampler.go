@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"tesc/internal/graph"
 	"tesc/internal/sampling"
@@ -101,18 +102,30 @@ func (s *BatchBFSSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand,
 	}
 	// The engine's flat visit buffer IS the enumerated population; the
 	// draw shuffles its prefix in place (engine scratch is fair game
-	// between traversals), so materializing V^h_{a∪b} costs no copy and
-	// the draw costs O(n) rather than O(N) random numbers.
+	// between traversals), so materializing V^h_{a∪b} costs no copy.
 	pop := e.Collect(p.EventNodes(), h)
-	N := len(pop)
-	if N < 2 {
-		return RefSample{}, ErrTooFewReferences
+	nodes, err := DrawFromPopulation(pop, n, rng)
+	if err != nil {
+		return RefSample{}, err
 	}
-	nodes := sampling.SampleKInPlace(pop, n, rng)
 	return RefSample{
-		Nodes: append([]graph.NodeID(nil), nodes...),
-		Stats: SamplerStats{BFSCount: 1, Population: N},
+		Nodes: slices.Clone(nodes),
+		Stats: SamplerStats{BFSCount: 1, Population: len(pop)},
 	}, nil
+}
+
+// DrawFromPopulation is Algorithm 1's draw: up to n nodes uniformly
+// without replacement from the enumerated reference population pop, in
+// O(n) random numbers rather than O(|pop|). It permutes pop in place and
+// returns its prefix. BatchBFSSampler draws from its engine's visit
+// buffer; the screening sweep draws from a copy of a cached population
+// in BFS.Collect order — the same slice contents and the same rng give
+// the same sample.
+func DrawFromPopulation(pop []graph.NodeID, n int, rng *rand.Rand) ([]graph.NodeID, error) {
+	if len(pop) < 2 {
+		return nil, ErrTooFewReferences
+	}
+	return sampling.SampleKInPlace(pop, n, rng), nil
 }
 
 // ---------------------------------------------------------------------

@@ -111,15 +111,32 @@ func sweepK32Setup(tb testing.TB) {
 	})
 }
 
-// BenchmarkScreenPlanTopK is the acceptance workload: top-10 of the
-// K=32 (496-pair) surrogate. full_tests is the planner's headline
-// saving: compare it with BenchmarkScreenSweepK32's full_tests (496).
-func BenchmarkScreenPlanTopK(b *testing.B) {
+// k32PlanConfig and k32RunConfig are the top-10 and exhaustive screens
+// of the sweepK32 benchmarks.
+var (
+	k32RunConfig  = Config{H: 2, SampleSize: 900, Seed: 3, Workers: 1, Alternative: stats.Greater}
+	k32PlanConfig = PlanConfig{Config: k32RunConfig, K: 10}
+)
+
+// warmK32Memo returns a SharedMemo over sweepK32's vocabulary that one
+// untimed exhaustive screen has filled: the state a tescd job on an
+// unchanged snapshot finds (densities, Va∪b and reference populations
+// cached; a plan's samples are prefixes of the exhaustive ones).
+func warmK32Memo(b *testing.B) *SharedMemo {
 	sweepK32Setup(b)
-	cfg := PlanConfig{
-		Config: Config{H: 2, SampleSize: 900, Seed: 3, Workers: 1, Alternative: stats.Greater},
-		K:      10,
+	memo, err := NewSharedMemo(sweep100k.g.NumNodes(), sweepK32.store.Names())
+	if err != nil {
+		b.Fatal(err)
 	}
+	cfg := k32RunConfig
+	cfg.Memo = memo
+	if _, err := Run(sweep100k.g, sweepK32.store, sweepK32.pairs, cfg); err != nil {
+		b.Fatal(err)
+	}
+	return memo
+}
+
+func benchPlanTopK(b *testing.B, cfg PlanConfig) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -133,11 +150,7 @@ func BenchmarkScreenPlanTopK(b *testing.B) {
 	}
 }
 
-// BenchmarkScreenSweepK32 is the exhaustive sweep over the same 496
-// pairs — the planner's point of comparison (it pays 496 full tests).
-func BenchmarkScreenSweepK32(b *testing.B) {
-	sweepK32Setup(b)
-	cfg := Config{H: 2, SampleSize: 900, Seed: 3, Workers: 1, Alternative: stats.Greater}
+func benchSweepK32(b *testing.B, cfg Config) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -148,4 +161,36 @@ func BenchmarkScreenSweepK32(b *testing.B) {
 		b.ReportMetric(float64(res.BFSRuns), "bfs_runs")
 		b.ReportMetric(float64(res.Tested), "full_tests")
 	}
+}
+
+// BenchmarkScreenPlanTopK is the acceptance workload: top-10 of the
+// K=32 (496-pair) surrogate. full_tests is the planner's headline
+// saving: compare it with BenchmarkScreenSweepK32's full_tests (496).
+func BenchmarkScreenPlanTopK(b *testing.B) {
+	sweepK32Setup(b)
+	benchPlanTopK(b, k32PlanConfig)
+}
+
+// BenchmarkScreenPlanTopKWarm is the top-10 plan on a filled SharedMemo
+// — a repeated tescd job: no density BFS and no population BFS, so
+// what is left is sampling, Kendall and set-up.
+func BenchmarkScreenPlanTopKWarm(b *testing.B) {
+	cfg := k32PlanConfig
+	cfg.Memo = warmK32Memo(b)
+	benchPlanTopK(b, cfg)
+}
+
+// BenchmarkScreenSweepK32 is the exhaustive sweep over the same 496
+// pairs — the planner's point of comparison (it pays 496 full tests).
+func BenchmarkScreenSweepK32(b *testing.B) {
+	sweepK32Setup(b)
+	benchSweepK32(b, k32RunConfig)
+}
+
+// BenchmarkScreenSweepK32Warm is the exhaustive sweep on a filled
+// SharedMemo (bfs_runs 0).
+func BenchmarkScreenSweepK32Warm(b *testing.B) {
+	cfg := k32RunConfig
+	cfg.Memo = warmK32Memo(b)
+	benchSweepK32(b, cfg)
 }

@@ -2,6 +2,7 @@ package screen
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -107,18 +108,20 @@ func (m *densityMemo) eval(r graph.NodeID, multi *core.MultiEvaluator, scratch [
 // the reverse h-ball around changed occurrence nodes covers event
 // mutations) BEFORE the next sweep. Entries that survive invalidation
 // are served as-is, which is what makes the reuse bit-identical rather
-// than approximate.
+// than approximate. The per-pair caches beside the densities (Va∪b and
+// the reference population) need no invalidation: each is keyed by
+// what it was built from (the store; the graph, store and h).
 //
 // Concurrent sweeps may share one memo: density entries are claimed
-// and published per node without locks, the membership and union
-// caches sit behind a mutex, and each sweep counts its own hits and
-// traversals. Invalidate and Reset must not overlap any sweep's density
-// evaluation: call them between sweeps, or from the Progress callback
-// of a single-worker sweep that has the memo to itself (a monitor does
-// both). Sweeps that run together must see the same graph and store
-// (tescd keys its shared memos by snapshot epoch): a sweep on another
-// version needs the invalidation above first, which cannot happen
-// while the others run.
+// and published per node without locks, the membership, union and
+// population caches sit behind a mutex, and each sweep counts its own
+// hits and traversals. Invalidate and Reset must not overlap any
+// sweep's density evaluation: call them between sweeps, or from the
+// Progress callback of a single-worker sweep that has the memo to
+// itself (a monitor does both). Sweeps that run together must see the
+// same graph and store (tescd keys its shared memos by snapshot
+// epoch): a sweep on another version needs the invalidation above
+// first, which cannot happen while the others run.
 type SharedMemo struct {
 	names []string // sorted vocabulary; count vectors are indexed by it
 	memo  *densityMemo
@@ -137,6 +140,25 @@ type SharedMemo struct {
 	// another O(|V|) build edge deltas cannot have changed.
 	unions     map[[2]string]*graph.NodeSet
 	unionBytes int64 // the cached unions' footprint
+
+	// Population cache: each screened pair's reference population
+	// V^h_{a∪b} in BFS.Collect order. It depends only on the graph, the
+	// store and h, so it is keyed by all three: every sweep on the same
+	// snapshot draws its samples from it instead of re-running the
+	// pair's multi-source BFS, and a sweep on another graph (edge
+	// delta), store (event mutation) or h starts it over.
+	popKey   popKey
+	pops     map[[2]string][]graph.NodeID
+	popBytes int64 // the cached populations' footprint
+}
+
+// popKey is what a reference population depends on besides the pair.
+// Graphs and stores are immutable versions, so pointer identity is
+// version identity (and the key keeps its pointers alive).
+type popKey struct {
+	g     *graph.Graph
+	store *events.Store
+	h     int
 }
 
 // NewSharedMemo returns a persistent memo over a fixed event
@@ -188,15 +210,15 @@ func (m *SharedMemo) Invalidate(nodes []graph.NodeID) int {
 }
 
 // Bytes returns the memo's retained footprint: the dense count arrays
-// plus the membership and Va∪b caches filled so far. The caches grow
-// as sweeps bind the memo and screen new pairs.
+// plus the membership, Va∪b and population caches filled so far. The
+// caches grow as sweeps bind the memo and screen new pairs.
 func (m *SharedMemo) Bytes() int64 {
 	m.memMu.Lock()
 	defer m.memMu.Unlock()
-	return denseBytes(len(m.memo.states), m.memo.k) + m.memBytes + m.unionBytes
+	return denseBytes(len(m.memo.states), m.memo.k) + m.memBytes + m.unionBytes + m.popBytes
 }
 
-// Reset clears every cached entry.
+// Reset clears every cached density entry.
 func (m *SharedMemo) Reset() {
 	for i := range m.memo.states {
 		m.memo.states[i].Store(0)
@@ -289,6 +311,40 @@ func (m *SharedMemo) problemFor(g *graph.Graph, store *events.Store, pair [2]str
 		return p, nil
 	}
 	return core.NewProblemWithUnion(g, va, vb, union)
+}
+
+// population returns pair's cached reference population at h on (g,
+// store), or false. The slice is shared: callers copy before drawing.
+func (m *SharedMemo) population(g *graph.Graph, store *events.Store, h int, pair [2]string) ([]graph.NodeID, bool) {
+	m.memMu.Lock()
+	defer m.memMu.Unlock()
+	if m.popKey != (popKey{g, store, h}) {
+		return nil, false
+	}
+	pop, ok := m.pops[pair]
+	return pop, ok
+}
+
+// keepPopulation caches a copy of pair's reference population, just
+// collected at h on (g, store). A key other than the cached one
+// replaces the whole cache: the older populations belong to a
+// superseded graph or store, or to another h.
+func (m *SharedMemo) keepPopulation(g *graph.Graph, store *events.Store, h int, pair [2]string, pop []graph.NodeID) {
+	key := popKey{g, store, h}
+	kept := slices.Clone(pop)
+	m.memMu.Lock()
+	defer m.memMu.Unlock()
+	if m.popKey != key {
+		m.popKey, m.pops, m.popBytes = key, nil, 0
+	}
+	if _, ok := m.pops[pair]; ok {
+		return // a concurrent sweep collected it first
+	}
+	if m.pops == nil {
+		m.pops = make(map[[2]string][]graph.NodeID)
+	}
+	m.pops[pair] = kept
+	m.popBytes += int64(len(kept)) * 4
 }
 
 // memoSource serves one event pair's (a, b) density pass from the

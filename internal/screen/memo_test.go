@@ -3,11 +3,15 @@ package screen
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
+	"tesc/internal/core"
 	"tesc/internal/events"
 	"tesc/internal/graph"
+	"tesc/internal/graphgen"
 	"tesc/internal/stats"
+	"tesc/internal/vicinity"
 )
 
 // memoFixture builds a seeded graph and a K-event store whose h-hop
@@ -106,6 +110,126 @@ func TestMemoWithEnginePool(t *testing.T) {
 	want := referenceRun(raw, cfg)
 	sameRun(t, "plain", plain, want)
 	sameRun(t, "pooled", pooled, want)
+}
+
+// TestSharedMemoPopulationLifetime pins the population cache's key: one
+// SharedMemo lives through an edge delta (new graph), an event mutation
+// (new store) and a change of h, each followed by Run and Plan. Every
+// result equals the same screen on a fresh memo, every cached
+// population equals a fresh Collect, the footprint counts them all,
+// and each step changes some pair's population — so a cache that
+// ignored any part of its (graph, store, h) key would serve a stale
+// one.
+func TestSharedMemoPopulationLifetime(t *testing.T) {
+	rng := rand.New(rand.NewPCG(41, 3))
+	g := graphgen.WattsStrogatz(400, 2, 0.1, rng)
+	names := []string{"ev-a", "ev-b", "ev-c", "ev-d"}
+	b := events.NewBuilder(g.NumNodes())
+	for _, name := range names {
+		for range 15 {
+			b.Add(name, graph.NodeID(rng.IntN(g.NumNodes())))
+		}
+	}
+	store := b.Build()
+	pairs := AllPairs(store, 1)
+	h := 2
+	newMemo := func() *SharedMemo {
+		m, err := NewSharedMemo(g.NumNodes(), names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	memo := newMemo()
+
+	screen := func(m *SharedMemo) (Result, PlanResult) {
+		cfg := Config{H: h, SampleSize: 60, Seed: 8, Workers: 2, Memo: m}
+		run, err := Run(g, store, pairs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := Plan(g, store, pairs, PlanConfig{Config: cfg, K: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run, plan
+	}
+	var before map[[2]string][]graph.NodeID
+	check := func(step string) {
+		t.Helper()
+		gotRun, gotPlan := screen(memo)
+		wantRun, wantPlan := screen(newMemo())
+		sameRun(t, step+": Run", gotRun, wantRun)
+		comparePlanned(t, gotPlan.Pairs, wantPlan.Pairs, step+": Plan")
+
+		now := make(map[[2]string][]graph.NodeID)
+		changed := false
+		var bytes int64
+		for _, pair := range pairs {
+			pop, ok := memo.population(g, store, h, pair)
+			if !ok {
+				t.Fatalf("%s: no population cached for %v", step, pair)
+			}
+			p, err := core.NewProblem(g, store.Set(pair[0]), store.Set(pair[1]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := graph.NewBFS(g).Collect(p.EventNodes(), h); !slices.Equal(pop, want) {
+				t.Fatalf("%s: cached population of %v differs from a fresh Collect", step, pair)
+			}
+			changed = changed || (before != nil && !slices.Equal(pop, before[pair]))
+			now[pair] = pop
+			bytes += int64(len(pop)) * 4
+		}
+		if before != nil && !changed {
+			t.Fatalf("%s changed no pair's population; the step proves nothing", step)
+		}
+		if memo.popBytes != bytes {
+			t.Fatalf("%s: population footprint %d, want %d", step, memo.popBytes, bytes)
+		}
+		before = now
+	}
+	check("initial")
+
+	// A new *Graph: edge flips, dirty-set invalidation.
+	d := graph.NewDelta(g)
+	applied, err := d.Apply(graphgen.NewFlipStream(g, 0.5, rng).Take(20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	newG := d.Compact()
+	dirty, err := vicinity.DirtySet(g, newG, applied, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo.Invalidate(dirty)
+	g = newG
+	check("edge delta")
+
+	// A new store: five occurrences of ev-a move. On an undirected
+	// graph the reverse h-ball of the moved nodes is their h-ball.
+	eb := events.BuilderFromStore(store)
+	moved := slices.Clone(store.Occurrences("ev-a")[:5])
+	for _, v := range moved {
+		eb.Remove("ev-a", v)
+	}
+	for range 5 {
+		v := graph.NodeID(rng.IntN(g.NumNodes()))
+		eb.Add("ev-a", v)
+		moved = append(moved, v)
+	}
+	store = eb.Build()
+	memo.Invalidate(graph.NewBFS(g).Collect(moved, h))
+	check("event mutation")
+
+	// Another h: every density changes.
+	h = 1
+	all := make([]graph.NodeID, g.NumNodes())
+	for v := range all {
+		all[v] = graph.NodeID(v)
+	}
+	memo.Invalidate(all)
+	check("h change")
 }
 
 // TestScreenSampleRoutesThroughLogLinearKendall audits the satellite

@@ -162,7 +162,9 @@ func sweep(g *graph.Graph, store *events.Store, pairs [][2]string, cfg PlanConfi
 	worker := func() {
 		bfs := cfg.Engines.Acquire(g)
 		defer cfg.Engines.Put(bfs)
-		w := sweepWorker{g: g, store: store, cfg: &cfg, eventIdx: eventIdx, bar: bar, prune: prune, bfs: bfs}
+		scratch := scratchPool.Get().(*workerScratch)
+		defer scratchPool.Put(scratch)
+		w := sweepWorker{g: g, store: store, cfg: &cfg, eventIdx: eventIdx, bar: bar, prune: prune, bfs: bfs, workerScratch: scratch}
 		if memo != nil {
 			if multi, err := core.NewMultiEvaluator(g, mem, cfg.H, bfs); err == nil {
 				w.src = &memoSource{memo: memo, multi: multi, scratch: make([]int32, mem.NumEvents()), shared: cfg.Memo}
@@ -352,45 +354,80 @@ type sweepWorker struct {
 	bar      *planBar
 	prune    bool // false: no checkpoints, each pair is one density pass
 
-	bfs    *graph.BFS  // the worker's engine: sampling and density passes
-	src    *memoSource // nil without the memo: per-pair evaluators
-	sa, sb []float64   // density prefix scratch for checkpointed pairs
-	stats  PlanStats   // folded into the sweep's at exit
+	bfs   *graph.BFS  // the worker's engine: sampling and density passes
+	src   *memoSource // nil without the memo: per-pair evaluators
+	stats PlanStats   // folded into the sweep's at exit
+	*workerScratch
+}
+
+// workerScratch is a sweep worker's per-pair working memory, pooled
+// across sweeps so a warm screen allocates none of it.
+type workerScratch struct {
+	pop []graph.NodeID      // the pair's reference population; the sample is its prefix
+	tau stats.KendallPrefix // the pair's density prefix, sorted
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(workerScratch) }}
+
+// sample draws the pair's reference nodes into w.pop — Batch BFS over
+// the pair's reference population, which a shared memo caches per
+// (graph, store, h) so later sweeps on the snapshot skip both the
+// population BFS and the problem set-up. The returned problem is nil
+// on a cache hit; only the memo-less density path needs it, and that
+// path has no cache.
+func (w *sweepWorker) sample(pair [2]string, rng *rand.Rand) ([]graph.NodeID, *core.Problem, error) {
+	var shared *SharedMemo
+	if w.src != nil {
+		shared = w.src.shared
+	}
+	var p *core.Problem
+	var pop []graph.NodeID
+	var ok bool
+	if shared != nil {
+		pop, ok = shared.population(w.g, w.store, w.cfg.H, pair)
+	}
+	if !ok {
+		var err error
+		if shared != nil {
+			// Standing queries re-test the same pair across snapshots;
+			// the shared memo caches the pair's Va∪b so only real
+			// occurrence changes rebuild it.
+			p, err = shared.problemFor(w.g, w.store, pair)
+		} else {
+			p, err = core.NewProblem(w.g, w.store.Set(pair[0]), w.store.Set(pair[1]))
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		pop = w.bfs.Collect(p.EventNodes(), w.cfg.H)
+		if shared != nil {
+			shared.keepPopulation(w.g, w.store, w.cfg.H, pair, pop)
+		}
+	}
+	// The draw permutes its input, and the engine's visit buffer (a
+	// miss) is overwritten by the density passes: draw from a copy.
+	w.pop = append(w.pop[:0], pop...)
+	nodes, err := core.DrawFromPopulation(w.pop, w.cfg.SampleSize, rng)
+	return nodes, p, err
 }
 
 // planPair tests one candidate: draw its reference sample (the pair's
 // own pairSeed PCG stream, so the sample depends only on the seed and
 // the pair), then evaluate densities — in one pass when the bar cannot
-// prune, else along the checkpoint schedule, extending the density
-// prefix and pruning as soon as the score bound drops strictly below
-// the bar. A pair that runs to the end finishes with the full-sample
-// Kendall statistic; which path it took cannot change a bit of it.
+// prune, else along the checkpoint schedule, extending the Kendall
+// prefix chunk by chunk and pruning as soon as the score bound drops
+// strictly below the bar. A pair that runs to the end finishes with the
+// full-sample Kendall statistic — its last Extend; which path it took
+// cannot change a bit of it.
 func (w *sweepWorker) planPair(res PairResult) (PairResult, pairFate) {
 	cfg := w.cfg
-
-	var p *core.Problem
-	var err error
-	if w.src != nil && w.src.shared != nil {
-		// Standing queries re-test the same pair across snapshots; the
-		// shared memo caches the pair's Va∪b so only real occurrence
-		// changes rebuild it.
-		p, err = w.src.shared.problemFor(w.g, w.store, [2]string{res.A, res.B})
-	} else {
-		p, err = core.NewProblem(w.g, w.store.Set(res.A), w.store.Set(res.B))
-	}
-	if err != nil {
-		res.Skipped = err.Error()
-		return res, fateSkipped
-	}
-
 	seed := pairSeed(cfg.Seed, res.A, res.B)
 	rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
-	sample, err := new(core.BatchBFSSampler).SampleReferences(p, cfg.H, cfg.SampleSize, rng, w.bfs)
+	nodes, p, err := w.sample([2]string{res.A, res.B}, rng)
 	if err != nil {
 		res.Skipped = err.Error()
 		return res, fateSkipped
 	}
-	nodes := sample.Nodes
 	n := len(nodes)
 
 	var eval *core.DensityEvaluator
@@ -418,48 +455,42 @@ func (w *sweepWorker) planPair(res PairResult) (PairResult, pairFate) {
 		return sa, sb, err
 	}
 
+	// The prefix keeps every chunk's keys sorted, so a checkpoint sorts
+	// only the chunk since the last one and merges it in. Without
+	// checkpoints the one chunk is the whole sample: plain Kendall.
+	var k stats.TauResult
+	w.tau.Reset()
+	extend := func(m int) error {
+		sa, sb, err := density(nodes[w.tau.Len():m])
+		if err == nil {
+			k = w.tau.Extend(sa, sb)
+		}
+		return err
+	}
 	var schedule []int
 	if w.prune {
 		schedule = checkpointSchedule(cfg.firstCheckpoint, n)
 	}
-	var sa, sb []float64
-	if len(schedule) == 0 {
-		if sa, sb, err = density(nodes); err != nil {
+	for _, m := range schedule {
+		// Checkpoints are the planner's natural cancellation points: the
+		// densities already paid for stay in the memo, and nothing
+		// partial ever reaches the bar.
+		if cfg.canceled() != nil || extend(m) != nil {
 			return res, fateCanceled
 		}
-	} else {
-		if cap(w.sa) < n {
-			w.sa, w.sb = make([]float64, 0, n), make([]float64, 0, n)
-		}
-		sa, sb = w.sa[:0], w.sb[:0]
-		extend := func(m int) error {
-			csa, csb, err := density(nodes[len(sa):m])
-			sa, sb = append(sa, csa...), append(sb, csb...)
-			return err
-		}
-		for _, m := range schedule {
-			// Checkpoints are the planner's natural cancellation points:
-			// the densities already paid for stay in the memo, and
-			// nothing partial ever reaches the bar.
-			if cfg.canceled() != nil || extend(m) != nil {
-				return res, fateCanceled
-			}
-			w.stats.Checkpoints++
-			k := stats.KendallAuto(sa, sb)
-			_, scoreUB := checkpointScoreBound(cfg.Alternative, k, m, n, cfg.BoundAlpha)
-			// Strictly below the bar: the pair's final score cannot reach
-			// the k-th best completed score (or θ), under the bound. Ties
-			// at the bar keep running — that is what makes the planned
-			// top-k set exactly the exhaustive one's.
-			if scoreUB < w.bar.bar() {
-				return res, fatePrunedEarly
-			}
-		}
-		if extend(n) != nil {
-			return res, fateCanceled
+		w.stats.Checkpoints++
+		_, scoreUB := checkpointScoreBound(cfg.Alternative, k, m, n, cfg.BoundAlpha)
+		// Strictly below the bar: the pair's final score cannot reach the
+		// k-th best completed score (or θ), under the bound. Ties at the
+		// bar keep running — that is what makes the planned top-k set
+		// exactly the exhaustive one's.
+		if scoreUB < w.bar.bar() {
+			return res, fatePrunedEarly
 		}
 	}
-	k := stats.KendallAuto(sa, sb)
+	if extend(n) != nil {
+		return res, fateCanceled
+	}
 	res.Tau, res.Z = k.Tau, k.Z
 	res.P = stats.PValueZ(res.Z, cfg.Alternative)
 	res.AdjP = res.P

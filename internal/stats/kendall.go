@@ -14,6 +14,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -110,31 +111,81 @@ func floatKey(f float64) uint64 {
 // lengths, and count discordant pairs as y-inversions via merge sort.
 // The tie-group sizes Eq. 6 needs fall out of the same two sorts (in
 // the same ascending order TieSizes would produce, so the variance sums
-// are bit-identical), saving two further O(n log n) passes.
+// are bit-identical), saving two further O(n log n) passes. It is one
+// Extend of an empty (pooled) KendallPrefix: there is one kernel.
 func Kendall(x, y []float64) TauResult {
-	n := mustSameLen(x, y)
-	var r TauResult
-	r.N = n
+	p := prefixPool.Get().(*KendallPrefix)
+	defer prefixPool.Put(p)
+	p.Reset()
+	return p.Extend(x, y)
+}
+
+// KendallPrefix is Kendall's τ over a paired sample that grows in
+// chunks — the screening planner's checkpoints, where a pair's density
+// prefix is tested at m = 64, 128, 256, ... of its n references. It
+// keeps the prefix's observations sorted by (x, y), so Extend sorts only
+// the new chunk and merges it in, instead of re-sorting everything seen
+// at every checkpoint; Knight's tie scans and inversion count then run
+// on the merged array. The zero value is an empty prefix; its scratch
+// is retained across Reset, so one prefix per worker allocates only
+// while it grows. Not safe for concurrent use.
+type KendallPrefix struct {
+	pts, buf       []keyPair // prefix sorted by (kx, ky); merge/radix scratch
+	ks, kbuf       []uint64  // ky in pts order; inversion-merge scratch
+	xSizes, ySizes []int64   // tie-group runs (appended; capacity retained)
+}
+
+var prefixPool = sync.Pool{New: func() any { return new(KendallPrefix) }}
+
+// Reset empties the prefix, keeping its scratch.
+func (p *KendallPrefix) Reset() { p.pts = p.pts[:0] }
+
+// Len returns the number of observations in the prefix.
+func (p *KendallPrefix) Len() int { return len(p.pts) }
+
+// Extend appends the paired observations (x[i], y[i]) to the prefix and
+// returns the TauResult of the whole prefix — exactly Kendall (and
+// KendallNaive) of the concatenation of every chunk since Reset: the
+// sorted order, and with it every count and tie-group size, does not
+// depend on how the sample was chunked.
+func (p *KendallPrefix) Extend(x, y []float64) TauResult {
+	c := mustSameLen(x, y)
+	m := len(p.pts)
+	n := m + c
+	p.pts = slices.Grow(p.pts, c)[:n]
+	p.buf = grow(p.buf, n)
+	chunk := p.pts[m:]
+	for i := range chunk {
+		chunk[i] = keyPair{floatKey(x[i]), floatKey(y[i])}
+	}
+	sortKeyPairs(chunk, p.buf[:c])
+	if m > 0 && c > 0 && chunk[0].less(p.pts[m-1]) {
+		mergeKeyPairs(p.buf[:n], p.pts[:m], chunk)
+		p.pts, p.buf = p.buf[:n], p.pts
+	}
+	return p.knight()
+}
+
+// knight runs Knight's scans over the sorted prefix: pair ties and the
+// x tie groups from run lengths, discordant pairs as y-inversions, and
+// the y tie groups from the inversion count's sorted output.
+func (p *KendallPrefix) knight() TauResult {
+	pts := p.pts
+	n := len(pts)
+	r := TauResult{N: n}
 	if n < 2 {
 		finishTau(&r, nil, nil)
 		return r
 	}
 
-	sc := scratchPool.Get().(*kendallScratch)
-	defer scratchPool.Put(sc)
-	pts := sc.pairs(n)
-	for i := range pts {
-		pts[i] = keyPair{floatKey(x[i]), floatKey(y[i])}
-	}
-	sortKeyPairs(pts, sc.pairBuf(n))
-
 	// Pair-tie counts and x tie-group sizes from run lengths in the
 	// sorted order (key equality == float equality).
 	pairs := func(c int64) int64 { return c * (c - 1) / 2 }
 	var tiesXpairs, tiesBothPairs int64 // pairs tied in x (incl. both), both
-	xSizes := sc.xSizes[:0]
+	xSizes := p.xSizes[:0]
 	runX, runXY := int64(1), int64(1)
-	kys := sc.keys(n)
+	p.ks = grow(p.ks, n)
+	kys := p.ks
 	kys[0] = pts[0].ky
 	for i := 1; i < n; i++ {
 		kys[i] = pts[i].ky
@@ -162,10 +213,11 @@ func Kendall(x, y []float64) TauResult {
 	// separate O(n log n) pass over y. Inversion and tie structure are
 	// identical on keys and floats (floatKey is order- and
 	// equality-preserving).
-	swaps := countInversionsBuf(kys, sc.keyBuf(n))
+	p.kbuf = grow(p.kbuf, n)
+	swaps := countInversionsBuf(kys, p.kbuf)
 
 	var tiesYpairs int64 // pairs tied in y (incl. both)
-	ySizes := sc.ySizes[:0]
+	ySizes := p.ySizes[:0]
 	runY := int64(1)
 	for i := 1; i < n; i++ {
 		if kys[i] == kys[i-1] {
@@ -189,10 +241,10 @@ func Kendall(x, y []float64) TauResult {
 	r.Concordant = n0 - r.TiesX - r.TiesY - r.TiesBoth - r.Discordant
 
 	finishTau(&r, xSizes, ySizes)
-	// Retain the grown tie-run capacity in the pooled scratch (append
-	// may have reallocated past it). NumeratorVariance consumed the
-	// slices synchronously; nothing aliases them after return.
-	sc.xSizes, sc.ySizes = xSizes, ySizes
+	// Retain the grown tie-run capacity (append may have reallocated
+	// past it). NumeratorVariance consumed the slices synchronously;
+	// nothing aliases them after return.
+	p.xSizes, p.ySizes = xSizes, ySizes
 	return r
 }
 
@@ -234,18 +286,8 @@ func finishTau(r *TauResult, tiesX, tiesY []int64) {
 	r.Z = ZFromNumerator(float64(r.Numerator()), r.VarNum)
 }
 
-// kendallScratch pools Kendall's O(n) working arrays (key pairs, the
-// radix double-buffer, the inversion-merge buffers). A standing query
-// pays one Kendall per mutation batch and a screening sweep one per
-// pair; without pooling each call allocates ~48KB at n = 900.
-type kendallScratch struct {
-	pts, buf       []keyPair
-	ks, kbuf       []uint64
-	xSizes, ySizes []int64 // tie-group runs (appended; capacity retained)
-}
-
-var scratchPool = sync.Pool{New: func() any { return &kendallScratch{} }}
-
+// grow returns s resliced to length n, reallocated (contents dropped)
+// when its capacity is short.
 func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
@@ -253,35 +295,64 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-func (s *kendallScratch) pairs(n int) []keyPair {
-	s.pts = grow(s.pts, n)
-	return s.pts
+// less orders observations by (kx, ky).
+func (a keyPair) less(b keyPair) bool {
+	return a.kx < b.kx || (a.kx == b.kx && a.ky < b.ky)
 }
 
-func (s *kendallScratch) pairBuf(n int) []keyPair {
-	s.buf = grow(s.buf, n)
-	return s.buf
+// mergeKeyPairs merges the sorted runs a and b into dst (len(dst) ==
+// len(a)+len(b), aliasing neither).
+func mergeKeyPairs(dst, a, b []keyPair) {
+	i, j := 0, 0
+	for k := range dst {
+		if j == len(b) || (i < len(a) && !b[j].less(a[i])) {
+			dst[k] = a[i]
+			i++
+		} else {
+			dst[k] = b[j]
+			j++
+		}
+	}
 }
 
-func (s *kendallScratch) keys(n int) []uint64 {
-	s.ks = grow(s.ks, n)
-	return s.ks
-}
+// insertionSortMax is the input size up to which sortKeyPairs uses
+// insertion sort. The radix sort's fixed cost (zeroing and scanning 16
+// histograms of 256 counters) dominates small inputs, and the
+// planner's checkpoint chunks are 50–200 observations: on density keys
+// (BenchmarkSortKeyPairs) insertion sort takes ~2 µs at 64 against
+// radix's ~10 µs, and the two cross between 192 and 256.
+const insertionSortMax = 224
 
-func (s *kendallScratch) keyBuf(n int) []uint64 {
-	s.kbuf = grow(s.kbuf, n)
-	return s.kbuf
-}
-
-// sortKeyPairs sorts observations by (kx, ky) ascending with an LSD
-// radix sort: 8 byte-passes over ky then 8 over kx (LSD stability
-// makes the ky order survive as the secondary key). Each pass is a
-// counting sort — no comparisons, no data-dependent branches, which is
-// what beats comparison sorts on density vectors: their heavy ties
-// make every comparison branch a coin flip. Passes whose byte is
-// uniform across the input (the common case for the high exponent
-// bytes of same-magnitude densities) are skipped after the histogram.
+// sortKeyPairs sorts observations by (kx, ky) ascending, using buf
+// (len(buf) >= len(a)) as scratch.
 func sortKeyPairs(a, buf []keyPair) {
+	if len(a) <= insertionSortMax {
+		insertionSortKeyPairs(a)
+	} else {
+		radixSortKeyPairs(a, buf)
+	}
+}
+
+func insertionSortKeyPairs(a []keyPair) {
+	for i := 1; i < len(a); i++ {
+		v := a[i]
+		j := i
+		for ; j > 0 && v.less(a[j-1]); j-- {
+			a[j] = a[j-1]
+		}
+		a[j] = v
+	}
+}
+
+// radixSortKeyPairs is an LSD radix sort: 8 byte-passes over ky then 8
+// over kx (LSD stability makes the ky order survive as the secondary
+// key). Each pass is a counting sort — no comparisons, no
+// data-dependent branches, which is what beats comparison sorts on
+// density vectors: their heavy ties make every comparison branch a coin
+// flip. Passes whose byte is uniform across the input (the common case
+// for the high exponent bytes of same-magnitude densities) are skipped
+// after the histogram.
+func radixSortKeyPairs(a, buf []keyPair) {
 	n := len(a)
 	if n < 2 {
 		return
