@@ -194,3 +194,23 @@ func BenchmarkScreenSweepK32Warm(b *testing.B) {
 	cfg.Memo = warmK32Memo(b)
 	benchSweepK32(b, cfg)
 }
+
+// BenchmarkScreenRankBuildK32 is the rank table's build cost on the
+// filled K=32 memo: 32 events ranked over every published node, the
+// work the first warm exhaustive sweep on a snapshot adds. table_bytes
+// is the table's footprint.
+func BenchmarkScreenRankBuildK32(b *testing.B) {
+	memo := warmK32Memo(b)
+	key := popKey{sweep100k.g, sweepK32.store, k32RunConfig.H}
+	events := make([]int, len(memo.Names()))
+	for e := range events {
+		events[e] = e
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		memo.ranks.Store(nil)
+		memo.rankEvents(key, events)
+	}
+	b.ReportMetric(float64(memo.ranks.Load().bytes), "table_bytes")
+}

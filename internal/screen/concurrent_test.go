@@ -1,6 +1,7 @@
 package screen
 
 import (
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -91,10 +92,12 @@ func TestSharedMemoConcurrentSweepAccounting(t *testing.T) {
 }
 
 // TestSharedMemoConcurrentPlanAndRun pins the concurrency contract:
-// a planned and an exhaustive sweep with different seeds share one
+// a planned and two exhaustive sweeps with different seeds share one
 // memo at the same time, round after round, and each is bit-identical
 // — pairs, τ, z, p and skip reasons — to the same sweep on a memo of
-// its own.
+// its own. From the second round on the memo is settled, so both
+// exhaustive sweeps want a rank table at start while the plan
+// publishes new densities.
 func TestSharedMemoConcurrentPlanAndRun(t *testing.T) {
 	g, store := fixture(t)
 	shared, err := NewSharedMemo(g.NumNodes(), store.Names())
@@ -110,21 +113,28 @@ func TestSharedMemoConcurrentPlanAndRun(t *testing.T) {
 		return m
 	}
 	for round := range 4 {
-		runCfg := Config{H: 2, SampleSize: 120, Workers: 2, MinOccurrences: 5, Seed: uint64(100 + round)}
-		planCfg := PlanConfig{Config: runCfg, K: 4}
+		runCfgs := []Config{
+			{H: 2, SampleSize: 120, Workers: 2, MinOccurrences: 5, Seed: uint64(100 + round)},
+			{H: 2, SampleSize: 120, Workers: 2, MinOccurrences: 5, Seed: uint64(300 + round)},
+		}
+		planCfg := PlanConfig{Config: runCfgs[0], K: 4}
 		planCfg.Seed = uint64(200 + round)
 
-		var got Result
+		got := make([]Result, len(runCfgs))
+		runErrs := make([]error, len(runCfgs))
 		var gotPlan PlanResult
-		var runErr, planErr error
+		var planErr error
 		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			cfg := runCfg
-			cfg.Memo = shared
-			got, runErr = Run(g, store, pairs, cfg)
-		}()
+		for i, runCfg := range runCfgs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				cfg := runCfg
+				cfg.Memo = shared
+				got[i], runErrs[i] = Run(g, store, pairs, cfg)
+			}()
+		}
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			cfg := planCfg
@@ -132,30 +142,35 @@ func TestSharedMemoConcurrentPlanAndRun(t *testing.T) {
 			gotPlan, planErr = Plan(g, store, pairs, cfg)
 		}()
 		wg.Wait()
-		if runErr != nil || planErr != nil {
-			t.Fatal(runErr, planErr)
+		if err := errors.Join(append(runErrs, planErr)...); err != nil {
+			t.Fatal(err)
 		}
 
-		runCfg.Memo = fresh()
-		want, err := Run(g, store, pairs, runCfg)
-		if err != nil {
-			t.Fatal(err)
+		for i, runCfg := range runCfgs {
+			runCfg.Memo = fresh()
+			want, err := Run(g, store, pairs, runCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Skipped == 0 {
+				t.Fatal("no pair skipped; the fixture no longer covers skip reasons")
+			}
+			if !reflect.DeepEqual(got[i].Pairs, want.Pairs) || got[i].Tested != want.Tested ||
+				got[i].Skipped != want.Skipped || got[i].Rejected != want.Rejected {
+				t.Fatalf("round %d: Run on the shared memo diverged from a fresh memo\n got %+v\nwant %+v", round, got[i], want)
+			}
 		}
 		planCfg.Memo = fresh()
 		wantPlan, err := Plan(g, store, pairs, planCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want.Skipped == 0 {
-			t.Fatal("no pair skipped; the fixture no longer covers skip reasons")
-		}
-		if !reflect.DeepEqual(got.Pairs, want.Pairs) || got.Tested != want.Tested ||
-			got.Skipped != want.Skipped || got.Rejected != want.Rejected {
-			t.Fatalf("round %d: Run on the shared memo diverged from a fresh memo\n got %+v\nwant %+v", round, got, want)
-		}
 		comparePlanned(t, gotPlan.Pairs, wantPlan.Pairs, "Plan on the shared memo")
 		if gotPlan.Stats.Skipped != wantPlan.Stats.Skipped {
 			t.Fatalf("round %d: plan skipped %d, fresh %d", round, gotPlan.Stats.Skipped, wantPlan.Stats.Skipped)
 		}
+	}
+	if shared.rankPairs.Load() == 0 {
+		t.Fatal("no exhaustive sweep tested a pair on rank keys; the test proves nothing")
 	}
 }

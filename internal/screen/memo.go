@@ -43,6 +43,9 @@ type densityMemo struct {
 	states []atomic.Uint32 // 0 empty, 1 claimed, 2 published
 	sizes  []int32         // |V^h_r| per node
 	counts []int32         // flat [node*k + event] occurrence counts
+	// publishes counts publications over the memo's lifetime; a rank
+	// table built at a smaller count misses the nodes published since.
+	publishes atomic.Int64
 }
 
 // newDensityMemo returns a memo for n nodes × k events, or nil when the
@@ -86,6 +89,7 @@ func (m *densityMemo) eval(r graph.NodeID, multi *core.MultiEvaluator, scratch [
 			region := m.counts[lo : lo+int64(m.k)]
 			m.sizes[r] = int32(multi.Eval(r, region))
 			st.Store(2)
+			m.publishes.Add(1)
 			return region, m.sizes[r], false
 		default: // claimed by another worker: compute locally, don't wait
 			sz := multi.Eval(r, scratch)
@@ -150,6 +154,17 @@ type SharedMemo struct {
 	popKey   popKey
 	pops     map[[2]string][]graph.NodeID
 	popBytes int64 // the cached populations' footprint
+
+	// Rank table (ranks.go): the dense ranks of the published densities
+	// of the events one-pass sweeps screen, so their Kendall tests sort
+	// small rank keys instead of floats. settled (under memMu) is the
+	// (graph, store, h) of the last sweep that finished, zero after a
+	// drop: only a sweep on a settled memo builds. rankMu serializes
+	// builds; sweeps read the table lock-free, once per pair.
+	settled   popKey
+	rankMu    sync.Mutex
+	ranks     atomic.Pointer[rankTable]
+	rankPairs atomic.Int64 // pairs tested on rank keys; tests read it
 }
 
 // popKey is what a reference population depends on besides the pair.
@@ -206,20 +221,46 @@ func (m *SharedMemo) Invalidate(nodes []graph.NodeID) int {
 			dropped++
 		}
 	}
+	if dropped > 0 {
+		m.unsettle()
+	}
 	return dropped
 }
 
-// Bytes returns the memo's retained footprint: the dense count arrays
-// plus the membership, Va∪b and population caches filled so far. The
-// caches grow as sweeps bind the memo and screen new pairs.
-func (m *SharedMemo) Bytes() int64 {
+// unsettle drops the rank table: a dropped entry may come back with
+// another density, and until a sweep finishes the memo is not settled.
+func (m *SharedMemo) unsettle() {
 	m.memMu.Lock()
-	defer m.memMu.Unlock()
-	return denseBytes(len(m.memo.states), m.memo.k) + m.memBytes + m.unionBytes + m.popBytes
+	m.settled = popKey{}
+	m.memMu.Unlock()
+	m.ranks.Store(nil)
 }
 
-// Reset clears every cached density entry.
+// settle records that a sweep on (g, store, h) finished.
+func (m *SharedMemo) settle(key popKey) {
+	m.memMu.Lock()
+	m.settled = key
+	m.memMu.Unlock()
+}
+
+// Bytes returns the memo's retained footprint: the dense count arrays
+// plus the membership, Va∪b and population caches and the rank table
+// filled so far. The caches grow as sweeps bind the memo and screen new
+// pairs.
+func (m *SharedMemo) Bytes() int64 {
+	var ranks int64
+	if t := m.ranks.Load(); t != nil {
+		ranks = t.bytes
+	}
+	m.memMu.Lock()
+	defer m.memMu.Unlock()
+	return denseBytes(len(m.memo.states), m.memo.k) + m.memBytes + m.unionBytes + m.popBytes + ranks
+}
+
+// Reset clears every cached density entry, and the rank table with
+// them.
 func (m *SharedMemo) Reset() {
+	m.unsettle()
 	for i := range m.memo.states {
 		m.memo.states[i].Store(0)
 	}
@@ -363,8 +404,10 @@ type memoSource struct {
 	// sa/sb are this worker's density-vector scratch, reused across
 	// the pairs it screens (each source belongs to exactly one worker,
 	// so no synchronization; PairResult carries no per-node vectors,
-	// so nothing outlives the pair that borrowed them).
+	// so nothing outlives the pair that borrowed them). kx/ky are the
+	// rank-key scratch alike.
 	sa, sb []float64
+	kx, ky []uint64
 }
 
 // retarget points the source at the next pair's event indices.

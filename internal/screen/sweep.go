@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -145,6 +146,21 @@ func sweep(g *graph.Graph, store *events.Store, pairs [][2]string, cfg PlanConfi
 	}
 	bar := &planBar{k: cfg.K, theta: cfg.Theta, alt: cfg.Alternative, stream: cfg.Stream}
 	offer := prune || cfg.Stream != nil
+	if memo != nil && cfg.Memo != nil {
+		// A caller-owned memo is settled by every sweep that finishes
+		// on it; a one-pass sweep on a settled one ranks its events'
+		// densities first (ranks.go).
+		key := popKey{g, store, cfg.H}
+		defer cfg.Memo.settle(key)
+		if !prune {
+			var evs []int
+			for _, c := range queue {
+				evs = append(evs, eventIdx[results[c.idx].A], eventIdx[results[c.idx].B])
+			}
+			slices.Sort(evs)
+			cfg.Memo.rankEvents(key, slices.Compact(evs))
+		}
+	}
 
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -457,11 +473,28 @@ func (w *sweepWorker) planPair(res PairResult) (PairResult, pairFate) {
 
 	// The prefix keeps every chunk's keys sorted, so a checkpoint sorts
 	// only the chunk since the last one and merges it in. Without
-	// checkpoints the one chunk is the whole sample: plain Kendall.
+	// checkpoints the one chunk is the whole sample: plain Kendall, on
+	// the events' density ranks when the shared memo has them for every
+	// node of the sample (the table is read per pair: a single-worker
+	// sweep's Progress callback may invalidate between pairs).
+	var ranks *rankTable
+	if !w.prune && w.src != nil && w.src.shared != nil {
+		ranks = w.src.shared.ranks.Load()
+	}
 	var k stats.TauResult
 	w.tau.Reset()
 	extend := func(m int) error {
-		sa, sb, err := density(nodes[w.tau.Len():m])
+		rs := nodes[w.tau.Len():m]
+		if ranks != nil {
+			if kx, ky, ok := w.src.rankKeys(ranks, rs); ok {
+				w.src.shared.rankPairs.Add(1)
+				w.stats.MemoHits += int64(len(rs))
+				w.stats.DensityEvals += int64(len(rs))
+				k = w.tau.ExtendKeys(kx, ky)
+				return nil
+			}
+		}
+		sa, sb, err := density(rs)
 		if err == nil {
 			k = w.tau.Extend(sa, sb)
 		}

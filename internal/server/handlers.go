@@ -697,6 +697,7 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 			pcfg.Progress = j.setProgress
 			pcfg.Stream = j.setPartial
 			res, err := screen.Plan(g, store, pairs, pcfg)
+			e.memos.trim()
 			if err == nil {
 				s.bfsRuns.Add(res.Stats.BFSRuns)
 				s.memoHits.Add(res.Stats.MemoHits)
@@ -712,6 +713,7 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 		cfg.Ctx = ctx
 		cfg.Progress = progress
 		res, err := screen.Run(g, store, pairs, cfg)
+		e.memos.trim()
 		if err == nil {
 			s.bfsRuns.Add(res.BFSRuns)
 			s.memoHits.Add(res.MemoHits)

@@ -101,8 +101,9 @@ type retainedMemo struct {
 // screenMemos bounds the screening memos retained across one
 // registry's entries: their total footprint stays under the budget
 // (screen.MemoBudgetBytes), and the least recently used goes first.
-// Footprints grow while jobs fill a memo's union cache, so the total is
-// re-checked whenever a job installs a memo.
+// A memo keeps growing after a job installs it (its union and
+// population caches, its rank table), so the total is re-checked when
+// a job installs a memo and again when a screen job finishes.
 type screenMemos struct {
 	mu     sync.Mutex
 	budget int64
@@ -169,6 +170,13 @@ func (c *screenMemos) evictLocked() {
 		c.lru.Remove(e.memo.elem)
 		e.memo = retainedMemo{}
 	}
+}
+
+// trim re-checks the retained total after a screen job grew its memo.
+func (c *screenMemos) trim() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.evictLocked()
 }
 
 // release drops the entry's memo for good: the entry left the registry.

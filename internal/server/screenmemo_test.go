@@ -3,9 +3,11 @@ package server
 import (
 	"net/http"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tesc"
+	"tesc/internal/screen"
 )
 
 // retained returns a copy of the entry's retained screening state.
@@ -211,5 +213,57 @@ func TestScreenMemoBudgetEvictsLRU(t *testing.T) {
 	}
 	if n := r.memos.lru.Len(); n != 2 {
 		t.Fatalf("%d memos retained under a two-memo budget", n)
+	}
+}
+
+// TestScreenMemoBudgetTrimsGrowth: a memo grows after a job installs
+// it (unions, populations, its rank table), so a finished job re-checks
+// the budget. Graph h's memo fits next to g's grown one when its job
+// installs it, then its own job grows it past the budget: g's, the
+// least recently used, must go when that job finishes.
+func TestScreenMemoBudgetTrimsGrowth(t *testing.T) {
+	env := newTestEnv(t)
+	ev := plannerEvents(t, env)
+	var edges strings.Builder
+	if err := env.graph.WriteGraph(&edges); err != nil {
+		t.Fatal(err)
+	}
+	env.do(t, http.StatusCreated, "POST", "/v1/graphs", map[string]any{"name": "h", "edge_list": edges.String()}, nil)
+	env.do(t, http.StatusOK, "POST", "/v1/graphs/h/events", map[string]any{"events": ev}, nil)
+	reg := env.srv.Registry()
+	g, _ := reg.Get("g")
+	h, _ := reg.Get("h")
+	job := func(graph string) {
+		t.Helper()
+		var acc screenResponse
+		env.do(t, http.StatusAccepted, "POST", "/v1/graphs/"+graph+"/screen",
+			map[string]any{"h": 1, "sample_size": 150, "seed": 3, "workers": 1}, &acc)
+		if v := pollJob(t, env, acc.JobID); v.Status != JobDone {
+			t.Fatalf("job on %s: %s", graph, v.Error)
+		}
+	}
+
+	job("g")
+	gMemo := retained(g).memo
+	snap := h.Snapshot()
+	fresh, err := screen.NewSharedMemo(snap.Graph.NumNodes(), snap.Store.Names())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.memos.mu.Lock()
+	reg.memos.budget = gMemo.Bytes() + fresh.Bytes()
+	reg.memos.mu.Unlock()
+
+	job("h")
+	hMemo := retained(h).memo
+	if hMemo == nil || hMemo.Bytes() <= fresh.Bytes() {
+		t.Fatal("h's job retained no memo, or did not grow it; the test proves nothing")
+	}
+	if retained(g).memo != nil {
+		t.Fatalf("g's memo (%d B) stayed beside h's grown one (%d B) over the %d B budget",
+			gMemo.Bytes(), hMemo.Bytes(), reg.memos.budget)
+	}
+	if n := reg.memos.lru.Len(); n != 1 {
+		t.Fatalf("%d memos retained, want h's alone", n)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"slices"
+	"sort"
 	"testing"
 )
 
@@ -28,16 +29,25 @@ func tieValue(b byte) float64 {
 
 // checkPrefixChain feeds x, y to a KendallPrefix in the chunks cuts
 // gives and requires every Extend to equal Kendall and KendallNaive on
-// the concatenated prefix.
-func checkPrefixChain(t *testing.T, p *KendallPrefix, x, y []float64, cuts []int) {
+// the concatenated prefix. Each chunk also goes through ExtendKeys on
+// two other prefixes, one keyed by the values' dense ranks and one by
+// a random strictly monotone re-encoding of those ranks (rng): keys
+// where only a few bytes vary, at a random byte offset. Both must
+// return exactly what Extend did.
+func checkPrefixChain(t *testing.T, p *KendallPrefix, x, y []float64, cuts []int, rng *rand.Rand) {
 	t.Helper()
+	rx, ry := denseRanks(x), denseRanks(y)
+	ex, ey := monotoneRecode(rx, rng), monotoneRecode(ry, rng)
+	var ranked, recoded KendallPrefix
 	p.Reset()
 	m := 0
 	for _, c := range cuts {
 		got := p.Extend(x[m:m+c], y[m:m+c])
+		byRank := ranked.ExtendKeys(rx[m:m+c], ry[m:m+c])
+		byCode := recoded.ExtendKeys(ex[m:m+c], ey[m:m+c])
 		m += c
-		if p.Len() != m {
-			t.Fatalf("Len = %d after %d observations", p.Len(), m)
+		if p.Len() != m || ranked.Len() != m || recoded.Len() != m {
+			t.Fatalf("Len = %d, %d, %d after %d observations", p.Len(), ranked.Len(), recoded.Len(), m)
 		}
 		if want := Kendall(x[:m], y[:m]); got != want {
 			t.Fatalf("prefix %d (cuts %v): Extend %+v != Kendall %+v", m, cuts, got, want)
@@ -45,11 +55,53 @@ func checkPrefixChain(t *testing.T, p *KendallPrefix, x, y []float64, cuts []int
 		if want := KendallNaive(x[:m], y[:m]); got != want {
 			t.Fatalf("prefix %d (cuts %v): Extend %+v != KendallNaive %+v", m, cuts, got, want)
 		}
+		if byRank != got {
+			t.Fatalf("prefix %d (cuts %v): ExtendKeys on ranks %+v != Extend %+v", m, cuts, byRank, got)
+		}
+		if byCode != got {
+			t.Fatalf("prefix %d (cuts %v): ExtendKeys on re-encoded ranks %+v != Extend %+v", m, cuts, byCode, got)
+		}
 	}
 }
 
+// denseRanks returns each value's dense rank in FloatKey order: equal
+// values share a rank, and the distinct values are numbered 0, 1, ...
+func denseRanks(v []float64) []uint64 {
+	keys := make([]uint64, len(v))
+	for i, f := range v {
+		keys[i] = FloatKey(f)
+	}
+	distinct := slices.Compact(slices.Sorted(slices.Values(keys)))
+	for i, k := range keys {
+		keys[i] = uint64(sort.Search(len(distinct), func(j int) bool { return distinct[j] >= k }))
+	}
+	return keys
+}
+
+// monotoneRecode maps ranks through a random strictly increasing code:
+// a random base plus the running sum of random gaps (1..256) up to each
+// rank, shifted left by a random 0..40 bits. Ranks below 300 then vary
+// in at most three adjacent bytes of the code.
+func monotoneRecode(ranks []uint64, rng *rand.Rand) []uint64 {
+	top := uint64(0)
+	for _, r := range ranks {
+		top = max(top, r)
+	}
+	code := make([]uint64, top+1)
+	for r := uint64(1); r <= top; r++ {
+		code[r] = code[r-1] + 1 + rng.Uint64N(256)
+	}
+	shift := rng.UintN(41)
+	base := rng.Uint64() >> 6 // base + (code << shift) stays below 2^64
+	out := make([]uint64, len(ranks))
+	for i, r := range ranks {
+		out[i] = base + code[r]<<shift
+	}
+	return out
+}
+
 // FuzzKendallPrefix pits the incremental prefix against from-scratch
-// Kendall at every chunk boundary. data holds the observations (two
+// Kendall at every chunk boundary, on float values and on rank keys. data holds the observations (two
 // bytes each, decoded by tieValue); each byte of cuts is one chunk
 // size (0..47, empty chunks included), the rest of the sample is the
 // last chunk.
@@ -71,7 +123,11 @@ func FuzzKendallPrefix(f *testing.F) {
 			m += c
 		}
 		cuts = append(cuts, n-m)
-		checkPrefixChain(t, new(KendallPrefix), x, y, cuts)
+		seed := uint64(len(data))<<32 | uint64(len(cutBytes))
+		for _, b := range data {
+			seed = seed*31 + uint64(b)
+		}
+		checkPrefixChain(t, new(KendallPrefix), x, y, cuts, rand.New(rand.NewPCG(seed, 21)))
 	})
 }
 
@@ -101,7 +157,7 @@ func TestKendallPrefixChains(t *testing.T) {
 				m += c
 			}
 		}
-		checkPrefixChain(t, p, x, y, cuts)
+		checkPrefixChain(t, p, x, y, cuts, rng)
 	}
 }
 
@@ -180,7 +236,7 @@ func BenchmarkSortKeyPairs(b *testing.B) {
 		x, y := densitySample(n, 2)
 		src := make([]keyPair, n)
 		for i := range src {
-			src[i] = keyPair{floatKey(x[i]), floatKey(y[i])}
+			src[i] = keyPair{FloatKey(x[i]), FloatKey(y[i])}
 		}
 		a, buf := make([]keyPair, n), make([]keyPair, n)
 		b.Run(fmt.Sprintf("insertion/%d", n), func(b *testing.B) {
@@ -196,4 +252,27 @@ func BenchmarkSortKeyPairs(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkKendallRankKeys is one pair of an exhaustive sweep at n =
+// 900: a whole-sample Kendall on float keys (Extend) against the same
+// sample keyed by its dense ranks (ExtendKeys), which a warm shared
+// memo serves. Both return the same TauResult.
+func BenchmarkKendallRankKeys(b *testing.B) {
+	const n = 900
+	x, y := densitySample(n, 1)
+	rx, ry := denseRanks(x), denseRanks(y)
+	p := new(KendallPrefix)
+	b.Run("float", func(b *testing.B) {
+		for b.Loop() {
+			p.Reset()
+			p.Extend(x, y)
+		}
+	})
+	b.Run("rank", func(b *testing.B) {
+		for b.Loop() {
+			p.Reset()
+			p.ExtendKeys(rx, ry)
+		}
+	})
 }

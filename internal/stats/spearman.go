@@ -79,31 +79,3 @@ func pearson(x, y []float64) float64 {
 	}
 	return cov / math.Sqrt(vx*vy)
 }
-
-// Mean returns the arithmetic mean of v (0 for empty input).
-func Mean(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s / float64(len(v))
-}
-
-// StdDev returns the sample standard deviation of v (0 for fewer than two
-// observations).
-func StdDev(v []float64) float64 {
-	n := len(v)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(v)
-	var ss float64
-	for _, x := range v {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n-1))
-}

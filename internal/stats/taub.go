@@ -15,27 +15,6 @@ type TauBResult struct {
 // PValue returns the p-value for the given alternative.
 func (r TauBResult) PValue(alt Alternative) float64 { return PValueZ(r.Z, alt) }
 
-// TauB computes Kendall's τ_b in O(n log n). The z-score equals the plain
-// Kendall test's z — τ_b only changes the point-estimate normalization,
-// which the significance computation cancels (as the paper notes at the
-// end of §3.1).
-func TauB(x, y []float64) TauBResult {
-	r := Kendall(x, y)
-	return tauBFrom(r)
-}
-
-func tauBFrom(r TauResult) TauBResult {
-	n0 := float64(r.TotalPairs())
-	n1 := float64(r.TiesX + r.TiesBoth)
-	n2 := float64(r.TiesY + r.TiesBoth)
-	out := TauBResult{N: r.N, Z: r.Z}
-	denom := math.Sqrt((n0 - n1) * (n0 - n2))
-	if denom > 0 {
-		out.TauB = float64(r.Numerator()) / denom
-	}
-	return out
-}
-
 // BinaryTauB computes τ_b for two binary indicator samples given their
 // 2×2 contingency counts in O(1):
 //

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 )
@@ -145,24 +146,6 @@ func TestMidRanks(t *testing.T) {
 	}
 }
 
-func TestMeanStdDev(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) != 0")
-	}
-	if m := Mean([]float64{1, 2, 3}); m != 2 {
-		t.Errorf("Mean = %g", m)
-	}
-	if s := StdDev([]float64{2, 2, 2}); s != 0 {
-		t.Errorf("StdDev of constants = %g", s)
-	}
-	if s := StdDev([]float64{1, 3}); !almostEqual(s, 1.4142135623730951, 1e-12) {
-		t.Errorf("StdDev = %g", s)
-	}
-	if StdDev([]float64{5}) != 0 {
-		t.Error("StdDev of single value should be 0")
-	}
-}
-
 func TestPearson(t *testing.T) {
 	x := []float64{1, 2, 3}
 	if p := pearson(x, []float64{2, 4, 6}); !almostEqual(p, 1, 1e-12) {
@@ -171,4 +154,21 @@ func TestPearson(t *testing.T) {
 	if p := pearson(x, []float64{6, 4, 2}); !almostEqual(p, -1, 1e-12) {
 		t.Errorf("pearson = %g, want -1", p)
 	}
+}
+
+// TauB computes Kendall's τ_b of two paired samples in O(n log n), the
+// oracle BinaryTauB's O(1) contingency-table form must agree with. Its
+// z equals the plain Kendall test's: τ_b only changes the point
+// estimate's normalization, which the significance computation cancels
+// (as the paper notes at the end of §3.1).
+func TauB(x, y []float64) TauBResult {
+	r := Kendall(x, y)
+	n0 := float64(r.TotalPairs())
+	n1 := float64(r.TiesX + r.TiesBoth)
+	n2 := float64(r.TiesY + r.TiesBoth)
+	out := TauBResult{N: r.N, Z: r.Z}
+	if denom := math.Sqrt((n0 - n1) * (n0 - n2)); denom > 0 {
+		out.TauB = float64(r.Numerator()) / denom
+	}
+	return out
 }

@@ -144,23 +144,3 @@ func TauPrefixConfidenceInterval(t float64, m, n int, alpha float64) (lo, hi flo
 	}
 	return lo, hi
 }
-
-// TauConfidenceInterval returns a conservative (1−alpha) confidence
-// interval for the population τ around the sampled estimate t, using the
-// §3.1 variance bound Var(t) ≤ 2(1−t²)/n and the normal approximation.
-// The interval is clamped to [−1, 1]. It is conservative because the
-// bound dominates the true sampling variance for every population size N.
-func TauConfidenceInterval(t float64, n int, alpha float64) (lo, hi float64) {
-	if n < 2 || alpha <= 0 || alpha >= 1 {
-		return -1, 1
-	}
-	half := NormalQuantile(1-alpha/2) * math.Sqrt(TauVarianceUpperBound(n, t))
-	lo, hi = t-half, t+half
-	if lo < -1 {
-		lo = -1
-	}
-	if hi > 1 {
-		hi = 1
-	}
-	return lo, hi
-}

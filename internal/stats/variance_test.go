@@ -148,8 +148,13 @@ func TestZFromNumerator(t *testing.T) {
 	}
 }
 
+// TestTauConfidenceInterval checks the full-sample interval — the
+// prefix interval with m = n — around a sampled τ.
 func TestTauConfidenceInterval(t *testing.T) {
-	lo, hi := TauConfidenceInterval(0.3, 900, 0.05)
+	ci := func(tau float64, n int, alpha float64) (lo, hi float64) {
+		return TauPrefixConfidenceInterval(tau, n, n, alpha)
+	}
+	lo, hi := ci(0.3, 900, 0.05)
 	if lo >= 0.3 || hi <= 0.3 {
 		t.Errorf("interval [%g, %g] does not bracket the estimate", lo, hi)
 	}
@@ -158,18 +163,18 @@ func TestTauConfidenceInterval(t *testing.T) {
 		t.Errorf("interval [%g, %g] too wide at n=900", lo, hi)
 	}
 	// clamping
-	lo, hi = TauConfidenceInterval(0.99, 10, 0.05)
+	lo, hi = ci(0.99, 10, 0.05)
 	if hi > 1 || lo < -1 {
 		t.Errorf("interval [%g, %g] not clamped", lo, hi)
 	}
 	// degenerate inputs give the trivial interval
-	lo, hi = TauConfidenceInterval(0, 1, 0.05)
+	lo, hi = ci(0, 1, 0.05)
 	if lo != -1 || hi != 1 {
 		t.Errorf("degenerate n interval [%g, %g]", lo, hi)
 	}
 	// smaller alpha widens the interval
-	l1, h1 := TauConfidenceInterval(0, 100, 0.05)
-	l2, h2 := TauConfidenceInterval(0, 100, 0.01)
+	l1, h1 := ci(0, 100, 0.05)
+	l2, h2 := ci(0, 100, 0.01)
 	if h2-l2 <= h1-l1 {
 		t.Error("99% interval should be wider than 95%")
 	}
@@ -278,7 +283,7 @@ func TestTauPrefixConfidenceInterval(t *testing.T) {
 	// Hoeffding's projection identity cancels the full-sample variance
 	// term entirely: the prefix interval is exactly the single-sample
 	// interval at m, not inflated by n.
-	cl, ch := TauConfidenceInterval(0.0, 100, 0.01)
+	cl, ch := TauPrefixConfidenceInterval(0.0, 100, 100, 0.01)
 	pl, ph := TauPrefixConfidenceInterval(0.0, 100, 900, 0.01)
 	if ph-pl != ch-cl {
 		t.Errorf("prefix half-width %g should equal the m-sample half-width %g", ph-pl, ch-cl)
