@@ -112,7 +112,7 @@ func benchBFS(b *testing.B, h int) {
 // computation (Eq. 2) including the shared union count.
 func BenchmarkDensityEval(b *testing.B) {
 	microSetup(b)
-	eval := core.NewDensityEvaluator(microProblem, 2)
+	eval := core.NewDensityEvaluatorBFS(microProblem, 2, graph.NewBFS(microProblem.G))
 	rng := rand.New(rand.NewPCG(3, 3))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -203,7 +203,10 @@ func BenchmarkAblationAliasDraw(b *testing.B) {
 	for i := range weights {
 		weights[i] = rng.Float64()*100 + 1
 	}
-	alias := sampling.MustNewAlias(weights)
+	alias, err := sampling.NewAlias(weights)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		alias.Draw(rng)
@@ -239,7 +242,7 @@ func BenchmarkAblationLinearDraw(b *testing.B) {
 // against the naive two-pass alternative.
 func BenchmarkAblationSharedBFS(b *testing.B) {
 	microSetup(b)
-	eval := core.NewDensityEvaluator(microProblem, 2)
+	eval := core.NewDensityEvaluatorBFS(microProblem, 2, graph.NewBFS(microProblem.G))
 	rng := rand.New(rand.NewPCG(8, 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -303,7 +306,7 @@ func BenchmarkAblationBFSFresh(b *testing.B) {
 // dominant per-test cost: n = 900 independent h-hop traversals.
 func BenchmarkAblationDensitySequential(b *testing.B) {
 	microSetup(b)
-	eval := core.NewDensityEvaluator(microProblem, 2)
+	eval := core.NewDensityEvaluatorBFS(microProblem, 2, graph.NewBFS(microProblem.G))
 	rng := rand.New(rand.NewPCG(11, 11))
 	refs := make([]graph.NodeID, 900)
 	for i := range refs {
@@ -315,9 +318,8 @@ func BenchmarkAblationDensitySequential(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationVarianceTies measures the tie-corrected variance
-// (Eq. 6) against the tie-free form (Eq. 5) to show the correction is
-// computationally free.
+// BenchmarkAblationVarianceEq6 measures the tie-corrected variance
+// (Eq. 6) at the paper's n = 900.
 func BenchmarkAblationVarianceEq6(b *testing.B) {
 	rng := rand.New(rand.NewPCG(10, 10))
 	x := make([]float64, 900)
@@ -328,11 +330,5 @@ func BenchmarkAblationVarianceEq6(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		stats.NumeratorVariance(900, ties, ties)
-	}
-}
-
-func BenchmarkAblationVarianceEq5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		stats.NullVariance(900)
 	}
 }

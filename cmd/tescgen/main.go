@@ -37,20 +37,19 @@ func main() {
 		h        = flag.Int("h-level", 1, "vicinity level for simulated event pairs")
 		occ      = flag.Int("occurrences", 0, "occurrences per simulated event (default 0.5% of nodes)")
 		seed     = flag.Uint64("seed", 1, "random seed")
-		binary   = flag.Bool("binary", false, "write the compact binary graph format instead of text")
 	)
 	flag.Parse()
 	if *out == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*kind, *scale, *nodes, *scaleExp, *out, *evOut, *h, *occ, *seed, *binary); err != nil {
+	if err := run(*kind, *scale, *nodes, *scaleExp, *out, *evOut, *h, *occ, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "tescgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(kind string, scale float64, nodes, scaleExp int, out, evOut string, h, occ int, seed uint64, binary bool) error {
+func run(kind string, scale float64, nodes, scaleExp int, out, evOut string, h, occ int, seed uint64) error {
 	rng := rand.New(rand.NewPCG(seed, 0x6e6))
 	var g *graph.Graph
 	switch kind {
@@ -71,12 +70,7 @@ func run(kind string, scale float64, nodes, scaleExp int, out, evOut string, h, 
 		return err
 	}
 	defer f.Close()
-	if binary {
-		err = graphio.WriteBinary(f, g)
-	} else {
-		err = graphio.WriteEdgeList(f, g)
-	}
-	if err != nil {
+	if err := graphio.WriteEdgeList(f, g); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s: %d nodes, %d edges\n", out, g.NumNodes(), g.NumEdges())

@@ -7,9 +7,9 @@
 //     examples are pairs whose TC and TESC disagree.
 //   - Hitting-time proximity (from the authors' earlier SIGMOD'11 work
 //     [11]): the "more sophisticated proximity measure" §2 rejects on
-//     cost grounds. A truncated / decayed hitting-time Monte-Carlo
-//     estimator reproduces its cost profile for the Figure 10(a)
-//     comparison (170ms vs 5.2ms per node).
+//     cost grounds. An iterative truncated hitting-time evaluator
+//     reproduces its cost profile for the Figure 10(a) comparison
+//     (170ms vs 5.2ms per node).
 //   - Proximity pattern mining (pFP, [16]): a support-thresholded
 //     neighborhood co-occurrence miner. Table 5 shows TESC detects rare
 //     positively-correlated pairs that any frequency-based miner misses;
@@ -20,7 +20,6 @@ package baseline
 import (
 	"fmt"
 	"math"
-	"math/rand/v2"
 	"sort"
 
 	"tesc/internal/graph"
@@ -48,49 +47,17 @@ func TransactionCorrelation(va, vb *graph.NodeSet) (stats.TauBResult, error) {
 	return stats.BinaryTauB(n11, n10, n01, n00), nil
 }
 
-// HittingTimeEstimator estimates truncated and decayed hitting times from
-// a node to a target set by Monte-Carlo random walks. It reproduces the
-// cost shape of the hitting-time proximity of [11] that Figure 10(a)
-// compares BFS against.
+// HittingTimeEstimator computes truncated hitting times to a target
+// set. It reproduces the cost shape of the hitting-time proximity of
+// [11] that Figure 10(a) compares BFS against.
 type HittingTimeEstimator struct {
 	// MaxSteps truncates each walk (the T of truncated hitting time).
 	MaxSteps int
-	// NumWalks is the Monte-Carlo sample size per query.
-	NumWalks int
-	// Decay is the per-step decay c ∈ (0,1] of the decayed variant
-	// DHT(r,S) = E[c^T_S]; 1 gives plain truncated hitting time weight.
-	Decay float64
 }
 
-// DefaultHittingTime mirrors common settings of [11]: 10-step truncation,
-// 1000 walks, decay 0.8.
+// DefaultHittingTime mirrors the 10-step truncation common in [11].
 func DefaultHittingTime() HittingTimeEstimator {
-	return HittingTimeEstimator{MaxSteps: 10, NumWalks: 1000, Decay: 0.8}
-}
-
-// Truncated returns the estimated expected number of steps for a random
-// walk from start to first reach target, truncated at MaxSteps (walks
-// that never arrive contribute MaxSteps).
-func (e HittingTimeEstimator) Truncated(g *graph.Graph, start graph.NodeID, target *graph.NodeSet, rng *rand.Rand) float64 {
-	total := 0
-	for w := 0; w < e.NumWalks; w++ {
-		steps, _ := e.walk(g, start, target, rng)
-		total += steps
-	}
-	return float64(total) / float64(e.NumWalks)
-}
-
-// Decayed returns the estimated decayed hitting proximity E[c^T], where T
-// is the hitting time; walks that never arrive within MaxSteps contribute
-// 0. Higher values mean the target set is closer.
-func (e HittingTimeEstimator) Decayed(g *graph.Graph, start graph.NodeID, target *graph.NodeSet, rng *rand.Rand) float64 {
-	var total float64
-	for w := 0; w < e.NumWalks; w++ {
-		if steps, hit := e.walk(g, start, target, rng); hit {
-			total += pow(e.Decay, steps)
-		}
-	}
-	return total / float64(e.NumWalks)
+	return HittingTimeEstimator{MaxSteps: 10}
 }
 
 // IterativeTruncated computes the exact truncated hitting time from
@@ -129,35 +96,6 @@ func (e HittingTimeEstimator) IterativeTruncated(g *graph.Graph, target *graph.N
 		cur, next = next, cur
 	}
 	return cur
-}
-
-// walk runs one random walk and returns the hitting step count (truncated
-// at MaxSteps) and whether the target was actually reached. A start node
-// already in the target hits at 0.
-func (e HittingTimeEstimator) walk(g *graph.Graph, start graph.NodeID, target *graph.NodeSet, rng *rand.Rand) (int, bool) {
-	if target.Contains(start) {
-		return 0, true
-	}
-	cur := start
-	for step := 1; step <= e.MaxSteps; step++ {
-		ns := g.Neighbors(cur)
-		if len(ns) == 0 {
-			return e.MaxSteps, false // stuck; never hits
-		}
-		cur = ns[rng.IntN(len(ns))]
-		if target.Contains(cur) {
-			return step, true
-		}
-	}
-	return e.MaxSteps, false
-}
-
-func pow(c float64, k int) float64 {
-	out := 1.0
-	for i := 0; i < k; i++ {
-		out *= c
-	}
-	return out
 }
 
 // PairSupport is a mined event pair with its neighborhood co-occurrence

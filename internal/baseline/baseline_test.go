@@ -61,65 +61,6 @@ func TestTransactionCorrelationAgainstDirectTauB(t *testing.T) {
 	}
 }
 
-func TestHittingTimeOnPath(t *testing.T) {
-	// path 0-1-2; target {2}; from 2: hit at 0. From 1: first step hits
-	// with prob 1/2, expected truncated time small.
-	g := graph.Path(3)
-	target := graph.NewNodeSet(3, []graph.NodeID{2})
-	e := HittingTimeEstimator{MaxSteps: 20, NumWalks: 4000, Decay: 0.5}
-	rng := rand.New(rand.NewPCG(122, 1))
-
-	if ht := e.Truncated(g, 2, target, rng); ht != 0 {
-		t.Errorf("hitting time from target = %g, want 0", ht)
-	}
-	if d := e.Decayed(g, 2, target, rng); d != 1 {
-		t.Errorf("decayed proximity from target = %g, want 1", d)
-	}
-	htFrom1 := e.Truncated(g, 1, target, rng)
-	htFrom0 := e.Truncated(g, 0, target, rng)
-	if htFrom1 >= htFrom0 {
-		t.Errorf("hitting time should grow with distance: from1=%g from0=%g", htFrom1, htFrom0)
-	}
-	dFrom1 := e.Decayed(g, 1, target, rng)
-	dFrom0 := e.Decayed(g, 0, target, rng)
-	if dFrom1 <= dFrom0 {
-		t.Errorf("decayed proximity should shrink with distance: from1=%g from0=%g", dFrom1, dFrom0)
-	}
-}
-
-func TestHittingTimeUnreachable(t *testing.T) {
-	g := graph.MustFromEdges(4, [][2]graph.NodeID{{0, 1}, {2, 3}})
-	target := graph.NewNodeSet(4, []graph.NodeID{3})
-	e := HittingTimeEstimator{MaxSteps: 15, NumWalks: 200, Decay: 0.5}
-	rng := rand.New(rand.NewPCG(123, 1))
-	if ht := e.Truncated(g, 0, target, rng); ht != 15 {
-		t.Errorf("unreachable target hitting time = %g, want MaxSteps", ht)
-	}
-	if d := e.Decayed(g, 0, target, rng); d != 0 {
-		t.Errorf("unreachable decayed proximity = %g, want 0", d)
-	}
-	// isolated start node
-	g2 := graph.MustFromEdges(2, nil)
-	t2 := graph.NewNodeSet(2, []graph.NodeID{1})
-	if ht := e.Truncated(g2, 0, t2, rng); ht != 15 {
-		t.Errorf("stuck walk hitting time = %g", ht)
-	}
-}
-
-func TestHittingTimeExactExpectation(t *testing.T) {
-	// Two-node path, target {1}: hit at exactly 1 step from node 0.
-	g := graph.Path(2)
-	target := graph.NewNodeSet(2, []graph.NodeID{1})
-	e := HittingTimeEstimator{MaxSteps: 5, NumWalks: 500, Decay: 0.8}
-	rng := rand.New(rand.NewPCG(124, 1))
-	if ht := e.Truncated(g, 0, target, rng); ht != 1 {
-		t.Errorf("deterministic 1-step hit = %g", ht)
-	}
-	if d := e.Decayed(g, 0, target, rng); !almostEqual(d, 0.8, 1e-12) {
-		t.Errorf("decayed = %g, want 0.8", d)
-	}
-}
-
 func TestIterativeTruncated(t *testing.T) {
 	// path 0-1-2 with target {2}: h(2)=0; by symmetry of the chain,
 	// h_T(1) = 1 + h_{T-1}(0)/2, h_T(0) = 1 + h_{T-1}(1).
@@ -145,20 +86,6 @@ func TestIterativeTruncated(t *testing.T) {
 	h3 := HittingTimeEstimator{MaxSteps: 9}.IterativeTruncated(g3, graph.NewNodeSet(3, []graph.NodeID{2}))
 	if h3[0] != 9 {
 		t.Errorf("isolated node h = %g, want MaxSteps", h3[0])
-	}
-	// iterative and Monte-Carlo estimates agree
-	e4 := HittingTimeEstimator{MaxSteps: 20, NumWalks: 20000}
-	rng := rand.New(rand.NewPCG(99, 1))
-	mc := e4.Truncated(g, 0, target, rng)
-	it := e4.IterativeTruncated(g, target)[0]
-	if !almostEqual(mc, it, 0.15) {
-		t.Errorf("MC %g vs iterative %g", mc, it)
-	}
-}
-
-func TestPow(t *testing.T) {
-	if pow(0.5, 0) != 1 || pow(0.5, 2) != 0.25 {
-		t.Error("pow wrong")
 	}
 }
 

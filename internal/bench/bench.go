@@ -94,12 +94,6 @@ func (c Config) DBLP() *graph.Graph {
 	return graphgen.Coauthorship(graphgen.DefaultCoauthorship(c.DBLPScale), rng)
 }
 
-// DBLPConfig exposes the surrogate's layout (community membership) to
-// the table planting code.
-func (c Config) DBLPConfig() graphgen.CoauthorshipConfig {
-	return graphgen.DefaultCoauthorship(c.DBLPScale)
-}
-
 // Intrusion returns the Intrusion surrogate graph: subnet cliques wired
 // to a few router hubs of degree ≈ n/4 (paper: hub degrees ≈50k on 200k
 // nodes, 2-vicinities covering much of the graph).
@@ -157,10 +151,14 @@ type Table struct {
 	Rows   [][]string
 }
 
-// Render writes the figure as aligned text: one row per X value, one
-// column per series.
+// Render writes the figure as aligned text: a heading naming the y-axis
+// unit, then one row per X value, one column per series.
 func (f Figure) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "== %s: %s ==\n", f.ID, f.Title); err != nil {
+	title := f.Title
+	if f.YLabel != "" {
+		title += " [" + f.YLabel + "]"
+	}
+	if _, err := fmt.Fprintf(w, "== %s: %s ==\n", f.ID, title); err != nil {
 		return err
 	}
 	header := append([]string{f.XLabel}, make([]string, len(f.Series))...)

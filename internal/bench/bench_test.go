@@ -61,7 +61,7 @@ func TestFigureRender(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"figX", "s1", "s2", "0.5", "0.25"} {
+	for _, want := range []string{"figX", "[y]", "s1", "s2", "0.5", "0.25"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}

@@ -5,7 +5,6 @@ import (
 	"math/rand/v2"
 
 	"tesc/internal/core"
-	"tesc/internal/graph"
 	"tesc/internal/graphgen"
 	"tesc/internal/simulate"
 	"tesc/internal/vicinity"
@@ -219,14 +218,4 @@ func hashLabels(parts ...any) uint64 {
 		}
 	}
 	return h
-}
-
-// EventNodesOf converts int slices to NodeIDs (test helper shared by the
-// table runners).
-func EventNodesOf(vs []int) []graph.NodeID {
-	out := make([]graph.NodeID, len(vs))
-	for i, v := range vs {
-		out[i] = graph.NodeID(v)
-	}
-	return out
 }

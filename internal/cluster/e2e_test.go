@@ -331,9 +331,6 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 	cancel()
 	fresh.srv.Promote()
-	if fresh.srv.ReadOnly() {
-		t.Fatal("promoted node still read-only")
-	}
 	if err := coord.ReplaceOwner(victimName, fresh.ts.URL); err != nil {
 		t.Fatal(err)
 	}

@@ -30,11 +30,6 @@ func (d Density) SA() float64 { return d.SumA / float64(d.VicinitySize) }
 // SB returns s^h_b(r).
 func (d Density) SB() float64 { return d.SumB / float64(d.VicinitySize) }
 
-// InSight reports whether r sees at least one event occurrence — i.e.
-// whether r is a legal reference node (Definition 3; §3.2 excludes
-// "out-of-sight" nodes).
-func (d Density) InSight() bool { return d.CountUnion > 0 }
-
 // DensityEvaluator computes Density records over a fixed problem and
 // vicinity level, reusing one BFS engine. Not safe for concurrent use.
 type DensityEvaluator struct {
@@ -50,15 +45,10 @@ type DensityEvaluator struct {
 	BFSCount int64 // number of h-hop traversals performed
 }
 
-// NewDensityEvaluator returns an evaluator for p at level h.
-func NewDensityEvaluator(p *Problem, h int) *DensityEvaluator {
-	return NewDensityEvaluatorBFS(p, h, graph.NewBFS(p.G))
-}
-
-// NewDensityEvaluatorBFS is NewDensityEvaluator with a caller-supplied
-// BFS engine (typically from a graph.EnginePool), so serving tiers stop
-// allocating an O(|V|) mark array per query. The engine must be bound
-// to p.G.
+// NewDensityEvaluatorBFS returns an evaluator for p at level h that
+// runs on a caller-supplied BFS engine (typically from a
+// graph.EnginePool), so serving tiers stop allocating an O(|V|) mark
+// array per query. The engine must be bound to p.G.
 func NewDensityEvaluatorBFS(p *Problem, h int, bfs *graph.BFS) *DensityEvaluator {
 	if bfs.Graph() != p.G {
 		panic("core: BFS engine bound to a different graph")

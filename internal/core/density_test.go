@@ -34,6 +34,12 @@ func TestNewProblemValidation(t *testing.T) {
 	}
 }
 
+// NewDensityEvaluator returns an evaluator for p at level h on its own
+// BFS engine.
+func NewDensityEvaluator(p *Problem, h int) *DensityEvaluator {
+	return NewDensityEvaluatorBFS(p, h, graph.NewBFS(p.G))
+}
+
 func TestDensityEval(t *testing.T) {
 	p := pathProblem(t)
 	e := NewDensityEvaluator(p, 1)
@@ -46,7 +52,7 @@ func TestDensityEval(t *testing.T) {
 	if d.SA() != 1.0 || d.SB() != 0.0 {
 		t.Errorf("SA=%g SB=%g", d.SA(), d.SB())
 	}
-	if !d.InSight() {
+	if d.CountUnion == 0 {
 		t.Error("node 0 sees events")
 	}
 
@@ -61,7 +67,7 @@ func TestDensityEval(t *testing.T) {
 
 	// r=3 at h=1: V^1_3 = {2,3,4}; sees b only.
 	d3 := e.Eval(3)
-	if d3.CountA != 0 || d3.CountB != 1 || !d3.InSight() {
+	if d3.CountA != 0 || d3.CountB != 1 || d3.CountUnion == 0 {
 		t.Errorf("density(3) = %+v", d3)
 	}
 
@@ -78,7 +84,7 @@ func TestDensityOutOfSight(t *testing.T) {
 	p := MustNewProblem(g, va, vb)
 	e := NewDensityEvaluator(p, 1)
 	d := e.Eval(4)
-	if d.InSight() {
+	if d.CountUnion != 0 {
 		t.Error("center of long path should be out of sight at h=1")
 	}
 	if d.SA() != 0 || d.SB() != 0 {

@@ -55,9 +55,6 @@ func NewEventMembership(n int, sets []*graph.NodeSet) (*EventMembership, error) 
 // NumEvents returns K, the vocabulary size.
 func (m *EventMembership) NumEvents() int { return m.k }
 
-// Universe returns the node universe size.
-func (m *EventMembership) Universe() int { return m.n }
-
 // MultiEvaluator computes, in ONE h-hop BFS from a reference node, the
 // occurrence counts |V_k ∩ V^h_r| of every event k in a vocabulary —
 // the cross-pair generalization of DensityEvaluator.Eval. A screening

@@ -24,8 +24,7 @@ const (
 	SpearmanRho
 )
 
-// Options configures a TESC test. The zero value is not valid; use
-// DefaultOptions and override.
+// Options configures a TESC test. The zero value is not valid.
 type Options struct {
 	// H is the vicinity level (≥ 1). The paper focuses on h = 1, 2, 3
 	// because real networks' small-world growth makes larger vicinities
@@ -78,17 +77,6 @@ func ctxErr(ctx context.Context) error {
 		return fmt.Errorf("%w: %w", ErrCanceled, context.Cause(ctx))
 	default:
 		return nil
-	}
-}
-
-// DefaultOptions mirrors the paper's experimental setup: n = 900
-// reference nodes, α = 0.05, Batch BFS sampling.
-func DefaultOptions(h int) Options {
-	return Options{
-		H:           h,
-		SampleSize:  900,
-		Alternative: stats.TwoSided,
-		Alpha:       0.05,
 	}
 }
 

@@ -29,6 +29,17 @@ func TestTestOptionValidation(t *testing.T) {
 	}
 }
 
+// DefaultOptions mirrors the paper's experimental setup: n = 900
+// reference nodes, α = 0.05, Batch BFS sampling.
+func DefaultOptions(h int) Options {
+	return Options{
+		H:           h,
+		SampleSize:  900,
+		Alternative: stats.TwoSided,
+		Alpha:       0.05,
+	}
+}
+
 func TestDefaultOptions(t *testing.T) {
 	o := DefaultOptions(2)
 	if o.H != 2 || o.SampleSize != 900 || o.Alpha != 0.05 {

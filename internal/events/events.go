@@ -31,7 +31,6 @@ type Store struct {
 	weight []map[graph.NodeID]float64
 	setsMu sync.Mutex       // guards sets: Set is called from screen workers
 	sets   []*graph.NodeSet // lazily built, nil until first use
-	byNode map[graph.NodeID][]int
 }
 
 // Builder accumulates event occurrences. It is the mutable side of the
@@ -106,13 +105,6 @@ func (b *Builder) RemoveEvent(name string) bool {
 	return true
 }
 
-// Has reports whether the builder currently holds any occurrence of the
-// event.
-func (b *Builder) Has(name string) bool {
-	_, ok := b.occ[name]
-	return ok
-}
-
 // Build freezes the builder into a Store.
 func (b *Builder) Build() *Store {
 	b.epoch++
@@ -120,7 +112,6 @@ func (b *Builder) Build() *Store {
 		n:      b.n,
 		epoch:  b.epoch,
 		byName: make(map[string]int, len(b.occ)),
-		byNode: make(map[graph.NodeID][]int),
 	}
 	for name := range b.occ {
 		s.names = append(s.names, name)
@@ -140,9 +131,6 @@ func (b *Builder) Build() *Store {
 		sort.Slice(nodes, func(a, c int) bool { return nodes[a] < nodes[c] })
 		s.occ[i] = nodes
 		s.weight[i] = w
-		for _, v := range nodes {
-			s.byNode[v] = append(s.byNode[v], i)
-		}
 	}
 	return s
 }
@@ -268,40 +256,4 @@ func (s *Store) Set(name string) *graph.NodeSet {
 		s.sets[i] = graph.NewNodeSet(s.n, s.occ[i])
 	}
 	return s.sets[i]
-}
-
-// UnionSet returns Va∪b = Va ∪ Vb for two events.
-func (s *Store) UnionSet(a, b string) *graph.NodeSet {
-	return s.Set(a).Union(s.Set(b))
-}
-
-// NodeEvents returns the indices-free list of event names on node v,
-// sorted, or nil when the node carries no events.
-func (s *Store) NodeEvents(v graph.NodeID) []string {
-	idxs := s.byNode[v]
-	if len(idxs) == 0 {
-		return nil
-	}
-	out := make([]string, len(idxs))
-	for i, idx := range idxs {
-		out[i] = s.names[idx]
-	}
-	return out
-}
-
-// ContingencyTable returns the 2×2 transaction table of two events over
-// all nodes: n11 (both), n10 (a only), n01 (b only), n00 (neither). This
-// is the input of the Transaction Correlation baseline.
-func (s *Store) ContingencyTable(a, b string) (n11, n10, n01, n00 int64) {
-	sa, sb := s.Set(a), s.Set(b)
-	for _, v := range sa.Members() {
-		if sb.Contains(v) {
-			n11++
-		} else {
-			n10++
-		}
-	}
-	n01 = int64(sb.Len()) - n11
-	n00 = int64(s.n) - n11 - n10 - n01
-	return n11, n10, n01, n00
 }

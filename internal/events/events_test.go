@@ -65,36 +65,9 @@ func TestSetsAndUnion(t *testing.T) {
 	if s.Set("wireless") != sa {
 		t.Error("Set should cache")
 	}
-	u := s.UnionSet("wireless", "sensor")
-	if u.Len() != 3 { // {1,3,5}
-		t.Errorf("union = %v", u.Members())
-	}
 	empty := s.Set("missing")
 	if empty.Len() != 0 || empty.Universe() != 10 {
 		t.Error("unknown event should give empty set over the universe")
-	}
-}
-
-func TestNodeEvents(t *testing.T) {
-	s := buildSample(t)
-	ev := s.NodeEvents(3)
-	if len(ev) != 2 || ev[0] != "sensor" || ev[1] != "wireless" {
-		t.Errorf("NodeEvents(3) = %v", ev)
-	}
-	if s.NodeEvents(0) != nil {
-		t.Error("node without events should return nil")
-	}
-}
-
-func TestContingencyTable(t *testing.T) {
-	s := buildSample(t)
-	n11, n10, n01, n00 := s.ContingencyTable("wireless", "sensor")
-	// wireless {1,3}, sensor {3,5}: both={3}, a only={1}, b only={5}
-	if n11 != 1 || n10 != 1 || n01 != 1 || n00 != 7 {
-		t.Errorf("table = %d,%d,%d,%d", n11, n10, n01, n00)
-	}
-	if n11+n10+n01+n00 != int64(s.Universe()) {
-		t.Error("table does not partition the universe")
 	}
 }
 
@@ -195,7 +168,7 @@ func TestRemoveAndEpoch(t *testing.T) {
 	if !b.Remove("wireless", 1) {
 		t.Error("removing the last occurrence should report true")
 	}
-	if b.Has("wireless") {
+	if b.Build().Has("wireless") {
 		t.Error("event should vanish with its last occurrence")
 	}
 	if !b.RemoveEvent("sensor") {

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 )
 
 // BFS is a reusable breadth-first-search engine over a fixed graph.
@@ -165,17 +164,6 @@ func (b *BFS) VicinitySize(u NodeID, h int) int {
 // materializing V^h_{a∪b}.
 func (b *BFS) SetVicinity(sources []NodeID, h int, out []NodeID) []NodeID {
 	return append(out, b.Collect(sources, h)...)
-}
-
-// Distance returns the hop distance from u to v, or -1 if v is not
-// reachable from u. It expands at most the whole graph.
-func (b *BFS) Distance(u, v NodeID) int {
-	for i, w := range b.Collect([]NodeID{u}, b.g.NumNodes()) {
-		if w == v {
-			return sort.SearchInts(b.ends, i+1) // the level holding index i
-		}
-	}
-	return -1
 }
 
 // Eccentricity returns the largest BFS depth reached from u (the

@@ -58,10 +58,6 @@ func (b *Builder) AddEdge(u, v NodeID) {
 	}
 }
 
-// NumPending returns the number of edge records added so far (before
-// dedup).
-func (b *Builder) NumPending() int { return len(b.us) }
-
 // Build validates endpoints, symmetrizes, deduplicates, drops self-loops
 // and returns the CSR graph. The builder can be reused afterwards; its
 // pending edges are retained.

@@ -101,7 +101,7 @@ func TestCollectMatchesReferenceBFS(t *testing.T) {
 	}
 }
 
-// TestDistanceQueriesMatchReferenceBFS pins Distance, Eccentricity and
+// TestDistanceQueriesMatchReferenceBFS pins Eccentricity and
 // NodesAtDistance against the queue oracle's depths.
 func TestDistanceQueriesMatchReferenceBFS(t *testing.T) {
 	for _, directed := range []bool{false, true} {
@@ -111,15 +111,8 @@ func TestDistanceQueriesMatchReferenceBFS(t *testing.T) {
 			src := NodeID(u)
 			order, depth := refBFS(g, []NodeID{src}, g.NumNodes())
 			ecc := 0
-			for v := 0; v < g.NumNodes(); v++ {
-				want, ok := depth[NodeID(v)]
-				if !ok {
-					want = -1
-				}
-				if got := b.Distance(src, NodeID(v)); got != want {
-					t.Fatalf("directed=%v: Distance(%d,%d) = %d, want %d", directed, u, v, got, want)
-				}
-				ecc = max(ecc, want)
+			for _, d := range depth {
+				ecc = max(ecc, d)
 			}
 			if got := b.Eccentricity(src); got != ecc {
 				t.Fatalf("directed=%v: Eccentricity(%d) = %d, want %d", directed, u, got, ecc)
@@ -159,9 +152,6 @@ func TestEnginePool(t *testing.T) {
 	g1 := randomTestGraph(t, 50, 100, false, 2)
 	g2 := randomTestGraph(t, 50, 100, false, 3)
 	pool := NewEnginePool(g1)
-	if pool.Graph() != g1 {
-		t.Fatal("pool bound to wrong graph")
-	}
 	e := pool.Get()
 	if e.Graph() != g1 {
 		t.Fatal("pooled engine bound to wrong graph")

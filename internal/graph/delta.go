@@ -10,7 +10,7 @@ import (
 // deletion of the edge {U, V} (the arc U→V on directed graphs). A
 // sequence of EdgeChanges is the unit the dynamic-graph subsystem
 // exchanges: graphgen produces them as workloads, Delta accumulates and
-// compacts them, and vicinity.Index.ApplyDelta consumes them to repair
+// compacts them, and vicinity.Index.ApplyDeltaDirty consumes them to repair
 // the |V^h_v| index incrementally.
 type EdgeChange struct {
 	U, V   NodeID
@@ -34,7 +34,6 @@ type Delta struct {
 	base    *Graph
 	added   map[uint64]struct{}
 	removed map[uint64]struct{}
-	log     []EdgeChange
 	m       int64 // edge count of base+overlay
 }
 
@@ -47,9 +46,6 @@ func NewDelta(base *Graph) *Delta {
 		m:       base.NumEdges(),
 	}
 }
-
-// Base returns the immutable graph under the overlay.
-func (d *Delta) Base() *Graph { return d.base }
 
 // key normalizes an edge to a map key: undirected edges are stored with
 // the smaller endpoint first, directed arcs keep their orientation.
@@ -99,7 +95,6 @@ func (d *Delta) InsertEdge(u, v NodeID) (bool, error) {
 		d.added[k] = struct{}{}
 	}
 	d.m++
-	d.log = append(d.log, EdgeChange{U: u, V: v, Insert: true})
 	return true, nil
 }
 
@@ -119,7 +114,6 @@ func (d *Delta) DeleteEdge(u, v NodeID) (bool, error) {
 		d.removed[k] = struct{}{}
 	}
 	d.m--
-	d.log = append(d.log, EdgeChange{U: u, V: v, Insert: false})
 	return true, nil
 }
 
@@ -129,34 +123,29 @@ func (d *Delta) DeleteEdge(u, v NodeID) (bool, error) {
 // in a slice the caller owns: later Apply and Compact calls leave it
 // alone.
 func (d *Delta) Apply(changes []EdgeChange) ([]EdgeChange, error) {
-	start := len(d.log)
+	var applied []EdgeChange
 	for _, c := range changes {
+		var ok bool
 		var err error
 		if c.Insert {
-			_, err = d.InsertEdge(c.U, c.V)
+			ok, err = d.InsertEdge(c.U, c.V)
 		} else {
-			_, err = d.DeleteEdge(c.U, c.V)
+			ok, err = d.DeleteEdge(c.U, c.V)
 		}
 		if err != nil {
 			return nil, err
 		}
+		if ok {
+			applied = append(applied, c)
+		}
 	}
-	return slices.Clone(d.log[start:]), nil
+	return applied, nil
 }
-
-// NumEdges returns the edge count of the overlaid graph (arc count when
-// directed).
-func (d *Delta) NumEdges() int64 { return d.m }
 
 // Pending returns the number of staged edge flips relative to the base
 // graph (cancelling pairs collapse), the figure compaction policies key
 // on.
 func (d *Delta) Pending() int { return len(d.added) + len(d.removed) }
-
-// Changes returns every change applied since the delta was created, in
-// order, including pairs that later cancelled. The slice aliases
-// internal storage.
-func (d *Delta) Changes() []EdgeChange { return d.log }
 
 // arcFlip is one staged change seen from one row: the arc u→v is
 // inserted or deleted.
@@ -245,6 +234,5 @@ func (d *Delta) Compact() *Graph {
 	d.base = out
 	clear(d.added)
 	clear(d.removed)
-	d.log = d.log[:0]
 	return out
 }

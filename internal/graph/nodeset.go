@@ -70,38 +70,6 @@ func (s *NodeSet) Union(t *NodeSet) *NodeSet {
 	return out
 }
 
-// Intersect returns a new set containing nodes in both s and t.
-func (s *NodeSet) Intersect(t *NodeSet) *NodeSet {
-	if s.n != t.n {
-		panic("graph: NodeSet universe mismatch")
-	}
-	small, big := s, t
-	if small.Len() > big.Len() {
-		small, big = big, small
-	}
-	var members []NodeID
-	for _, v := range small.sorted {
-		if big.Contains(v) {
-			members = append(members, v)
-		}
-	}
-	return NewNodeSet(s.n, members)
-}
-
-// Difference returns a new set containing nodes in s but not in t.
-func (s *NodeSet) Difference(t *NodeSet) *NodeSet {
-	if s.n != t.n {
-		panic("graph: NodeSet universe mismatch")
-	}
-	var members []NodeID
-	for _, v := range s.sorted {
-		if !t.Contains(v) {
-			members = append(members, v)
-		}
-	}
-	return NewNodeSet(s.n, members)
-}
-
 // CountIn returns |s ∩ nodes| for an arbitrary node slice, the primitive
 // behind density evaluation (Eq. 2: |Va ∩ V^h_r|).
 func (s *NodeSet) CountIn(nodes []NodeID) int {
@@ -112,20 +80,6 @@ func (s *NodeSet) CountIn(nodes []NodeID) int {
 		}
 	}
 	return c
-}
-
-// Equal reports whether s and t contain exactly the same members over the
-// same universe.
-func (s *NodeSet) Equal(t *NodeSet) bool {
-	if s.n != t.n || len(s.sorted) != len(t.sorted) {
-		return false
-	}
-	for i, v := range s.sorted {
-		if t.sorted[i] != v {
-			return false
-		}
-	}
-	return true
 }
 
 func mergeSorted(a, b []NodeID) []NodeID {

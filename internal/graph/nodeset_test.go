@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -66,16 +67,6 @@ func TestNodeSetAlgebra(t *testing.T) {
 			t.Errorf("union missing %d", v)
 		}
 	}
-
-	i := a.Intersect(b)
-	if i.Len() != 2 || !i.Contains(3) || !i.Contains(4) {
-		t.Errorf("intersect = %v", i.Members())
-	}
-
-	d := a.Difference(b)
-	if d.Len() != 2 || !d.Contains(1) || !d.Contains(2) {
-		t.Errorf("difference = %v", d.Members())
-	}
 }
 
 func TestNodeSetUniverseMismatchPanics(t *testing.T) {
@@ -116,24 +107,8 @@ func TestNodeSetComplement(t *testing.T) {
 		}
 	}
 	cc := c.Complement()
-	if !cc.Equal(s) {
+	if !slices.Equal(cc.Members(), s.Members()) {
 		t.Error("double complement != original")
-	}
-}
-
-func TestNodeSetEqual(t *testing.T) {
-	a := NewNodeSet(5, []NodeID{1, 2})
-	b := NewNodeSet(5, []NodeID{2, 1})
-	c := NewNodeSet(5, []NodeID{1, 3})
-	d := NewNodeSet(6, []NodeID{1, 2})
-	if !a.Equal(b) {
-		t.Error("order should not matter")
-	}
-	if a.Equal(c) {
-		t.Error("different members compare equal")
-	}
-	if a.Equal(d) {
-		t.Error("different universes compare equal")
 	}
 }
 
@@ -150,7 +125,7 @@ func TestNodeSetInclusionExclusion(t *testing.T) {
 		}
 		a := NewNodeSet(n, ma)
 		b := NewNodeSet(n, mb)
-		return a.Union(b).Len() == a.Len()+b.Len()-a.Intersect(b).Len()
+		return a.Union(b).Len() == a.Len()+b.Len()-a.CountIn(b.Members())
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

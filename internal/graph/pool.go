@@ -32,9 +32,6 @@ func NewEnginePool(g *Graph) *EnginePool {
 	return ep
 }
 
-// Graph returns the graph snapshot the pool's engines are bound to.
-func (ep *EnginePool) Graph() *Graph { return ep.g }
-
 // Get takes an engine from the pool, allocating a new one when the pool
 // is empty. Return it with Put when the traversal burst is done.
 func (ep *EnginePool) Get() *BFS { return ep.p.Get().(*BFS) }

@@ -45,23 +45,6 @@ func ComputeStats(g *Graph) Stats {
 	return s
 }
 
-// DegreeHistogram returns hist where hist[d] is the number of nodes with
-// degree d, up to the maximum degree.
-func DegreeHistogram(g *Graph) []int {
-	maxDeg := 0
-	n := g.NumNodes()
-	for v := 0; v < n; v++ {
-		if d := g.Degree(NodeID(v)); d > maxDeg {
-			maxDeg = d
-		}
-	}
-	hist := make([]int, maxDeg+1)
-	for v := 0; v < n; v++ {
-		hist[g.Degree(NodeID(v))]++
-	}
-	return hist
-}
-
 // EstimateDiameter lower-bounds the diameter of g's largest component by
 // the double-sweep heuristic repeated rounds times: BFS from a random
 // node, then BFS again from the farthest node found. Real-life graphs'
@@ -142,27 +125,4 @@ func AvgClusteringCoefficient(g *Graph, sample int, rng *rand.Rand) float64 {
 		return 0
 	}
 	return total / float64(count)
-}
-
-// AvgVicinitySize estimates the mean |V^h_v| over a sample of nodes,
-// the quantity the paper denotes "average size of node h-vicinities"
-// (c_B in §4.4). sample <= 0 means all nodes.
-func AvgVicinitySize(g *Graph, h, sample int, rng *rand.Rand) float64 {
-	n := g.NumNodes()
-	if n == 0 {
-		return 0
-	}
-	b := NewBFS(g)
-	if sample <= 0 || sample >= n {
-		total := 0.0
-		for v := 0; v < n; v++ {
-			total += float64(b.VicinitySize(NodeID(v), h))
-		}
-		return total / float64(n)
-	}
-	total := 0.0
-	for i := 0; i < sample; i++ {
-		total += float64(b.VicinitySize(NodeID(rng.IntN(n)), h))
-	}
-	return total / float64(sample)
 }

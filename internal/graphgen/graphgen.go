@@ -120,23 +120,6 @@ type PlantedPartitionConfig struct {
 	DegreeOut   float64 // expected inter-community degree per node
 }
 
-// DefaultDBLPSurrogate mirrors the DBLP graph's average degree (~7.35,
-// from 964,677 nodes and 3,547,014 edges) at a configurable scale.
-// scale = 1.0 yields ≈100k nodes, which keeps the full Figure 5/6 sweeps
-// in laptop range; the paper's full size corresponds to scale ≈ 9.6.
-func DefaultDBLPSurrogate(scale float64) PlantedPartitionConfig {
-	communities := int(1000 * scale)
-	if communities < 2 {
-		communities = 2
-	}
-	return PlantedPartitionConfig{
-		Communities: communities,
-		Size:        100,
-		DegreeIn:    6.0,
-		DegreeOut:   1.35,
-	}
-}
-
 // PlantedPartition generates a community graph: Communities blocks of
 // Size nodes each, with expected intra-degree DegreeIn and expected
 // inter-degree DegreeOut per node.
@@ -173,17 +156,6 @@ func PlantedPartition(cfg PlantedPartitionConfig, rng *rand.Rand) *graph.Graph {
 	return b.MustBuild()
 }
 
-// CommunityOf returns the community index of node v under cfg's layout.
-func (cfg PlantedPartitionConfig) CommunityOf(v graph.NodeID) int {
-	return int(v) / cfg.Size
-}
-
-// NumNodes returns the node count a PlantedPartition with this config
-// will have.
-func (cfg PlantedPartitionConfig) NumNodes() int {
-	return cfg.Communities * cfg.Size
-}
-
 // CoauthorshipConfig parameterizes the clique-based DBLP surrogate.
 type CoauthorshipConfig struct {
 	Communities int     // research communities
@@ -216,9 +188,6 @@ func DefaultCoauthorship(scale float64) CoauthorshipConfig {
 
 // NumNodes returns the node count of the configured graph.
 func (cfg CoauthorshipConfig) NumNodes() int { return cfg.Communities * cfg.Size }
-
-// CommunityOf returns the community index of a node.
-func (cfg CoauthorshipConfig) CommunityOf(v graph.NodeID) int { return int(v) / cfg.Size }
 
 // Coauthorship generates the clique-based DBLP surrogate: Papers·n/2.5
 // papers, each a clique of 2..MaxAuthors authors from one community
@@ -318,14 +287,6 @@ func Intrusion(cfg IntrusionConfig, rng *rand.Rand) *graph.Graph {
 		b.AddEdge(graph.NodeID(u), graph.NodeID(v))
 	}
 	return b.MustBuild()
-}
-
-// SubnetOf returns the subnet index of a host node (-1 for hubs).
-func (cfg IntrusionConfig) SubnetOf(v graph.NodeID) int {
-	if int(v) < cfg.Hubs {
-		return -1
-	}
-	return (int(v) - cfg.Hubs) / cfg.SubnetSize
 }
 
 // SubnetMembers returns the node IDs of subnet s.

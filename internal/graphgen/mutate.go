@@ -54,7 +54,7 @@ func AddOrSame(g *graph.Graph, count int64, rng *rand.Rand) *graph.Graph {
 // configured bias, against the state reached by all earlier flips. It
 // is the workload generator of the dynamic-graph subsystem — the
 // differential tests and benchmarks drive graph.Delta and
-// vicinity.Index.ApplyDelta with it, seeded so every run replays
+// vicinity.Index.ApplyDeltaDirty with it, seeded so every run replays
 // exactly.
 type FlipStream struct {
 	n        int
@@ -141,9 +141,6 @@ func (s *FlipStream) Take(count int) []graph.EdgeChange {
 	}
 	return out
 }
-
-// NumEdges returns the edge count of the state the stream has reached.
-func (s *FlipStream) NumEdges() int64 { return int64(len(s.edges)) }
 
 // AddRandomEdges returns a copy of g with count new uniformly chosen
 // edges added (duplicates of existing edges are rejected and retried, so

@@ -8,7 +8,6 @@ package graphio
 import (
 	"bufio"
 	"compress/gzip"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -247,69 +246,4 @@ func WriteEvents(w io.Writer, s *events.Store) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// binaryMagic identifies the binary graph format ("TESCG1\n").
-var binaryMagic = [8]byte{'T', 'E', 'S', 'C', 'G', '1', '\n', 0}
-
-// WriteBinary writes g in the compact binary format: magic, node count,
-// edge count, then the u<v edge pairs as little-endian int32 pairs.
-func WriteBinary(w io.Writer, g *graph.Graph) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
-		return err
-	}
-	hdr := make([]byte, 16)
-	binary.LittleEndian.PutUint64(hdr[0:8], uint64(g.NumNodes()))
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(g.NumEdges()))
-	if _, err := bw.Write(hdr); err != nil {
-		return err
-	}
-	buf := make([]byte, 8)
-	var writeErr error
-	g.ForEachEdge(func(u, v graph.NodeID) bool {
-		binary.LittleEndian.PutUint32(buf[0:4], uint32(u))
-		binary.LittleEndian.PutUint32(buf[4:8], uint32(v))
-		if _, err := bw.Write(buf); err != nil {
-			writeErr = err
-			return false
-		}
-		return true
-	})
-	if writeErr != nil {
-		return writeErr
-	}
-	return bw.Flush()
-}
-
-// ReadBinary reads the WriteBinary format.
-func ReadBinary(r io.Reader) (*graph.Graph, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("graphio: reading magic: %w", err)
-	}
-	if magic != binaryMagic {
-		return nil, fmt.Errorf("graphio: bad magic %q", magic[:])
-	}
-	hdr := make([]byte, 16)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("graphio: reading header: %w", err)
-	}
-	n := binary.LittleEndian.Uint64(hdr[0:8])
-	m := binary.LittleEndian.Uint64(hdr[8:16])
-	if n > uint64(graph.MaxNodes) {
-		return nil, fmt.Errorf("graphio: node count %d too large", n)
-	}
-	b := graph.NewBuilder(int(n))
-	buf := make([]byte, 8)
-	for e := uint64(0); e < m; e++ {
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("graphio: reading edge %d: %w", e, err)
-		}
-		u := binary.LittleEndian.Uint32(buf[0:4])
-		v := binary.LittleEndian.Uint32(buf[4:8])
-		b.AddEdge(graph.NodeID(u), graph.NodeID(v))
-	}
-	return b.Build()
 }

@@ -176,61 +176,6 @@ func TestEventsIntensityColumn(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewPCG(132, 1))
-	g := graphgen.ErdosRenyi(300, 900, rng)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameGraph(t, g, g2)
-}
-
-func TestBinaryBadInput(t *testing.T) {
-	if _, err := ReadBinary(strings.NewReader("short")); err == nil {
-		t.Error("truncated magic accepted")
-	}
-	if _, err := ReadBinary(strings.NewReader("WRONGMAG garbage")); err == nil {
-		t.Error("bad magic accepted")
-	}
-	// valid magic, truncated header
-	var buf bytes.Buffer
-	buf.Write([]byte{'T', 'E', 'S', 'C', 'G', '1', '\n', 0})
-	buf.Write([]byte{1, 2, 3})
-	if _, err := ReadBinary(&buf); err == nil {
-		t.Error("truncated header accepted")
-	}
-	// truncated edges
-	var buf2 bytes.Buffer
-	g := graph.Path(3)
-	if err := WriteBinary(&buf2, g); err != nil {
-		t.Fatal(err)
-	}
-	trimmed := buf2.Bytes()[:buf2.Len()-4]
-	if _, err := ReadBinary(bytes.NewReader(trimmed)); err == nil {
-		t.Error("truncated edges accepted")
-	}
-}
-
-func TestBinaryEmptyGraph(t *testing.T) {
-	g := graph.NewBuilder(7).MustBuild()
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumNodes() != 7 || g2.NumEdges() != 0 {
-		t.Fatalf("g2 = %v", g2)
-	}
-}
-
 func TestMaybeGzipRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(133, 1))
 	g := graphgen.ErdosRenyi(100, 250, rng)

@@ -41,7 +41,6 @@ type FaultTransport struct {
 	prob      float64
 	healed    bool
 	partition int // ops remaining in the current partition window
-	ops       int64
 
 	// Bounded buffers of pristine past replies, the ammunition for
 	// stale replays.
@@ -76,13 +75,6 @@ func (ft *FaultTransport) Break() {
 	ft.mu.Unlock()
 }
 
-// Ops reports how many transport operations were attempted.
-func (ft *FaultTransport) Ops() int64 {
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
-	return ft.ops
-}
-
 // draw picks this operation's fate. Must hold mu.
 func (ft *FaultTransport) draw() int {
 	if ft.healed {
@@ -113,7 +105,6 @@ func remember[T any](buf *[]T, v T) {
 func (ft *FaultTransport) Status() (Status, error) {
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
-	ft.ops++
 	switch ft.draw() {
 	case faultDrop, faultTruncate, faultCorrupt:
 		return Status{}, fmt.Errorf("%w: status reply dropped", ErrInjected)
@@ -135,7 +126,6 @@ func (ft *FaultTransport) Status() (Status, error) {
 func (ft *FaultTransport) Snapshot(graph string) (SnapshotPart, error) {
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
-	ft.ops++
 	k := ft.draw()
 	switch k {
 	case faultDrop, faultTruncate, faultPartition:
@@ -168,7 +158,6 @@ func (ft *FaultTransport) Snapshot(graph string) (SnapshotPart, error) {
 func (ft *FaultTransport) Pull(cur wal.ShipCursor, maxBytes int) (wal.ShipBatch, error) {
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
-	ft.ops++
 	k := ft.draw()
 	switch k {
 	case faultDrop, faultPartition:

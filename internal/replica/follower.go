@@ -95,9 +95,6 @@ func (f *Follower) Metrics() Metrics {
 	}
 }
 
-// Cursor returns the follower's current log position (for tests).
-func (f *Follower) Cursor() wal.ShipCursor { return f.cur }
-
 // Run syncs on a ticker until the context is canceled.
 func (f *Follower) Run(ctx context.Context, interval time.Duration) {
 	if interval <= 0 {
@@ -468,14 +465,6 @@ func (f *Follower) CatchUp(ctx context.Context, interval time.Duration) error {
 		case <-time.After(interval):
 		}
 	}
-}
-
-// ApplyFrames consumes raw frame bytes against the follower's state as
-// if they had arrived in a pull reply starting at the current cursor —
-// the surface the FuzzApplyReplicatedRecord harness drives with
-// adversarial bytes.
-func (f *Follower) ApplyFrames(b []byte) error {
-	return f.consume(wal.ShipBatch{Start: f.cur, Next: f.cur, Frames: b})
 }
 
 // save persists the cursor (best effort — a failed save only costs

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"tesc"
+	"tesc/internal/events"
 	"tesc/internal/graph"
 	"tesc/internal/replica"
 	"tesc/internal/server"
@@ -195,9 +196,7 @@ func differentialQueries(t *testing.T, primary, follower *server.Server) {
 		ev := make(tesc.EventSet, len(evNames))
 		fev := make(tesc.EventSet, len(evNames))
 		for _, n := range evNames {
-			po, _ := pe.Occurrences(n)
-			fo, _ := fe.Occurrences(n)
-			ev[n], fev[n] = po, fo
+			ev[n], fev[n] = occurrences(ps.Store, n), occurrences(fs.Store, n)
 		}
 		opts := tesc.ScreenOptions{H: 1, SampleSize: 60, Alpha: 0.05, MinOccurrences: 1, Workers: 1, Seed: 999}
 		pres, perr := tesc.Screen(ps.Graph, ev, opts)
@@ -213,10 +212,8 @@ func differentialQueries(t *testing.T, primary, follower *server.Server) {
 			t.Errorf("graph %s: screen results differ:\nprimary  %+v\nfollower %+v", name, pres.Pairs, fres.Pairs)
 		}
 		copts := tesc.Options{H: 1, SampleSize: 60, Seed: 5}
-		pa, _ := pe.Occurrences(evNames[0])
-		pb, _ := pe.Occurrences(evNames[1])
-		fa, _ := fe.Occurrences(evNames[0])
-		fb, _ := fe.Occurrences(evNames[1])
+		pa, pb := ev[evNames[0]], ev[evNames[1]]
+		fa, fb := fev[evNames[0]], fev[evNames[1]]
 		pc, perr := tesc.Correlation(ps.Graph, pa, pb, copts)
 		fc, ferr := tesc.Correlation(fs.Graph, fa, fb, copts)
 		if (perr == nil) != (ferr == nil) {
@@ -435,4 +432,15 @@ func runSweepSeed(t *testing.T, seed int64) (total replica.Metrics) {
 	differentialQueries(t, primary.srv, follower.srv)
 	follower.srv.Close()
 	return total
+}
+
+// occurrences returns an event's occurrence nodes as the public input
+// type.
+func occurrences(s *events.Store, name string) []int {
+	occ := s.Occurrences(name)
+	out := make([]int, len(occ))
+	for i, v := range occ {
+		out[i] = int(v)
+	}
+	return out
 }

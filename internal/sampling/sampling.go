@@ -17,7 +17,6 @@ import (
 type Alias struct {
 	prob  []float64
 	alias []int32
-	total float64
 }
 
 // NewAlias builds an alias table over weights (all ≥ 0, at least one
@@ -41,7 +40,6 @@ func NewAlias(weights []float64) (*Alias, error) {
 	a := &Alias{
 		prob:  make([]float64, n),
 		alias: make([]int32, n),
-		total: total,
 	}
 	// scaled[i] = weights[i] * n / total; partition into small (<1) and
 	// large (≥1) stacks and pair them.
@@ -79,15 +77,6 @@ func NewAlias(weights []float64) (*Alias, error) {
 	return a, nil
 }
 
-// MustNewAlias is NewAlias that panics on error.
-func MustNewAlias(weights []float64) *Alias {
-	a, err := NewAlias(weights)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
 // Draw returns a random index distributed proportionally to the
 // construction weights.
 func (a *Alias) Draw(rng *rand.Rand) int {
@@ -100,10 +89,6 @@ func (a *Alias) Draw(rng *rand.Rand) int {
 
 // Len returns the number of outcomes.
 func (a *Alias) Len() int { return len(a.prob) }
-
-// Total returns the sum of the construction weights (the paper's Nsum
-// when weights are the |V^h_v|).
-func (a *Alias) Total() float64 { return a.total }
 
 // UniformNoReplace yields up to k distinct integers uniformly from
 // [0, n) using a partial Fisher–Yates shuffle over an explicit index
@@ -137,9 +122,6 @@ func (u *UniformNoReplace) Next() (int, bool) {
 	u.next++
 	return v, true
 }
-
-// Remaining returns how many draws are left.
-func (u *UniformNoReplace) Remaining() int { return len(u.idx) - u.next }
 
 // SampleKInPlace returns k distinct elements chosen uniformly from
 // population (fewer when the population is smaller) via a partial
@@ -181,36 +163,3 @@ func SampleK[T any](population []T, k int, rng *rand.Rand) []T {
 	}
 	return out
 }
-
-// Reservoir maintains a uniform fixed-size sample over a stream of items
-// of unknown length (used by tooling that samples reference nodes from
-// BFS visit streams without materializing them).
-type Reservoir[T any] struct {
-	items []T
-	k     int
-	seen  int64
-	rng   *rand.Rand
-}
-
-// NewReservoir returns a reservoir of capacity k.
-func NewReservoir[T any](k int, rng *rand.Rand) *Reservoir[T] {
-	return &Reservoir[T]{items: make([]T, 0, k), k: k, rng: rng}
-}
-
-// Offer feeds one stream item.
-func (r *Reservoir[T]) Offer(item T) {
-	r.seen++
-	if len(r.items) < r.k {
-		r.items = append(r.items, item)
-		return
-	}
-	if j := r.rng.Int64N(r.seen); j < int64(r.k) {
-		r.items[j] = item
-	}
-}
-
-// Sample returns the current sample. The slice aliases the reservoir.
-func (r *Reservoir[T]) Sample() []T { return r.items }
-
-// Seen returns how many items have been offered.
-func (r *Reservoir[T]) Seen() int64 { return r.seen }

@@ -205,9 +205,6 @@ func NewSharedMemo(numNodes int, names []string) (*SharedMemo, error) {
 // Names returns the sorted vocabulary the memo covers.
 func (m *SharedMemo) Names() []string { return m.names }
 
-// NumNodes returns the node universe the memo was built for.
-func (m *SharedMemo) NumNodes() int { return len(m.memo.states) }
-
 // Invalidate clears the cached entries of the given nodes, returning
 // how many published entries were actually dropped (nodes never
 // evaluated cost nothing). Out-of-range nodes are ignored.
@@ -264,19 +261,6 @@ func (m *SharedMemo) Reset() {
 	for i := range m.memo.states {
 		m.memo.states[i].Store(0)
 	}
-}
-
-// Published returns the number of cached (published) entries — the
-// reference nodes whose next evaluation is an array load instead of a
-// BFS. O(NumNodes); diagnostics and tests only.
-func (m *SharedMemo) Published() int {
-	n := 0
-	for i := range m.memo.states {
-		if m.memo.states[i].Load() == 2 {
-			n++
-		}
-	}
-	return n
 }
 
 // bind validates the memo against a sweep (graph universe, pair

@@ -14,6 +14,19 @@ import (
 	"tesc/internal/vicinity"
 )
 
+// Published returns the number of cached (published) entries — the
+// reference nodes whose next evaluation is an array load instead of a
+// BFS. O(|V|).
+func (m *SharedMemo) Published() int {
+	n := 0
+	for i := range m.memo.states {
+		if m.memo.states[i].Load() == 2 {
+			n++
+		}
+	}
+	return n
+}
+
 // memoFixture builds a seeded graph and a K-event store whose h-hop
 // reference populations overlap heavily, so the cross-pair memo gets
 // real hits.

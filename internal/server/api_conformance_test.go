@@ -156,7 +156,7 @@ func TestGraphNameValidationAtRouter(t *testing.T) {
 func TestRoutesMatchAPITable(t *testing.T) {
 	srv := New(Config{})
 	registered := map[string]bool{}
-	for _, p := range srv.Routes() {
+	for _, p := range srv.routes {
 		registered[p] = true
 	}
 	for _, r := range api.Routes {

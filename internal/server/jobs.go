@@ -321,17 +321,6 @@ func (js *Jobs) StartPlanned(graphName string, release func(), fn func(ctx conte
 	return j
 }
 
-// Cancel aborts the job with the given ID. Reports whether the job
-// exists; cancelling a finished job is a no-op.
-func (js *Jobs) Cancel(id string) bool {
-	j, ok := js.Get(id)
-	if !ok {
-		return false
-	}
-	j.cancel()
-	return true
-}
-
 // CancelAll aborts every job started from this tracker — the drain
 // path. New jobs registered afterwards are born cancelled.
 func (js *Jobs) CancelAll() {
@@ -360,15 +349,4 @@ func (js *Jobs) Get(id string) (*Job, bool) {
 	defer js.mu.Unlock()
 	j, ok := js.jobs[id]
 	return j, ok
-}
-
-// IDs returns all known job IDs, unordered.
-func (js *Jobs) IDs() []string {
-	js.mu.Lock()
-	defer js.mu.Unlock()
-	out := make([]string, 0, len(js.jobs))
-	for id := range js.jobs {
-		out = append(out, id)
-	}
-	return out
 }

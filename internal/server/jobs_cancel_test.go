@@ -39,17 +39,11 @@ func TestJobCancelLandsInCancelled(t *testing.T) {
 		return screen.Result{}, ctx.Err()
 	})
 	<-started
-	if !js.Cancel(j.ID) {
-		t.Fatal("Cancel reported an unknown job")
-	}
+	j.cancel()
 	waitStatus(t, j, JobCancelled)
-	if js.Cancel("job-999") {
-		t.Fatal("Cancel invented a job")
-	}
 	// Cancelling a finished job is a harmless no-op.
-	if !js.Cancel(j.ID) {
-		t.Fatal("Cancel on a finished job should still report it exists")
-	}
+	j.cancel()
+	waitStatus(t, j, JobCancelled)
 }
 
 // A deadline-killed job is also "cancelled": DeadlineExceeded and
@@ -72,7 +66,7 @@ func TestPlannedJobCancelKeepsPartial(t *testing.T) {
 		// The planner returns the ranking-so-far alongside the error.
 		return screen.PlanResult{Pairs: partial}, ctx.Err()
 	})
-	js.Cancel(j.ID)
+	j.cancel()
 	waitStatus(t, j, JobCancelled)
 	v := j.Snapshot()
 	if len(v.Partial) != 1 || v.Partial[0].A != "x" {
@@ -101,7 +95,7 @@ func TestJobReleasesSlotOnCancel(t *testing.T) {
 	if _, ok := a.acquireJobSlot(); ok {
 		t.Fatal("slot free while the job holds it")
 	}
-	js.Cancel(j.ID)
+	j.cancel()
 	waitStatus(t, j, JobCancelled)
 	deadline := time.Now().Add(time.Second)
 	for {

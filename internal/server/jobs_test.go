@@ -73,7 +73,7 @@ func TestJobsPruneFinished(t *testing.T) {
 		<-release
 		return screen.Result{}, nil
 	})
-	if got := len(js.IDs()); got > maxFinishedJobs+1 {
+	if got := js.numJobs(); got > maxFinishedJobs+1 {
 		t.Fatalf("%d jobs retained, want <= %d finished + 1 running", got, maxFinishedJobs)
 	}
 	if _, ok := js.Get(first.ID); ok {
@@ -151,4 +151,11 @@ func TestJobProgressGaugeMonotone(t *testing.T) {
 		t.Fatalf("gauge = %d/%d, want 5/5", v.Done, v.Total)
 	}
 	close(release)
+}
+
+// numJobs returns how many jobs the tracker retains.
+func (js *Jobs) numJobs() int {
+	js.mu.Lock()
+	defer js.mu.Unlock()
+	return len(js.jobs)
 }

@@ -338,8 +338,8 @@ func TestDrainFlushesAndRecovers(t *testing.T) {
 
 	// The drain sequence ListenAndServe runs on SIGTERM.
 	env.srv.BeginDrain()
-	if !env.srv.Draining() {
-		t.Fatal("Draining() false after BeginDrain")
+	if !env.srv.adm.draining.Load() {
+		t.Fatal("not draining after BeginDrain")
 	}
 	code, hdr, body, err := rawPost(env, "/v1/graphs/g/correlate",
 		map[string]any{"a": "left", "b": "right", "h": 1, "sample_size": 100}, "")

@@ -205,9 +205,6 @@ func (e *GraphEntry) Snapshot() Snapshot {
 // Graph returns the current graph snapshot.
 func (e *GraphEntry) Graph() *tesc.Graph { return e.Snapshot().Graph }
 
-// Store returns the current event snapshot.
-func (e *GraphEntry) Store() *events.Store { return e.Snapshot().Store }
-
 // Epoch returns the current snapshot's epoch.
 func (e *GraphEntry) Epoch() uint64 { return e.Snapshot().Epoch }
 
@@ -272,30 +269,9 @@ func (e *GraphEntry) MutateEdges(changes []tesc.EdgeChange, refresh func(old, ne
 	return next, applied, nil
 }
 
-// AddEvents records event occurrences (event name → node IDs). Node IDs
-// outside the graph's range are rejected before anything is recorded.
-// Repeated registrations of the same occurrence accumulate intensity,
-// matching events.Builder semantics.
-func (e *GraphEntry) AddEvents(ev map[string][]int) error {
-	return e.mutateEvents(ev, nil, nil)
-}
-
-// RemoveEvents deletes event occurrences: each name maps to the node
-// IDs to remove, an empty (or nil) list removing the whole event. The
-// batch is validated against the current snapshot first and rejected
-// whole on an unknown event or absent occurrence.
-func (e *GraphEntry) RemoveEvents(ev map[string][]int) error {
-	return e.mutateEvents(nil, ev, nil)
-}
-
-// MutateEvents applies additions and removals as one mutation (one
-// epoch bump, one published snapshot).
-func (e *GraphEntry) MutateEvents(add, remove map[string][]int) error {
-	return e.mutateEvents(add, remove, nil)
-}
-
-// MutateEventsNotify is MutateEvents with a pre-publication hook: when
-// the batch will take effect, notify runs — with mutations still
+// MutateEventsNotify applies event additions and removals as one
+// mutation (one epoch bump, one published snapshot). It takes a
+// pre-publication hook: when the batch will take effect, notify runs — with mutations still
 // serialized, before any reader can observe the successor snapshot —
 // receiving the per-event occurrence nodes the batch touches and the
 // epoch the mutation publishes. The monitor scheduler queues its
@@ -418,8 +394,8 @@ func (e *GraphEntry) AddStore(store *events.Store) error {
 	return nil
 }
 
-// Occurrences returns the occurrence node IDs of the named event in the
-// given store, or an error naming the event when it is unknown.
+// storeOccurrences returns the occurrence node IDs of the named event
+// in the given store, or an error naming the event when it is unknown.
 func storeOccurrences(store *events.Store, name string) ([]int, error) {
 	if !store.Has(name) {
 		return nil, fmt.Errorf("unknown event %q", name)
@@ -431,15 +407,6 @@ func storeOccurrences(store *events.Store, name string) ([]int, error) {
 	}
 	return out, nil
 }
-
-// Occurrences returns the occurrence node IDs of the named event in the
-// current snapshot, or an error naming the event when it is unknown.
-func (e *GraphEntry) Occurrences(name string) ([]int, error) {
-	return storeOccurrences(e.Store(), name)
-}
-
-// NumEvents returns the number of distinct registered events.
-func (e *GraphEntry) NumEvents() int { return e.Store().NumEvents() }
 
 // Registry is a named collection of loaded graphs. It is the unit of
 // amortization: a graph is parsed and indexed once, then serves any

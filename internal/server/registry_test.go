@@ -26,7 +26,23 @@ func eventSetOf(store *events.Store) tesc.EventSet {
 
 // EventSet snapshots all registered events as the public screening
 // input type.
-func (e *GraphEntry) EventSet() tesc.EventSet { return eventSetOf(e.Store()) }
+func (e *GraphEntry) EventSet() tesc.EventSet { return eventSetOf(e.Snapshot().Store) }
+
+// AddEvents records event occurrences (event name → node IDs). Node IDs
+// outside the graph's range are rejected before anything is recorded.
+// Repeated registrations of the same occurrence accumulate intensity,
+// matching events.Builder semantics.
+func (e *GraphEntry) AddEvents(ev map[string][]int) error {
+	return e.mutateEvents(ev, nil, nil)
+}
+
+// RemoveEvents deletes event occurrences: each name maps to the node
+// IDs to remove, an empty (or nil) list removing the whole event. The
+// batch is validated against the current snapshot first and rejected
+// whole on an unknown event or absent occurrence.
+func (e *GraphEntry) RemoveEvents(ev map[string][]int) error {
+	return e.mutateEvents(nil, ev, nil)
+}
 
 func TestRegistryRegisterGetRemove(t *testing.T) {
 	g := testGraph(t)
@@ -66,13 +82,13 @@ func TestGraphEntryEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Occurrences("x"); err == nil {
+	if _, err := storeOccurrences(e.Snapshot().Store, "x"); err == nil {
 		t.Fatal("unknown event must error")
 	}
 	if err := e.AddEvents(map[string][]int{"x": {0, 99}}); err == nil {
 		t.Fatal("out-of-range node must be rejected")
 	}
-	if e.NumEvents() != 0 {
+	if e.Snapshot().Store.NumEvents() != 0 {
 		t.Fatal("rejected batch must not be partially applied")
 	}
 	if err := e.AddEvents(map[string][]int{"x": {2, 0}, "y": {1}}); err != nil {
@@ -82,7 +98,7 @@ func TestGraphEntryEvents(t *testing.T) {
 	if err := e.AddEvents(map[string][]int{"x": {4}}); err != nil {
 		t.Fatal(err)
 	}
-	occ, err := e.Occurrences("x")
+	occ, err := storeOccurrences(e.Snapshot().Store, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +130,7 @@ func TestGraphEntryAddStore(t *testing.T) {
 	if err := e.AddStore(b.Build()); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Store().Intensity("kw", 0); got != 3.5 {
+	if got := e.Snapshot().Store.Intensity("kw", 0); got != 3.5 {
 		t.Fatalf("Intensity(kw, 0) = %g, want 3.5 (weights must survive preload)", got)
 	}
 	wrong := events.NewBuilder(g.NumNodes() + 1)
@@ -148,16 +164,16 @@ func TestGraphEntryConcurrentReadWrite(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				if _, err := e.Occurrences("x"); err != nil {
+				if _, err := storeOccurrences(e.Snapshot().Store, "x"); err != nil {
 					t.Error(err)
 				}
 				e.EventSet()
-				e.NumEvents()
+				e.Snapshot().Store.NumEvents()
 			}
 		}()
 	}
 	wg.Wait()
-	occ, err := e.Occurrences("x")
+	occ, err := storeOccurrences(e.Snapshot().Store, "x")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,7 +150,7 @@ func TestScreenJobsShareSnapshotMemo(t *testing.T) {
 		t.Fatal("a stale snapshot did not share the memo retained for its epoch")
 	}
 	memo, engines := e.screenMemo(cur, 1)
-	if memo == nil || engines.Graph() != cur.Graph.Internal() {
+	if memo == nil || engines.Get().Graph() != cur.Graph.Internal() {
 		t.Fatal("the current snapshot got no memo, or a pool on another graph")
 	}
 	if m, _ := e.screenMemo(old, 1); m != nil {

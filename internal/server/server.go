@@ -15,8 +15,6 @@ import (
 
 // Config parameterizes the service.
 type Config struct {
-	// Addr is the listen address (default ":8537").
-	Addr string
 	// IndexCacheCapacity bounds the number of cached vicinity indexes
 	// across all (graph, maxLevel) keys (default 8). Each index costs
 	// O(|V|) space per level (§4.2), so the bound caps daemon memory.
@@ -215,15 +213,6 @@ func (s *Server) handle(pattern string, h http.HandlerFunc) {
 	s.mux.HandleFunc(pattern, h)
 }
 
-// Routes returns every registered mux pattern ("METHOD /path"). The
-// OpenAPI drift gate compares it against the canonical api.Routes
-// table, so a handler cannot be added off the books.
-func (s *Server) Routes() []string {
-	out := make([]string, len(s.routes))
-	copy(out, s.routes)
-	return out
-}
-
 // mutating gates a client-facing mutation handler behind the read-only
 // flag.
 func (s *Server) mutating(h http.HandlerFunc) http.HandlerFunc {
@@ -235,10 +224,6 @@ func (s *Server) mutating(h http.HandlerFunc) http.HandlerFunc {
 		h(w, r)
 	}
 }
-
-// ReadOnly reports whether client-facing mutations are currently
-// rejected (the server is a replica).
-func (s *Server) ReadOnly() bool { return s.readOnly.Load() }
 
 // Promote flips a read-only replica into a writable primary — the
 // cluster handoff seam. Call it after the node's replication follower
@@ -271,9 +256,6 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) BeginDrain() {
 	s.adm.draining.Store(true)
 }
-
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.adm.draining.Load() }
 
 // Drain runs the job half of a graceful stop: stop admitting (BeginDrain,
 // idempotent), cancel still-running screen jobs — they land in

@@ -149,8 +149,8 @@ func TestRoundTrip(t *testing.T) {
 				}
 				for lvl := 1; lvl <= h; lvl++ {
 					for v := 0; v < g.NumNodes(); v++ {
-						if lidx.Size(graph.NodeID(v), lvl) != idx.Size(graph.NodeID(v), lvl) {
-							t.Fatalf("|V^%d_%d|: got %d, want %d", lvl, v, lidx.Size(graph.NodeID(v), lvl), idx.Size(graph.NodeID(v), lvl))
+						if lidx.Sizes(lvl)[v] != idx.Sizes(lvl)[v] {
+							t.Fatalf("|V^%d_%d|: got %d, want %d", lvl, v, lidx.Sizes(lvl)[v], idx.Sizes(lvl)[v])
 						}
 					}
 				}

@@ -40,15 +40,6 @@ func (r TauResult) Numerator() int64 { return r.Concordant - r.Discordant }
 // TotalPairs returns n(n−1)/2.
 func (r TauResult) TotalPairs() int64 { return int64(r.N) * int64(r.N-1) / 2 }
 
-// PValue returns the p-value of the test for the given alternative.
-func (r TauResult) PValue(alt Alternative) float64 { return PValueZ(r.Z, alt) }
-
-// Significant reports whether the test rejects H0 ("x and y independent")
-// at level alpha for the given alternative.
-func (r TauResult) Significant(alpha float64, alt Alternative) bool {
-	return r.PValue(alt) < alpha
-}
-
 // String summarizes the result.
 func (r TauResult) String() string {
 	return fmt.Sprintf("tau=%.4f z=%.2f (n=%d, C=%d, D=%d)",
@@ -453,14 +444,9 @@ func radixSortKeyPairs(a, buf []keyPair) {
 	}
 }
 
-// countInversions counts pairs i<j with ys[i] > ys[j] via bottom-up merge
-// sort, destroying ys.
-func countInversions[T cmp.Ordered](ys []T) int64 {
-	return countInversionsBuf(ys, make([]T, len(ys)))
-}
-
-// countInversionsBuf is countInversions over caller-supplied merge
-// scratch (len(buf) >= len(ys)).
+// countInversionsBuf counts pairs i<j with ys[i] > ys[j] via bottom-up
+// merge sort over caller-supplied scratch (len(buf) >= len(ys)),
+// destroying ys.
 func countInversionsBuf[T cmp.Ordered](ys, buf []T) int64 {
 	n := len(ys)
 	var inv int64

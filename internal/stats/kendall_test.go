@@ -240,7 +240,7 @@ func TestCountInversions(t *testing.T) {
 	}
 	for _, tc := range cases {
 		in := append([]float64(nil), tc.in...)
-		if got := countInversions(in); got != tc.want {
+		if got := countInversionsBuf(in, make([]float64, len(in))); got != tc.want {
 			t.Errorf("countInversions(%v) = %d, want %d", tc.in, got, tc.want)
 		}
 	}
@@ -248,11 +248,7 @@ func TestCountInversions(t *testing.T) {
 
 func TestTauResultHelpers(t *testing.T) {
 	r := Kendall([]float64{1, 2, 3, 4}, []float64{1, 2, 3, 4})
-	if !r.Significant(0.05, Greater) {
-		// n=4 is tiny; check the machinery rather than the decision
-		t.Logf("p = %f", r.PValue(Greater))
-	}
-	if r.PValue(Greater) >= r.PValue(Less) {
+	if PValueZ(r.Z, Greater) >= PValueZ(r.Z, Less) {
 		t.Error("perfect concordance should favor Greater")
 	}
 	if r.String() == "" {

@@ -106,14 +106,3 @@ func NormalQuantile(p float64) float64 {
 	x = x - u/(1+x*u/2)
 	return x
 }
-
-// CriticalZ returns the rejection threshold on z for a test at
-// significance level alpha with the given alternative: reject when
-// z > CriticalZ for Greater, z < −CriticalZ for Less, |z| > CriticalZ
-// for TwoSided.
-func CriticalZ(alpha float64, alt Alternative) float64 {
-	if alt == TwoSided {
-		return NormalQuantile(1 - alpha/2)
-	}
-	return NormalQuantile(1 - alpha)
-}

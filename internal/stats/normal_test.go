@@ -115,20 +115,6 @@ func TestNormalQuantileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCriticalZ(t *testing.T) {
-	// one-tailed α=0.05 → 1.645
-	if got := CriticalZ(0.05, Greater); !almostEqual(got, 1.6448536269514722, 1e-9) {
-		t.Errorf("CriticalZ(0.05, Greater) = %f", got)
-	}
-	if got := CriticalZ(0.05, Less); !almostEqual(got, 1.6448536269514722, 1e-9) {
-		t.Errorf("CriticalZ(0.05, Less) = %f", got)
-	}
-	// two-tailed α=0.05 → 1.96
-	if got := CriticalZ(0.05, TwoSided); !almostEqual(got, 1.959963984540054, 1e-9) {
-		t.Errorf("CriticalZ(0.05, TwoSided) = %f", got)
-	}
-}
-
 func TestAlternativeString(t *testing.T) {
 	if TwoSided.String() != "two-sided" || Greater.String() != "greater" || Less.String() != "less" {
 		t.Error("Alternative names wrong")

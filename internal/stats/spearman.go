@@ -14,9 +14,6 @@ type SpearmanResult struct {
 	Z   float64 // normal approximation z = ρ·√(n−1)
 }
 
-// PValue returns the p-value for the given alternative.
-func (r SpearmanResult) PValue(alt Alternative) float64 { return PValueZ(r.Z, alt) }
-
 // Spearman computes ρ as the Pearson correlation of mid-ranks (average
 // ranks for ties) in O(n log n), with the standard large-sample normal
 // approximation for significance.

@@ -2,20 +2,6 @@ package stats
 
 import "math"
 
-// NullVariance returns the variance of the sampled statistic t(a,b)
-// (Eq. 4) under the null hypothesis when no ties are present:
-//
-//	σ² = 2(2n+5) / (9 n (n−1))          (paper Eq. 5)
-//
-// A good normal approximation of t's null distribution holds for n > 30.
-func NullVariance(n int) float64 {
-	if n < 2 {
-		return 0
-	}
-	nf := float64(n)
-	return 2 * (2*nf + 5) / (9 * nf * (nf - 1))
-}
-
 // NumeratorVariance returns Var(Σ c(ri,rj)) — the variance of the
 // numerator of Eq. 4 under the null hypothesis with tie corrections
 // (paper Eq. 6). tiesX and tiesY are the tie-group sizes (u_i and v_i) of

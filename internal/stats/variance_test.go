@@ -7,6 +7,20 @@ import (
 	"testing/quick"
 )
 
+// NullVariance returns the variance of the sampled statistic t(a,b)
+// (Eq. 4) under the null hypothesis when no ties are present:
+//
+//	σ² = 2(2n+5) / (9 n (n−1))          (paper Eq. 5)
+//
+// A good normal approximation of t's null distribution holds for n > 30.
+func NullVariance(n int) float64 {
+	if n < 2 {
+		return 0
+	}
+	nf := float64(n)
+	return 2 * (2*nf + 5) / (9 * nf * (nf - 1))
+}
+
 func TestNullVarianceKnownValues(t *testing.T) {
 	// Eq. 5: σ² = 2(2n+5)/(9n(n−1)).
 	cases := []struct {

@@ -176,29 +176,11 @@ func (idx *Index) MaxLevel() int { return idx.maxLevel }
 // Graph returns the graph the index was built over.
 func (idx *Index) Graph() *graph.Graph { return idx.g }
 
-// Size returns |V^h_v|. It panics if h is outside [1, MaxLevel].
-func (idx *Index) Size(v graph.NodeID, h int) int {
-	idx.checkLevel(h)
-	return int(idx.sizes[h-1][v])
-}
-
 // Sizes returns the full |V^h_·| column for level h. The slice aliases
 // internal storage and must not be modified.
 func (idx *Index) Sizes(h int) []int32 {
 	idx.checkLevel(h)
 	return idx.sizes[h-1]
-}
-
-// SumSizes returns Nsum = Σ_{v∈nodes} |V^h_v| (§4.2), the normalizer of
-// the weighted event-node distribution.
-func (idx *Index) SumSizes(nodes []graph.NodeID, h int) float64 {
-	idx.checkLevel(h)
-	col := idx.sizes[h-1]
-	var sum float64
-	for _, v := range nodes {
-		sum += float64(col[v])
-	}
-	return sum
 }
 
 // Weights returns the |V^h_v| values of the given nodes as float64s, the
@@ -215,7 +197,7 @@ func (idx *Index) Weights(nodes []graph.NodeID, h int) []float64 {
 
 // Clone returns an independent copy of the index: the sizes arrays are
 // deep-copied, the graph binding is shared (it is immutable). The
-// serving tier uses copy-on-write maintenance — clone, ApplyDelta on
+// serving tier uses copy-on-write maintenance — clone, ApplyDeltaDirty on
 // the clone, publish — so in-flight queries keep reading a consistent
 // (graph, index) pair while the successor is repaired.
 func (idx *Index) Clone() *Index {
@@ -244,7 +226,7 @@ func (idx *Index) Clone() *Index {
 // that can *reach* a flipped endpoint, so the dirty balls are
 // traversed on the transposed graphs.
 //
-// Besides index repair (ApplyDelta), the set is exactly the
+// Besides index repair (ApplyDeltaDirty), the set is exactly the
 // invalidation set a density cache keyed by reference node needs after
 // an edge mutation — the monitor subsystem's standing queries
 // recompute densities only for sampled reference nodes in this set.
@@ -294,25 +276,17 @@ func DirtySet(oldG, newG *graph.Graph, changes []graph.EdgeChange, maxLevel int)
 	return dirty, nil
 }
 
-// ApplyDelta repairs the index after the graph changed from its bound
-// graph to newG by the given edge flips, rebinding it to newG. It
+// ApplyDeltaDirty repairs the index after the graph changed from its
+// bound graph to newG by the given edge flips, rebinding it to newG. It
 // implements the incremental maintenance the paper alludes to ("once we
 // obtain the index, it can be efficiently updated as the graph
 // changes", §4.2): only the DirtySet entries are recomputed, fanned out
 // over opts.Workers goroutines like Build.
 //
-// It returns the number of recomputed entries. newG must have the same
-// node count and directedness as the bound graph; changes may be empty
-// (then newG must equal the bound graph's edge set and nothing is
-// recomputed).
-func (idx *Index) ApplyDelta(newG *graph.Graph, changes []graph.EdgeChange, opts Options) (int, error) {
-	dirty, err := idx.ApplyDeltaDirty(newG, changes, opts)
-	return len(dirty), err
-}
-
-// ApplyDeltaDirty is ApplyDelta surfacing the repaired node set itself
-// instead of just its size. The serving tier forwards the set to the
-// monitor scheduler, which intersects it with each standing query's
+// It returns the recomputed nodes. newG must have the same node count
+// and directedness as the bound graph; changes may be empty (then newG
+// must equal the bound graph's edge set and nothing is recomputed). The
+// serving tier forwards the node set to the monitor scheduler, which intersects it with each standing query's
 // sampled reference nodes — the same locality bound drives both the
 // index repair and the density-cache invalidation, so the ball BFS is
 // paid once per mutation. The returned slice is in BFS discovery order

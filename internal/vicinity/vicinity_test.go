@@ -8,6 +8,12 @@ import (
 	"tesc/internal/graphgen"
 )
 
+// Size returns |V^h_v|. It panics if h is outside [1, MaxLevel].
+func (idx *Index) Size(v graph.NodeID, h int) int {
+	idx.checkLevel(h)
+	return int(idx.sizes[h-1][v])
+}
+
 func TestBuildErrors(t *testing.T) {
 	g := graph.Path(3)
 	if _, err := Build(g, 0, Options{}); err == nil {
@@ -98,9 +104,6 @@ func TestSumSizesAndWeights(t *testing.T) {
 	idx, _ := Build(g, 1, Options{})
 	nodes := []graph.NodeID{0, 2, 4}
 	// |V^1| = 2, 3, 2
-	if got := idx.SumSizes(nodes, 1); got != 7 {
-		t.Errorf("SumSizes = %g, want 7", got)
-	}
 	w := idx.Weights(nodes, 1)
 	if len(w) != 3 || w[0] != 2 || w[1] != 3 || w[2] != 2 {
 		t.Errorf("Weights = %v", w)
@@ -138,12 +141,12 @@ func TestApplyDeltaSingleInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	g2 := d.Compact()
-	recomputed, err := idx.ApplyDelta(g2, changes, Options{})
+	recomputed, err := idx.ApplyDeltaDirty(g2, changes, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if recomputed == 0 {
-		t.Fatal("ApplyDelta recomputed no entries for a real flip")
+	if len(recomputed) == 0 {
+		t.Fatal("ApplyDeltaDirty recomputed no entries for a real flip")
 	}
 	if idx.Graph() != g2 {
 		t.Fatal("ApplyDelta did not rebind the index to the new graph")
@@ -173,7 +176,7 @@ func TestApplyDeltaDisconnectingDeletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	g2 := d.Compact()
-	if _, err := idx.ApplyDelta(g2, changes, Options{}); err != nil {
+	if _, err := idx.ApplyDeltaDirty(g2, changes, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	fresh, _ := Build(g2, 3, Options{})
@@ -195,7 +198,7 @@ func TestClone(t *testing.T) {
 	d := graph.NewDelta(g)
 	changes, _ := d.Apply([]graph.EdgeChange{{U: 0, V: 5, Insert: true}})
 	g2 := d.Compact()
-	if _, err := cp.ApplyDelta(g2, changes, Options{}); err != nil {
+	if _, err := cp.ApplyDeltaDirty(g2, changes, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if idx.Graph() != g {
@@ -232,16 +235,16 @@ func TestBuildForNodes(t *testing.T) {
 
 func TestApplyDeltaMismatch(t *testing.T) {
 	idx, _ := Build(graph.Path(5), 1, Options{})
-	if _, err := idx.ApplyDelta(graph.Path(6), nil, Options{}); err == nil {
+	if _, err := idx.ApplyDeltaDirty(graph.Path(6), nil, Options{}); err == nil {
 		t.Error("delta with different node count should fail")
 	}
 	idx2, _ := Build(graph.Path(5), 1, Options{})
 	dir := graph.NewDirectedBuilder(5)
 	dir.AddEdge(0, 1)
-	if _, err := idx2.ApplyDelta(dir.MustBuild(), nil, Options{}); err == nil {
+	if _, err := idx2.ApplyDeltaDirty(dir.MustBuild(), nil, Options{}); err == nil {
 		t.Error("delta changing directedness should fail")
 	}
-	if _, err := idx2.ApplyDelta(graph.Path(5), []graph.EdgeChange{{U: 0, V: 9, Insert: true}}, Options{}); err == nil {
+	if _, err := idx2.ApplyDeltaDirty(graph.Path(5), []graph.EdgeChange{{U: 0, V: 9, Insert: true}}, Options{}); err == nil {
 		t.Error("change endpoint outside node range should fail")
 	}
 }

@@ -589,11 +589,3 @@ func (l *Log) Appends() int64 { return l.appends.Load() }
 
 // Fsyncs returns the number of fsyncs issued since Open.
 func (l *Log) Fsyncs() int64 { return l.fsyncs.Load() }
-
-// Segments returns the current number of segment files (frozen +
-// active), for tests asserting compaction.
-func (l *Log) Segments() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.frozen) + 1
-}

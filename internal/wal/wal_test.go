@@ -400,3 +400,11 @@ func TestEncodeRejectsOversizeFields(t *testing.T) {
 		t.Fatal("oversize event name encoded")
 	}
 }
+
+// Segments returns the current number of segment files (frozen +
+// active).
+func (l *Log) Segments() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.frozen) + 1
+}
