@@ -104,7 +104,7 @@ func (s *BatchBFSSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand,
 	// draw shuffles its prefix in place (engine scratch is fair game
 	// between traversals), so materializing V^h_{a∪b} costs no copy.
 	pop := e.Collect(p.EventNodes(), h)
-	nodes, err := DrawFromPopulation(pop, n, rng)
+	nodes, err := DrawFromPopulation(pop, 0, n, rng)
 	if err != nil {
 		return RefSample{}, err
 	}
@@ -118,14 +118,16 @@ func (s *BatchBFSSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand,
 // without replacement from the enumerated reference population pop, in
 // O(n) random numbers rather than O(|pop|). It permutes pop in place and
 // returns its prefix. BatchBFSSampler draws from its engine's visit
-// buffer; the screening sweep draws from a copy of a cached population
-// in BFS.Collect order — the same slice contents and the same rng give
-// the same sample.
-func DrawFromPopulation(pop []graph.NodeID, n int, rng *rand.Rand) ([]graph.NodeID, error) {
+// buffer in one step (from = 0); the screening planner draws from a
+// copy of a cached population in BFS.Collect order, extending the
+// prefix from the length it already holds to each checkpoint's, so a
+// pair pruned at m pays m random numbers. The same slice contents and
+// the same rng give the same sample whatever the steps.
+func DrawFromPopulation(pop []graph.NodeID, from, n int, rng *rand.Rand) ([]graph.NodeID, error) {
 	if len(pop) < 2 {
 		return nil, ErrTooFewReferences
 	}
-	return sampling.SampleKInPlace(pop, n, rng), nil
+	return sampling.SampleKInPlace(pop, from, n, rng), nil
 }
 
 // ---------------------------------------------------------------------

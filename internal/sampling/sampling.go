@@ -131,11 +131,17 @@ func (u *UniformNoReplace) Next() (int, bool) {
 // the Batch BFS sampler runs it directly on its traversal engine's
 // visit buffer, paying O(k) random draws instead of the O(|population|)
 // a non-mutating reservoir costs on vicinity-scale populations.
-func SampleKInPlace[T any](population []T, k int, rng *rand.Rand) []T {
+//
+// Position i of the shuffle depends only on draws 0..i, so a draw can
+// be made in steps: with from > 0 the call assumes population[:from]
+// is the prefix an earlier call drew with the same rng, and draws only
+// positions from..k−1. A chain of calls with growing k leaves the same
+// slice and the same rng state as one call with the last k.
+func SampleKInPlace[T any](population []T, from, k int, rng *rand.Rand) []T {
 	if k > len(population) {
 		k = len(population)
 	}
-	for i := 0; i < k; i++ {
+	for i := from; i < k; i++ {
 		j := i + rng.IntN(len(population)-i)
 		population[i], population[j] = population[j], population[i]
 	}

@@ -122,16 +122,16 @@ var (
 // untimed exhaustive screen has filled: the state a tescd job on an
 // unchanged snapshot finds (densities, Va∪b and reference populations
 // cached; a plan's samples are prefixes of the exhaustive ones).
-func warmK32Memo(b *testing.B) *SharedMemo {
-	sweepK32Setup(b)
+func warmK32Memo(tb testing.TB) *SharedMemo {
+	sweepK32Setup(tb)
 	memo, err := NewSharedMemo(sweep100k.g.NumNodes(), sweepK32.store.Names())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cfg := k32RunConfig
 	cfg.Memo = memo
 	if _, err := Run(sweep100k.g, sweepK32.store, sweepK32.pairs, cfg); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return memo
 }
@@ -147,6 +147,7 @@ func benchPlanTopK(b *testing.B, cfg PlanConfig) {
 		b.ReportMetric(float64(res.Stats.FullTests), "full_tests")
 		b.ReportMetric(float64(res.Stats.PrunedEarly), "pruned_early")
 		b.ReportMetric(float64(res.Stats.DensityEvals), "density_evals")
+		b.ReportMetric(float64(res.Stats.Checkpoints), "checkpoints")
 	}
 }
 
@@ -177,6 +178,17 @@ func BenchmarkScreenPlanTopK(b *testing.B) {
 func BenchmarkScreenPlanTopKWarm(b *testing.B) {
 	cfg := k32PlanConfig
 	cfg.Memo = warmK32Memo(b)
+	benchPlanTopK(b, cfg)
+}
+
+// BenchmarkScreenPlanTopKWarmDeterministic is the warm top-10 plan
+// with the statistical bound off (BoundAlpha < 0): pairs prune only on
+// the deterministic completion bound, late in their sample, so this is
+// the row that times the schedule's eighths.
+func BenchmarkScreenPlanTopKWarmDeterministic(b *testing.B) {
+	cfg := k32PlanConfig
+	cfg.Memo = warmK32Memo(b)
+	cfg.BoundAlpha = -1
 	benchPlanTopK(b, cfg)
 }
 

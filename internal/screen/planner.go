@@ -2,6 +2,7 @@ package screen
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -72,8 +73,9 @@ type PlanConfig struct {
 
 	// firstCheckpoint is the first sample prefix at which bounds are
 	// evaluated (default 64, the Kendall cutoff); the schedule doubles
-	// from there and densifies near the full sample where the
-	// deterministic bound sharpens. Must be ≥ 2 when set; tests lower
+	// from there up to half the sample, and with the deterministic
+	// bound alone adds the eighths past half, where that bound
+	// sharpens (checkpointSchedule). Must be ≥ 2 when set; tests lower
 	// it so small samples still reach checkpoints.
 	firstCheckpoint int
 }
@@ -166,30 +168,38 @@ func scoreInterval(alt stats.Alternative, lo, hi float64) (sLo, sHi float64) {
 	}
 }
 
-// checkpointSchedule returns the sorted prefix lengths at which a
-// pair's bounds are evaluated: doubling from first (early exits for
-// the statistical bound), then eighths of the sample (where the
-// deterministic completion bound sharpens: at m = 7n/8 it already
-// boxes the final statistic within ±0.23). Always strictly below n —
-// the full sample is the test itself, not a checkpoint.
-func checkpointSchedule(first, n int) []int {
-	if n <= first {
-		return nil
+// checkpointSchedule returns, in buf's storage, the sorted prefix
+// lengths at which a pair's bounds are evaluated, each strictly below
+// n — the full sample is the test itself, not a checkpoint. Every
+// checkpoint costs a Knight pass over its whole prefix, so the
+// schedule holds only the checkpoints the active bound can use:
+//
+//   - statistical (the default BoundAlpha): doubling from first while
+//     m ≤ n/2. The §3.1 interval prunes early or not at all, and past
+//     n/2 a checkpoint's pass over m keys costs more than the ≤ n − m
+//     density reads it could save.
+//   - deterministic only (BoundAlpha < 0): doubling from first, then
+//     the eighths of the sample from n/2, where the completion bound
+//     sharpens (at m = 7n/8 it boxes the final statistic within
+//     ±0.23); it prunes late or not at all.
+func checkpointSchedule(buf []int, first, n int, statistical bool) []int {
+	last := n - 1
+	if statistical {
+		last = n / 2
 	}
-	set := make(map[int]bool)
-	for m := first; m < n; m *= 2 {
-		set[m] = true
-	}
-	for num := 4; num < 8; num++ {
-		if m := n * num / 8; m >= first && m < n {
-			set[m] = true
-		}
-	}
-	cps := make([]int, 0, len(set))
-	for m := range set {
+	cps := buf[:0]
+	for m := first; m <= last; m *= 2 {
 		cps = append(cps, m)
 	}
-	sort.Ints(cps)
+	if statistical {
+		return cps
+	}
+	for num := 4; num < 8; num++ {
+		if m := n * num / 8; m >= first && m < n && !slices.Contains(cps, m) {
+			cps = append(cps, m)
+		}
+	}
+	slices.Sort(cps)
 	return cps
 }
 
@@ -205,9 +215,9 @@ const defaultBoundAlpha = 1e-6
 // strict-inequality pruning sound.
 type planBar struct {
 	mu     sync.Mutex
-	k      int     // 0 = threshold mode
-	theta  float64 // threshold-mode bar
-	scores []float64
+	k      int       // 0 = threshold mode
+	theta  float64   // threshold-mode bar
+	scores []float64 // top-k mode only: completed scores, descending
 	alt    stats.Alternative
 	// stream, when non-nil, receives ranked snapshots cut from
 	// completed, which is kept only for it.
@@ -232,11 +242,13 @@ func (b *planBar) bar() float64 {
 func (b *planBar) offer(res PairResult) {
 	score := rankScore(b.alt, res.Tau)
 	b.mu.Lock()
-	// insert into the descending score list
-	i := sort.Search(len(b.scores), func(i int) bool { return b.scores[i] < score })
-	b.scores = append(b.scores, 0)
-	copy(b.scores[i+1:], b.scores[i:])
-	b.scores[i] = score
+	if b.k > 0 {
+		// insert into the descending score list; θ needs none
+		i := sort.Search(len(b.scores), func(i int) bool { return b.scores[i] < score })
+		b.scores = append(b.scores, 0)
+		copy(b.scores[i+1:], b.scores[i:])
+		b.scores[i] = score
+	}
 	var snapshot []PairResult
 	if b.stream != nil {
 		b.completed = append(b.completed, res)

@@ -3,6 +3,7 @@ package screen
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -301,40 +302,52 @@ func TestPlanStream(t *testing.T) {
 }
 
 func TestCheckpointSchedule(t *testing.T) {
-	if cps := checkpointSchedule(64, 64); cps != nil {
-		t.Fatalf("n <= first should yield no checkpoints, got %v", cps)
+	for _, statistical := range []bool{true, false} {
+		if cps := checkpointSchedule(nil, 64, 64, statistical); cps != nil {
+			t.Fatalf("statistical=%v: n <= first should yield no checkpoints, got %v", statistical, cps)
+		}
+		if cps := checkpointSchedule(nil, 64, 10, statistical); cps != nil {
+			t.Fatalf("statistical=%v: tiny sample should yield no checkpoints, got %v", statistical, cps)
+		}
+		for _, n := range []int{65, 100, 129, 256, 900, 1000} {
+			cps := checkpointSchedule(nil, 64, n, statistical)
+			if !sort.IntsAreSorted(cps) {
+				t.Fatalf("statistical=%v n=%d: schedule not sorted: %v", statistical, n, cps)
+			}
+			for i, m := range cps {
+				if m < 64 || m >= n {
+					t.Fatalf("statistical=%v n=%d: checkpoint %d out of [first, n): %v", statistical, n, m, cps)
+				}
+				if i > 0 && cps[i] == cps[i-1] {
+					t.Fatalf("statistical=%v n=%d: duplicate checkpoint: %v", statistical, n, cps)
+				}
+			}
+			// Both regimes start at first whenever it fits their range.
+			last := n - 1
+			if statistical {
+				last = n / 2
+			}
+			if 64 <= last && (len(cps) == 0 || cps[0] != 64) {
+				t.Fatalf("statistical=%v n=%d: first checkpoint missing: %v", statistical, n, cps)
+			}
+		}
 	}
-	if cps := checkpointSchedule(64, 10); cps != nil {
-		t.Fatalf("tiny sample should yield no checkpoints, got %v", cps)
+	// The deterministic bound sharpens late: its schedule keeps the
+	// dense tail, 7n/8 included.
+	det := checkpointSchedule(nil, 64, 900, false)
+	if !slices.Contains(det, 900*7/8) {
+		t.Fatalf("deterministic schedule: 7n/8=%d missing from %v", 900*7/8, det)
+	}
+	// The statistical bound prunes early or not at all: its schedule
+	// stops at n/2.
+	stat := checkpointSchedule(nil, 64, 900, true)
+	if want := []int{64, 128, 256}; !slices.Equal(stat, want) {
+		t.Fatalf("statistical schedule for n=900 = %v, want %v", stat, want)
 	}
 	for _, n := range []int{65, 100, 129, 256, 900, 1000} {
-		cps := checkpointSchedule(64, n)
-		if len(cps) == 0 {
-			t.Fatalf("n=%d: empty schedule", n)
+		if cps := checkpointSchedule(nil, 64, n, true); len(cps) > 0 && cps[len(cps)-1] > n/2 {
+			t.Fatalf("statistical n=%d: checkpoint past n/2: %v", n, cps)
 		}
-		if !sort.IntsAreSorted(cps) {
-			t.Fatalf("n=%d: schedule not sorted: %v", n, cps)
-		}
-		for i, m := range cps {
-			if m < 64 || m >= n {
-				t.Fatalf("n=%d: checkpoint %d out of [first, n): %v", n, m, cps)
-			}
-			if i > 0 && cps[i] == cps[i-1] {
-				t.Fatalf("n=%d: duplicate checkpoint: %v", n, cps)
-			}
-		}
-	}
-	// The dense tail exists: 7n/8 is always scheduled for large n.
-	cps := checkpointSchedule(64, 900)
-	want := 900 * 7 / 8
-	found := false
-	for _, m := range cps {
-		if m == want {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("7n/8=%d missing from %v", want, cps)
 	}
 }
 
@@ -534,6 +547,36 @@ func TestPlanPrunesWork(t *testing.T) {
 	}
 	t.Logf("planner: %d/%d full tests, %d pruned, %d/%d density evals",
 		res.Stats.FullTests, len(pairs), res.Stats.PrunedEarly, res.Stats.DensityEvals, exhaustiveEvals)
+}
+
+// TestPlanWarmK32Accounting pins the warm top-10 plan's work on the
+// K=32 benchmark substrate (seed 3, one worker), so a schedule that
+// stops pruning cannot pass for a faster one. The default bound prunes
+// at the doubling checkpoints; the deterministic bound alone prunes
+// the same pairs late, through the eighths past half the sample.
+func TestPlanWarmK32Accounting(t *testing.T) {
+	cfg := k32PlanConfig
+	cfg.Memo = warmK32Memo(t)
+	res, err := Plan(sweep100k.g, sweepK32.store, sweepK32.pairs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPlanStats(t, res.Stats, "warm k32")
+	if st := res.Stats; st.FullTests != 28 || st.PrunedEarly != 468 || st.DensityEvals != 57776 {
+		t.Fatalf("default bound: full %d pruned %d density evals %d, want 28, 468, 57776", st.FullTests, st.PrunedEarly, st.DensityEvals)
+	}
+	checkpoints := res.Stats.Checkpoints
+	cfg.BoundAlpha = -1
+	res, err = Plan(sweep100k.g, sweepK32.store, sweepK32.pairs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPlanStats(t, res.Stats, "warm k32 deterministic")
+	if st := res.Stats; st.PrunedEarly != 468 || st.DensityEvals > 271767 {
+		t.Fatalf("deterministic bound: pruned %d density evals %d, want 468 and at most 271767", st.PrunedEarly, st.DensityEvals)
+	}
+	t.Logf("default: %d checkpoints; deterministic: %d checkpoints, %d density evals",
+		checkpoints, res.Stats.Checkpoints, res.Stats.DensityEvals)
 }
 
 // TestAllPairsDeterministic is the regression test for the ordering

@@ -379,19 +379,21 @@ type sweepWorker struct {
 // workerScratch is a sweep worker's per-pair working memory, pooled
 // across sweeps so a warm screen allocates none of it.
 type workerScratch struct {
-	pop []graph.NodeID      // the pair's reference population; the sample is its prefix
-	tau stats.KendallPrefix // the pair's density prefix, sorted
+	pop      []graph.NodeID      // the pair's reference population; the sample is its prefix
+	tau      stats.KendallPrefix // the pair's density prefix, sorted
+	schedule []int               // the pair's checkpoints
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(workerScratch) }}
 
-// sample draws the pair's reference nodes into w.pop — Batch BFS over
-// the pair's reference population, which a shared memo caches per
-// (graph, store, h) so later sweeps on the snapshot skip both the
-// population BFS and the problem set-up. The returned problem is nil
-// on a cache hit; only the memo-less density path needs it, and that
-// path has no cache.
-func (w *sweepWorker) sample(pair [2]string, rng *rand.Rand) ([]graph.NodeID, *core.Problem, error) {
+// sample copies the pair's reference population into w.pop and draws
+// the first `first` reference nodes from it — Batch BFS over the
+// population, which a shared memo caches per (graph, store, h) so later
+// sweeps on the snapshot skip both the population BFS and the problem
+// set-up. planPair extends the draw in place as its prefix grows. The
+// returned problem is nil on a cache hit; only the memo-less density
+// path needs it, and that path has no cache.
+func (w *sweepWorker) sample(pair [2]string, first int, rng *rand.Rand) ([]graph.NodeID, *core.Problem, error) {
 	var shared *SharedMemo
 	if w.src != nil {
 		shared = w.src.shared
@@ -421,30 +423,38 @@ func (w *sweepWorker) sample(pair [2]string, rng *rand.Rand) ([]graph.NodeID, *c
 		}
 	}
 	// The draw permutes its input, and the engine's visit buffer (a
-	// miss) is overwritten by the density passes: draw from a copy.
+	// miss) is overwritten by the density passes between checkpoints:
+	// draw from a copy.
 	w.pop = append(w.pop[:0], pop...)
-	nodes, err := core.DrawFromPopulation(w.pop, w.cfg.SampleSize, rng)
+	nodes, err := core.DrawFromPopulation(w.pop, 0, first, rng)
 	return nodes, p, err
 }
 
 // planPair tests one candidate: draw its reference sample (the pair's
 // own pairSeed PCG stream, so the sample depends only on the seed and
 // the pair), then evaluate densities — in one pass when the bar cannot
-// prune, else along the checkpoint schedule, extending the Kendall
-// prefix chunk by chunk and pruning as soon as the score bound drops
-// strictly below the bar. A pair that runs to the end finishes with the
-// full-sample Kendall statistic — its last Extend; which path it took
-// cannot change a bit of it.
+// prune, else along the checkpoint schedule, extending the draw and the
+// Kendall prefix chunk by chunk and pruning as soon as the score bound
+// drops strictly below the bar. A pair that runs to the end finishes
+// with the full-sample Kendall statistic — its last Extend; which path
+// it took cannot change a bit of it.
 func (w *sweepWorker) planPair(res PairResult) (PairResult, pairFate) {
 	cfg := w.cfg
 	seed := pairSeed(cfg.Seed, res.A, res.B)
 	rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
-	nodes, p, err := w.sample([2]string{res.A, res.B}, rng)
+	// A pruning pair draws its references per checkpoint, so one
+	// pruned at m pays m random numbers; a one-pass pair draws all at
+	// once.
+	first := cfg.SampleSize
+	if w.prune {
+		first = min(cfg.firstCheckpoint, first)
+	}
+	nodes, p, err := w.sample([2]string{res.A, res.B}, first, rng)
 	if err != nil {
 		res.Skipped = err.Error()
 		return res, fateSkipped
 	}
-	n := len(nodes)
+	n := min(cfg.SampleSize, len(w.pop))
 
 	var eval *core.DensityEvaluator
 	if w.src != nil {
@@ -484,6 +494,10 @@ func (w *sweepWorker) planPair(res PairResult) (PairResult, pairFate) {
 	var k stats.TauResult
 	w.tau.Reset()
 	extend := func(m int) error {
+		if m > len(nodes) {
+			// sample has checked the population, so the draw cannot fail.
+			nodes, _ = core.DrawFromPopulation(w.pop, len(nodes), m, rng)
+		}
 		rs := nodes[w.tau.Len():m]
 		if ranks != nil {
 			if kx, ky, ok := w.src.rankKeys(ranks, rs); ok {
@@ -502,7 +516,8 @@ func (w *sweepWorker) planPair(res PairResult) (PairResult, pairFate) {
 	}
 	var schedule []int
 	if w.prune {
-		schedule = checkpointSchedule(cfg.firstCheckpoint, n)
+		w.schedule = checkpointSchedule(w.schedule, cfg.firstCheckpoint, n, cfg.BoundAlpha > 0)
+		schedule = w.schedule
 	}
 	for _, m := range schedule {
 		// Checkpoints are the planner's natural cancellation points: the

@@ -161,9 +161,11 @@ func TestKendallPrefixChains(t *testing.T) {
 	}
 }
 
-// plannerSchedule is the screening planner's checkpoint schedule for a
-// sample of n (first checkpoint 64: doubling, then n·4/8..7/8), ending
-// with n itself.
+// plannerSchedule is the screening planner's longest checkpoint
+// schedule for a sample of n, the one of its deterministic-only bound
+// (first checkpoint 64: doubling, then n·4/8..7/8), ending with n
+// itself. The default bound's schedule is its doubling prefix up to
+// n/2.
 func plannerSchedule(n int) []int {
 	var cps []int
 	seen := map[int]bool{}
@@ -199,8 +201,9 @@ func densitySample(n int, seed uint64) (x, y []float64) {
 }
 
 // BenchmarkKendallCheckpointChain is one completing pair of the
-// screening planner at n = 900: τ at every checkpoint (64, 128, 256,
-// 450, 512, 562, 675, 787) and at the full sample. "prefix" extends one
+// screening planner at n = 900 under the deterministic-only bound: τ
+// at every checkpoint (64, 128, 256, 450, 512, 562, 675, 787) and at
+// the full sample. "prefix" extends one
 // KendallPrefix by each chunk; "scratch" runs Kendall over each whole
 // prefix, the cost before the prefix existed.
 func BenchmarkKendallCheckpointChain(b *testing.B) {
