@@ -140,11 +140,7 @@ func runInspect(args []string) error {
 	for _, s := range info.Sections {
 		fmt.Printf("  %s  %10d bytes  crc32 %08x\n", s.Tag, s.Bytes, s.CRC)
 	}
-	dir := "undirected"
-	if snap.Graph.Directed() {
-		dir = "directed"
-	}
-	fmt.Printf("graph      %d nodes, %d edges (%s)\n", snap.Graph.NumNodes(), snap.Graph.NumEdges(), dir)
+	fmt.Printf("graph      %d nodes, %d edges\n", snap.Graph.NumNodes(), snap.Graph.NumEdges())
 	fmt.Printf("meta       epoch %d, graph version %d\n", snap.Epoch, snap.GraphVersion)
 	if snap.Store != nil {
 		fmt.Printf("events     %d events (store epoch %d)\n", snap.Store.NumEvents(), snap.Store.Epoch())

@@ -1,9 +1,5 @@
 package graph
 
-import (
-	"fmt"
-)
-
 // BFS is a reusable breadth-first-search engine over a fixed graph.
 // Its one traversal, Collect, is the repository's only h-hop BFS
 // kernel.
@@ -37,23 +33,6 @@ func NewBFS(g *Graph) *BFS {
 
 // Graph returns the graph the engine is bound to.
 func (b *BFS) Graph() *Graph { return b.g }
-
-// Rebind points the engine at a different graph with the same node
-// count, keeping all its allocated scratch. Soundness rests on the
-// scratch being purely per-traversal: the mark array holds epoch
-// stamps compared against the *current* traversal's epoch (stale
-// stamps from traversals over the previous graph are never read as
-// visited), and the visit buffer is reset by every traversal. The
-// monitor subsystem rebinds its retained engines across graph
-// snapshots so a standing-query re-screen allocates no O(|V|) scratch
-// per mutation.
-func (b *BFS) Rebind(g *Graph) error {
-	if g.NumNodes() != len(b.mark) {
-		return fmt.Errorf("graph: rebinding BFS engine for %d nodes to a %d-node graph", len(b.mark), g.NumNodes())
-	}
-	b.g = g
-	return nil
-}
 
 // Collect performs a breadth-first search of depth at most h starting
 // from sources and returns every distinct reached node in visit order:

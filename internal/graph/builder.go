@@ -13,11 +13,10 @@ import (
 // either be fixed up front with NewBuilder or grow implicitly to the
 // largest endpoint seen.
 type Builder struct {
-	n        int
-	us       []NodeID
-	vs       []NodeID
-	fixed    bool
-	directed bool
+	n     int
+	us    []NodeID
+	vs    []NodeID
+	fixed bool
 }
 
 // NewBuilder returns a builder for a graph with exactly n nodes
@@ -33,16 +32,6 @@ func NewBuilder(n int) *Builder {
 // NewGrowingBuilder returns a builder whose node count is one more than
 // the largest endpoint added.
 func NewGrowingBuilder() *Builder { return &Builder{} }
-
-// NewDirectedBuilder returns a builder for a directed graph with exactly
-// n nodes: AddEdge(u, v) records the one-way arc u→v. Build drops
-// duplicate arcs and self-loops as in the undirected case.
-func NewDirectedBuilder(n int) *Builder {
-	if n < 0 || n > MaxNodes {
-		panic(fmt.Sprintf("graph: invalid node count %d", n))
-	}
-	return &Builder{n: n, fixed: true, directed: true}
-}
 
 // AddEdge records the undirected edge {u, v}.
 func (b *Builder) AddEdge(u, v NodeID) {
@@ -69,17 +58,14 @@ func (b *Builder) Build() (*Graph, error) {
 		}
 	}
 
-	// Count adjacency-list sizes (both directions for undirected graphs),
-	// excluding self-loops.
+	// Count adjacency-list sizes (both directions), excluding self-loops.
 	deg := make([]int64, n+1)
 	for i := range b.us {
 		if b.us[i] == b.vs[i] {
 			continue
 		}
 		deg[b.us[i]+1]++
-		if !b.directed {
-			deg[b.vs[i]+1]++
-		}
+		deg[b.vs[i]+1]++
 	}
 	offsets := make([]int64, n+1)
 	for i := 0; i < n; i++ {
@@ -97,10 +83,8 @@ func (b *Builder) Build() (*Graph, error) {
 		}
 		adj[cursor[u]] = v
 		cursor[u]++
-		if !b.directed {
-			adj[cursor[v]] = u
-			cursor[v]++
-		}
+		adj[cursor[v]] = u
+		cursor[v]++
 	}
 
 	// Sort each adjacency list and remove duplicates in place.
@@ -124,11 +108,7 @@ func (b *Builder) Build() (*Graph, error) {
 	compact := make([]NodeID, w)
 	copy(compact, adj[:w])
 
-	m := w / 2
-	if b.directed {
-		m = w
-	}
-	return &Graph{offsets: newOffsets, adj: compact, m: m, directed: b.directed}, nil
+	return &Graph{offsets: newOffsets, adj: compact, m: w / 2}, nil
 }
 
 // MustBuild is Build that panics on error, for tests and generators whose

@@ -6,15 +6,10 @@ import (
 	"testing"
 )
 
-func randomTestGraph(t *testing.T, n, m int, directed bool, seed uint64) *Graph {
+func randomTestGraph(t *testing.T, n, m int, seed uint64) *Graph {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, seed*3+1))
-	var b *Builder
-	if directed {
-		b = NewDirectedBuilder(n)
-	} else {
-		b = NewBuilder(n)
-	}
+	b := NewBuilder(n)
 	for i := 0; i < m; i++ {
 		b.AddEdge(NodeID(rng.IntN(n)), NodeID(rng.IntN(n)))
 	}
@@ -83,50 +78,46 @@ func checkCollect(t *testing.T, b *BFS, sources []NodeID, h int) {
 
 // TestCollectMatchesReferenceBFS pins Collect's contract against the
 // queue oracle: the exact visit order (what the flat density kernels
-// rely on for bit-identical intensity sums) and the level ends, on
-// directed and undirected graphs, for single sources, duplicate
-// sources, h = 0, h < 0 and h beyond every eccentricity.
+// rely on for bit-identical intensity sums) and the level ends, for
+// single sources, duplicate sources, h = 0, h < 0 and h beyond every
+// eccentricity.
 func TestCollectMatchesReferenceBFS(t *testing.T) {
-	for _, directed := range []bool{false, true} {
-		g := randomTestGraph(t, 200, 600, directed, 12)
-		b := NewBFS(g)
-		for _, h := range []int{-1, 0, 1, 2, 3, g.NumNodes()} {
-			for v := 0; v < g.NumNodes(); v += 7 {
-				checkCollect(t, b, []NodeID{NodeID(v)}, h)
-			}
-			// Multi-source with duplicate sources, like the batch samplers use.
-			checkCollect(t, b, []NodeID{3, 9, 3, 27}, h)
+	g := randomTestGraph(t, 200, 600, 12)
+	b := NewBFS(g)
+	for _, h := range []int{-1, 0, 1, 2, 3, g.NumNodes()} {
+		for v := 0; v < g.NumNodes(); v += 7 {
+			checkCollect(t, b, []NodeID{NodeID(v)}, h)
 		}
-		checkCollect(t, b, nil, 2)
+		// Multi-source with duplicate sources, like the batch samplers use.
+		checkCollect(t, b, []NodeID{3, 9, 3, 27}, h)
 	}
+	checkCollect(t, b, nil, 2)
 }
 
 // TestDistanceQueriesMatchReferenceBFS pins Eccentricity and
 // NodesAtDistance against the queue oracle's depths.
 func TestDistanceQueriesMatchReferenceBFS(t *testing.T) {
-	for _, directed := range []bool{false, true} {
-		g := randomTestGraph(t, 120, 200, directed, 5)
-		b := NewBFS(g)
-		for u := 0; u < g.NumNodes(); u += 5 {
-			src := NodeID(u)
-			order, depth := refBFS(g, []NodeID{src}, g.NumNodes())
-			ecc := 0
-			for _, d := range depth {
-				ecc = max(ecc, d)
-			}
-			if got := b.Eccentricity(src); got != ecc {
-				t.Fatalf("directed=%v: Eccentricity(%d) = %d, want %d", directed, u, got, ecc)
-			}
-			for d := -1; d <= ecc+1; d++ {
-				var want []NodeID
-				for _, v := range order {
-					if depth[v] == d {
-						want = append(want, v)
-					}
+	g := randomTestGraph(t, 120, 200, 5)
+	b := NewBFS(g)
+	for u := 0; u < g.NumNodes(); u += 5 {
+		src := NodeID(u)
+		order, depth := refBFS(g, []NodeID{src}, g.NumNodes())
+		ecc := 0
+		for _, d := range depth {
+			ecc = max(ecc, d)
+		}
+		if got := b.Eccentricity(src); got != ecc {
+			t.Fatalf("Eccentricity(%d) = %d, want %d", u, got, ecc)
+		}
+		for d := -1; d <= ecc+1; d++ {
+			var want []NodeID
+			for _, v := range order {
+				if depth[v] == d {
+					want = append(want, v)
 				}
-				if got := b.NodesAtDistance(src, d, nil); !slices.Equal(got, want) {
-					t.Fatalf("directed=%v: NodesAtDistance(%d,%d) = %v, want %v", directed, u, d, got, want)
-				}
+			}
+			if got := b.NodesAtDistance(src, d, nil); !slices.Equal(got, want) {
+				t.Fatalf("NodesAtDistance(%d,%d) = %v, want %v", u, d, got, want)
 			}
 		}
 	}
@@ -135,7 +126,7 @@ func TestDistanceQueriesMatchReferenceBFS(t *testing.T) {
 // TestCollectNegativeDepth pins the h < 0 no-op: nothing visited, no
 // levels.
 func TestCollectNegativeDepth(t *testing.T) {
-	g := randomTestGraph(t, 10, 20, false, 1)
+	g := randomTestGraph(t, 10, 20, 1)
 	b := NewBFS(g)
 	if got := b.Collect([]NodeID{0}, -1); len(got) != 0 {
 		t.Fatalf("Collect(h=-1) visited %d nodes", len(got))
@@ -149,8 +140,8 @@ func TestCollectNegativeDepth(t *testing.T) {
 // pool's graph round-trip, foreign engines are dropped instead of
 // recycled into the wrong snapshot's pool.
 func TestEnginePool(t *testing.T) {
-	g1 := randomTestGraph(t, 50, 100, false, 2)
-	g2 := randomTestGraph(t, 50, 100, false, 3)
+	g1 := randomTestGraph(t, 50, 100, 2)
+	g2 := randomTestGraph(t, 50, 100, 3)
 	pool := NewEnginePool(g1)
 	e := pool.Get()
 	if e.Graph() != g1 {

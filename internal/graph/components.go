@@ -1,16 +1,11 @@
 package graph
 
-// Components computes the connected components of g (weakly connected
-// components for directed graphs). It returns a slice comp of length
-// NumNodes mapping each node to a component index in [0, count), and the
-// component count. Component indices are assigned in order of the
-// smallest node ID they contain.
+// Components computes the connected components of g. It returns a slice
+// comp of length NumNodes mapping each node to a component index in
+// [0, count), and the component count. Component indices are assigned
+// in order of the smallest node ID they contain.
 func Components(g *Graph) (comp []int32, count int) {
 	n := g.NumNodes()
-	var rev *Graph
-	if g.Directed() {
-		rev = g.Transpose()
-	}
 	comp = make([]int32, n)
 	for i := range comp {
 		comp[i] = -1
@@ -31,14 +26,6 @@ func Components(g *Graph) (comp []int32, count int) {
 				if comp[u] < 0 {
 					comp[u] = c
 					queue = append(queue, u)
-				}
-			}
-			if rev != nil {
-				for _, u := range rev.Neighbors(v) {
-					if comp[u] < 0 {
-						comp[u] = c
-						queue = append(queue, u)
-					}
 				}
 			}
 		}

@@ -26,14 +26,13 @@ func (g *Graph) CSR() (offsets []int64, adj []NodeID) {
 //   - every adjacency row is strictly increasing (sorted, no
 //     duplicates — HasEdge binary-searches rows), in range, and free of
 //     self-loops;
-//   - undirected graphs are symmetric: every arc u→v has its mirror
-//     v→u.
+//   - the graph is symmetric: every arc u→v has its mirror v→u.
 //
 // Validation is O(n + m): symmetry is checked by the two-pointer sweep
 // below, not per-arc binary search, because this sits on the daemon's
 // warm-start path. A violated invariant returns an error; nothing
 // panics downstream.
-func FromCSR(offsets []int64, adj []NodeID, directed bool) (*Graph, error) {
+func FromCSR(offsets []int64, adj []NodeID) (*Graph, error) {
 	if len(offsets) < 1 {
 		return nil, fmt.Errorf("graph: CSR offsets empty (need n+1 entries)")
 	}
@@ -52,22 +51,18 @@ func FromCSR(offsets []int64, adj []NodeID, directed bool) (*Graph, error) {
 	if offsets[n] != int64(len(adj)) {
 		return nil, fmt.Errorf("graph: CSR offsets end at %d, adjacency has %d entries", offsets[n], len(adj))
 	}
-	m := int64(len(adj))
-	if !directed && m%2 != 0 {
-		return nil, fmt.Errorf("graph: undirected CSR has odd arc count %d", m)
+	if len(adj)%2 != 0 {
+		return nil, fmt.Errorf("graph: undirected CSR has odd arc count %d", len(adj))
 	}
 	// Single sweep, u ascending: validate u's row (sorted, in range, no
-	// self-loop) and, for undirected graphs, run the two-pointer mirror
-	// check — each arc (u, v) with v > u must consume the next entry of
-	// v's smaller-neighbor prefix, which a symmetric sorted CSR yields
-	// in exactly ascending-u order, so every mirror is one cursor
-	// comparison instead of a binary search. The checks for u's own row
-	// and for the rows the cursors touch commute: the graph is accepted
-	// only if every check over the whole sweep passes.
-	var cursor []int64
-	if !directed {
-		cursor = make([]int64, n)
-	}
+	// self-loop) and run the two-pointer mirror check — each arc (u, v)
+	// with v > u must consume the next entry of v's smaller-neighbor
+	// prefix, which a symmetric sorted CSR yields in exactly ascending-u
+	// order, so every mirror is one cursor comparison instead of a
+	// binary search. The checks for u's own row and for the rows the
+	// cursors touch commute: the graph is accepted only if every check
+	// over the whole sweep passes.
+	cursor := make([]int64, n)
 	for u := 0; u < n; u++ {
 		row := adj[offsets[u]:offsets[u+1]]
 		prev := NodeID(-1)
@@ -82,7 +77,7 @@ func FromCSR(offsets []int64, adj []NodeID, directed bool) (*Graph, error) {
 				return nil, fmt.Errorf("graph: CSR row of node %d not strictly increasing (%d after %d)", u, v, prev)
 			}
 			prev = v
-			if !directed && v > NodeID(u) {
+			if v > NodeID(u) {
 				k := cursor[v]
 				if k >= offsets[v+1]-offsets[v] || adj[offsets[v]+k] != NodeID(u) {
 					return nil, fmt.Errorf("graph: undirected CSR not symmetric: arc %d->%d has no mirror", u, v)
@@ -91,16 +86,13 @@ func FromCSR(offsets []int64, adj []NodeID, directed bool) (*Graph, error) {
 			}
 		}
 	}
-	if !directed {
-		// Every smaller-neighbor prefix must be fully consumed: a
-		// leftover entry w < v would be an arc (v, w) whose mirror
-		// (w, v) never appeared in the sweep.
-		for v := 0; v < n; v++ {
-			if k := cursor[v]; offsets[v]+k < offsets[v+1] && adj[offsets[v]+k] < NodeID(v) {
-				return nil, fmt.Errorf("graph: undirected CSR not symmetric: arc %d->%d has no mirror", v, adj[offsets[v]+k])
-			}
+	// Every smaller-neighbor prefix must be fully consumed: a leftover
+	// entry w < v would be an arc (v, w) whose mirror (w, v) never
+	// appeared in the sweep.
+	for v := 0; v < n; v++ {
+		if k := cursor[v]; offsets[v]+k < offsets[v+1] && adj[offsets[v]+k] < NodeID(v) {
+			return nil, fmt.Errorf("graph: undirected CSR not symmetric: arc %d->%d has no mirror", v, adj[offsets[v]+k])
 		}
-		m /= 2
 	}
-	return &Graph{offsets: offsets, adj: adj, m: m, directed: directed}, nil
+	return &Graph{offsets: offsets, adj: adj, m: int64(len(adj)) / 2}, nil
 }

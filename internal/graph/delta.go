@@ -7,11 +7,11 @@ import (
 )
 
 // EdgeChange is one edge flip: the insertion (Insert == true) or
-// deletion of the edge {U, V} (the arc U→V on directed graphs). A
-// sequence of EdgeChanges is the unit the dynamic-graph subsystem
-// exchanges: graphgen produces them as workloads, Delta accumulates and
-// compacts them, and vicinity.Index.ApplyDeltaDirty consumes them to repair
-// the |V^h_v| index incrementally.
+// deletion of the edge {U, V}. A sequence of EdgeChanges is the unit
+// the dynamic-graph subsystem exchanges: graphgen produces them as
+// workloads, Delta accumulates and compacts them, and
+// vicinity.Index.ApplyDeltaDirty consumes them to repair the |V^h_v|
+// index incrementally.
 type EdgeChange struct {
 	U, V   NodeID
 	Insert bool
@@ -21,8 +21,8 @@ type EdgeChange struct {
 // insertions and deletions accumulate in small hash overlays while the
 // base graph stays shared and untouched, and Compact merges both into a
 // fresh CSR snapshot. A snapshot is n+1 offsets and 2m adjacency
-// entries (m when directed), so Compact writes that much, but in bulk
-// copies; the per-change work — sorting the Δ staged flips and merging
+// entries, so Compact writes that much, but in bulk copies; the
+// per-change work — sorting the Δ staged flips and merging
 // the rows they touch — is O(Δ log Δ) plus those rows' degrees. This is
 // the write path of the dynamic-graph subsystem: the paper's index
 // structures assume an immutable graph (§4.2), so updates are staged
@@ -47,10 +47,9 @@ func NewDelta(base *Graph) *Delta {
 	}
 }
 
-// key normalizes an edge to a map key: undirected edges are stored with
-// the smaller endpoint first, directed arcs keep their orientation.
+// key normalizes an edge to a map key, the smaller endpoint first.
 func (d *Delta) key(u, v NodeID) uint64 {
-	if !d.base.directed && u > v {
+	if u > v {
 		u, v = v, u
 	}
 	return uint64(uint32(u))<<32 | uint64(uint32(v))
@@ -66,8 +65,7 @@ func (d *Delta) check(u, v NodeID) error {
 	return nil
 }
 
-// HasEdge reports whether the edge {u, v} (arc u→v when directed)
-// exists in the overlaid graph.
+// HasEdge reports whether the edge {u, v} exists in the overlaid graph.
 func (d *Delta) HasEdge(u, v NodeID) bool {
 	k := d.key(u, v)
 	if _, ok := d.added[k]; ok {
@@ -167,17 +165,14 @@ func (d *Delta) Compact() *Graph {
 	g := d.base
 	n := g.NumNodes()
 
-	// The staged changes as arcs (both directions for undirected
-	// graphs), sorted by row and then by neighbor, so each touched row's
-	// flips are one run in its own adjacency order.
+	// The staged changes as arcs (both directions), sorted by row and
+	// then by neighbor, so each touched row's flips are one run in its
+	// own adjacency order.
 	flips := make([]arcFlip, 0, 2*d.Pending())
 	stage := func(set map[uint64]struct{}, insert bool) {
 		for k := range set {
 			u, v := NodeID(k>>32), NodeID(uint32(k))
-			flips = append(flips, arcFlip{u, v, insert})
-			if !g.directed {
-				flips = append(flips, arcFlip{v, u, insert})
-			}
+			flips = append(flips, arcFlip{u, v, insert}, arcFlip{v, u, insert})
 		}
 	}
 	stage(d.added, true)
@@ -187,11 +182,7 @@ func (d *Delta) Compact() *Graph {
 	})
 
 	offsets := make([]int64, n+1)
-	half := d.m
-	if !g.directed {
-		half *= 2
-	}
-	adj := make([]NodeID, 0, half)
+	adj := make([]NodeID, 0, 2*d.m)
 	// copyRows appends the untouched rows [lo, hi) in one copy.
 	copyRows := func(lo, hi int) {
 		shift := int64(len(adj)) - g.offsets[lo]
@@ -230,7 +221,7 @@ func (d *Delta) Compact() *Graph {
 	copyRows(next, n)
 	offsets[n] = int64(len(adj))
 
-	out := &Graph{offsets: offsets, adj: adj, m: d.m, directed: g.directed}
+	out := &Graph{offsets: offsets, adj: adj, m: d.m}
 	d.base = out
 	clear(d.added)
 	clear(d.removed)

@@ -15,7 +15,7 @@ func rebuildWith(g *Graph, changes []EdgeChange) *Graph {
 		return true
 	})
 	norm := func(u, v NodeID) [2]NodeID {
-		if !g.directed && u > v {
+		if u > v {
 			u, v = v, u
 		}
 		return [2]NodeID{u, v}
@@ -27,12 +27,7 @@ func rebuildWith(g *Graph, changes []EdgeChange) *Graph {
 			delete(present, norm(c.U, c.V))
 		}
 	}
-	var b *Builder
-	if g.directed {
-		b = NewDirectedBuilder(g.NumNodes())
-	} else {
-		b = NewBuilder(g.NumNodes())
-	}
+	b := NewBuilder(g.NumNodes())
 	for e := range present {
 		b.AddEdge(e[0], e[1])
 	}
@@ -56,7 +51,7 @@ func csrEqual(t *testing.T, got, want *Graph) {
 	if got.NumEdges() != want.NumEdges() {
 		t.Fatalf("edges: got %d, want %d", got.NumEdges(), want.NumEdges())
 	}
-	checked, err := FromCSR(gotOff, gotAdj, got.Directed())
+	checked, err := FromCSR(gotOff, gotAdj)
 	if err != nil {
 		t.Fatalf("compacted CSR rejected: %v", err)
 	}
@@ -120,48 +115,41 @@ func TestDeltaValidation(t *testing.T) {
 }
 
 func TestDeltaCompactRandomized(t *testing.T) {
-	for _, directed := range []bool{false, true} {
-		rng := rand.New(rand.NewPCG(11, 7))
-		n := 60
-		var b *Builder
-		if directed {
-			b = NewDirectedBuilder(n)
-		} else {
-			b = NewBuilder(n)
-		}
-		for i := 0; i < 150; i++ {
-			b.AddEdge(NodeID(rng.IntN(n)), NodeID(rng.IntN(n)))
-		}
-		g := b.MustBuild()
+	rng := rand.New(rand.NewPCG(11, 7))
+	n := 60
+	b := NewBuilder(n)
+	for i := 0; i < 150; i++ {
+		b.AddEdge(NodeID(rng.IntN(n)), NodeID(rng.IntN(n)))
+	}
+	g := b.MustBuild()
 
-		d := NewDelta(g)
-		var applied []EdgeChange
-		for step := 0; step < 400; step++ {
-			u, v := NodeID(rng.IntN(n)), NodeID(rng.IntN(n))
-			if u == v {
-				continue
-			}
-			c := EdgeChange{U: u, V: v, Insert: rng.IntN(2) == 0}
-			eff, err := d.Apply([]EdgeChange{c})
-			if err != nil {
-				t.Fatal(err)
-			}
-			applied = append(applied, eff...)
-			if want := d.HasEdge(u, v); want != c.Insert && len(eff) > 0 {
-				t.Fatalf("directed=%v step %d: HasEdge(%d,%d) = %v after %+v", directed, step, u, v, want, c)
-			}
-			// Compact at irregular intervals; the snapshot must match a
-			// from-scratch rebuild, and the delta keeps working on it.
-			if step%97 == 96 {
-				snap := d.Compact()
-				csrEqual(t, snap, rebuildWith(g, applied))
-			}
+	d := NewDelta(g)
+	var applied []EdgeChange
+	for step := 0; step < 400; step++ {
+		u, v := NodeID(rng.IntN(n)), NodeID(rng.IntN(n))
+		if u == v {
+			continue
 		}
-		snap := d.Compact()
-		csrEqual(t, snap, rebuildWith(g, applied))
-		if want := rebuildWith(g, applied).NumEdges(); snap.NumEdges() != want {
-			t.Fatalf("directed=%v: snapshot edges %d, want %d", directed, snap.NumEdges(), want)
+		c := EdgeChange{U: u, V: v, Insert: rng.IntN(2) == 0}
+		eff, err := d.Apply([]EdgeChange{c})
+		if err != nil {
+			t.Fatal(err)
 		}
+		applied = append(applied, eff...)
+		if want := d.HasEdge(u, v); want != c.Insert && len(eff) > 0 {
+			t.Fatalf("step %d: HasEdge(%d,%d) = %v after %+v", step, u, v, want, c)
+		}
+		// Compact at irregular intervals; the snapshot must match a
+		// from-scratch rebuild, and the delta keeps working on it.
+		if step%97 == 96 {
+			snap := d.Compact()
+			csrEqual(t, snap, rebuildWith(g, applied))
+		}
+	}
+	snap := d.Compact()
+	csrEqual(t, snap, rebuildWith(g, applied))
+	if want := rebuildWith(g, applied).NumEdges(); snap.NumEdges() != want {
+		t.Fatalf("snapshot edges %d, want %d", snap.NumEdges(), want)
 	}
 }
 
@@ -174,88 +162,81 @@ func TestDeltaCompactRunBoundaries(t *testing.T) {
 	const (
 		n     = 2000
 		empty = 700  // no edges in the base graph
-		drain = 1300 // loses every out-arc in the scripted batch
+		drain = 1300 // loses every edge in the scripted batch
 	)
-	for _, directed := range []bool{false, true} {
-		rng := rand.New(rand.NewPCG(5, 2000))
-		var b *Builder
-		if directed {
-			b = NewDirectedBuilder(n)
-		} else {
-			b = NewBuilder(n)
+	rng := rand.New(rand.NewPCG(5, 2000))
+	b := NewBuilder(n)
+	for i := 0; i < n; i++ {
+		u, v := NodeID(rng.IntN(n)), NodeID(rng.IntN(n))
+		if u != empty && v != empty && u != drain && v != drain {
+			b.AddEdge(u, v)
 		}
-		for i := 0; i < n; i++ {
-			u, v := NodeID(rng.IntN(n)), NodeID(rng.IntN(n))
-			if u != empty && v != empty && u != drain && v != drain {
-				b.AddEdge(u, v)
-			}
-		}
-		for _, e := range [][2]NodeID{{drain, 5}, {drain, 900}, {drain, n - 1}, {0, 1}, {0, 50}, {n - 1, 3}} {
-			b.AddEdge(e[0], e[1])
-		}
-		g := b.MustBuild()
-		if g.Degree(empty) != 0 || g.Degree(drain) != 3 {
-			t.Fatalf("directed=%v: set-up degrees %d, %d", directed, g.Degree(empty), g.Degree(drain))
-		}
+	}
+	for _, e := range [][2]NodeID{{drain, 5}, {drain, 900}, {drain, n - 1}, {0, 1}, {0, 50}, {n - 1, 3}} {
+		b.AddEdge(e[0], e[1])
+	}
+	g := b.MustBuild()
+	if g.Degree(empty) != 0 || g.Degree(drain) != 3 {
+		t.Fatalf("set-up degrees %d, %d", g.Degree(empty), g.Degree(drain))
+	}
 
-		scripted := []EdgeChange{
-			// The first and last rows.
-			{U: 0, V: n - 1, Insert: true},
-			// The empty row gains edges, one to its neighbor row.
-			{U: empty, V: 3, Insert: true},
-			{U: empty, V: n - 2, Insert: true},
-			{U: empty, V: empty + 1, Insert: true},
-			// Adjacent rows.
-			{U: 1000, V: 1001, Insert: true},
-			// The drained row loses every edge.
-			{U: drain, V: 5, Insert: false},
-			{U: drain, V: 900, Insert: false},
-			{U: drain, V: n - 1, Insert: false},
-			// A new edge and its deletion cancel, as do a base edge's
-			// deletion and re-insertion.
-			{U: 400, V: 1600, Insert: true},
-			{U: 400, V: 1600, Insert: false},
-			{U: 0, V: 1, Insert: false},
-			{U: 0, V: 1, Insert: true},
+	scripted := []EdgeChange{
+		// The first and last rows.
+		{U: 0, V: n - 1, Insert: true},
+		// The empty row gains edges, one to its neighbor row.
+		{U: empty, V: 3, Insert: true},
+		{U: empty, V: n - 2, Insert: true},
+		{U: empty, V: empty + 1, Insert: true},
+		// Adjacent rows.
+		{U: 1000, V: 1001, Insert: true},
+		// The drained row loses every edge.
+		{U: drain, V: 5, Insert: false},
+		{U: drain, V: 900, Insert: false},
+		{U: drain, V: n - 1, Insert: false},
+		// A new edge and its deletion cancel, as do a base edge's
+		// deletion and re-insertion.
+		{U: 400, V: 1600, Insert: true},
+		{U: 400, V: 1600, Insert: false},
+		{U: 0, V: 1, Insert: false},
+		{U: 0, V: 1, Insert: true},
+	}
+	d := NewDelta(g)
+	applied, err := d.Apply(scripted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := d.Compact()
+	csrEqual(t, snap, rebuildWith(g, applied))
+	if snap.Degree(empty) != 3 || snap.Degree(drain) != 0 {
+		t.Fatalf("scripted degrees %d, %d; want 3, 0", snap.Degree(empty), snap.Degree(drain))
+	}
+
+	// Small random batches; the boundary rows come up often.
+	for batch := 0; batch < 60; batch++ {
+		prev := snap
+		pick := func() NodeID {
+			switch rng.IntN(6) {
+			case 0:
+				return 0
+			case 1:
+				return n - 1
+			}
+			return NodeID(rng.IntN(n))
 		}
-		d := NewDelta(g)
-		applied, err := d.Apply(scripted)
+		var changes []EdgeChange
+		for len(changes) < 1+rng.IntN(5) {
+			u, v := pick(), pick()
+			if u == v {
+				continue
+			}
+			changes = append(changes, EdgeChange{U: u, V: v, Insert: !d.HasEdge(u, v)})
+		}
+		applied, err := d.Apply(changes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap := d.Compact()
-		csrEqual(t, snap, rebuildWith(g, applied))
-		if snap.Degree(empty) != 3 || snap.Degree(drain) != 0 {
-			t.Fatalf("directed=%v: scripted degrees %d, %d; want 3, 0", directed, snap.Degree(empty), snap.Degree(drain))
-		}
-
-		// Small random batches; the boundary rows come up often.
-		for batch := 0; batch < 60; batch++ {
-			prev := snap
-			pick := func() NodeID {
-				switch rng.IntN(6) {
-				case 0:
-					return 0
-				case 1:
-					return n - 1
-				}
-				return NodeID(rng.IntN(n))
-			}
-			var changes []EdgeChange
-			for len(changes) < 1+rng.IntN(5) {
-				u, v := pick(), pick()
-				if u == v {
-					continue
-				}
-				changes = append(changes, EdgeChange{U: u, V: v, Insert: !d.HasEdge(u, v)})
-			}
-			applied, err := d.Apply(changes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			snap = d.Compact()
-			csrEqual(t, snap, rebuildWith(prev, applied))
-		}
+		snap = d.Compact()
+		csrEqual(t, snap, rebuildWith(prev, applied))
 	}
 }
 
@@ -278,8 +259,8 @@ func TestDeltaApplyResultOwned(t *testing.T) {
 
 // FuzzDeltaCompact decodes bytes into a small graph and a change list
 // and checks every compaction against a Builder rebuild. data[0] sets
-// the node count, data[1]'s low bit directedness and data[2] how many
-// byte pairs build the base graph; each later pair (x, y) is a change
+// the node count, data[1] is unused (it keeps the corpus's byte layout)
+// and data[2] sets how many byte pairs build the base graph; each later pair (x, y) is a change
 // on the edge {x&0x7f mod n, y mod n}, an insertion when x's high bit is
 // set, and a pair naming one node twice compacts instead.
 func FuzzDeltaCompact(f *testing.F) {
@@ -291,18 +272,12 @@ func FuzzDeltaCompact(f *testing.F) {
 			return
 		}
 		n := 2 + int(data[0])%40
-		directed := data[1]&1 == 1
 		pairs := data[3:]
 		edge := func(i int) (NodeID, NodeID, bool) {
 			x, y := pairs[2*i], pairs[2*i+1]
 			return NodeID(int(x&0x7f) % n), NodeID(int(y) % n), x&0x80 != 0
 		}
-		var b *Builder
-		if directed {
-			b = NewDirectedBuilder(n)
-		} else {
-			b = NewBuilder(n)
-		}
+		b := NewBuilder(n)
 		split := min(int(data[2]), len(pairs)/2)
 		for i := 0; i < split; i++ {
 			u, v, _ := edge(i)

@@ -14,7 +14,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // NodeID identifies a node. Node IDs are dense: a graph with n nodes uses
@@ -33,26 +32,10 @@ const MaxNodes = math.MaxInt32
 // time so that vicinity sizes and densities match the paper's simple-graph
 // setting.
 type Graph struct {
-	offsets  []int64  // len = n+1; neighbors of v are adj[offsets[v]:offsets[v+1]]
-	adj      []NodeID // concatenated sorted adjacency lists
-	m        int64    // number of edges (undirected count, or arc count when directed)
-	directed bool
-
-	// transpose caches the reversed-arc graph of a directed graph:
-	// Transpose is on per-mutation paths (dirty-set computation for
-	// index repair and monitor invalidation), and rebuilding an
-	// O(V+E) structure per call there would serialize mutations behind
-	// it. Graphs are immutable, so the cache can never go stale.
-	transposeOnce sync.Once
-	transpose     *Graph
+	offsets []int64  // len = n+1; neighbors of v are adj[offsets[v]:offsets[v+1]]
+	adj     []NodeID // concatenated sorted adjacency lists
+	m       int64    // number of undirected edges
 }
-
-// Directed reports whether the graph stores one-way arcs (built with
-// NewDirectedBuilder). The paper's §2 notes TESC "could be extended for
-// graphs with directed edges": on a directed graph every vicinity,
-// density and sampler definition applies verbatim with V^h_u read as the
-// forward (out-edge) ball of u.
-func (g *Graph) Directed() bool { return g.directed }
 
 // NumNodes returns the number of nodes.
 func (g *Graph) NumNodes() int {
@@ -76,10 +59,10 @@ func (g *Graph) Neighbors(v NodeID) []NodeID {
 	return g.adj[g.offsets[v]:g.offsets[v+1]]
 }
 
-// HasEdge reports whether the edge {u, v} (or, for directed graphs, the
-// arc u→v) exists, by binary search over the adjacency list.
+// HasEdge reports whether the edge {u, v} exists, by binary search over
+// the shorter of the two adjacency lists.
 func (g *Graph) HasEdge(u, v NodeID) bool {
-	if !g.directed && g.Degree(u) > g.Degree(v) {
+	if g.Degree(u) > g.Degree(v) {
 		u, v = v, u
 	}
 	ns := g.Neighbors(u)
@@ -100,55 +83,19 @@ func (g *Graph) Valid(v NodeID) bool {
 	return v >= 0 && int(v) < g.NumNodes()
 }
 
-// ForEachEdge invokes fn once per edge: for undirected graphs once per
-// edge {u, v} with u < v, for directed graphs once per arc (u, v).
-// Iteration stops early if fn returns false.
+// ForEachEdge invokes fn once per edge {u, v}, with u < v. Iteration
+// stops early if fn returns false.
 func (g *Graph) ForEachEdge(fn func(u, v NodeID) bool) {
 	n := g.NumNodes()
 	for u := 0; u < n; u++ {
 		for _, v := range g.Neighbors(NodeID(u)) {
-			if g.directed || NodeID(u) < v {
+			if NodeID(u) < v {
 				if !fn(NodeID(u), v) {
 					return
 				}
 			}
 		}
 	}
-}
-
-// Transpose returns the graph with every arc reversed. For undirected
-// graphs it returns g itself; for directed graphs the reversed CSR is
-// built once and cached (graphs are immutable), so repeated
-// mutation-path calls pay a pointer load.
-func (g *Graph) Transpose() *Graph {
-	if !g.directed {
-		return g
-	}
-	g.transposeOnce.Do(func() { g.transpose = g.buildTranspose() })
-	return g.transpose
-}
-
-func (g *Graph) buildTranspose() *Graph {
-	n := g.NumNodes()
-	deg := make([]int64, n+1)
-	for _, v := range g.adj {
-		deg[v+1]++
-	}
-	offsets := make([]int64, n+1)
-	for i := 0; i < n; i++ {
-		offsets[i+1] = offsets[i] + deg[i+1]
-	}
-	adj := make([]NodeID, len(g.adj))
-	cursor := make([]int64, n)
-	copy(cursor, offsets[:n])
-	for u := 0; u < n; u++ {
-		for _, v := range g.Neighbors(NodeID(u)) {
-			adj[cursor[v]] = NodeID(u)
-			cursor[v]++
-		}
-	}
-	// per-source lists come out sorted because u ascends
-	return &Graph{offsets: offsets, adj: adj, m: g.m, directed: true}
 }
 
 // Edges returns all undirected edges with u < v, in sorted order.

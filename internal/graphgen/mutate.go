@@ -57,12 +57,11 @@ func AddOrSame(g *graph.Graph, count int64, rng *rand.Rand) *graph.Graph {
 // vicinity.Index.ApplyDeltaDirty with it, seeded so every run replays
 // exactly.
 type FlipStream struct {
-	n        int
-	directed bool
-	rng      *rand.Rand
-	insBias  float64
-	present  map[uint64]int // edge key → position in edges
-	edges    []uint64       // current edge set, for uniform deletion draws
+	n       int
+	rng     *rand.Rand
+	insBias float64
+	present map[uint64]int // edge key → position in edges
+	edges   []uint64       // current edge set, for uniform deletion draws
 }
 
 // NewFlipStream returns a stream over g's current edge set. insertBias
@@ -71,11 +70,10 @@ type FlipStream struct {
 // edges, insertions uniformly from the absent pairs (by rejection).
 func NewFlipStream(g *graph.Graph, insertBias float64, rng *rand.Rand) *FlipStream {
 	s := &FlipStream{
-		n:        g.NumNodes(),
-		directed: g.Directed(),
-		rng:      rng,
-		insBias:  insertBias,
-		present:  make(map[uint64]int, g.NumEdges()),
+		n:       g.NumNodes(),
+		rng:     rng,
+		insBias: insertBias,
+		present: make(map[uint64]int, g.NumEdges()),
 	}
 	g.ForEachEdge(func(u, v graph.NodeID) bool {
 		s.push(s.key(u, v))
@@ -85,7 +83,7 @@ func NewFlipStream(g *graph.Graph, insertBias float64, rng *rand.Rand) *FlipStre
 }
 
 func (s *FlipStream) key(u, v graph.NodeID) uint64 {
-	if !s.directed && u > v {
+	if u > v {
 		u, v = v, u
 	}
 	return uint64(uint32(u))<<32 | uint64(uint32(v))

@@ -45,7 +45,7 @@ func benchApply(b *testing.B, w *world, flips []graph.EdgeChange, h int) {
 		b.Fatal(err)
 	}
 	w.mgr.NotifyEdgeDelta("g", w.g, newG, applied, w.epoch+1, dirty, h)
-	w.g = newG
+	w.g, w.engines = newG, graph.NewEnginePool(newG)
 	w.epoch++
 }
 

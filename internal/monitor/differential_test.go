@@ -17,14 +17,16 @@ import (
 
 // world is an evolving (graph, events, epoch) triple driven by the
 // tests the way the serving tier drives a registry entry: the monitor
-// manager is notified pre-publication, mutations are serialized, and
-// every published state is internally consistent.
+// manager is notified pre-publication, mutations are serialized, every
+// published state is internally consistent, and each graph version
+// has one engine pool that re-screens borrow from.
 type world struct {
 	name string
 	mgr  *Manager
 
 	mu      sync.Mutex // snap races the auto-mode timer goroutines
 	g       *graph.Graph
+	engines *graph.EnginePool
 	builder *events.Builder
 	store   *events.Store
 	epoch   uint64
@@ -32,13 +34,13 @@ type world struct {
 
 func newWorld(name string, mgr *Manager, g *graph.Graph) *world {
 	b := events.NewBuilder(g.NumNodes())
-	return &world{name: name, mgr: mgr, g: g, builder: b, store: b.Build(), epoch: 1}
+	return &world{name: name, mgr: mgr, g: g, engines: graph.NewEnginePool(g), builder: b, store: b.Build(), epoch: 1}
 }
 
-func (w *world) snap() (*graph.Graph, *events.Store, uint64) {
+func (w *world) snap() (*graph.Graph, *events.Store, uint64, *graph.EnginePool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.g, w.store, w.epoch
+	return w.g, w.store, w.epoch, w.engines
 }
 
 // applyEdges mutates the graph by the flips, notifying the manager
@@ -59,7 +61,7 @@ func (w *world) applyEdges(t *testing.T, changes []graph.EdgeChange) {
 	newG := d.Compact()
 	w.mgr.NotifyEdgeDelta(w.name, oldG, newG, applied, epoch+1, nil, 0)
 	w.mu.Lock()
-	w.g = newG
+	w.g, w.engines = newG, graph.NewEnginePool(newG)
 	w.epoch++
 	w.mu.Unlock()
 }
@@ -96,15 +98,8 @@ func seedEvents(w *world, rng *rand.Rand, occurrences int) {
 	w.epoch++
 }
 
-func diffGraph(directed bool, rng *rand.Rand) *graph.Graph {
-	if !directed {
-		return graphgen.WattsStrogatz(400, 2, 0.1, rng)
-	}
-	b := graph.NewDirectedBuilder(300)
-	for i := 0; i < 900; i++ {
-		b.AddEdge(graph.NodeID(rng.IntN(300)), graph.NodeID(rng.IntN(300)))
-	}
-	return b.MustBuild()
+func diffGraph(rng *rand.Rand) *graph.Graph {
+	return graphgen.WattsStrogatz(400, 2, 0.1, rng)
 }
 
 // fromScratch runs the exact sweep the monitor runs, with no retained
@@ -139,33 +134,31 @@ func assertSampleEquals(t *testing.T, ctx string, got Sample, want screen.PairRe
 
 // TestDifferentialIncrementalRescreen is the tentpole's correctness
 // witness: over >= 1k seeded mutation batches (edge flips and event
-// occurrence changes, directed and undirected graphs, h = 1..3), every
+// occurrence changes, h = 1..3), every
 // incremental monitor re-screen — dirty-set invalidation plus cache
 // reuse — is bit-identical to a from-scratch screen.Run bound to the
 // same epoch.
 func TestDifferentialIncrementalRescreen(t *testing.T) {
 	type leg struct {
-		directed bool
-		h        int
-		batches  int
-		seed     uint64
+		h       int
+		batches int
+		seed    uint64
 	}
 	legs := []leg{
-		{false, 1, 180, 11},
-		{false, 2, 180, 12},
-		{false, 3, 180, 13},
-		{true, 1, 180, 21},
-		{true, 2, 180, 22},
-		{true, 3, 180, 23},
+		{1, 360, 11},
+		{2, 360, 12},
+		{3, 360, 13},
 	}
 	var totalBatches, totalReused atomic.Int64
 	for _, lg := range legs {
 		lg := lg
-		t.Run(fmt.Sprintf("directed=%v/h=%d", lg.directed, lg.h), func(t *testing.T) {
+		// Subtest names keep their directed=false prefix so their IDs
+		// stay stable for tools that track them.
+		t.Run(fmt.Sprintf("directed=false/h=%d", lg.h), func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewPCG(lg.seed, lg.seed^0xabcdef))
 			mgr := NewManager()
-			w := newWorld("g", mgr, diffGraph(lg.directed, rng))
+			w := newWorld("g", mgr, diffGraph(rng))
 			seedEvents(w, rng, 40)
 			def := Definition{
 				A: "ev-a", B: "ev-b",
@@ -239,7 +232,7 @@ func mustLast(t *testing.T, m *Monitor) Sample {
 func TestDirtySetSuperset(t *testing.T) {
 	rng := rand.New(rand.NewPCG(77, 1))
 	mgr := NewManager()
-	w := newWorld("g", mgr, diffGraph(false, rng))
+	w := newWorld("g", mgr, diffGraph(rng))
 	seedEvents(w, rng, 30)
 	def := Definition{A: "ev-a", B: "ev-b", H: 1, SampleSize: 60, Seed: 99, Mode: Manual}
 	m, err := mgr.Create(w.name, def, w.snap)

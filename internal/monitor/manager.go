@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -11,6 +12,10 @@ import (
 	"tesc/internal/screen"
 	"tesc/internal/vicinity"
 )
+
+// ErrAlreadyRegistered is wrapped by the error Create and Restore
+// return when the graph already has a monitor with the definition's ID.
+var ErrAlreadyRegistered = errors.New("already registered")
 
 // Manager is the registry and scheduler of standing queries across
 // all graphs of a serving tier. The mutation path notifies it with
@@ -85,7 +90,7 @@ func (mgr *Manager) add(graphName string, st State, snap SnapshotFunc) (*Monitor
 	if err := def.Normalize(); err != nil {
 		return nil, err
 	}
-	g, store, _ := snap()
+	g, store, _, _ := snap()
 	var memo *screen.SharedMemo
 	if def.TopK > 0 {
 		// A watchlist's cache spans the whole vocabulary; with no
@@ -129,7 +134,7 @@ func (mgr *Manager) add(graphName string, st State, snap SnapshotFunc) (*Monitor
 	}
 	for _, other := range gm.monitors {
 		if other.def.ID == def.ID {
-			return nil, fmt.Errorf("monitor: %q already registered for graph %q", def.ID, graphName)
+			return nil, fmt.Errorf("monitor: %q %w for graph %q", def.ID, ErrAlreadyRegistered, graphName)
 		}
 	}
 	if gm.notifiedEpoch > 0 {
@@ -366,22 +371,18 @@ func (mgr *Manager) NotifyEventDelta(graphName string, changed map[string][]grap
 		// Event mutations leave the graph untouched, so any affected
 		// monitor's current snapshot carries the right structure for
 		// the ball.
-		g, _, _ := affected[0].snap()
-		d.dirty = reverseBall(g, sources, maxH)
+		g, _, _, engines := affected[0].snap()
+		d.dirty = dirtyBall(g, engines, sources, maxH)
 	}
 	for _, m := range affected {
 		m.notify(d)
 	}
 }
 
-// reverseBall returns every node whose forward h-vicinity contains one
-// of the sources: the h-ball around the sources on the transposed
-// graph (the graph itself when undirected).
-func reverseBall(g *graph.Graph, sources []graph.NodeID, h int) []graph.NodeID {
-	rg := g
-	if g.Directed() {
-		rg = g.Transpose()
-	}
+// dirtyBall returns every node whose h-vicinity contains one of the
+// sources: the h-ball around the sources, traversed with an engine
+// borrowed from engines.
+func dirtyBall(g *graph.Graph, engines *graph.EnginePool, sources []graph.NodeID, h int) []graph.NodeID {
 	valid := sources[:0:0]
 	for _, v := range sources {
 		if g.Valid(v) {
@@ -391,5 +392,7 @@ func reverseBall(g *graph.Graph, sources []graph.NodeID, h int) []graph.NodeID {
 	if len(valid) == 0 {
 		return nil
 	}
-	return graph.NewBFS(rg).SetVicinity(valid, h, nil)
+	bfs := engines.Acquire(g)
+	defer engines.Put(bfs)
+	return bfs.SetVicinity(valid, h, nil)
 }

@@ -236,9 +236,11 @@ type State struct {
 }
 
 // SnapshotFunc yields the monitored graph's current consistent
-// snapshot: graph, frozen event store, and the epoch stamping both.
-// Successive calls must never observe epochs going backwards.
-type SnapshotFunc func() (g *graph.Graph, store *events.Store, epoch uint64)
+// snapshot: graph, frozen event store, the epoch stamping both, and the
+// pool of BFS engines bound to that graph, which re-screens borrow
+// from (nil: each sweep allocates its own engines). Successive calls
+// must never observe epochs going backwards.
+type SnapshotFunc func() (g *graph.Graph, store *events.Store, epoch uint64, engines *graph.EnginePool)
 
 // pendingDelta is one queued invalidation: the dirty node set of a
 // mutation, tagged with the epoch the mutation produces. Deltas are
@@ -271,11 +273,6 @@ type Monitor struct {
 	// in-flight evaluation.
 	runMu sync.Mutex
 	memo  *screen.SharedMemo
-	// engines are the retained BFS engines of this monitor, rebound to
-	// each new graph snapshot before a re-screen: the O(|V|) scratch
-	// (mark array, visit buffer) is allocated once per monitor, not once
-	// per mutation. Guarded by runMu.
-	engines []*graph.BFS
 
 	mu      sync.Mutex // guards the fields below
 	pending []pendingDelta
@@ -371,7 +368,7 @@ func (m *Monitor) run(force bool) (Sample, bool, error) {
 	var last Sample
 	ran := false
 	for {
-		g, store, epoch := m.snap()
+		g, store, epoch, engines := m.snap()
 
 		m.mu.Lock()
 		if m.closed {
@@ -413,7 +410,7 @@ func (m *Monitor) run(force bool) (Sample, bool, error) {
 			m.memo.Invalidate(dirty)
 		}
 
-		sample, err := m.screenOnce(g, store, epoch, batches)
+		sample, err := m.screenOnce(g, store, epoch, engines, batches)
 		if errors.Is(err, screen.ErrStaleEpoch) {
 			// A mutation published a newer snapshot mid-run. Its delta
 			// was queued before publication, so the next iteration
@@ -452,9 +449,9 @@ func (m *Monitor) run(force bool) (Sample, bool, error) {
 // screenOnce runs one epoch-pinned re-screen against the retained
 // density cache: a single-pair sweep for fixed-pair monitors, a
 // planned top-k ranking for watchlists.
-func (m *Monitor) screenOnce(g *graph.Graph, store *events.Store, epoch uint64, batches int) (Sample, error) {
+func (m *Monitor) screenOnce(g *graph.Graph, store *events.Store, epoch uint64, engines *graph.EnginePool, batches int) (Sample, error) {
 	if m.def.TopK > 0 {
-		return m.screenWatchlist(g, store, epoch, batches)
+		return m.screenWatchlist(g, store, epoch, engines, batches)
 	}
 	cfg := screen.Config{
 		H:           m.def.H,
@@ -463,13 +460,13 @@ func (m *Monitor) screenOnce(g *graph.Graph, store *events.Store, epoch uint64, 
 		Alternative: m.def.Alternative,
 		Seed:        m.def.Seed,
 		Memo:        m.memo,
+		Engines:     engines,
 		Epoch:       epoch,
 		CurrentEpoch: func() uint64 {
-			_, _, e := m.snap()
+			_, _, e, _ := m.snap()
 			return e
 		},
 	}
-	cfg.Engines = m.bindEngines(g)
 	start := time.Now()
 	res, err := screen.Run(g, store, [][2]string{{m.def.A, m.def.B}}, cfg)
 	if err != nil {
@@ -500,36 +497,12 @@ func (m *Monitor) screenOnce(g *graph.Graph, store *events.Store, epoch uint64, 
 	return sample, nil
 }
 
-// bindEngines rebinds this monitor's retained BFS engines to the
-// current snapshot and lends them to the run through a pool: the
-// O(|V|) scratch (mark array, visit buffer) is allocated once per
-// monitor, not once per mutation. Engines that cannot rebind (node
-// count changed — impossible under live mutation, possible across
-// exotic restores) are dropped and reallocated. Callers hold runMu.
-func (m *Monitor) bindEngines(g *graph.Graph) *graph.EnginePool {
-	if m.engines == nil {
-		// Both screen paths run one sweep worker, which traverses
-		// with one engine.
-		m.engines = []*graph.BFS{graph.NewBFS(g)}
-	}
-	pool := graph.NewEnginePool(g)
-	kept := m.engines[:0]
-	for _, eng := range m.engines {
-		if eng.Rebind(g) == nil {
-			pool.Put(eng)
-			kept = append(kept, eng)
-		}
-	}
-	m.engines = kept
-	return pool
-}
-
 // screenWatchlist runs one epoch-pinned planned ranking over the whole
 // vocabulary. The density cache spans every event, so deltas folded by
 // the drain loop invalidate exactly their dirty ball and the planner
 // serves every untouched reference node from the cache — the same
 // incremental contract fixed-pair monitors have, at watchlist width.
-func (m *Monitor) screenWatchlist(g *graph.Graph, store *events.Store, epoch uint64, batches int) (Sample, error) {
+func (m *Monitor) screenWatchlist(g *graph.Graph, store *events.Store, epoch uint64, engines *graph.EnginePool, batches int) (Sample, error) {
 	// The vocabulary is not fixed at registration: event mutations add
 	// and drop whole events. The memo's dense count vectors are indexed
 	// by its vocabulary, so a changed name set forces a cold rebuild
@@ -562,15 +535,15 @@ func (m *Monitor) screenWatchlist(g *graph.Graph, store *events.Store, epoch uin
 			Seed:           m.def.Seed,
 			Workers:        1,
 			Memo:           m.memo,
+			Engines:        engines,
 			Epoch:          epoch,
 			CurrentEpoch: func() uint64 {
-				_, _, e := m.snap()
+				_, _, e, _ := m.snap()
 				return e
 			},
 		},
 		K: m.def.TopK,
 	}
-	cfg.Engines = m.bindEngines(g)
 	res, err := screen.Plan(g, store, pairs, cfg)
 	if err != nil {
 		return Sample{}, err

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"errors"
 	"math/rand/v2"
 	"testing"
 	"time"
@@ -155,13 +156,15 @@ func TestAutoModeDebounce(t *testing.T) {
 	for i := 0; i < burst; i++ {
 		w.applyEdges(t, stream.Take(1))
 	}
+	// Wait for the last re-screen to record, not only for the queue to
+	// drain: a drain empties the queue before its re-screen finishes.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if m.Pending() == 0 {
+		if last, _ := m.Last(); m.Pending() == 0 && last.Epoch == w.epoch {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("auto monitor never drained; pending=%d", m.Pending())
+			t.Fatalf("auto monitor never caught up; pending=%d", m.Pending())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -220,6 +223,26 @@ func TestManagerLifecycle(t *testing.T) {
 	}
 	if mgr.Active() != 0 {
 		t.Fatalf("active = %d after teardown, want 0", mgr.Active())
+	}
+}
+
+// TestDuplicateIDSentinel pins the typed conflict error: a second
+// monitor with a taken ID, created or restored, fails with an error
+// wrapping ErrAlreadyRegistered, which the REST layer maps to 409.
+func TestDuplicateIDSentinel(t *testing.T) {
+	mgr, w, _ := testWorld(t, 17)
+	def := Definition{ID: "dup", A: "ev-a", B: "ev-b", H: 1, SampleSize: 40, Mode: Manual}
+	if _, err := mgr.Create("g", def, w.snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mgr.Create("g", def, w.snap); !errors.Is(err, ErrAlreadyRegistered) {
+		t.Fatalf("duplicate Create: err = %v, want ErrAlreadyRegistered", err)
+	}
+	if _, err := mgr.Restore("g", State{Def: def}, w.snap); !errors.Is(err, ErrAlreadyRegistered) {
+		t.Fatalf("duplicate Restore: err = %v, want ErrAlreadyRegistered", err)
+	}
+	if _, err := mgr.Create("other", def, w.snap); err != nil {
+		t.Fatalf("the same ID on another graph: %v", err)
 	}
 }
 

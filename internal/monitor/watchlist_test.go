@@ -111,7 +111,7 @@ func TestWatchlistDefinitionValidation(t *testing.T) {
 func TestWatchlistBaseline(t *testing.T) {
 	rng := rand.New(rand.NewPCG(501, 2))
 	mgr := NewManager()
-	w := newWorld("g", mgr, diffGraph(false, rng))
+	w := newWorld("g", mgr, diffGraph(rng))
 	seedVocab(w, rng, []string{"ev-a", "ev-b", "ev-c", "ev-d", "ev-e"}, 30)
 
 	def := Definition{
@@ -150,7 +150,7 @@ func TestWatchlistBaseline(t *testing.T) {
 func TestWatchlistDifferentialRerank(t *testing.T) {
 	rng := rand.New(rand.NewPCG(502, 7))
 	mgr := NewManager()
-	w := newWorld("g", mgr, diffGraph(false, rng))
+	w := newWorld("g", mgr, diffGraph(rng))
 	names := []string{"ev-a", "ev-b", "ev-c", "ev-d"}
 	seedVocab(w, rng, names, 25)
 
@@ -215,7 +215,7 @@ func TestWatchlistDifferentialRerank(t *testing.T) {
 func TestWatchlistEventDeltaFanout(t *testing.T) {
 	rng := rand.New(rand.NewPCG(503, 1))
 	mgr := NewManager()
-	w := newWorld("g", mgr, diffGraph(false, rng))
+	w := newWorld("g", mgr, diffGraph(rng))
 	seedVocab(w, rng, []string{"ev-a", "ev-b", "ev-c"}, 20)
 
 	fixed, err := mgr.Create(w.name, Definition{A: "ev-a", B: "ev-b", H: 1, SampleSize: 40, Mode: Manual, Seed: 1}, w.snap)
@@ -247,7 +247,7 @@ func TestWatchlistEventDeltaFanout(t *testing.T) {
 func TestWatchlistEmptyVocabulary(t *testing.T) {
 	rng := rand.New(rand.NewPCG(504, 9))
 	mgr := NewManager()
-	w := newWorld("g", mgr, diffGraph(false, rng))
+	w := newWorld("g", mgr, diffGraph(rng))
 
 	m, err := mgr.Create(w.name, Definition{TopK: 2, H: 1, SampleSize: 40, Mode: Manual, Seed: 3}, w.snap)
 	if err != nil {

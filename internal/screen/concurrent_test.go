@@ -25,7 +25,7 @@ func checkAccounting(t *testing.T, label string, st PlanStats) {
 // concurrent pairs then check the same invariant under real
 // interleavings (run with -race).
 func TestSharedMemoConcurrentSweepAccounting(t *testing.T) {
-	g, store := memoFixture(t, false, 5, 25, 3)
+	g, store := memoFixture(t, 5, 25, 3)
 	memo, err := NewSharedMemo(g.NumNodes(), store.Names())
 	if err != nil {
 		t.Fatal(err)

@@ -28,28 +28,6 @@ type diffWorkload struct {
 	pairs [][2]string
 }
 
-// randomDirected builds a small directed random graph (graphgen has no
-// directed generator; the planner must handle directed CSRs too, where
-// the prior reach bound stays disabled).
-func randomDirected(n int, m int, rng *rand.Rand) *graph.Graph {
-	b := graph.NewDirectedBuilder(n)
-	seen := make(map[uint64]bool, m)
-	for added := 0; added < m; {
-		u, v := rng.IntN(n), rng.IntN(n)
-		if u == v {
-			continue
-		}
-		key := uint64(u)<<32 | uint64(v)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		b.AddEdge(graph.NodeID(u), graph.NodeID(v))
-		added++
-	}
-	return b.MustBuild()
-}
-
 // randomDiffWorkload generates the trial's graph and event layout. The
 // layouts deliberately produce ties: events dropped on the same few
 // community blocks yield many reference nodes with identical density
@@ -72,7 +50,7 @@ func randomDiffWorkload(trial int, rng *rand.Rand) diffWorkload {
 		g = graphgen.RMAT(graphgen.RMATConfig{Scale: 8, EdgeFactor: 4, A: 0.57, B: 0.19, C: 0.19}, rng)
 	default:
 		n := 150 + rng.IntN(250)
-		g = randomDirected(n, 4*n, rng)
+		g = graphgen.ErdosRenyi(n, int64(4*n), rng)
 	}
 	n := g.NumNodes()
 
@@ -129,7 +107,7 @@ func truncTheta(ranked []PairResult, alt stats.Alternative, theta float64) []Pai
 // bit-identical scores, stable tie-break order, and the exhaustive Run
 // ≡ reference plus FDR, FWER or no correction (pair order, AdjP,
 // Significant, skip reasons, summary counts), across graph shapes
-// (community, uniform, power-law, directed), h ∈ {1,2,3}, all three
+// (community, sparse and denser uniform, power-law), h ∈ {1,2,3}, all three
 // alternatives, k ∈ {1, 5, K²}, tie-heavy event layouts, occurrence
 // thresholds that skip pairs, worker counts, memo on/off, and both
 // bound regimes (statistical+deterministic, and deterministic-only on

@@ -682,7 +682,8 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 	}
 	g, store := snap.Graph.Internal(), snap.Store
 	pairs := screen.AllPairs(store, max(1, req.MinOccurrences))
-	cfg.Memo, cfg.Engines = e.screenMemo(snap, req.H)
+	cfg.Memo = e.screenMemo(snap, req.H)
+	cfg.Engines = e.EnginePool(snap).Internal()
 	// The job runs under the tracker's cancellable context, NOT
 	// r.Context(): the handler returns at the 202 and Go cancels the
 	// request context with it, which must not kill the async sweep.

@@ -1,9 +1,9 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"tesc"
@@ -109,11 +109,11 @@ func parseTailAlt(s string) (stats.Alternative, error) {
 
 // entrySnapshotFunc adapts a registry entry to the monitor package's
 // snapshot source: one consistent (graph, store, epoch) triple per
-// call.
+// call, with the entry's engine pool for that graph version.
 func entrySnapshotFunc(e *GraphEntry) monitor.SnapshotFunc {
-	return func() (*graph.Graph, *events.Store, uint64) {
+	return func() (*graph.Graph, *events.Store, uint64, *graph.EnginePool) {
 		snap := e.Snapshot()
-		return snap.Graph.Internal(), snap.Store, snap.Epoch
+		return snap.Graph.Internal(), snap.Store, snap.Epoch, e.EnginePool(snap).Internal()
 	}
 }
 
@@ -189,7 +189,7 @@ func (s *Server) handleCreateMonitor(w http.ResponseWriter, r *http.Request) {
 	m, err := s.monitors.Create(e.Name(), def, entrySnapshotFunc(e))
 	if err != nil {
 		code := api.CodeBadRequest
-		if strings.Contains(err.Error(), "already registered") {
+		if errors.Is(err, monitor.ErrAlreadyRegistered) {
 			code = api.CodeConflict
 		}
 		writeError(w, code, "%v", err)

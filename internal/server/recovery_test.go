@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -21,7 +22,7 @@ import (
 // ---- schedule generation --------------------------------------------
 //
 // A recovery schedule is a deterministic mutation workload: a seeded
-// starting graph (directed or undirected) plus a sequence of steps —
+// starting graph plus a sequence of steps —
 // edge batches, event batches, explicit checkpoints, index builds. The
 // generator tracks a model of the event stores so every generated step
 // is valid against the state produced by its prefix; the differential
@@ -41,11 +42,10 @@ type recStep struct {
 }
 
 type recSchedule struct {
-	seed     uint64
-	directed bool
-	h        int
-	graph    *tesc.Graph
-	steps    []recStep
+	seed  uint64
+	h     int
+	graph *tesc.Graph
+	steps []recStep
 	// torn, when non-zero, arms FaultFS.TornWrite: the crashing write
 	// persists len*torn/4 bytes instead of none.
 	torn int
@@ -53,56 +53,23 @@ type recSchedule struct {
 
 var recEventNames = []string{"a", "b", "c"}
 
-// randomRecGraph builds a seeded starting graph; odd seeds get a
-// directed one (via CSR), even seeds an undirected community graph.
-func randomRecGraph(rng *rand.Rand, directed bool, n int) *tesc.Graph {
-	if !directed {
-		return tesc.RandomCommunityGraph(2, n/2, 3, 0.5, rng.Uint64())
-	}
-	adjSets := make([]map[graph.NodeID]bool, n)
-	for v := range adjSets {
-		adjSets[v] = make(map[graph.NodeID]bool)
-	}
-	for i := 0; i < 3*n; i++ {
-		u, v := rng.IntN(n), rng.IntN(n)
-		if u != v {
-			adjSets[u][graph.NodeID(v)] = true
-		}
-	}
-	offsets := make([]int64, n+1)
-	var adj []graph.NodeID
-	for v := 0; v < n; v++ {
-		row := make([]graph.NodeID, 0, len(adjSets[v]))
-		for w := range adjSets[v] {
-			row = append(row, w)
-		}
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
-		adj = append(adj, row...)
-		offsets[v+1] = int64(len(adj))
-	}
-	g, err := graph.FromCSR(offsets, adj, true)
-	if err != nil {
-		panic(err)
-	}
-	return tesc.FromInternal(g)
-}
-
 // genRecSchedule derives a full schedule from a seed.
 func genRecSchedule(seed uint64) recSchedule {
 	rng := rand.New(rand.NewPCG(seed, 0x7e5c))
 	sc := recSchedule{
-		seed:     seed,
-		directed: seed%2 == 1,
-		h:        1 + int(seed%3),
+		seed: seed,
+		h:    1 + int(seed%3),
 	}
 	if seed%3 == 0 {
 		sc.torn = 1 + rng.IntN(3)
 	}
 	const n = 20
-	sc.graph = randomRecGraph(rng, sc.directed, n)
+	sc.graph = tesc.RandomCommunityGraph(2, n/2, 3, 0.5, rng.Uint64())
 
-	// Event model: name → occurrence multiset (additions accumulate
-	// intensity, removals must name present occurrences).
+	// Event model: name → occurrence multiset. Additions accumulate
+	// intensity; a removal must name a present occurrence and, like
+	// events.Builder.Remove, drops it whatever its intensity, so every
+	// copy leaves the model.
 	model := make(map[string][]int)
 	steps := 8 + rng.IntN(5)
 	for i := 0; i < steps; i++ {
@@ -136,9 +103,9 @@ func genRecSchedule(seed uint64) recSchedule {
 					st.remove[name] = nil // whole event
 					delete(model, name)
 				} else {
-					j := rng.IntN(len(model[name]))
-					st.remove[name] = []int{model[name][j]}
-					model[name] = append(model[name][:j], model[name][j+1:]...)
+					node := model[name][rng.IntN(len(model[name]))]
+					st.remove[name] = []int{node}
+					model[name] = slices.DeleteFunc(model[name], func(v int) bool { return v == node })
 				}
 			}
 			if len(st.remove) == 0 {
@@ -265,9 +232,9 @@ func assertStateEqual(t *testing.T, ctx string, rec, want Snapshot) {
 			ctx, rec.Epoch, rec.GraphVersion, want.Epoch, want.GraphVersion)
 	}
 	ri, wi := rec.Graph.Internal(), want.Graph.Internal()
-	if ri.Directed() != wi.Directed() || ri.NumNodes() != wi.NumNodes() || ri.NumEdges() != wi.NumEdges() {
-		t.Fatalf("%s: graph shape diverged: (%v,%d,%d) vs (%v,%d,%d)", ctx,
-			ri.Directed(), ri.NumNodes(), ri.NumEdges(), wi.Directed(), wi.NumNodes(), wi.NumEdges())
+	if ri.NumNodes() != wi.NumNodes() || ri.NumEdges() != wi.NumEdges() {
+		t.Fatalf("%s: graph shape diverged: (%d,%d) vs (%d,%d)", ctx,
+			ri.NumNodes(), ri.NumEdges(), wi.NumNodes(), wi.NumEdges())
 	}
 	if !reflect.DeepEqual(ri.Edges(), wi.Edges()) {
 		t.Fatalf("%s: edge sets diverged", ctx)
@@ -337,9 +304,8 @@ func crashAndRecover(t *testing.T, ctx string, srv *Server, fsys *wal.FaultFS) *
 	return rec
 }
 
-// TestRecoveryCrashSweep is the PR's differential property test: for
-// hundreds of seeded mutation schedules — directed and undirected
-// graphs, h 1..3, edge and event mutations, mid-schedule checkpoints
+// TestRecoveryCrashSweep is the differential property test: for
+// hundreds of seeded mutation schedules — h 1..3, edge and event mutations, mid-schedule checkpoints
 // and index builds, torn and clean crashing writes — it crashes the
 // filesystem at EVERY operation the schedule performs, recovers, and
 // asserts the recovered state is bit-identical to an uncrashed
@@ -403,6 +369,25 @@ func TestRecoveryCrashSweep(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRecScheduleAppliesFaultFree pins the schedule generator's event
+// model to the store: a removal drops a node's occurrence whatever its
+// accumulated intensity. On each seed, a model that drops one copy per
+// removal has emitted a second removal of a node added twice, which a
+// fault-free server rejects.
+func TestRecScheduleAppliesFaultFree(t *testing.T) {
+	for _, seed := range []uint64{251, 9581, 12599, 14485, 16593, 16663, 19194} {
+		sc := genRecSchedule(seed)
+		srv, err := newFaultServer(wal.NewFaultFS())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if acked, reg := runSchedule(sc, srv); !reg || acked != len(sc.steps) {
+			t.Errorf("seed %d: fault-free run acked %d/%d steps (reg=%v)", seed, acked, len(sc.steps), reg)
+		}
+		srv.Kill()
 	}
 }
 

@@ -85,13 +85,11 @@ type GraphEntry struct {
 	memo  retainedMemo
 }
 
-// retainedMemo is the screening state an entry keeps for the jobs of
-// one (epoch, h): the density memo and an engine pool bound to that
-// epoch's graph. elem is the entry's place in the LRU, nil when
+// retainedMemo is the density memo an entry keeps for the screen jobs
+// of one (epoch, h). elem is the entry's place in the LRU, nil when
 // nothing is retained.
 type retainedMemo struct {
 	memo    *screen.SharedMemo
-	engines *graph.EnginePool
 	epoch   uint64
 	h       int
 	elem    *list.Element
@@ -110,50 +108,49 @@ type screenMemos struct {
 	lru    list.List // *GraphEntry; front = most recently used
 }
 
-// screenMemo returns the density memo and engine pool for a screen job
-// on snap at vicinity level h. A memo holds densities of one graph,
-// store and h, and Epoch bumps on every edge or event mutation, so the
-// entry retains one memo keyed by (Epoch, h), shared by every job on
-// that key; a job on the current epoch with another key replaces it.
-// A job pinned to an older snapshot shares the retained memo only if it
-// is still keyed by that snapshot; otherwise it gets nil for both and
-// its sweep builds a per-run memo, so it never serves from, makes or
-// replaces a newer one. Nil also comes back when a memo over the
+// screenMemo returns the density memo for a screen job on snap at
+// vicinity level h. A memo holds densities of one graph, store and h,
+// and Epoch bumps on every edge or event mutation, so the entry retains
+// one memo keyed by (Epoch, h), shared by every job on that key; a job
+// on the current epoch with another key replaces it. A job pinned to
+// an older snapshot shares the retained memo only if it is still keyed
+// by that snapshot; otherwise it gets nil and its sweep builds a
+// per-run memo, so it never serves from, makes or replaces a newer
+// one. Nil also comes back when a memo over the
 // snapshot's vocabulary exceeds the budget on its own.
-func (e *GraphEntry) screenMemo(snap Snapshot, h int) (*screen.SharedMemo, *graph.EnginePool) {
+func (e *GraphEntry) screenMemo(snap Snapshot, h int) *screen.SharedMemo {
 	c := e.memos
 	c.mu.Lock()
 	r := &e.memo
 	if r.elem != nil && r.epoch == snap.Epoch && r.h == h {
 		c.lru.MoveToFront(r.elem)
 		defer c.mu.Unlock()
-		return r.memo, r.engines
+		return r.memo
 	}
 	c.mu.Unlock()
 	if snap.Epoch < e.Epoch() {
-		return nil, nil
+		return nil
 	}
 	memo, err := screen.NewSharedMemo(snap.Graph.NumNodes(), snap.Store.Names())
 	if err != nil {
-		return nil, nil
+		return nil
 	}
-	engines := graph.NewEnginePool(snap.Graph.Internal())
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	switch {
 	case r.elem != nil && r.epoch == snap.Epoch && r.h == h:
 		// A concurrent job installed this key first; share its memo.
 		c.lru.MoveToFront(r.elem)
-		return r.memo, r.engines
+		return r.memo
 	case r.removed || (r.elem != nil && r.epoch > snap.Epoch):
-		return nil, nil
+		return nil
 	}
 	if r.elem != nil {
 		c.lru.Remove(r.elem)
 	}
-	*r = retainedMemo{memo: memo, engines: engines, epoch: snap.Epoch, h: h, elem: c.lru.PushFront(e)}
+	*r = retainedMemo{memo: memo, epoch: snap.Epoch, h: h, elem: c.lru.PushFront(e)}
 	c.evictLocked()
-	return memo, engines
+	return memo
 }
 
 // evictLocked drops least recently used memos until the retained total

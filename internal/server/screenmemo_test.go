@@ -146,28 +146,28 @@ func TestScreenJobsShareSnapshotMemo(t *testing.T) {
 	}
 	oldMemo := retained(e).memo
 	old, cur := mutate([2]int{1, 198})
-	if m, _ := e.screenMemo(old, 1); m != oldMemo {
+	if m := e.screenMemo(old, 1); m != oldMemo {
 		t.Fatal("a stale snapshot did not share the memo retained for its epoch")
 	}
-	memo, engines := e.screenMemo(cur, 1)
-	if memo == nil || engines.Get().Graph() != cur.Graph.Internal() {
-		t.Fatal("the current snapshot got no memo, or a pool on another graph")
+	memo := e.screenMemo(cur, 1)
+	if memo == nil {
+		t.Fatal("the current snapshot got no memo")
 	}
-	if m, _ := e.screenMemo(old, 1); m != nil {
+	if m := e.screenMemo(old, 1); m != nil {
 		t.Fatal("a stale snapshot was handed the current memo")
 	}
-	if m, eng := e.screenMemo(cur, 1); m != memo || eng != engines {
+	if m := e.screenMemo(cur, 1); m != memo {
 		t.Fatal("a stale lookup displaced the current memo")
 	}
 	_, skipped := mutate([2]int{2, 197}) // an epoch no job ran on
 	mutate([2]int{3, 196})
-	if m, eng := e.screenMemo(skipped, 1); m != nil || eng != nil || retained(e).memo != memo {
+	if m := e.screenMemo(skipped, 1); m != nil || retained(e).memo != memo {
 		t.Fatal("a stale snapshot made a memo, or displaced the retained one")
 	}
 	now := e.Snapshot()
-	if m1, _ := e.screenMemo(now, 1); m1 == nil || m1 == memo {
+	if m1 := e.screenMemo(now, 1); m1 == nil || m1 == memo {
 		t.Fatal("the current epoch did not replace the older memo")
-	} else if m2, _ := e.screenMemo(now, 2); m2 == nil || m2 == m1 || retained(e).h != 2 {
+	} else if m2 := e.screenMemo(now, 2); m2 == nil || m2 == m1 || retained(e).h != 2 {
 		t.Fatal("another vicinity level shared the h=1 memo")
 	}
 
@@ -175,7 +175,7 @@ func TestScreenJobsShareSnapshotMemo(t *testing.T) {
 	if r := retained(e); r.memo != nil || r.elem != nil || e.memos.lru.Len() != 0 {
 		t.Fatal("DELETE left the graph's memo retained")
 	}
-	if m, _ := e.screenMemo(now, 2); m != nil {
+	if m := e.screenMemo(now, 2); m != nil {
 		t.Fatal("a removed graph retained a new memo")
 	}
 }

@@ -23,7 +23,7 @@ func tinySnapshot(t *testing.T, epoch uint64) *Snapshot {
 		offsets = []int64{0, 2, 4, 7, 8}
 		adj = []graph.NodeID{1, 2, 0, 2, 0, 1, 3, 2}
 	}
-	g, err := graph.FromCSR(offsets, adj, false)
+	g, err := graph.FromCSR(offsets, adj)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,6 +145,9 @@ func TestLyingFields(t *testing.T) {
 	corrupt("unknown graph flags", "GRPH", func(p []byte) {
 		p[0] |= 0x40
 	})
+	corrupt("directed graph flag", "GRPH", func(p []byte) {
+		p[0] |= 0x01
+	})
 	corrupt("degree sum mismatch", "GRPH", func(p []byte) {
 		binary.LittleEndian.PutUint32(p[17:21], binary.LittleEndian.Uint32(p[17:21])+1)
 	})

@@ -44,7 +44,7 @@ func testMonitorStates() []monitor.State {
 // rings survive Save/Load exactly, timestamps and float statistics
 // included.
 func TestMonitorRoundTrip(t *testing.T) {
-	g := randomGraph(t, 120, 400, false, 3)
+	g := randomGraph(120, 400, 3)
 	in := &snapshot.Snapshot{
 		Graph:        g,
 		Store:        randomStore(t, g.NumNodes(), 3),
@@ -83,7 +83,7 @@ func TestMonitorRoundTrip(t *testing.T) {
 // input — Normalize fills HistoryCap) round-trips instead of producing
 // a file Load rejects. The writer/reader symmetry regression test.
 func TestMonitorSaveNormalizesDefaults(t *testing.T) {
-	g := randomGraph(t, 40, 80, false, 9)
+	g := randomGraph(40, 80, 9)
 	sparse := []monitor.State{{
 		Def: monitor.Definition{ID: "m", A: "a", B: "b", H: 1}, // all defaults zero
 		History: []monitor.Sample{
@@ -111,7 +111,7 @@ func TestMonitorSaveNormalizesDefaults(t *testing.T) {
 // TestMonitorSectionForwardCompatible: a snapshot without monitors has
 // no MNTR section, and Monitors loads as nil.
 func TestMonitorSectionOmittedWhenEmpty(t *testing.T) {
-	g := randomGraph(t, 50, 100, false, 4)
+	g := randomGraph(50, 100, 4)
 	var buf bytes.Buffer
 	if err := snapshot.Save(&buf, &snapshot.Snapshot{Graph: g}); err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestMonitorSectionOmittedWhenEmpty(t *testing.T) {
 
 // TestMonitorSaveRejectsBad: defective monitor states never reach disk.
 func TestMonitorSaveRejectsBad(t *testing.T) {
-	g := randomGraph(t, 50, 100, false, 5)
+	g := randomGraph(50, 100, 5)
 	cases := map[string][]monitor.State{
 		"no id":        {{Def: monitor.Definition{A: "a", B: "b", H: 1}}},
 		"same events":  {{Def: monitor.Definition{ID: "m", A: "a", B: "a", H: 1}}},
@@ -147,7 +147,7 @@ func TestMonitorSaveRejectsBad(t *testing.T) {
 // payload must fail the load (CRC), and CRC-forged structural lies
 // (bad counts, epochs out of order) are caught by validation.
 func TestMonitorDecodeAdversarial(t *testing.T) {
-	g := randomGraph(t, 80, 200, false, 6)
+	g := randomGraph(80, 200, 6)
 	var buf bytes.Buffer
 	if err := snapshot.Save(&buf, &snapshot.Snapshot{Graph: g, Monitors: testMonitorStates()}); err != nil {
 		t.Fatal(err)
@@ -238,7 +238,7 @@ func testWatchlistStates() []monitor.State {
 // (top-k, min occurrences) and ranked history samples survive
 // Save/Load exactly, in a file that also carries fixed-pair monitors.
 func TestWatchlistRoundTrip(t *testing.T) {
-	g := randomGraph(t, 120, 400, false, 8)
+	g := randomGraph(120, 400, 8)
 	in := &snapshot.Snapshot{
 		Graph:    g,
 		Store:    randomStore(t, g.NumNodes(), 3),
@@ -281,7 +281,7 @@ func TestWatchlistRoundTrip(t *testing.T) {
 // TestWatchlistSaveRejectsBad: defective watchlist states never reach
 // disk.
 func TestWatchlistSaveRejectsBad(t *testing.T) {
-	g := randomGraph(t, 50, 100, false, 15)
+	g := randomGraph(50, 100, 15)
 	cases := map[string][]monitor.State{
 		"pair on watchlist": {{Def: monitor.Definition{ID: "w", TopK: 2, A: "a", B: "b", H: 1}}},
 		"negative topk":     {{Def: monitor.Definition{ID: "w", TopK: -1, H: 1}}},
@@ -306,7 +306,7 @@ func TestWatchlistSaveRejectsBad(t *testing.T) {
 // CRC, truncations are caught, and duplicate/colliding sections are
 // rejected.
 func TestWatchlistDecodeAdversarial(t *testing.T) {
-	g := randomGraph(t, 80, 200, false, 16)
+	g := randomGraph(80, 200, 16)
 	var buf bytes.Buffer
 	if err := snapshot.Save(&buf, &snapshot.Snapshot{Graph: g, Monitors: testWatchlistStates()}); err != nil {
 		t.Fatal(err)

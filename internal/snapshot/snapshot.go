@@ -21,7 +21,7 @@
 // Section tags:
 //
 //	META — epoch u64, graph version u64 (the serving-tier stamps)
-//	GRPH — flags u8 (bit0 = directed), n u64, arcs u64,
+//	GRPH — flags u8 (must be 0), n u64, arcs u64,
 //	       per-node degrees n×u32, adjacency arcs×u32
 //	EVTS — store epoch u64, universe u64, event count u32, then per
 //	       event: name length u16, name, flags u8 (bit0 = weighted),
@@ -340,11 +340,7 @@ func encodeGraph(g *graph.Graph) []byte {
 	offsets, adj := g.CSR()
 	n := g.NumNodes()
 	buf := make([]byte, 0, 1+8+8+4*n+4*len(adj))
-	var flags byte
-	if g.Directed() {
-		flags |= 1
-	}
-	buf = append(buf, flags)
+	buf = append(buf, 0) // flags
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(adj)))
 	for v := 0; v < n; v++ {
@@ -648,7 +644,7 @@ func decodeGraph(b []byte) (*graph.Graph, error) {
 	c := wal.NewReader(b, "snapshot: GRPH")
 	flags, n64, arcs := c.U8(), c.U64(), c.U64()
 	switch {
-	case flags&^byte(1) != 0:
+	case flags != 0:
 		c.Failf("snapshot: GRPH unknown flag bits %#02x", flags)
 	case n64 > uint64(graph.MaxNodes):
 		c.Failf("snapshot: GRPH node count %d exceeds max %d", n64, graph.MaxNodes)
@@ -676,7 +672,7 @@ func decodeGraph(b []byte) (*graph.Graph, error) {
 	for i := range adj {
 		adj[i] = graph.NodeID(binary.LittleEndian.Uint32(adjBytes[4*i:]))
 	}
-	g, err := graph.FromCSR(offsets, adj, flags&1 != 0)
+	g, err := graph.FromCSR(offsets, adj)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}

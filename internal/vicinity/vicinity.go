@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"tesc/internal/graph"
 )
@@ -35,47 +36,11 @@ type Options struct {
 
 // Build computes the index for levels 1..maxLevel over g.
 func Build(g *graph.Graph, maxLevel int, opts Options) (*Index, error) {
-	if maxLevel < 1 {
-		return nil, fmt.Errorf("vicinity: maxLevel must be >= 1, got %d", maxLevel)
+	nodes := make([]graph.NodeID, g.NumNodes())
+	for v := range nodes {
+		nodes[v] = graph.NodeID(v)
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	n := g.NumNodes()
-	idx := &Index{g: g, maxLevel: maxLevel}
-	idx.sizes = make([][]int32, maxLevel)
-	for h := range idx.sizes {
-		idx.sizes[h] = make([]int32, n)
-	}
-
-	var wg sync.WaitGroup
-	const chunk = 1024
-	next := make(chan int)
-	go func() {
-		for lo := 0; lo < n; lo += chunk {
-			next <- lo
-		}
-		close(next)
-	}()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			bfs := graph.NewBFS(g)
-			for lo := range next {
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				for v := lo; v < hi; v++ {
-					idx.computeNode(bfs, graph.NodeID(v))
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return idx, nil
+	return BuildForNodes(g, nodes, maxLevel, opts)
 }
 
 // computeNode runs one maxLevel-hop BFS from v and fills sizes[*][v]
@@ -86,6 +51,44 @@ func (idx *Index) computeNode(bfs *graph.BFS, v graph.NodeID) {
 	for h := 1; h <= idx.maxLevel; h++ {
 		idx.sizes[h-1][v] = int32(ends[min(h, len(ends)-1)])
 	}
+}
+
+// computeNodes fills the entries of nodes over idx.g. Up to one chunk
+// of nodes, or a single worker, runs on the calling goroutine: a small
+// repair is cheaper single-threaded than over a pool. Larger lists are
+// handed out in chunks to up to workers goroutines (0 means
+// GOMAXPROCS), each with a private BFS engine.
+func (idx *Index) computeNodes(nodes []graph.NodeID, workers int) {
+	const chunk = 256
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if len(nodes) <= chunk || workers == 1 {
+		bfs := graph.NewBFS(idx.g)
+		for _, v := range nodes {
+			idx.computeNode(bfs, v)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(workers, (len(nodes)+chunk-1)/chunk) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			bfs := graph.NewBFS(idx.g)
+			for {
+				lo := int(next.Add(chunk)) - chunk
+				if lo >= len(nodes) {
+					return
+				}
+				for _, v := range nodes[lo:min(lo+chunk, len(nodes))] {
+					idx.computeNode(bfs, v)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // BuildForNodes computes the index entries for the given nodes only;
@@ -99,41 +102,12 @@ func BuildForNodes(g *graph.Graph, nodes []graph.NodeID, maxLevel int, opts Opti
 	if maxLevel < 1 {
 		return nil, fmt.Errorf("vicinity: maxLevel must be >= 1, got %d", maxLevel)
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	idx := &Index{g: g, maxLevel: maxLevel}
 	idx.sizes = make([][]int32, maxLevel)
 	for h := range idx.sizes {
 		idx.sizes[h] = make([]int32, g.NumNodes())
 	}
-	var wg sync.WaitGroup
-	const chunk = 256
-	next := make(chan int)
-	go func() {
-		for lo := 0; lo < len(nodes); lo += chunk {
-			next <- lo
-		}
-		close(next)
-	}()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			bfs := graph.NewBFS(g)
-			for lo := range next {
-				hi := lo + chunk
-				if hi > len(nodes) {
-					hi = len(nodes)
-				}
-				for _, v := range nodes[lo:hi] {
-					idx.computeNode(bfs, v)
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	idx.computeNodes(nodes, opts.Workers)
 	return idx, nil
 }
 
@@ -222,10 +196,6 @@ func (idx *Index) Clone() *Index {
 // balls around the flipped endpoints in the old and new graphs — two
 // multi-source Batch BFS (Algorithm 1).
 //
-// On directed graphs the forward vicinity V^h_x changes only for nodes
-// that can *reach* a flipped endpoint, so the dirty balls are
-// traversed on the transposed graphs.
-//
 // Besides index repair (ApplyDeltaDirty), the set is exactly the
 // invalidation set a density cache keyed by reference node needs after
 // an edge mutation — the monitor subsystem's standing queries
@@ -236,9 +206,6 @@ func DirtySet(oldG, newG *graph.Graph, changes []graph.EdgeChange, maxLevel int)
 	}
 	if newG.NumNodes() != oldG.NumNodes() {
 		return nil, fmt.Errorf("vicinity: delta node count %d != %d", newG.NumNodes(), oldG.NumNodes())
-	}
-	if newG.Directed() != oldG.Directed() {
-		return nil, fmt.Errorf("vicinity: delta changes graph directedness")
 	}
 	if len(changes) == 0 {
 		return nil, nil
@@ -259,16 +226,12 @@ func DirtySet(oldG, newG *graph.Graph, changes []graph.EdgeChange, maxLevel int)
 		}
 	}
 
-	reachOld, reachNew := oldG, newG
-	if oldG.Directed() {
-		reachOld, reachNew = oldG.Transpose(), newG.Transpose()
-	}
-	dirty := graph.NewBFS(reachOld).SetVicinity(endpoints, maxLevel, nil)
+	dirty := graph.NewBFS(oldG).SetVicinity(endpoints, maxLevel, nil)
 	dirtyMark := make([]bool, oldG.NumNodes())
 	for _, v := range dirty {
 		dirtyMark[v] = true
 	}
-	for _, v := range graph.NewBFS(reachNew).Collect(endpoints, maxLevel) {
+	for _, v := range graph.NewBFS(newG).Collect(endpoints, maxLevel) {
 		if !dirtyMark[v] {
 			dirty = append(dirty, v)
 		}
@@ -284,55 +247,20 @@ func DirtySet(oldG, newG *graph.Graph, changes []graph.EdgeChange, maxLevel int)
 // over opts.Workers goroutines like Build.
 //
 // It returns the recomputed nodes. newG must have the same node count
-// and directedness as the bound graph; changes may be empty (then newG
-// must equal the bound graph's edge set and nothing is recomputed). The
-// serving tier forwards the node set to the monitor scheduler, which intersects it with each standing query's
-// sampled reference nodes — the same locality bound drives both the
-// index repair and the density-cache invalidation, so the ball BFS is
-// paid once per mutation. The returned slice is in BFS discovery order
-// and owned by the caller.
+// as the bound graph; changes may be empty (then newG must equal the
+// bound graph's edge set and nothing is recomputed). The serving tier
+// forwards the node set to the monitor scheduler, which intersects it
+// with each standing query's sampled reference nodes — the same
+// locality bound drives both the index repair and the density-cache
+// invalidation, so the ball BFS is paid once per mutation. The returned
+// slice is in BFS discovery order and owned by the caller.
 func (idx *Index) ApplyDeltaDirty(newG *graph.Graph, changes []graph.EdgeChange, opts Options) ([]graph.NodeID, error) {
-	oldG := idx.g
-	dirty, err := DirtySet(oldG, newG, changes, idx.maxLevel)
+	dirty, err := DirtySet(idx.g, newG, changes, idx.maxLevel)
 	if err != nil {
 		return nil, err
 	}
 	idx.g = newG
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// Small repairs are cheaper single-threaded than over a pool.
-	const chunk = 256
-	if len(dirty) <= chunk || workers == 1 {
-		bfs := graph.NewBFS(newG)
-		for _, v := range dirty {
-			idx.computeNode(bfs, v)
-		}
-		return dirty, nil
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	go func() {
-		for lo := 0; lo < len(dirty); lo += chunk {
-			next <- lo
-		}
-		close(next)
-	}()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			bfs := graph.NewBFS(newG)
-			for lo := range next {
-				hi := min(lo+chunk, len(dirty))
-				for _, v := range dirty[lo:hi] {
-					idx.computeNode(bfs, v)
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	idx.computeNodes(dirty, opts.Workers)
 	return dirty, nil
 }
 

@@ -239,11 +239,6 @@ func TestApplyDeltaMismatch(t *testing.T) {
 		t.Error("delta with different node count should fail")
 	}
 	idx2, _ := Build(graph.Path(5), 1, Options{})
-	dir := graph.NewDirectedBuilder(5)
-	dir.AddEdge(0, 1)
-	if _, err := idx2.ApplyDeltaDirty(dir.MustBuild(), nil, Options{}); err == nil {
-		t.Error("delta changing directedness should fail")
-	}
 	if _, err := idx2.ApplyDeltaDirty(graph.Path(5), []graph.EdgeChange{{U: 0, V: 9, Insert: true}}, Options{}); err == nil {
 		t.Error("change endpoint outside node range should fail")
 	}

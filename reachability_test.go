@@ -31,7 +31,6 @@ var reachAllowlist = []reachEntry{
 	{"graph.Grid", "graph fixture builder shared by the tests of several packages"},
 	{"graph.FromEdges", "graph fixture builder shared by the tests of several packages"},
 	{"graph.MustFromEdges", "graph fixture builder shared by the tests of several packages"},
-	{"graph.NewDirectedBuilder", "directed-graph fixture builder shared by the tests of several packages"},
 	{"bench.TinyConfig", "reduced experiment scale shared by the root benchmarks and the bench tests"},
 }
 

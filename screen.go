@@ -225,9 +225,7 @@ func (opts ScreenOptions) sweepInputs(g *Graph, ev EventSet) (*events.Store, [][
 		Progress:       opts.Progress,
 		NoMemo:         opts.NoMemo,
 		Ctx:            opts.Ctx,
-	}
-	if opts.Engines != nil {
-		cfg.Engines = opts.Engines.p
+		Engines:        opts.Engines.Internal(),
 	}
 	if opts.Bonferroni {
 		cfg.Correction = screen.FWER
@@ -251,11 +249,4 @@ func screenedPairs(in []screen.PairResult) []ScreenedPair {
 		}
 	}
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -256,6 +256,15 @@ func (g *Graph) NewEnginePool() *EnginePool {
 	return &EnginePool{p: graph.NewEnginePool(g.g)}
 }
 
+// Internal exposes the internal pool for the repository's own serving
+// tier; a nil pool yields nil. Not part of the stable API.
+func (ep *EnginePool) Internal() *graph.EnginePool {
+	if ep == nil {
+		return nil
+	}
+	return ep.p
+}
+
 // Method selects a reference-node sampling strategy.
 type Method int
 
@@ -441,9 +450,7 @@ func Correlation(g *Graph, va, vb []int, opts Options) (Result, error) {
 		Alternative: opts.Tail.alternative(),
 		Alpha:       opts.Alpha,
 		Ctx:         opts.Ctx,
-	}
-	if opts.Engines != nil {
-		copts.Engines = opts.Engines.p
+		Engines:     opts.Engines.Internal(),
 	}
 	if opts.UseSpearman {
 		copts.Statistic = core.SpearmanRho
