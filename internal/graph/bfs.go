@@ -102,10 +102,11 @@ func (b *BFS) expand(lo, hi int) {
 	buf := b.visited[:cap(b.visited)]
 	n := len(b.visited)
 	mark, epoch := b.mark, b.epoch
-	offsets, adj := b.g.offsets, b.g.adj
+	pages := b.g.pages
 	for j := lo; j < hi; j++ {
 		v := buf[j]
-		row := adj[offsets[v]:offsets[v+1]]
+		p, i := &pages[v>>pageShift], v&pageMask
+		row := p.adj[p.off[i]:p.off[i+1]]
 		if len(buf)-n < len(row) {
 			grown := make([]NodeID, (n+len(row))*2+64)
 			copy(grown, buf[:n])
@@ -131,6 +132,10 @@ func (b *BFS) expand(lo, hi int) {
 // reached. Empty after a traversal with h < 0. The slice aliases
 // engine scratch, valid until the next traversal.
 func (b *BFS) LevelEnds() []int { return b.ends }
+
+// Visited reports whether the last Collect reached v. It is meaningful
+// only after a Collect with h >= 0.
+func (b *BFS) Visited(v NodeID) bool { return b.mark[v] == b.epoch }
 
 // VicinitySize returns |V^h_u|, the node count of u's h-vicinity.
 func (b *BFS) VicinitySize(u NodeID, h int) int {

@@ -48,8 +48,9 @@ func (b *Builder) AddEdge(u, v NodeID) {
 }
 
 // Build validates endpoints, symmetrizes, deduplicates, drops self-loops
-// and returns the CSR graph. The builder can be reused afterwards; its
-// pending edges are retained.
+// and returns the CSR graph, whose pages alias one flat offsets array
+// and one flat adjacency array. The builder can be reused afterwards;
+// its pending edges are retained.
 func (b *Builder) Build() (*Graph, error) {
 	n := b.n
 	for i := range b.us {
@@ -108,7 +109,7 @@ func (b *Builder) Build() (*Graph, error) {
 	compact := make([]NodeID, w)
 	copy(compact, adj[:w])
 
-	return &Graph{offsets: newOffsets, adj: compact, m: w / 2}, nil
+	return paged(newOffsets, compact), nil
 }
 
 // MustBuild is Build that panics on error, for tests and generators whose

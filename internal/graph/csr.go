@@ -2,22 +2,11 @@ package graph
 
 import "fmt"
 
-// CSR exposes the graph's raw compressed-sparse-row arrays: neighbors
-// of v are adj[offsets[v]:offsets[v+1]]. The slices alias the graph's
-// internal storage and must not be modified. They are the payload the
-// snapshot subsystem persists: writing them back through FromCSR
-// reconstructs the graph without re-running the Builder's
-// symmetrize/sort/dedup pass.
-func (g *Graph) CSR() (offsets []int64, adj []NodeID) {
-	if len(g.offsets) == 0 {
-		// Normalize the zero value so n = len(offsets)-1 holds.
-		return []int64{0}, nil
-	}
-	return g.offsets, g.adj
-}
-
-// FromCSR reconstructs a graph directly from CSR arrays, taking
-// ownership of the slices. It enforces every invariant the Builder
+// FromCSR reconstructs a graph directly from flat CSR arrays (neighbors
+// of v are adj[offsets[v]:offsets[v+1]]), taking ownership of the
+// slices: the graph's pages alias them. The snapshot subsystem decodes
+// graphs through it, without re-running the Builder's
+// symmetrize/sort/dedup pass. It enforces every invariant the Builder
 // establishes — this is the trust boundary for graphs deserialized from
 // disk, so nothing is assumed:
 //
@@ -94,5 +83,5 @@ func FromCSR(offsets []int64, adj []NodeID) (*Graph, error) {
 			return nil, fmt.Errorf("graph: undirected CSR not symmetric: arc %d->%d has no mirror", v, adj[offsets[v]+k])
 		}
 	}
-	return &Graph{offsets: offsets, adj: adj, m: int64(len(adj)) / 2}, nil
+	return paged(offsets, adj), nil
 }

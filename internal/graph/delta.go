@@ -20,13 +20,13 @@ type EdgeChange struct {
 // Delta is a mutable edge-set overlay on an immutable CSR Graph: edge
 // insertions and deletions accumulate in small hash overlays while the
 // base graph stays shared and untouched, and Compact merges both into a
-// fresh CSR snapshot. A snapshot is n+1 offsets and 2m adjacency
-// entries, so Compact writes that much, but in bulk copies; the
-// per-change work — sorting the Δ staged flips and merging
-// the rows they touch — is O(Δ log Δ) plus those rows' degrees. This is
-// the write path of the dynamic-graph subsystem: the paper's index
-// structures assume an immutable graph (§4.2), so updates are staged
-// here and published as new snapshots.
+// new snapshot. The snapshot shares every page of rows (see Graph) the
+// staged flips do not touch with the base graph and rebuilds the rest,
+// so the per-change work — sorting the Δ staged flips and rebuilding
+// the pages their rows fall in — is O(Δ log Δ) plus those pages' arcs.
+// This is the write path of the dynamic-graph subsystem: the paper's
+// index structures assume an immutable graph (§4.2), so updates are
+// staged here and published as new snapshots.
 //
 // A Delta is not safe for concurrent use; the serving tier serializes
 // writers and publishes compacted snapshots to readers.
@@ -152,22 +152,20 @@ type arcFlip struct {
 	insert bool
 }
 
-// Compact merges the overlay into a fresh CSR snapshot and resets the
-// delta onto it. Only the rows the overlay touches are merged; each run
-// of untouched rows between them is one bulk copy of the base adjacency
-// whose offsets shift by one constant. The cost is one copy of the
-// adjacency and one pass over the offsets, plus O(Δ log Δ) and the
-// touched rows' degrees for the staged changes.
+// Compact merges the overlay into a new snapshot and resets the delta
+// onto it. The snapshot's page table is a copy of the base graph's in
+// which only the pages holding a touched row are rebuilt; every other
+// page is shared. The cost is one copy of the page table, plus
+// O(Δ log Δ) and the touched pages' arcs for the staged changes.
 func (d *Delta) Compact() *Graph {
 	if len(d.added) == 0 && len(d.removed) == 0 {
 		return d.base
 	}
 	g := d.base
-	n := g.NumNodes()
 
 	// The staged changes as arcs (both directions), sorted by row and
-	// then by neighbor, so each touched row's flips are one run in its
-	// own adjacency order.
+	// then by neighbor, so each touched page's flips are one run in row
+	// order and each row's in its own adjacency order.
 	flips := make([]arcFlip, 0, 2*d.Pending())
 	stage := func(set map[uint64]struct{}, insert bool) {
 		for k := range set {
@@ -181,49 +179,58 @@ func (d *Delta) Compact() *Graph {
 		return cmp.Or(cmp.Compare(a.u, b.u), cmp.Compare(a.v, b.v))
 	})
 
-	offsets := make([]int64, n+1)
-	adj := make([]NodeID, 0, 2*d.m)
-	// copyRows appends the untouched rows [lo, hi) in one copy.
-	copyRows := func(lo, hi int) {
-		shift := int64(len(adj)) - g.offsets[lo]
-		dst, src := offsets[lo:hi], g.offsets[lo:hi]
-		for i := range dst {
-			dst[i] = src[i] + shift
+	pages := slices.Clone(g.pages)
+	for lo := 0; lo < len(flips); {
+		p := flips[lo].u >> pageShift
+		hi := lo + 1
+		for hi < len(flips) && flips[hi].u>>pageShift == p {
+			hi++
 		}
-		adj = append(adj, g.adj[g.offsets[lo]:g.offsets[hi]]...)
+		pages[p] = g.pages[p].merge(p<<pageShift, flips[lo:hi])
+		lo = hi
 	}
-	next := 0 // first row not yet written
-	for i := 0; i < len(flips); {
-		u := flips[i].u
-		copyRows(next, int(u))
-		// Merge u's base row with its flips, both sorted by neighbor. A
-		// staged deletion is always a base arc, and a staged insertion
-		// never is.
-		offsets[u] = int64(len(adj))
-		row := g.Neighbors(u)
-		for ; i < len(flips) && flips[i].u == u; i++ {
-			f := flips[i]
+
+	out := &Graph{pages: pages, n: g.n, m: d.m}
+	d.base = out
+	clear(d.added)
+	clear(d.removed)
+	return out
+}
+
+// merge returns a new page holding p's rows, the first of which is node
+// first, with flips applied: flips are the arcs of p's rows to flip,
+// sorted by row and then by neighbor. A staged deletion is always an
+// arc of p, and a staged insertion never is.
+func (p page) merge(first NodeID, flips []arcFlip) page {
+	arcs := p.off[pageRows] - p.off[0]
+	for _, f := range flips {
+		if f.insert {
+			arcs++
+		} else {
+			arcs--
+		}
+	}
+	out := page{off: new([pageRows + 1]int64), adj: make([]NodeID, 0, arcs)}
+	for r := 0; r < pageRows; r++ {
+		out.off[r] = int64(len(out.adj))
+		row := p.adj[p.off[r]:p.off[r+1]]
+		// Merge the row with its flips, both sorted by neighbor.
+		for ; len(flips) > 0 && flips[0].u == first+NodeID(r); flips = flips[1:] {
+			f := flips[0]
 			j := 0
 			for j < len(row) && row[j] < f.v {
 				j++
 			}
-			adj = append(adj, row[:j]...)
+			out.adj = append(out.adj, row[:j]...)
 			row = row[j:]
 			if f.insert {
-				adj = append(adj, f.v)
+				out.adj = append(out.adj, f.v)
 			} else {
 				row = row[1:]
 			}
 		}
-		adj = append(adj, row...)
-		next = int(u) + 1
+		out.adj = append(out.adj, row...)
 	}
-	copyRows(next, n)
-	offsets[n] = int64(len(adj))
-
-	out := &Graph{offsets: offsets, adj: adj, m: d.m}
-	d.base = out
-	clear(d.added)
-	clear(d.removed)
+	out.off[pageRows] = int64(len(out.adj))
 	return out
 }

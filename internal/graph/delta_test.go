@@ -34,12 +34,23 @@ func rebuildWith(g *Graph, changes []EdgeChange) *Graph {
 	return b.MustBuild()
 }
 
-// csrEqual checks got's raw CSR arrays against want's, and that FromCSR
-// accepts them with got's edge count.
+// flatCSR returns g's rows as flat CSR arrays: neighbors of v are
+// adj[offsets[v]:offsets[v+1]].
+func flatCSR(g *Graph) (offsets []int64, adj []NodeID) {
+	offsets = make([]int64, 1, g.NumNodes()+1)
+	for v := 0; v < g.NumNodes(); v++ {
+		adj = append(adj, g.Neighbors(NodeID(v))...)
+		offsets = append(offsets, int64(len(adj)))
+	}
+	return offsets, adj
+}
+
+// csrEqual checks got's rows, as flat CSR arrays, against want's, and
+// that FromCSR accepts them with got's edge count.
 func csrEqual(t *testing.T, got, want *Graph) {
 	t.Helper()
-	gotOff, gotAdj := got.CSR()
-	wantOff, wantAdj := want.CSR()
+	gotOff, gotAdj := flatCSR(got)
+	wantOff, wantAdj := flatCSR(want)
 	if !slices.Equal(gotOff, wantOff) || !slices.Equal(gotAdj, wantAdj) {
 		for v := 0; v < min(got.NumNodes(), want.NumNodes()); v++ {
 			if g, w := got.Neighbors(NodeID(v)), want.Neighbors(NodeID(v)); !slices.Equal(g, w) {
@@ -257,16 +268,30 @@ func TestDeltaApplyResultOwned(t *testing.T) {
 	}
 }
 
-// FuzzDeltaCompact decodes bytes into a small graph and a change list
-// and checks every compaction against a Builder rebuild. data[0] sets
-// the node count, data[1] is unused (it keeps the corpus's byte layout)
-// and data[2] sets how many byte pairs build the base graph; each later pair (x, y) is a change
-// on the edge {x&0x7f mod n, y mod n}, an insertion when x's high bit is
-// set, and a pair naming one node twice compacts instead.
+// FuzzDeltaCompact decodes bytes into a graph and a change list and
+// checks every compaction against a Builder rebuild. data[0] sets how
+// many nodes the changes name, data[1] is unused (it keeps the corpus's
+// byte layout) and data[2] sets how many byte pairs build the base
+// graph; each later pair (x, y) is a change on the edge between named
+// nodes x&0x7f mod n and y mod n, an insertion when x's high bit is
+// set, and a pair naming one node twice compacts instead. The named
+// nodes sit on both sides of the boundaries between the graph's four
+// pages of rows (the last one partial), so flips cross pages.
 func FuzzDeltaCompact(f *testing.F) {
 	f.Add([]byte{8, 0, 3, 0, 1, 1, 2, 2, 3, 0x80, 5, 1, 2, 4, 4, 0x87, 0, 3, 3})
 	f.Add([]byte{8, 1, 3, 0, 1, 1, 2, 2, 3, 0x80, 5, 1, 2, 4, 4, 0x87, 0, 3, 3})
 	f.Add([]byte{40, 0, 0, 0x80, 39, 0x80, 1, 0x81, 38, 0, 39, 5, 5, 0x85, 6})
+	const nodes = 3*pageRows + 8
+	// node maps named node i to a row next to page boundary 1, 2 or 3:
+	// its distance alternates sides, 0, -1, +1, -2, ... rows from it.
+	node := func(i int) NodeID {
+		k := i / 3
+		off := k >> 1
+		if k&1 == 1 {
+			off = -off - 1
+		}
+		return NodeID((1+i%3)*pageRows + off)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -275,9 +300,9 @@ func FuzzDeltaCompact(f *testing.F) {
 		pairs := data[3:]
 		edge := func(i int) (NodeID, NodeID, bool) {
 			x, y := pairs[2*i], pairs[2*i+1]
-			return NodeID(int(x&0x7f) % n), NodeID(int(y) % n), x&0x80 != 0
+			return node(int(x&0x7f) % n), node(int(y) % n), x&0x80 != 0
 		}
-		b := NewBuilder(n)
+		b := NewBuilder(nodes)
 		split := min(int(data[2]), len(pairs)/2)
 		for i := 0; i < split; i++ {
 			u, v, _ := edge(i)
@@ -305,4 +330,50 @@ func FuzzDeltaCompact(f *testing.F) {
 		}
 		compact()
 	})
+}
+
+// TestDeltaCompactSharesPages checks the copy-on-write contract of
+// Compact over random batches on a graph of nine pages of rows (the
+// last one partial): every row of the snapshot equals a Builder
+// rebuild, every page no flip touches is the parent's own page, every
+// touched page is a new one, and the parent's rows stay as they were.
+func TestDeltaCompactSharesPages(t *testing.T) {
+	const n = 8*pageRows + 100
+	rng := rand.New(rand.NewPCG(26, n))
+	b := NewBuilder(n)
+	for i := 0; i < 4*n; i++ {
+		b.AddEdge(NodeID(rng.IntN(n)), NodeID(rng.IntN(n)))
+	}
+	prev := b.MustBuild()
+	for batch := 0; batch < 40; batch++ {
+		d := NewDelta(prev)
+		var changes []EdgeChange
+		for len(changes) < 1+rng.IntN(12) {
+			u, v := NodeID(rng.IntN(n)), NodeID(rng.IntN(n))
+			if u != v {
+				changes = append(changes, EdgeChange{U: u, V: v, Insert: !d.HasEdge(u, v)})
+			}
+		}
+		applied, err := d.Apply(changes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		touched := make(map[int]bool)
+		for _, c := range applied {
+			touched[int(c.U)>>pageShift], touched[int(c.V)>>pageShift] = true, true
+		}
+		prevOff, prevAdj := flatCSR(prev)
+		snap := d.Compact()
+		csrEqual(t, snap, rebuildWith(prev, applied))
+		for p := range prev.pages {
+			shared := snap.pages[p].off == prev.pages[p].off
+			if shared == touched[p] {
+				t.Fatalf("batch %d: page %d shared = %v, touched = %v", batch, p, shared, touched[p])
+			}
+		}
+		if off, adj := flatCSR(prev); !slices.Equal(off, prevOff) || !slices.Equal(adj, prevAdj) {
+			t.Fatalf("batch %d: compaction changed the parent's rows", batch)
+		}
+		prev = snap
+	}
 }

@@ -40,7 +40,7 @@ func benchApply(b *testing.B, w *world, flips []graph.EdgeChange, h int) {
 		b.Fatal(err)
 	}
 	newG := d.Compact()
-	dirty, err := vicinity.DirtySet(w.g, newG, applied, h)
+	dirty, err := vicinity.DirtySet(w.g, newG, applied, h, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -250,7 +250,7 @@ func TestDirtySetSuperset(t *testing.T) {
 		}
 		newG := d.Compact()
 		// Surface a level-3 ball for an h=1 monitor: a strict superset.
-		dirty, err := vicinity.DirtySet(w.g, newG, applied, 3)
+		dirty, err := vicinity.DirtySet(w.g, newG, applied, 3, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

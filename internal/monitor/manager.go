@@ -301,7 +301,7 @@ func (mgr *Manager) NotifyEdgeDelta(graphName string, oldG, newG *graph.Graph, c
 	case surfacedDirty != nil && surfacedLevel >= maxH:
 		d.dirty = surfacedDirty
 	default:
-		dirty, err := vicinity.DirtySet(oldG, newG, changes, maxH)
+		dirty, err := vicinity.DirtySet(oldG, newG, changes, maxH, nil, nil)
 		if err != nil {
 			d.all = true
 		} else {

@@ -206,7 +206,7 @@ func TestSharedMemoPopulationLifetime(t *testing.T) {
 		t.Fatal(err)
 	}
 	newG := d.Compact()
-	dirty, err := vicinity.DirtySet(g, newG, applied, h)
+	dirty, err := vicinity.DirtySet(g, newG, applied, h, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

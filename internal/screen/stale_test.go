@@ -237,7 +237,7 @@ func TestSharedMemoPlanAcrossMutations(t *testing.T) {
 			t.Fatal(err)
 		}
 		newG := d.Compact()
-		dirty, err := vicinity.DirtySet(g, newG, applied, h)
+		dirty, err := vicinity.DirtySet(g, newG, applied, h, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,7 +382,7 @@ func TestSharedMemoEntriesMatchFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		newG := d.Compact()
-		dirty, err := vicinity.DirtySet(g, newG, applied, h)
+		dirty, err := vicinity.DirtySet(g, newG, applied, h, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

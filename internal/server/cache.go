@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 
 	"tesc"
+	"tesc/internal/graph"
+	"tesc/internal/vicinity"
 )
 
 // IndexKey identifies one cached vicinity index: the paper's offline
@@ -227,8 +229,9 @@ func (c *IndexCache) IndexesFor(e *GraphEntry, gv uint64) []*tesc.VicinityIndex 
 // graph version old.GraphVersion to next: each index is cloned, the
 // clone repaired incrementally with the applied edge changes
 // (copy-on-write — readers of the old index are undisturbed), and the
-// repaired clone republished under the new version. Called by the
-// mutation path with the entry's mutations serialized. In-flight
+// repaired clone republished under the new version. The repairs borrow
+// their BFS engines from the entry's pools for both versions. Called by
+// the mutation path with the entry's mutations serialized. In-flight
 // builds are left behind on the old version; a later Get at the new
 // version replaces them. It returns the number of migrated indexes and
 // the total index entries recomputed across them, plus the
@@ -236,7 +239,7 @@ func (c *IndexCache) IndexesFor(e *GraphEntry, gv uint64) []*tesc.VicinityIndex 
 // level): the dirty ball the repair already had to compute, surfaced
 // so the monitor scheduler can invalidate standing-query density
 // caches without re-walking it. dirty is nil when nothing migrated.
-func (c *IndexCache) Refresh(e *GraphEntry, old, next Snapshot, applied []tesc.EdgeChange, workers int) (migrated, nodesRecomputed int, dirty []int, dirtyLevel int) {
+func (c *IndexCache) Refresh(e *GraphEntry, old, next Snapshot, applied []graph.EdgeChange, workers int) (migrated, nodesRecomputed int, dirty []graph.NodeID, dirtyLevel int) {
 	c.mu.Lock()
 	var stale []*cacheEntry
 	for key, ce := range c.entries {
@@ -246,9 +249,13 @@ func (c *IndexCache) Refresh(e *GraphEntry, old, next Snapshot, applied []tesc.E
 	}
 	c.mu.Unlock()
 
+	opts := vicinity.Options{Workers: workers}
+	if len(stale) > 0 {
+		opts.OldEngines, opts.Engines = e.EnginePool(old).Internal(), e.EnginePool(next).Internal()
+	}
 	for _, ce := range stale {
 		clone := ce.idx.Clone()
-		d, err := clone.ApplyDeltaDirty(next.Graph, applied, workers)
+		d, err := clone.Internal().ApplyDeltaDirty(next.Graph.Internal(), applied, opts)
 		n := len(d)
 		if err == nil && ce.key.MaxLevel > dirtyLevel {
 			dirty, dirtyLevel = d, ce.key.MaxLevel

@@ -240,7 +240,10 @@ func TestCacheStaleSnapshotSingleFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, applied, err := e.MutateEdges([]tesc.EdgeChange{{U: 0, V: 3, Insert: true}},
-		func(old, next Snapshot, ap []tesc.EdgeChange) error { c.Refresh(e, old, next, ap, 1); return nil })
+		func(old, next Snapshot, ap []tesc.EdgeChange) error {
+			c.Refresh(e, old, next, internalChanges(ap), 1)
+			return nil
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,5 +310,53 @@ func TestCacheStaleSnapshotSingleFlight(t *testing.T) {
 	}
 	if got := c.Builds() - buildsBefore; got != 1 {
 		t.Fatalf("current-version Get rebuilt (total extra builds %d), want the refreshed index served", got)
+	}
+}
+
+// TestRefreshEnginesServeSuccessor pins where an edge mutation's index
+// repair borrows its engines: the pool the mutation path sees for the
+// successor snapshot is the one that snapshot's queries get once it
+// publishes, queries on the published snapshot keep its pool until
+// then, and an aborted mutation leaves no pool behind.
+func TestRefreshEnginesServeSuccessor(t *testing.T) {
+	e := testEntry(t, NewRegistry(), "g")
+	var during *tesc.EnginePool
+	next, _, err := e.MutateEdges([]tesc.EdgeChange{{U: 0, V: 3, Insert: true}},
+		func(old, next Snapshot, _ []tesc.EdgeChange) error {
+			published := e.EnginePool(old)
+			during = e.EnginePool(next)
+			if during == published {
+				t.Error("the successor snapshot shares the published one's pool")
+			}
+			if e.EnginePool(old) != published {
+				t.Error("the successor's pool displaced the published snapshot's before publication")
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.EnginePool(next); got != during {
+		t.Fatal("the published successor did not keep the pool its repair used")
+	}
+
+	abort := errors.New("abort")
+	var aborted *tesc.EnginePool
+	if _, _, err := e.MutateEdges([]tesc.EdgeChange{{U: 1, V: 4, Insert: true}},
+		func(_, next Snapshot, _ []tesc.EdgeChange) error {
+			aborted = e.EnginePool(next)
+			return abort
+		}); !errors.Is(err, abort) {
+		t.Fatalf("aborted mutation returned %v", err)
+	}
+	if got := e.EnginePool(e.Snapshot()); got != during {
+		t.Fatal("an aborted mutation displaced the published pool")
+	}
+	retry, _, err := e.MutateEdges([]tesc.EdgeChange{{U: 1, V: 4, Insert: true}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.EnginePool(retry); got == aborted || got == during {
+		t.Fatal("a mutation after an abort reused a stale pool")
 	}
 }

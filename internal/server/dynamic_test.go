@@ -79,7 +79,7 @@ func TestConcurrentMutationsAndQueries(t *testing.T) {
 				continue
 			}
 			_, _, err := e.MutateEdges([]tesc.EdgeChange{c}, func(old, next Snapshot, applied []tesc.EdgeChange) error {
-				cache.Refresh(e, old, next, applied, 1)
+				cache.Refresh(e, old, next, internalChanges(applied), 1)
 				return nil
 			})
 			if err != nil {

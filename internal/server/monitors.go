@@ -126,19 +126,6 @@ func internalChanges(changes []tesc.EdgeChange) []graph.EdgeChange {
 	return out
 }
 
-// internalNodes converts public node IDs to the internal type,
-// preserving nil.
-func internalNodes(nodes []int) []graph.NodeID {
-	if nodes == nil {
-		return nil
-	}
-	out := make([]graph.NodeID, len(nodes))
-	for i, v := range nodes {
-		out[i] = graph.NodeID(v)
-	}
-	return out
-}
-
 // ---- handlers -------------------------------------------------------
 
 // handleCreateMonitor implements POST /v1/graphs/{name}/monitors: it

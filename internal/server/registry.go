@@ -71,13 +71,19 @@ type GraphEntry struct {
 	builder *events.Builder
 	cur     Snapshot
 
-	// poolMu guards the per-graph-version BFS engine pool. The pool is
-	// bound to exactly one graph snapshot; an edge mutation publishes a
-	// new graph and the next query lazily swaps in a fresh pool, so
-	// engines can never serve traversals over a stale version.
+	// poolMu guards the per-graph-version BFS engine pools. A pool is
+	// bound to exactly one graph snapshot, so engines can never serve
+	// traversals over a stale version. pool serves the published graph
+	// (made lazily by the first query); nextPool, while an edge
+	// mutation runs, the graph it is about to publish. The mutation's
+	// index repair borrows from nextPool, which becomes pool when the
+	// successor publishes, so its engines stay warm for the new
+	// version's queries.
 	poolMu      sync.Mutex
 	pool        *tesc.EnginePool
 	poolVersion uint64
+	nextPool    *tesc.EnginePool
+	nextVersion uint64
 
 	// memos bounds the screening memos of all the registry's entries;
 	// memo is this entry's, guarded by memos.mu.
@@ -207,17 +213,20 @@ func (e *GraphEntry) Epoch() uint64 { return e.Snapshot().Epoch }
 
 // EnginePool returns the shared BFS engine pool for the given snapshot
 // of this entry, creating or replacing it when the snapshot's graph
-// version is newer than the cached pool's. Queries pass the snapshot
-// they bound to; a query racing a mutation with an older snapshot gets
-// a private throwaway pool rather than polluting (or reviving) the
-// newer version's pool — engine reuse is an optimization, version
-// consistency is not negotiable.
+// version is newer than the cached pool's. The snapshot an edge
+// mutation is about to publish gets the mutation's successor pool.
+// Queries pass the snapshot they bound to; a query racing a mutation
+// with an older snapshot gets a private throwaway pool rather than
+// polluting (or reviving) the newer version's pool — engine reuse is an
+// optimization, version consistency is not negotiable.
 func (e *GraphEntry) EnginePool(snap Snapshot) *tesc.EnginePool {
 	e.poolMu.Lock()
 	defer e.poolMu.Unlock()
 	switch {
 	case e.pool != nil && e.poolVersion == snap.GraphVersion:
 		return e.pool
+	case e.nextPool != nil && e.nextVersion == snap.GraphVersion:
+		return e.nextPool
 	case e.pool == nil || snap.GraphVersion > e.poolVersion:
 		e.pool = snap.Graph.NewEnginePool()
 		e.poolVersion = snap.GraphVersion
@@ -255,14 +264,23 @@ func (e *GraphEntry) MutateEdges(changes []tesc.EdgeChange, refresh func(old, ne
 		Epoch:        old.Epoch + 1,
 		GraphVersion: old.GraphVersion + 1,
 	}
+	e.poolMu.Lock()
+	e.nextPool, e.nextVersion = newG.NewEnginePool(), next.GraphVersion
+	e.poolMu.Unlock()
 	if refresh != nil {
 		if err := refresh(old, next, applied); err != nil {
+			e.poolMu.Lock()
+			e.nextPool = nil
+			e.poolMu.Unlock()
 			return Snapshot{}, nil, err
 		}
 	}
 	e.mu.Lock()
 	e.cur = next
 	e.mu.Unlock()
+	e.poolMu.Lock()
+	e.pool, e.poolVersion, e.nextPool = e.nextPool, next.GraphVersion, nil
+	e.poolMu.Unlock()
 	return next, applied, nil
 }
 

@@ -81,16 +81,17 @@ func (s *Server) applyEdges(e *GraphEntry, changes []tesc.EdgeChange, logIt bool
 				return fmt.Errorf("%w: wal append: %v", errDurability, err)
 			}
 		}
-		var dirty []int
+		flips := internalChanges(applied)
+		var dirty []graph.NodeID
 		var dirtyLevel int
-		res.migrated, res.recomputed, dirty, dirtyLevel = s.cache.Refresh(e, old, next, applied, s.indexWorkers)
+		res.migrated, res.recomputed, dirty, dirtyLevel = s.cache.Refresh(e, old, next, flips, s.indexWorkers)
 		// Standing queries are notified inside the serialized mutation
 		// path, before the successor snapshot publishes: no re-screen
 		// can bind the new epoch without its invalidation queued. The
 		// index repair's flipped-vicinity set rides along so the ball
 		// BFS is not paid twice.
 		s.monitors.NotifyEdgeDelta(e.Name(), old.Graph.Internal(), next.Graph.Internal(),
-			internalChanges(applied), next.Epoch, internalNodes(dirty), dirtyLevel)
+			flips, next.Epoch, dirty, dirtyLevel)
 		return nil
 	})
 	if err != nil {

@@ -337,18 +337,25 @@ func encodeMeta(epoch, gv uint64) []byte {
 }
 
 func encodeGraph(g *graph.Graph) []byte {
-	offsets, adj := g.CSR()
-	n := g.NumNodes()
-	buf := make([]byte, 0, 1+8+8+4*n+4*len(adj))
+	n, arcs := g.NumNodes(), 2*g.NumEdges()
+	buf := make([]byte, 0, 1+8+8+4*int64(n)+4*arcs)
 	buf = append(buf, 0) // flags
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(adj)))
-	for v := 0; v < n; v++ {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(offsets[v+1]-offsets[v]))
-	}
-	for _, u := range adj {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(u))
-	}
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(arcs))
+	g.ForEachPage(func(off []int64, _ []graph.NodeID) {
+		b := buf
+		for i := 1; i < len(off); i++ {
+			b = binary.LittleEndian.AppendUint32(b, uint32(off[i]-off[i-1]))
+		}
+		buf = b
+	})
+	g.ForEachPage(func(off []int64, adj []graph.NodeID) {
+		b := buf
+		for _, u := range adj[off[0]:off[len(off)-1]] {
+			b = binary.LittleEndian.AppendUint32(b, uint32(u))
+		}
+		buf = b
+	})
 	return buf
 }
 
@@ -449,8 +456,10 @@ func encodeIndex(idx *vicinity.Index) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(levels))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
 	for h := 1; h <= levels; h++ {
-		for _, s := range idx.Sizes(h) {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(s))
+		for _, page := range idx.Pages(h) {
+			for _, s := range page {
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(s))
+			}
 		}
 	}
 	return buf

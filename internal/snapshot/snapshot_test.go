@@ -132,10 +132,15 @@ func TestRoundTrip(t *testing.T) {
 			if lidx.Graph() != out.Graph {
 				t.Fatal("loaded index not bound to the loaded graph")
 			}
+			all := make([]graph.NodeID, g.NumNodes())
+			for v := range all {
+				all[v] = graph.NodeID(v)
+			}
 			for lvl := 1; lvl <= h; lvl++ {
-				for v := 0; v < g.NumNodes(); v++ {
-					if lidx.Sizes(lvl)[v] != idx.Sizes(lvl)[v] {
-						t.Fatalf("|V^%d_%d|: got %d, want %d", lvl, v, lidx.Sizes(lvl)[v], idx.Sizes(lvl)[v])
+				got, want := lidx.Weights(all, lvl), idx.Weights(all, lvl)
+				for v := range want {
+					if got[v] != want[v] {
+						t.Fatalf("|V^%d_%d|: got %v, want %v", lvl, v, got[v], want[v])
 					}
 				}
 			}

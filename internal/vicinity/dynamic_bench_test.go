@@ -66,3 +66,45 @@ func BenchmarkApplyDeltaSingleFlip20k(b *testing.B) {
 	}
 	b.ReportMetric(float64(recomputed)/float64(b.N), "entries/op")
 }
+
+// BenchmarkApplyDelta100k measures the index half of the edge-write
+// path as tescd runs it per 10-flip batch: Clone the published index,
+// then ApplyDeltaDirty the clone to the next graph, borrowing engines
+// from the old version's pool (warm) and the new version's (made per
+// batch, as tescd makes one per graph version, so B/op includes the
+// engines that pool then hands the new version's queries). Staging and
+// compacting the batch run outside the timer. The graph is the
+// 100k-node coauthorship surrogate at h = 2.
+//
+//	go test ./internal/vicinity -run '^$' -bench ApplyDelta100k -benchmem
+func BenchmarkApplyDelta100k(b *testing.B) {
+	g := graphgen.Coauthorship(graphgen.DefaultCoauthorship(1.0), rand.New(rand.NewPCG(0xc0a7, 100)))
+	idx, err := Build(g, 2, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	stream := graphgen.NewFlipStream(g, 0.5, rand.New(rand.NewPCG(0xf11b, 10)))
+	engines := graph.NewEnginePool(g)
+	var recomputed int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		d := graph.NewDelta(g)
+		applied, err := d.Apply(stream.Take(10))
+		if err != nil {
+			b.Fatal(err)
+		}
+		next := d.Compact()
+		nextEngines := graph.NewEnginePool(next)
+		b.StartTimer()
+		idx = idx.Clone()
+		dirty, err := idx.ApplyDeltaDirty(next, applied, Options{Engines: nextEngines, OldEngines: engines})
+		if err != nil {
+			b.Fatal(err)
+		}
+		recomputed += len(dirty)
+		g, engines = next, nextEngines
+	}
+	b.ReportMetric(float64(recomputed)/float64(b.N), "entries/op")
+}

@@ -1,7 +1,10 @@
 package vicinity
 
 import (
+	"fmt"
 	"math/rand/v2"
+	"slices"
+	"sync"
 	"testing"
 
 	"tesc/internal/graph"
@@ -10,8 +13,13 @@ import (
 
 // Size returns |V^h_v|. It panics if h is outside [1, MaxLevel].
 func (idx *Index) Size(v graph.NodeID, h int) int {
-	idx.checkLevel(h)
-	return int(idx.sizes[h-1][v])
+	return int(idx.Pages(h)[v>>pageShift][v&pageMask])
+}
+
+// Sizes returns the full |V^h_·| column for level h, concatenating its
+// pages into a new slice.
+func (idx *Index) Sizes(h int) []int32 {
+	return slices.Concat(idx.Pages(h)...)
 }
 
 func TestBuildErrors(t *testing.T) {
@@ -190,26 +198,88 @@ func TestApplyDeltaDisconnectingDeletion(t *testing.T) {
 	}
 }
 
+// TestClone checks both directions of copy-on-write: repairing the
+// clone leaves the original as it was, and repairing the original
+// leaves the clone as it was. The cycle spans three pages of nodes and
+// the flip's endpoints sit on two of them.
 func TestClone(t *testing.T) {
-	g := graph.Cycle(10)
-	idx, _ := Build(g, 2, Options{})
-	cp := idx.Clone()
-
+	const n = 2*pageRows + 10
+	g := graph.Cycle(n)
 	d := graph.NewDelta(g)
-	changes, _ := d.Apply([]graph.EdgeChange{{U: 0, V: 5, Insert: true}})
+	changes, _ := d.Apply([]graph.EdgeChange{{U: 0, V: pageRows + 3, Insert: true}})
 	g2 := d.Compact()
-	if _, err := cp.ApplyDeltaDirty(g2, changes, Options{}); err != nil {
+	before, _ := Build(g, 2, Options{})
+	after, _ := Build(g2, 2, Options{})
+
+	for _, repairClone := range []bool{true, false} {
+		idx, _ := Build(g, 2, Options{})
+		cp := idx.Clone()
+		repaired, kept := cp, idx
+		if !repairClone {
+			repaired, kept = idx, cp
+		}
+		if _, err := repaired.ApplyDeltaDirty(g2, changes, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if kept.Graph() != g {
+			t.Errorf("repairClone=%v: the repair rebound the other copy", repairClone)
+		}
+		assertIndexesIdentical(t, fmt.Sprintf("repairClone=%v, repaired", repairClone), repaired, after)
+		assertIndexesIdentical(t, fmt.Sprintf("repairClone=%v, other copy", repairClone), kept, before)
+	}
+}
+
+// TestCloneRepairConcurrentReads reads the original's weights while a
+// clone repairs on several workers; run under -race, a write into a
+// page the two share is a reported race.
+func TestCloneRepairConcurrentReads(t *testing.T) {
+	rng := rand.New(rand.NewPCG(64, 26))
+	g := graphgen.WattsStrogatz(3000, 3, 0.1, rng)
+	idx, err := Build(g, 2, Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.Graph() != g {
-		t.Error("mutating a clone rebound the original")
+	all := make([]graph.NodeID, g.NumNodes())
+	for v := range all {
+		all[v] = graph.NodeID(v)
 	}
-	fresh, _ := Build(g, 2, Options{})
-	for v := 0; v < 10; v++ {
-		if idx.Size(graph.NodeID(v), 2) != fresh.Size(graph.NodeID(v), 2) {
-			t.Fatalf("mutating a clone changed the original at node %d", v)
+	want := idx.Weights(all, 2)
+
+	cp := idx.Clone()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if got := idx.Weights(all, 2); !slices.Equal(got, want) {
+				t.Error("the original's weights changed while a clone repaired")
+				return
+			}
+		}
+	}()
+	stream := graphgen.NewFlipStream(g, 0.5, rng)
+	cur := g
+	for batch := 0; batch < 20; batch++ {
+		d := graph.NewDelta(cur)
+		applied, err := d.Apply(stream.Take(40))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur = d.Compact()
+		if _, err := cp.ApplyDeltaDirty(cur, applied, Options{Workers: 2}); err != nil {
+			t.Fatal(err)
 		}
 	}
+	close(done)
+	wg.Wait()
+	fresh, _ := Build(cur, 2, Options{})
+	assertIndexesIdentical(t, "repaired clone", cp, fresh)
 }
 
 func TestBuildForNodes(t *testing.T) {

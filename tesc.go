@@ -176,7 +176,10 @@ func (g *Graph) BuildVicinityIndex(maxLevel, workers int) (*VicinityIndex, error
 
 // Clone returns an independent copy of the index, for copy-on-write
 // maintenance: clone, ApplyDelta on the clone, publish the clone, while
-// readers of the original keep a consistent view.
+// readers of the original keep a consistent view. The copy shares the
+// original's storage until either of them is repaired, which then
+// copies only the parts it writes. Clone may run beside queries on the
+// index, but not beside another Clone or ApplyDelta of it.
 func (x *VicinityIndex) Clone() *VicinityIndex {
 	return &VicinityIndex{idx: x.idx.Clone()}
 }
