@@ -11,33 +11,35 @@ import (
 	"tesc/internal/vicinity"
 )
 
-// IndexKey identifies one cached vicinity index: the paper's offline
-// |V^h_v| structure is per-graph and per-maximum-level (§4.2). The
-// graph is identified by its registry entry, not its name, so deleting
-// a graph and re-registering a different one under the same name can
-// never serve the old graph's index.
+// IndexKey identifies one place in the index cache's LRU: the paper's
+// offline |V^h_v| structure is per-graph and per-maximum-level (§4.2).
+// The graph is identified by its registry entry, not its name, so
+// deleting a graph and re-registering a different one under the same
+// name can never serve the old graph's index.
 type IndexKey struct {
 	Entry    *GraphEntry
 	MaxLevel int
 }
 
-// IndexCache is an LRU cache of vicinity indexes with single-flight
-// construction: concurrent Get calls for the same key block on one
-// build instead of each running the full O(|V|) BFS scan. Because an
-// index covers all levels 1..MaxLevel, a query for level h is also
-// served by any cached index of the same graph with MaxLevel ≥ h.
-// Entries are evicted least-recently-used once Capacity is exceeded;
-// a failed build is not cached, so the next Get retries.
+// IndexCache builds the vicinity indexes of graph versions and bounds
+// how many the published versions keep. The indexes live in each
+// snapshot's versionState, one single-flight slot per MaxLevel:
+// concurrent Get calls on one version and level block on one build
+// instead of each running the full O(|V|) BFS scan, and a query for
+// level h is also served by a completed index of the same version with
+// MaxLevel ≥ h. A failed build is not kept, so the next Get retries.
 //
-// The cache is graph-version aware: each entry records the
-// Snapshot.GraphVersion its index is bound to, and a lookup only hits
-// when the versions agree (the index-backed samplers reject a
-// mismatched index anyway). Edge mutations do not evict — Refresh
-// migrates every cached index to the successor version by cloning it
-// and repairing only the entries the flipped edges can have perturbed
-// (VicinityIndex.ApplyDelta), which is the serving-tier payoff of the
-// paper's "the index can be efficiently updated as the graph changes"
-// (§4.2).
+// The cache itself keeps only what spans versions: the build and
+// refresh counters, and a capacity LRU of (entry, level) keys, one per
+// level a published version holds. Evicting a key clears that level in
+// the entry's published version. A superseded version is neither
+// counted nor evicted: it keeps its indexes for the readers still bound
+// to it and is freed with its last snapshot. Edge mutations do not
+// evict — Refresh migrates every completed index into the successor
+// version by cloning it and repairing only the entries the flipped
+// edges can have perturbed (VicinityIndex.ApplyDelta), which is the
+// serving-tier payoff of the paper's "the index can be efficiently
+// updated as the graph changes" (§4.2).
 type IndexCache struct {
 	capacity   int
 	builds     atomic.Int64
@@ -48,42 +50,39 @@ type IndexCache struct {
 	// stall construction.
 	build func(g *tesc.Graph, maxLevel, workers int) (*tesc.VicinityIndex, error)
 
-	mu      sync.Mutex
-	entries map[IndexKey]*cacheEntry
-	lru     *list.List // front = most recently used; values are *cacheEntry
-
-	// stale holds single-flight builds for readers whose snapshot the
-	// cache has already moved past (a mutation landed mid-query). They
-	// are not LRU-cached — the version is dead — but concurrent stale
-	// readers of the same version share one build instead of each
-	// paying a full scan.
-	stale map[staleKey]*cacheEntry
+	// mu guards the LRU and the index slots of every versionState of
+	// the entries this cache serves.
+	mu   sync.Mutex
+	keys map[IndexKey]*list.Element
+	lru  *list.List // front = most recently used; values are IndexKey
 }
 
-// staleKey identifies one dead-version build: cache key + the graph
-// version the lagging readers are bound to.
-type staleKey struct {
-	IndexKey
-	gv uint64
-}
-
-type cacheEntry struct {
-	key   IndexKey
-	gv    uint64 // Snapshot.GraphVersion the index is (being) built for
-	elem  *list.Element
-	ready chan struct{} // closed when idx/err are set
-	done  bool          // set under IndexCache.mu once the build finished
+// indexSlot is one single-flight vicinity index of a graph version.
+type indexSlot struct {
+	ready chan struct{} // closed once idx/err are set
 	idx   *tesc.VicinityIndex
 	err   error
-
-	// waiters counts the readers that joined a stale side build instead
-	// of starting it (under IndexCache.mu): the witness that they all
-	// share it.
-	waiters int
 }
 
-// NewIndexCache returns a cache holding at most capacity indexes
-// (capacity < 1 means 1).
+// builtSlot wraps a completed index.
+func builtSlot(idx *tesc.VicinityIndex) *indexSlot {
+	s := &indexSlot{ready: make(chan struct{}), idx: idx}
+	close(s.ready)
+	return s
+}
+
+// built reports whether the slot holds a completed, error-free index.
+func (s *indexSlot) built() bool {
+	select {
+	case <-s.ready:
+		return s.err == nil
+	default:
+		return false
+	}
+}
+
+// NewIndexCache returns a cache whose published versions keep at most
+// capacity indexes (capacity < 1 means 1).
 func NewIndexCache(capacity int) *IndexCache {
 	if capacity < 1 {
 		capacity = 1
@@ -93,131 +92,99 @@ func NewIndexCache(capacity int) *IndexCache {
 		build: func(g *tesc.Graph, maxLevel, workers int) (*tesc.VicinityIndex, error) {
 			return g.BuildVicinityIndex(maxLevel, workers)
 		},
-		entries: make(map[IndexKey]*cacheEntry),
-		lru:     list.New(),
-		stale:   make(map[staleKey]*cacheEntry),
+		keys: make(map[IndexKey]*list.Element),
+		lru:  list.New(),
 	}
 }
 
 // Get returns a vicinity index covering maxLevel for the snapshot's
-// graph, building one with the given worker count on a miss. Exactly
-// one build runs per (key, graph version) regardless of how many
-// goroutines ask concurrently; the others wait for that build to
-// finish. A completed index of the same graph version with a higher
-// MaxLevel is reused instead of building a redundant lower-level one.
-//
-// The returned index is always bound to exactly snap.Graph. When the
-// cache has already moved past the caller's snapshot (a mutation
-// refreshed the entries mid-query), the index is built privately for
-// the old snapshot and not cached, so a slow reader can never clobber
-// the current version.
+// graph, building one with the given worker count on a miss. The index
+// comes from the snapshot's own graph version, so it is always bound to
+// exactly snap.Graph, however far the entry has moved on. Exactly one
+// build runs per (version, level) regardless of how many goroutines ask
+// concurrently; the others wait for that build to finish. A completed
+// index of the same version with a higher MaxLevel is reused instead of
+// building a redundant lower-level one.
 func (c *IndexCache) Get(e *GraphEntry, snap Snapshot, maxLevel, workers int) (*tesc.VicinityIndex, error) {
-	key := IndexKey{Entry: e, MaxLevel: maxLevel}
-
+	v := snap.state
 	c.mu.Lock()
-	if ce, ok := c.entries[key]; ok {
-		switch {
-		case ce.gv == snap.GraphVersion:
-			c.lru.MoveToFront(ce.elem)
-			c.mu.Unlock()
-			<-ce.ready
-			return ce.idx, ce.err
-		case ce.gv > snap.GraphVersion:
-			// The cache is ahead of this reader's snapshot: serve the
-			// stale version with a single-flight side build, shared by
-			// every reader still bound to it.
-			return c.getStaleLocked(snap, key, workers)
-		default:
-			// The entry lags the snapshot (e.g. its build was in flight
-			// during a mutation): replace it.
-			c.removeLocked(ce)
+	s, level := v.indexes[maxLevel], maxLevel
+	if s == nil {
+		for l, deeper := range v.indexes {
+			if l > maxLevel && deeper.built() {
+				s, level = deeper, l
+				break
+			}
 		}
 	}
-	// A deeper completed index of the same graph version covers this
-	// level (done is only written under c.mu, so the read is safe here).
-	for k, ce := range c.entries {
-		if k.Entry == e && k.MaxLevel > maxLevel && ce.done && ce.err == nil && ce.gv == snap.GraphVersion {
-			c.lru.MoveToFront(ce.elem)
-			c.mu.Unlock()
-			return ce.idx, nil
-		}
+	owner := s == nil
+	if owner {
+		s = &indexSlot{ready: make(chan struct{})}
+		v.indexes[maxLevel] = s
 	}
-	ce := &cacheEntry{key: key, gv: snap.GraphVersion, ready: make(chan struct{})}
-	ce.elem = c.lru.PushFront(ce)
-	c.entries[key] = ce
-	c.evictLocked()
+	c.touchLocked(e, v, level)
 	c.mu.Unlock()
+	if !owner {
+		<-s.ready
+		return s.idx, s.err
+	}
 
 	c.builds.Add(1)
-	ce.idx, ce.err = c.build(snap.Graph, maxLevel, workers)
-	close(ce.ready)
-
-	c.mu.Lock()
-	ce.done = true
-	if ce.err != nil {
-		// Drop the failed entry unless it was already evicted or
+	s.idx, s.err = c.build(snap.Graph, maxLevel, workers)
+	close(s.ready)
+	if s.err != nil {
+		c.mu.Lock()
+		// Drop the failed slot unless it was already evicted or
 		// replaced while building.
-		if cur, ok := c.entries[key]; ok && cur == ce {
-			c.removeLocked(ce)
+		if v.indexes[maxLevel] == s {
+			delete(v.indexes, maxLevel)
 		}
+		c.removeLocked(IndexKey{Entry: e, MaxLevel: maxLevel})
+		c.mu.Unlock()
 	}
-	c.mu.Unlock()
-	return ce.idx, ce.err
+	return s.idx, s.err
 }
 
-// getStaleLocked serves a reader whose snapshot the cache has moved
-// past. Called with c.mu held; releases it. The build is single-flight
-// per (key, dead version) and the result is dropped once every waiter
-// has it — dead versions must not pin memory.
-func (c *IndexCache) getStaleLocked(snap Snapshot, key IndexKey, workers int) (*tesc.VicinityIndex, error) {
-	sk := staleKey{IndexKey: key, gv: snap.GraphVersion}
-	if ce, ok := c.stale[sk]; ok {
-		ce.waiters++
-		c.mu.Unlock()
-		<-ce.ready
-		return ce.idx, ce.err
+// touchLocked marks the entry's level as used in the LRU. A missing key
+// is added only when v is the entry's published version. This is the
+// cache's one version check: a reader that bound its snapshot just
+// before an edge mutation published the successor builds into its own
+// version's slot, which that version's other readers share, but the
+// build must not take a place in the LRU, which counts only what the
+// published versions hold.
+func (c *IndexCache) touchLocked(e *GraphEntry, v *versionState, level int) {
+	key := IndexKey{Entry: e, MaxLevel: level}
+	if el, ok := c.keys[key]; ok {
+		c.lru.MoveToFront(el)
+		return
 	}
-	ce := &cacheEntry{key: key, gv: snap.GraphVersion, ready: make(chan struct{})}
-	c.stale[sk] = ce
-	c.mu.Unlock()
-
-	c.builds.Add(1)
-	ce.idx, ce.err = c.build(snap.Graph, key.MaxLevel, workers)
-	close(ce.ready)
-
-	c.mu.Lock()
-	delete(c.stale, sk)
-	c.mu.Unlock()
-	return ce.idx, ce.err
+	if e.Snapshot().state != v {
+		return
+	}
+	c.keys[key] = c.lru.PushFront(key)
+	c.trimLocked()
 }
 
 // Put installs a prebuilt index — one deserialized from a snapshot —
-// under the entry at the snapshot's graph version. It does not count
-// as a build: the whole point of warm-starting is that Builds stays at
-// zero while the first queries hit the cache.
+// into the snapshot's graph version. It does not count as a build: the
+// whole point of warm-starting is that Builds stays at zero while the
+// first queries hit the cache.
 func (c *IndexCache) Put(e *GraphEntry, snap Snapshot, idx *tesc.VicinityIndex) {
-	key := IndexKey{Entry: e, MaxLevel: idx.MaxLevel()}
-	ce := &cacheEntry{key: key, gv: snap.GraphVersion, ready: make(chan struct{}), done: true, idx: idx}
-	close(ce.ready)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old, ok := c.entries[key]; ok {
-		c.removeLocked(old)
-	}
-	ce.elem = c.lru.PushFront(ce)
-	c.entries[key] = ce
-	c.evictLocked()
+	snap.state.indexes[idx.MaxLevel()] = builtSlot(idx)
+	c.touchLocked(e, snap.state, idx.MaxLevel())
 }
 
-// IndexesFor returns the completed, error-free cached indexes of the
-// entry at the given graph version, in ascending MaxLevel order — the
-// set a checkpoint persists alongside the graph.
-func (c *IndexCache) IndexesFor(e *GraphEntry, gv uint64) []*tesc.VicinityIndex {
+// indexes returns the completed, error-free indexes of the snapshot's
+// graph version, in ascending MaxLevel order — the set a checkpoint
+// persists alongside the graph.
+func (c *IndexCache) indexes(snap Snapshot) []*tesc.VicinityIndex {
 	c.mu.Lock()
 	var out []*tesc.VicinityIndex
-	for key, ce := range c.entries {
-		if key.Entry == e && ce.done && ce.err == nil && ce.gv == gv {
-			out = append(out, ce.idx)
+	for _, s := range snap.state.indexes {
+		if s.built() {
+			out = append(out, s.idx)
 		}
 	}
 	c.mu.Unlock()
@@ -225,61 +192,61 @@ func (c *IndexCache) IndexesFor(e *GraphEntry, gv uint64) []*tesc.VicinityIndex 
 	return out
 }
 
-// Refresh migrates every completed cached index of the entry from
-// graph version old.GraphVersion to next: each index is cloned, the
-// clone repaired incrementally with the applied edge changes
-// (copy-on-write — readers of the old index are undisturbed), and the
-// repaired clone republished under the new version. The repairs borrow
-// their BFS engines from the entry's pools for both versions. Called by
-// the mutation path with the entry's mutations serialized. In-flight
-// builds are left behind on the old version; a later Get at the new
-// version replaces them. It returns the number of migrated indexes and
-// the total index entries recomputed across them, plus the
-// flipped-vicinity node set of the deepest migrated index (and its
-// level): the dirty ball the repair already had to compute, surfaced
-// so the monitor scheduler can invalidate standing-query density
-// caches without re-walking it. dirty is nil when nothing migrated.
-func (c *IndexCache) Refresh(e *GraphEntry, old, next Snapshot, applied []graph.EdgeChange, workers int) (migrated, nodesRecomputed int, dirty []graph.NodeID, dirtyLevel int) {
+// IndexesFor returns the completed indexes of the entry's published
+// snapshot, in ascending MaxLevel order, when that snapshot is at graph
+// version gv, and nil otherwise: the entry reaches no other version.
+func (c *IndexCache) IndexesFor(e *GraphEntry, gv uint64) []*tesc.VicinityIndex {
+	snap := e.Snapshot()
+	if snap.GraphVersion != gv {
+		return nil
+	}
+	return c.indexes(snap)
+}
+
+// Refresh migrates every completed index of the old snapshot's graph
+// version into next's: each index is cloned, the clone repaired
+// incrementally with the applied edge changes (copy-on-write — readers
+// of the old index are undisturbed), and the repaired clone installed
+// in next's version. The repairs borrow their BFS engines from both
+// versions' pools. Called by the mutation path before next publishes,
+// with the entry's mutations serialized; if the mutation then aborts,
+// next's version and every clone in it die with it. In-flight builds
+// are left behind on the old version; a later Get at the new version
+// builds its own. It returns the number of migrated indexes and the
+// total index entries recomputed across them, plus the flipped-vicinity
+// node set of the deepest repaired index (and its level): the dirty
+// ball the repair already had to compute, surfaced so the monitor
+// scheduler can invalidate standing-query density caches without
+// re-walking it. dirty is nil when nothing was repaired.
+func (c *IndexCache) Refresh(old, next Snapshot, applied []graph.EdgeChange, workers int) (migrated, nodesRecomputed int, dirty []graph.NodeID, dirtyLevel int) {
 	c.mu.Lock()
-	var stale []*cacheEntry
-	for key, ce := range c.entries {
-		if key.Entry == e && ce.done && ce.err == nil && ce.gv == old.GraphVersion {
-			stale = append(stale, ce)
+	built := make(map[int]*indexSlot)
+	for level, s := range old.state.indexes {
+		if s.built() {
+			built[level] = s
 		}
 	}
 	c.mu.Unlock()
 
 	opts := vicinity.Options{Workers: workers}
-	if len(stale) > 0 {
-		opts.OldEngines, opts.Engines = e.EnginePool(old).Internal(), e.EnginePool(next).Internal()
+	if len(built) > 0 {
+		opts.OldEngines, opts.Engines = old.state.pool.Internal(), next.state.pool.Internal()
 	}
-	for _, ce := range stale {
-		clone := ce.idx.Clone()
+	for level, s := range built {
+		clone := s.idx.Clone()
 		d, err := clone.Internal().ApplyDeltaDirty(next.Graph.Internal(), applied, opts)
-		n := len(d)
-		if err == nil && ce.key.MaxLevel > dirtyLevel {
-			dirty, dirtyLevel = d, ce.key.MaxLevel
+		if err != nil {
+			continue
 		}
-		fresh := &cacheEntry{
-			key:   ce.key,
-			gv:    next.GraphVersion,
-			ready: make(chan struct{}),
-			done:  true,
-			idx:   clone,
-			err:   err,
+		if level > dirtyLevel {
+			dirty, dirtyLevel = d, level
 		}
-		close(fresh.ready)
-
 		c.mu.Lock()
-		if cur, ok := c.entries[ce.key]; ok && cur == ce {
-			c.lru.Remove(ce.elem)
-			delete(c.entries, ce.key)
-			if err == nil {
-				fresh.elem = c.lru.PushFront(fresh)
-				c.entries[ce.key] = fresh
-				migrated++
-				nodesRecomputed += n
-			}
+		// A level the LRU evicted during its repair does not migrate.
+		if old.state.indexes[level] == s {
+			next.state.indexes[level] = builtSlot(clone)
+			migrated++
+			nodesRecomputed += len(d)
 		}
 		c.mu.Unlock()
 	}
@@ -289,24 +256,26 @@ func (c *IndexCache) Refresh(e *GraphEntry, old, next Snapshot, applied []graph.
 }
 
 // EvictGraph drops every cached index of the graph entry (all levels).
-// Called when a graph is deregistered. An insert racing with the
-// eviction leaves a harmless orphan: its key's entry pointer can never
-// be resolved again, so it is never served and ages out of the LRU.
+// Called when a graph is deregistered. A build racing with the eviction
+// leaves a harmless orphan key: its entry can never be resolved again,
+// so it is never served and ages out of the LRU.
 func (c *IndexCache) EvictGraph(e *GraphEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for key, ce := range c.entries {
+	for key := range c.keys {
 		if key.Entry == e {
-			c.removeLocked(ce)
+			c.evictLocked(key)
 		}
 	}
 }
 
-// Len returns the number of cached (or in-flight) indexes.
+// Len returns the number of (entry, level) places the LRU counts
+// against its capacity, in-flight builds of published versions
+// included.
 func (c *IndexCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries)
+	return len(c.keys)
 }
 
 // Builds returns the number of full index constructions the cache has
@@ -325,20 +294,27 @@ func (c *IndexCache) Refreshes() int64 { return c.refreshes.Load() }
 // the update workload.
 func (c *IndexCache) NodesRecomputed() int64 { return c.recomputed.Load() }
 
-// evictLocked trims the LRU list to capacity. An evicted in-flight
-// entry keeps building for its current waiters; it is simply no longer
-// findable, so a later Get rebuilds.
-func (c *IndexCache) evictLocked() {
-	for len(c.entries) > c.capacity {
-		oldest := c.lru.Back()
-		if oldest == nil {
-			return
-		}
-		c.removeLocked(oldest.Value.(*cacheEntry))
+// trimLocked evicts least recently used keys until the LRU fits its
+// capacity.
+func (c *IndexCache) trimLocked() {
+	for c.lru.Len() > c.capacity {
+		c.evictLocked(c.lru.Back().Value.(IndexKey))
 	}
 }
 
-func (c *IndexCache) removeLocked(ce *cacheEntry) {
-	c.lru.Remove(ce.elem)
-	delete(c.entries, ce.key)
+// evictLocked drops the key from the LRU and clears its level in the
+// entry's published version. An evicted in-flight build keeps building
+// for the readers already blocked on it; it is simply no longer
+// findable, so a later Get rebuilds.
+func (c *IndexCache) evictLocked(key IndexKey) {
+	c.removeLocked(key)
+	delete(key.Entry.Snapshot().state.indexes, key.MaxLevel)
+}
+
+// removeLocked drops the key from the LRU, if present.
+func (c *IndexCache) removeLocked(key IndexKey) {
+	if el, ok := c.keys[key]; ok {
+		c.lru.Remove(el)
+		delete(c.keys, key)
+	}
 }

@@ -3,9 +3,11 @@ package server
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"weak"
 
 	"tesc"
 )
@@ -226,22 +228,13 @@ func TestCacheNameReuseIsolation(t *testing.T) {
 	}
 }
 
-// TestCacheStaleSnapshotSingleFlight pins the mutation-race path: when
-// the cache has been refreshed past a reader's snapshot, lagging
-// readers of that dead version share one side build instead of a
-// thundering herd of private rebuilds, and the result is never cached.
-func TestCacheStaleSnapshotSingleFlight(t *testing.T) {
-	r := NewRegistry()
-	e := testEntry(t, r, "g")
-	c := NewIndexCache(4)
-
-	before := e.Snapshot()
-	if _, err := c.Get(e, before, 2, 1); err != nil {
-		t.Fatal(err)
-	}
-	_, applied, err := e.MutateEdges([]tesc.EdgeChange{{U: 0, V: 3, Insert: true}},
+// mutateRefreshed applies one edge change to e with the cache's index
+// migration as its refresh hook, as the server's mutation path does.
+func mutateRefreshed(t *testing.T, c *IndexCache, e *GraphEntry, ch tesc.EdgeChange) Snapshot {
+	t.Helper()
+	next, applied, err := e.MutateEdges([]tesc.EdgeChange{ch},
 		func(old, next Snapshot, ap []tesc.EdgeChange) error {
-			c.Refresh(e, old, next, internalChanges(ap), 1)
+			c.Refresh(old, next, internalChanges(ap), 1)
 			return nil
 		})
 	if err != nil {
@@ -250,10 +243,61 @@ func TestCacheStaleSnapshotSingleFlight(t *testing.T) {
 	if len(applied) != 1 {
 		t.Fatalf("applied %d changes, want 1", len(applied))
 	}
+	return next
+}
+
+// TestCacheStaleSnapshotServesOwnIndex pins what a reader still bound
+// to a superseded snapshot gets: its own version's index, built before
+// the mutation, with no build — while the published version serves
+// the repaired clone.
+func TestCacheStaleSnapshotServesOwnIndex(t *testing.T) {
+	e := testEntry(t, NewRegistry(), "g")
+	c := NewIndexCache(4)
+	before := e.Snapshot()
+	own, err := c.Get(e, before, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := mutateRefreshed(t, c, e, tesc.EdgeChange{U: 0, V: 3, Insert: true})
 	buildsBefore := c.Builds()
 
-	// Stall the build until every other stale reader has joined it, so
-	// none can arrive after it returned and start a second one.
+	stale, err := c.Get(e, before, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stale != own || !stale.BuiltFor(before.Graph) {
+		t.Fatal("a superseded reader did not get its own version's index")
+	}
+	cur, err := c.Get(e, next, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur == own || !cur.BuiltFor(next.Graph) {
+		t.Fatal("the published version did not serve its repaired index")
+	}
+	if got := c.Builds() - buildsBefore; got != 0 {
+		t.Fatalf("reads on both sides of a refresh built %d indexes, want 0", got)
+	}
+}
+
+// TestCacheStaleSnapshotSingleFlight pins the mutation-race path on a
+// level the superseded version never had: its lagging readers share one
+// build in that version's slot instead of a thundering herd of private
+// rebuilds, and the build takes no place in the LRU, which counts only
+// what the published version holds.
+func TestCacheStaleSnapshotSingleFlight(t *testing.T) {
+	e := testEntry(t, NewRegistry(), "g")
+	c := NewIndexCache(4)
+	before := e.Snapshot()
+	if _, err := c.Get(e, before, 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	mutateRefreshed(t, c, e, tesc.EdgeChange{U: 0, V: 3, Insert: true})
+	buildsBefore, lenBefore := c.Builds(), c.Len()
+
+	// Stall the build until the version's slot holds it. A reader
+	// arriving after the release finds the completed slot, so every
+	// reader shares the one build however the scheduler orders them.
 	const readers = 16
 	inner := c.build
 	var calls atomic.Int64
@@ -270,20 +314,23 @@ func TestCacheStaleSnapshotSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = c.Get(e, before, 2, 1)
+			results[i], errs[i] = c.Get(e, before, 3, 1)
 		}(i)
 	}
-	joined := func() int {
+	slot := func() *indexSlot {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		n := 0
-		for _, ce := range c.stale {
-			n += ce.waiters
-		}
-		return n
+		return before.state.indexes[3]
 	}
-	for calls.Load() == 0 || joined() < readers-1 {
+	for calls.Load() == 0 {
 		runtime.Gosched()
+	}
+	witness := slot()
+	if witness == nil {
+		t.Fatal("the stale build is not in its version's slot")
+	}
+	if got := c.Len(); got != lenBefore {
+		t.Fatalf("an in-flight stale build changed Len() from %d to %d", lenBefore, got)
 	}
 	close(release)
 	wg.Wait()
@@ -295,16 +342,18 @@ func TestCacheStaleSnapshotSingleFlight(t *testing.T) {
 		if !results[i].BuiltFor(before.Graph) {
 			t.Fatalf("stale Get %d returned an index for the wrong snapshot", i)
 		}
-		if results[i] != results[0] {
+		if results[i] != witness.idx {
 			t.Fatalf("stale Get %d did not share the single-flight build", i)
 		}
 	}
 	if got := c.Builds() - buildsBefore; got != 1 {
 		t.Fatalf("stale readers triggered %d builds, want 1", got)
 	}
+	if got := c.Len(); got != lenBefore {
+		t.Fatalf("a stale build changed Len() from %d to %d", lenBefore, got)
+	}
 
-	// The dead version never entered the cache: a current-version Get
-	// still serves the refreshed index without building.
+	// The published version still serves its refreshed index.
 	if _, err := c.Get(e, e.Snapshot(), 2, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -359,4 +408,82 @@ func TestRefreshEnginesServeSuccessor(t *testing.T) {
 	if got := e.EnginePool(retry); got == aborted || got == during {
 		t.Fatal("a mutation after an abort reused a stale pool")
 	}
+}
+
+// TestDeadVersionsAreCollected pins that nothing the cache or the entry
+// keeps pins a dead graph version: once the last holder of a superseded
+// snapshot lets go, that version's index and engine pool are garbage,
+// and an aborted mutation's version is garbage as soon as the mutation
+// returns — even when its refresh hook had already migrated the indexes
+// into it — while the published version's indexes stay as they were.
+func TestDeadVersionsAreCollected(t *testing.T) {
+	e := testEntry(t, NewRegistry(), "g")
+	c := NewIndexCache(4)
+	before := e.Snapshot()
+	idx, err := c.Get(e, before, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldIdx, oldPool := weak.Make(idx), weak.Make(e.EnginePool(before))
+	mutateRefreshed(t, c, e, tesc.EdgeChange{U: 0, V: 3, Insert: true})
+	before, idx = Snapshot{}, nil
+	runtime.GC()
+	if oldIdx.Value() != nil || oldPool.Value() != nil {
+		t.Fatal("a superseded version's index or pool outlived its last snapshot")
+	}
+
+	published := e.Snapshot()
+	wantLen, want := c.Len(), c.IndexesFor(e, published.GraphVersion)
+	if len(want) != 1 {
+		t.Fatalf("published version holds %d indexes, want the migrated one", len(want))
+	}
+	abort := errors.New("abort")
+	var aborted weak.Pointer[versionState]
+	if _, _, err := e.MutateEdges([]tesc.EdgeChange{{U: 1, V: 4, Insert: true}},
+		func(old, next Snapshot, applied []tesc.EdgeChange) error {
+			c.Refresh(old, next, internalChanges(applied), 1)
+			aborted = weak.Make(next.state)
+			return abort
+		}); !errors.Is(err, abort) {
+		t.Fatalf("aborted mutation returned %v", err)
+	}
+	runtime.GC()
+	if aborted.Value() != nil {
+		t.Fatal("an aborted mutation's version outlived the mutation")
+	}
+	if got := c.Len(); got != wantLen {
+		t.Fatalf("an aborted mutation changed Len() from %d to %d", wantLen, got)
+	}
+	if got := c.IndexesFor(e, published.GraphVersion); !slices.Equal(got, want) {
+		t.Fatal("an aborted mutation changed the published version's indexes")
+	}
+}
+
+// BenchmarkIndexCacheGet times the per-version lookup every importance
+// correlate makes on the published snapshot: the vicinity-index cache
+// hit plus the version's engine pool, from parallel readers.
+func BenchmarkIndexCacheGet(b *testing.B) {
+	e, err := NewRegistry().Register("g", tesc.RandomCommunityGraph(4, 50, 6, 0.5, 7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := NewIndexCache(8)
+	if _, err := c.Get(e, e.Snapshot(), 2, 1); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			snap := e.Snapshot()
+			if _, err := c.Get(e, snap, 2, 1); err != nil {
+				b.Error(err)
+				return
+			}
+			if e.EnginePool(snap) == nil {
+				b.Error("no engine pool")
+				return
+			}
+		}
+	})
 }

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"errors"
+	"fmt"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
@@ -26,136 +28,180 @@ func newHTTPServer(t *testing.T, srv *Server) *testEnv {
 // query workers run index-backed correlations. Every worker asserts
 // the single-epoch invariant — the index the cache hands out is bound
 // to exactly the graph snapshot the worker bound to — and the
-// index-checking samplers would reject any crossed version.
+// index-checking samplers would reject any crossed version. The cache
+// never counts more indexes than its capacity. The second case mixes
+// readers pinned to an earlier snapshot with readers of the published
+// one, aborts some mutations after their index migration, and asks for
+// a level deeper than the warm index through a one-index cache, so
+// evictions, aborted versions and superseded versions all meet.
 func TestConcurrentMutationsAndQueries(t *testing.T) {
-	g := tesc.RandomCommunityGraph(4, 50, 6, 0.5, 7)
-	r := NewRegistry()
-	e, err := r.Register("g", g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var va, vb []int
-	for v := 0; v < 20; v++ {
-		va = append(va, v)
-	}
-	for v := 150; v < 170; v++ {
-		vb = append(vb, v)
-	}
-	if err := e.AddEvents(map[string][]int{"a": va, "b": vb}); err != nil {
-		t.Fatal(err)
-	}
-	cache := NewIndexCache(4)
-	// Warm the cache so the mutator has an index to migrate.
-	if _, err := cache.Get(e, e.Snapshot(), 2, 1); err != nil {
-		t.Fatal(err)
-	}
-
-	const (
-		workers          = 4
-		queriesPerWorker = 30
-	)
-	var (
-		stop      atomic.Bool
-		mutations atomic.Int64
-		mutWG     sync.WaitGroup
-		workerWG  sync.WaitGroup
-		// first closes once the edge mutator has landed a delta (or
-		// given up): on a loaded scheduler the workers could otherwise
-		// finish before the mutator ever ran.
-		first     = make(chan struct{})
-		firstOnce sync.Once
-	)
-
-	// Edge mutator: random single-edge flips, index refreshed in place.
-	mutWG.Add(1)
-	go func() {
-		defer mutWG.Done()
-		defer firstOnce.Do(func() { close(first) })
-		rng := rand.New(rand.NewPCG(21, 12))
-		n := g.NumNodes()
-		for !stop.Load() {
-			c := tesc.EdgeChange{U: rng.IntN(n), V: rng.IntN(n), Insert: rng.IntN(2) == 0}
-			if c.U == c.V {
-				continue
-			}
-			_, _, err := e.MutateEdges([]tesc.EdgeChange{c}, func(old, next Snapshot, applied []tesc.EdgeChange) error {
-				cache.Refresh(e, old, next, internalChanges(applied), 1)
-				return nil
-			})
+	for _, tc := range []struct {
+		name     string
+		capacity int
+		levels   []int // index levels the workers ask for, in turn
+		// abortEvery aborts every n-th edge mutation after its index
+		// migration; 0 aborts none.
+		abortEvery int
+		// pinned makes every other query reuse the snapshot the
+		// worker's previous query bound to.
+		pinned bool
+	}{
+		{name: "published", capacity: 4, levels: []int{2}},
+		{name: "pinned-and-aborted", capacity: 1, levels: []int{1, 3}, abortEvery: 3, pinned: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tesc.RandomCommunityGraph(4, 50, 6, 0.5, 7)
+			r := NewRegistry()
+			e, err := r.Register("g", g)
 			if err != nil {
-				t.Errorf("mutate: %v", err)
-				return
+				t.Fatal(err)
 			}
-			mutations.Add(1)
-			firstOnce.Do(func() { close(first) })
-		}
-	}()
-
-	// Event mutator: a third event flickers in and out of existence.
-	mutWG.Add(1)
-	go func() {
-		defer mutWG.Done()
-		for !stop.Load() {
-			if err := e.AddEvents(map[string][]int{"c": {5, 6, 7}}); err != nil {
-				t.Errorf("add events: %v", err)
-				return
+			var va, vb []int
+			for v := 0; v < 20; v++ {
+				va = append(va, v)
 			}
-			if err := e.RemoveEvents(map[string][]int{"c": nil}); err != nil {
-				t.Errorf("remove events: %v", err)
-				return
+			for v := 150; v < 170; v++ {
+				vb = append(vb, v)
 			}
-		}
-	}()
-
-	<-first
-	for w := 0; w < workers; w++ {
-		workerWG.Add(1)
-		go func(w int) {
-			defer workerWG.Done()
-			for q := 0; q < queriesPerWorker; q++ {
-				snap := e.Snapshot()
-				idx, err := cache.Get(e, snap, 2, 1)
-				if err != nil {
-					t.Errorf("worker %d: Get: %v", w, err)
-					return
-				}
-				if !idx.BuiltFor(snap.Graph) {
-					t.Errorf("worker %d: index is not bound to the worker's snapshot graph", w)
-					return
-				}
-				a, err := storeOccurrences(snap.Store, "a")
-				if err != nil {
-					t.Errorf("worker %d: %v", w, err)
-					return
-				}
-				b, err := storeOccurrences(snap.Store, "b")
-				if err != nil {
-					t.Errorf("worker %d: %v", w, err)
-					return
-				}
-				// The importance sampler re-checks index/graph identity;
-				// a torn epoch would surface as an error here.
-				_, err = tesc.Correlation(snap.Graph, a, b, tesc.Options{
-					H: 2, Method: tesc.Importance, Index: idx, SampleSize: 60, Seed: uint64(w*1000 + q + 1),
-				})
-				if err != nil {
-					t.Errorf("worker %d query %d: %v", w, q, err)
-					return
-				}
+			if err := e.AddEvents(map[string][]int{"a": va, "b": vb}); err != nil {
+				t.Fatal(err)
 			}
-		}(w)
-	}
+			cache := NewIndexCache(tc.capacity)
+			// Warm the cache so the mutator has an index to migrate.
+			if _, err := cache.Get(e, e.Snapshot(), 2, 1); err != nil {
+				t.Fatal(err)
+			}
+			checkLen := func(who string) bool {
+				if n := cache.Len(); n > tc.capacity {
+					t.Errorf("%s: cache Len() = %d exceeds capacity %d", who, n, tc.capacity)
+					return false
+				}
+				return true
+			}
 
-	// Workers finish on their own; then the mutators are told to stop.
-	workerWG.Wait()
-	stop.Store(true)
-	mutWG.Wait()
+			const (
+				workers          = 4
+				queriesPerWorker = 30
+			)
+			var (
+				stop      atomic.Bool
+				mutations atomic.Int64
+				mutWG     sync.WaitGroup
+				workerWG  sync.WaitGroup
+				// first closes once the edge mutator has landed a delta (or
+				// given up): on a loaded scheduler the workers could otherwise
+				// finish before the mutator ever ran.
+				first     = make(chan struct{})
+				firstOnce sync.Once
+				errAbort  = errors.New("abort")
+			)
 
-	if mutations.Load() == 0 {
-		t.Error("mutator never ran; the test exercised nothing")
-	}
-	if cache.Refreshes() == 0 {
-		t.Error("no cached index was ever migrated in place")
+			// Edge mutator: random single-edge flips, index refreshed in place.
+			mutWG.Add(1)
+			go func() {
+				defer mutWG.Done()
+				defer firstOnce.Do(func() { close(first) })
+				rng := rand.New(rand.NewPCG(21, 12))
+				n := g.NumNodes()
+				for i := 1; !stop.Load(); i++ {
+					c := tesc.EdgeChange{U: rng.IntN(n), V: rng.IntN(n), Insert: rng.IntN(2) == 0}
+					if c.U == c.V {
+						continue
+					}
+					abort := tc.abortEvery > 0 && i%tc.abortEvery == 0
+					_, _, err := e.MutateEdges([]tesc.EdgeChange{c}, func(old, next Snapshot, applied []tesc.EdgeChange) error {
+						cache.Refresh(old, next, internalChanges(applied), 1)
+						if abort {
+							return errAbort
+						}
+						return nil
+					})
+					if err != nil && !errors.Is(err, errAbort) {
+						t.Errorf("mutate: %v", err)
+						return
+					}
+					if !checkLen("mutator") {
+						return
+					}
+					mutations.Add(1)
+					firstOnce.Do(func() { close(first) })
+				}
+			}()
+
+			// Event mutator: a third event flickers in and out of existence.
+			mutWG.Add(1)
+			go func() {
+				defer mutWG.Done()
+				for !stop.Load() {
+					if err := e.AddEvents(map[string][]int{"c": {5, 6, 7}}); err != nil {
+						t.Errorf("add events: %v", err)
+						return
+					}
+					if err := e.RemoveEvents(map[string][]int{"c": nil}); err != nil {
+						t.Errorf("remove events: %v", err)
+						return
+					}
+				}
+			}()
+
+			<-first
+			for w := 0; w < workers; w++ {
+				workerWG.Add(1)
+				go func(w int) {
+					defer workerWG.Done()
+					snap := e.Snapshot()
+					for q := 0; q < queriesPerWorker; q++ {
+						if !tc.pinned || q%2 == 0 {
+							snap = e.Snapshot()
+						}
+						h := tc.levels[q%len(tc.levels)]
+						idx, err := cache.Get(e, snap, h, 1)
+						if err != nil {
+							t.Errorf("worker %d: Get: %v", w, err)
+							return
+						}
+						if !idx.BuiltFor(snap.Graph) {
+							t.Errorf("worker %d: index is not bound to the worker's snapshot graph", w)
+							return
+						}
+						if !checkLen(fmt.Sprintf("worker %d", w)) {
+							return
+						}
+						a, err := storeOccurrences(snap.Store, "a")
+						if err != nil {
+							t.Errorf("worker %d: %v", w, err)
+							return
+						}
+						b, err := storeOccurrences(snap.Store, "b")
+						if err != nil {
+							t.Errorf("worker %d: %v", w, err)
+							return
+						}
+						// The importance sampler re-checks index/graph identity;
+						// a torn epoch would surface as an error here.
+						_, err = tesc.Correlation(snap.Graph, a, b, tesc.Options{
+							H: h, Method: tesc.Importance, Index: idx, SampleSize: 60, Seed: uint64(w*1000 + q + 1),
+						})
+						if err != nil {
+							t.Errorf("worker %d query %d: %v", w, q, err)
+							return
+						}
+					}
+				}(w)
+			}
+
+			// Workers finish on their own; then the mutators are told to stop.
+			workerWG.Wait()
+			stop.Store(true)
+			mutWG.Wait()
+
+			if mutations.Load() == 0 {
+				t.Error("mutator never ran; the test exercised nothing")
+			}
+			if cache.Refreshes() == 0 {
+				t.Error("no cached index was ever migrated in place")
+			}
+		})
 	}
 }
 

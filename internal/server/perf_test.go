@@ -63,9 +63,9 @@ func TestHealthzTraversalCounters(t *testing.T) {
 	}
 }
 
-// TestEnginePoolPerGraphVersion pins the pool invalidation contract:
-// one pool per graph version, a fresh pool after an edge mutation, and
-// never a downgrade to a stale snapshot's pool.
+// TestEnginePoolPerGraphVersion pins the pool contract: one pool per
+// graph version, a fresh pool after an edge mutation, and a stale
+// snapshot keeps its own version's pool.
 func TestEnginePoolPerGraphVersion(t *testing.T) {
 	env := newTestEnv(t)
 	e, ok := env.srv.Registry().Get("g")
@@ -88,10 +88,10 @@ func TestEnginePoolPerGraphVersion(t *testing.T) {
 	if p2 == p1 {
 		t.Fatal("pool survived a graph mutation")
 	}
-	// A query still holding the old snapshot gets a working pool but
-	// must not displace the new version's.
-	if stale := e.EnginePool(snap1); stale == p2 || stale == p1 {
-		t.Fatal("stale snapshot was handed a current pool")
+	// A query still holding the old snapshot keeps its own version's
+	// pool, never the successor's.
+	if stale := e.EnginePool(snap1); stale != p1 || stale == p2 {
+		t.Fatal("stale snapshot was not handed its own version's pool")
 	}
 	if e.EnginePool(snap2) != p2 {
 		t.Fatal("stale snapshot displaced the current pool")

@@ -299,7 +299,7 @@ func (s *Server) Checkpoint(name string) (checkpointInfo, error) {
 	cur := entry.Snapshot()
 	var indexes []*vicinity.Index
 	var levels []int
-	for _, idx := range s.cache.IndexesFor(entry, cur.GraphVersion) {
+	for _, idx := range s.cache.indexes(cur) {
 		if idx.MaxLevel() > snapshot.MaxVicinityLevels {
 			s.logf("checkpoint %q: dropping vicinity index with max level %d (format limit %d)", name, idx.MaxLevel(), snapshot.MaxVicinityLevels)
 			continue

@@ -272,3 +272,41 @@ func TestSnapshotImportAtAdmission(t *testing.T) {
 	env2.do(t, http.StatusBadRequest, "POST", "/v1/graphs",
 		map[string]any{"name": "x", "snapshot": "s", "edge_list": "0 1"}, nil)
 }
+
+// TestCheckpointDuringRefreshKeepsIndexes: a checkpoint that runs while
+// an edge mutation has migrated the indexes but not yet published
+// persists the published snapshot together with that snapshot's own
+// indexes, so the restarted node needs no index build.
+func TestCheckpointDuringRefreshKeepsIndexes(t *testing.T) {
+	srv := New(Config{IndexCacheCapacity: 4, DataDir: t.TempDir(), CheckpointDelay: time.Hour})
+	if _, err := srv.LoadData(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	e, err := srv.registry.Register("g", testGraph(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	published := e.Snapshot()
+	if _, err := srv.cache.Get(e, published, 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.MutateEdges([]tesc.EdgeChange{{U: 0, V: 3, Insert: true}},
+		func(old, next Snapshot, applied []tesc.EdgeChange) error {
+			srv.cache.Refresh(old, next, internalChanges(applied), 1)
+			_, err := srv.Checkpoint("g")
+			return err
+		}); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapshot.LoadFile(srv.persist.snapshotPath("g"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.GraphVersion != published.GraphVersion {
+		t.Fatalf("checkpoint at graph version %d, want the published %d", snap.GraphVersion, published.GraphVersion)
+	}
+	if len(snap.Indexes) != 1 || snap.Indexes[0].MaxLevel() != 2 {
+		t.Fatalf("checkpoint persisted %d indexes, want the published version's level-2 index", len(snap.Indexes))
+	}
+}

@@ -660,6 +660,60 @@ func TestAcksAfterTornAppendSurviveKill(t *testing.T) {
 	assertStateEqual(t, "second reboot", srv.registry.mustGet(t, "g").Snapshot(), want)
 }
 
+// TestAckedRetryAfterFailedFsyncSurvivesReboot: an fsync failure
+// rejects an edge batch whose frame is already whole in the active
+// segment, and the rotation before the next append makes it durable.
+// The client's retry at the same epoch carries a different batch and is
+// acknowledged. The reboot must recover the acknowledged retry, not the
+// rejected batch that precedes it in the log.
+func TestAckedRetryAfterFailedFsyncSurvivesReboot(t *testing.T) {
+	base, err := graph.FromEdges(20, [][2]graph.NodeID{{0, 1}, {1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := tesc.FromInternal(base)
+	batch := func(k int) []tesc.EdgeChange {
+		return []tesc.EdgeChange{{U: k, V: k + 10, Insert: true}}
+	}
+	oraS := New(Config{IndexCacheCapacity: 4})
+	if _, err := oraS.registry.Register("g", g); err != nil {
+		t.Fatal(err)
+	}
+	fsys := wal.NewFaultFS()
+	srv, err := newFaultServer(fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.registry.Register("g", g); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.durableAck("g"); err != nil {
+		t.Fatal(err)
+	}
+	ack := func(k int) {
+		t.Helper()
+		for _, s := range []*Server{srv, oraS} {
+			if _, err := s.applyEdges(s.registry.mustGet(t, "g"), batch(k), true); err != nil {
+				t.Fatalf("batch %d: %v", k, err)
+			}
+		}
+	}
+	ack(2)
+	fsys.SetSyncFailAfter(0)
+	if _, err := srv.applyEdges(srv.registry.mustGet(t, "g"), batch(3), true); err == nil {
+		t.Fatal("a batch whose fsync failed was acknowledged")
+	}
+	fsys.SetSyncFailAfter(-1)
+	ack(4)
+	ack(5)
+	srv.Kill()
+
+	if srv, err = newFaultServer(fsys); err != nil {
+		t.Fatalf("reboot: %v", err)
+	}
+	assertStateEqual(t, "reboot", srv.registry.mustGet(t, "g").Snapshot(), oraS.registry.mustGet(t, "g").Snapshot())
+}
+
 // TestCorruptFrameDoesNotReplayOldTimeline: a corrupt frame mid-segment
 // hides acknowledged epochs 3–4, and a later segment holds epoch 5. The
 // reboot stands the graph at epoch 2 and acknowledges new writes that

@@ -3,19 +3,22 @@
 // offline steps the paper separates from query time — loading the graph
 // and building the vicinity-size index (§4.2) — across many cheap
 // online correlation queries: graphs are loaded once into a named
-// registry, vicinity indexes are built on demand and kept in an LRU
-// cache with single-flight construction, and screening sweeps run as
+// registry, vicinity indexes are built on demand with single-flight
+// construction under a capacity LRU, and screening sweeps run as
 // asynchronous jobs with progress polling.
 //
 // Graphs and event sets are mutable through the API, with epoch
 // snapshots as the consistency model: every mutation (edge batch, event
 // add/remove) publishes a fresh immutable snapshot and bumps the
 // entry's epoch; a query binds to exactly one snapshot for its whole
-// execution, so concurrent mutators never produce torn reads. Cached
-// vicinity indexes are not invalidated on edge mutations — they are
-// repaired in place via the paper's locality argument (an edge flip
-// only perturbs |V^h_v| within h hops of its endpoints) and republished
-// with the new snapshot.
+// execution, so concurrent mutators never produce torn reads. What the
+// server derives from a graph version — its BFS engine pool and its
+// vicinity indexes — hangs off the snapshot itself, so a query finds
+// exactly its own version's state however far the entry has moved on.
+// Vicinity indexes are not invalidated on edge mutations: the mutation
+// repairs a clone of each into the successor version before that
+// version publishes, via the paper's locality argument (an edge flip
+// only perturbs |V^h_v| within h hops of its endpoints).
 package server
 
 import (
@@ -49,11 +52,34 @@ type Snapshot struct {
 	// event; responses carry it so clients can tell which version
 	// answered.
 	Epoch uint64
-	// GraphVersion increases only on edge mutations. It keys the
-	// vicinity-index cache: an index is valid for exactly one graph
-	// version, and an edge mutation migrates cached indexes to the next
-	// version by incremental repair instead of eviction.
+	// GraphVersion increases only on edge mutations: an index is valid
+	// for exactly one graph version, and an edge mutation migrates
+	// cached indexes to the next version by incremental repair instead
+	// of eviction.
 	GraphVersion uint64
+
+	// state is what the server derives from the graph version. Event
+	// mutations keep it; edge mutations make the successor's.
+	state *versionState
+}
+
+// versionState is the state derived from one graph version: the BFS
+// engine pool bound to its graph and its vicinity indexes by MaxLevel.
+// Register and RegisterRestored make the first; MutateEdges makes the
+// successor's before its refresh hook migrates the indexes into it, and
+// an aborted mutation drops it. A reader bound to a snapshot uses only
+// that snapshot's versionState, so a superseded reader still finds its
+// own version's pool and indexes, and a dead version is freed once its
+// last snapshot is dropped.
+type versionState struct {
+	pool *tesc.EnginePool
+	// indexes holds one single-flight slot per MaxLevel, guarded by the
+	// IndexCache's mu.
+	indexes map[int]*indexSlot
+}
+
+func newVersionState(g *tesc.Graph) *versionState {
+	return &versionState{pool: g.NewEnginePool(), indexes: make(map[int]*indexSlot)}
 }
 
 // GraphEntry is one registered graph plus its accumulated event
@@ -70,20 +96,6 @@ type GraphEntry struct {
 	mu      sync.RWMutex
 	builder *events.Builder
 	cur     Snapshot
-
-	// poolMu guards the per-graph-version BFS engine pools. A pool is
-	// bound to exactly one graph snapshot, so engines can never serve
-	// traversals over a stale version. pool serves the published graph
-	// (made lazily by the first query); nextPool, while an edge
-	// mutation runs, the graph it is about to publish. The mutation's
-	// index repair borrows from nextPool, which becomes pool when the
-	// successor publishes, so its engines stay warm for the new
-	// version's queries.
-	poolMu      sync.Mutex
-	pool        *tesc.EnginePool
-	poolVersion uint64
-	nextPool    *tesc.EnginePool
-	nextVersion uint64
 
 	// memos bounds the screening memos of all the registry's entries;
 	// memo is this entry's, guarded by memos.mu.
@@ -211,29 +223,13 @@ func (e *GraphEntry) Graph() *tesc.Graph { return e.Snapshot().Graph }
 // Epoch returns the current snapshot's epoch.
 func (e *GraphEntry) Epoch() uint64 { return e.Snapshot().Epoch }
 
-// EnginePool returns the shared BFS engine pool for the given snapshot
-// of this entry, creating or replacing it when the snapshot's graph
-// version is newer than the cached pool's. The snapshot an edge
-// mutation is about to publish gets the mutation's successor pool.
-// Queries pass the snapshot they bound to; a query racing a mutation
-// with an older snapshot gets a private throwaway pool rather than
-// polluting (or reviving) the newer version's pool — engine reuse is an
-// optimization, version consistency is not negotiable.
+// EnginePool returns the shared BFS engine pool of the snapshot's graph
+// version. Every query, screen job and monitor re-screen bound to the
+// snapshot borrows from it, and so does the index repair of the edge
+// mutation that makes the version, so the engines that repair warmed
+// serve the version's queries once it publishes.
 func (e *GraphEntry) EnginePool(snap Snapshot) *tesc.EnginePool {
-	e.poolMu.Lock()
-	defer e.poolMu.Unlock()
-	switch {
-	case e.pool != nil && e.poolVersion == snap.GraphVersion:
-		return e.pool
-	case e.nextPool != nil && e.nextVersion == snap.GraphVersion:
-		return e.nextPool
-	case e.pool == nil || snap.GraphVersion > e.poolVersion:
-		e.pool = snap.Graph.NewEnginePool()
-		e.poolVersion = snap.GraphVersion
-		return e.pool
-	default: // stale snapshot mid-mutation: don't downgrade the cache
-		return snap.Graph.NewEnginePool()
-	}
+	return snap.state.pool
 }
 
 // MutateEdges applies an edge-change batch and publishes the successor
@@ -241,10 +237,12 @@ func (e *GraphEntry) EnginePool(snap Snapshot) *tesc.EnginePool {
 // one) are skipped; applied reports the changes that took effect. When
 // at least one change took effect, refresh — if non-nil — runs between
 // computing the successor and publishing it, with mutations still
-// serialized, so the index cache can migrate its entries before any
-// query can observe the new version; a refresh error aborts the whole
-// mutation before publication (the WAL's log-before-publish hook: an
-// unloggable mutation must never be acknowledged). An entirely
+// serialized, so the index cache can migrate the indexes into the
+// successor's versionState before any query can observe the new
+// version; a refresh error aborts the whole mutation before
+// publication (the WAL's log-before-publish hook: an unloggable
+// mutation must never be acknowledged), and the successor's state dies
+// with it. An entirely
 // ineffective batch publishes nothing and returns the current snapshot
 // unchanged.
 func (e *GraphEntry) MutateEdges(changes []tesc.EdgeChange, refresh func(old, next Snapshot, applied []tesc.EdgeChange) error) (Snapshot, []tesc.EdgeChange, error) {
@@ -263,24 +261,16 @@ func (e *GraphEntry) MutateEdges(changes []tesc.EdgeChange, refresh func(old, ne
 		Store:        old.Store,
 		Epoch:        old.Epoch + 1,
 		GraphVersion: old.GraphVersion + 1,
+		state:        newVersionState(newG),
 	}
-	e.poolMu.Lock()
-	e.nextPool, e.nextVersion = newG.NewEnginePool(), next.GraphVersion
-	e.poolMu.Unlock()
 	if refresh != nil {
 		if err := refresh(old, next, applied); err != nil {
-			e.poolMu.Lock()
-			e.nextPool = nil
-			e.poolMu.Unlock()
 			return Snapshot{}, nil, err
 		}
 	}
 	e.mu.Lock()
 	e.cur = next
 	e.mu.Unlock()
-	e.poolMu.Lock()
-	e.pool, e.poolVersion, e.nextPool = e.nextPool, next.GraphVersion, nil
-	e.poolMu.Unlock()
 	return next, applied, nil
 }
 
@@ -453,7 +443,7 @@ func (r *Registry) Register(name string, g *tesc.Graph) (*GraphEntry, error) {
 		builder: events.NewBuilder(g.NumNodes()),
 		memos:   r.memos,
 	}
-	e.cur = Snapshot{Graph: g, Store: e.builder.Build(), Epoch: 1, GraphVersion: 1}
+	e.cur = Snapshot{Graph: g, Store: e.builder.Build(), Epoch: 1, GraphVersion: 1, state: newVersionState(g)}
 	r.graphs[name] = e
 	return e, nil
 }
@@ -491,7 +481,7 @@ func (r *Registry) RegisterRestored(name string, g *tesc.Graph, store *events.St
 		builder: builder,
 		memos:   r.memos,
 	}
-	e.cur = Snapshot{Graph: g, Store: store, Epoch: epoch, GraphVersion: graphVersion}
+	e.cur = Snapshot{Graph: g, Store: store, Epoch: epoch, GraphVersion: graphVersion, state: newVersionState(g)}
 	r.graphs[name] = e
 	return e, nil
 }

@@ -88,7 +88,7 @@ func (s *Server) replicaSnapshotPart(name string) (replica.SnapshotPart, error) 
 		GraphVersion: cur.GraphVersion,
 		Monitors:     s.monitors.States(name),
 	}
-	for _, idx := range s.cache.IndexesFor(e, cur.GraphVersion) {
+	for _, idx := range s.cache.indexes(cur) {
 		if idx.MaxLevel() > snapshot.MaxVicinityLevels {
 			continue
 		}

@@ -12,7 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"tesc"
+	"tesc/internal/graph"
 	"tesc/internal/replica"
+	"tesc/internal/wal"
 )
 
 // replicaEnv is a primary with a real HTTP listener plus a durable
@@ -262,4 +265,91 @@ func mustJSON(t *testing.T, v any) []byte {
 		t.Fatal(err)
 	}
 	return buf
+}
+
+// TestFollowerPullBetweenFailedFsyncAndRetry: an fsync failure
+// rejects an edge batch whose frame is already whole in the primary's
+// active segment, and a follower's pull lands before the client
+// retries. The retry carries a different batch at the same epoch and
+// is acknowledged right after that pull, inside the follower's sync
+// round. The follower must converge to the retry bit-identically,
+// never having applied the rejected batch.
+func TestFollowerPullBetweenFailedFsyncAndRetry(t *testing.T) {
+	base, err := graph.FromEdges(20, [][2]graph.NodeID{{0, 1}, {1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsys := wal.NewFaultFS()
+	primary, err := newFaultServer(fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := primary.registry.Register("g", tesc.FromInternal(base)); err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.durableAck("g"); err != nil {
+		t.Fatal(err)
+	}
+	apply := func(k int) error {
+		_, err := primary.applyEdges(primary.registry.mustGet(t, "g"), []tesc.EdgeChange{{U: k, V: k + 10, Insert: true}}, true)
+		return err
+	}
+	if err := apply(2); err != nil {
+		t.Fatal(err)
+	}
+
+	folSrv := New(Config{IndexCacheCapacity: 4, DataDir: "data", CheckpointDelay: time.Hour, FS: wal.NewFaultFS(), ReadOnly: true})
+	if _, err := folSrv.LoadData(); err != nil {
+		t.Fatal(err)
+	}
+	src := &afterPullSource{ReplicaSource: ReplicaSource{S: primary}}
+	fol := replica.New(src, folSrv.FollowerState(), nil)
+	pull := func() {
+		t.Helper()
+		if err := fol.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pull()
+	// The follower falls one batch behind, so its next round pulls.
+	if err := apply(3); err != nil {
+		t.Fatal(err)
+	}
+
+	fsys.SetSyncFailAfter(0)
+	if err := apply(4); err == nil {
+		t.Fatal("a batch whose fsync failed was acknowledged")
+	}
+	fsys.SetSyncFailAfter(-1)
+	retried := false
+	src.hook = func() {
+		src.hook = nil
+		if err := apply(5); err != nil {
+			t.Errorf("retry: %v", err)
+		}
+		retried = true
+	}
+	for i := 0; i < 4; i++ {
+		pull()
+	}
+	if !retried {
+		t.Fatal("the follower never pulled between the failed fsync and the retry")
+	}
+	if got, want := replicaStateString(folSrv), replicaStateString(primary); got != want {
+		t.Fatalf("follower diverged from the primary:\nprimary:\n%s\nfollower:\n%s", want, got)
+	}
+}
+
+// afterPullSource runs hook, when set, right after each pull it serves.
+type afterPullSource struct {
+	ReplicaSource
+	hook func()
+}
+
+func (s *afterPullSource) Pull(cur wal.ShipCursor, maxBytes int) (wal.ShipBatch, error) {
+	batch, err := s.ReplicaSource.Pull(cur, maxBytes)
+	if s.hook != nil {
+		s.hook()
+	}
+	return batch, err
 }

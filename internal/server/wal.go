@@ -67,10 +67,10 @@ func (s *Server) applyEdges(e *GraphEntry, changes []tesc.EdgeChange, logIt bool
 	var res edgeMutation
 	snap, applied, err := e.MutateEdges(changes, func(old, next Snapshot, applied []tesc.EdgeChange) error {
 		if logIt {
-			// The append comes first: a mutation that cannot be made
-			// durable must abort before the index cache learns about
-			// the next graph version — a poisoned cache entry for a
-			// version that never publishes would corrupt later reads.
+			// The append comes first so that a mutation that cannot be
+			// made durable aborts before it pays for the index repair;
+			// the repaired indexes would die unused with the aborted
+			// version's state.
 			if err := s.walAppend(&wal.Record{
 				Kind:         wal.KindEdges,
 				Graph:        e.Name(),
@@ -84,7 +84,7 @@ func (s *Server) applyEdges(e *GraphEntry, changes []tesc.EdgeChange, logIt bool
 		flips := internalChanges(applied)
 		var dirty []graph.NodeID
 		var dirtyLevel int
-		res.migrated, res.recomputed, dirty, dirtyLevel = s.cache.Refresh(e, old, next, flips, s.indexWorkers)
+		res.migrated, res.recomputed, dirty, dirtyLevel = s.cache.Refresh(old, next, flips, s.indexWorkers)
 		// Standing queries are notified inside the serialized mutation
 		// path, before the successor snapshot publishes: no re-screen
 		// can bind the new epoch without its invalidation queued. The
@@ -220,11 +220,23 @@ func (s *Server) durableAck(name string) error {
 // stays at the last consistent epoch, other graphs recover fully.
 // Records older than a graph's last KindDrop belong to a previous
 // generation of the name and are never replayed into its successor.
+// Of several records for one (graph, epoch) only the last applies: the
+// server publishes only what it appended successfully and serializes
+// mutations, so an earlier one is a failed append — possibly whole on
+// disk after a failed fsync — that the acknowledged retry superseded.
 func (s *Server) replayWAL(records []wal.Record) {
+	type graphEpoch struct {
+		graph string
+		epoch uint64
+	}
 	lastDrop := make(map[string]int)
+	last := make(map[graphEpoch]int)
 	for i := range records {
-		if records[i].Kind == wal.KindDrop {
-			lastDrop[records[i].Graph] = i
+		switch r := &records[i]; r.Kind {
+		case wal.KindDrop:
+			lastDrop[r.Graph] = i
+		case wal.KindEdges, wal.KindEvents:
+			last[graphEpoch{r.Graph, r.Epoch}] = i
 		}
 	}
 	halted := make(map[string]bool)
@@ -233,7 +245,7 @@ func (s *Server) replayWAL(records []wal.Record) {
 		if r.Kind != wal.KindEdges && r.Kind != wal.KindEvents {
 			continue
 		}
-		if j, dropped := lastDrop[r.Graph]; dropped && i < j {
+		if j, dropped := lastDrop[r.Graph]; (dropped && i < j) || last[graphEpoch{r.Graph, r.Epoch}] != i {
 			continue
 		}
 		if halted[r.Graph] {

@@ -111,9 +111,9 @@ func (l *Log) OldestCursor() ShipCursor {
 	return ShipCursor{Seg: l.active.seq, Off: segHeaderLen}
 }
 
-// EndCursor returns the position one past the last complete appended
-// frame. Bytes a concurrent append is still writing are past it, so
-// shipping up to EndCursor never reads a torn tail.
+// EndCursor returns the position one past the last acknowledged frame.
+// Bytes a concurrent append is still writing, or a failed append left
+// behind, are past it, so shipping up to EndCursor never reads them.
 func (l *Log) EndCursor() ShipCursor {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -125,17 +125,18 @@ func (l *Log) EndCursor() ShipCursor {
 type shipSeg struct {
 	seq    uint64
 	path   string
-	limit  int64 // readable bytes (active: complete appends only; frozen: -1, the whole file)
+	limit  int64 // readable bytes: the acknowledged frames
 	active bool
 }
 
 // Ship reads whole frames starting at cur, up to roughly maxBytes, all
 // from one segment. It is safe to call concurrently with appends,
-// rotation and compaction: the active tail is capped at the last
-// complete append, a torn tail or corrupt frame in a frozen segment
-// skips to the next segment (followers must not see its bytes), and a
-// cursor into a compacted-away segment comes back
-// TooOld rather than as an error.
+// rotation and compaction: every segment is capped at its last
+// acknowledged append, so a follower never sees a frame whose append
+// failed, a torn tail or corrupt frame in a frozen segment skips to
+// the next segment (followers must not see its bytes), and a cursor
+// into a compacted-away segment comes back TooOld rather than as an
+// error.
 func (l *Log) Ship(cur ShipCursor, maxBytes int) (ShipBatch, error) {
 	if maxBytes <= 0 {
 		maxBytes = 1 << 20
@@ -147,7 +148,7 @@ func (l *Log) Ship(cur ShipCursor, maxBytes int) (ShipBatch, error) {
 	}
 	segs := make([]shipSeg, 0, len(l.frozen)+1)
 	for _, m := range l.frozen {
-		segs = append(segs, shipSeg{seq: m.seq, path: m.path, limit: -1})
+		segs = append(segs, shipSeg{seq: m.seq, path: m.path, limit: m.bytes})
 	}
 	segs = append(segs, shipSeg{seq: l.active.seq, path: l.active.path, limit: l.active.bytes, active: true})
 	l.mu.Unlock()
@@ -180,11 +181,9 @@ func (l *Log) Ship(cur ShipCursor, maxBytes int) (ShipBatch, error) {
 			return len(batch.Frames) < maxBytes
 		})
 		// Torn or corrupt bytes (err != nil) end the segment. In the
-		// active segment they can only be a poisoned tail a failed append
-		// left behind (complete appends end before the limit) — stop
-		// there; the next append rotates it away. In a frozen segment
-		// skip to the next one: behind a torn last frame nothing was ever
-		// acknowledged, exactly as Open's recovery scan reads it. Past a
+		// active segment stop there. In a frozen segment skip to the next
+		// one: behind a torn last frame nothing was ever acknowledged,
+		// exactly as Open's recovery scan reads it. Past a
 		// corrupt frame, which ends Open's scan, the follower's epoch gate
 		// meets the hole and re-bootstraps behind a snapshot barrier.
 		if !sg.active && (err != nil || end >= len(data)) {

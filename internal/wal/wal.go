@@ -135,8 +135,11 @@ type Log struct {
 // graph (the compaction coverage test) and whether the boot scan
 // failed to account for all of it (unknown ⇒ never compacted).
 type segmentMeta struct {
-	seq      uint64
-	path     string
+	seq  uint64
+	path string
+	// bytes ends the segment's acknowledged frames: an append counts
+	// only once it returned success, so Ship never serves a failed
+	// append's frame, which may sit complete in the file behind it.
 	bytes    int64
 	records  int
 	maxEpoch map[string]uint64
@@ -410,7 +413,6 @@ func (l *Log) Append(r *Record) error {
 		l.failed = err
 		return err
 	}
-	l.active.bytes += int64(len(frame))
 	l.active.records++
 	l.active.note(r)
 	switch l.policy {
@@ -423,6 +425,7 @@ func (l *Log) Append(r *Record) error {
 	case SyncInterval:
 		l.dirty.Store(true)
 	}
+	l.active.bytes += int64(len(frame))
 	l.appends.Add(1)
 	if l.active.bytes >= l.segBytes {
 		if err := l.rotateLocked(); err != nil {
