@@ -157,10 +157,12 @@ func (s *RejectionSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand
 	e := engine(p, bfs)
 	labels := p.Labels()
 	eventNodes := p.EventNodes()
-	alias, err := sampling.NewAlias(s.Index.Weights(eventNodes, h))
+	sizes := s.Index.Weights(eventNodes, h)
+	alias, err := sampling.NewAlias(sizes)
 	if err != nil {
 		return RefSample{}, fmt.Errorf("tesc: rejection sampler: %w", err)
 	}
+	ball := ballDrawer{e: e, h: h}
 
 	var st SamplerStats
 	st.Population = -1
@@ -170,11 +172,14 @@ func (s *RejectionSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand
 	for len(nodes) < n && st.Draws < maxDraws {
 		st.Draws++
 		// Step 1: v ∝ |V^h_v|.
-		v := eventNodes[alias.Draw(rng)]
+		ev := alias.Draw(rng)
 		// Step 2: u uniform from V^h_v.
-		vic := e.Collect([]graph.NodeID{v}, h)
+		drawn, err := ball.draw(eventNodes[ev], int(sizes[ev]), 1, rng)
+		if err != nil {
+			return RefSample{}, err
+		}
 		st.BFSCount++
-		u := vic[rng.IntN(len(vic))]
+		u := drawn[0]
 		// Step 3: c = |V^h_u ∩ Va∪b|.
 		c := 0
 		for _, w := range e.Collect([]graph.NodeID{u}, h) {
@@ -255,10 +260,12 @@ func (s *ImportanceSampler) SampleReferences(p *Problem, h, n int, rng *rand.Ran
 		batch = 1
 	}
 	eventNodes := p.EventNodes()
-	alias, err := sampling.NewAlias(s.Index.Weights(eventNodes, h))
+	sizes := s.Index.Weights(eventNodes, h)
+	alias, err := sampling.NewAlias(sizes)
 	if err != nil {
 		return RefSample{}, fmt.Errorf("tesc: importance sampler: %w", err)
 	}
+	ball := ballDrawer{e: e, h: h}
 
 	var st SamplerStats
 	st.Population = -1
@@ -268,12 +275,13 @@ func (s *ImportanceSampler) SampleReferences(p *Problem, h, n int, rng *rand.Ran
 	maxDraws := int64(maxDrawFactor)*int64(n) + maxDrawSlack
 	for len(nodes) < n && st.Draws < maxDraws {
 		// Line 4: v ∝ |V^h_v|.
-		v := eventNodes[alias.Draw(rng)]
-		// Line 5: BFS from v, then draw from V^h_v (SampleK copies out of
-		// the engine's buffer).
-		vic := e.Collect([]graph.NodeID{v}, h)
+		ev := alias.Draw(rng)
+		// Line 5: draw from V^h_v, one h-hop BFS in §4.4's accounting.
+		drawn, err := ball.draw(eventNodes[ev], int(sizes[ev]), batch, rng)
+		if err != nil {
+			return RefSample{}, err
+		}
 		st.BFSCount++
-		drawn := sampling.SampleK(vic, batch, rng)
 		for _, r := range drawn {
 			st.Draws++
 			if i, ok := pos[r]; ok {
@@ -292,6 +300,104 @@ func (s *ImportanceSampler) SampleReferences(p *Problem, h, n int, rng *rand.Ran
 		return RefSample{}, ErrTooFewReferences
 	}
 	return RefSample{Nodes: nodes, Freq: freq, Stats: st}, nil
+}
+
+// ---------------------------------------------------------------------
+// Drawing from one event node's vicinity (RejectSamp step 2, Algorithm 2
+// line 5)
+// ---------------------------------------------------------------------
+
+// ballDrawer draws reference nodes from an event node's vicinity V^h_v
+// exactly as sampling.SampleKInPlace(e.Collect({v}, h), 0, k, rng)
+// would: the same rng.IntN calls pick the same positions of the ball in
+// Collect order. It never materializes the ball. The shuffle is sparse,
+// tracking only the slots it touched, and |V^h_v| comes from the
+// vicinity index. Only the drawn positions are resolved: position 0 is v,
+// 1..deg(v) is v's adjacency row, and anything later comes from a BFS
+// prefix that stops at the last drawn position. A draw therefore costs k
+// random numbers and at most one partial traversal, not the whole ball.
+// Its scratch is reused across draws; the returned slice is valid until
+// the next one.
+type ballDrawer struct {
+	e     *graph.BFS
+	h     int
+	slots []ballSlot // the sparse shuffle's touched slots
+	pos   []int      // drawn positions, in draw order
+	out   []graph.NodeID
+}
+
+// ballSlot records that shuffle slot at holds ball position holds.
+type ballSlot struct{ at, holds int }
+
+// draw returns min(k, size) distinct nodes of V^h_v, size = |V^h_v| as
+// the index has it. A size the graph's ball falls short of yields a
+// *BallSizeError.
+func (d *ballDrawer) draw(v graph.NodeID, size, k int, rng *rand.Rand) ([]graph.NodeID, error) {
+	if size < 1 {
+		return nil, d.sizeError(v, size)
+	}
+	k = min(k, size)
+	d.slots, d.pos, d.out = d.slots[:0], d.pos[:0], d.out[:0]
+	last := 0
+	for i := 0; i < k; i++ {
+		// Swap slot i with a uniform slot j >= i, keeping only slot j:
+		// slot i is never read again.
+		sj, si := d.slot(i+rng.IntN(size-i)), d.slot(i)
+		p := d.slots[sj].holds
+		d.slots[sj].holds = d.slots[si].holds
+		d.pos = append(d.pos, p)
+		last = max(last, p)
+	}
+	if nbrs := d.e.Graph().Neighbors(v); last <= len(nbrs) {
+		// With h >= 1 (an index has no level 0), Collect lists v, then
+		// v's whole adjacency row in order.
+		for _, p := range d.pos {
+			if p == 0 {
+				d.out = append(d.out, v)
+			} else {
+				d.out = append(d.out, nbrs[p-1])
+			}
+		}
+		return d.out, nil
+	}
+	ball := d.e.CollectPrefix(v, d.h, last+1)
+	if len(ball) <= last {
+		return nil, d.sizeError(v, size)
+	}
+	for _, p := range d.pos {
+		d.out = append(d.out, ball[p])
+	}
+	return d.out, nil
+}
+
+// slot returns the index in d.slots of shuffle slot i, adding the slot,
+// holding ball position i, on first touch.
+func (d *ballDrawer) slot(i int) int {
+	for k, s := range d.slots {
+		if s.at == i {
+			return k
+		}
+	}
+	d.slots = append(d.slots, ballSlot{i, i})
+	return len(d.slots) - 1
+}
+
+func (d *ballDrawer) sizeError(v graph.NodeID, size int) error {
+	return &BallSizeError{Node: v, H: d.h, Indexed: size, Found: len(d.e.Collect([]graph.NodeID{v}, d.h))}
+}
+
+// BallSizeError reports a vicinity index whose |V^h_v| disagrees with
+// the graph's ball around v, so a draw picked a position the ball does
+// not have. It means the index was built for another graph.
+type BallSizeError struct {
+	Node    graph.NodeID
+	H       int
+	Indexed int // |V^h_v| according to the index
+	Found   int // |V^h_v| according to a traversal of the graph
+}
+
+func (e *BallSizeError) Error() string {
+	return fmt.Sprintf("tesc: vicinity index has |V^%d_%d| = %d, but the graph's ball holds %d nodes", e.H, e.Node, e.Indexed, e.Found)
 }
 
 // ---------------------------------------------------------------------

@@ -221,8 +221,8 @@ func Test(p *Problem, opts Options) (Result, error) {
 		res.Tau = wt.Tau
 		// Significance: t̃ surrogates t (§4.2), so assess it against the
 		// same tie-corrected null distribution over the n distinct
-		// reference nodes.
-		varNum := stats.NumeratorVariance(len(sa), stats.TieSizes(sa), stats.TieSizes(sb))
+		// reference nodes, whose tie groups WeightedTau reports.
+		varNum := stats.NumeratorVariance(len(sa), wt.TiesX, wt.TiesY)
 		res.Z = zFromTau(res.Tau, len(sa), varNum)
 	}
 

@@ -1,8 +1,10 @@
 package graph
 
+import "math"
+
 // BFS is a reusable breadth-first-search engine over a fixed graph.
-// Its one traversal, Collect, is the repository's only h-hop BFS
-// kernel.
+// Its one traversal, Collect (CollectPrefix is Collect stopped early),
+// is the repository's only h-hop BFS kernel.
 //
 // TESC testing performs thousands of h-hop BFS traversals per event pair
 // (one per density evaluation, plus the traversals inside the samplers),
@@ -55,6 +57,22 @@ func (b *BFS) Graph() *Graph { return b.g }
 // traversal/computation kernels (docs/PERFORMANCE.md): callers scan the
 // returned slice with flat array kernels.
 func (b *BFS) Collect(sources []NodeID, h int) []NodeID {
+	return b.collect(sources, h, math.MaxInt)
+}
+
+// CollectPrefix is Collect from the single source src, stopped once the
+// visit buffer holds at least limit nodes: it returns a prefix of
+// Collect([]NodeID{src}, h) that is limit or more nodes long, or the
+// whole vicinity when it is shorter. The limit is tested once per
+// expanded adjacency row, so the prefix may run past limit by up to one
+// row. LevelEnds then describes the prefix only: its last entry may end
+// a level part-way. The samplers use it to resolve a drawn position of
+// V^h_src without visiting the rest of the ball.
+func (b *BFS) CollectPrefix(src NodeID, h, limit int) []NodeID {
+	return b.collect([]NodeID{src}, h, limit)
+}
+
+func (b *BFS) collect(sources []NodeID, h, limit int) []NodeID {
 	vis := b.visited[:0]
 	b.ends = b.ends[:0]
 	if h < 0 {
@@ -74,9 +92,9 @@ func (b *BFS) Collect(sources []NodeID, h int) []NodeID {
 	}
 	b.visited = vis
 	b.ends = append(b.ends, len(vis))
-	for depth, lo := 1, 0; depth <= h; depth++ {
+	for depth, lo := 1, 0; depth <= h && len(b.visited) < limit; depth++ {
 		hi := len(b.visited)
-		b.expand(lo, hi)
+		b.expand(lo, hi, limit)
 		if len(b.visited) == hi {
 			break // level depth is empty: nothing further is reachable
 		}
@@ -87,8 +105,9 @@ func (b *BFS) Collect(sources []NodeID, h int) []NodeID {
 }
 
 // expand appends the unvisited neighbors of visited[lo:hi] — one BFS
-// level — to the visit buffer, stamping them. It is a function of its
-// own so that the level bookkeeping stays out of the hot loop's
+// level — to the visit buffer, stamping them, and stops after the row
+// that brings the buffer to limit nodes or more. It is a function of
+// its own so that the level bookkeeping stays out of the hot loop's
 // registers.
 //
 // The loop is branchless in the visited test: marking is idempotent so
@@ -98,7 +117,7 @@ func (b *BFS) Collect(sources []NodeID, h int) []NodeID {
 // data-dependent branch in overlapping vicinities — exactly what branch
 // predictors can't learn — so trading it for a dead store measurably
 // beats the naive loop.
-func (b *BFS) expand(lo, hi int) {
+func (b *BFS) expand(lo, hi, limit int) {
 	buf := b.visited[:cap(b.visited)]
 	n := len(b.visited)
 	mark, epoch := b.mark, b.epoch
@@ -120,6 +139,9 @@ func (b *BFS) expand(lo, hi int) {
 			mark[u] = epoch
 			buf[n] = u
 			n += inc
+		}
+		if n >= limit {
+			break
 		}
 	}
 	b.visited = buf[:n]

@@ -161,3 +161,54 @@ func TestEnginePool(t *testing.T) {
 	}
 	pool.Put(nil) // tolerated
 }
+
+// checkPrefix asserts CollectPrefix's contract against Collect: a
+// prefix of the full vicinity in the same order, at least limit nodes
+// long unless it is the whole vicinity, and overshooting limit by less
+// than one adjacency row.
+func checkPrefix(t *testing.T, b *BFS, src NodeID, h, limit int) {
+	t.Helper()
+	full := slices.Clone(b.Collect([]NodeID{src}, h))
+	got := b.CollectPrefix(src, h, limit)
+	if len(got) > len(full) || !slices.Equal(got, full[:len(got)]) {
+		t.Fatalf("src=%d h=%d limit=%d: CollectPrefix %v is not a prefix of Collect %v", src, h, limit, got, full)
+	}
+	if len(got) < limit && len(got) != len(full) {
+		t.Fatalf("src=%d h=%d limit=%d: prefix of %d nodes stops short of the %d-node vicinity", src, h, limit, len(got), len(full))
+	}
+	maxDeg := 0
+	for v := range b.Graph().NumNodes() {
+		maxDeg = max(maxDeg, b.Graph().Degree(NodeID(v)))
+	}
+	if over := len(got) - max(limit, 1); over > 0 && over >= maxDeg {
+		t.Fatalf("src=%d h=%d limit=%d: prefix of %d nodes overshoots by a row or more", src, h, limit, len(got))
+	}
+}
+
+// TestCollectPrefix sweeps every limit from 0 to past the vicinity for
+// a spread of sources and depths.
+func TestCollectPrefix(t *testing.T) {
+	g := randomTestGraph(t, 150, 400, 21)
+	b := NewBFS(g)
+	for _, h := range []int{-1, 0, 1, 2, 3} {
+		for v := 0; v < g.NumNodes(); v += 11 {
+			size := len(b.Collect([]NodeID{NodeID(v)}, h))
+			for limit := 0; limit <= size+2; limit++ {
+				checkPrefix(t, b, NodeID(v), h, limit)
+			}
+		}
+	}
+}
+
+// FuzzCollectPrefix checks the prefix contract on random graphs,
+// sources, depths and limits.
+func FuzzCollectPrefix(f *testing.F) {
+	f.Add(uint64(1), uint16(40), uint16(3), uint8(2), uint16(7))
+	f.Add(uint64(9), uint16(200), uint16(0), uint8(3), uint16(1))
+	f.Add(uint64(5), uint16(1), uint16(0), uint8(1), uint16(0))
+	f.Fuzz(func(t *testing.T, seed uint64, n, src uint16, h uint8, limit uint16) {
+		nodes := int(n%300) + 1
+		g := randomTestGraph(t, nodes, 3*nodes, seed)
+		checkPrefix(t, NewBFS(g), NodeID(int(src)%nodes), int(h%5), int(limit%400))
+	})
+}

@@ -2,8 +2,8 @@
 // paper's reference-node samplers: Walker's alias method for the
 // weighted event-node draws of RejectSamp/Importance sampling (step 1:
 // "select a node v ∈ Va∪b with probability |V^h_v|/Nsum"), uniform
-// without-replacement pickers for Whole-graph sampling, and reservoir
-// sampling for drawing from streams of unknown length.
+// without-replacement pickers for Whole-graph sampling, and the partial
+// Fisher–Yates draw of Batch BFS sampling.
 package sampling
 
 import (
@@ -130,7 +130,9 @@ func (u *UniformNoReplace) Next() (int, bool) {
 // mutated (contents are only permuted), so it suits scratch buffers —
 // the Batch BFS sampler runs it directly on its traversal engine's
 // visit buffer, paying O(k) random draws instead of the O(|population|)
-// a non-mutating reservoir costs on vicinity-scale populations.
+// a non-mutating reservoir costs on vicinity-scale populations. The
+// index-based samplers reproduce its draws without materializing the
+// population (core's ballDrawer).
 //
 // Position i of the shuffle depends only on draws 0..i, so a draw can
 // be made in steps: with from > 0 the call assumes population[:from]
@@ -146,26 +148,4 @@ func SampleKInPlace[T any](population []T, from, k int, rng *rand.Rand) []T {
 		population[i], population[j] = population[j], population[i]
 	}
 	return population[:k]
-}
-
-// SampleK returns k distinct elements chosen uniformly from population
-// (fewer when the population is smaller), in random order, without
-// mutating the input.
-func SampleK[T any](population []T, k int, rng *rand.Rand) []T {
-	if k >= len(population) {
-		out := append([]T(nil), population...)
-		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-		return out
-	}
-	// reservoir over the slice: O(len) but allocation-light; fine for the
-	// vicinity-sized populations it is used on.
-	out := make([]T, k)
-	copy(out, population[:k])
-	for i := k; i < len(population); i++ {
-		j := rng.IntN(i + 1)
-		if j < k {
-			out[j] = population[i]
-		}
-	}
-	return out
 }

@@ -111,43 +111,35 @@ func TestUniformNoReplaceUniformity(t *testing.T) {
 	}
 }
 
-func TestSampleK(t *testing.T) {
+func TestSampleKInPlace(t *testing.T) {
 	rng := rand.New(rand.NewPCG(56, 1))
 	pop := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	s := SampleK(pop, 4, rng)
-	if len(s) != 4 {
-		t.Fatalf("len = %d", len(s))
+	s := SampleKInPlace(pop, 0, 4, rng)
+	if len(s) != 4 || &s[0] != &pop[0] {
+		t.Fatalf("got %v, want the population's 4-element prefix", s)
 	}
+	// The population is only permuted: the sample is distinct and the
+	// whole slice still holds every value once.
 	seen := map[int]bool{}
-	for _, v := range s {
-		if seen[v] {
-			t.Fatalf("duplicate %d in sample", v)
+	for _, v := range pop {
+		if seen[v] || v < 0 || v > 9 {
+			t.Fatalf("population %v is not a permutation of 0..9", pop)
 		}
 		seen[v] = true
-		if v < 0 || v > 9 {
-			t.Fatalf("out-of-population value %d", v)
-		}
 	}
-	// k >= len returns a permutation of everything
-	all := SampleK(pop, 20, rng)
-	if len(all) != 10 {
+	// k > len returns the whole (shuffled) population.
+	if all := SampleKInPlace(pop, 0, 20, rng); len(all) != 10 {
 		t.Fatalf("oversized k returned %d items", len(all))
-	}
-	// input must not be mutated
-	for i, v := range pop {
-		if v != i {
-			t.Fatal("SampleK mutated the population")
-		}
 	}
 }
 
-func TestSampleKUniformity(t *testing.T) {
+func TestSampleKInPlaceUniformity(t *testing.T) {
 	rng := rand.New(rand.NewPCG(57, 1))
 	const trials = 30_000
 	counts := make([]int, 6)
 	pop := []int{0, 1, 2, 3, 4, 5}
 	for i := 0; i < trials; i++ {
-		for _, v := range SampleK(pop, 2, rng) {
+		for _, v := range SampleKInPlace(pop, 0, 2, rng) {
 			counts[v]++
 		}
 	}

@@ -340,6 +340,75 @@ func TestFollowerPullBetweenFailedFsyncAndRetry(t *testing.T) {
 	}
 }
 
+// TestFollowerAcrossRebootSkipsRejectedFrame: an fsync failure rejects
+// an edge batch whose frame stays whole at the end of its segment, the
+// retry at the same epoch is acknowledged in the next segment, and the
+// primary reboots. A follower whose cursor still sits before the
+// rejected frame then pulls across the reboot. The boot scan must not
+// ship the rejected frame — the live log never did — or the follower
+// applies it and skips the acknowledged retry as a duplicate.
+func TestFollowerAcrossRebootSkipsRejectedFrame(t *testing.T) {
+	base, err := graph.FromEdges(20, [][2]graph.NodeID{{0, 1}, {1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsys := wal.NewFaultFS()
+	primary, err := newFaultServer(fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := primary.registry.Register("g", tesc.FromInternal(base)); err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.durableAck("g"); err != nil {
+		t.Fatal(err)
+	}
+	apply := func(k int) error {
+		_, err := primary.applyEdges(primary.registry.mustGet(t, "g"), []tesc.EdgeChange{{U: k, V: k + 10, Insert: true}}, true)
+		return err
+	}
+	if err := apply(2); err != nil {
+		t.Fatal(err)
+	}
+
+	folSrv := New(Config{IndexCacheCapacity: 4, DataDir: "data", CheckpointDelay: time.Hour, FS: wal.NewFaultFS(), ReadOnly: true})
+	if _, err := folSrv.LoadData(); err != nil {
+		t.Fatal(err)
+	}
+	src := &ReplicaSource{S: primary}
+	fol := replica.New(src, folSrv.FollowerState(), nil)
+	pull := func() {
+		t.Helper()
+		if err := fol.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pull() // the follower's cursor now ends where the rejected frame will start
+
+	fsys.SetSyncFailAfter(0)
+	if err := apply(3); err == nil {
+		t.Fatal("a batch whose fsync failed was acknowledged")
+	}
+	fsys.SetSyncFailAfter(-1)
+	if err := apply(4); err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	primary.Kill()
+	if primary, err = newFaultServer(fsys); err != nil {
+		t.Fatalf("reboot: %v", err)
+	}
+	src.S = primary
+	for i := 0; i < 4; i++ {
+		pull()
+	}
+	if got, want := replicaStateString(folSrv), replicaStateString(primary); got != want {
+		t.Fatalf("follower diverged from the rebooted primary:\nprimary:\n%s\nfollower:\n%s", want, got)
+	}
+	if !primary.registry.mustGet(t, "g").Snapshot().Graph.Internal().HasEdge(4, 14) {
+		t.Fatal("the rebooted primary lost the acknowledged retry")
+	}
+}
+
 // afterPullSource runs hook, when set, right after each pull it serves.
 type afterPullSource struct {
 	ReplicaSource

@@ -220,23 +220,14 @@ func (s *Server) durableAck(name string) error {
 // stays at the last consistent epoch, other graphs recover fully.
 // Records older than a graph's last KindDrop belong to a previous
 // generation of the name and are never replayed into its successor.
-// Of several records for one (graph, epoch) only the last applies: the
-// server publishes only what it appended successfully and serializes
-// mutations, so an earlier one is a failed append — possibly whole on
-// disk after a failed fsync — that the acknowledged retry superseded.
+// A failed append that the acknowledged retry superseded — possibly
+// whole on disk after a failed fsync — never reaches replay: wal.Open
+// drops it.
 func (s *Server) replayWAL(records []wal.Record) {
-	type graphEpoch struct {
-		graph string
-		epoch uint64
-	}
 	lastDrop := make(map[string]int)
-	last := make(map[graphEpoch]int)
 	for i := range records {
-		switch r := &records[i]; r.Kind {
-		case wal.KindDrop:
+		if r := &records[i]; r.Kind == wal.KindDrop {
 			lastDrop[r.Graph] = i
-		case wal.KindEdges, wal.KindEvents:
-			last[graphEpoch{r.Graph, r.Epoch}] = i
 		}
 	}
 	halted := make(map[string]bool)
@@ -245,7 +236,7 @@ func (s *Server) replayWAL(records []wal.Record) {
 		if r.Kind != wal.KindEdges && r.Kind != wal.KindEvents {
 			continue
 		}
-		if j, dropped := lastDrop[r.Graph]; (dropped && i < j) || last[graphEpoch{r.Graph, r.Epoch}] != i {
+		if j, dropped := lastDrop[r.Graph]; dropped && i < j {
 			continue
 		}
 		if halted[r.Graph] {

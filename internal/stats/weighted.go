@@ -1,6 +1,9 @@
 package stats
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // WeightedTauResult is the outcome of the importance-sampling estimator
 // t̃ (paper Eq. 8): a weighted Kendall τ where each pair (i, j)
@@ -11,6 +14,11 @@ type WeightedTauResult struct {
 	Numerator   float64 // Σ_{i<j} c(i,j)·ωi·ωj
 	Denominator float64 // Σ_{i<j} ωi·ωj
 	Tau         float64 // Numerator / Denominator
+	// TiesX and TiesY are the tie-group sizes of x and y in ascending
+	// value order, singletons included: what TieSizes returns, read off
+	// the sorts the estimator makes anyway, for NumeratorVariance. Nil
+	// when N < 2.
+	TiesX, TiesY []int64
 }
 
 // WeightedTau computes Eq. 8 in O(n log n) with a Fenwick tree over
@@ -19,7 +27,8 @@ type WeightedTauResult struct {
 // processed in ascending (x, y) order, one x-tie-group at a time; for
 // each element, the weight mass of already-processed elements with
 // smaller (resp. larger) y gives its concordant (resp. discordant)
-// contribution.
+// contribution. The x tie groups fall out of that order and the y tie
+// groups out of the argsort that ranks y for the tree.
 func WeightedTau(x, y, omega []float64) WeightedTauResult {
 	n := mustSameLen(x, y)
 	if len(omega) != n {
@@ -51,14 +60,16 @@ func WeightedTau(x, y, omega []float64) WeightedTauResult {
 		return y[ia] < y[ib]
 	})
 
-	ranks, numRanks := compressRanks(y)
-	tree := newFenwick(numRanks)
+	ranks, tiesY := rankTies(y)
+	r.TiesY = tiesY
+	tree := newFenwick(len(tiesY))
 
 	for start := 0; start < n; {
 		end := start
 		for end < n && x[idx[end]] == x[idx[start]] {
 			end++
 		}
+		r.TiesX = append(r.TiesX, int64(end-start))
 		// Query the whole x-group against previously inserted groups.
 		for k := start; k < end; k++ {
 			i := idx[k]
@@ -80,22 +91,37 @@ func WeightedTau(x, y, omega []float64) WeightedTauResult {
 	return r
 }
 
-// compressRanks maps values to dense ranks 1..k preserving order, with
-// equal values sharing a rank.
-func compressRanks(v []float64) (ranks []int, k int) {
-	sorted := append([]float64(nil), v...)
-	sort.Float64s(sorted)
-	uniq := sorted[:0]
-	for i, val := range sorted {
-		if i == 0 || val != uniq[len(uniq)-1] {
-			uniq = append(uniq, val)
+// rankTies maps values to dense ranks 1..k preserving order, with
+// equal values sharing a rank, and returns the size of each rank's tie
+// group (ties[r-1] for rank r). It argsorts (value, index) pairs, which
+// keeps the comparisons on contiguous memory.
+func rankTies(v []float64) (ranks []int, ties []int64) {
+	type entry struct {
+		v float64
+		i int
+	}
+	order := make([]entry, len(v))
+	for i, x := range v {
+		order[i] = entry{x, i}
+	}
+	slices.SortFunc(order, func(a, b entry) int {
+		switch {
+		case a.v < b.v:
+			return -1
+		case a.v > b.v:
+			return 1
 		}
-	}
+		return 0
+	})
 	ranks = make([]int, len(v))
-	for i, val := range v {
-		ranks[i] = sort.SearchFloat64s(uniq, val) + 1
+	for k, e := range order {
+		if k == 0 || e.v != order[k-1].v {
+			ties = append(ties, 0)
+		}
+		ranks[e.i] = len(ties)
+		ties[len(ties)-1]++
 	}
-	return ranks, len(uniq)
+	return ranks, ties
 }
 
 // fenwick is a Fenwick (binary indexed) tree over float64 weights with

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -141,15 +143,105 @@ func TestWeightedTauScaleInvariance(t *testing.T) {
 	}
 }
 
-func TestCompressRanks(t *testing.T) {
-	ranks, k := compressRanks([]float64{3.5, 1.0, 3.5, 2.0})
-	if k != 3 {
-		t.Fatalf("k = %d, want 3", k)
+func TestRankTies(t *testing.T) {
+	ranks, ties := rankTies([]float64{3.5, 1.0, 3.5, 2.0})
+	if want := []int{3, 1, 3, 2}; !slices.Equal(ranks, want) {
+		t.Fatalf("ranks = %v, want %v", ranks, want)
 	}
-	want := []int{3, 1, 3, 2}
-	for i := range want {
-		if ranks[i] != want[i] {
-			t.Fatalf("ranks = %v, want %v", ranks, want)
+	if want := []int64{1, 1, 2}; !slices.Equal(ties, want) {
+		t.Fatalf("ties = %v, want %v", ties, want)
+	}
+}
+
+// oracleWeightedTau is WeightedTau as it stood before it reported its
+// tie groups: compressRanks (a sorted copy plus one binary search per
+// element) ranked y. It is the oracle the current estimator must match
+// bit for bit.
+func oracleWeightedTau(x, y, omega []float64) WeightedTauResult {
+	n := mustSameLen(x, y)
+	var r WeightedTauResult
+	r.N = n
+	if n < 2 {
+		return r
+	}
+	var sum, sumSq float64
+	for _, w := range omega {
+		sum += w
+		sumSq += w * w
+	}
+	r.Denominator = (sum*sum - sumSq) / 2
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		ia, ib := idx[a], idx[b]
+		if x[ia] != x[ib] {
+			return x[ia] < x[ib]
+		}
+		return y[ia] < y[ib]
+	})
+	sorted := append([]float64(nil), y...)
+	sort.Float64s(sorted)
+	uniq := sorted[:0]
+	for i, val := range sorted {
+		if i == 0 || val != uniq[len(uniq)-1] {
+			uniq = append(uniq, val)
+		}
+	}
+	ranks := make([]int, n)
+	for i, val := range y {
+		ranks[i] = sort.SearchFloat64s(uniq, val) + 1
+	}
+	tree := newFenwick(len(uniq))
+	for start := 0; start < n; {
+		end := start
+		for end < n && x[idx[end]] == x[idx[start]] {
+			end++
+		}
+		for k := start; k < end; k++ {
+			i := idx[k]
+			rk := ranks[i]
+			below := tree.prefix(rk - 1)
+			above := tree.total() - tree.prefix(rk)
+			r.Numerator += omega[i] * (below - above)
+		}
+		for k := start; k < end; k++ {
+			tree.add(ranks[idx[k]], omega[idx[k]])
+		}
+		start = end
+	}
+	if r.Denominator > 0 {
+		r.Tau = r.Numerator / r.Denominator
+	}
+	return r
+}
+
+// TestWeightedTauMatchesOracle: over random samples with heavy ties and
+// random ω, τ̃ and its parts are bit-identical to the oracle,
+// the reported tie groups equal TieSizes of each side, and so the
+// variance (hence z and p) a caller derives from them is bit-identical.
+func TestWeightedTauMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(31, 7))
+	for trial := 0; trial < 400; trial++ {
+		n := 2 + rng.IntN(300)
+		levels := 1 + rng.IntN(12) // few distinct values: heavy ties
+		x, y, w := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range x {
+			x[i] = float64(rng.IntN(levels)) / 7
+			y[i] = float64(rng.IntN(levels)) / 3
+			w[i] = rng.ExpFloat64()
+		}
+		got, want := WeightedTau(x, y, w), oracleWeightedTau(x, y, w)
+		if got.N != want.N || got.Numerator != want.Numerator || got.Denominator != want.Denominator || got.Tau != want.Tau {
+			t.Fatalf("trial %d: %+v, oracle %+v", trial, got, want)
+		}
+		tx, ty := TieSizes(x), TieSizes(y)
+		if !slices.Equal(got.TiesX, tx) || !slices.Equal(got.TiesY, ty) {
+			t.Fatalf("trial %d: ties %v / %v, TieSizes %v / %v", trial, got.TiesX, got.TiesY, tx, ty)
+		}
+		if NumeratorVariance(n, got.TiesX, got.TiesY) != NumeratorVariance(n, tx, ty) {
+			t.Fatalf("trial %d: variance differs", trial)
 		}
 	}
 }

@@ -90,7 +90,8 @@ type Options struct {
 // Recovery reports what Open found on disk.
 type Recovery struct {
 	// Records holds every intact record the scan reached, in append
-	// order across segments.
+	// order across segments, less the failed appends a retry
+	// superseded (see dropSuperseded).
 	Records []Record
 	// Segments counts the segment files scanned.
 	Segments int
@@ -173,7 +174,8 @@ func segSeq(name string) (uint64, bool) {
 // acknowledged after it went to later segments. Any other defect stops
 // the scan: everything after a corrupt frame is untrusted. Damaged bytes
 // stay isolated in their now-frozen segment; they are never overwritten
-// and never replayed.
+// and never replayed. A failed append's whole frame that a retry
+// superseded is cut from its segment, as the live log had it.
 func Open(dir string, opts Options) (*Log, *Recovery, error) {
 	fsys := opts.FS
 	if fsys == nil {
@@ -210,6 +212,7 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 	rec := &Recovery{}
 	var maxSeq uint64
 	corrupt := false
+	var tails []segmentTail
 	for _, seq := range seqs {
 		maxSeq = seq
 		meta := &segmentMeta{seq: seq, path: path.Join(dir, segName(seq)), maxEpoch: make(map[string]uint64)}
@@ -221,8 +224,11 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 			continue
 		}
 		rec.Segments++
-		err := scanSegment(fsys, meta, rec)
+		tail, err := scanSegment(fsys, meta, rec)
 		if err == nil {
+			if tail.rec >= 0 {
+				tails = append(tails, tail)
+			}
 			continue
 		}
 		if !rec.Torn {
@@ -240,6 +246,7 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 		meta.unknown = !errors.Is(err, ErrShortFrame)
 		corrupt = meta.unknown
 	}
+	dropSuperseded(rec, tails)
 
 	// A fresh active segment, made durable before any append can be
 	// acknowledged out of it.
@@ -283,22 +290,79 @@ func (l *Log) openActive() error {
 	return nil
 }
 
+// segmentTail locates a scanned segment's last frame: its offset in
+// the segment and its record's index in Recovery.Records (-1: the
+// segment holds no frame).
+type segmentTail struct {
+	meta *segmentMeta
+	off  int64
+	rec  int
+}
+
 // scanSegment decodes one segment's intact records into rec, filling
-// meta's coverage map as it goes. A non-nil error is the defect that
-// ended the segment early.
-func scanSegment(fsys FS, meta *segmentMeta, rec *Recovery) error {
+// meta's coverage map as it goes, and locates its last frame. A non-nil
+// error is the defect that ended the segment early.
+func scanSegment(fsys FS, meta *segmentMeta, rec *Recovery) (segmentTail, error) {
+	tail := segmentTail{meta: meta, rec: -1}
 	data, err := readSegment(fsys, meta.path, -1)
 	if err != nil {
-		return err
+		return tail, err
 	}
 	meta.bytes = int64(len(data))
-	_, err = walkFrames(data, segHeaderLen, func(r *Record, _ []byte) bool {
+	off := int64(segHeaderLen)
+	_, err = walkFrames(data, segHeaderLen, func(r *Record, frame []byte) bool {
+		tail.off, tail.rec = off, len(rec.Records)
+		off += int64(len(frame))
 		rec.Records = append(rec.Records, *r)
 		meta.records++
 		meta.note(r)
 		return true
 	})
-	return err
+	return tail, err
+}
+
+// dropSuperseded removes the frames of failed appends that a retry
+// superseded. A record whose fsync failed can sit whole at the end of
+// its segment, where the live log never counted it (Ship stops before
+// it); the mutation path serializes and publishes only what it appended
+// successfully, so the retry is the graph's next record and repeats the
+// epoch. Such a last frame is cut from the segment's shipped bytes and
+// from the recovered records, so neither replay nor a follower that
+// lags behind it across a reboot sees it. A drop of the graph between
+// the two means a new generation, not a retry.
+func dropSuperseded(rec *Recovery, tails []segmentTail) {
+	drop := make(map[int]bool)
+	for _, t := range tails {
+		if supersededAt(rec.Records, t.rec) {
+			t.meta.bytes = t.off
+			drop[t.rec] = true
+		}
+	}
+	if len(drop) == 0 {
+		return
+	}
+	kept := rec.Records[:0]
+	for i, r := range rec.Records {
+		if !drop[i] {
+			kept = append(kept, r)
+		}
+	}
+	rec.Records = kept
+}
+
+// supersededAt reports whether records[i] is a mutation whose graph's
+// next mutation or drop is a mutation at the same epoch.
+func supersededAt(records []Record, i int) bool {
+	r := &records[i]
+	if !r.mutation() {
+		return false
+	}
+	for j := i + 1; j < len(records); j++ {
+		if next := &records[j]; next.Graph == r.Graph && (next.mutation() || next.Kind == KindDrop) {
+			return next.mutation() && next.Epoch == r.Epoch
+		}
+	}
+	return false
 }
 
 // readSegment reads a segment file, or its first limit bytes when

@@ -211,6 +211,64 @@ func TestFailedFsyncRejectsAppend(t *testing.T) {
 	}
 }
 
+// TestOpenDropsSupersededFrame: a frame whose fsync failed sits whole at
+// the end of its segment. When the graph's next record retries its
+// epoch, the boot scan drops it from the records and from the shipped
+// bytes, as the live log did; with a drop of the graph in between, or
+// with no retry at all, the frame is kept.
+func TestOpenDropsSupersededFrame(t *testing.T) {
+	change := func(u int) EdgeChange { return EdgeChange{U: u, V: u + 1, Insert: true} }
+	for _, c := range []struct {
+		name       string
+		after      []*Record // appended once the fsync works again
+		superseded bool
+	}{
+		{"retry", []*Record{edgesRec("h", 7, 7, change(9)), edgesRec("g", 3, 3, change(5)), edgesRec("g", 4, 4, change(6))}, true},
+		{"drop between", []*Record{{Kind: KindDrop, Graph: "g", Epoch: 2}, edgesRec("g", 3, 3, change(5))}, false},
+		{"no retry", []*Record{edgesRec("h", 3, 3, change(5))}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fsys := NewFaultFS()
+			l, _ := mustOpen(t, fsys, "data", Options{Policy: SyncAlways})
+			acked := edgesRec("g", 2, 2, change(0))
+			if err := l.Append(acked); err != nil {
+				t.Fatal(err)
+			}
+			end := l.EndCursor()
+			rejected := edgesRec("g", 3, 3, change(1))
+			fsys.SetSyncFailAfter(0)
+			if err := l.Append(rejected); err == nil {
+				t.Fatal("Append with a failing fsync succeeded")
+			}
+			fsys.SetSyncFailAfter(-1)
+			for _, r := range c.after {
+				if err := l.Append(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			l.Kill()
+
+			l, rec := mustOpen(t, fsys, "data", Options{})
+			defer l.Close()
+			want := append([]*Record{acked, rejected}, c.after...)
+			if c.superseded {
+				want = append([]*Record{acked}, c.after...)
+			}
+			sameRecords(t, rec.Records, want)
+			batch, err := l.Ship(end, 1<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if shipped := batch.Records == 1; shipped == c.superseded {
+				t.Fatalf("shipped %d records from before the rejected frame, superseded=%v", batch.Records, c.superseded)
+			}
+			if c.superseded && batch.Next != (ShipCursor{Seg: end.Seg + 1, Off: segHeaderLen}) {
+				t.Fatalf("after the capped segment Ship moves to %v, want the next segment", batch.Next)
+			}
+		})
+	}
+}
+
 func TestAppendAfterWriteErrorRotates(t *testing.T) {
 	fsys := NewFaultFS()
 	l, _ := mustOpen(t, fsys, "data", Options{Policy: SyncAlways})

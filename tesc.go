@@ -362,7 +362,12 @@ type Options struct {
 	Alpha float64
 	// Seed makes the run deterministic; 0 selects a fixed default seed,
 	// so identical calls always agree — the property that lets §5-style
-	// experiments be replayed exactly.
+	// experiments be replayed exactly. Results for a given seed are
+	// stable within a release. In this release Method Importance draws
+	// each reference node with one random number instead of a reservoir
+	// pass over the vicinity, so its results for a seed differ from
+	// earlier releases (the same distribution, different nodes); no
+	// other method's results changed.
 	Seed uint64
 	// UseSpearman switches the rank statistic from Kendall's τ (the
 	// paper's measure, §3) to Spearman's ρ, the alternative its §8
