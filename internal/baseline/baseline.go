@@ -34,14 +34,8 @@ func TransactionCorrelation(va, vb *graph.NodeSet) (stats.TauBResult, error) {
 	if va.Universe() != vb.Universe() {
 		return stats.TauBResult{}, fmt.Errorf("baseline: universe mismatch %d vs %d", va.Universe(), vb.Universe())
 	}
-	var n11, n10 int64
-	for _, v := range va.Members() {
-		if vb.Contains(v) {
-			n11++
-		} else {
-			n10++
-		}
-	}
+	n11 := int64(va.IntersectLen(vb))
+	n10 := int64(va.Len()) - n11
 	n01 := int64(vb.Len()) - n11
 	n00 := int64(va.Universe()) - n11 - n10 - n01
 	return stats.BinaryTauB(n11, n10, n01, n00), nil
@@ -74,8 +68,10 @@ func (e HittingTimeEstimator) IterativeTruncated(g *graph.Graph, target *graph.N
 	cur := make([]float64, n)
 	next := make([]float64, n)
 	for k := 1; k <= e.MaxSteps; k++ {
+		members := target.Members() // walked alongside the node scan
 		for v := 0; v < n; v++ {
-			if target.Contains(graph.NodeID(v)) {
+			if len(members) > 0 && members[0] == graph.NodeID(v) {
+				members = members[1:]
 				next[v] = 0
 				continue
 			}

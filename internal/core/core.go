@@ -28,6 +28,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 
 	"tesc/internal/graph"
@@ -56,7 +58,7 @@ type Problem struct {
 
 // Label bits of Problem.Labels: membership of a node in the occurrence
 // sets, packed so the density kernels test all three sets with a single
-// byte load instead of two bitset probes.
+// byte load instead of two set probes.
 const (
 	LabelA     uint8 = 1 << 0 // v ∈ Va
 	LabelB     uint8 = 1 << 1 // v ∈ Vb
@@ -83,21 +85,40 @@ func (p *Problem) Labels() []uint8 {
 
 // SetIntensities attaches per-node intensities to the problem. Every
 // node in Va (resp. Vb) should carry a positive intensity; nodes outside
-// the occurrence set must have intensity 0.
+// the occurrence set must have intensity 0, and a NaN, infinite or
+// negative intensity is rejected anywhere.
 func (p *Problem) SetIntensities(ia, ib []float64) error {
 	n := p.G.NumNodes()
 	if (ia != nil && len(ia) != n) || (ib != nil && len(ib) != n) {
 		return fmt.Errorf("tesc: intensity vectors must have length %d", n)
 	}
-	for v := 0; v < n; v++ {
-		if ia != nil && ia[v] != 0 && !p.Va.Contains(graph.NodeID(v)) {
-			return fmt.Errorf("tesc: intensity A on node %d outside Va", v)
-		}
-		if ib != nil && ib[v] != 0 && !p.Vb.Contains(graph.NodeID(v)) {
-			return fmt.Errorf("tesc: intensity B on node %d outside Vb", v)
-		}
+	if err := checkIntensities("A", ia, p.Va); err != nil {
+		return err
+	}
+	if err := checkIntensities("B", ib, p.Vb); err != nil {
+		return err
 	}
 	p.IntensityA, p.IntensityB = ia, ib
+	return nil
+}
+
+// checkIntensities validates one intensity vector against its
+// occurrence set in a single walk over the nodes and the set's sorted
+// members.
+func checkIntensities(event string, w []float64, set *graph.NodeSet) error {
+	members := set.Members()
+	for v, x := range w {
+		in := len(members) > 0 && members[0] == graph.NodeID(v)
+		if in {
+			members = members[1:]
+		}
+		switch {
+		case math.IsNaN(x) || math.IsInf(x, 0) || x < 0:
+			return fmt.Errorf("tesc: intensity %s on node %d is %g, want a finite non-negative value", event, v, x)
+		case x != 0 && !in:
+			return fmt.Errorf("tesc: intensity %s on node %d outside V%s", event, v, strings.ToLower(event))
+		}
+	}
 	return nil
 }
 
@@ -122,23 +143,6 @@ func NewProblem(g *graph.Graph, va, vb *graph.NodeSet) (*Problem, error) {
 		return nil, ErrNoEventNodes
 	}
 	return &Problem{G: g, Va: va, Vb: vb, Union: va.Union(vb)}, nil
-}
-
-// NewProblemWithUnion is NewProblem with a caller-supplied Va∪b set,
-// for callers that test the same event pair repeatedly while the
-// occurrence sets stay fixed (a standing query re-screening across
-// graph snapshots): the union depends only on Va and Vb, so rebuilding
-// it per snapshot is pure waste. The caller owns the invariant that
-// union == va ∪ vb over the same universe.
-func NewProblemWithUnion(g *graph.Graph, va, vb, union *graph.NodeSet) (*Problem, error) {
-	if va.Universe() != g.NumNodes() || vb.Universe() != g.NumNodes() || union.Universe() != g.NumNodes() {
-		return nil, fmt.Errorf("tesc: occurrence set universe (%d, %d, %d) does not match graph size %d",
-			va.Universe(), vb.Universe(), union.Universe(), g.NumNodes())
-	}
-	if va.Len() == 0 && vb.Len() == 0 {
-		return nil, ErrNoEventNodes
-	}
-	return &Problem{G: g, Va: va, Vb: vb, Union: union}, nil
 }
 
 // MustNewProblem is NewProblem that panics on error, for tests and

@@ -61,8 +61,8 @@ func NewDensityEvaluatorBFS(p *Problem, h int, bfs *graph.BFS) *DensityEvaluator
 // This is the flat fast path: the traversal (BFS.Collect) runs without
 // a per-node callback, and the density accumulation is a branch-light
 // scan of the visited buffer against the problem's packed label array —
-// one byte load per node instead of two bitset probes. It is
-// bit-identical to a per-node bitset kernel over a plain queue BFS (the
+// one byte load per node instead of two set probes. It is
+// bit-identical to a per-node set-probe kernel over a plain queue BFS (the
 // test oracle of TestFlatKernelMatchesReference), because it
 // accumulates in BFS visit order and unit-intensity sums of 1.0 are
 // exact in float64.

@@ -123,10 +123,11 @@ func TestDensityAgainstNaive(t *testing.T) {
 			if d.VicinitySize != len(vic) {
 				t.Fatalf("h=%d v=%d: vicinity size %d != %d", h, v, d.VicinitySize, len(vic))
 			}
-			if d.CountA != va.CountIn(vic) || d.CountB != vb.CountIn(vic) {
+			vs := graph.NewNodeSet(36, vic)
+			if d.CountA != va.IntersectLen(vs) || d.CountB != vb.IntersectLen(vs) {
 				t.Fatalf("h=%d v=%d: counts %+v", h, v, d)
 			}
-			if d.CountUnion != p.Union.CountIn(vic) {
+			if d.CountUnion != p.Union.IntersectLen(vs) {
 				t.Fatalf("h=%d v=%d: union count %d", h, v, d.CountUnion)
 			}
 		}

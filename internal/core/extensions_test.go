@@ -23,6 +23,13 @@ func TestSetIntensitiesValidation(t *testing.T) {
 	if err := p.SetIntensities(bad, nil); err == nil {
 		t.Error("intensity outside Va accepted")
 	}
+	for _, x := range []float64{math.NaN(), math.Inf(1), -1} {
+		w := make([]float64, 6)
+		w[4], w[5] = 1, x // Vb = {4, 5}
+		if err := p.SetIntensities(nil, w); err == nil {
+			t.Errorf("intensity B %g on a member accepted", x)
+		}
+	}
 	ok := make([]float64, 6)
 	ok[0], ok[1] = 2, 5
 	if err := p.SetIntensities(ok, nil); err != nil {

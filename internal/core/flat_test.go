@@ -77,7 +77,7 @@ func queueBFS(g *graph.Graph, r graph.NodeID, h int) []graph.NodeID {
 }
 
 // evalReference is the oracle density kernel: Eq. 2's occurrence
-// counts and intensity sums from per-node bitset probes over queueBFS's
+// counts and intensity sums from per-node set probes over queueBFS's
 // visit order.
 func evalReference(p *Problem, h int, r graph.NodeID) Density {
 	var d Density
@@ -169,8 +169,9 @@ func TestMultiEvaluatorMatchesReference(t *testing.T) {
 				if size != len(vic) {
 					t.Fatalf("node %d: size %d != |vicinity| %d", v, size, len(vic))
 				}
+				vs := graph.NewNodeSet(n, vic)
 				for k, s := range sets {
-					if want := s.CountIn(vic); int(counts[k]) != want {
+					if want := s.IntersectLen(vs); int(counts[k]) != want {
 						t.Fatalf("node %d event %d: count %d != %d", v, k, counts[k], want)
 					}
 				}

@@ -10,7 +10,6 @@ package events
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"tesc/internal/graph"
 )
@@ -27,10 +26,8 @@ type Store struct {
 	epoch  uint64 // builder generation this snapshot was frozen at
 	names  []string
 	byName map[string]int
-	occ    [][]graph.NodeID // event index → sorted occurrence nodes
+	sets   []*graph.NodeSet // event index → occurrence set
 	weight []map[graph.NodeID]float64
-	setsMu sync.Mutex       // guards sets: Set is called from screen workers
-	sets   []*graph.NodeSet // lazily built, nil until first use
 }
 
 // Builder accumulates event occurrences. It is the mutable side of the
@@ -117,7 +114,6 @@ func (b *Builder) Build() *Store {
 		s.names = append(s.names, name)
 	}
 	sort.Strings(s.names)
-	s.occ = make([][]graph.NodeID, len(s.names))
 	s.weight = make([]map[graph.NodeID]float64, len(s.names))
 	s.sets = make([]*graph.NodeSet, len(s.names))
 	for i, name := range s.names {
@@ -128,8 +124,7 @@ func (b *Builder) Build() *Store {
 			nodes = append(nodes, v)
 			w[v] = intensity
 		}
-		sort.Slice(nodes, func(a, c int) bool { return nodes[a] < nodes[c] })
-		s.occ[i] = nodes
+		s.sets[i] = graph.NewNodeSet(b.n, nodes)
 		s.weight[i] = w
 	}
 	return s
@@ -157,7 +152,7 @@ func BuilderFromStore(s *Store) *Builder {
 	b := NewBuilder(s.n)
 	b.epoch = s.epoch
 	for i, name := range s.names {
-		for _, v := range s.occ[i] {
+		for _, v := range s.sets[i].Members() {
 			b.AddWeighted(name, v, s.weight[i][v])
 		}
 	}
@@ -235,25 +230,19 @@ func (s *Store) Occurrences(name string) []graph.NodeID {
 	if !ok {
 		return nil
 	}
-	return s.occ[i]
+	return s.sets[i].Members()
 }
 
 // Count returns |Va| for the event, 0 if unknown.
 func (s *Store) Count(name string) int { return len(s.Occurrences(name)) }
 
 // Set returns the occurrence NodeSet of the event (Va), or an empty set
-// if the event is unknown. Sets are cached after first construction; the
-// cache is synchronized, so Set is safe to call from concurrent
-// screening workers.
+// if the event is unknown. Build makes every event's set, so Set only
+// looks it up and is safe to call from concurrent screening workers.
 func (s *Store) Set(name string) *graph.NodeSet {
 	i, ok := s.byName[name]
 	if !ok {
 		return graph.NewNodeSet(s.n, nil)
-	}
-	s.setsMu.Lock()
-	defer s.setsMu.Unlock()
-	if s.sets[i] == nil {
-		s.sets[i] = graph.NewNodeSet(s.n, s.occ[i])
 	}
 	return s.sets[i]
 }

@@ -1,18 +1,16 @@
 package graph
 
-import "sort"
+import "slices"
 
-// NodeSet is a set of nodes supporting O(1) membership tests via a
-// bitset, plus ordered iteration via a sorted slice. It is the
-// representation used for event occurrence sets (Va, Vb, Va∪b) and for
-// materialized vicinities: density computation needs fast "is this
-// visited node an event node?" tests on every BFS expansion.
-//
-// The bitset is sized to the universe (the graph's node count), so a set
-// over a 20M-node graph costs 2.5 MB regardless of cardinality.
+// NodeSet is a set of nodes over a universe of n nodes, stored as its
+// sorted, deduplicated members. It is the representation used for event
+// occurrence sets (Va, Vb, Va∪b) and for materialized vicinities. Its
+// size and every operation but Complement scale with the members, never
+// with the universe: hot paths test membership through a per-node label
+// array (core.Problem.Labels), so a set is built, merged and
+// intersected, not probed node by node.
 type NodeSet struct {
 	sorted []NodeID
-	bits   []uint64
 	n      int // universe size
 }
 
@@ -20,30 +18,20 @@ type NodeSet struct {
 // members. The input may be unsorted and contain duplicates; out-of-range
 // IDs panic.
 func NewNodeSet(n int, members []NodeID) *NodeSet {
-	s := &NodeSet{
-		bits: make([]uint64, (n+63)/64),
-		n:    n,
-	}
-	for _, v := range members {
+	sorted := slices.Clone(members)
+	for _, v := range sorted {
 		if v < 0 || int(v) >= n {
 			panic("graph: NodeSet member out of range")
 		}
-		w, b := v>>6, uint(v&63)
-		if s.bits[w]&(1<<b) == 0 {
-			s.bits[w] |= 1 << b
-			s.sorted = append(s.sorted, v)
-		}
 	}
-	sort.Slice(s.sorted, func(i, j int) bool { return s.sorted[i] < s.sorted[j] })
-	return s
+	slices.Sort(sorted)
+	return &NodeSet{sorted: slices.Compact(sorted), n: n}
 }
 
-// Contains reports whether v is in the set.
+// Contains reports whether v is in the set, by binary search.
 func (s *NodeSet) Contains(v NodeID) bool {
-	if v < 0 || int(v) >= s.n {
-		return false
-	}
-	return s.bits[v>>6]&(1<<uint(v&63)) != 0
+	_, ok := slices.BinarySearch(s.sorted, v)
+	return ok
 }
 
 // Len returns the cardinality of the set.
@@ -62,27 +50,7 @@ func (s *NodeSet) Union(t *NodeSet) *NodeSet {
 	if s.n != t.n {
 		panic("graph: NodeSet universe mismatch")
 	}
-	out := &NodeSet{bits: make([]uint64, len(s.bits)), n: s.n}
-	for i := range s.bits {
-		out.bits[i] = s.bits[i] | t.bits[i]
-	}
-	out.sorted = mergeSorted(s.sorted, t.sorted)
-	return out
-}
-
-// CountIn returns |s ∩ nodes| for an arbitrary node slice, the primitive
-// behind density evaluation (Eq. 2: |Va ∩ V^h_r|).
-func (s *NodeSet) CountIn(nodes []NodeID) int {
-	c := 0
-	for _, v := range nodes {
-		if s.bits[v>>6]&(1<<uint(v&63)) != 0 {
-			c++
-		}
-	}
-	return c
-}
-
-func mergeSorted(a, b []NodeID) []NodeID {
+	a, b := s.sorted, t.sorted
 	out := make([]NodeID, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -101,16 +69,44 @@ func mergeSorted(a, b []NodeID) []NodeID {
 	}
 	out = append(out, a[i:]...)
 	out = append(out, b[j:]...)
-	return out
+	return &NodeSet{sorted: out, n: s.n}
+}
+
+// IntersectLen returns |s ∩ t| by one merge over both member lists, the
+// primitive behind occurrence overlap (|Va ∩ Vb|) and, against a
+// materialized vicinity, Eq. 2's |Va ∩ V^h_r|. Both sets must share the
+// same universe.
+func (s *NodeSet) IntersectLen(t *NodeSet) int {
+	if s.n != t.n {
+		panic("graph: NodeSet universe mismatch")
+	}
+	a, b := s.sorted, t.sorted
+	c, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			c++
+			i++
+			j++
+		}
+	}
+	return c
 }
 
 // Complement returns the set of universe nodes not in s.
 func (s *NodeSet) Complement() *NodeSet {
-	members := make([]NodeID, 0, s.n-s.Len())
-	for v := 0; v < s.n; v++ {
-		if !s.Contains(NodeID(v)) {
-			members = append(members, NodeID(v))
+	out := make([]NodeID, 0, s.n-len(s.sorted))
+	next := s.sorted
+	for v := NodeID(0); int(v) < s.n; v++ {
+		if len(next) > 0 && next[0] == v {
+			next = next[1:]
+			continue
 		}
+		out = append(out, v)
 	}
-	return NewNodeSet(s.n, members)
+	return &NodeSet{sorted: out, n: s.n}
 }

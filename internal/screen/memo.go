@@ -112,15 +112,15 @@ func (m *densityMemo) eval(r graph.NodeID, multi *core.MultiEvaluator, scratch [
 // the reverse h-ball around changed occurrence nodes covers event
 // mutations) BEFORE the next sweep. Entries that survive invalidation
 // are served as-is, which is what makes the reuse bit-identical rather
-// than approximate. The per-pair caches beside the densities (Va∪b and
-// the reference population) need no invalidation: each is keyed by
-// what it was built from (the store; the graph, store and h).
+// than approximate. The per-pair population cache beside the densities
+// needs no invalidation: it is keyed by what it was built from (the
+// graph, the store and h).
 //
 // Concurrent sweeps may share one memo: density entries are claimed
-// and published per node without locks, the membership, union and
-// population caches sit behind a mutex, and each sweep counts its own
-// hits and traversals. Invalidate and Reset must not overlap any
-// sweep's density evaluation: call them between sweeps, or from the
+// and published per node without locks, the membership and population
+// caches sit behind a mutex, and each sweep counts its own hits and
+// traversals. Invalidate and Reset must not overlap any sweep's
+// density evaluation: call them between sweeps, or from the
 // Progress callback of a single-worker sweep that has the memo to
 // itself (a monitor does both). Sweeps that run together must see the
 // same graph and store (tescd keys its shared memos by snapshot
@@ -139,11 +139,6 @@ type SharedMemo struct {
 	memStore *events.Store
 	mem      *core.EventMembership
 	memBytes int64 // mem's footprint
-
-	// Union cache (same store-keyed lifetime): Va∪b per screened pair,
-	// another O(|V|) build edge deltas cannot have changed.
-	unions     map[[2]string]*graph.NodeSet
-	unionBytes int64 // the cached unions' footprint
 
 	// Population cache: each screened pair's reference population
 	// V^h_{a∪b} in BFS.Collect order. It depends only on the graph, the
@@ -241,7 +236,7 @@ func (m *SharedMemo) settle(key popKey) {
 }
 
 // Bytes returns the memo's retained footprint: the dense count arrays
-// plus the membership, Va∪b and population caches and the rank table
+// plus the membership and population caches and the rank table
 // filled so far. The caches grow as sweeps bind the memo and screen new
 // pairs.
 func (m *SharedMemo) Bytes() int64 {
@@ -251,7 +246,7 @@ func (m *SharedMemo) Bytes() int64 {
 	}
 	m.memMu.Lock()
 	defer m.memMu.Unlock()
-	return denseBytes(len(m.memo.states), m.memo.k) + m.memBytes + m.unionBytes + m.popBytes + ranks
+	return denseBytes(len(m.memo.states), m.memo.k) + m.memBytes + m.popBytes + ranks
 }
 
 // Reset clears every cached density entry, and the rank table with
@@ -301,41 +296,7 @@ func (m *SharedMemo) bind(numNodes int, store *events.Store, pairs [][2]string, 
 	}
 	m.memStore, m.mem = store, mem
 	m.memBytes = int64(numNodes+1+occurrences) * 4 // offsets + event lists
-	// The occurrence sets changed, so the cached unions are stale.
-	m.unions, m.unionBytes = nil, 0
 	return mem, nil
-}
-
-// problemFor builds the pair's test problem, serving Va∪b from the
-// store-keyed union cache (the union is independent of the graph, so
-// edge deltas reuse it as-is).
-func (m *SharedMemo) problemFor(g *graph.Graph, store *events.Store, pair [2]string) (*core.Problem, error) {
-	m.memMu.Lock()
-	if m.memStore != store {
-		m.unions, m.unionBytes = nil, 0
-	}
-	union := m.unions[pair]
-	m.memMu.Unlock()
-	va, vb := store.Set(pair[0]), store.Set(pair[1])
-	if union == nil {
-		p, err := core.NewProblem(g, va, vb)
-		if err != nil {
-			return nil, err
-		}
-		m.memMu.Lock()
-		if m.memStore == store {
-			if m.unions == nil {
-				m.unions = make(map[[2]string]*graph.NodeSet)
-			}
-			if _, ok := m.unions[pair]; !ok {
-				m.unions[pair] = p.Union
-				m.unionBytes += int64((p.Union.Universe()+63)/64*8 + p.Union.Len()*4) // bitset + members
-			}
-		}
-		m.memMu.Unlock()
-		return p, nil
-	}
-	return core.NewProblemWithUnion(g, va, vb, union)
 }
 
 // population returns pair's cached reference population at h on (g,

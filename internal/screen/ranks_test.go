@@ -69,7 +69,7 @@ func checkRankTable(t *testing.T, step string, m *SharedMemo) {
 		t.Fatalf("%s: table footprint %d, want %d", step, tab.bytes, bytes)
 	}
 	m.memMu.Lock()
-	want := denseBytes(len(d.states), d.k) + m.memBytes + m.unionBytes + m.popBytes + bytes
+	want := denseBytes(len(d.states), d.k) + m.memBytes + m.popBytes + bytes
 	m.memMu.Unlock()
 	if got := m.Bytes(); got != want {
 		t.Fatalf("%s: Bytes %d, want %d", step, got, want)

@@ -264,7 +264,7 @@ func prioritize(store *events.Store, queue []planCandidate, pairs []PairResult) 
 	for i := range queue {
 		c, p := &queue[i], &pairs[queue[i].idx]
 		va, vb := store.Set(p.A), store.Set(p.B)
-		c.priority = float64(va.CountIn(vb.Members())) / math.Sqrt(float64(p.OccA)*float64(p.OccB))
+		c.priority = float64(va.IntersectLen(vb)) / math.Sqrt(float64(p.OccA)*float64(p.OccB))
 	}
 	sort.Slice(queue, func(i, j int) bool {
 		if queue[i].priority != queue[j].priority {
@@ -406,15 +406,7 @@ func (w *sweepWorker) sample(pair [2]string, first int, rng *rand.Rand) ([]graph
 	}
 	if !ok {
 		var err error
-		if shared != nil {
-			// Standing queries re-test the same pair across snapshots;
-			// the shared memo caches the pair's Va∪b so only real
-			// occurrence changes rebuild it.
-			p, err = shared.problemFor(w.g, w.store, pair)
-		} else {
-			p, err = core.NewProblem(w.g, w.store.Set(pair[0]), w.store.Set(pair[1]))
-		}
-		if err != nil {
+		if p, err = core.NewProblem(w.g, w.store.Set(pair[0]), w.store.Set(pair[1])); err != nil {
 			return nil, nil, err
 		}
 		pop = w.bfs.Collect(p.EventNodes(), w.cfg.H)

@@ -117,8 +117,8 @@ type retainedMemo struct {
 // screenMemos bounds the screening memos retained across one
 // registry's entries: their total footprint stays under the budget
 // (screen.MemoBudgetBytes), and the least recently used goes first.
-// A memo keeps growing after a job installs it (its union and
-// population caches, its rank table), so the total is re-checked when
+// A memo keeps growing after a job installs it (its population cache,
+// its rank table), so the total is re-checked when
 // a job installs a memo and again when a screen job finishes.
 type screenMemos struct {
 	mu     sync.Mutex

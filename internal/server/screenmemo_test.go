@@ -217,7 +217,7 @@ func TestScreenMemoBudgetEvictsLRU(t *testing.T) {
 }
 
 // TestScreenMemoBudgetTrimsGrowth: a memo grows after a job installs
-// it (unions, populations, its rank table), so a finished job re-checks
+// it (populations, its rank table), so a finished job re-checks
 // the budget. Graph h's memo fits next to g's grown one when its job
 // installs it, then its own job grows it past the budget: g's, the
 // least recently used, must go when that job finishes.
