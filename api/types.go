@@ -467,8 +467,6 @@ type ClusterHealth struct {
 	// forwards that failed (the member answered nothing, not a non-2xx).
 	Proxied     int64 `json:"proxied"`
 	ProxyErrors int64 `json:"proxy_errors"`
-	// Rebalanced counts atomic placement flips (join/handoff).
-	Rebalanced int64 `json:"rebalanced"`
 }
 
 // Health is the body of GET /healthz. On a coordinator only Status,

@@ -1,5 +1,5 @@
 // Command tescbench regenerates the tables and figures of the paper's
-// evaluation section (§5) on the surrogates, and runs the nightly soaks.
+// evaluation section (§5) on the surrogates.
 //
 // Usage:
 //
@@ -11,10 +11,8 @@
 // comparable with the published plots (see README's "Benchmarks"
 // section).
 //
-// The -soak* modes run an in-process tescd for the given duration and
-// assert their invariants every cycle; the nightly job runs them under
-// -race. Performance is measured by cmd/tescperf and the packages'
-// go test -bench benchmarks, not here.
+// Performance is measured by cmd/tescperf and the packages' go test
+// -bench benchmarks, not here.
 package main
 
 import (
@@ -24,7 +22,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"tesc/internal/bench"
 )
@@ -49,12 +46,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		reps       = fs.Int("reps", def.Reps, "repetitions for timing points (paper: 50)")
 		seed       = fs.Uint64("seed", def.Seed, "random seed")
 		workers    = fs.Int("workers", 0, "index-construction workers (0 = GOMAXPROCS)")
-
-		soak         = fs.Duration("soak", 0, "run an in-process tescd soak for this duration: FlipStream mutations against live monitors (built for the nightly -race job)")
-		soakRecover  = fs.Duration("soak-recover", 0, "run a kill-and-recover soak for this duration: a durable tescd is killed mid-stream and rebooted from snapshot+WAL in a loop, verifying epoch continuity each cycle")
-		soakReplica  = fs.Duration("soak-replica", 0, "run a replication soak for this duration: two read replicas follow a churning primary through a faulty transport (drops, corruption, partitions) with crash-restarts, verifying convergence after every heal")
-		soakOverload = fs.Duration("soak-overload", 0, "run an overload soak for this duration: cycles of flood burst + acked mutations + graceful drain + reboot, verifying typed sheds and exact acked-epoch recovery each cycle (built for the nightly -race job)")
-		soakCluster  = fs.Duration("soak-cluster", 0, "run a cluster soak for this duration: a 3-member coordinator (owner + replica each) against a single-node oracle, with owner kills, replica-served reads, typed no_owner sheds, and snapshot+WAL rejoin each cycle; every read must be byte-equivalent to the oracle (built for the nightly -race job)")
 	)
 	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
 		return 0
@@ -67,21 +58,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintln(stderr, "tescbench:", err)
 		return 1
-	}
-
-	for _, s := range []struct {
-		d   time.Duration
-		run func(time.Duration, uint64, io.Writer) error
-	}{
-		{*soak, runSoak},
-		{*soakRecover, runSoakRecover},
-		{*soakReplica, runSoakReplica},
-		{*soakOverload, runSoakOverload},
-		{*soakCluster, runSoakCluster},
-	} {
-		if s.d > 0 {
-			return exitCode(s.run(s.d, *seed, stdout))
-		}
 	}
 
 	cfg := bench.Config{

@@ -72,7 +72,6 @@ type Coordinator struct {
 
 	proxied     atomic.Int64
 	proxyErrors atomic.Int64
-	rebalanced  atomic.Int64
 }
 
 // NewCoordinator builds a coordinator over the topology.
@@ -220,47 +219,6 @@ func (c *Coordinator) memberByName(name string) *member {
 	return nil
 }
 
-// ReplaceOwner atomically flips a member's owner endpoint to newURL —
-// the last step of the join/handoff protocol, after the node at newURL
-// has caught up (Follower.CatchUp) and been promoted. The endpoint
-// starts healthy; the next probe sweep confirms.
-func (c *Coordinator) ReplaceOwner(memberName, newURL string) error {
-	newURL = strings.TrimRight(newURL, "/")
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, m := range c.members {
-		if m.name != memberName {
-			continue
-		}
-		m.endpoints[0] = c.newEndpoint(newURL, "owner")
-		c.rebalanced.Add(1)
-		c.logf("cluster: member %s owner -> %s", memberName, newURL)
-		return nil
-	}
-	return fmt.Errorf("cluster: no member %q", memberName)
-}
-
-// ReplaceReplicas atomically swaps a member's replica endpoints — the
-// companion to ReplaceOwner when a member's replica tier is rebuilt to
-// follow a new owner.
-func (c *Coordinator) ReplaceReplicas(memberName string, urls ...string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, m := range c.members {
-		if m.name != memberName {
-			continue
-		}
-		eps := m.endpoints[:1:1]
-		for _, u := range urls {
-			eps = append(eps, c.newEndpoint(strings.TrimRight(u, "/"), "replica"))
-		}
-		m.endpoints = eps
-		c.logf("cluster: member %s replicas -> %v", memberName, urls)
-		return nil
-	}
-	return fmt.Errorf("cluster: no member %q", memberName)
-}
-
 // readEndpoint picks the first routable endpoint for reads: the owner
 // when healthy, else the first healthy replica within the lag bound.
 func (c *Coordinator) readEndpoint(m *member) *endpoint {
@@ -296,6 +254,18 @@ func (c *Coordinator) writeEndpoint(m *member) *endpoint {
 // member answered at all (any HTTP status counts; a transport error
 // does not).
 func (c *Coordinator) forward(w http.ResponseWriter, r *http.Request, ep *endpoint, body io.Reader) bool {
+	resp, ok := c.send(r, ep, body)
+	if !ok {
+		return false
+	}
+	defer resp.Body.Close()
+	relay(w, resp)
+	return true
+}
+
+// send replays the incoming request against ep, returning the member's
+// response, or false on a transport error.
+func (c *Coordinator) send(r *http.Request, ep *endpoint, body io.Reader) (*http.Response, bool) {
 	pathAndQuery := r.URL.Path
 	if r.URL.RawQuery != "" {
 		pathAndQuery += "?" + r.URL.RawQuery
@@ -304,17 +274,20 @@ func (c *Coordinator) forward(w http.ResponseWriter, r *http.Request, ep *endpoi
 	if err != nil {
 		c.proxyErrors.Add(1)
 		c.logf("cluster: proxy %s %s -> %s: %v", r.Method, r.URL.Path, ep.url, err)
-		return false
+		return nil, false
 	}
-	defer resp.Body.Close()
 	c.proxied.Add(1)
+	return resp, true
+}
+
+// relay streams a member's response back verbatim.
+func relay(w http.ResponseWriter, resp *http.Response) {
 	h := w.Header()
 	for k, vs := range resp.Header {
 		h[k] = vs
 	}
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
-	return true
 }
 
 // proxyRead forwards a read to the member's eligible endpoints in
@@ -510,11 +483,11 @@ func (c *Coordinator) handlePerGraph(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// proxyScreen forwards a screen request to the owner and rewrites the
-// accepted job ID from "job-3" to "job-3@0.member": the suffix names
-// the endpoint the job lives on, so polls route back to it. IDs are
-// documented opaque; a single node returns bare IDs, a coordinator
-// suffixed ones.
+// proxyScreen forwards a screen request to the owner byte-transparently
+// and rewrites the accepted job ID from "job-3" to "job-3@0.member": the
+// suffix names the endpoint the job lives on, so polls route back to
+// it. IDs are documented opaque; a single node returns bare IDs, a
+// coordinator suffixed ones. Any other answer streams back verbatim.
 func (c *Coordinator) proxyScreen(w http.ResponseWriter, r *http.Request, m *member, body []byte) {
 	ep := c.writeEndpoint(m)
 	if ep == nil {
@@ -522,20 +495,23 @@ func (c *Coordinator) proxyScreen(w http.ResponseWriter, r *http.Request, m *mem
 			"member %s (owner of this graph) is not routable", m.name)
 		return
 	}
-	acc, err := ep.cl.Screen(r.Context(), r.PathValue("name"), decodeScreen(body))
-	if err != nil {
-		c.answerClientErr(w, err)
+	resp, ok := c.send(r, ep, bytes.NewReader(body))
+	if !ok {
+		writeRetryable(w, time.Second, api.CodeUnavailable, "member %s owner did not answer", m.name)
 		return
 	}
-	c.proxied.Add(1)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		relay(w, resp)
+		return
+	}
+	var acc api.ScreenAccepted
+	if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil {
+		writeRetryable(w, time.Second, api.CodeUnavailable, "member %s: decoding screen reply: %v", m.name, err)
+		return
+	}
 	acc.JobID = fmt.Sprintf("%s@0.%s", acc.JobID, m.name)
 	writeJSON(w, http.StatusAccepted, acc)
-}
-
-func decodeScreen(body []byte) api.ScreenRequest {
-	var req api.ScreenRequest
-	_ = json.Unmarshal(body, &req) // malformed bodies fail on the node with its typed 400
-	return req
 }
 
 // answerClientErr relays a typed client error as the envelope it
@@ -677,7 +653,6 @@ func (c *Coordinator) clusterHealth() *api.ClusterHealth {
 		Graphs:      len(c.graphs),
 		Proxied:     c.proxied.Load(),
 		ProxyErrors: c.proxyErrors.Load(),
-		Rebalanced:  c.rebalanced.Load(),
 	}
 	for _, m := range c.members {
 		mh := api.ClusterMemberHealth{Name: m.name, Graphs: perMember[m.name]}

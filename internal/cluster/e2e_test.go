@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -24,9 +26,10 @@ type clusterNode struct {
 	dir string
 }
 
-func newClusterNode(t *testing.T, readOnly bool) *clusterNode {
+// newClusterNode boots a node over the data directory dir, replaying
+// whatever it holds.
+func newClusterNode(t *testing.T, dir string, readOnly bool) *clusterNode {
 	t.Helper()
-	dir := t.TempDir()
 	srv := server.New(server.Config{
 		IndexCacheCapacity: 4,
 		DataDir:            dir,
@@ -53,29 +56,39 @@ type clusterMember struct {
 
 func newClusterMember(t *testing.T, name string) *clusterMember {
 	t.Helper()
-	owner := newClusterNode(t, false)
-	rep := newClusterNode(t, true)
+	owner := newClusterNode(t, t.TempDir(), false)
+	rep := newClusterNode(t, t.TempDir(), true)
 	fol := replica.New(&replica.HTTPTransport{Base: owner.ts.URL}, rep.srv.FollowerState(), nil)
 	rep.srv.AttachFollower(fol)
 	return &clusterMember{name: name, owner: owner, replica: rep, fol: fol}
 }
 
+// converge syncs the member's replica until a round ends with zero lag.
 func (m *clusterMember) converge(t *testing.T) {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := m.fol.CatchUp(ctx, time.Millisecond); err != nil {
-		t.Fatalf("member %s replica catch-up: %v", m.name, err)
+	var err error
+	for round := 0; round < 100; round++ {
+		if err = m.fol.Sync(); err == nil && m.fol.Metrics().LagEpochs == 0 {
+			return
+		}
 	}
+	t.Fatalf("member %s replica did not catch up in 100 rounds (last sync: %v, lag %d)", m.name, err, m.fol.Metrics().LagEpochs)
 }
+
+// rawBody is a request body sent as is, not JSON-encoded.
+type rawBody string
 
 // doRaw issues a request and returns the status plus the raw body —
 // raw, because the e2e contract is byte-level response equivalence.
 func doRaw(t *testing.T, method, url string, body any) (int, []byte) {
 	t.Helper()
 	var rd io.Reader
-	if body != nil {
-		buf, err := json.Marshal(body)
+	switch b := body.(type) {
+	case nil:
+	case rawBody:
+		rd = strings.NewReader(string(b))
+	default:
+		buf, err := json.Marshal(b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,50 +170,73 @@ const nGraphs = 32
 
 func graphName(i int) string { return fmt.Sprintf("g%02d", i) }
 
-// edgeList builds a deterministic per-graph topology: a ring with
-// index-dependent chords, so graphs differ from each other.
-func edgeList(i int) string {
-	n := 10 + i%5
+// edgeList builds a small per-graph topology: a ring of n nodes with
+// two random chords, so graphs differ from each other.
+func edgeList(n int, rng *rand.Rand) string {
 	var b bytes.Buffer
 	for v := 0; v < n; v++ {
 		fmt.Fprintf(&b, "%d %d\n", v, (v+1)%n)
 	}
-	fmt.Fprintf(&b, "0 %d\n", 2+i%4)
-	fmt.Fprintf(&b, "1 %d\n", 4+i%3)
+	fmt.Fprintf(&b, "0 %d\n", 2+rng.IntN(n-3))
+	fmt.Fprintf(&b, "1 %d\n", 3+rng.IntN(n-4))
 	return b.String()
 }
 
-func eventsFor(i int) map[string][]int {
-	n := 10 + i%5
-	return map[string][]int{
-		"a": {0, 1, 2 + i%3},
-		"b": {n - 1, n - 2, n - 3},
+// randomEdge draws an edge between two distinct nodes of an n-node graph.
+func randomEdge(n int, rng *rand.Rand) [2]int {
+	u, v := rng.IntN(n), rng.IntN(n-1)
+	if v >= u {
+		v++
 	}
+	return [2]int{u, v}
 }
 
-// TestClusterEndToEnd is the acceptance e2e: 32 graphs through a
-// 3-member coordinator, every response byte-equivalent to a single
-// node holding all of them; an owner dies and reads keep answering
-// from its replica; a fresh node rejoins via the snapshot+WAL handoff
-// and is flipped in as the new owner.
-func TestClusterEndToEnd(t *testing.T) {
-	members := []*clusterMember{
-		newClusterMember(t, "n1"),
-		newClusterMember(t, "n2"),
-		newClusterMember(t, "n3"),
+// TestClusterEndToEnd runs the cluster cycle once at a fixed seed.
+func TestClusterEndToEnd(t *testing.T) { clusterCycle(t, 1) }
+
+// FuzzClusterCycle runs one cluster cycle per seed. The seed fixes the
+// graphs, the events, every mutation and query seed, and which member
+// loses its owner, so a failing seed replays its schedule exactly.
+func FuzzClusterCycle(f *testing.F) {
+	f.Add(uint64(19))
+	f.Fuzz(clusterCycle)
+}
+
+// clusterCycle is the cluster's acceptance scenario: 32 graphs through
+// a 3-member coordinator, every response byte-equivalent to a single
+// node holding all of them; one member's owner dies, reads keep
+// answering from its replica and mutations shed the typed no_owner;
+// then the replica is restarted as the member's owner and a
+// coordinator naming it takes writes for the member again.
+func clusterCycle(t *testing.T, seed uint64) {
+	rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
+	memberNames := []string{"n1", "n2", "n3"}
+	members := make(map[string]*clusterMember, len(memberNames))
+	for _, name := range memberNames {
+		members[name] = newClusterMember(t, name)
 	}
-	top := Topology{}
-	for _, m := range members {
-		top.Members = append(top.Members, Member{
-			Name: m.name, URL: m.owner.ts.URL, Replicas: []string{m.replica.ts.URL},
-		})
+	topology := func() Topology {
+		var top Topology
+		for _, name := range memberNames {
+			m := members[name]
+			mem := Member{Name: name, URL: m.owner.ts.URL}
+			if m.replica != nil {
+				mem.Replicas = []string{m.replica.ts.URL}
+			}
+			top.Members = append(top.Members, mem)
+		}
+		return top
 	}
-	coord, err := NewCoordinator(Config{Topology: top, FailThreshold: 1, ProbeInterval: 500 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+	startCoordinator := func() (*Coordinator, *httptest.Server) {
+		coord, err := NewCoordinator(Config{Topology: topology(), FailThreshold: 1, ProbeInterval: 500 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cts := httptest.NewServer(coord.Handler())
+		t.Cleanup(cts.Close)
+		return coord, cts
 	}
-	cts := httptest.NewServer(coord.Handler())
-	t.Cleanup(cts.Close)
+	coord, cts := startCoordinator()
 
 	oracle := server.New(server.Config{IndexCacheCapacity: 64})
 	ots := httptest.NewServer(oracle.Handler())
@@ -210,16 +246,21 @@ func TestClusterEndToEnd(t *testing.T) {
 
 	// Register, populate and mutate every graph through the
 	// coordinator and the oracle in lockstep, comparing each response.
-	for i := 0; i < nGraphs; i++ {
-		g := graphName(i)
+	sizes := make([]int, nGraphs)
+	for i := range sizes {
+		g, n := graphName(i), 10+rng.IntN(6)
+		sizes[i] = n
 		sameAs(t, "POST", "/v1/graphs",
-			api.RegisterGraphRequest{Name: g, EdgeList: edgeList(i)},
+			api.RegisterGraphRequest{Name: g, EdgeList: edgeList(n, rng)},
 			cts.URL, ots.URL, http.StatusCreated)
 		sameAs(t, "POST", "/v1/graphs/"+g+"/events",
-			api.RegisterEventsRequest{Events: eventsFor(i)},
+			api.RegisterEventsRequest{Events: map[string][]int{
+				"a": {0, 1, 2 + rng.IntN(n-3)},
+				"b": {n - 1, n - 2, rng.IntN(n)},
+			}},
 			cts.URL, ots.URL, http.StatusOK)
 		sameAs(t, "POST", "/v1/graphs/"+g+"/edges",
-			api.MutateEdgesRequest{Insert: [][2]int{{0, 5}, {1, 6}}},
+			api.MutateEdgesRequest{Insert: [][2]int{randomEdge(n, rng), randomEdge(n, rng)}},
 			cts.URL, ots.URL, http.StatusOK)
 	}
 
@@ -245,25 +286,27 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 
 	// Every read answers byte-identically to the oracle.
-	correlate := func(i int) (string, any) {
-		return "/v1/graphs/" + graphName(i) + "/correlate", api.CorrelateRequest{
-			A: "a", B: "b", H: 2, SampleSize: 64, Seed: 42,
+	correlateSeed := rng.Uint64()
+	readSweep := func(url string) {
+		t.Helper()
+		for i := 0; i < nGraphs; i++ {
+			g := graphName(i)
+			sameAs(t, "GET", "/v1/graphs/"+g, nil, url, ots.URL, http.StatusOK)
+			sameAs(t, "POST", "/v1/graphs/"+g+"/correlate",
+				api.CorrelateRequest{A: "a", B: "b", H: 2, SampleSize: 64, Seed: correlateSeed},
+				url, ots.URL, http.StatusOK)
 		}
+		// The merged graph list equals the oracle's (both sorted by name).
+		sameAs(t, "GET", "/v1/graphs", nil, url, ots.URL, http.StatusOK)
 	}
-	for i := 0; i < nGraphs; i++ {
-		g := graphName(i)
-		sameAs(t, "GET", "/v1/graphs/"+g, nil, cts.URL, ots.URL, http.StatusOK)
-		p, body := correlate(i)
-		sameAs(t, "POST", p, body, cts.URL, ots.URL, http.StatusOK)
-	}
-	// The merged graph list equals the oracle's (both sorted by name).
-	sameAs(t, "GET", "/v1/graphs", nil, cts.URL, ots.URL, http.StatusOK)
+	readSweep(cts.URL)
 
 	// Screening routes by job-ID suffix: the 202 carries the member
 	// coordinates, polls route back, and the result matches the oracle.
+	screened := graphName(rng.IntN(nGraphs))
 	ccl, ocl := client.New(cts.URL), client.New(ots.URL)
-	screenReq := api.ScreenRequest{H: 2, SampleSize: 64, Seed: 7, Workers: 1}
-	acc, err := ccl.Screen(ctx, "g00", screenReq)
+	screenReq := api.ScreenRequest{H: 2, SampleSize: 64, Seed: rng.Uint64(), Workers: 1}
+	acc, err := ccl.Screen(ctx, screened, screenReq)
 	if err != nil {
 		t.Fatalf("cluster screen: %v", err)
 	}
@@ -277,7 +320,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	if cJob.ID != acc.JobID || cJob.Status != api.JobDone {
 		t.Fatalf("cluster job = %+v", cJob)
 	}
-	oAcc, err := ocl.Screen(ctx, "g00", screenReq)
+	oAcc, err := ocl.Screen(ctx, screened, screenReq)
 	if err != nil {
 		t.Fatalf("oracle screen: %v", err)
 	}
@@ -290,80 +333,72 @@ func TestClusterEndToEnd(t *testing.T) {
 	if !bytes.Equal(cRes, oRes) {
 		t.Fatalf("screen result diverged:\ncluster: %s\noracle:  %s", cRes, oRes)
 	}
+	// A screen body the node rejects is rejected identically through
+	// the coordinator: an unknown field and a body that is not JSON.
+	for _, bad := range []any{map[string]any{"h": 1, "topk": 5}, rawBody("h=1")} {
+		sameAs(t, "POST", "/v1/graphs/"+screened+"/screen", bad, cts.URL, ots.URL, http.StatusBadRequest)
+	}
 
 	// Converge every replica, then kill one owner.
 	for _, m := range members {
 		m.converge(t)
 	}
-	victimName := rendezvousOwner([]string{"n1", "n2", "n3"}, "g00")
-	var victim *clusterMember
-	for _, m := range members {
-		if m.name == victimName {
-			victim = m
-		}
-	}
+	victim := members[memberNames[rng.IntN(len(memberNames))]]
 	victim.owner.ts.Close()
 	coord.ProbeNow(ctx)
 
 	// Reads on the victim's graphs keep answering — from the replica —
 	// still byte-equivalent to the oracle.
-	sameAs(t, "GET", "/v1/graphs/g00", nil, cts.URL, ots.URL, http.StatusOK)
-	p, body := correlate(0)
-	sameAs(t, "POST", p, body, cts.URL, ots.URL, http.StatusOK)
+	readSweep(cts.URL)
 
-	// Mutations answer the typed no_owner shed.
-	code, raw = doRaw(t, "POST", cts.URL+"/v1/graphs/g00/edges", api.MutateEdgesRequest{Insert: [][2]int{{2, 7}}})
-	var e api.Error
-	if err := json.Unmarshal(raw, &e); err != nil || code != api.StatusOf(api.CodeNoOwner) || e.Code != api.CodeNoOwner || !e.Retryable() || e.RetryAfterMS == 0 {
-		t.Fatalf("mutation without owner: %d %s", code, raw)
+	// Mutations on the victim's graphs answer the typed no_owner shed;
+	// mutations elsewhere keep working, equal to the oracle.
+	for i := 0; i < nGraphs; i++ {
+		g := graphName(i)
+		mut := api.MutateEdgesRequest{Insert: [][2]int{randomEdge(sizes[i], rng)}}
+		if rendezvousOwner(memberNames, g) != victim.name {
+			sameAs(t, "POST", "/v1/graphs/"+g+"/edges", mut, cts.URL, ots.URL, http.StatusOK)
+			continue
+		}
+		code, raw := doRaw(t, "POST", cts.URL+"/v1/graphs/"+g+"/edges", mut)
+		var e api.Error
+		if err := json.Unmarshal(raw, &e); err != nil || code != api.StatusOf(api.CodeNoOwner) || e.Code != api.CodeNoOwner || !e.Retryable() || e.RetryAfterMS == 0 {
+			t.Fatalf("mutation of %s without owner: %d %s", g, code, raw)
+		}
 	}
 
-	// Rejoin: a fresh read-only node bootstraps from the surviving
-	// replica through the replication primitives (snapshot image + WAL
-	// tail), catches up, is promoted, and the coordinator flips the
-	// placement atomically.
-	fresh := newClusterNode(t, true)
-	fol := replica.New(server.ReplicaSource{S: victim.replica.srv}, fresh.srv.FollowerState(), nil)
-	fresh.srv.AttachFollower(fol)
-	cuCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	if err := fol.CatchUp(cuCtx, time.Millisecond); err != nil {
-		t.Fatalf("rejoin catch-up: %v", err)
-	}
-	cancel()
-	fresh.srv.Promote()
-	if err := coord.ReplaceOwner(victimName, fresh.ts.URL); err != nil {
-		t.Fatal(err)
-	}
+	// Rejoin by restart: the victim's durable replica is closed and
+	// rebooted from its own data directory without ReadOnly, so it comes
+	// back at the dead owner's epochs as a writable node. A coordinator
+	// whose topology names it as the member's owner routes the member's
+	// graphs to it: placement depends only on member names.
+	victim.replica.ts.Close()
+	victim.replica.srv.Close()
+	victim.owner, victim.replica = newClusterNode(t, victim.replica.dir, false), nil
+	cts.Close()
+	coord, cts = startCoordinator()
 	coord.ProbeNow(ctx)
 
 	// The member takes writes again, and the full read sweep is still
 	// byte-equivalent to the oracle.
-	sameAs(t, "POST", "/v1/graphs/g00/edges",
-		api.MutateEdgesRequest{Insert: [][2]int{{2, 7}}},
-		cts.URL, ots.URL, http.StatusOK)
 	for i := 0; i < nGraphs; i++ {
-		g := graphName(i)
-		sameAs(t, "GET", "/v1/graphs/"+g, nil, cts.URL, ots.URL, http.StatusOK)
-		p, body := correlate(i)
-		sameAs(t, "POST", p, body, cts.URL, ots.URL, http.StatusOK)
+		if g := graphName(i); rendezvousOwner(memberNames, g) == victim.name {
+			sameAs(t, "POST", "/v1/graphs/"+g+"/edges",
+				api.MutateEdgesRequest{Insert: [][2]int{randomEdge(sizes[i], rng)}},
+				cts.URL, ots.URL, http.StatusOK)
+		}
 	}
+	readSweep(cts.URL)
 
-	// The flip is accounted, and the victim's owner endpoint is the
-	// fresh node.
+	// The victim's owner endpoint is the restarted node, healthy.
 	_, raw = doRaw(t, "GET", cts.URL+"/healthz", nil)
 	var h2 api.Health
 	if err := json.Unmarshal(raw, &h2); err != nil || h2.Cluster == nil {
-		t.Fatalf("healthz after flip: %v", err)
-	}
-	if h2.Cluster.Rebalanced != 1 {
-		t.Fatalf("rebalanced = %d, want 1", h2.Cluster.Rebalanced)
+		t.Fatalf("healthz after rejoin: %v", err)
 	}
 	for _, mh := range h2.Cluster.Members {
-		if mh.Name != victimName {
-			continue
-		}
-		if mh.Endpoints[0].URL != fresh.ts.URL || !mh.Endpoints[0].Healthy {
-			t.Fatalf("victim owner endpoint after flip = %+v", mh.Endpoints[0])
+		if mh.Name == victim.name && (mh.Endpoints[0].URL != victim.owner.ts.URL || !mh.Endpoints[0].Healthy) {
+			t.Fatalf("victim owner endpoint after rejoin = %+v", mh.Endpoints[0])
 		}
 	}
 }

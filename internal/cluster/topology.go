@@ -6,11 +6,11 @@
 // coordinator from a node — and does no graph computation of its own:
 // per the specialized-path argument, the compute tier is the nodes.
 //
-// State transfer (node join, owner replacement) reuses the replication
-// primitives verbatim: the joining node pulls a snapshot image and the
-// WAL tail through internal/replica, blocks on Follower.CatchUp, is
-// promoted out of read-only mode, and the coordinator then flips
-// placement atomically. See docs/CLUSTER.md.
+// Owner replacement reuses the replication primitives verbatim: a
+// durable replica that followed the owner is restarted without
+// read-only mode on its own data directory, and a coordinator started
+// with a topology naming it as the member's owner routes to it, since
+// placement depends only on member names. See docs/CLUSTER.md.
 package cluster
 
 import (

@@ -9,6 +9,7 @@ import (
 
 	"tesc/internal/graph"
 	"tesc/internal/graphgen"
+	"tesc/internal/vicinity"
 )
 
 func bigProblem(t *testing.T) *Problem {
@@ -66,6 +67,44 @@ func TestTestDeadlineExceeded(t *testing.T) {
 	_, err := Test(p, opts)
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrCanceled wrapping DeadlineExceeded", err)
+	}
+}
+
+// The importance and rejection draw loops honor the deadline: with a
+// sample size far past the 2000-node population they would run up to
+// 50·n draws, but a 50 ms deadline stops them within a second.
+func TestSamplerDrawLoopHonorsDeadline(t *testing.T) {
+	g := graphgen.PlantedPartition(graphgen.PlantedPartitionConfig{
+		Communities: 4, Size: 500, DegreeIn: 6, DegreeOut: 0.5,
+	}, rand.New(rand.NewPCG(1, 0xdb19)))
+	occ := func(lo int) *graph.NodeSet {
+		ids := make([]graph.NodeID, 20)
+		for i := range ids {
+			ids[i] = graph.NodeID(lo + 5*i)
+		}
+		return graph.NewNodeSet(g.NumNodes(), ids)
+	}
+	p := MustNewProblem(g, occ(0), occ(1000))
+	idx, err := vicinity.Build(g, 1, vicinity.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []Sampler{&ImportanceSampler{Index: idx}, &RejectionSampler{Index: idx}} {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		opts := DefaultOptions(1)
+		opts.SampleSize = 1_000_000
+		opts.Sampler = s
+		opts.Ctx = ctx
+		start := time.Now()
+		_, err := Test(p, opts)
+		elapsed := time.Since(start)
+		cancel()
+		if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: err = %v, want ErrCanceled wrapping DeadlineExceeded", s.Name(), err)
+		}
+		if elapsed > time.Second {
+			t.Fatalf("%s: canceled after %v, want within 1s of a 50ms deadline", s.Name(), elapsed)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 	"slices"
@@ -74,6 +75,18 @@ const (
 	maxDrawFactor = 50
 	maxDrawSlack  = 1000
 )
+
+// ctxSampler is a sampler whose draw loop can be abandoned: Test passes
+// its Options.Ctx through sampleCtx, which checks it every ctxCheckEvery
+// iterations and returns the cause wrapped in ErrCanceled. A check
+// draws no random numbers, so a sample that completes is the one
+// SampleReferences (which never cancels) returns.
+type ctxSampler interface {
+	sampleCtx(ctx context.Context, p *Problem, h, n int, rng *rand.Rand, bfs ...*graph.BFS) (RefSample, error)
+}
+
+// ctxCheckEvery is the draw-loop iterations between context checks.
+const ctxCheckEvery = 64
 
 // ---------------------------------------------------------------------
 // Batch BFS (Algorithm 1)
@@ -151,6 +164,10 @@ func (s *RejectionSampler) Name() string { return "rejection" }
 
 // SampleReferences implements Sampler.
 func (s *RejectionSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand, bfs ...*graph.BFS) (RefSample, error) {
+	return s.sampleCtx(context.TODO(), p, h, n, rng, bfs...)
+}
+
+func (s *RejectionSampler) sampleCtx(ctx context.Context, p *Problem, h, n int, rng *rand.Rand, bfs ...*graph.BFS) (RefSample, error) {
 	if err := checkIndex(s.Name(), s.Index, p, h); err != nil {
 		return RefSample{}, err
 	}
@@ -170,6 +187,11 @@ func (s *RejectionSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand
 	nodes := make([]graph.NodeID, 0, n)
 	maxDraws := int64(maxDrawFactor)*int64(n) + maxDrawSlack
 	for len(nodes) < n && st.Draws < maxDraws {
+		if st.Draws%ctxCheckEvery == 0 {
+			if err := ctxErr(ctx); err != nil {
+				return RefSample{}, err
+			}
+		}
 		st.Draws++
 		// Step 1: v ∝ |V^h_v|.
 		ev := alias.Draw(rng)
@@ -251,6 +273,10 @@ func (s *ImportanceSampler) Name() string {
 
 // SampleReferences implements Sampler.
 func (s *ImportanceSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand, bfs ...*graph.BFS) (RefSample, error) {
+	return s.sampleCtx(context.TODO(), p, h, n, rng, bfs...)
+}
+
+func (s *ImportanceSampler) sampleCtx(ctx context.Context, p *Problem, h, n int, rng *rand.Rand, bfs ...*graph.BFS) (RefSample, error) {
 	if err := checkIndex(s.Name(), s.Index, p, h); err != nil {
 		return RefSample{}, err
 	}
@@ -274,6 +300,11 @@ func (s *ImportanceSampler) SampleReferences(p *Problem, h, n int, rng *rand.Ran
 	freq := make([]int, 0, n)
 	maxDraws := int64(maxDrawFactor)*int64(n) + maxDrawSlack
 	for len(nodes) < n && st.Draws < maxDraws {
+		if st.BFSCount%ctxCheckEvery == 0 {
+			if err := ctxErr(ctx); err != nil {
+				return RefSample{}, err
+			}
+		}
 		// Line 4: v ∝ |V^h_v|.
 		ev := alias.Draw(rng)
 		// Line 5: draw from V^h_v, one h-hop BFS in §4.4's accounting.
@@ -417,6 +448,10 @@ func (s *WholeGraphSampler) Name() string { return "whole-graph" }
 
 // SampleReferences implements Sampler.
 func (s *WholeGraphSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand, bfs ...*graph.BFS) (RefSample, error) {
+	return s.sampleCtx(context.TODO(), p, h, n, rng, bfs...)
+}
+
+func (s *WholeGraphSampler) sampleCtx(ctx context.Context, p *Problem, h, n int, rng *rand.Rand, bfs ...*graph.BFS) (RefSample, error) {
 	e := engine(p, bfs)
 	labels := p.Labels()
 	var st SamplerStats
@@ -424,6 +459,11 @@ func (s *WholeGraphSampler) SampleReferences(p *Problem, h, n int, rng *rand.Ran
 	nodes := make([]graph.NodeID, 0, n)
 	picker := sampling.NewUniformNoReplace(p.G.NumNodes(), rng)
 	for len(nodes) < n {
+		if st.Examined%ctxCheckEvery == 0 {
+			if err := ctxErr(ctx); err != nil {
+				return RefSample{}, err
+			}
+		}
 		v, ok := picker.Next()
 		if !ok {
 			break // population exhausted

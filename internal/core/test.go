@@ -54,10 +54,11 @@ type Options struct {
 	// engine serves the sampler and the density pass; ignored when bound
 	// to a different graph.
 	Engines *graph.EnginePool
-	// Ctx, when non-nil, lets a caller abandon the test: the density
-	// phase (the dominant cost — n independent h-hop BFS) checks it
-	// between chunks of traversals and returns the context's cause
-	// wrapped in ErrCanceled. Nil means run to completion.
+	// Ctx, when non-nil, lets a caller abandon the test: the rejection,
+	// importance and whole-graph draw loops check it every 64 draws and
+	// the density phase (n independent h-hop BFS) between chunks of
+	// traversals; either stops with the context's cause wrapped in
+	// ErrCanceled. Nil means run to completion.
 	Ctx context.Context
 }
 
@@ -162,13 +163,19 @@ func Test(p *Problem, opts Options) (Result, error) {
 
 	bfs := opts.Engines.Acquire(p.G)
 	defer opts.Engines.Put(bfs)
-	sample, err := sampler.SampleReferences(p, opts.H, opts.SampleSize, rng, bfs)
+	var sample RefSample
+	var err error
+	if cs, ok := sampler.(ctxSampler); ok {
+		sample, err = cs.sampleCtx(opts.Ctx, p, opts.H, opts.SampleSize, rng, bfs)
+	} else {
+		sample, err = sampler.SampleReferences(p, opts.H, opts.SampleSize, rng, bfs)
+	}
 	if err != nil {
 		return Result{}, err
 	}
 
 	// The density pass checks opts.Ctx before its first traversal, so a
-	// test abandoned during sampling stops here.
+	// test abandoned during a batch-BFS sample stops here.
 	eval := NewDensityEvaluatorBFS(p, opts.H, bfs)
 	sa, sb, ds, err := eval.EvalAllCtx(opts.Ctx, sample.Nodes)
 	if err != nil {

@@ -26,9 +26,8 @@ type Manager struct {
 	graphs map[string]*graphMonitors
 	nextID int64
 
-	reruns          atomic.Int64
-	nodesReused     atomic.Int64
-	nodesRecomputed atomic.Int64
+	reruns      atomic.Int64
+	nodesReused atomic.Int64
 }
 
 // graphMonitors is one graph's standing queries plus the notification
@@ -265,10 +264,6 @@ func (mgr *Manager) Reruns() int64 { return mgr.reruns.Load() }
 // served from retained caches across all re-screens — the incremental
 // scheduler's savings metric (healthz monitor_nodes_reused).
 func (mgr *Manager) NodesReused() int64 { return mgr.nodesReused.Load() }
-
-// NodesRecomputed returns the total density traversals re-screens
-// actually paid.
-func (mgr *Manager) NodesRecomputed() int64 { return mgr.nodesRecomputed.Load() }
 
 // NotifyEdgeDelta queues an edge-mutation delta for every monitor of
 // the graph. targetEpoch is the epoch the mutation publishes; callers

@@ -492,7 +492,6 @@ func (m *Monitor) screenOnce(g *graph.Graph, store *events.Store, epoch uint64, 
 			m.mgr.reruns.Add(1)
 		}
 		m.mgr.nodesReused.Add(res.MemoHits)
-		m.mgr.nodesRecomputed.Add(res.BFSRuns)
 	}
 	return sample, nil
 }
@@ -577,7 +576,6 @@ func (m *Monitor) screenWatchlist(g *graph.Graph, store *events.Store, epoch uin
 			m.mgr.reruns.Add(1)
 		}
 		m.mgr.nodesReused.Add(res.Stats.MemoHits)
-		m.mgr.nodesRecomputed.Add(res.Stats.BFSRuns)
 	}
 	return sample, nil
 }

@@ -67,14 +67,6 @@ func (ft *FaultTransport) Heal() {
 	ft.mu.Unlock()
 }
 
-// Break resumes fault injection after a Heal. Soak harnesses alternate
-// Break (churn under faults) with Heal (demand convergence) in a loop.
-func (ft *FaultTransport) Break() {
-	ft.mu.Lock()
-	ft.healed = false
-	ft.mu.Unlock()
-}
-
 // draw picks this operation's fate. Must hold mu.
 func (ft *FaultTransport) draw() int {
 	if ft.healed {

@@ -441,32 +441,6 @@ func (f *Follower) rebootstrapAll(st Status) error {
 	return nil
 }
 
-// CatchUp syncs repeatedly until the follower stands exactly at the
-// primary's log end with zero epoch lag, or the context expires. This
-// is the promotion seam a cluster coordinator drives during node join:
-// bootstrap + WAL tail through the normal Sync machinery, block here
-// until the gap is closed, then promote the node and flip placement —
-// the same barrier, whoever the primary is.
-func (f *Follower) CatchUp(ctx context.Context, interval time.Duration) error {
-	if interval <= 0 {
-		interval = 20 * time.Millisecond
-	}
-	for {
-		err := f.Sync()
-		if err == nil && f.lag.Load() == 0 {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			if err != nil {
-				return fmt.Errorf("replica: catch-up cut short: %w (last sync: %v)", ctx.Err(), err)
-			}
-			return fmt.Errorf("replica: catch-up cut short: %w (lag %d epochs)", ctx.Err(), f.lag.Load())
-		case <-time.After(interval):
-		}
-	}
-}
-
 // save persists the cursor (best effort — a failed save only costs
 // re-pulled, epoch-deduplicated records after a restart).
 func (f *Follower) save() {

@@ -24,9 +24,9 @@
 //     progress is always possible, whatever the log holds.
 //
 // All replication I/O goes through the Transport interface, mirroring
-// how wal.FS injects the filesystem: HTTPTransport in production,
-// FaultTransport (a deterministic seeded fault injector wrapping any
-// transport) in the differential sweep that proves the subsystem.
+// how wal.FS injects the filesystem: HTTPTransport in production, a
+// deterministic seeded fault injector wrapping any transport in the
+// differential sweep that proves the subsystem.
 package replica
 
 import (

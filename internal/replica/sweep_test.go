@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"tesc"
+	"tesc/api"
 	"tesc/internal/events"
 	"tesc/internal/graph"
 	"tesc/internal/replica"
@@ -21,22 +22,24 @@ import (
 	"tesc/internal/wal"
 )
 
-// ---- one tescd instance on an in-memory filesystem ------------------
+// ---- one tescd instance ---------------------------------------------
 
 type node struct {
 	srv *server.Server
 	fs  wal.FS
+	dir string
 }
 
-// bootNode starts (or restarts) a server over fsys, replaying whatever
-// snapshots and WAL tail the filesystem holds. The checkpoint debounce
-// is effectively off: flushes happen only when the schedule asks, so a
-// seed fully determines every durable-state transition.
-func bootNode(t *testing.T, fsys wal.FS, readOnly bool) *node {
+// bootNode starts (or restarts) a server over the data directory dir
+// on fsys (nil: the real filesystem), replaying whatever snapshots and
+// WAL tail it holds. The checkpoint debounce is effectively off:
+// flushes happen only when the schedule asks, so a seed fully
+// determines every durable-state transition.
+func bootNode(t *testing.T, fsys wal.FS, dir string, readOnly bool) *node {
 	t.Helper()
 	srv := server.New(server.Config{
 		IndexCacheCapacity: 4,
-		DataDir:            "data",
+		DataDir:            dir,
 		FS:                 fsys,
 		FsyncPolicy:        "always",
 		CheckpointDelay:    time.Hour,
@@ -45,7 +48,7 @@ func bootNode(t *testing.T, fsys wal.FS, readOnly bool) *node {
 	if _, err := srv.LoadData(); err != nil {
 		t.Fatalf("LoadData: %v", err)
 	}
-	return &node{srv: srv, fs: fsys}
+	return &node{srv: srv, fs: fsys, dir: dir}
 }
 
 // do drives the node through its real HTTP handler, no listener.
@@ -123,17 +126,18 @@ func (c *checkingState) Install(name string, data []byte) error {
 
 // ---- bit-for-bit state comparison -----------------------------------
 
-// fingerprint renders a server's whole observable state — graphs with
+// fingerprint renders a node's whole observable state — graphs with
 // adjacency, events with intensities, epochs, monitor definitions and
-// histories — into a canonical string two replicas must agree on.
-// Wall-clock fields (sample timestamps, elapsed times) are the only
-// exclusions.
-func fingerprint(srv *server.Server) string {
+// histories (listed over HTTP) — into a canonical string two replicas
+// must agree on. Wall-clock fields (sample timestamps, elapsed times)
+// are the only exclusions.
+func fingerprint(t *testing.T, n *node) string {
+	t.Helper()
 	var b strings.Builder
-	names := append([]string(nil), srv.Registry().Names()...)
+	names := append([]string(nil), n.srv.Registry().Names()...)
 	sort.Strings(names)
 	for _, name := range names {
-		e, ok := srv.Registry().Get(name)
+		e, ok := n.srv.Registry().Get(name)
 		if !ok {
 			continue
 		}
@@ -156,19 +160,33 @@ func fingerprint(srv *server.Server) string {
 			}
 			b.WriteString("]\n")
 		}
-		states := srv.Monitors().States(name)
-		sort.Slice(states, func(i, j int) bool { return states[i].Def.ID < states[j].Def.ID })
-		for _, st := range states {
-			d := st.Def
-			fmt.Fprintf(&b, " mon %s a=%s b=%s h=%d n=%d alpha=%g seed=%d mode=%d cap=%d\n",
-				d.ID, d.A, d.B, d.H, d.SampleSize, d.Alpha, d.Seed, d.Mode, d.HistoryCap)
-			for _, s := range st.History {
+		var mons []api.MonitorView
+		decode(t, n, "/v1/graphs/"+name+"/monitors", &mons)
+		sort.Slice(mons, func(i, j int) bool { return mons[i].ID < mons[j].ID })
+		for _, m := range mons {
+			fmt.Fprintf(&b, " mon %s a=%s b=%s h=%d n=%d alpha=%g seed=%d policy=%s cap=%d\n",
+				m.ID, m.A, m.B, m.H, m.SampleSize, m.Alpha, m.Seed, m.Policy, m.HistoryCap)
+			var d api.MonitorDetail
+			decode(t, n, "/v1/graphs/"+name+"/monitors/"+m.ID, &d)
+			for _, s := range d.History {
 				fmt.Fprintf(&b, "  sample epoch=%d tau=%g z=%g p=%g sig=%v skip=%q\n",
 					s.Epoch, s.Tau, s.Z, s.P, s.Significant, s.Skipped)
 			}
 		}
 	}
 	return b.String()
+}
+
+// decode GETs path from the node and decodes the 200 body into out.
+func decode(t *testing.T, n *node, path string, out any) {
+	t.Helper()
+	code, body := n.do(t, "GET", path, nil)
+	if code != 200 {
+		t.Fatalf("GET %s: %d %s", path, code, body)
+	}
+	if err := json.Unmarshal(body, out); err != nil {
+		t.Fatalf("GET %s: decoding %s: %v", path, body, err)
+	}
 }
 
 // differentialQueries runs the same deterministic correlate and screen
@@ -356,7 +374,7 @@ func TestReplicaConsistencySweep(t *testing.T) {
 	for seed := 0; seed < seeds; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			m := runSweepSeed(t, int64(seed))
+			m := runSweepSeed(t, int64(seed), sweepRig{followers: 1})
 			totalFaults.Add(m.Faults)
 			totalBootstraps.Add(m.Bootstraps)
 			totalDiscards.Add(m.Discards)
@@ -364,7 +382,37 @@ func TestReplicaConsistencySweep(t *testing.T) {
 	}
 }
 
-func runSweepSeed(t *testing.T, seed int64) (total replica.Metrics) {
+// FuzzReplicaSweep runs one sweep schedule per seed on the substrate
+// of a deployment: every node's data directory on the real filesystem,
+// two followers pulling over HTTP from an httptest listener, each
+// through its own FaultTransport. Both must converge to the primary
+// within the sweep's round bound. A failing seed replays exactly: the
+// schedule, the fault draws and the reboot point are functions of it.
+func FuzzReplicaSweep(f *testing.F) {
+	f.Add(uint64(13))
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		runSweepSeed(t, int64(seed&^(1<<63)), sweepRig{followers: 2, onDisk: true})
+	})
+}
+
+// sweepRig is the substrate one sweep runs on.
+type sweepRig struct {
+	followers int
+	// onDisk puts every data directory under t.TempDir on the real
+	// filesystem and ships the log over HTTP; otherwise nodes run on
+	// in-memory FaultFS and followers pull in-process.
+	onDisk bool
+}
+
+// sweepFollower is one replica of a sweep: its node, the faulty wire
+// it pulls through, and the follower driving it.
+type sweepFollower struct {
+	node *node
+	ft   *replica.FaultTransport
+	fol  *replica.Follower
+}
+
+func runSweepSeed(t *testing.T, seed int64, rig sweepRig) (total replica.Metrics) {
 	accumulate := func(m replica.Metrics) {
 		total.RecordsApplied += m.RecordsApplied
 		total.RecordsSkipped += m.RecordsSkipped
@@ -374,14 +422,28 @@ func runSweepSeed(t *testing.T, seed int64) (total replica.Metrics) {
 		total.Faults += m.Faults
 	}
 	rng := rand.New(rand.NewSource(seed))
-	primary := bootNode(t, wal.NewFaultFS(), false)
+	boot := func(readOnly bool) *node {
+		if rig.onDisk {
+			return bootNode(t, nil, t.TempDir(), readOnly)
+		}
+		return bootNode(t, wal.NewFaultFS(), "data", readOnly)
+	}
+	primary := boot(false)
 	defer primary.srv.Close()
+	var wire replica.Transport = server.ReplicaSource{S: primary.srv}
+	if rig.onDisk {
+		ts := httptest.NewServer(primary.srv.Handler())
+		defer ts.Close()
+		wire = &replica.HTTPTransport{Base: ts.URL}
+	}
 
-	followerFS := wal.NewFaultFS()
-	follower := bootNode(t, followerFS, true)
-	ft := replica.NewFaultTransport(server.ReplicaSource{S: primary.srv}, seed*7919+13, 0.35)
 	opts := &replica.Options{MaxPullBytes: 64 + rng.Intn(4096)}
-	fol := replica.New(ft, newCheckingState(t, follower.srv.FollowerState()), opts)
+	followers := make([]*sweepFollower, rig.followers)
+	for i := range followers {
+		f := &sweepFollower{node: boot(true), ft: replica.NewFaultTransport(wire, seed*7919+13+int64(i), 0.35)}
+		f.fol = replica.New(f.ft, newCheckingState(t, f.node.srv.FollowerState()), opts)
+		followers[i] = f
+	}
 
 	d := &sweepDriver{t: t, rng: rng, primary: primary, nodes: map[string]int{}}
 	steps := 40 + rng.Intn(40)
@@ -394,43 +456,48 @@ func runSweepSeed(t *testing.T, seed int64) (total replica.Metrics) {
 		if t.Failed() {
 			return total
 		}
-		for k := rng.Intn(3); k > 0; k-- {
-			_ = fol.Sync() // errors are injected faults; Sync must stay safe
+		for _, f := range followers {
+			for k := rng.Intn(3); k > 0; k-- {
+				_ = f.fol.Sync() // errors are injected faults; Sync must stay safe
+			}
 		}
 		if i == rebootAt {
-			// Crash the follower (no flush) and reboot it from its own
+			// Crash one follower (no flush) and reboot it from its own
 			// data directory: local snapshots + WAL tail restore the
 			// applied prefix, the saved cursor resumes the pull, and the
 			// epoch gate absorbs any overlap.
-			accumulate(fol.Metrics())
-			follower.srv.Kill()
-			follower = bootNode(t, followerFS, true)
-			fol = replica.New(ft, newCheckingState(t, follower.srv.FollowerState()), opts)
+			f := followers[int(seed/2)%len(followers)]
+			accumulate(f.fol.Metrics())
+			f.node.srv.Kill()
+			f.node = bootNode(t, f.node.fs, f.node.dir, true)
+			f.fol = replica.New(f.ft, newCheckingState(t, f.node.srv.FollowerState()), opts)
 		}
 	}
 
-	// Quiesce and heal, then the follower must fully converge.
-	ft.Heal()
-	var want, got string
-	for round := 0; round < 30; round++ {
-		if err := fol.Sync(); err != nil {
-			t.Fatalf("healed sync failed: %v", err)
+	// Quiesce and heal, then every follower must fully converge.
+	for i, f := range followers {
+		f.ft.Heal()
+		var want, got string
+		for round := 0; round < 30; round++ {
+			if err := f.fol.Sync(); err != nil {
+				t.Fatalf("follower %d: healed sync failed: %v", i, err)
+			}
+			want, got = fingerprint(t, primary), fingerprint(t, f.node)
+			if want == got {
+				break
+			}
 		}
-		want, got = fingerprint(primary.srv), fingerprint(follower.srv)
-		if want == got {
-			break
+		if want != got {
+			t.Fatalf("seed %d: follower %d did not converge:\n--- primary ---\n%s\n--- follower ---\n%s", seed, i, want, got)
 		}
+		m := f.fol.Metrics()
+		if m.LagEpochs != 0 {
+			t.Errorf("follower %d converged but lag reports %d epochs", i, m.LagEpochs)
+		}
+		accumulate(m)
+		differentialQueries(t, primary.srv, f.node.srv)
+		f.node.srv.Close()
 	}
-	if want != got {
-		t.Fatalf("seed %d: follower did not converge:\n--- primary ---\n%s\n--- follower ---\n%s", seed, want, got)
-	}
-	m := fol.Metrics()
-	if m.LagEpochs != 0 {
-		t.Errorf("converged but lag reports %d epochs", m.LagEpochs)
-	}
-	accumulate(m)
-	differentialQueries(t, primary.srv, follower.srv)
-	follower.srv.Close()
 	return total
 }
 

@@ -787,7 +787,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		// coalesce accounting — the live view the bench gate holds tail
 		// latency against. See docs/OVERLOAD.md.
 		SLO:      s.adm.sloView(),
-		ReadOnly: s.readOnly.Load(),
+		ReadOnly: s.readOnly,
 	}
 	if f := s.follower; f != nil {
 		m := f.Metrics()

@@ -115,8 +115,8 @@ func (s *Server) replicaPull(cur wal.ShipCursor, maxBytes int) (wal.ShipBatch, e
 }
 
 // ReplicaSource adapts a primary Server to replica.Transport for
-// in-process followers — the sweep and soak harnesses replicate
-// through it, with replica.FaultTransport layered on top.
+// in-process followers — the server and replica tests replicate
+// through it.
 type ReplicaSource struct{ S *Server }
 
 func (rs ReplicaSource) Status() (replica.Status, error) { return rs.S.replicaStatus() }

@@ -108,12 +108,11 @@ type Server struct {
 	screensPlanned atomic.Int64
 	pairsPruned    atomic.Int64
 
-	// readOnly gates the client-facing mutation endpoints on a replica;
-	// atomic because Promote flips it at runtime (cluster handoff) while
-	// requests are in flight. recordsShipped counts WAL records served
-	// to followers; follower, set by AttachFollower before serving,
-	// surfaces replication lag and apply counters in healthz.
-	readOnly       atomic.Bool
+	// readOnly gates the client-facing mutation endpoints on a replica.
+	// recordsShipped counts WAL records served to followers; follower,
+	// set by AttachFollower before serving, surfaces replication lag and
+	// apply counters in healthz.
+	readOnly       bool
 	recordsShipped atomic.Int64
 	follower       *replica.Follower
 
@@ -171,7 +170,7 @@ func New(cfg Config) *Server {
 			durable:     make(map[string]uint64),
 		}
 	}
-	s.readOnly.Store(cfg.ReadOnly)
+	s.readOnly = cfg.ReadOnly
 	// Mutation endpoints go through the read-only gate; on a replica
 	// they 403 so every state change arrives via replication, keeping
 	// follower state bit-for-bit derivable from the primary's log.
@@ -217,23 +216,13 @@ func (s *Server) handle(pattern string, h http.HandlerFunc) {
 // flag.
 func (s *Server) mutating(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if s.readOnly.Load() {
+		if s.readOnly {
 			writeError(w, api.CodeReadOnly, "read-only replica: send mutations to the primary")
 			return
 		}
 		h(w, r)
 	}
 }
-
-// Promote flips a read-only replica into a writable primary — the
-// cluster handoff seam. Call it after the node's replication follower
-// has caught up and stopped: from this instant client mutations are
-// accepted and logged to the node's own WAL, so exactly one node in a
-// placement group may be promoted at a time.
-func (s *Server) Promote() { s.readOnly.Store(false) }
-
-// Monitors exposes the standing-query manager (for tests and tooling).
-func (s *Server) Monitors() *monitor.Manager { return s.monitors }
 
 // Registry exposes the graph registry (for preloading at startup).
 func (s *Server) Registry() *Registry { return s.registry }
@@ -261,9 +250,9 @@ func (s *Server) BeginDrain() {
 // idempotent), cancel still-running screen jobs — they land in
 // "cancelled", planned jobs keeping their partial ranking — and wait for
 // the job goroutines to exit or ctx to expire, reporting which happened.
-// Callers embedding the server (tests, soak harnesses) pair it with
-// Close, which flushes snapshots and closes the WAL; ListenAndServe does
-// both on context cancellation.
+// Callers embedding the server (tests) pair it with Close, which
+// flushes snapshots and closes the WAL; ListenAndServe does both on
+// context cancellation.
 func (s *Server) Drain(ctx context.Context) bool {
 	s.BeginDrain()
 	s.jobs.CancelAll()

@@ -32,6 +32,9 @@ var reachAllowlist = []reachEntry{
 	{"graph.FromEdges", "graph fixture builder shared by the tests of several packages"},
 	{"graph.MustFromEdges", "graph fixture builder shared by the tests of several packages"},
 	{"bench.TinyConfig", "reduced experiment scale shared by the root benchmarks and the bench tests"},
+	{"server.ReplicaSource", "in-process replication source shared by the server and replica tests"},
+	{"server.Server.Kill", "crash without flushing, shared by the server and replica tests (keeps wal.Log.Kill)"},
+	{"graphgen.FlipStream.Take", "mutation batches shared by the server, screen, monitor, vicinity and graph tests"},
 }
 
 // TestReachability fails on any package-level declaration in internal/
