@@ -2,7 +2,8 @@
 # Microbenchmark gate: runs the hot-path benchmarks of a parent revision
 # and of the working tree on this machine, in alternating rounds, then
 # compares the two sides with benchdiff (min ns/op per side; fail above
-# +25%, warn above +10%).
+# +25%, warn above +10%; B/op and allocs/op are printed beside, not
+# gated).
 #
 # Usage, from the repository root:
 #
@@ -39,7 +40,7 @@ done
 run() { # side package
 	local src=$root
 	[ "$1" = parent ] && src=$work/parent-src
-	(cd "$src/$2" && "$work/$1/${2//\//_}.test" -test.run='^$' -test.bench=. \
+	(cd "$src/$2" && "$work/$1/${2//\//_}.test" -test.run='^$' -test.bench=. -test.benchmem \
 		-test.benchtime=1s -test.timeout=10m) >>"$work/$1.txt"
 }
 

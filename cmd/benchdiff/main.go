@@ -10,6 +10,8 @@
 // and each side is folded with min over its repeated runs, which is the
 // right estimator for a noisy CI box: the minimum is the run least
 // disturbed by neighbors, and a genuine regression raises the minimum.
+// B/op and allocs/op (go test -benchmem) are folded the same way and
+// printed beside ns/op; they are reported only, never gated.
 //
 // Usage:
 //
@@ -36,11 +38,17 @@ const (
 	warnThreshold = 1.10
 )
 
-// parseBench extracts min ns/op per benchmark key from go test -bench
-// output. The "pkg:" header lines qualify benchmark names, so the same
-// benchmark name in two packages cannot collide.
-func parseBench(r io.Reader) (map[string]float64, error) {
-	out := make(map[string]float64)
+// bench is one benchmark's figures on one side, each the minimum over
+// its runs; bytes and allocs are -1 when no run reported them.
+type bench struct {
+	ns, bytes, allocs float64
+}
+
+// parseBench extracts min ns/op, B/op and allocs/op per benchmark key
+// from go test -bench output. The "pkg:" header lines qualify benchmark
+// names, so the same benchmark name in two packages cannot collide.
+func parseBench(r io.Reader) (map[string]bench, error) {
+	out := make(map[string]bench)
 	pkg := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -54,23 +62,32 @@ func parseBench(r io.Reader) (map[string]float64, error) {
 			continue
 		}
 		fields := strings.Fields(line)
-		// Benchmark lines: name, iterations, value, "ns/op", ...
+		// Benchmark lines: name, iterations, then value-unit pairs
+		// ("452044 ns/op", "12 B/op", custom metrics, ...).
 		if len(fields) < 4 {
 			continue
 		}
-		nsIdx := -1
-		for i, f := range fields {
-			if f == "ns/op" {
-				nsIdx = i
-				break
+		b := bench{ns: -1, bytes: -1, allocs: -1}
+		for i := 2; i < len(fields); i++ {
+			var dst *float64
+			switch fields[i] {
+			case "ns/op":
+				dst = &b.ns
+			case "B/op":
+				dst = &b.bytes
+			case "allocs/op":
+				dst = &b.allocs
+			default:
+				continue
 			}
+			v, err := strconv.ParseFloat(fields[i-1], 64)
+			if err != nil {
+				return nil, fmt.Errorf("benchdiff: bad %s %q in line %q", fields[i], fields[i-1], line)
+			}
+			*dst = v
 		}
-		if nsIdx < 2 {
+		if b.ns < 0 {
 			continue
-		}
-		ns, err := strconv.ParseFloat(fields[nsIdx-1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("benchdiff: bad ns/op %q in line %q", fields[nsIdx-1], line)
 		}
 		name := fields[0]
 		// Strip the -GOMAXPROCS suffix so both sides key alike even when
@@ -84,9 +101,12 @@ func parseBench(r io.Reader) (map[string]float64, error) {
 		if pkg != "" {
 			key = pkg + "." + name
 		}
-		if prev, ok := out[key]; !ok || ns < prev {
-			out[key] = ns
+		if prev, ok := out[key]; ok {
+			b.ns = min(b.ns, prev.ns)
+			b.bytes = minReported(b.bytes, prev.bytes)
+			b.allocs = minReported(b.allocs, prev.allocs)
 		}
+		out[key] = b
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -97,21 +117,33 @@ func parseBench(r io.Reader) (map[string]float64, error) {
 	return out, nil
 }
 
+// minReported is the smaller of two figures, where -1 means not
+// reported.
+func minReported(a, b float64) float64 {
+	switch {
+	case a < 0:
+		return b
+	case b < 0:
+		return a
+	}
+	return min(a, b)
+}
+
 type row struct {
 	key            string
-	parent, change float64 // min ns/op; 0 when the side lacks the benchmark
-	ratio          float64 // change/parent; 0 unless both sides have it
+	parent, change bench   // zero when the side lacks the benchmark
+	ratio          float64 // change/parent ns/op; 0 unless both sides have it
 	status         string
 }
 
 // diff builds one row per benchmark either side ran, sorted by key, and
-// counts the regressions and warnings among them.
-func diff(parent, change map[string]float64) (rows []row, regressions, warnings int) {
-	for key, ns := range change {
-		r := row{key: key, change: ns, status: "new"}
-		if p, ok := parent[key]; ok && p > 0 {
+// counts the regressions and warnings among them. Only ns/op gates.
+func diff(parent, change map[string]bench) (rows []row, regressions, warnings int) {
+	for key, c := range change {
+		r := row{key: key, change: c, status: "new"}
+		if p, ok := parent[key]; ok && p.ns > 0 {
 			r.parent = p
-			r.ratio = ns / p
+			r.ratio = c.ns / p.ns
 			switch {
 			case r.ratio > failThreshold:
 				r.status = "REGRESSION"
@@ -178,7 +210,7 @@ func main() {
 	}
 }
 
-func parseFile(path string) (map[string]float64, error) {
+func parseFile(path string) (map[string]bench, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -194,19 +226,20 @@ func parseFile(path string) (map[string]float64, error) {
 func renderTable(rows []row, regressions, warnings int) string {
 	var sb strings.Builder
 	sb.WriteString("### Benchmark regression gate\n\n")
-	fmt.Fprintf(&sb, "Thresholds: fail > +%.0f%%, warn > +%.0f%% (change vs parent ns/op, min over runs)\n\n",
+	fmt.Fprintf(&sb, "Thresholds: fail > +%.0f%%, warn > +%.0f%% (change vs parent ns/op, min over runs); B/op and allocs/op are reported, not gated\n\n",
 		(failThreshold-1)*100, (warnThreshold-1)*100)
-	sb.WriteString("| benchmark | parent ns/op | change ns/op | delta | status |\n")
-	sb.WriteString("|---|---:|---:|---:|---|\n")
+	sb.WriteString("| benchmark | parent ns/op | change ns/op | delta | parent B/op | change B/op | parent allocs/op | change allocs/op | status |\n")
+	sb.WriteString("|---|---:|---:|---:|---:|---:|---:|---:|---|\n")
+	// figure prints one side's figure, or a dash when the side lacks
+	// the benchmark (no ns/op) or its runs did not report the figure.
+	figure := func(b bench, v float64) string {
+		if b.ns <= 0 || v < 0 {
+			return "—"
+		}
+		return fmt.Sprintf("%.0f", v)
+	}
 	for _, r := range rows {
 		delta := "—"
-		parentStr, changeStr := "—", "—"
-		if r.parent > 0 {
-			parentStr = fmt.Sprintf("%.0f", r.parent)
-		}
-		if r.change > 0 {
-			changeStr = fmt.Sprintf("%.0f", r.change)
-		}
 		if r.ratio > 0 {
 			delta = fmt.Sprintf("%+.1f%%", (r.ratio-1)*100)
 		}
@@ -216,7 +249,10 @@ func renderTable(rows []row, regressions, warnings int) string {
 		} else if status == "warn" {
 			status = "⚠️ warn"
 		}
-		fmt.Fprintf(&sb, "| %s | %s | %s | %s | %s |\n", r.key, parentStr, changeStr, delta, status)
+		fmt.Fprintf(&sb, "| %s | %s | %s | %s | %s | %s | %s | %s | %s |\n", r.key,
+			figure(r.parent, r.parent.ns), figure(r.change, r.change.ns), delta,
+			figure(r.parent, r.parent.bytes), figure(r.change, r.change.bytes),
+			figure(r.parent, r.parent.allocs), figure(r.change, r.change.allocs), status)
 	}
 	fmt.Fprintf(&sb, "\n%d regression(s), %d warning(s)\n", regressions, warnings)
 	return sb.String()

@@ -26,10 +26,10 @@ func TestParseBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]float64{
-		"tesc/internal/core.BenchmarkDensityPhaseFlat": 449000, // min of 3 runs
-		"tesc/internal/graph.BenchmarkCollect":         127708,
-		"tesc/internal/graph.BenchmarkEnginePool":      1113,
+	want := map[string]bench{
+		"tesc/internal/core.BenchmarkDensityPhaseFlat": {449000, 12, 3}, // min of 3 runs
+		"tesc/internal/graph.BenchmarkCollect":         {127708, -1, -1},
+		"tesc/internal/graph.BenchmarkEnginePool":      {1113, 0, 0},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("parsed %d benchmarks, want %d: %v", len(got), len(want), got)
@@ -38,6 +38,43 @@ func TestParseBench(t *testing.T) {
 		if got[k] != v {
 			t.Errorf("%s = %v, want %v", k, got[k], v)
 		}
+	}
+}
+
+// TestParseBenchMem folds B/op and allocs/op by their own minimum
+// over runs, past custom metrics between them, and keeps a figure that
+// only some runs reported.
+func TestParseBenchMem(t *testing.T) {
+	const out = `pkg: tesc/internal/screen
+BenchmarkPlan-2   100   9000 ns/op   593.0 checkpoints   217000 B/op   1047 allocs/op
+BenchmarkPlan-2   100   8000 ns/op   593.0 checkpoints   219000 B/op   1050 allocs/op
+BenchmarkPlan-2   100   8500 ns/op   593.0 checkpoints   216000 B/op   1049 allocs/op
+BenchmarkKendall-2   10   700 ns/op
+BenchmarkKendall-2   10   650 ns/op   64 B/op   1 allocs/op
+`
+	got, err := parseBench(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bench{
+		"tesc/internal/screen.BenchmarkPlan":    {8000, 216000, 1047},
+		"tesc/internal/screen.BenchmarkKendall": {650, 64, 1},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("parsed %d benchmarks, want %d: %v", len(got), len(want), got)
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("%s = %+v, want %+v", k, got[k], v)
+		}
+	}
+	rows, regressions, _ := diff(map[string]bench{"k": {100, 50, 2}}, map[string]bench{"k": {100, 5000, 200}})
+	if regressions != 0 || rows[0].status != "ok" {
+		t.Errorf("a memory rise gated: %d regression(s), status %s", regressions, rows[0].status)
+	}
+	table := renderTable(rows, 0, 0)
+	if !strings.Contains(table, "| k | 100 | 100 | +0.0% | 50 | 5000 | 2 | 200 | ok |") {
+		t.Errorf("table lacks the memory columns:\n%s", table)
 	}
 }
 
@@ -99,12 +136,13 @@ BenchmarkAdded-2     10    50 ns/op
 }
 
 func TestRenderTableStatuses(t *testing.T) {
+	none := func(ns float64) bench { return bench{ns, -1, -1} }
 	rows := []row{
-		{key: "a", parent: 100, change: 300, ratio: 3, status: "REGRESSION"},
-		{key: "b", parent: 100, change: 115, ratio: 1.15, status: "warn"},
-		{key: "c", parent: 100, change: 100, ratio: 1, status: "ok"},
-		{key: "d", change: 50, status: "new"},
-		{key: "e", parent: 100, status: "removed"},
+		{key: "a", parent: none(100), change: none(300), ratio: 3, status: "REGRESSION"},
+		{key: "b", parent: none(100), change: none(115), ratio: 1.15, status: "warn"},
+		{key: "c", parent: none(100), change: none(100), ratio: 1, status: "ok"},
+		{key: "d", change: none(50), status: "new"},
+		{key: "e", parent: none(100), status: "removed"},
 	}
 	table := renderTable(rows, 1, 1)
 	for _, want := range []string{"REGRESSION", "warn", "| ok |", "| new |", "| removed |", "+200.0%", "1 regression(s), 1 warning(s)"} {

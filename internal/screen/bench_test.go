@@ -181,6 +181,27 @@ func BenchmarkScreenPlanTopKWarm(b *testing.B) {
 	benchPlanTopK(b, cfg)
 }
 
+// BenchmarkScreenPlanTopKRanked is the warm top-10 plan on a memo
+// whose rank table a second exhaustive Run has built — tescd's steady
+// state for a repeated screen-k32 job, where every chunk of every pair
+// sorts rank keys. ranked_pairs counts the pairs that ran on rank keys
+// to the end.
+func BenchmarkScreenPlanTopKRanked(b *testing.B) {
+	cfg := k32PlanConfig
+	cfg.Memo = warmK32Memo(b)
+	run := k32RunConfig
+	run.Memo = cfg.Memo
+	if _, err := Run(sweep100k.g, sweepK32.store, sweepK32.pairs, run); err != nil {
+		b.Fatal(err)
+	}
+	if cfg.Memo.ranks.Load() == nil {
+		b.Fatal("the second Run built no rank table")
+	}
+	before := cfg.Memo.rankPairs.Load()
+	benchPlanTopK(b, cfg)
+	b.ReportMetric(float64(cfg.Memo.rankPairs.Load()-before)/float64(b.N), "ranked_pairs")
+}
+
 // BenchmarkScreenPlanTopKWarmDeterministic is the warm top-10 plan
 // with the statistical bound off (BoundAlpha < 0): pairs prune only on
 // the deterministic completion bound, late in their sample, so this is

@@ -151,15 +151,16 @@ type SharedMemo struct {
 	popBytes int64 // the cached populations' footprint
 
 	// Rank table (ranks.go): the dense ranks of the published densities
-	// of the events one-pass sweeps screen, so their Kendall tests sort
-	// small rank keys instead of floats. settled (under memMu) is the
-	// (graph, store, h) of the last sweep that finished, zero after a
-	// drop: only a sweep on a settled memo builds. rankMu serializes
+	// of the events one-pass sweeps have screened, so every sweep's
+	// Kendall tests on those events — exhaustive or pruning — sort small
+	// rank keys instead of floats. settled (under memMu) is the (graph,
+	// store, h) of the last sweep that finished, zero after a drop: only
+	// a one-pass sweep on a settled memo builds. rankMu serializes
 	// builds; sweeps read the table lock-free, once per pair.
 	settled   popKey
 	rankMu    sync.Mutex
 	ranks     atomic.Pointer[rankTable]
-	rankPairs atomic.Int64 // pairs tested on rank keys; tests read it
+	rankPairs atomic.Int64 // pairs tested on rank keys to the end; tests and benchmarks read it
 }
 
 // popKey is what a reference population depends on besides the pair.

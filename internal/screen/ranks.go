@@ -13,9 +13,10 @@ import (
 // rank, and ranks follow stats.FloatKey order, so rank order and
 // equality are exactly the densities' float order and equality. A
 // pair's Kendall τ over rank keys is therefore bit-identical to τ over
-// its densities, but the radix sort reads two varying key bytes
-// instead of eight: a warm memo holds ~12k nodes with at most a few
-// hundred distinct densities per event.
+// its densities, but cheaper: a warm memo holds ~12k nodes with at most
+// a few hundred distinct densities per event, so a rank fits 32 bits
+// (one (rank_a, rank_b) observation is one word in stats.KendallPrefix)
+// and the radix sort reads two varying bytes of each instead of eight.
 //
 // A table is immutable once published (SharedMemo.ranks); a build that
 // adds events or nodes makes a new one. It stays valid for as long as
@@ -170,9 +171,9 @@ func (d *densityMemo) rankColumns(nodes []graph.NodeID, events []int) []rankColu
 
 // rankKeys fills the pair's rank keys over rs, or reports false when a
 // node of rs has no rank (it was published after the build): the pair
-// then keys its sample as floats. Every ranked node is published, so
-// the rank path serves each node as a memo hit, exactly as EvalAll
-// would.
+// then keys its prefix and the rest of its sample as floats. Every
+// ranked node is published, so the rank path serves each node as a
+// memo hit, exactly as EvalAll would.
 func (s *memoSource) rankKeys(t *rankTable, rs []graph.NodeID) (kx, ky []uint64, ok bool) {
 	ca, cb := &t.cols[s.a], &t.cols[s.b]
 	if !ca.built() || !cb.built() {

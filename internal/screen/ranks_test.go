@@ -79,12 +79,14 @@ func checkRankTable(t *testing.T, step string, m *SharedMemo) {
 // TestSharedMemoRankLifetime runs one memo through the rank table's
 // lifetime: a cold sweep (no table), a settled one (built and used),
 // drops by Invalidate and Reset, an edge delta, an event mutation, a
-// change of h, and a sweep that draws nodes published after the build
-// (they send their pairs back to float keys). At every step Run and
-// Plan equal the same screen on a fresh memo, and their BFSRuns,
-// MemoHits and DensityEvals equal a twin memo's that goes through the
-// same steps but never builds a table: the rank path serves each node
-// as the hit the float path would count, once.
+// change of h, a sweep that draws nodes published after the build
+// (they send their pairs back to float keys), and a Plan whose later
+// checkpoint chunk draws such a node (the pair re-keys its prefix as
+// floats mid-sample). At every step Run and Plan equal the same screen
+// on a fresh memo, and their BFSRuns, MemoHits and DensityEvals (and
+// the Plan's whole PlanStats) equal a twin memo's that goes through
+// the same steps but never builds a table: the rank path serves each
+// node as the hit the float path would count, once.
 func TestSharedMemoRankLifetime(t *testing.T) {
 	rng := rand.New(rand.NewPCG(43, 5))
 	g := graphgen.WattsStrogatz(400, 2, 0.1, rng)
@@ -107,36 +109,41 @@ func TestSharedMemoRankLifetime(t *testing.T) {
 	}
 	memo, twin := newMemo(), newMemo()
 
-	// sweep runs Run and a top-2 Plan with seed on m. A twin is
+	// sweep runs Run and a top-2 Plan with seed on m, the Plan over
+	// planSample references with checkpoints from 16 on, and returns
+	// how many pairs each tested on rank keys to the end. A twin is
 	// unsettled before each sweep, so it never builds a table.
-	sweep := func(m *SharedMemo, seed uint64) (Result, PlanResult) {
+	sweep := func(m *SharedMemo, seed uint64, planSample int) (run Result, plan PlanResult, runRanked, planRanked int64) {
 		t.Helper()
 		if m == twin {
 			m.unsettle()
 		}
 		cfg := Config{H: h, SampleSize: 60, Seed: seed, Workers: 1, Memo: m}
+		before := m.rankPairs.Load()
 		run, err := Run(g, store, pairs, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		runRanked = m.rankPairs.Load() - before
 		if m == twin {
 			m.unsettle()
 		}
-		plan, err := Plan(g, store, pairs, PlanConfig{Config: cfg, K: 2})
+		cfg.SampleSize = planSample
+		before = m.rankPairs.Load()
+		plan, err = Plan(g, store, pairs, PlanConfig{Config: cfg, K: 2, firstCheckpoint: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return run, plan
+		return run, plan, runRanked, m.rankPairs.Load() - before
 	}
 	// step screens the memo, its twin and a fresh memo with seed and
-	// returns how many pairs the memo's Run tested on rank keys.
-	step := func(label string, seed uint64) int64 {
+	// returns how many pairs the memo's Run and Plan tested on rank
+	// keys.
+	step := func(label string, seed uint64, planSample int) (runRanked, planRanked int64) {
 		t.Helper()
-		before := memo.rankPairs.Load()
-		gotRun, gotPlan := sweep(memo, seed)
-		used := memo.rankPairs.Load() - before
-		twinRun, twinPlan := sweep(twin, seed)
-		wantRun, wantPlan := sweep(newMemo(), seed)
+		gotRun, gotPlan, runRanked, planRanked := sweep(memo, seed, planSample)
+		twinRun, twinPlan, _, _ := sweep(twin, seed, planSample)
+		wantRun, wantPlan, _, _ := sweep(newMemo(), seed, planSample)
 		sameRun(t, label+": Run", gotRun, wantRun)
 		comparePlanned(t, gotPlan.Pairs, wantPlan.Pairs, label+": Plan")
 		if gotRun.BFSRuns != twinRun.BFSRuns || gotRun.MemoHits != twinRun.MemoHits {
@@ -149,22 +156,25 @@ func TestSharedMemoRankLifetime(t *testing.T) {
 		if gotPlan.Stats != twinPlan.Stats {
 			t.Fatalf("%s: Plan stats %+v, the float twin %+v", label, gotPlan.Stats, twinPlan.Stats)
 		}
-		if memo.rankPairs.Load() != before+used {
-			t.Fatalf("%s: a top-k Plan used rank keys", label)
+		got, want := gotPlan.Stats, wantPlan.Stats
+		got.BFSRuns, got.MemoHits, want.BFSRuns, want.MemoHits = 0, 0, 0, 0
+		if got != want {
+			t.Fatalf("%s: Plan stats %+v, a fresh memo's %+v", label, gotPlan.Stats, wantPlan.Stats)
 		}
 		if memo.ranks.Load() != nil {
 			checkRankTable(t, label, memo)
 		}
-		return used
+		return runRanked, planRanked
 	}
-	// cold, then settled: the second sweep builds and ranks every pair.
+	// cold, then settled: the second sweep builds, and its Run and its
+	// pruning Plan rank every pair.
 	settle := func(label string, seed uint64) {
 		t.Helper()
-		if used := step(label+" (cold)", seed); used != 0 || memo.ranks.Load() != nil {
-			t.Fatalf("%s: a sweep on an unsettled memo built a table (%d pairs ranked)", label, used)
+		if run, plan := step(label+" (cold)", seed, 60); run+plan != 0 || memo.ranks.Load() != nil {
+			t.Fatalf("%s: a sweep on an unsettled memo built a table (%d and %d pairs ranked)", label, run, plan)
 		}
-		if used := step(label+" (settled)", seed); used != int64(len(pairs)) {
-			t.Fatalf("%s: %d of %d pairs ranked on a settled memo", label, used, len(pairs))
+		if run, plan := step(label+" (settled)", seed, 60); run != int64(len(pairs)) || plan != int64(len(pairs)) {
+			t.Fatalf("%s: Run ranked %d and Plan %d of %d pairs on a settled memo", label, run, plan, len(pairs))
 		}
 	}
 	drop := func(label string, dropped int) {
@@ -234,10 +244,18 @@ func TestSharedMemoRankLifetime(t *testing.T) {
 
 	// Another seed draws nodes the table does not rank: their pairs
 	// fall back to floats, and the next settled sweep re-ranks.
-	if used := step("new seed", 9); used >= int64(len(pairs)) {
-		t.Fatalf("new seed: all %d pairs ranked; no sample drew a node published after the build", used)
+	if run, plan := step("new seed", 9, 60); run+plan >= 2*int64(len(pairs)) {
+		t.Fatalf("new seed: all %d pairs ranked; no sample drew a node published after the build", len(pairs))
 	}
-	if used := step("new seed, rebuilt", 9); used != int64(len(pairs)) {
-		t.Fatalf("new seed, rebuilt: %d of %d pairs ranked", used, len(pairs))
+	if run, plan := step("new seed, rebuilt", 9, 60); run != int64(len(pairs)) || plan != int64(len(pairs)) {
+		t.Fatalf("new seed, rebuilt: Run ranked %d and Plan %d of %d pairs", run, plan, len(pairs))
+	}
+
+	// A Plan over twice the sample: its first 60 draws are the Run's,
+	// all ranked, so a pair that ends off rank keys re-keyed its prefix
+	// as floats at the chunk that drew a node past them.
+	run, plan := step("re-key", 9, 120)
+	if run != int64(len(pairs)) || plan >= int64(len(pairs)) {
+		t.Fatalf("re-key: Run ranked %d and Plan %d of %d pairs; no Plan chunk drew an unranked node", run, plan, len(pairs))
 	}
 }

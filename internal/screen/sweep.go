@@ -149,7 +149,7 @@ func sweep(g *graph.Graph, store *events.Store, pairs [][2]string, cfg PlanConfi
 	if memo != nil && cfg.Memo != nil {
 		// A caller-owned memo is settled by every sweep that finishes
 		// on it; a one-pass sweep on a settled one ranks its events'
-		// densities first (ranks.go).
+		// densities first (ranks.go); every sweep reads the table.
 		key := popKey{g, store, cfg.H}
 		defer cfg.Memo.settle(key)
 		if !prune {
@@ -474,13 +474,13 @@ func (w *sweepWorker) planPair(res PairResult) (PairResult, pairFate) {
 	}
 
 	// The prefix keeps every chunk's keys sorted, so a checkpoint sorts
-	// only the chunk since the last one and merges it in. Without
-	// checkpoints the one chunk is the whole sample: plain Kendall, on
-	// the events' density ranks when the shared memo has them for every
-	// node of the sample (the table is read per pair: a single-worker
-	// sweep's Progress callback may invalidate between pairs).
+	// only the chunk since the last one and merges it in. Chunks are
+	// keyed by the events' density ranks while the shared memo's table
+	// ranks every node drawn so far (the table is read once per pair: a
+	// single-worker sweep's Progress callback may invalidate between
+	// pairs).
 	var ranks *rankTable
-	if !w.prune && w.src != nil && w.src.shared != nil {
+	if w.src != nil && w.src.shared != nil {
 		ranks = w.src.shared.ranks.Load()
 	}
 	var k stats.TauResult
@@ -493,11 +493,20 @@ func (w *sweepWorker) planPair(res PairResult) (PairResult, pairFate) {
 		rs := nodes[w.tau.Len():m]
 		if ranks != nil {
 			if kx, ky, ok := w.src.rankKeys(ranks, rs); ok {
-				w.src.shared.rankPairs.Add(1)
 				w.stats.MemoHits += int64(len(rs))
 				w.stats.DensityEvals += int64(len(rs))
 				k = w.tau.ExtendKeys(kx, ky)
 				return nil
+			}
+			// rs holds a node published after the build: re-key the
+			// prefix as floats and go on. Its nodes are ranked, hence
+			// published, so the re-read is all memo hits, which the rank
+			// path has counted once already.
+			ranks = nil
+			if done := nodes[:w.tau.Len()]; len(done) > 0 {
+				w.tau.Reset()
+				sa, sb, _ := w.src.EvalAll(done)
+				w.tau.Extend(sa, sb)
 			}
 		}
 		sa, sb, err := density(rs)
@@ -525,15 +534,25 @@ func (w *sweepWorker) planPair(res PairResult) (PairResult, pairFate) {
 		// bar keep running — that is what makes the planned top-k set
 		// exactly the exhaustive one's.
 		if scoreUB < w.bar.bar() {
+			w.countRanked(ranks)
 			return res, fatePrunedEarly
 		}
 	}
 	if extend(n) != nil {
 		return res, fateCanceled
 	}
+	w.countRanked(ranks)
 	res.Tau, res.Z = k.Tau, k.Z
 	res.P = stats.PValueZ(res.Z, cfg.Alternative)
 	res.AdjP = res.P
 	res.Significant = res.P < cfg.Alpha
 	return res, fateFull
+}
+
+// countRanked counts a pair that ran on rank keys to the end: its table
+// is still set.
+func (w *sweepWorker) countRanked(t *rankTable) {
+	if t != nil {
+		w.src.shared.rankPairs.Add(1)
+	}
 }

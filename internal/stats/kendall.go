@@ -118,23 +118,28 @@ func Kendall(x, y []float64) TauResult {
 // keeps the prefix's observations sorted by (x, y), so Extend sorts only
 // the new chunk and merges it in, instead of re-sorting everything seen
 // at every checkpoint; Knight's tie scans and inversion count then run
-// on the merged array. The zero value is an empty prefix; its scratch
+// on the merged array. While every key fits in 32 bits (rank keys) an
+// observation is one word, kx<<32 | ky, whose unsigned order is the
+// (x, y) order; the first wider chunk (float keys) converts the prefix
+// to keyPairs for good. The zero value is an empty prefix; its scratch
 // is retained across Reset, so one prefix per worker allocates only
 // while it grows. Not safe for concurrent use.
 type KendallPrefix struct {
-	pts, buf       []keyPair // prefix sorted by (kx, ky); merge/radix scratch
+	words, wbuf    []uint64  // narrow prefix sorted; merge/radix scratch
+	pts, buf       []keyPair // wide prefix sorted by (kx, ky); merge/radix scratch
+	wide           bool      // the prefix is in pts; words is empty
 	kx, ky         []uint64  // Extend's chunk keys
-	ks, kbuf       []uint64  // ky in pts order; inversion-merge scratch
+	ks, kbuf       []uint64  // ky in prefix order; inversion-merge scratch
 	xSizes, ySizes []int64   // tie-group runs (appended; capacity retained)
 }
 
 var prefixPool = sync.Pool{New: func() any { return new(KendallPrefix) }}
 
 // Reset empties the prefix, keeping its scratch.
-func (p *KendallPrefix) Reset() { p.pts = p.pts[:0] }
+func (p *KendallPrefix) Reset() { p.words, p.pts, p.wide = p.words[:0], p.pts[:0], false }
 
 // Len returns the number of observations in the prefix.
-func (p *KendallPrefix) Len() int { return len(p.pts) }
+func (p *KendallPrefix) Len() int { return len(p.words) + len(p.pts) }
 
 // Extend appends the paired observations (x[i], y[i]) to the prefix and
 // returns the TauResult of the whole prefix — exactly Kendall (and
@@ -155,15 +160,36 @@ func (p *KendallPrefix) Extend(x, y []float64) TauResult {
 // values' — FloatKey of each value, or its dense rank among the
 // sample's values — yields the TauResult of the values themselves,
 // because Knight's algorithm reads only their order and ties. It is
-// the kernel's one entry point. The radix sort skips byte positions
+// the kernel's one entry point. The radix sorts skip byte positions
 // that are equal in every key of a chunk, so keys with few varying
-// bytes (ranks below 2^16: two bytes) sort in a quarter of the passes
-// float keys need.
+// bytes (ranks below 2^16: two bytes each of x and y) sort in a
+// quarter of the passes float keys need, over half the bytes.
 func (p *KendallPrefix) ExtendKeys(kx, ky []uint64) TauResult {
 	c := len(kx)
 	if len(ky) != c {
 		panic(fmt.Sprintf("stats: paired keys of different lengths %d and %d", c, len(ky)))
 	}
+	if !p.wide {
+		narrow := true
+		for i := range kx {
+			if (kx[i]|ky[i])>>32 != 0 {
+				narrow = false
+				break
+			}
+		}
+		if narrow {
+			p.extendWords(kx, ky)
+			return p.knight()
+		}
+		p.widen()
+	}
+	p.extendPairs(kx, ky)
+	return p.knight()
+}
+
+// extendPairs sorts the keys (kx, ky) in as keyPairs.
+func (p *KendallPrefix) extendPairs(kx, ky []uint64) {
+	c := len(kx)
 	m := len(p.pts)
 	n := m + c
 	p.pts = slices.Grow(p.pts, c)[:n]
@@ -177,15 +203,13 @@ func (p *KendallPrefix) ExtendKeys(kx, ky []uint64) TauResult {
 		mergeKeyPairs(p.buf[:n], p.pts[:m], chunk)
 		p.pts, p.buf = p.buf[:n], p.pts
 	}
-	return p.knight()
 }
 
 // knight runs Knight's scans over the sorted prefix: pair ties and the
 // x tie groups from run lengths, discordant pairs as y-inversions, and
 // the y tie groups from the inversion count's sorted output.
 func (p *KendallPrefix) knight() TauResult {
-	pts := p.pts
-	n := len(pts)
+	n := p.Len()
 	r := TauResult{N: n}
 	if n < 2 {
 		finishTau(&r, nil, nil)
@@ -194,33 +218,14 @@ func (p *KendallPrefix) knight() TauResult {
 
 	// Pair-tie counts and x tie-group sizes from run lengths in the
 	// sorted order (key equality == float equality).
-	pairs := func(c int64) int64 { return c * (c - 1) / 2 }
-	var tiesXpairs, tiesBothPairs int64 // pairs tied in x (incl. both), both
-	xSizes := p.xSizes[:0]
-	runX, runXY := int64(1), int64(1)
 	p.ks = grow(p.ks, n)
-	kys := p.ks
-	kys[0] = pts[0].ky
-	for i := 1; i < n; i++ {
-		kys[i] = pts[i].ky
-		if pts[i].kx == pts[i-1].kx {
-			runX++
-			if pts[i].ky == pts[i-1].ky {
-				runXY++
-			} else {
-				tiesBothPairs += pairs(runXY)
-				runXY = 1
-			}
-		} else {
-			tiesXpairs += pairs(runX)
-			tiesBothPairs += pairs(runXY)
-			xSizes = append(xSizes, runX)
-			runX, runXY = 1, 1
-		}
+	var tiesXpairs, tiesBothPairs int64 // pairs tied in x (incl. both), both
+	if p.wide {
+		tiesXpairs, tiesBothPairs = p.scanPairs()
+	} else {
+		tiesXpairs, tiesBothPairs = p.scanWords()
 	}
-	tiesXpairs += pairs(runX)
-	tiesBothPairs += pairs(runXY)
-	xSizes = append(xSizes, runX)
+	kys := p.ks
 
 	// countInversions merge-sorts kys in place as a side effect, so the
 	// y tie-group scan below reads the sorted vector for free — no
@@ -254,12 +259,44 @@ func (p *KendallPrefix) knight() TauResult {
 	r.TiesY = tiesYpairs - tiesBothPairs
 	r.Concordant = n0 - r.TiesX - r.TiesY - r.TiesBoth - r.Discordant
 
-	finishTau(&r, xSizes, ySizes)
+	finishTau(&r, p.xSizes, ySizes)
 	// Retain the grown tie-run capacity (append may have reallocated
 	// past it). NumeratorVariance consumed the slices synchronously;
 	// nothing aliases them after return.
-	p.xSizes, p.ySizes = xSizes, ySizes
+	p.ySizes = ySizes
 	return r
+}
+
+// pairs is c choose 2.
+func pairs(c int64) int64 { return c * (c - 1) / 2 }
+
+// scanPairs is knight's run-length scan over the keyPair prefix: it
+// fills p.ks and p.xSizes and returns the pairs tied in x (including
+// both) and in both.
+func (p *KendallPrefix) scanPairs() (tiesXpairs, tiesBothPairs int64) {
+	pts, kys := p.pts, p.ks
+	xSizes := p.xSizes[:0]
+	runX, runXY := int64(1), int64(1)
+	kys[0] = pts[0].ky
+	for i := 1; i < len(pts); i++ {
+		kys[i] = pts[i].ky
+		if pts[i].kx == pts[i-1].kx {
+			runX++
+			if pts[i].ky == pts[i-1].ky {
+				runXY++
+			} else {
+				tiesBothPairs += pairs(runXY)
+				runXY = 1
+			}
+		} else {
+			tiesXpairs += pairs(runX)
+			tiesBothPairs += pairs(runXY)
+			xSizes = append(xSizes, runX)
+			runX, runXY = 1, 1
+		}
+	}
+	p.xSizes = append(xSizes, runX)
+	return tiesXpairs + pairs(runX), tiesBothPairs + pairs(runXY)
 }
 
 // KendallNaiveCutoff is the sample size at which KendallAuto switches
@@ -329,13 +366,20 @@ func mergeKeyPairs(dst, a, b []keyPair) {
 	}
 }
 
-// insertionSortMax is the input size up to which sortKeyPairs uses
-// insertion sort. The radix sort's fixed cost (zeroing and scanning 16
-// histograms of 256 counters) dominates small inputs, and the
-// planner's checkpoint chunks are 50–200 observations: on density keys
+// insertionSortMax and insertionSortWordsMax are the input sizes up to
+// which sortKeyPairs and sortWords use insertion sort: a radix sort's
+// fixed cost (a histogram of 256 counters per varying byte) dominates
+// small inputs. The planner's default schedule cuts a sample of 900
+// into chunks of 64, 64, 128 and 644 observations; the deterministic
+// bound's eighths add chunks of 50–200. On float density keys
 // (BenchmarkSortKeyPairs) insertion sort takes ~2 µs at 64 against
-// radix's ~10 µs, and the two cross between 192 and 256.
-const insertionSortMax = 224
+// radix's ~10 µs, and the two cross between 192 and 256. On rank words
+// (BenchmarkSortWords), whose radix sort makes four passes, insertion
+// sort takes ~0.7 µs at 64 against ~1.4 µs, and they cross near 112.
+const (
+	insertionSortMax      = 224
+	insertionSortWordsMax = 96
+)
 
 // sortKeyPairs sorts observations by (kx, ky) ascending, using buf
 // (len(buf) >= len(a)) as scratch.
@@ -506,4 +550,141 @@ func mustSameLen(x, y []float64) int {
 		panic(fmt.Sprintf("stats: paired samples of different lengths %d and %d", len(x), len(y)))
 	}
 	return len(x)
+}
+
+// The word layout's functions come last in the file: placed before
+// radixSortKeyPairs they moved its start by 32 bytes, and its
+// (byte-identical) benchmark rows read up to a third slower.
+
+// extendWords sorts the 32-bit keys (kx, ky) in as words.
+func (p *KendallPrefix) extendWords(kx, ky []uint64) {
+	c := len(kx)
+	m := len(p.words)
+	n := m + c
+	p.words = slices.Grow(p.words, c)[:n]
+	p.wbuf = grow(p.wbuf, n)
+	chunk := p.words[m:]
+	for i := range chunk {
+		chunk[i] = kx[i]<<32 | ky[i]
+	}
+	sortWords(chunk, p.wbuf[:c])
+	if m > 0 && c > 0 && chunk[0] < p.words[m-1] {
+		mergeWords(p.wbuf[:n], p.words[:m], chunk)
+		p.words, p.wbuf = p.wbuf[:n], p.words
+	}
+}
+
+// widen moves the narrow prefix into the keyPair layout, in the same
+// order: a word's order is its (kx, ky) order.
+func (p *KendallPrefix) widen() {
+	p.pts = grow(p.pts, len(p.words))
+	for i, w := range p.words {
+		p.pts[i] = keyPair{w >> 32, w & (1<<32 - 1)}
+	}
+	p.words, p.wide = p.words[:0], true
+}
+
+// scanWords is scanPairs over the word prefix: equal high halves are an
+// x tie, equal words a tie in both.
+func (p *KendallPrefix) scanWords() (tiesXpairs, tiesBothPairs int64) {
+	words, kys := p.words, p.ks
+	xSizes := p.xSizes[:0]
+	runX, runXY := int64(1), int64(1)
+	kys[0] = words[0] & (1<<32 - 1)
+	for i := 1; i < len(words); i++ {
+		w, prev := words[i], words[i-1]
+		kys[i] = w & (1<<32 - 1)
+		if w>>32 == prev>>32 {
+			runX++
+			if w == prev {
+				runXY++
+			} else {
+				tiesBothPairs += pairs(runXY)
+				runXY = 1
+			}
+		} else {
+			tiesXpairs += pairs(runX)
+			tiesBothPairs += pairs(runXY)
+			xSizes = append(xSizes, runX)
+			runX, runXY = 1, 1
+		}
+	}
+	p.xSizes = append(xSizes, runX)
+	return tiesXpairs + pairs(runX), tiesBothPairs + pairs(runXY)
+}
+
+// mergeWords is mergeKeyPairs over words.
+func mergeWords(dst, a, b []uint64) {
+	i, j := 0, 0
+	for k := range dst {
+		if j == len(b) || (i < len(a) && b[j] >= a[i]) {
+			dst[k] = a[i]
+			i++
+		} else {
+			dst[k] = b[j]
+			j++
+		}
+	}
+}
+
+// sortWords is sortKeyPairs over words.
+func sortWords(a, buf []uint64) {
+	if len(a) <= insertionSortWordsMax {
+		insertionSortWords(a)
+	} else {
+		radixSortWords(a, buf)
+	}
+}
+
+func insertionSortWords(a []uint64) {
+	for i := 1; i < len(a); i++ {
+		v := a[i]
+		j := i
+		for ; j > 0 && v < a[j-1]; j-- {
+			a[j] = a[j-1]
+		}
+		a[j] = v
+	}
+}
+
+// radixSortWords is radixSortKeyPairs over words: a histogram and a
+// pass only for the byte positions where some two words differ — four
+// for rank keys below 2^16.
+func radixSortWords(a, buf []uint64) {
+	orK, andK := uint64(0), ^uint64(0)
+	for _, w := range a {
+		orK |= w
+		andK &= w
+	}
+	var shifts [8]uint
+	np := 0
+	for s := uint(0); s < 64; s += 8 {
+		if byte((orK^andK)>>s) != 0 {
+			shifts[np] = s
+			np++
+		}
+	}
+	var hist [8][256]int32
+	for _, w := range a {
+		for j := range np {
+			hist[j][byte(w>>shifts[j])]++
+		}
+	}
+	src, dst := a, buf
+	for j := range np {
+		h, shift := &hist[j], shifts[j]
+		sum := int32(0)
+		for b := range h {
+			h[b], sum = sum, sum+h[b]
+		}
+		for _, w := range src {
+			b := byte(w >> shift)
+			dst[h[b]] = w
+			h[b]++
+		}
+		src, dst = dst, src
+	}
+	if np%2 == 1 {
+		copy(a, src)
+	}
 }

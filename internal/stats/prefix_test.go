@@ -30,24 +30,31 @@ func tieValue(b byte) float64 {
 // checkPrefixChain feeds x, y to a KendallPrefix in the chunks cuts
 // gives and requires every Extend to equal Kendall and KendallNaive on
 // the concatenated prefix. Each chunk also goes through ExtendKeys on
-// two other prefixes, one keyed by the values' dense ranks and one by
-// a random strictly monotone re-encoding of those ranks (rng): keys
-// where only a few bytes vary, at a random byte offset. Both must
-// return exactly what Extend did.
-func checkPrefixChain(t *testing.T, p *KendallPrefix, x, y []float64, cuts []int, rng *rand.Rand) {
+// three other prefixes: one keyed by the values' dense ranks, one by a
+// random strictly monotone re-encoding of those ranks (rng) — keys
+// where only a few bytes vary, at a random byte offset — and one by a
+// code whose keys are narrow (below 2^32) up to a random rank and wide
+// past it, so that prefix holds words until the first chunk with a wide
+// key. All three must return exactly what Extend did. It reports
+// whether the mixed prefix switched layouts after its first chunk.
+func checkPrefixChain(t *testing.T, p *KendallPrefix, x, y []float64, cuts []int, rng *rand.Rand) (switched bool) {
 	t.Helper()
 	rx, ry := denseRanks(x), denseRanks(y)
 	ex, ey := monotoneRecode(rx, rng), monotoneRecode(ry, rng)
-	var ranked, recoded KendallPrefix
+	mx, my := mixedRecode(rx, rng), mixedRecode(ry, rng)
+	var ranked, recoded, mixed KendallPrefix
 	p.Reset()
 	m := 0
 	for _, c := range cuts {
 		got := p.Extend(x[m:m+c], y[m:m+c])
 		byRank := ranked.ExtendKeys(rx[m:m+c], ry[m:m+c])
 		byCode := recoded.ExtendKeys(ex[m:m+c], ey[m:m+c])
+		wasWide := mixed.wide
+		byMixed := mixed.ExtendKeys(mx[m:m+c], my[m:m+c])
+		switched = switched || (m > 0 && !wasWide && mixed.wide)
 		m += c
-		if p.Len() != m || ranked.Len() != m || recoded.Len() != m {
-			t.Fatalf("Len = %d, %d, %d after %d observations", p.Len(), ranked.Len(), recoded.Len(), m)
+		if p.Len() != m || ranked.Len() != m || recoded.Len() != m || mixed.Len() != m {
+			t.Fatalf("Len = %d, %d, %d, %d after %d observations", p.Len(), ranked.Len(), recoded.Len(), mixed.Len(), m)
 		}
 		if want := Kendall(x[:m], y[:m]); got != want {
 			t.Fatalf("prefix %d (cuts %v): Extend %+v != Kendall %+v", m, cuts, got, want)
@@ -61,7 +68,11 @@ func checkPrefixChain(t *testing.T, p *KendallPrefix, x, y []float64, cuts []int
 		if byCode != got {
 			t.Fatalf("prefix %d (cuts %v): ExtendKeys on re-encoded ranks %+v != Extend %+v", m, cuts, byCode, got)
 		}
+		if byMixed != got {
+			t.Fatalf("prefix %d (cuts %v, wide %v): ExtendKeys on narrow and wide keys %+v != Extend %+v", m, cuts, mixed.wide, byMixed, got)
+		}
 	}
+	return switched
 }
 
 // denseRanks returns each value's dense rank in FloatKey order: equal
@@ -100,11 +111,31 @@ func monotoneRecode(ranks []uint64, rng *rand.Rand) []uint64 {
 	return out
 }
 
+// mixedRecode keeps the ranks below a random split (0..top+1) and maps
+// the others to 2^32 + rank: a strictly monotone code that is narrow
+// below the split and wide from it on.
+func mixedRecode(ranks []uint64, rng *rand.Rand) []uint64 {
+	top := uint64(0)
+	for _, r := range ranks {
+		top = max(top, r)
+	}
+	split := rng.Uint64N(top + 2)
+	out := make([]uint64, len(ranks))
+	for i, r := range ranks {
+		out[i] = r
+		if r >= split {
+			out[i] += 1 << 32
+		}
+	}
+	return out
+}
+
 // FuzzKendallPrefix pits the incremental prefix against from-scratch
-// Kendall at every chunk boundary, on float values and on rank keys. data holds the observations (two
-// bytes each, decoded by tieValue); each byte of cuts is one chunk
-// size (0..47, empty chunks included), the rest of the sample is the
-// last chunk.
+// Kendall at every chunk boundary, on float values and on rank keys,
+// narrow, wide and switching from one layout to the other mid-prefix.
+// data holds the observations (two bytes each, decoded by tieValue);
+// each byte of cuts is one chunk size (0..47, empty chunks included),
+// the rest of the sample is the last chunk.
 func FuzzKendallPrefix(f *testing.F) {
 	f.Add([]byte{0, 32, 1, 9, 9, 1, 200, 200, 64, 65}, []byte{2, 0, 1})
 	f.Add([]byte("the quick brown fox jumps over the lazy dog, twice over"), []byte{7, 7, 1, 30})
@@ -134,9 +165,11 @@ func FuzzKendallPrefix(f *testing.F) {
 // TestKendallPrefixChains runs the planner's checkpoint chains and
 // random chunkings over tie-heavy samples on one reused prefix, so
 // scratch left by a longer earlier chain cannot leak into a later one.
+// Some chains must switch from words to keyPairs mid-prefix.
 func TestKendallPrefixChains(t *testing.T) {
 	rng := rand.New(rand.NewPCG(20, 26))
 	p := new(KendallPrefix)
+	switches := 0
 	for trial := range 60 {
 		n := 2 + rng.IntN(400)
 		x, y := make([]float64, n), make([]float64, n)
@@ -157,7 +190,12 @@ func TestKendallPrefixChains(t *testing.T) {
 				m += c
 			}
 		}
-		checkPrefixChain(t, p, x, y, cuts, rng)
+		if checkPrefixChain(t, p, x, y, cuts, rng) {
+			switches++
+		}
+	}
+	if switches == 0 {
+		t.Fatal("no chain switched layouts mid-prefix")
 	}
 }
 
@@ -252,6 +290,33 @@ func BenchmarkSortKeyPairs(b *testing.B) {
 			for b.Loop() {
 				copy(a, src)
 				radixSortKeyPairs(a, buf)
+			}
+		})
+	}
+}
+
+// BenchmarkSortWords times both word sorts on rank keys packed as
+// kx<<32 | ky at the planner's chunk sizes; insertionSortWordsMax sits
+// where they cross.
+func BenchmarkSortWords(b *testing.B) {
+	for _, n := range []int{32, 64, 96, 128, 192, 256} {
+		x, y := densitySample(n, 2)
+		rx, ry := denseRanks(x), denseRanks(y)
+		src := make([]uint64, n)
+		for i := range src {
+			src[i] = rx[i]<<32 | ry[i]
+		}
+		a, buf := make([]uint64, n), make([]uint64, n)
+		b.Run(fmt.Sprintf("insertion/%d", n), func(b *testing.B) {
+			for b.Loop() {
+				copy(a, src)
+				insertionSortWords(a)
+			}
+		})
+		b.Run(fmt.Sprintf("radix/%d", n), func(b *testing.B) {
+			for b.Loop() {
+				copy(a, src)
+				radixSortWords(a, buf)
 			}
 		})
 	}
