@@ -2,8 +2,8 @@
 # Microbenchmark gate: runs the hot-path benchmarks of a parent revision
 # and of the working tree on this machine, in alternating rounds, then
 # compares the two sides with benchdiff (min ns/op per side; fail above
-# +25%, warn above +10%; B/op and allocs/op are printed beside, not
-# gated).
+# +25%, warn above +10%; min allocs/op fails above the parent's max
+# allocs/op by more than 1% + 0.5; B/op is printed beside, not gated).
 #
 # Usage, from the repository root:
 #

@@ -2,16 +2,21 @@
 // revision against the change's, both taken on the same machine, and
 // gates CI on regressions: a benchmark more than +25% slower than at the
 // parent fails the run, one between +10% and +25% is soft-warned into
-// the summary. A benchmark only the change has is reported as new, one
-// only the parent has as removed; neither fails, because the addition or
-// deletion is in the diff under review.
+// the summary, and one whose fewest allocs/op pass the parent's most by
+// more than allocTolerance and allocSlack fails too. A benchmark only the change has is reported as
+// new, one only the parent has as removed; neither fails, because the
+// addition or deletion is in the diff under review.
 //
 // Benchmarks are keyed by package + name (GOMAXPROCS suffix stripped)
 // and each side is folded with min over its repeated runs, which is the
 // right estimator for a noisy CI box: the minimum is the run least
 // disturbed by neighbors, and a genuine regression raises the minimum.
 // B/op and allocs/op (go test -benchmem) are folded the same way and
-// printed beside ns/op; they are reported only, never gated.
+// printed beside ns/op; allocs/op also keeps its maximum. Allocations
+// do not depend on the host's speed, so allocs/op gates at a far
+// tighter bound than ns/op can: one more allocation per op fails a
+// benchmark that steadily makes up to 50 of them. B/op is reported
+// only, because buffer growth makes it vary.
 //
 // Usage:
 //
@@ -38,10 +43,24 @@ const (
 	warnThreshold = 1.10
 )
 
+// A benchmark fails when the change's fewest allocs/op pass the
+// parent's most × (1 + allocTolerance) + allocSlack. Most benchmarks
+// allocate the same count in every run, but some do not: in a gate run
+// whose packages were unchanged on both sides, BenchmarkApplyDelta100k
+// read 173–186 allocs/op on one side and 176–185 on the other, so the
+// side minima alone differ by 3. Measured against the parent's own
+// range, that noise never fails, while one extra allocation still
+// fails every benchmark whose count is steady below 50 allocs/op.
+const (
+	allocTolerance = 0.01
+	allocSlack     = 0.5
+)
+
 // bench is one benchmark's figures on one side, each the minimum over
-// its runs; bytes and allocs are -1 when no run reported them.
+// its runs, and allocsMax the largest allocs/op; bytes and allocs are
+// -1 when no run reported them.
 type bench struct {
-	ns, bytes, allocs float64
+	ns, bytes, allocs, allocsMax float64
 }
 
 // parseBench extracts min ns/op, B/op and allocs/op per benchmark key
@@ -67,7 +86,7 @@ func parseBench(r io.Reader) (map[string]bench, error) {
 		if len(fields) < 4 {
 			continue
 		}
-		b := bench{ns: -1, bytes: -1, allocs: -1}
+		b := bench{ns: -1, bytes: -1, allocs: -1, allocsMax: -1}
 		for i := 2; i < len(fields); i++ {
 			var dst *float64
 			switch fields[i] {
@@ -89,6 +108,7 @@ func parseBench(r io.Reader) (map[string]bench, error) {
 		if b.ns < 0 {
 			continue
 		}
+		b.allocsMax = b.allocs
 		name := fields[0]
 		// Strip the -GOMAXPROCS suffix so both sides key alike even when
 		// one ran with another core count.
@@ -105,6 +125,7 @@ func parseBench(r io.Reader) (map[string]bench, error) {
 			b.ns = min(b.ns, prev.ns)
 			b.bytes = minReported(b.bytes, prev.bytes)
 			b.allocs = minReported(b.allocs, prev.allocs)
+			b.allocsMax = max(b.allocsMax, prev.allocsMax)
 		}
 		out[key] = b
 	}
@@ -137,7 +158,8 @@ type row struct {
 }
 
 // diff builds one row per benchmark either side ran, sorted by key, and
-// counts the regressions and warnings among them. Only ns/op gates.
+// counts the regressions and warnings among them. ns/op and allocs/op
+// gate; a row failing both reads REGRESSION.
 func diff(parent, change map[string]bench) (rows []row, regressions, warnings int) {
 	for key, c := range change {
 		r := row{key: key, change: c, status: "new"}
@@ -147,6 +169,9 @@ func diff(parent, change map[string]bench) (rows []row, regressions, warnings in
 			switch {
 			case r.ratio > failThreshold:
 				r.status = "REGRESSION"
+				regressions++
+			case allocsRose(p, c):
+				r.status = "ALLOCS"
 				regressions++
 			case r.ratio > warnThreshold:
 				r.status = "warn"
@@ -166,6 +191,13 @@ func diff(parent, change map[string]bench) (rows []row, regressions, warnings in
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].key < rows[j].key })
 	return rows, regressions, warnings
+}
+
+// allocsRose reports whether the change's fewest allocs/op passed the
+// gate's bound over the parent's most; a side that did not report
+// allocs/op does not gate.
+func allocsRose(parent, change bench) bool {
+	return parent.allocsMax >= 0 && change.allocs > parent.allocsMax*(1+allocTolerance)+allocSlack
 }
 
 func main() {
@@ -205,7 +237,8 @@ func main() {
 		}
 	}
 	if regressions > 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: %d benchmark(s) regressed more than %.0f%% against the parent\n", regressions, (failThreshold-1)*100)
+		fmt.Fprintf(os.Stderr, "benchdiff: %d benchmark(s) regressed against the parent: ns/op more than +%.0f%%, or allocs/op more than +%.0f%% + %.1f over the parent's most\n",
+			regressions, (failThreshold-1)*100, allocTolerance*100, allocSlack)
 		os.Exit(1)
 	}
 }
@@ -226,8 +259,8 @@ func parseFile(path string) (map[string]bench, error) {
 func renderTable(rows []row, regressions, warnings int) string {
 	var sb strings.Builder
 	sb.WriteString("### Benchmark regression gate\n\n")
-	fmt.Fprintf(&sb, "Thresholds: fail > +%.0f%%, warn > +%.0f%% (change vs parent ns/op, min over runs); B/op and allocs/op are reported, not gated\n\n",
-		(failThreshold-1)*100, (warnThreshold-1)*100)
+	fmt.Fprintf(&sb, "Thresholds: fail > +%.0f%%, warn > +%.0f%% (change vs parent ns/op, min over runs); ALLOCS fails min allocs/op > parent's max allocs/op × %.2f + %.1f; B/op is reported, not gated\n\n",
+		(failThreshold-1)*100, (warnThreshold-1)*100, 1+allocTolerance, allocSlack)
 	sb.WriteString("| benchmark | parent ns/op | change ns/op | delta | parent B/op | change B/op | parent allocs/op | change allocs/op | status |\n")
 	sb.WriteString("|---|---:|---:|---:|---:|---:|---:|---:|---|\n")
 	// figure prints one side's figure, or a dash when the side lacks
@@ -244,8 +277,8 @@ func renderTable(rows []row, regressions, warnings int) string {
 			delta = fmt.Sprintf("%+.1f%%", (r.ratio-1)*100)
 		}
 		status := r.status
-		if status == "REGRESSION" {
-			status = "❌ REGRESSION"
+		if status == "REGRESSION" || status == "ALLOCS" {
+			status = "❌ " + status
 		} else if status == "warn" {
 			status = "⚠️ warn"
 		}

@@ -27,9 +27,9 @@ func TestParseBench(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]bench{
-		"tesc/internal/core.BenchmarkDensityPhaseFlat": {449000, 12, 3}, // min of 3 runs
-		"tesc/internal/graph.BenchmarkCollect":         {127708, -1, -1},
-		"tesc/internal/graph.BenchmarkEnginePool":      {1113, 0, 0},
+		"tesc/internal/core.BenchmarkDensityPhaseFlat": {449000, 12, 3, 3}, // min of 3 runs
+		"tesc/internal/graph.BenchmarkCollect":         {127708, -1, -1, -1},
+		"tesc/internal/graph.BenchmarkEnginePool":      {1113, 0, 0, 0},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("parsed %d benchmarks, want %d: %v", len(got), len(want), got)
@@ -42,8 +42,8 @@ func TestParseBench(t *testing.T) {
 }
 
 // TestParseBenchMem folds B/op and allocs/op by their own minimum
-// over runs, past custom metrics between them, and keeps a figure that
-// only some runs reported.
+// over runs (and allocs/op by its maximum too), past custom metrics
+// between them, and keeps a figure that only some runs reported.
 func TestParseBenchMem(t *testing.T) {
 	const out = `pkg: tesc/internal/screen
 BenchmarkPlan-2   100   9000 ns/op   593.0 checkpoints   217000 B/op   1047 allocs/op
@@ -57,8 +57,8 @@ BenchmarkKendall-2   10   650 ns/op   64 B/op   1 allocs/op
 		t.Fatal(err)
 	}
 	want := map[string]bench{
-		"tesc/internal/screen.BenchmarkPlan":    {8000, 216000, 1047},
-		"tesc/internal/screen.BenchmarkKendall": {650, 64, 1},
+		"tesc/internal/screen.BenchmarkPlan":    {8000, 216000, 1047, 1050},
+		"tesc/internal/screen.BenchmarkKendall": {650, 64, 1, 1},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("parsed %d benchmarks, want %d: %v", len(got), len(want), got)
@@ -68,13 +68,67 @@ BenchmarkKendall-2   10   650 ns/op   64 B/op   1 allocs/op
 			t.Errorf("%s = %+v, want %+v", k, got[k], v)
 		}
 	}
-	rows, regressions, _ := diff(map[string]bench{"k": {100, 50, 2}}, map[string]bench{"k": {100, 5000, 200}})
+	rows, regressions, _ := diff(map[string]bench{"k": {100, 50, 2, 2}}, map[string]bench{"k": {100, 5000, 2, 2}})
 	if regressions != 0 || rows[0].status != "ok" {
-		t.Errorf("a memory rise gated: %d regression(s), status %s", regressions, rows[0].status)
+		t.Errorf("a B/op rise gated: %d regression(s), status %s", regressions, rows[0].status)
 	}
 	table := renderTable(rows, 0, 0)
-	if !strings.Contains(table, "| k | 100 | 100 | +0.0% | 50 | 5000 | 2 | 200 | ok |") {
+	if !strings.Contains(table, "| k | 100 | 100 | +0.0% | 50 | 5000 | 2 | 2 | ok |") {
 		t.Errorf("table lacks the memory columns:\n%s", table)
+	}
+}
+
+// TestAllocsGate plants one extra allocation per op in a benchmark
+// whose ns/op reads inside the noise (+1%), as one more allocation per
+// core.Test call would show in BenchmarkImportanceTest100k (49
+// allocs/op in every run): the gate fails it. A count inside the
+// parent's own run-to-run range (BenchmarkApplyDelta100k's, from a
+// gate run on unchanged code), a drop, and a row whose parent did not
+// report allocs/op pass.
+func TestAllocsGate(t *testing.T) {
+	const parentOut = `pkg: tesc/internal/core
+BenchmarkImportanceTest100k-2   600   1800000 ns/op   225900 B/op   49 allocs/op
+BenchmarkImportanceTest100k-2   600   1750000 ns/op   225838 B/op   49 allocs/op
+pkg: tesc/internal/vicinity
+BenchmarkApplyDelta100k-2   3000   386731 ns/op   390651 B/op   186 allocs/op
+BenchmarkApplyDelta100k-2   3000   504264 ns/op   390600 B/op   173 allocs/op
+pkg: tesc/internal/screen
+BenchmarkScreenPlanTopKRanked-2   150   7000000 ns/op   217000 B/op   1047 allocs/op
+BenchmarkNoMem-2   10   100 ns/op
+`
+	const changeOut = `pkg: tesc/internal/core
+BenchmarkImportanceTest100k-2   600   1760000 ns/op   225950 B/op   50 allocs/op
+pkg: tesc/internal/vicinity
+BenchmarkApplyDelta100k-2   3000   390000 ns/op   392841 B/op   176 allocs/op
+pkg: tesc/internal/screen
+BenchmarkScreenPlanTopKRanked-2   150   7100000 ns/op   200000 B/op   900 allocs/op
+BenchmarkNoMem-2   10   100 ns/op   0 B/op   3 allocs/op
+`
+	parent, err := parseBench(strings.NewReader(parentOut))
+	if err != nil {
+		t.Fatal(err)
+	}
+	change, err := parseBench(strings.NewReader(changeOut))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, regressions, warnings := diff(parent, change)
+	if regressions != 1 || warnings != 0 {
+		t.Errorf("regressions, warnings = %d, %d; want 1, 0", regressions, warnings)
+	}
+	want := map[string]string{
+		"tesc/internal/core.BenchmarkImportanceTest100k":     "ALLOCS",
+		"tesc/internal/vicinity.BenchmarkApplyDelta100k":     "ok",
+		"tesc/internal/screen.BenchmarkScreenPlanTopKRanked": "ok",
+		"tesc/internal/screen.BenchmarkNoMem":                "ok",
+	}
+	for _, r := range rows {
+		if r.status != want[r.key] {
+			t.Errorf("%s: status %s, want %s", r.key, r.status, want[r.key])
+		}
+	}
+	if table := renderTable(rows, regressions, warnings); !strings.Contains(table, "| 49 | 50 | ❌ ALLOCS |") {
+		t.Errorf("table lacks the failed allocation row:\n%s", table)
 	}
 }
 
@@ -136,7 +190,7 @@ BenchmarkAdded-2     10    50 ns/op
 }
 
 func TestRenderTableStatuses(t *testing.T) {
-	none := func(ns float64) bench { return bench{ns, -1, -1} }
+	none := func(ns float64) bench { return bench{ns, -1, -1, -1} }
 	rows := []row{
 		{key: "a", parent: none(100), change: none(300), ratio: 3, status: "REGRESSION"},
 		{key: "b", parent: none(100), change: none(115), ratio: 1.15, status: "warn"},

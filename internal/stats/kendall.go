@@ -7,7 +7,10 @@
 // mentions.
 //
 // Everything here is pure computation over float slices; no graph types
-// leak in. The TESC core feeds event-density vectors to these functions.
+// leak in. The TESC core feeds event-density vectors to these functions,
+// and the screening sweep their dense ranks (KendallPrefix.ExtendKeys),
+// which sort as one word per observation and, when most are zero in
+// one of the two, are counted from histograms instead of sorted.
 package stats
 
 import (
@@ -121,22 +124,28 @@ func Kendall(x, y []float64) TauResult {
 // on the merged array. While every key fits in 32 bits (rank keys) an
 // observation is one word, kx<<32 | ky, whose unsigned order is the
 // (x, y) order; the first wider chunk (float keys) converts the prefix
-// to keyPairs for good. The zero value is an empty prefix; its scratch
-// is retained across Reset, so one prefix per worker allocates only
-// while it grows. Not safe for concurrent use.
+// to keyPairs for good. A first chunk of rank keys that is mostly zeros
+// is counted by peel instead of sorted; its words are sorted only when
+// a later chunk extends it. The zero value is an empty prefix; its
+// scratch is retained across Reset, so one prefix per worker allocates
+// only while it grows. Not safe for concurrent use.
 type KendallPrefix struct {
-	words, wbuf    []uint64  // narrow prefix sorted; merge/radix scratch
+	words, wbuf    []uint64  // narrow prefix sorted (unless peeled); merge/radix scratch
+	peeled         bool      // words is one peeled chunk, in input order
 	pts, buf       []keyPair // wide prefix sorted by (kx, ky); merge/radix scratch
 	wide           bool      // the prefix is in pts; words is empty
 	kx, ky         []uint64  // Extend's chunk keys
 	ks, kbuf       []uint64  // ky in prefix order; inversion-merge scratch
 	xSizes, ySizes []int64   // tie-group runs (appended; capacity retained)
+	hist           []int64   // peel's four histograms
 }
 
 var prefixPool = sync.Pool{New: func() any { return new(KendallPrefix) }}
 
 // Reset empties the prefix, keeping its scratch.
-func (p *KendallPrefix) Reset() { p.words, p.pts, p.wide = p.words[:0], p.pts[:0], false }
+func (p *KendallPrefix) Reset() {
+	p.words, p.pts, p.wide, p.peeled = p.words[:0], p.pts[:0], false, false
+}
 
 // Len returns the number of observations in the prefix.
 func (p *KendallPrefix) Len() int { return len(p.words) + len(p.pts) }
@@ -164,18 +173,40 @@ func (p *KendallPrefix) Extend(x, y []float64) TauResult {
 // that are equal in every key of a chunk, so keys with few varying
 // bytes (ranks below 2^16: two bytes each of x and y) sort in a
 // quarter of the passes float keys need, over half the bytes.
+//
+// The first chunk of an empty prefix is not sorted at all when it is
+// longer than the insertion sort's, its keys are small (max kx + max ky
+// below peelSpan·c) and at most a 1/peelBothDiv share of its
+// observations is nonzero in both keys: one pair of an exhaustive
+// screen, whose reference nodes lie near one event and mostly far from
+// the other, so that most densities rank 0 for one of the two. peel
+// counts such a chunk from histograms instead.
 func (p *KendallPrefix) ExtendKeys(kx, ky []uint64) TauResult {
 	c := len(kx)
 	if len(ky) != c {
 		panic(fmt.Sprintf("stats: paired keys of different lengths %d and %d", c, len(ky)))
 	}
+	if p.peeled {
+		p.wbuf = grow(p.wbuf, len(p.words))
+		sortWords(p.words, p.wbuf)
+		p.peeled = false
+	}
 	if !p.wide {
-		narrow := true
-		for i := range kx {
-			if (kx[i]|ky[i])>>32 != 0 {
-				narrow = false
-				break
+		var narrow, peel bool
+		var nx, ny int
+		if len(p.words) == 0 && c > insertionSortWordsMax {
+			narrow, peel, nx, ny = peelGuard(kx, ky)
+		} else {
+			narrow = true
+			for i := range kx {
+				if (kx[i]|ky[i])>>32 != 0 {
+					narrow = false
+					break
+				}
 			}
+		}
+		if peel {
+			return p.peel(kx, ky, nx, ny)
 		}
 		if narrow {
 			p.extendWords(kx, ky)
@@ -223,7 +254,7 @@ func (p *KendallPrefix) knight() TauResult {
 	if p.wide {
 		tiesXpairs, tiesBothPairs = p.scanPairs()
 	} else {
-		tiesXpairs, tiesBothPairs = p.scanWords()
+		tiesXpairs, tiesBothPairs = p.scanWords(p.words)
 	}
 	kys := p.ks
 
@@ -584,10 +615,11 @@ func (p *KendallPrefix) widen() {
 	p.words, p.wide = p.words[:0], true
 }
 
-// scanWords is scanPairs over the word prefix: equal high halves are an
-// x tie, equal words a tie in both.
-func (p *KendallPrefix) scanWords() (tiesXpairs, tiesBothPairs int64) {
-	words, kys := p.words, p.ks
+// scanWords is scanPairs over sorted words (the word prefix, or peel's
+// observations nonzero in both keys): equal high halves are an x tie,
+// equal words a tie in both.
+func (p *KendallPrefix) scanWords(words []uint64) (tiesXpairs, tiesBothPairs int64) {
+	kys := p.ks
 	xSizes := p.xSizes[:0]
 	runX, runXY := int64(1), int64(1)
 	kys[0] = words[0] & (1<<32 - 1)
@@ -687,4 +719,130 @@ func radixSortWords(a, buf []uint64) {
 	if np%2 == 1 {
 		copy(a, src)
 	}
+}
+
+// peelBothDiv and peelSpan guard ExtendKeys' peel: at most c/peelBothDiv
+// of a chunk's c observations may be nonzero in both keys, and
+// max kx + max ky, which sizes the histograms, must stay below
+// peelSpan·c. On 900 rank keys (BenchmarkKendallRankKeys' samples, and
+// copies with the ranks stretched) peeling took half the word sort's
+// time at 50% nonzero in both, was even at 70% and 30% slower at 90%
+// (the zero-light "rank" row); with none nonzero in both it still won
+// at a span of 6n.
+const (
+	peelBothDiv = 2
+	peelSpan    = 4
+)
+
+// peelGuard is ExtendKeys' narrowness check on the first chunk of an
+// empty prefix, folded into one pass with peel's guard: it reports
+// whether every key fits 32 bits, whether the chunk peels, and the
+// lengths of its x and y histograms. Later chunks, which never peel,
+// take the plain check.
+func peelGuard(kx, ky []uint64) (narrow, peel bool, nx, ny int) {
+	var mx, my uint64
+	zeros := 0
+	for i := range kx {
+		x, y := kx[i], ky[i]
+		if (x|y)>>32 != 0 {
+			return false, false, 0, 0
+		}
+		mx, my = max(mx, x), max(my, y)
+		zeros += int(((x - 1) | (y - 1)) >> 63) // x-1 wraps past 2^63 only at 0
+	}
+	c := len(kx)
+	return true, (c-zeros)*peelBothDiv <= c && mx+my < uint64(peelSpan*c), int(mx) + 1, int(my) + 1
+}
+
+// peel is Knight's counts of a first chunk of narrow keys (kx below nx,
+// ky below ny) without sorting it. Its observations fall into four
+// classes: zero in both keys (Z), in x only (X0), in y only (Y0), and
+// in neither (B). Every Z×B pair is concordant and every X0×Y0 pair
+// discordant; a pair within Z ties in both, a pair within X0 ties in
+// both exactly when the y keys are equal (and likewise within Y0); an
+// X0×B pair is discordant when X0's y is larger and a Y0×B pair when
+// Y0's x is. The x and y histograms give every tie count and the tie
+// groups in ascending key order, as Knight's scans would; X0's y and
+// Y0's x histograms, summed from the top, give the X0×B and Y0×B
+// discordances. Only B goes through the word sort, its tie scan and
+// the inversion count. The chunk's words stay in p.words, unsorted.
+func (p *KendallPrefix) peel(kx, ky []uint64, nx, ny int) TauResult {
+	n := len(kx)
+	p.words = grow(p.words, n)
+	p.wbuf = grow(p.wbuf, n)
+	p.hist = grow(p.hist, 2*(nx+ny))
+	clear(p.hist)
+	hx, hy := p.hist[:nx], p.hist[nx:nx+ny]
+	y0x, x0y := p.hist[nx+ny:2*nx+ny], p.hist[2*nx+ny:] // Z counts at index 0 of both
+	both := p.wbuf[:0]
+	for i := range kx {
+		x, y := kx[i], ky[i]
+		w := x<<32 | y
+		p.words[i] = w
+		hx[x]++
+		hy[y]++
+		var zx, zy int64
+		if x == 0 {
+			zx = 1
+		}
+		if y == 0 {
+			zy = 1
+		}
+		x0y[y] += zx
+		y0x[x] += zy
+		if zx|zy == 0 {
+			both = append(both, w)
+		}
+	}
+	z := x0y[0]
+	discordant := (hx[0] - z) * (hy[0] - z) // X0×Y0
+	tiesBothPairs := pairs(z)
+	// X0×B: the B observations at y (the y histogram less X0's) against
+	// the X0 observations above y; within X0, equal y ties in both.
+	var above int64
+	for y := ny - 1; y > 0; y-- {
+		discordant += (hy[y] - x0y[y]) * above
+		above += x0y[y]
+		tiesBothPairs += pairs(x0y[y])
+	}
+	above = 0
+	for x := nx - 1; x > 0; x-- {
+		discordant += (hx[x] - y0x[x]) * above
+		above += y0x[x]
+		tiesBothPairs += pairs(y0x[x])
+	}
+	if len(both) > 1 {
+		p.ks, p.kbuf = grow(p.ks, len(both)), grow(p.kbuf, len(both))
+		sortWords(both, p.kbuf)
+		_, bothTies := p.scanWords(both)
+		tiesBothPairs += bothTies
+		discordant += countInversionsBuf(p.ks, p.kbuf)
+	}
+	tiesXpairs, tiesYpairs := histSizes(hx, &p.xSizes), histSizes(hy, &p.ySizes)
+	p.peeled = true
+	// This repeats knight's last lines on purpose: moved into a helper
+	// both call, they shrank knight by 96 bytes, which moved the start of
+	// radixSortKeyPairs (and of the functions after it) by 32 bytes mod
+	// 64 in the stats, screen and tescperf binaries, and its
+	// byte-identical gate rows read up to 32% slower.
+	r := TauResult{N: n, Discordant: discordant, TiesBoth: tiesBothPairs}
+	r.TiesX = tiesXpairs - tiesBothPairs
+	r.TiesY = tiesYpairs - tiesBothPairs
+	r.Concordant = pairs(int64(n)) - r.TiesX - r.TiesY - r.TiesBoth - r.Discordant
+	finishTau(&r, p.xSizes, p.ySizes)
+	return r
+}
+
+// histSizes sets *sizes to the nonzero counts of h, the tie groups in
+// ascending key order, and returns the pairs they tie.
+func histSizes(h []int64, sizes *[]int64) (tiePairs int64) {
+	s := grow(*sizes, len(h))
+	k := 0
+	for _, c := range h {
+		s[k] = c
+		k += int((uint64(c) | -uint64(c)) >> 63) // branch-free c != 0
+		tiePairs += c * (c - 1)
+	}
+	*sizes = s[:k]
+	return tiePairs / 2
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -27,6 +28,9 @@ func tieValue(b byte) float64 {
 	return v
 }
 
+// chainPrefixes are the four prefixes checkPrefixChain extends.
+type chainPrefixes struct{ float, ranked, recoded, mixed KendallPrefix }
+
 // checkPrefixChain feeds x, y to a KendallPrefix in the chunks cuts
 // gives and requires every Extend to equal Kendall and KendallNaive on
 // the concatenated prefix. Each chunk also goes through ExtendKeys on
@@ -35,15 +39,20 @@ func tieValue(b byte) float64 {
 // where only a few bytes vary, at a random byte offset — and one by a
 // code whose keys are narrow (below 2^32) up to a random rank and wide
 // past it, so that prefix holds words until the first chunk with a wide
-// key. All three must return exactly what Extend did. It reports
-// whether the mixed prefix switched layouts after its first chunk.
-func checkPrefixChain(t *testing.T, p *KendallPrefix, x, y []float64, cuts []int, rng *rand.Rand) (switched bool) {
+// key. All three must return exactly what Extend did. The prefixes are
+// reset first, so scratch a longer earlier chain left must not leak
+// in. It reports whether the mixed prefix switched layouts after its
+// first chunk and whether the ranked or the mixed prefix peeled a
+// chunk (rank 0 is then zero: x and y hold no negative values).
+func checkPrefixChain(t *testing.T, ps *chainPrefixes, x, y []float64, cuts []int, rng *rand.Rand) (switched, peeled bool) {
 	t.Helper()
 	rx, ry := denseRanks(x), denseRanks(y)
 	ex, ey := monotoneRecode(rx, rng), monotoneRecode(ry, rng)
 	mx, my := mixedRecode(rx, rng), mixedRecode(ry, rng)
-	var ranked, recoded, mixed KendallPrefix
-	p.Reset()
+	p, ranked, recoded, mixed := &ps.float, &ps.ranked, &ps.recoded, &ps.mixed
+	for _, q := range []*KendallPrefix{p, ranked, recoded, mixed} {
+		q.Reset()
+	}
 	m := 0
 	for _, c := range cuts {
 		got := p.Extend(x[m:m+c], y[m:m+c])
@@ -52,6 +61,7 @@ func checkPrefixChain(t *testing.T, p *KendallPrefix, x, y []float64, cuts []int
 		wasWide := mixed.wide
 		byMixed := mixed.ExtendKeys(mx[m:m+c], my[m:m+c])
 		switched = switched || (m > 0 && !wasWide && mixed.wide)
+		peeled = peeled || ranked.peeled || mixed.peeled
 		m += c
 		if p.Len() != m || ranked.Len() != m || recoded.Len() != m || mixed.Len() != m {
 			t.Fatalf("Len = %d, %d, %d, %d after %d observations", p.Len(), ranked.Len(), recoded.Len(), mixed.Len(), m)
@@ -72,7 +82,7 @@ func checkPrefixChain(t *testing.T, p *KendallPrefix, x, y []float64, cuts []int
 			t.Fatalf("prefix %d (cuts %v, wide %v): ExtendKeys on narrow and wide keys %+v != Extend %+v", m, cuts, mixed.wide, byMixed, got)
 		}
 	}
-	return switched
+	return switched, peeled
 }
 
 // denseRanks returns each value's dense rank in FloatKey order: equal
@@ -111,15 +121,21 @@ func monotoneRecode(ranks []uint64, rng *rand.Rand) []uint64 {
 	return out
 }
 
-// mixedRecode keeps the ranks below a random split (0..top+1) and maps
-// the others to 2^32 + rank: a strictly monotone code that is narrow
-// below the split and wide from it on.
+// mixedRecode keeps the ranks below a split and maps the others to
+// 2^32 + rank: a strictly monotone code that is narrow below the split
+// and wide from it on. The split is uniform on 0..top+1 a third of the
+// time; otherwise it is top or top+1, so that at most the largest
+// value's observations are wide and a first chunk without them stays
+// narrow.
 func mixedRecode(ranks []uint64, rng *rand.Rand) []uint64 {
 	top := uint64(0)
 	for _, r := range ranks {
 		top = max(top, r)
 	}
-	split := rng.Uint64N(top + 2)
+	split := top + rng.Uint64N(2)
+	if rng.IntN(3) == 0 {
+		split = rng.Uint64N(top + 2)
+	}
 	out := make([]uint64, len(ranks))
 	for i, r := range ranks {
 		out[i] = r
@@ -130,26 +146,44 @@ func mixedRecode(ranks []uint64, rng *rand.Rand) []uint64 {
 	return out
 }
 
+// tescPair decodes two bytes into a pair shaped like an exhaustive
+// screen's densities: nonnegative, tie-heavy (tieValue's magnitudes),
+// and zero in one coordinate unless a's low bits are 3. Zero is then
+// rank 0, and at most a quarter of the pairs (fewer, since tieValue is
+// often zero) is nonzero in both, so a first chunk of more than 96
+// such pairs takes ExtendKeys' peel.
+func tescPair(a, b byte) (x, y float64) {
+	v := math.Abs(tieValue(b))
+	switch a & 3 {
+	case 0:
+		return v, 0
+	case 1, 2:
+		return 0, v
+	}
+	return math.Abs(tieValue(a)), v
+}
+
+// tiePair decodes two bytes into two independent tieValues.
+func tiePair(a, b byte) (x, y float64) { return tieValue(a), tieValue(b) }
+
 // FuzzKendallPrefix pits the incremental prefix against from-scratch
 // Kendall at every chunk boundary, on float values and on rank keys,
-// narrow, wide and switching from one layout to the other mid-prefix.
-// data holds the observations (two bytes each, decoded by tieValue);
-// each byte of cuts is one chunk size (0..47, empty chunks included),
-// the rest of the sample is the last chunk.
+// narrow, wide, switching from one layout to the other mid-prefix, and
+// peeled. data holds the observations (two bytes each, decoded once by
+// tiePair and once by tescPair); each byte of cuts is one chunk size
+// (0..159, empty chunks included), the rest of the sample is the last
+// chunk.
 func FuzzKendallPrefix(f *testing.F) {
 	f.Add([]byte{0, 32, 1, 9, 9, 1, 200, 200, 64, 65}, []byte{2, 0, 1})
 	f.Add([]byte("the quick brown fox jumps over the lazy dog, twice over"), []byte{7, 7, 1, 30})
 	f.Add(make([]byte, 80), []byte{})
+	f.Add([]byte(strings.Repeat("peel the zero ranks: 1/2 3/4 ", 12)), []byte{140, 0, 30})
 	f.Fuzz(func(t *testing.T, data, cutBytes []byte) {
 		n := min(len(data)/2, 300)
-		x, y := make([]float64, n), make([]float64, n)
-		for i := range n {
-			x[i], y[i] = tieValue(data[2*i]), tieValue(data[2*i+1])
-		}
 		var cuts []int
 		m := 0
 		for _, b := range cutBytes {
-			c := min(int(b)%48, n-m)
+			c := min(int(b)%160, n-m)
 			cuts = append(cuts, c)
 			m += c
 		}
@@ -158,23 +192,37 @@ func FuzzKendallPrefix(f *testing.F) {
 		for _, b := range data {
 			seed = seed*31 + uint64(b)
 		}
-		checkPrefixChain(t, new(KendallPrefix), x, y, cuts, rand.New(rand.NewPCG(seed, 21)))
+		rng := rand.New(rand.NewPCG(seed, 21))
+		ps := new(chainPrefixes)
+		x, y := make([]float64, n), make([]float64, n)
+		for _, decode := range []func(a, b byte) (float64, float64){tiePair, tescPair} {
+			for i := range n {
+				x[i], y[i] = decode(data[2*i], data[2*i+1])
+			}
+			checkPrefixChain(t, ps, x, y, cuts, rng)
+		}
 	})
 }
 
 // TestKendallPrefixChains runs the planner's checkpoint chains and
-// random chunkings over tie-heavy samples on one reused prefix, so
-// scratch left by a longer earlier chain cannot leak into a later one.
-// Some chains must switch from words to keyPairs mid-prefix.
+// random chunkings over tie-heavy samples on one reused set of
+// prefixes, so scratch left by a longer earlier chain cannot leak into
+// a later one. Every third sample is shaped like an exhaustive screen's
+// (tescPair). Some chains must switch from words to keyPairs
+// mid-prefix, and some must peel.
 func TestKendallPrefixChains(t *testing.T) {
 	rng := rand.New(rand.NewPCG(20, 26))
-	p := new(KendallPrefix)
-	switches := 0
-	for trial := range 60 {
+	ps := new(chainPrefixes)
+	switches, peels := 0, 0
+	for trial := range 120 {
 		n := 2 + rng.IntN(400)
+		decode := tiePair
+		if trial%3 == 2 {
+			decode = tescPair
+		}
 		x, y := make([]float64, n), make([]float64, n)
 		for i := range n {
-			x[i], y[i] = tieValue(byte(rng.Uint32())), tieValue(byte(rng.Uint32()))
+			x[i], y[i] = decode(byte(rng.Uint32()), byte(rng.Uint32()))
 		}
 		var cuts []int
 		if trial%2 == 0 {
@@ -190,12 +238,118 @@ func TestKendallPrefixChains(t *testing.T) {
 				m += c
 			}
 		}
-		if checkPrefixChain(t, p, x, y, cuts, rng) {
+		switched, peeled := checkPrefixChain(t, ps, x, y, cuts, rng)
+		if switched {
 			switches++
 		}
+		if peeled {
+			peels++
+		}
 	}
-	if switches == 0 {
-		t.Fatal("no chain switched layouts mid-prefix")
+	if switches == 0 || peels == 0 {
+		t.Fatalf("%d chains switched layouts mid-prefix and %d peeled; want some of each", switches, peels)
+	}
+}
+
+// TestKendallPeel pins the peel guard's edges and its classes on
+// hand-made rank keys, chunk by chunk against KendallNaive on the keys
+// as floats: whether the first chunk peels, and that a peeled prefix
+// extended by narrow or wide chunks stays Kendall of the whole.
+func TestKendallPeel(t *testing.T) {
+	// zeroHeavy is c observations, the i-th keyed (i%7+1, 0), (0, i%5+1)
+	// or (0, 0) by i%3 (the last a tie in both), with the first b moved
+	// to keys nonzero in both.
+	zeroHeavy := func(c, b int) (kx, ky []uint64) {
+		kx, ky = make([]uint64, c), make([]uint64, c)
+		for i := range c {
+			switch i % 3 {
+			case 0:
+				kx[i] = uint64(i%7 + 1)
+			case 1:
+				ky[i] = uint64(i%5 + 1)
+			}
+			if i < b {
+				kx[i], ky[i] = uint64(i%4+1), uint64(i%7+1)
+			}
+		}
+		return kx, ky
+	}
+	type peelCase struct {
+		name   string
+		kx, ky []uint64
+		cuts   []int
+		peels  bool // the first nonempty chunk
+	}
+	const c = 120
+	var cases []peelCase
+	add := func(name string, kx, ky []uint64, cuts []int, peels bool) {
+		cases = append(cases, peelCase{name, kx, ky, cuts, peels})
+	}
+	{
+		kx, ky := zeroHeavy(c, 0)
+		add("empty B", kx, ky, []int{c}, true)
+	}
+	{
+		kx, ky := zeroHeavy(c, 1)
+		add("one B", kx, ky, []int{c}, true)
+	}
+	{
+		kx, ky := zeroHeavy(c, c/2)
+		add("B at the share guard", kx, ky, []int{c}, true)
+	}
+	{
+		kx, ky := zeroHeavy(c, c/2+1)
+		add("B past the share guard", kx, ky, []int{c}, false)
+	}
+	{
+		kx, ky := make([]uint64, c), make([]uint64, c)
+		add("all zero in both", kx, ky, []int{c}, true)
+	}
+	for _, size := range []int{insertionSortWordsMax, insertionSortWordsMax + 1} {
+		// A chunk the insertion sort takes is sorted.
+		kx, ky := zeroHeavy(size, 0)
+		add(fmt.Sprintf("chunk of %d", size), kx, ky, []int{size}, size > insertionSortWordsMax)
+	}
+	for _, extra := range []uint64{0, 1} {
+		// The last observation carries the largest keys: max kx + max ky
+		// just below peelSpan·c peels, at it does not.
+		kx, ky := zeroHeavy(c, 3)
+		kx[c-1], ky[c-1] = peelSpan*c/2, peelSpan*c/2-1+extra
+		add(fmt.Sprintf("span %d", kx[c-1]+ky[c-1]), kx, ky, []int{c}, extra == 0)
+	}
+	{
+		kx, ky := zeroHeavy(3*c, 2)
+		add("peeled, then narrow chunks", kx, ky, []int{c, 0, c / 2, c / 2, c}, true)
+	}
+	{
+		kx, ky := zeroHeavy(2*c, 5)
+		kx[c+3] = 1 << 40
+		add("peeled, then a wide chunk", kx, ky, []int{c, c}, true)
+	}
+	{
+		kx, ky := zeroHeavy(2*c, 0)
+		add("an empty chunk first", kx, ky, []int{0, c, c}, true)
+	}
+	for _, tc := range cases {
+		var p KendallPrefix
+		x, y := make([]float64, len(tc.kx)), make([]float64, len(tc.ky))
+		for i := range x {
+			x[i], y[i] = float64(tc.kx[i]), float64(tc.ky[i])
+		}
+		m := 0
+		for j, c := range tc.cuts {
+			got := p.ExtendKeys(tc.kx[m:m+c], tc.ky[m:m+c])
+			if m == 0 && c > 0 && p.peeled != tc.peels {
+				t.Errorf("%s: first chunk peeled = %v, want %v", tc.name, p.peeled, tc.peels)
+			}
+			if m > 0 && p.peeled {
+				t.Errorf("%s: chunk %d peeled a non-empty prefix", tc.name, j)
+			}
+			m += c
+			if want := KendallNaive(x[:m], y[:m]); got != want {
+				t.Fatalf("%s: prefix %d: ExtendKeys %+v != KendallNaive %+v", tc.name, m, got, want)
+			}
+		}
 	}
 }
 
@@ -322,14 +476,41 @@ func BenchmarkSortWords(b *testing.B) {
 	}
 }
 
-// BenchmarkKendallRankKeys is one pair of an exhaustive sweep at n =
-// 900: a whole-sample Kendall on float keys (Extend) against the same
-// sample keyed by its dense ranks (ExtendKeys), which a warm shared
-// memo serves. Both return the same TauResult.
+// tescSample draws n density pairs shaped like an exhaustive screen's:
+// a reference node is drawn near a or b, so it is positive for one of
+// the two events (x for 55% of them) and zero for the other, except a
+// share both of nodes positive for both.
+func tescSample(n int, both float64, seed uint64) (x, y []float64) {
+	rng := rand.New(rand.NewPCG(seed, 37))
+	x, y = make([]float64, n), make([]float64, n)
+	density := func() float64 { return float64(1+rng.IntN(11)) / float64(20+rng.IntN(180)) }
+	for i := range n {
+		switch u := rng.Float64(); {
+		case u < both:
+			x[i], y[i] = density(), density()
+		case u < both+(1-both)*0.55:
+			x[i] = density()
+		default:
+			y[i] = density()
+		}
+	}
+	return x, y
+}
+
+// BenchmarkKendallRankKeys is a whole-sample Kendall at n = 900 on
+// float keys (Extend) against the same sample keyed by its dense ranks
+// (ExtendKeys), which a warm shared memo serves; both return the same
+// TauResult. "float" and "rank" run densitySample, which is zero-light
+// (about 8% of x and almost no y is zero), so its rank keys are sorted:
+// the cost of ExtendKeys' peel guard on a sample it rejects. "tesc"
+// runs tescSample with 1% of the nodes positive for both events, the
+// shape of one pair of an exhaustive sweep, which ExtendKeys peels.
 func BenchmarkKendallRankKeys(b *testing.B) {
 	const n = 900
 	x, y := densitySample(n, 1)
 	rx, ry := denseRanks(x), denseRanks(y)
+	tx, ty := tescSample(n, 0.01, 1)
+	sx, sy := denseRanks(tx), denseRanks(ty)
 	p := new(KendallPrefix)
 	b.Run("float", func(b *testing.B) {
 		for b.Loop() {
@@ -341,6 +522,12 @@ func BenchmarkKendallRankKeys(b *testing.B) {
 		for b.Loop() {
 			p.Reset()
 			p.ExtendKeys(rx, ry)
+		}
+	})
+	b.Run("tesc", func(b *testing.B) {
+		for b.Loop() {
+			p.Reset()
+			p.ExtendKeys(sx, sy)
 		}
 	})
 }
