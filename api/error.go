@@ -1,6 +1,13 @@
 package api
 
-import "fmt"
+import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"net/http"
+	"strconv"
+	"time"
+)
 
 // ErrorCode is the stable, machine-readable half of every non-2xx
 // response. Codes are part of the wire contract: clients switch on
@@ -127,4 +134,43 @@ func StatusOf(code ErrorCode) int {
 	default:
 		return 500
 	}
+}
+
+// WriteJSON writes v as a JSON response body under the given status.
+// Nodes and coordinators both answer through it, so one request gets
+// the same bytes from either.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// WriteError writes the envelope for a non-retryable failure under the
+// code's canonical status. Every non-2xx response goes through here or
+// WriteRetryable, so there is exactly one error body shape on the wire.
+func WriteError(w http.ResponseWriter, code ErrorCode, format string, args ...any) {
+	WriteJSON(w, StatusOf(code), &Error{Code: code, Reason: fmt.Sprintf(format, args...)})
+}
+
+// WriteRetryable writes the envelope for a transient failure: the
+// code's canonical status, a Retry-After header, and the same delay
+// mirrored in retry_after_ms (the header only has 1-second resolution),
+// so a client always finds a retry hint.
+func WriteRetryable(w http.ResponseWriter, retryAfter time.Duration, code ErrorCode, format string, args ...any) {
+	if retryAfter <= 0 {
+		retryAfter = time.Second
+	}
+	secs := int64(math.Ceil(retryAfter.Seconds()))
+	if secs < 1 {
+		secs = 1
+	}
+	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+	ms := retryAfter.Milliseconds()
+	if ms < 1 {
+		// Sub-millisecond waits (a nearly-full token bucket) truncate to
+		// zero, which clients would read as "retry immediately" — the
+		// opposite of the throttle's intent.
+		ms = 1
+	}
+	WriteJSON(w, StatusOf(code), &Error{Code: code, Reason: fmt.Sprintf(format, args...), RetryAfterMS: ms})
 }

@@ -37,10 +37,27 @@ func TestClientRoundTrip(t *testing.T) {
 		t.Fatalf("RegisterGraph = %+v", gi)
 	}
 
-	if _, err := c.RegisterEvents(ctx, "g", api.RegisterEventsRequest{
-		Events: map[string][]int{"a": {0, 1}, "b": {2, 3}},
-	}); err != nil {
+	// Besides a and b, events whose names need escaping in a path.
+	escaped := []string{"k?v", "x/y", "c#d", "50%", "a b"}
+	events := map[string][]int{"a": {0, 1}, "b": {2, 3}}
+	for _, name := range escaped {
+		events[name] = []int{0}
+	}
+	if _, err := c.RegisterEvents(ctx, "g", api.RegisterEventsRequest{Events: events}); err != nil {
 		t.Fatalf("RegisterEvents: %v", err)
+	}
+	for i, name := range escaped {
+		del, err := c.DeleteEvent(ctx, "g", name)
+		if err != nil {
+			t.Fatalf("DeleteEvent(%q): %v", name, err)
+		}
+		if want := 2 + len(escaped) - i - 1; del.Events != want {
+			t.Fatalf("DeleteEvent(%q) left %d events, want %d", name, del.Events, want)
+		}
+	}
+	var gone *api.Error
+	if _, err := c.DeleteEvent(ctx, "g", "k?v"); !errors.As(err, &gone) || gone.Code != api.CodeNotFound {
+		t.Fatalf("DeleteEvent of a deleted event = %v, want %s", err, api.CodeNotFound)
 	}
 
 	list, err := c.ListGraphs(ctx)
@@ -83,11 +100,18 @@ func TestClientRoundTrip(t *testing.T) {
 	if err != nil || det.ID != mon.ID {
 		t.Fatalf("GetMonitor = %+v, %v", det, err)
 	}
+	mons, err := c.ListMonitors(ctx, "g")
+	if err != nil || len(mons) != 1 || mons[0].ID != mon.ID {
+		t.Fatalf("ListMonitors = %+v, %v", mons, err)
+	}
 	if _, err := c.RefreshMonitor(ctx, "g", mon.ID, true); err != nil {
 		t.Fatalf("RefreshMonitor: %v", err)
 	}
 	if err := c.DeleteMonitor(ctx, "g", mon.ID); err != nil {
 		t.Fatalf("DeleteMonitor: %v", err)
+	}
+	if mons, err := c.ListMonitors(ctx, "g"); err != nil || len(mons) != 0 {
+		t.Fatalf("ListMonitors after delete = %+v, %v", mons, err)
 	}
 
 	h, err := c.Health(ctx)

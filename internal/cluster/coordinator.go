@@ -151,35 +151,8 @@ func (c *Coordinator) routes() {
 	c.mux.HandleFunc("DELETE /v1/jobs/{id}", c.handleJob)
 	c.mux.HandleFunc("GET /healthz", c.handleHealth)
 	c.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, api.CodeNotFound, "no route for %s %s", r.Method, r.URL.Path)
+		api.WriteError(w, api.CodeNotFound, "no route for %s %s", r.Method, r.URL.Path)
 	})
-}
-
-// ---- envelope helpers ----------------------------------------------
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code api.ErrorCode, format string, args ...any) {
-	writeJSON(w, api.StatusOf(code), &api.Error{Code: code, Reason: fmt.Sprintf(format, args...)})
-}
-
-func writeRetryable(w http.ResponseWriter, retryAfter time.Duration, code api.ErrorCode, format string, args ...any) {
-	secs := int64((retryAfter + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	ms := retryAfter.Milliseconds()
-	if ms < 1 {
-		ms = 1
-	}
-	writeJSON(w, api.StatusOf(code), &api.Error{Code: code, Reason: fmt.Sprintf(format, args...), RetryAfterMS: ms})
 }
 
 // ---- placement ------------------------------------------------------
@@ -266,7 +239,9 @@ func (c *Coordinator) forward(w http.ResponseWriter, r *http.Request, ep *endpoi
 // send replays the incoming request against ep, returning the member's
 // response, or false on a transport error.
 func (c *Coordinator) send(r *http.Request, ep *endpoint, body io.Reader) (*http.Response, bool) {
-	pathAndQuery := r.URL.Path
+	// The escaped form: a decoded "?", "#", "/" or "%" in an event or
+	// monitor name would change the member's route.
+	pathAndQuery := r.URL.EscapedPath()
 	if r.URL.RawQuery != "" {
 		pathAndQuery += "?" + r.URL.RawQuery
 	}
@@ -323,7 +298,7 @@ func (c *Coordinator) proxyRead(w http.ResponseWriter, r *http.Request, m *membe
 		}
 		c.mu.Unlock()
 	}
-	writeRetryable(w, time.Second, api.CodeUnavailable,
+	api.WriteRetryable(w, time.Second, api.CodeUnavailable,
 		"member %s has no routable endpoint for reads (%d tried)", m.name, tried)
 }
 
@@ -332,7 +307,7 @@ func (c *Coordinator) proxyRead(w http.ResponseWriter, r *http.Request, m *membe
 func (c *Coordinator) proxyWrite(w http.ResponseWriter, r *http.Request, m *member, body []byte) bool {
 	ep := c.writeEndpoint(m)
 	if ep == nil {
-		writeRetryable(w, time.Second, api.CodeNoOwner,
+		api.WriteRetryable(w, time.Second, api.CodeNoOwner,
 			"member %s (owner of this graph) is not routable; mutations wait for owner recovery or handoff", m.name)
 		return false
 	}
@@ -347,7 +322,7 @@ func (c *Coordinator) proxyWrite(w http.ResponseWriter, r *http.Request, m *memb
 			ep.healthy = false
 		}
 		c.mu.Unlock()
-		writeRetryable(w, time.Second, api.CodeNoOwner,
+		api.WriteRetryable(w, time.Second, api.CodeNoOwner,
 			"member %s owner did not answer", m.name)
 		return false
 	}
@@ -365,11 +340,11 @@ const maxBodyBytes = 256 << 20
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
 	if err != nil {
-		writeError(w, api.CodeBadRequest, "reading request body: %v", err)
+		api.WriteError(w, api.CodeBadRequest, "reading request body: %v", err)
 		return nil, false
 	}
 	if len(body) > maxBodyBytes {
-		writeError(w, api.CodeBadRequest, "request body exceeds %d bytes", maxBodyBytes)
+		api.WriteError(w, api.CodeBadRequest, "request body exceeds %d bytes", maxBodyBytes)
 		return nil, false
 	}
 	return body, true
@@ -384,16 +359,16 @@ func (c *Coordinator) handleCreateGraph(w http.ResponseWriter, r *http.Request) 
 	}
 	var req api.RegisterGraphRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, api.CodeBadRequest, "decoding request: %v", err)
+		api.WriteError(w, api.CodeBadRequest, "decoding request: %v", err)
 		return
 	}
 	if err := api.ValidateGraphName(req.Name); err != nil {
-		writeError(w, api.CodeInvalidName, "%v", err)
+		api.WriteError(w, api.CodeInvalidName, "%v", err)
 		return
 	}
 	m := c.ownerOf(req.Name)
 	if m == nil {
-		writeError(w, api.CodeNoOwner, "no members to place graph %q on", req.Name)
+		api.WriteError(w, api.CodeNoOwner, "no members to place graph %q on", req.Name)
 		return
 	}
 	rec := &statusRecorder{ResponseWriter: w}
@@ -428,7 +403,7 @@ func (c *Coordinator) handleListGraphs(w http.ResponseWriter, r *http.Request) {
 		out = append(out, infos...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	writeJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }
 
 // handlePerGraph routes every /v1/graphs/{name}... request: reads fan
@@ -436,12 +411,12 @@ func (c *Coordinator) handleListGraphs(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handlePerGraph(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if err := api.ValidateGraphName(name); err != nil {
-		writeError(w, api.CodeInvalidName, "%v", err)
+		api.WriteError(w, api.CodeInvalidName, "%v", err)
 		return
 	}
 	m := c.ownerOf(name)
 	if m == nil {
-		writeError(w, api.CodeNoOwner, "no members to route graph %q to", name)
+		api.WriteError(w, api.CodeNoOwner, "no members to route graph %q to", name)
 		return
 	}
 	rest := r.PathValue("rest")
@@ -491,13 +466,13 @@ func (c *Coordinator) handlePerGraph(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) proxyScreen(w http.ResponseWriter, r *http.Request, m *member, body []byte) {
 	ep := c.writeEndpoint(m)
 	if ep == nil {
-		writeRetryable(w, time.Second, api.CodeNoOwner,
+		api.WriteRetryable(w, time.Second, api.CodeNoOwner,
 			"member %s (owner of this graph) is not routable", m.name)
 		return
 	}
 	resp, ok := c.send(r, ep, bytes.NewReader(body))
 	if !ok {
-		writeRetryable(w, time.Second, api.CodeUnavailable, "member %s owner did not answer", m.name)
+		api.WriteRetryable(w, time.Second, api.CodeUnavailable, "member %s owner did not answer", m.name)
 		return
 	}
 	defer resp.Body.Close()
@@ -507,11 +482,11 @@ func (c *Coordinator) proxyScreen(w http.ResponseWriter, r *http.Request, m *mem
 	}
 	var acc api.ScreenAccepted
 	if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil {
-		writeRetryable(w, time.Second, api.CodeUnavailable, "member %s: decoding screen reply: %v", m.name, err)
+		api.WriteRetryable(w, time.Second, api.CodeUnavailable, "member %s: decoding screen reply: %v", m.name, err)
 		return
 	}
 	acc.JobID = fmt.Sprintf("%s@0.%s", acc.JobID, m.name)
-	writeJSON(w, http.StatusAccepted, acc)
+	api.WriteJSON(w, http.StatusAccepted, acc)
 }
 
 // answerClientErr relays a typed client error as the envelope it
@@ -519,11 +494,11 @@ func (c *Coordinator) proxyScreen(w http.ResponseWriter, r *http.Request, m *mem
 func (c *Coordinator) answerClientErr(w http.ResponseWriter, err error) {
 	if e, ok := err.(*api.Error); ok {
 		c.proxied.Add(1)
-		writeJSON(w, api.StatusOf(e.Code), e)
+		api.WriteJSON(w, api.StatusOf(e.Code), e)
 		return
 	}
 	c.proxyErrors.Add(1)
-	writeRetryable(w, time.Second, api.CodeUnavailable, "proxying: %v", err)
+	api.WriteRetryable(w, time.Second, api.CodeUnavailable, "proxying: %v", err)
 }
 
 // handleJob routes GET/DELETE /v1/jobs/{id} by the ID's endpoint
@@ -532,12 +507,12 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	bare, epIdx, memberName, ok := splitJobID(id)
 	if !ok {
-		writeError(w, api.CodeNotFound, "job %q: cluster job IDs carry an @member suffix", id)
+		api.WriteError(w, api.CodeNotFound, "job %q: cluster job IDs carry an @member suffix", id)
 		return
 	}
 	m := c.memberByName(memberName)
 	if m == nil {
-		writeError(w, api.CodeNotFound, "job %q: no member %q", id, memberName)
+		api.WriteError(w, api.CodeNotFound, "job %q: no member %q", id, memberName)
 		return
 	}
 	c.mu.RLock()
@@ -547,7 +522,7 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.RUnlock()
 	if ep == nil {
-		writeError(w, api.CodeNotFound, "job %q: no endpoint %d on member %q", id, epIdx, memberName)
+		api.WriteError(w, api.CodeNotFound, "job %q: no endpoint %d on member %q", id, epIdx, memberName)
 		return
 	}
 	var view api.JobView
@@ -567,7 +542,7 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodDelete {
 		status = http.StatusAccepted
 	}
-	writeJSON(w, status, view)
+	api.WriteJSON(w, status, view)
 }
 
 // splitJobID parses "job-3@0.member" into (job-3, 0, member).
@@ -676,5 +651,5 @@ func (c *Coordinator) clusterHealth() *api.ClusterHealth {
 func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 	ch := c.clusterHealth()
 	h := api.Health{Status: "ok", Graphs: ch.Graphs, Cluster: ch}
-	writeJSON(w, http.StatusOK, h)
+	api.WriteJSON(w, http.StatusOK, h)
 }

@@ -8,8 +8,8 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
-	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,32 +17,74 @@ import (
 	"tesc/client"
 	"tesc/internal/replica"
 	"tesc/internal/server"
+	"tesc/internal/wal"
 )
 
-// clusterNode is one in-process tescd with a real HTTP listener.
-type clusterNode struct {
-	srv *server.Server
-	ts  *httptest.Server
-	dir string
+// hops is the cluster's network, all in process: a request reaches the
+// handler registered for its URL's host, and a host with no handler
+// refuses the connection. No sockets, so a cycle runs in a bubble.
+type hops struct {
+	mu    sync.Mutex
+	hosts map[string]http.Handler
+	next  int
 }
 
-// newClusterNode boots a node over the data directory dir, replaying
-// whatever it holds.
-func newClusterNode(t *testing.T, dir string, readOnly bool) *clusterNode {
+func newHops() *hops { return &hops{hosts: make(map[string]http.Handler)} }
+
+// serve puts h on a fresh host and returns its base URL.
+func (n *hops) serve(h http.Handler) string {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.next++
+	host := fmt.Sprintf("node%d", n.next)
+	n.hosts[host] = h
+	return "http://" + host
+}
+
+// down takes the host of url off the network.
+func (n *hops) down(url string) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	delete(n.hosts, strings.TrimPrefix(url, "http://"))
+}
+
+func (n *hops) client() *http.Client { return &http.Client{Transport: n} }
+
+func (n *hops) RoundTrip(req *http.Request) (*http.Response, error) {
+	n.mu.Lock()
+	h := n.hosts[req.URL.Host]
+	n.mu.Unlock()
+	if h == nil {
+		if req.Body != nil {
+			req.Body.Close()
+		}
+		return nil, fmt.Errorf("dial %s: connection refused", req.URL.Host)
+	}
+	return handlerHop{h}.RoundTrip(req)
+}
+
+// clusterNode is one in-process tescd over its own FaultFS.
+type clusterNode struct {
+	srv *server.Server
+	fs  *wal.FaultFS
+	url string
+}
+
+// newClusterNode boots a node over fsys, replaying whatever it holds,
+// and puts it on the network. The caller stops it.
+func newClusterNode(t *testing.T, net *hops, fsys *wal.FaultFS, readOnly bool) *clusterNode {
 	t.Helper()
 	srv := server.New(server.Config{
 		IndexCacheCapacity: 4,
-		DataDir:            dir,
+		DataDir:            "data",
+		FS:                 fsys,
 		CheckpointDelay:    time.Hour,
 		ReadOnly:           readOnly,
 	})
 	if _, err := srv.LoadData(); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	t.Cleanup(srv.Close)
-	return &clusterNode{srv: srv, ts: ts, dir: dir}
+	return &clusterNode{srv: srv, fs: fsys, url: net.serve(srv.Handler())}
 }
 
 // clusterMember is an owner node plus one durable replica following it
@@ -54,13 +96,22 @@ type clusterMember struct {
 	fol     *replica.Follower
 }
 
-func newClusterMember(t *testing.T, name string) *clusterMember {
+func newClusterMember(t *testing.T, net *hops, name string) *clusterMember {
 	t.Helper()
-	owner := newClusterNode(t, t.TempDir(), false)
-	rep := newClusterNode(t, t.TempDir(), true)
-	fol := replica.New(&replica.HTTPTransport{Base: owner.ts.URL}, rep.srv.FollowerState(), nil)
+	owner := newClusterNode(t, net, wal.NewFaultFS(), false)
+	rep := newClusterNode(t, net, wal.NewFaultFS(), true)
+	fol := replica.New(&replica.HTTPTransport{Base: owner.url, Client: net.client()}, rep.srv.FollowerState(), nil)
 	rep.srv.AttachFollower(fol)
 	return &clusterMember{name: name, owner: owner, replica: rep, fol: fol}
+}
+
+// close stops the member's live nodes.
+func (m *clusterMember) close() {
+	for _, n := range []*clusterNode{m.owner, m.replica} {
+		if n != nil {
+			n.srv.Close()
+		}
+	}
 }
 
 // converge syncs the member's replica until a round ends with zero lag.
@@ -80,7 +131,7 @@ type rawBody string
 
 // doRaw issues a request and returns the status plus the raw body —
 // raw, because the e2e contract is byte-level response equivalence.
-func doRaw(t *testing.T, method, url string, body any) (int, []byte) {
+func (n *hops) doRaw(t *testing.T, method, url string, body any) (int, []byte) {
 	t.Helper()
 	var rd io.Reader
 	switch b := body.(type) {
@@ -98,7 +149,7 @@ func doRaw(t *testing.T, method, url string, body any) (int, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := n.client().Do(req)
 	if err != nil {
 		t.Fatalf("%s %s: %v", method, url, err)
 	}
@@ -147,10 +198,10 @@ func normalize(t *testing.T, raw []byte) string {
 
 // sameAs asserts a cluster request and the identical oracle request
 // produce the same status and byte-equivalent bodies.
-func sameAs(t *testing.T, method, path string, body any, clusterURL, oracleURL string, wantCode int) {
+func (n *hops) sameAs(t *testing.T, method, path string, body any, clusterURL, oracleURL string, wantCode int) {
 	t.Helper()
-	cCode, cRaw := doRaw(t, method, clusterURL+path, body)
-	oCode, oRaw := doRaw(t, method, oracleURL+path, body)
+	cCode, cRaw := n.doRaw(t, method, clusterURL+path, body)
+	oCode, oRaw := n.doRaw(t, method, oracleURL+path, body)
 	if cCode != wantCode || oCode != wantCode {
 		t.Fatalf("%s %s: cluster %d, oracle %d, want %d\ncluster: %s\noracle: %s",
 			method, path, cCode, oCode, wantCode, cRaw, oRaw)
@@ -197,50 +248,54 @@ func TestClusterEndToEnd(t *testing.T) { clusterCycle(t, 1) }
 // FuzzClusterCycle runs one cluster cycle per seed. The seed fixes the
 // graphs, the events, every mutation and query seed, and which member
 // loses its owner, so a failing seed replays its schedule exactly.
+// Built with GOEXPERIMENT=synctest the cycle runs in a bubble on a fake
+// clock; goroutine interleavings stay the scheduler's.
 func FuzzClusterCycle(f *testing.F) {
 	f.Add(uint64(19))
 	f.Fuzz(clusterCycle)
 }
 
-// clusterCycle is the cluster's acceptance scenario: 32 graphs through
-// a 3-member coordinator, every response byte-equivalent to a single
-// node holding all of them; one member's owner dies, reads keep
-// answering from its replica and mutations shed the typed no_owner;
-// then the replica is restarted as the member's owner and a
-// coordinator naming it takes writes for the member again.
-func clusterCycle(t *testing.T, seed uint64) {
+func clusterCycle(t *testing.T, seed uint64) { bubble(func() { runClusterCycle(t, seed) }) }
+
+// runClusterCycle is the cluster's acceptance scenario: 32 graphs
+// through a 3-member coordinator, every response byte-equivalent to a
+// single node holding all of them; one member's owner dies (a kill and
+// a crash of its FaultFS), reads keep answering from its replica and
+// mutations shed the typed no_owner; then the replica is restarted as
+// the member's owner and a coordinator naming it takes writes for the
+// member again. Every hop is in process.
+func runClusterCycle(t *testing.T, seed uint64) {
 	rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
+	net := newHops()
 	memberNames := []string{"n1", "n2", "n3"}
 	members := make(map[string]*clusterMember, len(memberNames))
 	for _, name := range memberNames {
-		members[name] = newClusterMember(t, name)
+		members[name] = newClusterMember(t, net, name)
+		defer members[name].close()
 	}
 	topology := func() Topology {
 		var top Topology
 		for _, name := range memberNames {
 			m := members[name]
-			mem := Member{Name: name, URL: m.owner.ts.URL}
+			mem := Member{Name: name, URL: m.owner.url}
 			if m.replica != nil {
-				mem.Replicas = []string{m.replica.ts.URL}
+				mem.Replicas = []string{m.replica.url}
 			}
 			top.Members = append(top.Members, mem)
 		}
 		return top
 	}
-	startCoordinator := func() (*Coordinator, *httptest.Server) {
-		coord, err := NewCoordinator(Config{Topology: topology(), FailThreshold: 1, ProbeInterval: 500 * time.Millisecond})
+	startCoordinator := func() (*Coordinator, string) {
+		coord, err := NewCoordinator(Config{Topology: topology(), FailThreshold: 1, ProbeInterval: 500 * time.Millisecond, HTTPClient: net.client()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cts := httptest.NewServer(coord.Handler())
-		t.Cleanup(cts.Close)
-		return coord, cts
+		return coord, net.serve(coord.Handler())
 	}
-	coord, cts := startCoordinator()
+	coord, curl := startCoordinator()
 
 	oracle := server.New(server.Config{IndexCacheCapacity: 64})
-	ots := httptest.NewServer(oracle.Handler())
-	t.Cleanup(ots.Close)
+	ourl := net.serve(oracle.Handler())
 
 	ctx := context.Background()
 
@@ -250,23 +305,23 @@ func clusterCycle(t *testing.T, seed uint64) {
 	for i := range sizes {
 		g, n := graphName(i), 10+rng.IntN(6)
 		sizes[i] = n
-		sameAs(t, "POST", "/v1/graphs",
+		net.sameAs(t, "POST", "/v1/graphs",
 			api.RegisterGraphRequest{Name: g, EdgeList: edgeList(n, rng)},
-			cts.URL, ots.URL, http.StatusCreated)
-		sameAs(t, "POST", "/v1/graphs/"+g+"/events",
+			curl, ourl, http.StatusCreated)
+		net.sameAs(t, "POST", "/v1/graphs/"+g+"/events",
 			api.RegisterEventsRequest{Events: map[string][]int{
 				"a": {0, 1, 2 + rng.IntN(n-3)},
 				"b": {n - 1, n - 2, rng.IntN(n)},
 			}},
-			cts.URL, ots.URL, http.StatusOK)
-		sameAs(t, "POST", "/v1/graphs/"+g+"/edges",
+			curl, ourl, http.StatusOK)
+		net.sameAs(t, "POST", "/v1/graphs/"+g+"/edges",
 			api.MutateEdgesRequest{Insert: [][2]int{randomEdge(n, rng), randomEdge(n, rng)}},
-			cts.URL, ots.URL, http.StatusOK)
+			curl, ourl, http.StatusOK)
 	}
 
 	// Placement must cover every member, and the coordinator's healthz
 	// must account for all graphs.
-	code, raw := doRaw(t, "GET", cts.URL+"/healthz", nil)
+	code, raw := net.doRaw(t, "GET", curl+"/healthz", nil)
 	if code != http.StatusOK {
 		t.Fatalf("healthz: %d: %s", code, raw)
 	}
@@ -291,20 +346,20 @@ func clusterCycle(t *testing.T, seed uint64) {
 		t.Helper()
 		for i := 0; i < nGraphs; i++ {
 			g := graphName(i)
-			sameAs(t, "GET", "/v1/graphs/"+g, nil, url, ots.URL, http.StatusOK)
-			sameAs(t, "POST", "/v1/graphs/"+g+"/correlate",
+			net.sameAs(t, "GET", "/v1/graphs/"+g, nil, url, ourl, http.StatusOK)
+			net.sameAs(t, "POST", "/v1/graphs/"+g+"/correlate",
 				api.CorrelateRequest{A: "a", B: "b", H: 2, SampleSize: 64, Seed: correlateSeed},
-				url, ots.URL, http.StatusOK)
+				url, ourl, http.StatusOK)
 		}
 		// The merged graph list equals the oracle's (both sorted by name).
-		sameAs(t, "GET", "/v1/graphs", nil, url, ots.URL, http.StatusOK)
+		net.sameAs(t, "GET", "/v1/graphs", nil, url, ourl, http.StatusOK)
 	}
-	readSweep(cts.URL)
+	readSweep(curl)
 
 	// Screening routes by job-ID suffix: the 202 carries the member
 	// coordinates, polls route back, and the result matches the oracle.
 	screened := graphName(rng.IntN(nGraphs))
-	ccl, ocl := client.New(cts.URL), client.New(ots.URL)
+	ccl, ocl := client.New(curl, client.WithHTTPClient(net.client())), client.New(ourl, client.WithHTTPClient(net.client()))
 	screenReq := api.ScreenRequest{H: 2, SampleSize: 64, Seed: rng.Uint64(), Workers: 1}
 	acc, err := ccl.Screen(ctx, screened, screenReq)
 	if err != nil {
@@ -336,7 +391,7 @@ func clusterCycle(t *testing.T, seed uint64) {
 	// A screen body the node rejects is rejected identically through
 	// the coordinator: an unknown field and a body that is not JSON.
 	for _, bad := range []any{map[string]any{"h": 1, "topk": 5}, rawBody("h=1")} {
-		sameAs(t, "POST", "/v1/graphs/"+screened+"/screen", bad, cts.URL, ots.URL, http.StatusBadRequest)
+		net.sameAs(t, "POST", "/v1/graphs/"+screened+"/screen", bad, curl, ourl, http.StatusBadRequest)
 	}
 
 	// Converge every replica, then kill one owner.
@@ -344,12 +399,14 @@ func clusterCycle(t *testing.T, seed uint64) {
 		m.converge(t)
 	}
 	victim := members[memberNames[rng.IntN(len(memberNames))]]
-	victim.owner.ts.Close()
+	net.down(victim.owner.url)
+	victim.owner.srv.Kill()
+	victim.owner.fs.Crash()
 	coord.ProbeNow(ctx)
 
 	// Reads on the victim's graphs keep answering — from the replica —
 	// still byte-equivalent to the oracle.
-	readSweep(cts.URL)
+	readSweep(curl)
 
 	// Mutations on the victim's graphs answer the typed no_owner shed;
 	// mutations elsewhere keep working, equal to the oracle.
@@ -357,10 +414,10 @@ func clusterCycle(t *testing.T, seed uint64) {
 		g := graphName(i)
 		mut := api.MutateEdgesRequest{Insert: [][2]int{randomEdge(sizes[i], rng)}}
 		if rendezvousOwner(memberNames, g) != victim.name {
-			sameAs(t, "POST", "/v1/graphs/"+g+"/edges", mut, cts.URL, ots.URL, http.StatusOK)
+			net.sameAs(t, "POST", "/v1/graphs/"+g+"/edges", mut, curl, ourl, http.StatusOK)
 			continue
 		}
-		code, raw := doRaw(t, "POST", cts.URL+"/v1/graphs/"+g+"/edges", mut)
+		code, raw := net.doRaw(t, "POST", curl+"/v1/graphs/"+g+"/edges", mut)
 		var e api.Error
 		if err := json.Unmarshal(raw, &e); err != nil || code != api.StatusOf(api.CodeNoOwner) || e.Code != api.CodeNoOwner || !e.Retryable() || e.RetryAfterMS == 0 {
 			t.Fatalf("mutation of %s without owner: %d %s", g, code, raw)
@@ -372,50 +429,61 @@ func clusterCycle(t *testing.T, seed uint64) {
 	// back at the dead owner's epochs as a writable node. A coordinator
 	// whose topology names it as the member's owner routes the member's
 	// graphs to it: placement depends only on member names.
-	victim.replica.ts.Close()
+	net.down(victim.replica.url)
 	victim.replica.srv.Close()
-	victim.owner, victim.replica = newClusterNode(t, victim.replica.dir, false), nil
-	cts.Close()
-	coord, cts = startCoordinator()
+	victim.owner, victim.replica = newClusterNode(t, net, victim.replica.fs, false), nil
+	net.down(curl)
+	coord, curl = startCoordinator()
 	coord.ProbeNow(ctx)
 
 	// The member takes writes again, and the full read sweep is still
 	// byte-equivalent to the oracle.
 	for i := 0; i < nGraphs; i++ {
 		if g := graphName(i); rendezvousOwner(memberNames, g) == victim.name {
-			sameAs(t, "POST", "/v1/graphs/"+g+"/edges",
+			net.sameAs(t, "POST", "/v1/graphs/"+g+"/edges",
 				api.MutateEdgesRequest{Insert: [][2]int{randomEdge(sizes[i], rng)}},
-				cts.URL, ots.URL, http.StatusOK)
+				curl, ourl, http.StatusOK)
 		}
 	}
-	readSweep(cts.URL)
+	readSweep(curl)
 
 	// The victim's owner endpoint is the restarted node, healthy.
-	_, raw = doRaw(t, "GET", cts.URL+"/healthz", nil)
+	_, raw = net.doRaw(t, "GET", curl+"/healthz", nil)
 	var h2 api.Health
 	if err := json.Unmarshal(raw, &h2); err != nil || h2.Cluster == nil {
 		t.Fatalf("healthz after rejoin: %v", err)
 	}
 	for _, mh := range h2.Cluster.Members {
-		if mh.Name == victim.name && (mh.Endpoints[0].URL != victim.owner.ts.URL || !mh.Endpoints[0].Healthy) {
+		if mh.Name == victim.name && (mh.Endpoints[0].URL != victim.owner.url || !mh.Endpoints[0].Healthy) {
 			t.Fatalf("victim owner endpoint after rejoin = %+v", mh.Endpoints[0])
 		}
 	}
+}
+
+// soloCluster is a one-member cluster — an owner, its replica and a
+// coordinator — on its own network, stopped when the test ends.
+func soloCluster(t *testing.T) (net *hops, m *clusterMember, curl string) {
+	t.Helper()
+	net = newHops()
+	m = newClusterMember(t, net, "solo")
+	t.Cleanup(m.close)
+	coord, err := NewCoordinator(Config{
+		Topology: Topology{Members: []Member{
+			{Name: "solo", URL: m.owner.url, Replicas: []string{m.replica.url}},
+		}},
+		HTTPClient: net.client(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net, m, net.serve(coord.Handler())
 }
 
 // TestCoordinatorEnvelopes pins the coordinator's own error surface to
 // the unified envelope: unknown routes, invalid names, and job IDs
 // without member coordinates.
 func TestCoordinatorEnvelopes(t *testing.T) {
-	m := newClusterMember(t, "solo")
-	coord, err := NewCoordinator(Config{Topology: Topology{Members: []Member{
-		{Name: "solo", URL: m.owner.ts.URL, Replicas: []string{m.replica.ts.URL}},
-	}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cts := httptest.NewServer(coord.Handler())
-	t.Cleanup(cts.Close)
+	net, _, curl := soloCluster(t)
 
 	cases := []struct {
 		method, path string
@@ -431,7 +499,7 @@ func TestCoordinatorEnvelopes(t *testing.T) {
 		{"GET", "/v1/jobs/job-1@0.ghost", nil, api.CodeNotFound}, // unknown member
 	}
 	for _, c := range cases {
-		code, raw := doRaw(t, c.method, cts.URL+c.path, c.body)
+		code, raw := net.doRaw(t, c.method, curl+c.path, c.body)
 		var e api.Error
 		if err := json.Unmarshal(raw, &e); err != nil {
 			t.Fatalf("%s %s: body %q not an envelope: %v", c.method, c.path, raw, err)
@@ -442,9 +510,76 @@ func TestCoordinatorEnvelopes(t *testing.T) {
 	}
 
 	// Errors raised on the node pass through the coordinator verbatim.
-	code, raw := doRaw(t, "GET", cts.URL+"/v1/graphs/missing", nil)
+	code, raw := net.doRaw(t, "GET", curl+"/v1/graphs/missing", nil)
 	var e api.Error
 	if err := json.Unmarshal(raw, &e); err != nil || code != 404 || e.Code != api.CodeNotFound {
 		t.Fatalf("proxied 404 = %d %s", code, raw)
+	}
+}
+
+// The coordinator writes its own answers with the node's envelope
+// writer, so an answer it builds (the merged graph list, an invalid
+// name refused before routing) is byte-identical to the node's, HTML
+// escaping and all.
+func TestCoordinatorAnswersMatchNodeBytes(t *testing.T) {
+	net, m, curl := soloCluster(t)
+	for _, name := range []string{"acme&web", "plain"} {
+		code, raw := net.doRaw(t, "POST", curl+"/v1/graphs", api.RegisterGraphRequest{Name: name, EdgeList: "0 1\n1 2\n"})
+		if code != http.StatusCreated {
+			t.Fatalf("registering %s: %d %s", name, code, raw)
+		}
+	}
+	for _, c := range []struct {
+		method, path string
+		body         any
+	}{
+		{"GET", "/v1/graphs", nil},
+		{"GET", "/v1/graphs/a%20b%26c", nil},
+		{"POST", "/v1/graphs", api.RegisterGraphRequest{Name: "x y&z<"}},
+	} {
+		cCode, cRaw := net.doRaw(t, c.method, curl+c.path, c.body)
+		nCode, nRaw := net.doRaw(t, c.method, m.owner.url+c.path, c.body)
+		if cCode != nCode || !bytes.Equal(cRaw, nRaw) {
+			t.Errorf("%s %s: coordinator %d %s\nnode        %d %s", c.method, c.path, cCode, cRaw, nCode, nRaw)
+		}
+	}
+}
+
+// Event names that need escaping reach the owner as the client sent
+// them: each delete through the coordinator removes exactly its own
+// event, and none counts against the owner's health.
+func TestCoordinatorForwardsEscapedPath(t *testing.T) {
+	net, m, curl := soloCluster(t)
+	ctx := context.Background()
+	cl := client.New(curl, client.WithHTTPClient(net.client()))
+	if _, err := cl.RegisterGraph(ctx, api.RegisterGraphRequest{Name: "g", EdgeList: "0 1\n1 2\n2 3\n"}); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"k?v", "k", "x/y", "c#d", "50%", "a b"}
+	events := make(map[string][]int, len(names))
+	for i, name := range names {
+		events[name] = []int{i % 4}
+	}
+	if _, err := cl.RegisterEvents(ctx, "g", api.RegisterEventsRequest{Events: events}); err != nil {
+		t.Fatal(err)
+	}
+	left := len(names)
+	for _, name := range names {
+		if _, err := cl.DeleteEvent(ctx, "g", name); err != nil {
+			t.Fatalf("deleting event %q: %v", name, err)
+		}
+		left--
+		e, _ := m.owner.srv.Registry().Get("g")
+		store := e.Snapshot().Store
+		if store.Has(name) || len(store.Names()) != left {
+			t.Fatalf("after deleting %q the owner holds %q", name, store.Names())
+		}
+	}
+	h, err := cl.Health(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if owner := h.Cluster.Members[0].Endpoints[0]; h.Cluster.ProxyErrors != 0 || owner.ConsecutiveFailures != 0 || !owner.Healthy {
+		t.Fatalf("owner lost health forwarding escaped names: %+v", h.Cluster)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
@@ -26,20 +27,19 @@ import (
 
 type node struct {
 	srv *server.Server
-	fs  wal.FS
-	dir string
+	fs  *wal.FaultFS
 }
 
-// bootNode starts (or restarts) a server over the data directory dir
-// on fsys (nil: the real filesystem), replaying whatever snapshots and
-// WAL tail it holds. The checkpoint debounce is effectively off:
-// flushes happen only when the schedule asks, so a seed fully
-// determines every durable-state transition.
-func bootNode(t *testing.T, fsys wal.FS, dir string, readOnly bool) *node {
+// bootNode starts (or restarts) a server over the data directory on
+// fsys, replaying whatever snapshots and WAL tail it holds. The
+// checkpoint debounce is effectively off: flushes happen only when the
+// schedule asks, so a seed fully determines every durable-state
+// transition.
+func bootNode(t *testing.T, fsys *wal.FaultFS, readOnly bool) *node {
 	t.Helper()
 	srv := server.New(server.Config{
 		IndexCacheCapacity: 4,
-		DataDir:            dir,
+		DataDir:            "data",
 		FS:                 fsys,
 		FsyncPolicy:        "always",
 		CheckpointDelay:    time.Hour,
@@ -48,7 +48,7 @@ func bootNode(t *testing.T, fsys wal.FS, dir string, readOnly bool) *node {
 	if _, err := srv.LoadData(); err != nil {
 		t.Fatalf("LoadData: %v", err)
 	}
-	return &node{srv: srv, fs: fsys, dir: dir}
+	return &node{srv: srv, fs: fsys}
 }
 
 // do drives the node through its real HTTP handler, no listener.
@@ -382,26 +382,29 @@ func TestReplicaConsistencySweep(t *testing.T) {
 	}
 }
 
-// FuzzReplicaSweep runs one sweep schedule per seed on the substrate
-// of a deployment: every node's data directory on the real filesystem,
-// two followers pulling over HTTP from an httptest listener, each
-// through its own FaultTransport. Both must converge to the primary
-// within the sweep's round bound. A failing seed replays exactly: the
-// schedule, the fault draws and the reboot point are functions of it.
+// FuzzReplicaSweep runs one sweep schedule per seed with two
+// followers, each pulling through its own FaultTransport over the
+// production replica.HTTPTransport, whose client reaches the primary's
+// handler in process: the HTTP codec is fuzzed too. Both must converge
+// to the primary within the sweep's round bound. A failing seed
+// replays its schedule, fault draws and reboot point exactly. Built
+// with GOEXPERIMENT=synctest the sweep runs in a bubble on a fake
+// clock; goroutine interleavings stay the scheduler's.
 func FuzzReplicaSweep(f *testing.F) {
 	f.Add(uint64(13))
 	f.Fuzz(func(t *testing.T, seed uint64) {
-		runSweepSeed(t, int64(seed&^(1<<63)), sweepRig{followers: 2, onDisk: true})
+		bubble(func() { runSweepSeed(t, int64(seed&^(1<<63)), sweepRig{followers: 2, overHTTP: true}) })
 	})
 }
 
-// sweepRig is the substrate one sweep runs on.
+// sweepRig is the substrate one sweep runs on. Every node's data
+// directory is an in-memory FaultFS.
 type sweepRig struct {
 	followers int
-	// onDisk puts every data directory under t.TempDir on the real
-	// filesystem and ships the log over HTTP; otherwise nodes run on
-	// in-memory FaultFS and followers pull in-process.
-	onDisk bool
+	// overHTTP ships the log through replica.HTTPTransport and the
+	// primary's handler; otherwise followers pull from
+	// server.ReplicaSource.
+	overHTTP bool
 }
 
 // sweepFollower is one replica of a sweep: its node, the faulty wire
@@ -422,28 +425,25 @@ func runSweepSeed(t *testing.T, seed int64, rig sweepRig) (total replica.Metrics
 		total.Faults += m.Faults
 	}
 	rng := rand.New(rand.NewSource(seed))
-	boot := func(readOnly bool) *node {
-		if rig.onDisk {
-			return bootNode(t, nil, t.TempDir(), readOnly)
-		}
-		return bootNode(t, wal.NewFaultFS(), "data", readOnly)
-	}
-	primary := boot(false)
+	primary := bootNode(t, wal.NewFaultFS(), false)
 	defer primary.srv.Close()
 	var wire replica.Transport = server.ReplicaSource{S: primary.srv}
-	if rig.onDisk {
-		ts := httptest.NewServer(primary.srv.Handler())
-		defer ts.Close()
-		wire = &replica.HTTPTransport{Base: ts.URL}
+	if rig.overHTTP {
+		wire = &replica.HTTPTransport{Base: "http://primary", Client: &http.Client{Transport: handlerHop{primary.srv.Handler()}}}
 	}
 
 	opts := &replica.Options{MaxPullBytes: 64 + rng.Intn(4096)}
 	followers := make([]*sweepFollower, rig.followers)
 	for i := range followers {
-		f := &sweepFollower{node: boot(true), ft: replica.NewFaultTransport(wire, seed*7919+13+int64(i), 0.35)}
+		f := &sweepFollower{node: bootNode(t, wal.NewFaultFS(), true), ft: replica.NewFaultTransport(wire, seed*7919+13+int64(i), 0.35)}
 		f.fol = replica.New(f.ft, newCheckingState(t, f.node.srv.FollowerState()), opts)
 		followers[i] = f
 	}
+	defer func() {
+		for _, f := range followers {
+			f.node.srv.Close()
+		}
+	}()
 
 	d := &sweepDriver{t: t, rng: rng, primary: primary, nodes: map[string]int{}}
 	steps := 40 + rng.Intn(40)
@@ -462,14 +462,15 @@ func runSweepSeed(t *testing.T, seed int64, rig sweepRig) (total replica.Metrics
 			}
 		}
 		if i == rebootAt {
-			// Crash one follower (no flush) and reboot it from its own
-			// data directory: local snapshots + WAL tail restore the
-			// applied prefix, the saved cursor resumes the pull, and the
-			// epoch gate absorbs any overlap.
+			// Crash one follower (no flush, unsynced bytes lost) and
+			// reboot it from its own data directory: local snapshots +
+			// WAL tail restore the applied prefix, the saved cursor
+			// resumes the pull, and the epoch gate absorbs any overlap.
 			f := followers[int(seed/2)%len(followers)]
 			accumulate(f.fol.Metrics())
 			f.node.srv.Kill()
-			f.node = bootNode(t, f.node.fs, f.node.dir, true)
+			f.node.fs.Crash()
+			f.node = bootNode(t, f.node.fs, true)
 			f.fol = replica.New(f.ft, newCheckingState(t, f.node.srv.FollowerState()), opts)
 		}
 	}
@@ -496,7 +497,6 @@ func runSweepSeed(t *testing.T, seed int64, rig sweepRig) (total replica.Metrics
 		}
 		accumulate(m)
 		differentialQueries(t, primary.srv, f.node.srv)
-		f.node.srv.Close()
 	}
 	return total
 }

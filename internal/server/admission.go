@@ -60,10 +60,6 @@ type AdmissionConfig struct {
 	// in-flight requests get this long to finish before the listener
 	// closes and remaining jobs are cancelled (default 5s).
 	DrainTimeout time.Duration
-
-	// now overrides the clock, so the unit tests drive bucket refill
-	// deterministically. Nil means time.Now.
-	now func() time.Time
 }
 
 // Admission defaults, exported only through Normalize.
@@ -112,36 +108,6 @@ func (c *AdmissionConfig) Normalize() error {
 	return nil
 }
 
-// ---- typed backpressure ---------------------------------------------
-
-// writeRetryable emits the unified error envelope for a transient
-// failure: the code's canonical status, a Retry-After header, and the
-// same delay mirrored in retry_after_ms (the header only has 1-second
-// resolution). Every 429/503/504 tescd produces goes through here, so
-// clients parse one shape — api.Error — and always find a retry hint.
-func writeRetryable(w http.ResponseWriter, retryAfter time.Duration, code api.ErrorCode, format string, args ...any) {
-	if retryAfter <= 0 {
-		retryAfter = time.Second
-	}
-	secs := int64(math.Ceil(retryAfter.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	ms := retryAfter.Milliseconds()
-	if ms < 1 {
-		// Sub-millisecond waits (a nearly-full token bucket) truncate to
-		// zero, which clients would read as "retry immediately" — the
-		// opposite of the throttle's intent.
-		ms = 1
-	}
-	writeJSON(w, api.StatusOf(code), &api.Error{
-		Code:         code,
-		Reason:       fmt.Sprintf(format, args...),
-		RetryAfterMS: ms,
-	})
-}
-
 // ---- per-tenant token buckets ---------------------------------------
 
 // tokenBucket is one tenant's quota state: a lazily refilled bucket.
@@ -151,35 +117,29 @@ type tokenBucket struct {
 }
 
 // tenantLimiter applies a token-bucket quota per tenant. All methods
-// are safe for concurrent use; the clock is injectable so refill is
-// deterministic under test.
+// are safe for concurrent use.
 type tenantLimiter struct {
 	qps   float64
 	burst float64
-	now   func() time.Time
 
 	mu      sync.Mutex
 	buckets map[string]*tokenBucket
 }
 
-func newTenantLimiter(qps, burst float64, now func() time.Time) *tenantLimiter {
+func newTenantLimiter(qps, burst float64) *tenantLimiter {
 	if qps <= 0 {
 		return nil // quotas disabled
 	}
-	if now == nil {
-		now = time.Now
-	}
-	return &tenantLimiter{qps: qps, burst: burst, now: now, buckets: make(map[string]*tokenBucket)}
+	return &tenantLimiter{qps: qps, burst: burst, buckets: make(map[string]*tokenBucket)}
 }
 
-// allow spends one token from the tenant's bucket. When the bucket is
-// empty it reports false and how long until the next token accrues.
-// A nil limiter admits everything.
-func (l *tenantLimiter) allow(tenant string) (bool, time.Duration) {
+// allow spends one token from the tenant's bucket, refilled up to the
+// instant now. When the bucket is empty it reports false and how long
+// until the next token accrues. A nil limiter admits everything.
+func (l *tenantLimiter) allow(tenant string, now time.Time) (bool, time.Duration) {
 	if l == nil {
 		return true, 0
 	}
-	now := l.now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	b, ok := l.buckets[tenant]
@@ -399,7 +359,7 @@ func newAdmission(cfg AdmissionConfig) (*admission, error) {
 	}
 	return &admission{
 		cfg:     cfg,
-		tenants: newTenantLimiter(cfg.TenantQPS, cfg.TenantBurst, cfg.now),
+		tenants: newTenantLimiter(cfg.TenantQPS, cfg.TenantBurst),
 		fg:      newClassGate(cfg.MaxInflightFG),
 		bg:      newClassGate(cfg.MaxInflightBG),
 	}, nil
@@ -457,14 +417,14 @@ func (s *Server) admit(class reqClass, h http.HandlerFunc) http.HandlerFunc {
 	a := s.adm
 	return func(w http.ResponseWriter, r *http.Request) {
 		if a.draining.Load() {
-			writeRetryable(w, time.Second, api.CodeDraining,
+			api.WriteRetryable(w, time.Second, api.CodeDraining,
 				"server is draining; retry against another replica")
 			return
 		}
 		tenant := tenantOf(r)
-		if ok, wait := a.tenants.allow(tenant); !ok {
+		if ok, wait := a.tenants.allow(tenant, time.Now()); !ok {
 			a.quota429.Add(1)
-			writeRetryable(w, wait, api.CodeTenantQuota,
+			api.WriteRetryable(w, wait, api.CodeTenantQuota,
 				"tenant %q is over its request quota", tenant)
 			return
 		}
@@ -473,7 +433,7 @@ func (s *Server) admit(class reqClass, h http.HandlerFunc) http.HandlerFunc {
 		case classForeground:
 			if !a.fg.tryAcquire() {
 				a.shedFG.Add(1)
-				writeRetryable(w, time.Second, api.CodeOverloadedFG,
+				api.WriteRetryable(w, time.Second, api.CodeOverloadedFG,
 					"foreground capacity exhausted (%d in flight)", a.fg.inflight())
 				return
 			}
@@ -482,7 +442,7 @@ func (s *Server) admit(class reqClass, h http.HandlerFunc) http.HandlerFunc {
 			hist = &a.histBG
 			if !a.bg.tryAcquire() {
 				a.shedBG.Add(1)
-				writeRetryable(w, 2*time.Second, api.CodeOverloadedBG,
+				api.WriteRetryable(w, 2*time.Second, api.CodeOverloadedBG,
 					"background capacity exhausted (%d in flight)", a.bg.inflight())
 				return
 			}

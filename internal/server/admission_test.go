@@ -13,31 +13,22 @@ import (
 	"tesc/api"
 )
 
-// fakeClock is a manually advanced clock for driving token-bucket
-// refill deterministically.
-type fakeClock struct {
-	t time.Time
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{t: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)}
-}
-
-func (c *fakeClock) now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
+// limiterEpoch is the first instant the limiter tests pass to allow;
+// they advance it by hand, so bucket refill is exact.
+var limiterEpoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
 func TestTenantLimiterRefill(t *testing.T) {
-	clk := newFakeClock()
+	now := limiterEpoch
 	// 2 tokens/s, capacity 4: a fresh tenant bursts 4 requests, then
 	// earns one more every 500ms.
-	l := newTenantLimiter(2, 4, clk.now)
+	l := newTenantLimiter(2, 4)
 
 	for i := 0; i < 4; i++ {
-		if ok, _ := l.allow("acme"); !ok {
+		if ok, _ := l.allow("acme", now); !ok {
 			t.Fatalf("burst request %d denied, want the full burst of 4 admitted", i)
 		}
 	}
-	ok, wait := l.allow("acme")
+	ok, wait := l.allow("acme", now)
 	if ok {
 		t.Fatal("5th request admitted from an empty bucket")
 	}
@@ -46,43 +37,43 @@ func TestTenantLimiterRefill(t *testing.T) {
 		t.Fatalf("wait = %v, want 500ms", wait)
 	}
 
-	clk.advance(499 * time.Millisecond)
-	if ok, _ := l.allow("acme"); ok {
+	now = now.Add(499 * time.Millisecond)
+	if ok, _ := l.allow("acme", now); ok {
 		t.Fatal("admitted before a whole token accrued")
 	}
 	// The denied probe above re-stamped the bucket; from its fractional
 	// balance one more ms completes the token.
-	clk.advance(2 * time.Millisecond)
-	if ok, _ := l.allow("acme"); !ok {
+	now = now.Add(2 * time.Millisecond)
+	if ok, _ := l.allow("acme", now); !ok {
 		t.Fatal("denied after a whole token accrued")
 	}
 
 	// A long idle period refills to capacity, never beyond.
-	clk.advance(time.Hour)
+	now = now.Add(time.Hour)
 	for i := 0; i < 4; i++ {
-		if ok, _ := l.allow("acme"); !ok {
+		if ok, _ := l.allow("acme", now); !ok {
 			t.Fatalf("post-idle burst request %d denied, want capacity restored to 4", i)
 		}
 	}
-	if ok, _ := l.allow("acme"); ok {
+	if ok, _ := l.allow("acme", now); ok {
 		t.Fatal("bucket refilled beyond its capacity")
 	}
 }
 
 func TestTenantLimiterIsolation(t *testing.T) {
-	clk := newFakeClock()
-	l := newTenantLimiter(1, 2, clk.now)
+	now := limiterEpoch
+	l := newTenantLimiter(1, 2)
 
 	// The hog drains its own bucket dry.
 	for i := 0; i < 10; i++ {
-		l.allow("hog")
+		l.allow("hog", now)
 	}
-	if ok, _ := l.allow("hog"); ok {
+	if ok, _ := l.allow("hog", now); ok {
 		t.Fatal("hog still admitted after draining its bucket")
 	}
 	// The polite tenant's bucket is untouched.
 	for i := 0; i < 2; i++ {
-		if ok, _ := l.allow("polite"); !ok {
+		if ok, _ := l.allow("polite", now); !ok {
 			t.Fatalf("polite tenant request %d denied; the hog leaked into its bucket", i)
 		}
 	}
@@ -91,11 +82,11 @@ func TestTenantLimiterIsolation(t *testing.T) {
 func TestTenantLimiterNilAdmitsAll(t *testing.T) {
 	var l *tenantLimiter // quotas disabled
 	for i := 0; i < 100; i++ {
-		if ok, _ := l.allow("anyone"); !ok {
+		if ok, _ := l.allow("anyone", limiterEpoch); !ok {
 			t.Fatal("nil limiter denied a request")
 		}
 	}
-	if got := newTenantLimiter(0, 5, nil); got != nil {
+	if got := newTenantLimiter(0, 5); got != nil {
 		t.Fatal("qps=0 should disable the limiter entirely")
 	}
 }
@@ -105,12 +96,12 @@ func TestTenantLimiterNilAdmitsAll(t *testing.T) {
 // overflow bucket while every tracked bucket is active, and idle
 // buckets are evicted once they refill.
 func TestTenantLimiterOverflowAndEviction(t *testing.T) {
-	clk := newFakeClock()
-	l := newTenantLimiter(1, 1, clk.now)
+	now := limiterEpoch
+	l := newTenantLimiter(1, 1)
 
 	// Fill the map with active (drained) buckets.
 	for i := 0; i < maxTrackedTenants; i++ {
-		if ok, _ := l.allow(fmt.Sprintf("tenant-%d", i)); !ok {
+		if ok, _ := l.allow(fmt.Sprintf("tenant-%d", i), now); !ok {
 			t.Fatalf("fresh tenant %d denied", i)
 		}
 	}
@@ -120,11 +111,11 @@ func TestTenantLimiterOverflowAndEviction(t *testing.T) {
 
 	// Every bucket is empty, so nothing is evictable: the first
 	// newcomer takes the overflow bucket's single token...
-	if ok, _ := l.allow("fresh-1"); !ok {
+	if ok, _ := l.allow("fresh-1", now); !ok {
 		t.Fatal("first overflow newcomer denied; the overflow bucket should start full")
 	}
 	// ...and the second newcomer shares the now-empty overflow bucket.
-	if ok, _ := l.allow("fresh-2"); ok {
+	if ok, _ := l.allow("fresh-2", now); ok {
 		t.Fatal("second overflow newcomer admitted; it should share the drained overflow bucket")
 	}
 	if n := len(l.buckets); n > maxTrackedTenants+1 {
@@ -133,8 +124,8 @@ func TestTenantLimiterOverflowAndEviction(t *testing.T) {
 
 	// After the buckets refill they are idle and evictable; a newcomer
 	// gets its own bucket again.
-	clk.advance(2 * time.Second)
-	if ok, _ := l.allow("fresh-3"); !ok {
+	now = now.Add(2 * time.Second)
+	if ok, _ := l.allow("fresh-3", now); !ok {
 		t.Fatal("newcomer denied after idle buckets became evictable")
 	}
 	if n := len(l.buckets); n >= maxTrackedTenants {
@@ -335,8 +326,9 @@ func decodeRetryable(t *testing.T, rr *httptest.ResponseRecorder) api.Error {
 // The admission chain in isolation: drain, quota, and gate rejections
 // each produce their typed status without invoking the handler.
 func TestAdmitChain(t *testing.T) {
-	clk := newFakeClock()
-	cfg := AdmissionConfig{MaxInflightFG: 1, TenantQPS: 1, TenantBurst: 1, now: clk.now}
+	// A token accrues every 10⁶ s, so the refill the chain reads from
+	// the real clock can never re-admit tenant "a" during the test.
+	cfg := AdmissionConfig{MaxInflightFG: 1, TenantQPS: 1e-6, TenantBurst: 1}
 	srv := New(Config{Admission: cfg})
 	var handled int
 	h := srv.admit(classForeground, func(w http.ResponseWriter, r *http.Request) {

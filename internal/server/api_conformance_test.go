@@ -20,11 +20,11 @@ func rawDo(t *testing.T, env *testEnv, method, path string, body string) (int, [
 	if body != "" {
 		rd = strings.NewReader(body)
 	}
-	req, err := http.NewRequest(method, env.ts.URL+path, rd)
+	req, err := http.NewRequest(method, envURL+path, rd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := env.hc.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,7 +96,7 @@ func TestCorrelateCoalesceBitIdentical(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := http.Post(env.ts.URL+"/v1/graphs/g/correlate", "application/json", bytes.NewReader(body))
+			resp, err := env.hc.Post(envURL+"/v1/graphs/g/correlate", "application/json", bytes.NewReader(body))
 			if err != nil {
 				errs[i] = err
 				return
@@ -132,7 +132,7 @@ func TestCorrelateCoalesceBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want = append(want, '\n') // writeJSON uses an Encoder, which terminates with \n
+	want = append(want, '\n') // api.WriteJSON uses an Encoder, which terminates with \n
 	for i := 0; i < followers; i++ {
 		if errs[i] != nil {
 			t.Fatalf("follower %d: %v", i, errs[i])

@@ -5,22 +5,12 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"tesc"
 )
-
-// newHTTPServer wraps a Server in an httptest listener, reusing the
-// testEnv request helpers.
-func newHTTPServer(t *testing.T, srv *Server) *testEnv {
-	t.Helper()
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return &testEnv{srv: srv, ts: ts}
-}
 
 // TestConcurrentMutationsAndQueries is the torn-read witness for the
 // dynamic-graph subsystem, run under -race in CI: one mutator streams
@@ -213,7 +203,7 @@ func TestConcurrentMutationsAndQueries(t *testing.T) {
 // effective mutation.
 func TestEndToEndEdgeMutation(t *testing.T) {
 	srv := New(Config{IndexCacheCapacity: 4})
-	ts := newHTTPServer(t, srv)
+	ts := serve(srv)
 
 	// Path 0-1-...-9 plus two isolated nodes 10, 11.
 	ts.do(t, http.StatusCreated, "POST", "/v1/graphs", map[string]any{
@@ -323,7 +313,7 @@ func TestEndToEndEdgeMutation(t *testing.T) {
 // TestEndToEndEventMutation exercises live event add/remove over HTTP.
 func TestEndToEndEventMutation(t *testing.T) {
 	srv := New(Config{IndexCacheCapacity: 4})
-	ts := newHTTPServer(t, srv)
+	ts := serve(srv)
 
 	ts.do(t, http.StatusCreated, "POST", "/v1/graphs", map[string]any{
 		"name": "g", "edge_list": "# nodes 6\n0 1\n1 2\n2 3\n3 4\n4 5\n",

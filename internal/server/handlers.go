@@ -42,25 +42,11 @@ const maxInlineNodes = 1 << 24
 
 // ---- helpers --------------------------------------------------------
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeError emits the unified error envelope (api.Error) under the
-// code's canonical HTTP status. Every non-2xx response a handler
-// produces goes through here or writeRetryable — there is exactly one
-// error body shape on the wire.
-func writeError(w http.ResponseWriter, code api.ErrorCode, format string, args ...any) {
-	writeJSON(w, api.StatusOf(code), &api.Error{Code: code, Reason: fmt.Sprintf(format, args...)})
-}
-
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeError(w, api.CodeBadRequest, "invalid request body: %v", err)
+		api.WriteError(w, api.CodeBadRequest, "invalid request body: %v", err)
 		return false
 	}
 	return true
@@ -74,7 +60,7 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 func graphName(w http.ResponseWriter, r *http.Request) (string, bool) {
 	name := r.PathValue("name")
 	if err := api.ValidateGraphName(name); err != nil {
-		writeError(w, api.CodeInvalidName, "%v", err)
+		api.WriteError(w, api.CodeInvalidName, "%v", err)
 		return "", false
 	}
 	return name, true
@@ -89,7 +75,7 @@ func (s *Server) entry(w http.ResponseWriter, r *http.Request) (*GraphEntry, boo
 	}
 	e, ok := s.registry.Get(name)
 	if !ok {
-		writeError(w, api.CodeNotFound, "unknown graph %q", name)
+		api.WriteError(w, api.CodeNotFound, "unknown graph %q", name)
 		return nil, false
 	}
 	return e, true
@@ -144,7 +130,7 @@ func (s *Server) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := api.ValidateGraphName(req.Name); err != nil {
-		writeError(w, api.CodeInvalidName, "%v", err)
+		api.WriteError(w, api.CodeInvalidName, "%v", err)
 		return
 	}
 	sources := 0
@@ -154,7 +140,7 @@ func (s *Server) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if sources != 1 {
-		writeError(w, api.CodeBadRequest, "exactly one of edge_list, path and snapshot must be set")
+		api.WriteError(w, api.CodeBadRequest, "exactly one of edge_list, path and snapshot must be set")
 		return
 	}
 	if req.Snapshot != "" {
@@ -166,7 +152,7 @@ func (s *Server) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
 			if errors.Is(err, ErrAlreadyRegistered) {
 				code = api.CodeConflict
 			}
-			writeError(w, code, "importing snapshot: %v", err)
+			api.WriteError(w, code, "importing snapshot: %v", err)
 			return
 		}
 		// Make the import durable in the data dir before the 201: a
@@ -178,10 +164,10 @@ func (s *Server) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
 			s.registry.Remove(req.Name)
 			s.cache.EvictGraph(e)
 			s.monitors.DropGraph(req.Name)
-			writeError(w, api.CodeUnavailable, "%v", err)
+			api.WriteError(w, api.CodeUnavailable, "%v", err)
 			return
 		}
-		writeJSON(w, http.StatusCreated, e.info())
+		api.WriteJSON(w, http.StatusCreated, e.info())
 		return
 	}
 	var (
@@ -205,20 +191,20 @@ func (s *Server) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err != nil {
-		writeError(w, api.CodeBadRequest, "loading graph: %v", err)
+		api.WriteError(w, api.CodeBadRequest, "loading graph: %v", err)
 		return
 	}
 	e, err := s.registry.Register(req.Name, g)
 	if err != nil {
-		writeError(w, api.CodeConflict, "%v", err)
+		api.WriteError(w, api.CodeConflict, "%v", err)
 		return
 	}
 	if err := s.durableAck(req.Name); err != nil {
 		s.registry.Remove(req.Name)
-		writeError(w, api.CodeUnavailable, "%v", err)
+		api.WriteError(w, api.CodeUnavailable, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, e.info())
+	api.WriteJSON(w, http.StatusCreated, e.info())
 }
 
 // handleListGraphs implements GET /v1/graphs.
@@ -230,7 +216,7 @@ func (s *Server) handleListGraphs(w http.ResponseWriter, r *http.Request) {
 			out = append(out, e.info())
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleGetGraph implements GET /v1/graphs/{name}.
@@ -239,7 +225,7 @@ func (s *Server) handleGetGraph(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, e.info())
+	api.WriteJSON(w, http.StatusOK, e.info())
 }
 
 // handleDeleteGraph implements DELETE /v1/graphs/{name}. Cached
@@ -251,11 +237,11 @@ func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 	}
 	removed, err := s.dropGraph(name)
 	if err != nil {
-		writeError(w, api.CodeUnavailable, "%v", err)
+		api.WriteError(w, api.CodeUnavailable, "%v", err)
 		return
 	}
 	if !removed {
-		writeError(w, api.CodeNotFound, "unknown graph %q", name)
+		api.WriteError(w, api.CodeNotFound, "unknown graph %q", name)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -272,7 +258,7 @@ func (s *Server) handleRegisterEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Events) == 0 && len(req.Remove) == 0 {
-		writeError(w, api.CodeBadRequest, "events or remove must be non-empty")
+		api.WriteError(w, api.CodeBadRequest, "events or remove must be non-empty")
 		return
 	}
 	if err := s.applyEvents(e, req.Events, req.Remove, true); err != nil {
@@ -283,11 +269,11 @@ func (s *Server) handleRegisterEvents(w http.ResponseWriter, r *http.Request) {
 		case strings.HasPrefix(err.Error(), "unknown event"):
 			code = api.CodeNotFound
 		}
-		writeError(w, code, "%v", err)
+		api.WriteError(w, code, "%v", err)
 		return
 	}
 	snap := e.Snapshot()
-	writeJSON(w, http.StatusOK, registerEventsResponse{Graph: e.Name(), Events: snap.Store.NumEvents(), Epoch: snap.Epoch})
+	api.WriteJSON(w, http.StatusOK, registerEventsResponse{Graph: e.Name(), Events: snap.Store.NumEvents(), Epoch: snap.Epoch})
 }
 
 // handleDeleteEvent implements DELETE /v1/graphs/{name}/events/{event}:
@@ -303,11 +289,11 @@ func (s *Server) handleDeleteEvent(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, errDurability) {
 			code = api.CodeUnavailable
 		}
-		writeError(w, code, "%v", err)
+		api.WriteError(w, code, "%v", err)
 		return
 	}
 	snap := e.Snapshot()
-	writeJSON(w, http.StatusOK, registerEventsResponse{Graph: e.Name(), Events: snap.Store.NumEvents(), Epoch: snap.Epoch})
+	api.WriteJSON(w, http.StatusOK, registerEventsResponse{Graph: e.Name(), Events: snap.Store.NumEvents(), Epoch: snap.Epoch})
 }
 
 // handleMutateEdges implements POST /v1/graphs/{name}/edges: a live
@@ -326,7 +312,7 @@ func (s *Server) handleMutateEdges(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Insert) == 0 && len(req.Delete) == 0 {
-		writeError(w, api.CodeBadRequest, "insert or delete must be non-empty")
+		api.WriteError(w, api.CodeBadRequest, "insert or delete must be non-empty")
 		return
 	}
 	changes := make([]tesc.EdgeChange, 0, len(req.Insert)+len(req.Delete))
@@ -343,7 +329,7 @@ func (s *Server) handleMutateEdges(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, errDurability) {
 			code = api.CodeUnavailable
 		}
-		writeError(w, code, "%v", err)
+		api.WriteError(w, code, "%v", err)
 		return
 	}
 	var inserted, deleted int
@@ -354,7 +340,7 @@ func (s *Server) handleMutateEdges(w http.ResponseWriter, r *http.Request) {
 			deleted++
 		}
 	}
-	writeJSON(w, http.StatusOK, mutateEdgesResponse{
+	api.WriteJSON(w, http.StatusOK, mutateEdgesResponse{
 		Graph:            e.Name(),
 		Epoch:            res.snap.Epoch,
 		Nodes:            res.snap.Graph.NumNodes(),
@@ -379,15 +365,15 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.persist == nil {
-		writeError(w, api.CodeUnavailable, "no data directory configured (start tescd with -data)")
+		api.WriteError(w, api.CodeUnavailable, "no data directory configured (start tescd with -data)")
 		return
 	}
 	info, err := s.Checkpoint(e.Name())
 	if err != nil {
-		writeError(w, api.CodeInternal, "checkpoint: %v", err)
+		api.WriteError(w, api.CodeInternal, "checkpoint: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	api.WriteJSON(w, http.StatusOK, info)
 }
 
 // handleCorrelate implements POST /v1/graphs/{name}/correlate: one TESC
@@ -407,17 +393,17 @@ func (s *Server) handleCorrelate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.H < 1 {
-		writeError(w, api.CodeBadRequest, "h must be >= 1")
+		api.WriteError(w, api.CodeBadRequest, "h must be >= 1")
 		return
 	}
 	method, err := parseMethod(req.Method)
 	if err != nil {
-		writeError(w, api.CodeBadRequest, "%v", err)
+		api.WriteError(w, api.CodeBadRequest, "%v", err)
 		return
 	}
 	tail, err := parseTail(req.Tail)
 	if err != nil {
-		writeError(w, api.CodeBadRequest, "%v", err)
+		api.WriteError(w, api.CodeBadRequest, "%v", err)
 		return
 	}
 	// Bind the whole query to one snapshot: occurrences, graph and
@@ -525,12 +511,12 @@ func (s *Server) runCorrelate(r *http.Request, e *GraphEntry, snap Snapshot, req
 func (s *Server) writeCorrelateOutcome(w http.ResponseWriter, c *flightCall) {
 	switch c.errCode {
 	case "":
-		writeJSON(w, http.StatusOK, c.resp)
+		api.WriteJSON(w, http.StatusOK, c.resp)
 	case api.CodeTimeout:
 		s.adm.timeouts.Add(1)
-		writeRetryable(w, time.Second, api.CodeTimeout, "%s", c.errMsg)
+		api.WriteRetryable(w, time.Second, api.CodeTimeout, "%s", c.errMsg)
 	default:
-		writeError(w, c.errCode, "%s", c.errMsg)
+		api.WriteError(w, c.errCode, "%s", c.errMsg)
 	}
 }
 
@@ -540,11 +526,11 @@ func (s *Server) writeCorrelateOutcome(w http.ResponseWriter, c *flightCall) {
 func (s *Server) writeCtxOutcome(w http.ResponseWriter, r *http.Request) {
 	if errors.Is(context.Cause(r.Context()), context.DeadlineExceeded) {
 		s.adm.timeouts.Add(1)
-		writeRetryable(w, time.Second, api.CodeTimeout,
+		api.WriteRetryable(w, time.Second, api.CodeTimeout,
 			"request deadline exceeded while waiting for a coalesced result")
 		return
 	}
-	writeError(w, api.CodeClientClosed, "client closed request")
+	api.WriteError(w, api.CodeClientClosed, "client closed request")
 }
 
 // freshEnough enforces a request's min_epoch floor: a graph still
@@ -558,7 +544,7 @@ func (s *Server) freshEnough(w http.ResponseWriter, name string, epoch, minEpoch
 	if minEpoch == 0 || epoch >= minEpoch {
 		return true
 	}
-	writeRetryable(w, time.Second, api.CodeStaleEpoch,
+	api.WriteRetryable(w, time.Second, api.CodeStaleEpoch,
 		"%v: graph %q is at epoch %d, request needs %d", screen.ErrStaleEpoch, name, epoch, minEpoch)
 	return false
 }
@@ -609,33 +595,33 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.H < 1 {
-		writeError(w, api.CodeBadRequest, "h must be >= 1")
+		api.WriteError(w, api.CodeBadRequest, "h must be >= 1")
 		return
 	}
 	alt, err := parseTailAlt(req.Tail)
 	if err != nil {
-		writeError(w, api.CodeBadRequest, "%v", err)
+		api.WriteError(w, api.CodeBadRequest, "%v", err)
 		return
 	}
 	if req.TopK < 0 {
-		writeError(w, api.CodeBadRequest, "top_k must be >= 0")
+		api.WriteError(w, api.CodeBadRequest, "top_k must be >= 0")
 		return
 	}
 	planned := req.TopK > 0 || req.Theta != nil
 	if req.TopK > 0 && req.Theta != nil {
-		writeError(w, api.CodeBadRequest, "top_k and theta are mutually exclusive")
+		api.WriteError(w, api.CodeBadRequest, "top_k and theta are mutually exclusive")
 		return
 	}
 	if req.Theta != nil && (*req.Theta < -1 || *req.Theta > 1) {
-		writeError(w, api.CodeBadRequest, "theta must lie in [-1, 1]")
+		api.WriteError(w, api.CodeBadRequest, "theta must lie in [-1, 1]")
 		return
 	}
 	if planned && req.Bonferroni {
-		writeError(w, api.CodeBadRequest, "bonferroni requires the exhaustive sweep: a planned screen reports raw p-values")
+		api.WriteError(w, api.CodeBadRequest, "bonferroni requires the exhaustive sweep: a planned screen reports raw p-values")
 		return
 	}
 	if !planned && req.BoundAlpha != 0 {
-		writeError(w, api.CodeBadRequest, "bound_alpha applies only to planned screens (set top_k or theta)")
+		api.WriteError(w, api.CodeBadRequest, "bound_alpha applies only to planned screens (set top_k or theta)")
 		return
 	}
 	cfg := screen.Config{
@@ -656,7 +642,7 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 	// The sweep's own validation of alpha and sample_size, applied
 	// before a job slot is taken: a bad request is a 400, never a job.
 	if err := cfg.Validate(); err != nil {
-		writeError(w, api.CodeBadRequest, "%v", err)
+		api.WriteError(w, api.CodeBadRequest, "%v", err)
 		return
 	}
 	// One snapshot for the whole sweep: a long screening job keeps its
@@ -666,7 +652,7 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if n := snap.Store.NumEvents(); n < 2 {
-		writeError(w, api.CodeUnprocessable, "screening needs at least 2 registered events, have %d", n)
+		api.WriteError(w, api.CodeUnprocessable, "screening needs at least 2 registered events, have %d", n)
 		return
 	}
 	// A screen job holds a background admission slot for its whole
@@ -676,7 +662,7 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 	// the job is shed with a typed 503 before any work is spent.
 	release, ok := s.adm.acquireJobSlot()
 	if !ok {
-		writeRetryable(w, 2*time.Second, api.CodeOverloadedBG,
+		api.WriteRetryable(w, 2*time.Second, api.CodeOverloadedBG,
 			"background capacity exhausted (%d screen/monitor tasks in flight)", s.adm.bg.inflight())
 		return
 	}
@@ -707,7 +693,7 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 			}
 			return res, err
 		})
-		writeJSON(w, http.StatusAccepted, screenResponse{JobID: job.ID})
+		api.WriteJSON(w, http.StatusAccepted, screenResponse{JobID: job.ID})
 		return
 	}
 	job := s.jobs.Start(e.Name(), release, func(ctx context.Context, progress func(done, total int)) (screen.Result, error) {
@@ -721,7 +707,7 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 		}
 		return res, err
 	})
-	writeJSON(w, http.StatusAccepted, screenResponse{JobID: job.ID})
+	api.WriteJSON(w, http.StatusAccepted, screenResponse{JobID: job.ID})
 }
 
 // handleGetJob implements GET /v1/jobs/{id}.
@@ -729,10 +715,10 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := s.jobs.Get(id)
 	if !ok {
-		writeError(w, api.CodeNotFound, "unknown job %q", id)
+		api.WriteError(w, api.CodeNotFound, "unknown job %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, j.Snapshot())
+	api.WriteJSON(w, http.StatusOK, j.Snapshot())
 }
 
 // handleCancelJob implements DELETE /v1/jobs/{id}: aborts a running
@@ -745,11 +731,11 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := s.jobs.Get(id)
 	if !ok {
-		writeError(w, api.CodeNotFound, "unknown job %q", id)
+		api.WriteError(w, api.CodeNotFound, "unknown job %q", id)
 		return
 	}
 	j.cancel()
-	writeJSON(w, http.StatusAccepted, j.Snapshot())
+	api.WriteJSON(w, http.StatusAccepted, j.Snapshot())
 }
 
 // handleHealth implements GET /healthz.
@@ -801,5 +787,5 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			ReplicaFaults:     m.Faults,
 		}
 	}
-	writeJSON(w, http.StatusOK, health)
+	api.WriteJSON(w, http.StatusOK, health)
 }

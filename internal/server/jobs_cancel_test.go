@@ -178,11 +178,11 @@ func TestCancelJobEndpoint(t *testing.T) {
 	}
 
 	// Unknown job → 404 with the plain error shape.
-	req, err := http.NewRequest("DELETE", env.ts.URL+"/v1/jobs/nope", nil)
+	req, err := http.NewRequest("DELETE", envURL+"/v1/jobs/nope", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := http.DefaultClient.Do(req)
+	res, err := env.hc.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,18 +143,18 @@ func (s *Server) handleCreateMonitor(w http.ResponseWriter, r *http.Request) {
 	}
 	alt, err := parseTailAlt(req.Tail)
 	if err != nil {
-		writeError(w, api.CodeBadRequest, "%v", err)
+		api.WriteError(w, api.CodeBadRequest, "%v", err)
 		return
 	}
 	mode, err := monitor.ParseMode(req.Policy)
 	if err != nil {
-		writeError(w, api.CodeBadRequest, "%v", err)
+		api.WriteError(w, api.CodeBadRequest, "%v", err)
 		return
 	}
 	snap := e.Snapshot()
 	for _, name := range []string{req.A, req.B} {
 		if name != "" && !snap.Store.Has(name) {
-			writeError(w, api.CodeNotFound, "unknown event %q", name)
+			api.WriteError(w, api.CodeNotFound, "unknown event %q", name)
 			return
 		}
 	}
@@ -179,7 +179,7 @@ func (s *Server) handleCreateMonitor(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, monitor.ErrAlreadyRegistered) {
 			code = api.CodeConflict
 		}
-		writeError(w, code, "%v", err)
+		api.WriteError(w, code, "%v", err)
 		return
 	}
 	// A monitor has no WAL record kind: its durability unit is the
@@ -189,10 +189,10 @@ func (s *Server) handleCreateMonitor(w http.ResponseWriter, r *http.Request) {
 	// survive a crash.
 	if err := s.durableAck(e.Name()); err != nil {
 		s.monitors.Delete(e.Name(), m.Def().ID)
-		writeError(w, api.CodeUnavailable, "%v", err)
+		api.WriteError(w, api.CodeUnavailable, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, s.monitorInfo(m))
+	api.WriteJSON(w, http.StatusCreated, s.monitorInfo(m))
 }
 
 // handleListMonitors implements GET /v1/graphs/{name}/monitors.
@@ -206,7 +206,7 @@ func (s *Server) handleListMonitors(w http.ResponseWriter, r *http.Request) {
 	for _, m := range ms {
 		out = append(out, s.monitorInfo(m))
 	}
-	writeJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }
 
 // monitorByPath resolves {name}/{id} to a registered monitor.
@@ -218,7 +218,7 @@ func (s *Server) monitorByPath(w http.ResponseWriter, r *http.Request) (*monitor
 	id := r.PathValue("id")
 	m, ok := s.monitors.Get(e.Name(), id)
 	if !ok {
-		writeError(w, api.CodeNotFound, "graph %q has no monitor %q", e.Name(), id)
+		api.WriteError(w, api.CodeNotFound, "graph %q has no monitor %q", e.Name(), id)
 		return nil, nil, false
 	}
 	return m, e, true
@@ -236,7 +236,7 @@ func (s *Server) handleGetMonitor(w http.ResponseWriter, r *http.Request) {
 	for i, smp := range hist {
 		detail.History[i] = sampleView(smp)
 	}
-	writeJSON(w, http.StatusOK, detail)
+	api.WriteJSON(w, http.StatusOK, detail)
 }
 
 // handleDeleteMonitor implements DELETE /v1/graphs/{name}/monitors/{id}.
@@ -251,7 +251,7 @@ func (s *Server) handleDeleteMonitor(w http.ResponseWriter, r *http.Request) {
 	// it at the next boot is the snapshot's job, not the client's), so
 	// only the durability failure is surfaced.
 	if err := s.durableAck(e.Name()); err != nil {
-		writeError(w, api.CodeUnavailable, "%v", err)
+		api.WriteError(w, api.CodeUnavailable, "%v", err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -272,11 +272,11 @@ func (s *Server) handleRefreshMonitor(w http.ResponseWriter, r *http.Request) {
 	force := r.URL.Query().Get("force") == "1" || r.URL.Query().Get("force") == "true"
 	_, ran, err := m.Refresh(force)
 	if err != nil {
-		writeError(w, api.CodeUnprocessable, "%v", err)
+		api.WriteError(w, api.CodeUnprocessable, "%v", err)
 		return
 	}
 	if ran {
 		s.markDirty(e.Name())
 	}
-	writeJSON(w, http.StatusOK, api.MonitorRefreshResponse{Ran: ran, MonitorView: s.monitorInfo(m)})
+	api.WriteJSON(w, http.StatusOK, api.MonitorRefreshResponse{Ran: ran, MonitorView: s.monitorInfo(m)})
 }

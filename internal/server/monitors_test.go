@@ -62,7 +62,7 @@ func healthCounters(t *testing.T, env *testEnv) map[string]float64 {
 func TestMonitorEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	srv := New(Config{IndexCacheCapacity: 4, DataDir: dir, CheckpointDelay: time.Hour})
-	env := newHTTPServer(t, srv)
+	env := serve(srv)
 
 	// A sparse 10k-node surrogate with the event pair clustered in one
 	// region: random flips mostly land far from the reference sample,
@@ -164,7 +164,7 @@ func TestMonitorEndToEnd(t *testing.T) {
 	if n, err := srv2.LoadData(); err != nil || n != 1 {
 		t.Fatalf("warm start: restored %d graphs, err=%v", n, err)
 	}
-	env2 := newHTTPServer(t, srv2)
+	env2 := serve(srv2)
 	var restored monitorJSON
 	env2.do(t, http.StatusOK, "GET", "/v1/graphs/g/monitors/"+id, nil, &restored)
 	if len(restored.History) != len(detail.History) {
@@ -208,7 +208,7 @@ func TestMonitorEndToEnd(t *testing.T) {
 // re-screens, without any refresh call.
 func TestMonitorAutoPolicyHTTP(t *testing.T) {
 	srv := New(Config{IndexCacheCapacity: 4})
-	env := newHTTPServer(t, srv)
+	env := serve(srv)
 	g := tesc.RandomCommunityGraph(4, 30, 6, 0.5, 9)
 	var edges strings.Builder
 	if err := g.WriteGraph(&edges); err != nil {

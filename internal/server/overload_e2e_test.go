@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"sort"
 	"strings"
 	"sync"
@@ -20,7 +19,8 @@ import (
 )
 
 // newOverloadEnv is newTestEnv with an explicit server config: the
-// overload tests need tight admission bounds instead of the defaults.
+// overload tests need tight admission bounds instead of the defaults,
+// the durable ones a data directory. The caller stops the server.
 func newOverloadEnv(t *testing.T, cfg Config) *testEnv {
 	t.Helper()
 	g := tesc.RandomCommunityGraph(5, 40, 6, 0.5, 42)
@@ -33,9 +33,8 @@ func newOverloadEnv(t *testing.T, cfg Config) *testEnv {
 			t.Fatal(err)
 		}
 	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	env := &testEnv{srv: srv, ts: ts, graph: g}
+	env := serve(srv)
+	env.graph = g
 	for v := 0; v < 15; v++ {
 		env.va = append(env.va, v)
 	}
@@ -59,14 +58,14 @@ func rawPost(env *testEnv, path string, body any, tenant string) (int, http.Head
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	req, err := http.NewRequest("POST", env.ts.URL+path, bytes.NewReader(buf))
+	req, err := http.NewRequest("POST", envURL+path, bytes.NewReader(buf))
 	if err != nil {
 		return 0, nil, nil, err
 	}
 	if tenant != "" {
 		req.Header.Set(tenantHeader, tenant)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := env.hc.Do(req)
 	if err != nil {
 		return 0, nil, nil, err
 	}
@@ -259,12 +258,12 @@ func TestHogTenantIsolation(t *testing.T) {
 		Admission: AdmissionConfig{TenantQPS: 50, TenantBurst: 5},
 	})
 	get := func(tenant string) (int, http.Header, []byte) {
-		req, err := http.NewRequest("GET", env.ts.URL+"/v1/graphs", nil)
+		req, err := http.NewRequest("GET", envURL+"/v1/graphs", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		req.Header.Set(tenantHeader, tenant)
-		resp, err := http.DefaultClient.Do(req)
+		resp, err := env.hc.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -378,9 +377,7 @@ func TestDrainFlushesAndRecovers(t *testing.T) {
 		t.Fatalf("recovery after drain: %v", err)
 	}
 	defer srv2.Close()
-	ts2 := httptest.NewServer(srv2.Handler())
-	defer ts2.Close()
-	env2 := &testEnv{srv: srv2, ts: ts2}
+	env2 := serve(srv2)
 
 	var info graphInfo
 	env2.do(t, http.StatusOK, "GET", "/v1/graphs/g", nil, &info)

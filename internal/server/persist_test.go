@@ -2,11 +2,9 @@ package server
 
 import (
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -18,29 +16,7 @@ import (
 // the standard two-community graph and events through HTTP.
 func newPersistEnv(t *testing.T, dir string, delay time.Duration) *testEnv {
 	t.Helper()
-	g := tesc.RandomCommunityGraph(5, 40, 6, 0.5, 42)
-	srv := New(Config{IndexCacheCapacity: 4, DataDir: dir, CheckpointDelay: delay})
-	if _, err := srv.LoadData(); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	env := &testEnv{srv: srv, ts: ts, graph: g}
-	for v := 0; v < 15; v++ {
-		env.va = append(env.va, v)
-	}
-	for v := 160; v < 175; v++ {
-		env.vb = append(env.vb, v)
-	}
-	var edges strings.Builder
-	if err := g.WriteGraph(&edges); err != nil {
-		t.Fatal(err)
-	}
-	env.do(t, http.StatusCreated, "POST", "/v1/graphs",
-		map[string]any{"name": "g", "edge_list": edges.String()}, nil)
-	env.do(t, http.StatusOK, "POST", "/v1/graphs/g/events",
-		map[string]any{"events": map[string][]int{"left": env.va, "right": env.vb}}, nil)
-	return env
+	return newOverloadEnv(t, Config{DataDir: dir, CheckpointDelay: delay})
 }
 
 // health fetches the healthz counters.
@@ -150,9 +126,7 @@ func newRestartedEnv(t *testing.T, dir string) *testEnv {
 	if _, err := srv.LoadData(); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return &testEnv{srv: srv, ts: ts}
+	return serve(srv)
 }
 
 // TestBootIgnoresTornAndCorruptFiles is the crash-safety case: a torn
@@ -249,10 +223,7 @@ func TestSnapshotImportAtAdmission(t *testing.T) {
 		map[string]any{"a": "left", "b": "right", "h": 2, "method": "importance", "seed": 7}, nil)
 	env1.do(t, http.StatusOK, "POST", "/v1/graphs/g/snapshot", nil, nil)
 
-	srv := New(Config{IndexCacheCapacity: 4})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	env2 := &testEnv{srv: srv, ts: ts}
+	env2 := serve(New(Config{IndexCacheCapacity: 4}))
 	var info graphInfo
 	env2.do(t, http.StatusCreated, "POST", "/v1/graphs",
 		map[string]any{"name": "imported", "snapshot": filepath.Join(dir, "g.tescsnap")}, &info)
@@ -261,7 +232,7 @@ func TestSnapshotImportAtAdmission(t *testing.T) {
 	}
 	env2.do(t, http.StatusOK, "POST", "/v1/graphs/imported/correlate",
 		map[string]any{"a": "left", "b": "right", "h": 2, "method": "importance", "seed": 7}, nil)
-	if b := srv.Cache().Builds(); b != 0 {
+	if b := env2.srv.Cache().Builds(); b != 0 {
 		t.Fatalf("import-backed query built %d indexes, want 0", b)
 	}
 	// Conflicting and bogus imports fail cleanly.

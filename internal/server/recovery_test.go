@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"slices"
 	"sort"
@@ -471,8 +470,7 @@ func TestRestartAfterKillE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
-	env := &testEnv{srv: srv, ts: ts}
+	env := serve(srv)
 
 	g := tesc.RandomCommunityGraph(4, 30, 5, 0.5, 77)
 	var edges strings.Builder
@@ -539,7 +537,6 @@ func TestRestartAfterKillE2E(t *testing.T) {
 
 	// Die mid-debounce: 50 batches dirty and unflushed (the debounce is
 	// an hour out), the WAL holding the only durable copy.
-	ts.Close()
 	srv.Kill()
 	fsys.Crash()
 
@@ -547,9 +544,7 @@ func TestRestartAfterKillE2E(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovery boot: %v", err)
 	}
-	ts2 := httptest.NewServer(srv2.Handler())
-	t.Cleanup(ts2.Close)
-	env2 := &testEnv{srv: srv2, ts: ts2}
+	env2 := serve(srv2)
 	h2 := health(t, env2)
 	if got, want := h2["wal_replayed"].(float64), float64(batches/2); got != want {
 		t.Fatalf("wal_replayed = %v, want %v (the batches after the last checkpoint)", got, want)

@@ -133,7 +133,7 @@ func (rs ReplicaSource) Pull(cur wal.ShipCursor, maxBytes int) (wal.ShipBatch, e
 func (s *Server) handleReplicaStatus(w http.ResponseWriter, r *http.Request) {
 	st, err := s.replicaStatus()
 	if err != nil {
-		writeError(w, api.CodeUnavailable, "%v", err)
+		api.WriteError(w, api.CodeUnavailable, "%v", err)
 		return
 	}
 	out := api.ReplicaStatus{
@@ -148,7 +148,7 @@ func (s *Server) handleReplicaStatus(w http.ResponseWriter, r *http.Request) {
 			Monitors:     g.Monitors,
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleReplicaSnapshot implements
@@ -162,7 +162,7 @@ func (s *Server) handleReplicaSnapshot(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, replica.ErrUnknownGraph) {
 			code = api.CodeNotFound
 		}
-		writeError(w, code, "%v", err)
+		api.WriteError(w, code, "%v", err)
 		return
 	}
 	h := w.Header()
@@ -180,19 +180,19 @@ func (s *Server) handleReplicaWAL(w http.ResponseWriter, r *http.Request) {
 	seg, err1 := strconv.ParseUint(q.Get("seg"), 10, 64)
 	off, err2 := strconv.ParseInt(q.Get("off"), 10, 64)
 	if err1 != nil || err2 != nil {
-		writeError(w, api.CodeBadRequest, "seg and off query parameters are required integers")
+		api.WriteError(w, api.CodeBadRequest, "seg and off query parameters are required integers")
 		return
 	}
 	maxBytes := 1 << 20
 	if v := q.Get("max"); v != "" {
 		if maxBytes, err1 = strconv.Atoi(v); err1 != nil || maxBytes <= 0 {
-			writeError(w, api.CodeBadRequest, "max must be a positive integer")
+			api.WriteError(w, api.CodeBadRequest, "max must be a positive integer")
 			return
 		}
 	}
 	batch, err := s.replicaPull(wal.ShipCursor{Seg: seg, Off: off}, maxBytes)
 	if err != nil {
-		writeError(w, api.CodeUnavailable, "%v", err)
+		api.WriteError(w, api.CodeUnavailable, "%v", err)
 		return
 	}
 	h := w.Header()

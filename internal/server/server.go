@@ -217,7 +217,7 @@ func (s *Server) handle(pattern string, h http.HandlerFunc) {
 func (s *Server) mutating(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.readOnly {
-			writeError(w, api.CodeReadOnly, "read-only replica: send mutations to the primary")
+			api.WriteError(w, api.CodeReadOnly, "read-only replica: send mutations to the primary")
 			return
 		}
 		h(w, r)

@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,41 +15,32 @@ import (
 )
 
 // testEnv is a running service plus the ground-truth inputs the HTTP
-// requests are checked against.
+// requests are checked against. Requests reach the service through an
+// in-process hop, not a socket.
 type testEnv struct {
 	srv    *Server
-	ts     *httptest.Server
+	hc     *http.Client
 	graph  *tesc.Graph
 	va, vb []int
 }
 
+// envURL is the base URL of every testEnv request; the hop ignores it.
+const envURL = "http://tescd"
+
+// serve wraps srv in a testEnv whose client calls srv.Handler() in
+// process.
+func serve(srv *Server) *testEnv {
+	return &testEnv{srv: srv, hc: &http.Client{Transport: handlerHop{srv.Handler()}}}
+}
+
+// newTestEnv registers the standard graph and events on an in-memory
+// server. Two well-separated communities plus sparse bridges: event
+// "left" lives in the first community, "right" in the last, so the
+// planted structure is strongly assortative and the verdicts are
+// stable.
 func newTestEnv(t *testing.T) *testEnv {
 	t.Helper()
-	// Two well-separated communities plus sparse bridges: event "left"
-	// lives in the first community, "right" in the last, so the planted
-	// structure is strongly assortative and the verdicts are stable.
-	g := tesc.RandomCommunityGraph(5, 40, 6, 0.5, 42)
-	srv := New(Config{IndexCacheCapacity: 4})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-
-	env := &testEnv{srv: srv, ts: ts, graph: g}
-	for v := 0; v < 15; v++ {
-		env.va = append(env.va, v)
-	}
-	for v := 160; v < 175; v++ {
-		env.vb = append(env.vb, v)
-	}
-
-	var edges strings.Builder
-	if err := g.WriteGraph(&edges); err != nil {
-		t.Fatal(err)
-	}
-	env.do(t, http.StatusCreated, "POST", "/v1/graphs",
-		map[string]any{"name": "g", "edge_list": edges.String()}, nil)
-	env.do(t, http.StatusOK, "POST", "/v1/graphs/g/events",
-		map[string]any{"events": map[string][]int{"left": env.va, "right": env.vb}}, nil)
-	return env
+	return newOverloadEnv(t, Config{})
 }
 
 // do issues one JSON request and decodes the response into out,
@@ -72,11 +61,11 @@ func (env *testEnv) doErr(wantStatus int, method, path string, body, out any) er
 		}
 		rd = bytes.NewReader(buf)
 	}
-	req, err := http.NewRequest(method, env.ts.URL+path, rd)
+	req, err := http.NewRequest(method, envURL+path, rd)
 	if err != nil {
 		return err
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := env.hc.Do(req)
 	if err != nil {
 		return err
 	}
@@ -305,10 +294,8 @@ func TestScreenNeedsTwoEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(Config{})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	env := &testEnv{srv: srv, ts: ts, graph: g}
+	env := serve(New(Config{}))
+	env.graph = g
 	env.do(t, http.StatusCreated, "POST", "/v1/graphs",
 		map[string]any{"name": "tiny", "edge_list": "# nodes 4\n0 1\n1 2\n2 3\n"}, nil)
 	env.do(t, http.StatusOK, "POST", "/v1/graphs/tiny/events",
