@@ -3,7 +3,8 @@
 # and of the working tree on this machine, in alternating rounds, then
 # compares the two sides with benchdiff (min ns/op per side; fail above
 # +25%, warn above +10%; min allocs/op fails above the parent's max
-# allocs/op by more than 1% + 0.5; B/op is printed beside, not gated).
+# allocs/op by more than 1% + 0.5; B/op is printed beside, not gated,
+# and so are the work counts whose ranges over runs moved).
 #
 # Usage, from the repository root:
 #

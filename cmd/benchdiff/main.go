@@ -16,7 +16,12 @@
 // do not depend on the host's speed, so allocs/op gates at a far
 // tighter bound than ns/op can: one more allocation per op fails a
 // benchmark that steadily makes up to 50 of them. B/op is reported
-// only, because buffer growth makes it vary.
+// only, because buffer growth makes it vary. Every other unit a row
+// reports (checkpoints, density_evals, bfs_runs, ...: a benchmark's
+// work counts) is folded to its min and max over runs, and a row whose
+// count ranges do not overlap prints both sides in a counts column. A
+// changed count never fails: an algorithmic change moves counts on
+// purpose, and one that claims no behaviour change must show none.
 //
 // Usage:
 //
@@ -58,10 +63,15 @@ const (
 
 // bench is one benchmark's figures on one side, each the minimum over
 // its runs, and allocsMax the largest allocs/op; bytes and allocs are
-// -1 when no run reported them.
+// -1 when no run reported them. counts holds every other unit the runs
+// reported, by unit.
 type bench struct {
 	ns, bytes, allocs, allocsMax float64
+	counts                       map[string]span
 }
+
+// span is the least and the largest value of a count over runs.
+type span struct{ min, max float64 }
 
 // parseBench extracts min ns/op, B/op and allocs/op per benchmark key
 // from go test -bench output. The "pkg:" header lines qualify benchmark
@@ -87,23 +97,25 @@ func parseBench(r io.Reader) (map[string]bench, error) {
 			continue
 		}
 		b := bench{ns: -1, bytes: -1, allocs: -1, allocsMax: -1}
-		for i := 2; i < len(fields); i++ {
-			var dst *float64
-			switch fields[i] {
-			case "ns/op":
-				dst = &b.ns
-			case "B/op":
-				dst = &b.bytes
-			case "allocs/op":
-				dst = &b.allocs
-			default:
-				continue
-			}
+		for i := 3; i < len(fields); i += 2 {
+			unit := fields[i]
 			v, err := strconv.ParseFloat(fields[i-1], 64)
-			if err != nil {
-				return nil, fmt.Errorf("benchdiff: bad %s %q in line %q", fields[i], fields[i-1], line)
+			switch {
+			case err != nil && (unit == "ns/op" || unit == "B/op" || unit == "allocs/op"):
+				return nil, fmt.Errorf("benchdiff: bad %s %q in line %q", unit, fields[i-1], line)
+			case err != nil: // an ungated unit: skip the value
+			case unit == "ns/op":
+				b.ns = v
+			case unit == "B/op":
+				b.bytes = v
+			case unit == "allocs/op":
+				b.allocs = v
+			case unit != "MB/s": // throughput measures the host, not the work
+				if b.counts == nil {
+					b.counts = make(map[string]span)
+				}
+				b.counts[unit] = span{v, v}
 			}
-			*dst = v
 		}
 		if b.ns < 0 {
 			continue
@@ -126,6 +138,15 @@ func parseBench(r io.Reader) (map[string]bench, error) {
 			b.bytes = minReported(b.bytes, prev.bytes)
 			b.allocs = minReported(b.allocs, prev.allocs)
 			b.allocsMax = max(b.allocsMax, prev.allocsMax)
+			for unit, c := range prev.counts {
+				if v, ok := b.counts[unit]; ok {
+					c = span{min(c.min, v.min), max(c.max, v.max)}
+				}
+				if b.counts == nil {
+					b.counts = make(map[string]span)
+				}
+				b.counts[unit] = c
+			}
 		}
 		out[key] = b
 	}
@@ -191,6 +212,27 @@ func diff(parent, change map[string]bench) (rows []row, regressions, warnings in
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].key < rows[j].key })
 	return rows, regressions, warnings
+}
+
+// countsMoved lists, in unit order, each count the two sides both
+// reported whose ranges over runs do not overlap, as "unit parent →
+// change"; a range prints as min–max.
+func countsMoved(parent, change bench) string {
+	var moved []string
+	for unit, c := range change.counts {
+		if p, ok := parent.counts[unit]; ok && (c.min > p.max || c.max < p.min) {
+			moved = append(moved, fmt.Sprintf("%s %s → %s", unit, p, c))
+		}
+	}
+	sort.Strings(moved)
+	return strings.Join(moved, ", ")
+}
+
+func (s span) String() string {
+	if s.min == s.max {
+		return strconv.FormatFloat(s.min, 'g', -1, 64)
+	}
+	return strconv.FormatFloat(s.min, 'g', -1, 64) + "–" + strconv.FormatFloat(s.max, 'g', -1, 64)
 }
 
 // allocsRose reports whether the change's fewest allocs/op passed the
@@ -259,10 +301,10 @@ func parseFile(path string) (map[string]bench, error) {
 func renderTable(rows []row, regressions, warnings int) string {
 	var sb strings.Builder
 	sb.WriteString("### Benchmark regression gate\n\n")
-	fmt.Fprintf(&sb, "Thresholds: fail > +%.0f%%, warn > +%.0f%% (change vs parent ns/op, min over runs); ALLOCS fails min allocs/op > parent's max allocs/op × %.2f + %.1f; B/op is reported, not gated\n\n",
+	fmt.Fprintf(&sb, "Thresholds: fail > +%.0f%%, warn > +%.0f%% (change vs parent ns/op, min over runs); ALLOCS fails min allocs/op > parent's max allocs/op × %.2f + %.1f; B/op is reported, not gated; counts lists the work counts whose ranges over runs moved, not gated\n\n",
 		(failThreshold-1)*100, (warnThreshold-1)*100, 1+allocTolerance, allocSlack)
-	sb.WriteString("| benchmark | parent ns/op | change ns/op | delta | parent B/op | change B/op | parent allocs/op | change allocs/op | status |\n")
-	sb.WriteString("|---|---:|---:|---:|---:|---:|---:|---:|---|\n")
+	sb.WriteString("| benchmark | parent ns/op | change ns/op | delta | parent B/op | change B/op | parent allocs/op | change allocs/op | status | counts |\n")
+	sb.WriteString("|---|---:|---:|---:|---:|---:|---:|---:|---|---|\n")
 	// figure prints one side's figure, or a dash when the side lacks
 	// the benchmark (no ns/op) or its runs did not report the figure.
 	figure := func(b bench, v float64) string {
@@ -282,10 +324,11 @@ func renderTable(rows []row, regressions, warnings int) string {
 		} else if status == "warn" {
 			status = "⚠️ warn"
 		}
-		fmt.Fprintf(&sb, "| %s | %s | %s | %s | %s | %s | %s | %s | %s |\n", r.key,
+		fmt.Fprintf(&sb, "| %s | %s | %s | %s | %s | %s | %s | %s | %s | %s |\n", r.key,
 			figure(r.parent, r.parent.ns), figure(r.change, r.change.ns), delta,
 			figure(r.parent, r.parent.bytes), figure(r.change, r.change.bytes),
-			figure(r.parent, r.parent.allocs), figure(r.change, r.change.allocs), status)
+			figure(r.parent, r.parent.allocs), figure(r.change, r.change.allocs), status,
+			countsMoved(r.parent, r.change))
 	}
 	fmt.Fprintf(&sb, "\n%d regression(s), %d warning(s)\n", regressions, warnings)
 	return sb.String()

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -27,15 +28,15 @@ func TestParseBench(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]bench{
-		"tesc/internal/core.BenchmarkDensityPhaseFlat": {449000, 12, 3, 3}, // min of 3 runs
-		"tesc/internal/graph.BenchmarkCollect":         {127708, -1, -1, -1},
-		"tesc/internal/graph.BenchmarkEnginePool":      {1113, 0, 0, 0},
+		"tesc/internal/core.BenchmarkDensityPhaseFlat": {449000, 12, 3, 3, nil}, // min of 3 runs
+		"tesc/internal/graph.BenchmarkCollect":         {127708, -1, -1, -1, nil},
+		"tesc/internal/graph.BenchmarkEnginePool":      {1113, 0, 0, 0, nil},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("parsed %d benchmarks, want %d: %v", len(got), len(want), got)
 	}
 	for k, v := range want {
-		if got[k] != v {
+		if !reflect.DeepEqual(got[k], v) {
 			t.Errorf("%s = %v, want %v", k, got[k], v)
 		}
 	}
@@ -57,23 +58,23 @@ BenchmarkKendall-2   10   650 ns/op   64 B/op   1 allocs/op
 		t.Fatal(err)
 	}
 	want := map[string]bench{
-		"tesc/internal/screen.BenchmarkPlan":    {8000, 216000, 1047, 1050},
-		"tesc/internal/screen.BenchmarkKendall": {650, 64, 1, 1},
+		"tesc/internal/screen.BenchmarkPlan":    {8000, 216000, 1047, 1050, map[string]span{"checkpoints": {593, 593}}},
+		"tesc/internal/screen.BenchmarkKendall": {650, 64, 1, 1, nil},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("parsed %d benchmarks, want %d: %v", len(got), len(want), got)
 	}
 	for k, v := range want {
-		if got[k] != v {
+		if !reflect.DeepEqual(got[k], v) {
 			t.Errorf("%s = %+v, want %+v", k, got[k], v)
 		}
 	}
-	rows, regressions, _ := diff(map[string]bench{"k": {100, 50, 2, 2}}, map[string]bench{"k": {100, 5000, 2, 2}})
+	rows, regressions, _ := diff(map[string]bench{"k": {100, 50, 2, 2, nil}}, map[string]bench{"k": {100, 5000, 2, 2, nil}})
 	if regressions != 0 || rows[0].status != "ok" {
 		t.Errorf("a B/op rise gated: %d regression(s), status %s", regressions, rows[0].status)
 	}
 	table := renderTable(rows, 0, 0)
-	if !strings.Contains(table, "| k | 100 | 100 | +0.0% | 50 | 5000 | 2 | 2 | ok |") {
+	if !strings.Contains(table, "| k | 100 | 100 | +0.0% | 50 | 5000 | 2 | 2 | ok |  |") {
 		t.Errorf("table lacks the memory columns:\n%s", table)
 	}
 }
@@ -190,18 +191,76 @@ BenchmarkAdded-2     10    50 ns/op
 }
 
 func TestRenderTableStatuses(t *testing.T) {
-	none := func(ns float64) bench { return bench{ns, -1, -1, -1} }
+	none := func(ns float64) bench { return bench{ns, -1, -1, -1, nil} }
+	counted := func(ns, checkpoints float64) bench {
+		return bench{ns, -1, -1, -1, map[string]span{"checkpoints": {checkpoints, checkpoints}}}
+	}
 	rows := []row{
 		{key: "a", parent: none(100), change: none(300), ratio: 3, status: "REGRESSION"},
 		{key: "b", parent: none(100), change: none(115), ratio: 1.15, status: "warn"},
 		{key: "c", parent: none(100), change: none(100), ratio: 1, status: "ok"},
 		{key: "d", change: none(50), status: "new"},
 		{key: "e", parent: none(100), status: "removed"},
+		{key: "f", parent: counted(100, 593), change: counted(90, 580), ratio: 0.9, status: "ok"},
 	}
 	table := renderTable(rows, 1, 1)
-	for _, want := range []string{"REGRESSION", "warn", "| ok |", "| new |", "| removed |", "+200.0%", "1 regression(s), 1 warning(s)"} {
+	for _, want := range []string{"REGRESSION", "warn", "| ok |", "| new |", "| removed |", "+200.0%", "1 regression(s), 1 warning(s)",
+		"| ok | checkpoints 593 → 580 |"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("table missing %q:\n%s", want, table)
 		}
+	}
+}
+
+// TestParseBenchCounts folds every custom unit of a row to its min and
+// max over runs (MB/s, a host figure, is not a count), and prints a
+// count in the counts column only where the two sides' ranges do not
+// overlap; a changed count does not fail the gate.
+func TestParseBenchCounts(t *testing.T) {
+	const parentOut = `pkg: tesc/internal/screen
+BenchmarkScreenPlanTopK-2   100   9000 ns/op   593.0 checkpoints   6.000 pruned_early   21 density_evals   1000 B/op   10 allocs/op
+BenchmarkScreenPlanTopK-2   100   8000 ns/op   593.0 checkpoints   6.000 pruned_early   23 density_evals   1000 B/op   10 allocs/op
+BenchmarkScreenRankBuild-2   10   700 ns/op   3.5 MB/s   4096 table_bytes
+pkg: tesc/internal/wal
+BenchmarkAppend-2   10   700 ns/op   0.51 fsyncs/op
+BenchmarkAppend-2   10   700 ns/op   0.49 fsyncs/op
+`
+	const changeOut = `pkg: tesc/internal/screen
+BenchmarkScreenPlanTopK-2   100   7000 ns/op   580.0 checkpoints   6.000 pruned_early   22 density_evals   1000 B/op   10 allocs/op
+BenchmarkScreenRankBuild-2   10   700 ns/op   9.5 MB/s   4096 table_bytes
+pkg: tesc/internal/wal
+BenchmarkAppend-2   10   700 ns/op   0.50 fsyncs/op
+`
+	parent, err := parseBench(strings.NewReader(parentOut))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]span{"checkpoints": {593, 593}, "pruned_early": {6, 6}, "density_evals": {21, 23}}
+	if got := parent["tesc/internal/screen.BenchmarkScreenPlanTopK"].counts; !reflect.DeepEqual(got, want) {
+		t.Errorf("counts = %v, want %v", got, want)
+	}
+	if got, want := parent["tesc/internal/screen.BenchmarkScreenRankBuild"].counts, map[string]span{"table_bytes": {4096, 4096}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("counts = %v, want %v", got, want)
+	}
+	change, err := parseBench(strings.NewReader(changeOut))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, regressions, _ := diff(parent, change)
+	if regressions != 0 {
+		t.Errorf("%d regression(s): a changed count failed the gate", regressions)
+	}
+	moved := map[string]string{
+		"tesc/internal/screen.BenchmarkScreenPlanTopK":  "checkpoints 593 → 580", // density_evals 22 lies in 21–23
+		"tesc/internal/screen.BenchmarkScreenRankBuild": "",
+		"tesc/internal/wal.BenchmarkAppend":             "",
+	}
+	for _, r := range rows {
+		if got := countsMoved(r.parent, r.change); got != moved[r.key] {
+			t.Errorf("%s: counts column %q, want %q", r.key, got, moved[r.key])
+		}
+	}
+	if got := countsMoved(bench{counts: map[string]span{"a": {1, 2}, "b": {5, 5}}}, bench{counts: map[string]span{"b": {7, 9}, "a": {3, 3}}}); got != "a 1–2 → 3, b 5 → 7–9" {
+		t.Errorf("countsMoved = %q", got)
 	}
 }

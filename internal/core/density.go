@@ -129,19 +129,28 @@ const densityChunk = 64
 // cause wrapped in ErrCanceled, and the density slices must be
 // discarded. A nil ctx never cancels.
 func (e *DensityEvaluator) EvalAllCtx(ctx context.Context, rs []graph.NodeID) (sa, sb []float64, ds []Density, err error) {
+	ds = make([]Density, len(rs))
+	sa, sb, err = e.evalAll(ctx, rs, func(i int, d Density) { ds[i] = d })
+	return sa, sb, ds, err
+}
+
+// evalAll is EvalAllCtx handing each record to keep, when it is
+// non-nil, instead of collecting them: a test keeps only what it reads.
+func (e *DensityEvaluator) evalAll(ctx context.Context, rs []graph.NodeID, keep func(i int, d Density)) (sa, sb []float64, err error) {
 	sa = make([]float64, len(rs))
 	sb = make([]float64, len(rs))
-	ds = make([]Density, len(rs))
 	for lo := 0; lo < len(rs); lo += densityChunk {
 		if err := ctxErr(ctx); err != nil {
-			return sa, sb, ds, err
+			return sa, sb, err
 		}
 		for i := lo; i < min(lo+densityChunk, len(rs)); i++ {
 			d := e.Eval(rs[i])
-			ds[i] = d
+			if keep != nil {
+				keep(i, d)
+			}
 			sa[i] = d.SA()
 			sb[i] = d.SB()
 		}
 	}
-	return sa, sb, ds, nil
+	return sa, sb, nil
 }

@@ -41,6 +41,32 @@ func BenchmarkImportanceTest100k(b *testing.B) {
 	}
 }
 
+// BenchmarkBatchBFSTest20k is correlate-h1-coord's read as a library
+// call, the twin of BenchmarkImportanceTest100k: one batch-bfs core.Test
+// at h=1 (n=900 requested) on the 20k-node coauthorship surrogate
+// (tesc.RandomCoauthorshipGraph(0.2, 7)) with a planted 30 + 30 positive
+// pair and a pooled engine. The pair's h=1 population is smaller than
+// the 900 references asked for, so all of it is the sample (350 nodes
+// at seed 3), and its densities take few distinct values (29 and 32).
+func BenchmarkBatchBFSTest20k(b *testing.B) {
+	g := graphgen.Coauthorship(graphgen.DefaultCoauthorship(0.2), rand.New(rand.NewPCG(7, 0xc0a0)))
+	pair, err := simulate.PositivePair(g, simulate.Config{H: 1, Occurrences: 30}, rand.New(rand.NewPCG(7, 0x7e5c)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := g.NumNodes()
+	p := core.MustNewProblem(g, graph.NewNodeSet(n, pair.Va), graph.NewNodeSet(n, pair.Vb))
+	opts := core.Options{H: 1, SampleSize: 900, Alpha: 0.05, Engines: graph.NewEnginePool(g)}
+	p.Labels()
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		opts.Rand = rand.New(rand.NewPCG(uint64(i), 1))
+		if _, err := core.Test(p, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkNewProblem100k is a read's set-up on the same substrate and
 // pair: the two occurrence sets and the problem over them (Va∪b). Its
 // B/op follows the 2000 occurrences, not the 100k-node universe.

@@ -145,7 +145,7 @@ func Test(p *Problem, opts Options) (Result, error) {
 	if opts.SampleSize < 2 {
 		return Result{}, fmt.Errorf("tesc: sample size must be >= 2, got %d", opts.SampleSize)
 	}
-	if opts.Alpha <= 0 || opts.Alpha >= 1 {
+	if !(opts.Alpha > 0 && opts.Alpha < 1) { // NaN too: P < NaN is never true
 		return Result{}, fmt.Errorf("tesc: alpha must be in (0,1), got %g", opts.Alpha)
 	}
 	sampler := opts.Sampler
@@ -177,7 +177,16 @@ func Test(p *Problem, opts Options) (Result, error) {
 	// The density pass checks opts.Ctx before its first traversal, so a
 	// test abandoned during a batch-BFS sample stops here.
 	eval := NewDensityEvaluatorBFS(p, opts.H, bfs)
-	sa, sb, ds, err := eval.EvalAllCtx(opts.Ctx, sample.Nodes)
+	// Of each node's Density record the test reads only the weighted
+	// estimator's union count |V^h_r ∩ Va∪b| for p(r), kept in omega
+	// until it becomes ω below.
+	var omega []float64
+	var keep func(i int, d Density)
+	if sample.Weighted() {
+		omega = make([]float64, len(sample.Nodes))
+		keep = func(i int, d Density) { omega[i] = float64(d.CountUnion) }
+	}
+	sa, sb, err := eval.evalAll(opts.Ctx, sample.Nodes, keep)
 	if err != nil {
 		return Result{}, err
 	}
@@ -214,15 +223,13 @@ func Test(p *Problem, opts Options) (Result, error) {
 		// |V^h_{r_i} ∩ Va∪b| / Nsum; Nsum is constant and cancels in the
 		// ω products, so the union counts from the shared density BFS
 		// suffice.
-		omega := make([]float64, len(sample.Nodes))
-		for i := range omega {
-			cu := ds[i].CountUnion
+		for i, cu := range omega {
 			if cu < 1 {
 				// A reference node produced by importance sampling always
 				// sees the event node whose vicinity it was drawn from.
 				return Result{}, fmt.Errorf("tesc: internal: sampled out-of-sight node %d", sample.Nodes[i])
 			}
-			omega[i] = float64(sample.Freq[i]) / float64(cu)
+			omega[i] = float64(sample.Freq[i]) / cu
 		}
 		wt := stats.WeightedTau(sa, sb, omega)
 		res.Tau = wt.Tau

@@ -18,6 +18,7 @@ func TestTestOptionValidation(t *testing.T) {
 		{H: 1, SampleSize: 1, Alpha: 0.05},
 		{H: 1, SampleSize: 10, Alpha: 0},
 		{H: 1, SampleSize: 10, Alpha: 1},
+		{H: 1, SampleSize: 10, Alpha: math.NaN()}, // P < NaN is never true
 	}
 	for i, o := range cases {
 		if _, err := Test(p, o); err == nil {

@@ -510,10 +510,17 @@ func (w *sweepWorker) planPair(res PairResult) (PairResult, pairFate) {
 			}
 		}
 		sa, sb, err := density(rs)
-		if err == nil {
-			k = w.tau.Extend(sa, sb)
+		if err != nil {
+			return err
 		}
-		return err
+		if w.prune {
+			k = w.tau.Extend(sa, sb)
+		} else {
+			// A one-pass pair's one chunk is its whole sample: its
+			// densities are ranked and counted, not sorted as floats.
+			k = w.tau.Kendall(sa, sb)
+		}
+		return nil
 	}
 	var schedule []int
 	if w.prune {

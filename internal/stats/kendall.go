@@ -7,10 +7,16 @@
 // mentions.
 //
 // Everything here is pure computation over float slices; no graph types
-// leak in. The TESC core feeds event-density vectors to these functions,
-// and the screening sweep their dense ranks (KendallPrefix.ExtendKeys),
-// which sort as one word per observation and, when most are zero in
-// one of the two, are counted from histograms instead of sorted.
+// leak in. Every entry reads only the order and the ties of its values,
+// so each may key them as it likes. A whole sample (Kendall,
+// WeightedTau) is hashed to dense ranks first: densities are ratios of
+// small integers with few distinct values, and their ranks are counted
+// from a contingency table or sorted as one word per observation. The
+// screening planner's growing prefixes key their chunks as floats
+// (KendallPrefix.Extend) or by the shared memo's ranks
+// (KendallPrefix.ExtendKeys), which sort as one word per observation
+// and, when most are zero in one of the two, are counted from
+// histograms instead of sorted.
 package stats
 
 import (
@@ -101,18 +107,12 @@ func FloatKey(f float64) uint64 {
 	return b | 1<<63
 }
 
-// Kendall computes the same TauResult as KendallNaive in O(n log n) using
-// Knight's algorithm: sort by (x, y), count pairwise ties from run
-// lengths, and count discordant pairs as y-inversions via merge sort.
-// The tie-group sizes Eq. 6 needs fall out of the same two sorts (in
-// the same ascending order TieSizes would produce, so the variance sums
-// are bit-identical), saving two further O(n log n) passes. It is one
-// Extend of an empty (pooled) KendallPrefix: there is one kernel.
+// Kendall computes the same TauResult as KendallNaive in O(n log n):
+// KendallPrefix.Kendall on a pooled prefix.
 func Kendall(x, y []float64) TauResult {
 	p := prefixPool.Get().(*KendallPrefix)
 	defer prefixPool.Put(p)
-	p.Reset()
-	return p.Extend(x, y)
+	return p.Kendall(x, y)
 }
 
 // KendallPrefix is Kendall's τ over a paired sample that grows in
@@ -130,14 +130,18 @@ func Kendall(x, y []float64) TauResult {
 // scratch is retained across Reset, so one prefix per worker allocates
 // only while it grows. Not safe for concurrent use.
 type KendallPrefix struct {
-	words, wbuf    []uint64  // narrow prefix sorted (unless peeled); merge/radix scratch
-	peeled         bool      // words is one peeled chunk, in input order
-	pts, buf       []keyPair // wide prefix sorted by (kx, ky); merge/radix scratch
-	wide           bool      // the prefix is in pts; words is empty
-	kx, ky         []uint64  // Extend's chunk keys
-	ks, kbuf       []uint64  // ky in prefix order; inversion-merge scratch
-	xSizes, ySizes []int64   // tie-group runs (appended; capacity retained)
-	hist           []int64   // peel's four histograms
+	words, wbuf    []uint64   // narrow prefix sorted (unless peeled); merge/radix scratch
+	peeled         bool       // words is one peeled chunk, in input order
+	pts, buf       []keyPair  // wide prefix sorted by (kx, ky); merge/radix scratch
+	wide           bool       // the prefix is in pts; words is empty
+	kx, ky         []uint64   // Extend's chunk keys; a whole sample's dense ranks
+	ks, kbuf       []uint64   // ky in prefix order; inversion-merge scratch; WeightedTau's orders
+	xSizes, ySizes []int64    // tie-group runs (appended; capacity retained)
+	hist           []int64    // peel's four histograms; the rank table; WeightedTau's group starts
+	slots          []rankSlot // rank's hash table
+	gen            uint32     // the stamp of rank's current call
+	distinct       []uint64   // rank's distinct keys
+	fen            []float64  // WeightedTau's Fenwick tree
 }
 
 var prefixPool = sync.Pool{New: func() any { return new(KendallPrefix) }}
@@ -169,7 +173,7 @@ func (p *KendallPrefix) Extend(x, y []float64) TauResult {
 // values' — FloatKey of each value, or its dense rank among the
 // sample's values — yields the TauResult of the values themselves,
 // because Knight's algorithm reads only their order and ties. It is
-// the kernel's one entry point. The radix sorts skip byte positions
+// the sorting kernel's one entry point. The radix sorts skip byte positions
 // that are equal in every key of a chunk, so keys with few varying
 // bytes (ranks below 2^16: two bytes each of x and y) sort in a
 // quarter of the passes float keys need, over half the bytes.
@@ -845,4 +849,162 @@ func histSizes(h []int64, sizes *[]int64) (tiePairs int64) {
 	}
 	*sizes = s[:k]
 	return tiePairs / 2
+}
+
+// The dense-rank front end: Kendall and WeightedTau over a whole
+// sample.
+
+// Kendall returns the TauResult of (x, y) as one whole sample: that of
+// Extend on an empty prefix, which it leaves empty. It ranks each
+// side's values densely (rank) and counts the ranks' contingency table
+// when it has at most tableCells cells per observation (table);
+// otherwise Knight's algorithm runs on the ranks through ExtendKeys:
+// sort by (x, y), count pairwise ties from run lengths and discordant
+// pairs as y-inversions via merge sort, and read the tie groups Eq. 6
+// needs off the same sorted orders, in the ascending order TieSizes
+// gives, so the variance sums are bit-identical. A side with more than
+// n/rankDiv distinct values is not ranked: its sample goes through
+// Extend as floats.
+func (p *KendallPrefix) Kendall(x, y []float64) TauResult {
+	n := mustSameLen(x, y)
+	p.Reset()
+	p.kx, p.ky = grow(p.kx, n), grow(p.ky, n)
+	dx, dy := p.rank(x, p.kx, n/rankDiv), 0
+	if dx > 0 {
+		dy = p.rank(y, p.ky, n/rankDiv)
+	}
+	var r TauResult
+	switch {
+	case dy == 0:
+		r = p.Extend(x, y)
+	case dx*dy <= tableCells*n:
+		r = p.table(dx, dy)
+	default:
+		r = p.ExtendKeys(p.kx, p.ky)
+	}
+	p.Reset()
+	return r
+}
+
+// rankDiv and tableCells route Kendall. A side with more than
+// n/rankDiv distinct values keeps its float keys. At n = 900
+// (BenchmarkKendallDensities' generator and densitySample) ranking and
+// the word sort beat the floats by about 45% at 0.17n distinct values
+// per side and still by about 20% at 0.35n, but lose about 35% at
+// 0.65n, where the ranks need two bytes and the distinct keys' sort
+// grows; a side that bails has paid n/rankDiv hash inserts, 3–4% of
+// its float Kendall. The contingency table costs about 3 ns a
+// cell against the word path's 50–60 ns an observation, at n = 323 as
+// at 900: the two cross between 12 and 16 cells per observation.
+const (
+	rankDiv    = 2
+	tableCells = 12
+)
+
+// rankSlot is one slot of rank's open-addressing table: a distinct
+// key, the stamp of the call that stored it, and the key's rank.
+type rankSlot struct {
+	key       uint64
+	gen, rank uint32
+}
+
+// rankHashMul is Fibonacci hashing's multiplier, 2^64 over the golden
+// ratio: a key's product keeps its high bits as the slot.
+const rankHashMul = 0x9e3779b97f4a7c15
+
+// rank sets keys[i] to the dense rank of v[i], the number of distinct
+// values of v below it in FloatKey order (so −0 ties +0), and returns
+// how many values are distinct; it returns 0, leaving keys
+// unspecified, once more than limit are. Each FloatKey is hashed into
+// a table of at least 2n slots, linearly probed; a slot counts only
+// under the current call's stamp, so the table is never cleared
+// between calls. Only the distinct keys are sorted, by pdqsort: on 150
+// float keys it took a quarter of sortWords' time, whose radix passes
+// and histograms suit many keys with few varying bytes.
+func (p *KendallPrefix) rank(v []float64, keys []uint64, limit int) int {
+	if len(v) == 0 {
+		return 0
+	}
+	width := bits.Len(uint(2*len(v) - 1))
+	if len(p.slots) < 1<<width {
+		p.slots = make([]rankSlot, 1<<width)
+	}
+	p.gen++
+	if p.gen == 0 { // the stamp wrapped: forget every stored slot
+		clear(p.slots)
+		p.gen = 1
+	}
+	slots, gen := p.slots[:1<<width], p.gen
+	mask, shift := len(slots)-1, uint(64-width)
+	distinct := p.distinct[:0]
+	for i, f := range v {
+		k := FloatKey(f)
+		h := int(k * rankHashMul >> shift)
+		for slots[h].gen == gen && slots[h].key != k {
+			h = (h + 1) & mask
+		}
+		if slots[h].gen != gen {
+			if len(distinct) == limit {
+				p.distinct = distinct
+				return 0
+			}
+			slots[h] = rankSlot{key: k, gen: gen}
+			distinct = append(distinct, k)
+		}
+		keys[i] = uint64(h)
+	}
+	p.distinct = distinct
+	slices.Sort(distinct)
+	for r, k := range distinct {
+		h := int(k * rankHashMul >> shift)
+		for slots[h].gen != gen || slots[h].key != k {
+			h = (h + 1) & mask
+		}
+		slots[h].rank = uint32(r)
+	}
+	for i, h := range keys[:len(v)] {
+		keys[i] = uint64(slots[h].rank)
+	}
+	return len(distinct)
+}
+
+// table is Knight's counts of the dense ranks in p.kx (below dx) and
+// p.ky (below dy) read off their dx × dy contingency table instead of
+// a sort. One pass fills the cells and the two marginals; a sweep over
+// the rows in ascending x keeps, per column, the count of the rows
+// already swept, so a cell at y is discordant with those at larger y.
+// Pairs within a cell tie in both, and the marginals are the tie
+// groups in ascending order.
+func (p *KendallPrefix) table(dx, dy int) TauResult {
+	n := len(p.kx)
+	p.hist = grow(p.hist, dx*dy+dx+2*dy)
+	clear(p.hist)
+	cells, hx := p.hist[:dx*dy], p.hist[dx*dy:dx*dy+dx]
+	hy, seen := p.hist[dx*dy+dx:dx*dy+dx+dy], p.hist[dx*dy+dx+dy:]
+	for i, x := range p.kx {
+		y := p.ky[i]
+		cells[int(x)*dy+int(y)]++
+		hx[x]++
+		hy[y]++
+	}
+	var discordant, tiesBoth int64
+	for x := range dx {
+		row := cells[x*dy : x*dy+dy]
+		var above int64 // the swept rows' observations at larger y
+		for y := dy - 1; y >= 0; y-- {
+			c := row[y]
+			discordant += c * above
+			tiesBoth += c * (c - 1)
+			above += seen[y]
+			seen[y] += c
+		}
+	}
+	tiesBoth /= 2
+	tiesXpairs, tiesYpairs := histSizes(hx, &p.xSizes), histSizes(hy, &p.ySizes)
+	r := TauResult{N: n, Discordant: discordant, TiesBoth: tiesBoth}
+	r.TiesX = tiesXpairs - tiesBoth
+	r.TiesY = tiesYpairs - tiesBoth
+	r.Concordant = pairs(int64(n)) - r.TiesX - r.TiesY - r.TiesBoth - r.Discordant
+	finishTau(&r, p.xSizes, p.ySizes)
+	return r
 }

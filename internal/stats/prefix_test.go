@@ -169,10 +169,10 @@ func tiePair(a, b byte) (x, y float64) { return tieValue(a), tieValue(b) }
 // FuzzKendallPrefix pits the incremental prefix against from-scratch
 // Kendall at every chunk boundary, on float values and on rank keys,
 // narrow, wide, switching from one layout to the other mid-prefix, and
-// peeled. data holds the observations (two bytes each, decoded once by
-// tiePair and once by tescPair); each byte of cuts is one chunk size
-// (0..159, empty chunks included), the rest of the sample is the last
-// chunk.
+// peeled; then the whole sample goes through one-shot Kendall. data
+// holds the observations (two bytes each, decoded once by tiePair and
+// once by tescPair); each byte of cuts is one chunk size (0..159, empty
+// chunks included), the rest of the sample is the last chunk.
 func FuzzKendallPrefix(f *testing.F) {
 	f.Add([]byte{0, 32, 1, 9, 9, 1, 200, 200, 64, 65}, []byte{2, 0, 1})
 	f.Add([]byte("the quick brown fox jumps over the lazy dog, twice over"), []byte{7, 7, 1, 30})
@@ -200,6 +200,11 @@ func FuzzKendallPrefix(f *testing.F) {
 				x[i], y[i] = decode(data[2*i], data[2*i+1])
 			}
 			checkPrefixChain(t, ps, x, y, cuts, rng)
+			// The chain's prefix, its scratch grown by the chain, as a
+			// whole-sample Kendall.
+			if got, want := ps.float.Kendall(x, y), KendallNaive(x, y); got != want {
+				t.Fatalf("one-shot Kendall %+v != KendallNaive %+v", got, want)
+			}
 		}
 	})
 }

@@ -1,10 +1,5 @@
 package stats
 
-import (
-	"slices"
-	"sort"
-)
-
 // WeightedTauResult is the outcome of the importance-sampling estimator
 // t̃ (paper Eq. 8): a weighted Kendall τ where each pair (i, j)
 // contributes with weight ωi·ωj, ωi = wi/p(ri) being the ratio of node
@@ -22,13 +17,15 @@ type WeightedTauResult struct {
 }
 
 // WeightedTau computes Eq. 8 in O(n log n) with a Fenwick tree over
-// compressed y-ranks; omega[i] must hold ωi = wi/p(ri), so the pair
-// weight ωiωj equals wi·wj/(p(ri)p(rj)) as in the paper. Elements are
-// processed in ascending (x, y) order, one x-tie-group at a time; for
-// each element, the weight mass of already-processed elements with
-// smaller (resp. larger) y gives its concordant (resp. discordant)
-// contribution. The x tie groups fall out of that order and the y tie
-// groups out of the argsort that ranks y for the tree.
+// y-ranks; omega[i] must hold ωi = wi/p(ri), so the pair weight ωiωj
+// equals wi·wj/(p(ri)p(rj)) as in the paper. Each side is ranked
+// densely (KendallPrefix.rank, on a pooled prefix), and two stable
+// counting sorts of the observations, by y rank and then by x rank,
+// put them in (x, y, input index) order. Elements are processed in that
+// order, one x-tie-group at a time; for each element, the weight mass
+// of already-processed elements with smaller (resp. larger) y gives its
+// concordant (resp. discordant) contribution. The rank histograms the
+// counting sorts run on are the tie groups.
 func WeightedTau(x, y, omega []float64) WeightedTauResult {
 	n := mustSameLen(x, y)
 	if len(omega) != n {
@@ -48,42 +45,48 @@ func WeightedTau(x, y, omega []float64) WeightedTauResult {
 	}
 	r.Denominator = (sum*sum - sumSq) / 2
 
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+	p := prefixPool.Get().(*KendallPrefix)
+	defer prefixPool.Put(p)
+	p.kx, p.ky = grow(p.kx, n), grow(p.ky, n)
+	rx, ry := p.kx, p.ky
+	r.TiesX = make([]int64, p.rank(x, rx, n))
+	r.TiesY = make([]int64, p.rank(y, ry, n))
+	for i := range n {
+		r.TiesX[rx[i]]++
+		r.TiesY[ry[i]]++
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		if x[ia] != x[ib] {
-			return x[ia] < x[ib]
-		}
-		return y[ia] < y[ib]
-	})
+	p.hist = grow(p.hist, max(len(r.TiesX), len(r.TiesY)))
+	p.ks, p.kbuf = grow(p.ks, n), grow(p.kbuf, n)
+	byY, order, at := p.ks, p.kbuf, p.hist
+	firsts(at, r.TiesY)
+	for i, k := range ry {
+		byY[at[k]] = uint64(i)
+		at[k]++
+	}
+	firsts(at, r.TiesX)
+	for _, i := range byY {
+		k := rx[i]
+		order[at[k]] = i
+		at[k]++
+	}
 
-	ranks, tiesY := rankTies(y)
-	r.TiesY = tiesY
-	tree := newFenwick(len(tiesY))
-
-	for start := 0; start < n; {
-		end := start
-		for end < n && x[idx[end]] == x[idx[start]] {
-			end++
-		}
-		r.TiesX = append(r.TiesX, int64(end-start))
+	p.fen = grow(p.fen, len(r.TiesY)+1)
+	clear(p.fen)
+	tree := fenwick{tree: p.fen}
+	for _, size := range r.TiesX {
 		// Query the whole x-group against previously inserted groups.
-		for k := start; k < end; k++ {
-			i := idx[k]
-			rk := ranks[i]
+		group := order[:size]
+		order = order[size:]
+		for _, i := range group {
+			rk := int(ry[i]) + 1
 			below := tree.prefix(rk - 1)      // strictly smaller y
 			atOrBelow := tree.prefix(rk)      // y ≤ y_i
 			above := tree.total() - atOrBelow // strictly larger y
 			r.Numerator += omega[i] * (below - above)
 		}
-		for k := start; k < end; k++ {
-			i := idx[k]
-			tree.add(ranks[i], omega[i])
+		for _, i := range group {
+			tree.add(int(ry[i])+1, omega[i])
 		}
-		start = end
 	}
 	if r.Denominator > 0 {
 		r.Tau = r.Numerator / r.Denominator
@@ -91,37 +94,14 @@ func WeightedTau(x, y, omega []float64) WeightedTauResult {
 	return r
 }
 
-// rankTies maps values to dense ranks 1..k preserving order, with
-// equal values sharing a rank, and returns the size of each rank's tie
-// group (ties[r-1] for rank r). It argsorts (value, index) pairs, which
-// keeps the comparisons on contiguous memory.
-func rankTies(v []float64) (ranks []int, ties []int64) {
-	type entry struct {
-		v float64
-		i int
+// firsts sets at[k] to the position of group k's first element when
+// groups of the given sizes are laid out in ascending order.
+func firsts(at, sizes []int64) {
+	var pos int64
+	for k, c := range sizes {
+		at[k] = pos
+		pos += c
 	}
-	order := make([]entry, len(v))
-	for i, x := range v {
-		order[i] = entry{x, i}
-	}
-	slices.SortFunc(order, func(a, b entry) int {
-		switch {
-		case a.v < b.v:
-			return -1
-		case a.v > b.v:
-			return 1
-		}
-		return 0
-	})
-	ranks = make([]int, len(v))
-	for k, e := range order {
-		if k == 0 || e.v != order[k-1].v {
-			ties = append(ties, 0)
-		}
-		ranks[e.i] = len(ties)
-		ties[len(ties)-1]++
-	}
-	return ranks, ties
 }
 
 // fenwick is a Fenwick (binary indexed) tree over float64 weights with
@@ -130,8 +110,6 @@ type fenwick struct {
 	tree []float64
 	sum  float64
 }
-
-func newFenwick(n int) *fenwick { return &fenwick{tree: make([]float64, n+1)} }
 
 func (f *fenwick) add(pos int, w float64) {
 	f.sum += w

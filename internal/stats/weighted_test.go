@@ -143,21 +143,15 @@ func TestWeightedTauScaleInvariance(t *testing.T) {
 	}
 }
 
-func TestRankTies(t *testing.T) {
-	ranks, ties := rankTies([]float64{3.5, 1.0, 3.5, 2.0})
-	if want := []int{3, 1, 3, 2}; !slices.Equal(ranks, want) {
-		t.Fatalf("ranks = %v, want %v", ranks, want)
-	}
-	if want := []int64{1, 1, 2}; !slices.Equal(ties, want) {
-		t.Fatalf("ties = %v, want %v", ties, want)
-	}
-}
-
 // oracleWeightedTau is WeightedTau as it stood before it reported its
 // tie groups: compressRanks (a sorted copy plus one binary search per
-// element) ranked y. It is the oracle the current estimator must match
-// bit for bit.
-func oracleWeightedTau(x, y, omega []float64) WeightedTauResult {
+// element) ranked y, and sort.Slice ordered the observations by (x, y),
+// leaving the order within an (x, y) tie to pdqsort. With stable set,
+// sort.SliceStable keeps input order there instead: the (x, y, input
+// index) order WeightedTau sums the numerator in, so that oracle must
+// match it bit for bit; the pdqsort order sums the same terms in
+// another order.
+func oracleWeightedTau(x, y, omega []float64, stable bool) WeightedTauResult {
 	n := mustSameLen(x, y)
 	var r WeightedTauResult
 	r.N = n
@@ -174,13 +168,18 @@ func oracleWeightedTau(x, y, omega []float64) WeightedTauResult {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool {
+	less := func(a, b int) bool {
 		ia, ib := idx[a], idx[b]
 		if x[ia] != x[ib] {
 			return x[ia] < x[ib]
 		}
 		return y[ia] < y[ib]
-	})
+	}
+	if stable {
+		sort.SliceStable(idx, less)
+	} else {
+		sort.Slice(idx, less)
+	}
 	sorted := append([]float64(nil), y...)
 	sort.Float64s(sorted)
 	uniq := sorted[:0]
@@ -193,7 +192,7 @@ func oracleWeightedTau(x, y, omega []float64) WeightedTauResult {
 	for i, val := range y {
 		ranks[i] = sort.SearchFloat64s(uniq, val) + 1
 	}
-	tree := newFenwick(len(uniq))
+	tree := &fenwick{tree: make([]float64, len(uniq)+1)}
 	for start := 0; start < n; {
 		end := start
 		for end < n && x[idx[end]] == x[idx[start]] {
@@ -218,9 +217,11 @@ func oracleWeightedTau(x, y, omega []float64) WeightedTauResult {
 }
 
 // TestWeightedTauMatchesOracle: over random samples with heavy ties and
-// random ω, τ̃ and its parts are bit-identical to the oracle,
-// the reported tie groups equal TieSizes of each side, and so the
-// variance (hence z and p) a caller derives from them is bit-identical.
+// random ω, τ̃ and its parts are bit-identical to the oracle summing in
+// (x, y, input index) order, and within 1e-12 of the pdqsort-order
+// oracle's, relative to the denominator; the reported tie groups equal
+// TieSizes of each side, and so the variance (hence z and p) a caller
+// derives from them is bit-identical.
 func TestWeightedTauMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(31, 7))
 	for trial := 0; trial < 400; trial++ {
@@ -232,9 +233,14 @@ func TestWeightedTauMatchesOracle(t *testing.T) {
 			y[i] = float64(rng.IntN(levels)) / 3
 			w[i] = rng.ExpFloat64()
 		}
-		got, want := WeightedTau(x, y, w), oracleWeightedTau(x, y, w)
+		got, want := WeightedTau(x, y, w), oracleWeightedTau(x, y, w, true)
 		if got.N != want.N || got.Numerator != want.Numerator || got.Denominator != want.Denominator || got.Tau != want.Tau {
 			t.Fatalf("trial %d: %+v, oracle %+v", trial, got, want)
+		}
+		pdq := oracleWeightedTau(x, y, w, false)
+		if got.Denominator != pdq.Denominator || !almostEqual(got.Numerator, pdq.Numerator, 1e-12*got.Denominator) ||
+			!almostEqual(got.Tau, pdq.Tau, 1e-12) {
+			t.Fatalf("trial %d: %+v, pdqsort-order oracle %+v", trial, got, pdq)
 		}
 		tx, ty := TieSizes(x), TieSizes(y)
 		if !slices.Equal(got.TiesX, tx) || !slices.Equal(got.TiesY, ty) {
@@ -247,7 +253,7 @@ func TestWeightedTauMatchesOracle(t *testing.T) {
 }
 
 func TestFenwick(t *testing.T) {
-	f := newFenwick(8)
+	f := &fenwick{tree: make([]float64, 9)}
 	f.add(3, 2.5)
 	f.add(5, 1.5)
 	f.add(3, 1.0)

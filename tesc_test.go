@@ -2,6 +2,7 @@ package tesc
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -54,6 +55,9 @@ func TestCorrelationValidation(t *testing.T) {
 	}
 	if _, err := Correlation(g, []int{0}, []int{99}, Options{H: 1}); err == nil {
 		t.Error("out-of-range occurrence accepted")
+	}
+	if _, err := Correlation(g, []int{0}, []int{1}, Options{H: 1, Alpha: math.NaN()}); err == nil {
+		t.Error("NaN alpha accepted: such a test could never be significant")
 	}
 	if _, err := Correlation(g, nil, nil, Options{H: 1}); err != ErrNoEventNodes {
 		t.Error("empty events should yield ErrNoEventNodes")
