@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -150,15 +152,30 @@ func TestSpearmanStatisticAgreesOnStrongSignal(t *testing.T) {
 	}
 }
 
+// TestSpearmanRejectsWeightedSamples: Spearman over an importance
+// sample fails before the draw. A test that could run never consults
+// its context, which the draw loop and the density pass both check,
+// and a sampler that could not even start (no index) still reports the
+// Spearman error.
 func TestSpearmanRejectsWeightedSamples(t *testing.T) {
 	p, idx := erProblem(t, 200, 600, 10, 10, 205)
+	ctx := &nthCheckCtx{Context: context.Background(), n: math.MaxInt}
 	_, err := Test(p, Options{
 		H: 1, SampleSize: 50, Alpha: 0.05,
 		Sampler:   &ImportanceSampler{Index: idx},
 		Statistic: SpearmanRho,
+		Ctx:       ctx,
 	})
-	if err == nil {
-		t.Fatal("Spearman with importance weights should fail")
+	if !errors.Is(err, ErrSpearmanWeighted) {
+		t.Fatalf("err = %v, want ErrSpearmanWeighted", err)
+	}
+	if ctx.checks != 0 {
+		t.Fatalf("the refused test checked its context %d times: it sampled or traversed", ctx.checks)
+	}
+	_, err = Test(p, Options{H: 1, SampleSize: 50, Alpha: 0.05,
+		Sampler: &ImportanceSampler{}, Statistic: SpearmanRho})
+	if !errors.Is(err, ErrSpearmanWeighted) {
+		t.Fatalf("err = %v, want ErrSpearmanWeighted before the sampler's index check", err)
 	}
 }
 

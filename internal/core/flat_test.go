@@ -9,7 +9,7 @@ import (
 )
 
 // randomGraph builds a seeded sparse random graph.
-func randomGraph(t *testing.T, n int, m int, seed uint64) *graph.Graph {
+func randomGraph(t testing.TB, n int, m int, seed uint64) *graph.Graph {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, seed^0xabcdef))
 	b := graph.NewBuilder(n)
@@ -24,7 +24,7 @@ func randomGraph(t *testing.T, n int, m int, seed uint64) *graph.Graph {
 }
 
 // randomProblem plants two random events (and optionally intensities) on g.
-func randomProblem(t *testing.T, g *graph.Graph, occ int, intensities bool, seed uint64) *Problem {
+func randomProblem(t testing.TB, g *graph.Graph, occ int, intensities bool, seed uint64) *Problem {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed^0x5151, seed))
 	n := g.NumNodes()

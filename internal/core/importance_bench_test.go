@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"tesc/internal/core"
@@ -49,13 +51,7 @@ func BenchmarkImportanceTest100k(b *testing.B) {
 // the 900 references asked for, so all of it is the sample (350 nodes
 // at seed 3), and its densities take few distinct values (29 and 32).
 func BenchmarkBatchBFSTest20k(b *testing.B) {
-	g := graphgen.Coauthorship(graphgen.DefaultCoauthorship(0.2), rand.New(rand.NewPCG(7, 0xc0a0)))
-	pair, err := simulate.PositivePair(g, simulate.Config{H: 1, Occurrences: 30}, rand.New(rand.NewPCG(7, 0x7e5c)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := g.NumNodes()
-	p := core.MustNewProblem(g, graph.NewNodeSet(n, pair.Va), graph.NewNodeSet(n, pair.Vb))
+	g, p := h1Pair(b, 7)
 	opts := core.Options{H: 1, SampleSize: 900, Alpha: 0.05, Engines: graph.NewEnginePool(g)}
 	p.Labels()
 	b.ReportAllocs()
@@ -64,6 +60,38 @@ func BenchmarkBatchBFSTest20k(b *testing.B) {
 		if _, err := core.Test(p, opts); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// h1Pair is correlate-h1-coord's substrate: the 20k-node coauthorship
+// surrogate (tesc.RandomCoauthorshipGraph(0.2, 7)) and the problem of a
+// planted 30 + 30 positive pair at h=1 drawn with the given seed.
+func h1Pair(tb testing.TB, seed uint64) (*graph.Graph, *core.Problem) {
+	g := graphgen.Coauthorship(graphgen.DefaultCoauthorship(0.2), rand.New(rand.NewPCG(7, 0xc0a0)))
+	pair, err := simulate.PositivePair(g, simulate.Config{H: 1, Occurrences: 30}, rand.New(rand.NewPCG(seed, 0x7e5c)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	n := g.NumNodes()
+	return g, core.MustNewProblem(g, graph.NewNodeSet(n, pair.Va), graph.NewNodeSet(n, pair.Vb))
+}
+
+// TestPlantedH1ReadRunsEventSide: correlate-h1-coord's read, whose
+// occurrences' ball sum is far below its references', counts its
+// densities from the event side, one traversal per distinct
+// occurrence node.
+func TestPlantedH1ReadRunsEventSide(t *testing.T) {
+	g, p := h1Pair(t, 7)
+	res, err := core.Test(p, core.Options{H: 1, SampleSize: 900, Alpha: 0.05, Engines: graph.NewEnginePool(g)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refSum, eventSum := core.BallSumsH1(p, res.Nodes)
+	if eventSum >= refSum {
+		t.Fatalf("ball sums: references %d, events %d; the read is not event-light", refSum, eventSum)
+	}
+	if res.DensityBFS != int64(p.Union.Len()) {
+		t.Fatalf("DensityBFS = %d, want |Va∪b| = %d (N = %d)", res.DensityBFS, p.Union.Len(), res.N)
 	}
 }
 
@@ -91,4 +119,46 @@ func churnPair(b *testing.B) (*graph.Graph, simulate.EventPair) {
 		b.Fatal(err)
 	}
 	return g, pair
+}
+
+// BenchmarkDensitySides20k times the h=1 density pass from each side
+// on one sample of up to 900 references (BenchmarkBatchBFSTest20k's
+// read at occ=30) and on planted pairs whose occurrence count climbs
+// until the event side's ball sum passes the reference side's, so both
+// sides of the rule's boundary are timed. Each row reports the two
+// ball sums, Σ_r |V^1_r| and Σ_{a∈Va∪b} |V^1_a|, and their ratio. The
+// problem's label array is built outside the timer, which favours the
+// reference side.
+func BenchmarkDensitySides20k(b *testing.B) {
+	g := graphgen.Coauthorship(graphgen.DefaultCoauthorship(0.2), rand.New(rand.NewPCG(7, 0xc0a0)))
+	n := g.NumNodes()
+	bfs := graph.NewBFS(g)
+	for _, occ := range []int{30, 300, 500, 700, 900, 1200} {
+		pair, err := simulate.PositivePair(g, simulate.Config{H: 1, Occurrences: occ}, rand.New(rand.NewPCG(7, 0x7e5c)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		p := core.MustNewProblem(g, graph.NewNodeSet(n, pair.Va), graph.NewNodeSet(n, pair.Vb))
+		sample, err := (&core.BatchBFSSampler{}).SampleReferences(p, 1, 900, rand.New(rand.NewPCG(1, 1)), bfs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rs := slices.Clone(sample.Nodes)
+		refSum, eventSum := core.BallSumsH1(p, rs)
+		p.Labels()
+		eval := core.NewDensityEvaluatorBFS(p, 1, bfs)
+		for _, side := range []string{"reference", "event"} {
+			b.Run(fmt.Sprintf("occ=%d/%s", occ, side), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, _, err := eval.EvalSideH1(rs, side == "event"); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(refSum), "ref_ball_sum")
+				b.ReportMetric(float64(eventSum), "event_ball_sum")
+				b.ReportMetric(float64(eventSum)/float64(refSum), "event/ref")
+			})
+		}
+	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 
@@ -56,9 +57,10 @@ type Options struct {
 	Engines *graph.EnginePool
 	// Ctx, when non-nil, lets a caller abandon the test: the rejection,
 	// importance and whole-graph draw loops check it every 64 draws and
-	// the density phase (n independent h-hop BFS) between chunks of
-	// traversals; either stops with the context's cause wrapped in
-	// ErrCanceled. Nil means run to completion.
+	// the density phase between chunks of traversals (one per reference
+	// node, or one per event node from the event side); either stops
+	// with the context's cause wrapped in ErrCanceled. Nil means run to
+	// completion.
 	Ctx context.Context
 }
 
@@ -80,6 +82,11 @@ func ctxErr(ctx context.Context) error {
 		return nil
 	}
 }
+
+// ErrSpearmanWeighted means a test asked for Spearman's ρ over an
+// importance-weighted sample, which has no weighted ρ. Test returns it
+// before drawing the sample.
+var ErrSpearmanWeighted = errors.New("tesc: Spearman's rho is not available with importance-weighted samples")
 
 // Result reports a TESC test outcome.
 type Result struct {
@@ -103,7 +110,9 @@ type Result struct {
 	// Weighted reports whether the t̃ estimator was used.
 	Weighted bool
 	// SamplerStats records the sampler's work; DensityBFS the density
-	// phase's h-hop traversal count (N: one per reference node).
+	// phase's traversals actually run: N, one per reference node, or
+	// |Va∪b|, one per event node, when an h = 1 pass ran from the event
+	// side (a traversal there is the node's adjacency row).
 	SamplerStats SamplerStats
 	DensityBFS   int64
 	// SA, SB are the reference-node density vectors (diagnostics; length
@@ -152,6 +161,9 @@ func Test(p *Problem, opts Options) (Result, error) {
 	if sampler == nil {
 		sampler = &BatchBFSSampler{}
 	}
+	if _, ok := sampler.(*ImportanceSampler); ok && opts.Statistic == SpearmanRho {
+		return Result{}, ErrSpearmanWeighted
+	}
 	rng := opts.Rand
 	if rng == nil {
 		rng = rand.New(rand.NewPCG(0x7e5c, 0x7e5c))
@@ -174,8 +186,10 @@ func Test(p *Problem, opts Options) (Result, error) {
 		return Result{}, err
 	}
 
-	// The density pass checks opts.Ctx before its first traversal, so a
-	// test abandoned during a batch-BFS sample stops here.
+	// The density pass runs from the side with the smaller ball sum at
+	// h = 1 (see eventSideFree), else one BFS per reference node. Either
+	// checks opts.Ctx before its first traversal, so a test abandoned
+	// during a batch-BFS sample stops here.
 	eval := NewDensityEvaluatorBFS(p, opts.H, bfs)
 	// Of each node's Density record the test reads only the weighted
 	// estimator's union count |V^h_r ∩ Va∪b| for p(r), kept in omega
@@ -186,7 +200,12 @@ func Test(p *Problem, opts Options) (Result, error) {
 		omega = make([]float64, len(sample.Nodes))
 		keep = func(i int, d Density) { omega[i] = float64(d.CountUnion) }
 	}
-	sa, sb, err := eval.evalAll(opts.Ctx, sample.Nodes, keep)
+	var sa, sb []float64
+	if eventSideFree(p, opts.H) && eventSideCheaper(p.G, sample.Nodes, p.EventNodes()) {
+		sa, sb, err = eval.evalEvents(opts.Ctx, sample.Nodes, keep)
+	} else {
+		sa, sb, err = eval.evalAll(opts.Ctx, sample.Nodes, keep)
+	}
 	if err != nil {
 		return Result{}, err
 	}
@@ -204,14 +223,27 @@ func Test(p *Problem, opts Options) (Result, error) {
 		Nodes:        sample.Nodes,
 	}
 
-	if opts.Statistic == SpearmanRho {
-		if sample.Weighted() {
-			return Result{}, fmt.Errorf("tesc: Spearman's rho is not available with importance-weighted samples")
+	if err := res.score(opts.Statistic, sample.Freq, omega); err != nil {
+		return Result{}, err
+	}
+	return res, nil
+}
+
+// score aggregates res.SA and res.SB with stat, or with the weighted
+// estimator t̃ when freq (the sample's importance frequencies) is
+// non-nil, and fills Tau, Z, P and Significant. A weighted sample's
+// omega holds each node's union count |V^h_r ∩ Va∪b| on entry and ω on
+// return.
+func (res *Result) score(stat Statistic, freq []int, omega []float64) error {
+	sa, sb := res.SA, res.SB
+	if stat == SpearmanRho {
+		if freq != nil {
+			return ErrSpearmanWeighted
 		}
 		sp := stats.Spearman(sa, sb)
 		res.Tau = sp.Rho
 		res.Z = sp.Z
-	} else if !sample.Weighted() {
+	} else if freq == nil {
 		// KendallAuto guarantees the O(n log n) path for n >= the pinned
 		// cutoff; the quadratic variant is reserved for tiny samples
 		// where its constant factors win (see stats.KendallNaiveCutoff).
@@ -221,15 +253,15 @@ func Test(p *Problem, opts Options) (Result, error) {
 	} else {
 		// Weighted estimator t̃ with ω_i = w_i / p(r_i). p(r_i) =
 		// |V^h_{r_i} ∩ Va∪b| / Nsum; Nsum is constant and cancels in the
-		// ω products, so the union counts from the shared density BFS
+		// ω products, so the union counts from the shared density pass
 		// suffice.
 		for i, cu := range omega {
 			if cu < 1 {
 				// A reference node produced by importance sampling always
 				// sees the event node whose vicinity it was drawn from.
-				return Result{}, fmt.Errorf("tesc: internal: sampled out-of-sight node %d", sample.Nodes[i])
+				return fmt.Errorf("tesc: internal: sampled out-of-sight node %d", res.Nodes[i])
 			}
-			omega[i] = float64(sample.Freq[i]) / cu
+			omega[i] = float64(freq[i]) / cu
 		}
 		wt := stats.WeightedTau(sa, sb, omega)
 		res.Tau = wt.Tau
@@ -240,9 +272,9 @@ func Test(p *Problem, opts Options) (Result, error) {
 		res.Z = zFromTau(res.Tau, len(sa), varNum)
 	}
 
-	res.P = stats.PValueZ(res.Z, opts.Alternative)
-	res.Significant = res.P < opts.Alpha
-	return res, nil
+	res.P = stats.PValueZ(res.Z, res.Alternative)
+	res.Significant = res.P < res.Alpha
+	return nil
 }
 
 // zFromTau converts a τ-scale estimate to a z-score using the

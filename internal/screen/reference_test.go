@@ -18,7 +18,10 @@ import (
 // pairSeed PCG stream with the default sampler and density evaluator.
 // It returns the raw results in input order (AdjP == P, Significant =
 // P < Alpha, skipped pairs carrying their reason) and the density
-// traversals paid, which a memo-less sweep must match exactly.
+// traversals a memo-less sweep pays, which it must match exactly: one
+// reference-side BFS per reference node. That is len(tr.Nodes), not
+// tr.DensityBFS, because core.Test may count densities from the event
+// side instead.
 func referenceSweep(t testing.TB, g *graph.Graph, store *events.Store, pairs [][2]string, cfg Config) ([]PairResult, int64) {
 	t.Helper()
 	if cfg.SampleSize == 0 {
@@ -50,7 +53,7 @@ func referenceSweep(t testing.TB, g *graph.Graph, store *events.Store, pairs [][
 			} else {
 				r.Tau, r.Z, r.P = tr.Tau, tr.Z, tr.P
 				r.AdjP, r.Significant = tr.P, tr.Significant
-				bfs += tr.DensityBFS
+				bfs += int64(len(tr.Nodes))
 			}
 		}
 		out[i] = r

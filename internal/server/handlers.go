@@ -11,6 +11,7 @@ import (
 
 	"tesc"
 	"tesc/api"
+	"tesc/internal/core"
 	"tesc/internal/graphio"
 	"tesc/internal/screen"
 )
@@ -459,6 +460,12 @@ func (s *Server) runCorrelate(r *http.Request, e *GraphEntry, snap Snapshot, req
 		Seed:            req.Seed,
 		UseSpearman:     req.UseSpearman,
 		Ctx:             r.Context(),
+	}
+	if method == tesc.Importance && req.UseSpearman {
+		// Refused before the index fetch and the draw, which it would
+		// waste: an importance sample has no Spearman's ρ.
+		c.errCode, c.errMsg = api.CodeUnprocessable, core.ErrSpearmanWeighted.Error()
+		return
 	}
 	if method == tesc.Importance || method == tesc.Rejection {
 		idx, err := s.cache.Get(e, snap, req.H, s.indexWorkers)

@@ -4,6 +4,8 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"tesc/internal/core"
 )
 
 // TestHealthzTraversalCounters is the serving-tier acceptance check of
@@ -112,4 +114,30 @@ func waitForJob(t *testing.T, env *testEnv, id string, out *JobView) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("job %s did not finish", id)
+}
+
+// TestSpearmanImportanceRefusedEarly: Spearman's ρ over an importance
+// sample is refused with 422 before the vicinity index is fetched or
+// built and before any traversal, with the library's message.
+func TestSpearmanImportanceRefusedEarly(t *testing.T) {
+	env := newTestEnv(t)
+	var h0 map[string]any
+	env.do(t, http.StatusOK, "GET", "/healthz", nil, &h0)
+
+	var e struct{ Code, Reason string }
+	env.do(t, http.StatusUnprocessableEntity, "POST", "/v1/graphs/g/correlate",
+		map[string]any{"a": "left", "b": "right", "h": 2, "method": "importance", "use_spearman": true}, &e)
+	if e.Code != "unprocessable" || e.Reason != core.ErrSpearmanWeighted.Error() {
+		t.Fatalf("error = %+v, want unprocessable %q", e, core.ErrSpearmanWeighted)
+	}
+	var h1 map[string]any
+	env.do(t, http.StatusOK, "GET", "/healthz", nil, &h1)
+	for _, k := range []string{"index_built", "bfs_runs"} {
+		if h1[k] != h0[k] {
+			t.Fatalf("%s moved from %v to %v on a refused request", k, h0[k], h1[k])
+		}
+	}
+	if n := env.srv.Cache().Len(); n != 0 {
+		t.Fatalf("cache holds %d indexes after a refused request, want 0", n)
+	}
 }

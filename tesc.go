@@ -416,8 +416,11 @@ type Result struct {
 	// when the sampler materialized it (BatchBFS), -1 otherwise.
 	Population int
 	// SamplerBFS counts the h-hop BFS traversals spent selecting
-	// reference nodes; DensityBFS those spent computing densities
-	// (always N). Together they characterize a method's cost (§4.4).
+	// reference nodes; DensityBFS those actually run computing
+	// densities: N, one per reference node, or one per event node when
+	// h = 1, the intensities are unit and the occurrences' ball sum is
+	// the smaller one. Together they characterize a method's cost
+	// (§4.4).
 	SamplerBFS int64
 	DensityBFS int64
 }
