@@ -10,9 +10,10 @@ import (
 // TestKendallDenseRanks pins the routing edges of KendallPrefix.Kendall
 // on hand-made samples, each against KendallNaive: contingency tables
 // at the table bound and one cell past it, a side with one distinct
-// value, n = 2, −0 beside +0 (which must tie), and a side at and just
-// over the distinct-count bail-out. A whole-sample Kendall leaves its
-// prefix empty, so one prefix serves every case.
+// value, n = 2, −0 beside +0 (which must tie), and a side with n/2
+// distinct values and one more (where an earlier version stopped
+// ranking and sorted floats). A whole-sample Kendall leaves its prefix
+// empty, so one prefix serves every case.
 func TestKendallDenseRanks(t *testing.T) {
 	// grid is n observations whose x takes dx values and y takes dy
 	// (n ≥ dx, dy), y by the permutation i → step·i mod n of the
@@ -42,12 +43,12 @@ func TestKendallDenseRanks(t *testing.T) {
 	var cases []denseCase
 	add := func(name string, x, y []float64) { cases = append(cases, denseCase{name, x, y}) }
 	// tableCase finds n and a dx × dy table of tableCells·n + extra
-	// cells, both sides ranked (at most n/rankDiv distinct values).
+	// cells, neither side with more than n/2 distinct values.
 	tableCase := func(extra int) (n, dx, dy int) {
 		for n = 64; ; n++ {
 			cells := tableCells*n + extra
-			for dx = 2; dx <= n/rankDiv; dx++ {
-				if dy = cells / dx; cells%dx == 0 && dy <= n/rankDiv {
+			for dx = 2; dx <= n/2; dx++ {
+				if dy = cells / dx; cells%dx == 0 && dy <= n/2 {
 					return n, dx, dy
 				}
 			}
@@ -81,12 +82,12 @@ func TestKendallDenseRanks(t *testing.T) {
 		add("-0 beside +0", x, y)
 	}
 	for _, extra := range []int{0, 1} {
-		// x has n/rankDiv distinct values, then one more.
+		// x has n/2 distinct values, then one more.
 		const n = 200
-		x, y := grid(n, n/rankDiv+extra, 9)
-		add(fmt.Sprintf("x at the bail-out + %d", extra), x, y)
-		x, y = grid(n, 9, n/rankDiv+extra)
-		add(fmt.Sprintf("y at the bail-out + %d", extra), x, y)
+		x, y := grid(n, n/2+extra, 9)
+		add(fmt.Sprintf("x with n/2 + %d distinct values", extra), x, y)
+		x, y = grid(n, 9, n/2+extra)
+		add(fmt.Sprintf("y with n/2 + %d distinct values", extra), x, y)
 	}
 	var p KendallPrefix
 	for _, tc := range cases {

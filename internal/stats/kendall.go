@@ -8,15 +8,15 @@
 //
 // Everything here is pure computation over float slices; no graph types
 // leak in. Every entry reads only the order and the ties of its values,
-// so each may key them as it likes. A whole sample (Kendall,
-// WeightedTau) is hashed to dense ranks first: densities are ratios of
-// small integers with few distinct values, and their ranks are counted
-// from a contingency table or sorted as one word per observation. The
-// screening planner's growing prefixes key their chunks as floats
-// (KendallPrefix.Extend) or by the shared memo's ranks
-// (KendallPrefix.ExtendKeys), which sort as one word per observation
-// and, when most are zero in one of the two, are counted from
-// histograms instead of sorted.
+// so each may key them as it likes: every sample is counted on dense
+// ranks, one word per observation. Densities are ratios of small
+// integers with few distinct values, so a whole sample (Kendall,
+// WeightedTau) is hashed to its ranks and counted from their
+// contingency table or sorted as words. The screening planner's
+// growing prefixes rank their float chunks against the distinct values
+// seen so far (KendallPrefix.Extend) or take the shared memo's ranks
+// (KendallPrefix.ExtendKeys); a first chunk mostly zero in one of the
+// two is counted from histograms instead of sorted.
 package stats
 
 import (
@@ -85,13 +85,6 @@ func KendallNaive(x, y []float64) TauResult {
 	return r
 }
 
-// keyPair packs one paired observation as order-encoded uint64 keys
-// (FloatKey or ranks), so Knight's (x, y) sort runs branch-free over radix
-// passes instead of paying a comparison per element pair — the sort
-// was the hottest loop of a Kendall evaluation at the paper's n = 900,
-// and a standing-query re-screen pays one Kendall per mutation batch.
-type keyPair struct{ kx, ky uint64 }
-
 // FloatKey maps a float64 to a uint64 whose unsigned order equals the
 // float order, with -0 normalized to +0 so key equality coincides with
 // float equality. NaNs map to the extremes of the key space; like the
@@ -118,65 +111,67 @@ func Kendall(x, y []float64) TauResult {
 // KendallPrefix is Kendall's τ over a paired sample that grows in
 // chunks — the screening planner's checkpoints, where a pair's density
 // prefix is tested at m = 64, 128, 256, ... of its n references. It
-// keeps the prefix's observations sorted by (x, y), so Extend sorts only
-// the new chunk and merges it in, instead of re-sorting everything seen
-// at every checkpoint; Knight's tie scans and inversion count then run
-// on the merged array. While every key fits in 32 bits (rank keys) an
-// observation is one word, kx<<32 | ky, whose unsigned order is the
-// (x, y) order; the first wider chunk (float keys) converts the prefix
-// to keyPairs for good. A first chunk of rank keys that is mostly zeros
-// is counted by peel instead of sorted; its words are sorted only when
-// a later chunk extends it. The zero value is an empty prefix; its
-// scratch is retained across Reset, so one prefix per worker allocates
-// only while it grows. Not safe for concurrent use.
+// keeps the prefix's observations sorted by (x, y), so a chunk is sorted
+// alone and merged in, instead of re-sorting everything seen at every
+// checkpoint; Knight's tie scans and inversion count then run on the
+// merged array. An observation is one word, kx<<32 | ky, whose unsigned
+// order is the (x, y) order: its keys are ranks, the shared memo's
+// (ExtendKeys) or, for float chunks (Extend), the dense ranks among the
+// values seen since Reset, which each side's dictionary keeps. A first
+// chunk that is mostly zeros in one of the two keys is counted by peel
+// instead of sorted; its words are sorted only when a later chunk
+// extends it. The zero value is an empty prefix; its scratch is
+// retained across Reset, so one prefix per worker allocates only while
+// it grows. Not safe for concurrent use.
 type KendallPrefix struct {
-	words, wbuf    []uint64   // narrow prefix sorted (unless peeled); merge/radix scratch
-	peeled         bool       // words is one peeled chunk, in input order
-	pts, buf       []keyPair  // wide prefix sorted by (kx, ky); merge/radix scratch
-	wide           bool       // the prefix is in pts; words is empty
-	kx, ky         []uint64   // Extend's chunk keys; a whole sample's dense ranks
-	ks, kbuf       []uint64   // ky in prefix order; inversion-merge scratch; WeightedTau's orders
-	xSizes, ySizes []int64    // tie-group runs (appended; capacity retained)
-	hist           []int64    // peel's four histograms; the rank table; WeightedTau's group starts
-	slots          []rankSlot // rank's hash table
-	gen            uint32     // the stamp of rank's current call
-	distinct       []uint64   // rank's distinct keys
-	fen            []float64  // WeightedTau's Fenwick tree
+	words, wbuf    []uint64  // the prefix sorted (unless peeled); merge/radix scratch
+	peeled         bool      // words is one peeled chunk, in input order
+	kx, ky         []uint64  // a chunk's or a whole sample's ranks
+	xDict, yDict   rankDict  // each side's values since Reset (Extend's ranks)
+	ks, kbuf       []uint64  // ky in prefix order; inversion-merge scratch; WeightedTau's orders
+	xSizes, ySizes []int64   // tie-group runs (appended; capacity retained)
+	hist           []int64   // peel's four histograms; table's cells; WeightedTau's group starts
+	fen            []float64 // WeightedTau's Fenwick tree
 }
 
 var prefixPool = sync.Pool{New: func() any { return new(KendallPrefix) }}
 
 // Reset empties the prefix, keeping its scratch.
 func (p *KendallPrefix) Reset() {
-	p.words, p.pts, p.wide, p.peeled = p.words[:0], p.pts[:0], false, false
+	p.words, p.peeled = p.words[:0], false
+	p.xDict.reset()
+	p.yDict.reset()
 }
 
 // Len returns the number of observations in the prefix.
-func (p *KendallPrefix) Len() int { return len(p.words) + len(p.pts) }
+func (p *KendallPrefix) Len() int { return len(p.words) }
 
 // Extend appends the paired observations (x[i], y[i]) to the prefix and
 // returns the TauResult of the whole prefix — exactly Kendall (and
 // KendallNaive) of the concatenation of every chunk since Reset: the
 // sorted order, and with it every count and tie-group size, does not
-// depend on how the sample was chunked. It is FloatKey plus ExtendKeys.
+// depend on how the sample was chunked. It keys the chunk by each
+// side's dense ranks among the values since Reset and calls ExtendKeys;
+// a chunk's new value below an earlier one renumbers the prefix through
+// the monotone old-to-new rank map, which keeps sorted words sorted. A
+// prefix is extended by Extend or by ExtendKeys since Reset, not both.
 func (p *KendallPrefix) Extend(x, y []float64) TauResult {
 	c := mustSameLen(x, y)
 	p.kx, p.ky = grow(p.kx, c), grow(p.ky, c)
-	for i := range c {
-		p.kx[i], p.ky[i] = FloatKey(x[i]), FloatKey(y[i])
+	if mx, my := p.xDict.add(x, p.kx), p.yDict.add(y, p.ky); mx != nil || my != nil {
+		renumber(p.words, mx, my)
 	}
 	return p.ExtendKeys(p.kx, p.ky)
 }
 
-// ExtendKeys is Extend over observations given as order keys: any
-// encoding whose unsigned order and equality coincide with the
-// values' — FloatKey of each value, or its dense rank among the
-// sample's values — yields the TauResult of the values themselves,
-// because Knight's algorithm reads only their order and ties. It is
-// the sorting kernel's one entry point. The radix sorts skip byte positions
-// that are equal in every key of a chunk, so keys with few varying
-// bytes (ranks below 2^16: two bytes each of x and y) sort in a
-// quarter of the passes float keys need, over half the bytes.
+// ExtendKeys is Extend over observations given as order keys below
+// 2^32: any encoding whose unsigned order and equality coincide with
+// the values' — such as each value's dense rank among the sample's
+// values — yields the TauResult of the values themselves, because
+// Knight's algorithm reads only their order and ties. It panics on a
+// key of 2^32 or more. It is the sorting kernel's one entry point. The
+// radix sort skips byte positions that are equal in every word of a
+// chunk, so ranks below 2^16 sort in four passes.
 //
 // The first chunk of an empty prefix is not sorted at all when it is
 // longer than the insertion sort's, its keys are small (max kx + max ky
@@ -195,48 +190,26 @@ func (p *KendallPrefix) ExtendKeys(kx, ky []uint64) TauResult {
 		sortWords(p.words, p.wbuf)
 		p.peeled = false
 	}
-	if !p.wide {
-		var narrow, peel bool
-		var nx, ny int
-		if len(p.words) == 0 && c > insertionSortWordsMax {
-			narrow, peel, nx, ny = peelGuard(kx, ky)
-		} else {
-			narrow = true
-			for i := range kx {
-				if (kx[i]|ky[i])>>32 != 0 {
-					narrow = false
-					break
-				}
-			}
-		}
-		if peel {
+	if len(p.words) == 0 && c > insertionSortWordsMax {
+		if peel, nx, ny := peelGuard(kx, ky); peel {
 			return p.peel(kx, ky, nx, ny)
 		}
-		if narrow {
-			p.extendWords(kx, ky)
-			return p.knight()
+	} else {
+		var or uint64
+		for i := range kx {
+			or |= kx[i] | ky[i]
 		}
-		p.widen()
+		mustNarrow(or)
 	}
-	p.extendPairs(kx, ky)
+	p.extendWords(kx, ky)
 	return p.knight()
 }
 
-// extendPairs sorts the keys (kx, ky) in as keyPairs.
-func (p *KendallPrefix) extendPairs(kx, ky []uint64) {
-	c := len(kx)
-	m := len(p.pts)
-	n := m + c
-	p.pts = slices.Grow(p.pts, c)[:n]
-	p.buf = grow(p.buf, n)
-	chunk := p.pts[m:]
-	for i := range chunk {
-		chunk[i] = keyPair{kx[i], ky[i]}
-	}
-	sortKeyPairs(chunk, p.buf[:c])
-	if m > 0 && c > 0 && chunk[0].less(p.pts[m-1]) {
-		mergeKeyPairs(p.buf[:n], p.pts[:m], chunk)
-		p.pts, p.buf = p.buf[:n], p.pts
+// mustNarrow panics unless k, the OR or the largest of a chunk's keys,
+// is below 2^32.
+func mustNarrow(k uint64) {
+	if k>>32 != 0 {
+		panic("stats: an ExtendKeys key is not below 2^32")
 	}
 }
 
@@ -245,28 +218,22 @@ func (p *KendallPrefix) extendPairs(kx, ky []uint64) {
 // the y tie groups from the inversion count's sorted output.
 func (p *KendallPrefix) knight() TauResult {
 	n := p.Len()
-	r := TauResult{N: n}
 	if n < 2 {
+		r := TauResult{N: n}
 		finishTau(&r, nil, nil)
 		return r
 	}
 
 	// Pair-tie counts and x tie-group sizes from run lengths in the
-	// sorted order (key equality == float equality).
+	// sorted order (rank equality == float equality).
 	p.ks = grow(p.ks, n)
-	var tiesXpairs, tiesBothPairs int64 // pairs tied in x (incl. both), both
-	if p.wide {
-		tiesXpairs, tiesBothPairs = p.scanPairs()
-	} else {
-		tiesXpairs, tiesBothPairs = p.scanWords(p.words)
-	}
+	tiesXpairs, tiesBothPairs := p.scanWords(p.words) // pairs tied in x (incl. both), both
 	kys := p.ks
 
 	// countInversions merge-sorts kys in place as a side effect, so the
 	// y tie-group scan below reads the sorted vector for free — no
 	// separate O(n log n) pass over y. Inversion and tie structure are
-	// identical on keys and floats (FloatKey is order- and
-	// equality-preserving).
+	// identical on ranks and floats.
 	p.kbuf = grow(p.kbuf, n)
 	swaps := countInversionsBuf(kys, p.kbuf)
 
@@ -283,56 +250,31 @@ func (p *KendallPrefix) knight() TauResult {
 		}
 	}
 	tiesYpairs += pairs(runY)
-	ySizes = append(ySizes, runY)
+	// Retain the grown tie-run capacity (append may have reallocated
+	// past it).
+	p.ySizes = append(ySizes, runY)
 
-	n0 := pairs(int64(n))
 	// Discordant pairs are exactly the y-inversions among pairs not tied
 	// in x (within an x-run, ys is ascending, contributing no inversions).
-	r.Discordant = swaps
-	r.TiesBoth = tiesBothPairs
+	return p.result(n, swaps, tiesXpairs, tiesYpairs, tiesBothPairs)
+}
+
+// result assembles the TauResult of n observations from Knight's counts
+// — discordant pairs, pairs tied in x and in y (each including those
+// tied in both) and pairs tied in both — and the tie groups in
+// p.xSizes and p.ySizes. NumeratorVariance reads the groups
+// synchronously; nothing aliases them after return.
+func (p *KendallPrefix) result(n int, discordant, tiesXpairs, tiesYpairs, tiesBothPairs int64) TauResult {
+	r := TauResult{N: n, Discordant: discordant, TiesBoth: tiesBothPairs}
 	r.TiesX = tiesXpairs - tiesBothPairs
 	r.TiesY = tiesYpairs - tiesBothPairs
-	r.Concordant = n0 - r.TiesX - r.TiesY - r.TiesBoth - r.Discordant
-
-	finishTau(&r, p.xSizes, ySizes)
-	// Retain the grown tie-run capacity (append may have reallocated
-	// past it). NumeratorVariance consumed the slices synchronously;
-	// nothing aliases them after return.
-	p.ySizes = ySizes
+	r.Concordant = pairs(int64(n)) - r.TiesX - r.TiesY - r.TiesBoth - r.Discordant
+	finishTau(&r, p.xSizes, p.ySizes)
 	return r
 }
 
 // pairs is c choose 2.
 func pairs(c int64) int64 { return c * (c - 1) / 2 }
-
-// scanPairs is knight's run-length scan over the keyPair prefix: it
-// fills p.ks and p.xSizes and returns the pairs tied in x (including
-// both) and in both.
-func (p *KendallPrefix) scanPairs() (tiesXpairs, tiesBothPairs int64) {
-	pts, kys := p.pts, p.ks
-	xSizes := p.xSizes[:0]
-	runX, runXY := int64(1), int64(1)
-	kys[0] = pts[0].ky
-	for i := 1; i < len(pts); i++ {
-		kys[i] = pts[i].ky
-		if pts[i].kx == pts[i-1].kx {
-			runX++
-			if pts[i].ky == pts[i-1].ky {
-				runXY++
-			} else {
-				tiesBothPairs += pairs(runXY)
-				runXY = 1
-			}
-		} else {
-			tiesXpairs += pairs(runX)
-			tiesBothPairs += pairs(runXY)
-			xSizes = append(xSizes, runX)
-			runX, runXY = 1, 1
-		}
-	}
-	p.xSizes = append(xSizes, runX)
-	return tiesXpairs + pairs(runX), tiesBothPairs + pairs(runXY)
-}
 
 // KendallNaiveCutoff is the sample size at which KendallAuto switches
 // from the quadratic kernel to Knight's O(n log n) algorithm. Below it
@@ -379,148 +321,6 @@ func grow[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
-}
-
-// less orders observations by (kx, ky).
-func (a keyPair) less(b keyPair) bool {
-	return a.kx < b.kx || (a.kx == b.kx && a.ky < b.ky)
-}
-
-// mergeKeyPairs merges the sorted runs a and b into dst (len(dst) ==
-// len(a)+len(b), aliasing neither).
-func mergeKeyPairs(dst, a, b []keyPair) {
-	i, j := 0, 0
-	for k := range dst {
-		if j == len(b) || (i < len(a) && !b[j].less(a[i])) {
-			dst[k] = a[i]
-			i++
-		} else {
-			dst[k] = b[j]
-			j++
-		}
-	}
-}
-
-// insertionSortMax and insertionSortWordsMax are the input sizes up to
-// which sortKeyPairs and sortWords use insertion sort: a radix sort's
-// fixed cost (a histogram of 256 counters per varying byte) dominates
-// small inputs. The planner's default schedule cuts a sample of 900
-// into chunks of 64, 64, 128 and 644 observations; the deterministic
-// bound's eighths add chunks of 50–200. On float density keys
-// (BenchmarkSortKeyPairs) insertion sort takes ~2 µs at 64 against
-// radix's ~10 µs, and the two cross between 192 and 256. On rank words
-// (BenchmarkSortWords), whose radix sort makes four passes, insertion
-// sort takes ~0.7 µs at 64 against ~1.4 µs, and they cross near 112.
-const (
-	insertionSortMax      = 224
-	insertionSortWordsMax = 96
-)
-
-// sortKeyPairs sorts observations by (kx, ky) ascending, using buf
-// (len(buf) >= len(a)) as scratch.
-func sortKeyPairs(a, buf []keyPair) {
-	if len(a) <= insertionSortMax {
-		insertionSortKeyPairs(a)
-	} else {
-		radixSortKeyPairs(a, buf)
-	}
-}
-
-func insertionSortKeyPairs(a []keyPair) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i
-		for ; j > 0 && v.less(a[j-1]); j-- {
-			a[j] = a[j-1]
-		}
-		a[j] = v
-	}
-}
-
-// radixSortKeyPairs is an LSD radix sort: byte-passes over ky, then
-// over kx (LSD stability makes the ky order survive as the secondary
-// key). Each pass is a counting sort — no comparisons, no
-// data-dependent branches, which is what beats comparison sorts on
-// density vectors: their heavy ties make every comparison branch a coin
-// flip. A byte position equal in every key would be the identity pass
-// and is skipped: one OR/AND sweep finds the highest byte that varies,
-// so the high bytes of rank keys get neither a histogram nor a pass,
-// and a uniform lower byte (the high exponent bytes of same-magnitude
-// densities) is skipped after the histogram.
-func radixSortKeyPairs(a, buf []keyPair) {
-	n := len(a)
-	if n < 2 {
-		return
-	}
-	orK, andK := uint64(0), ^uint64(0)
-	for i := range a {
-		orK |= a[i].kx | a[i].ky
-		andK &= a[i].kx & a[i].ky
-	}
-	w := (bits.Len64(orK^andK) + 7) / 8 // bytes 0..w-1 may vary
-	// All the histograms are filled in ONE counting sweep (classic
-	// multi-histogram radix): the scatter passes each read the data
-	// once, so the total traffic is 2w+2 passes instead of 4w.
-	// Float keys (w = 8) keep the constant-bound loop: the variable
-	// bound costs them 20–30% on BenchmarkSortKeyPairs.
-	var hist [16][256]int32
-	if w == 8 {
-		for i := range a {
-			kx, ky := a[i].kx, a[i].ky
-			for b := 0; b < 8; b++ {
-				hist[b][byte(ky>>(8*uint(b)))]++
-				hist[8+b][byte(kx>>(8*uint(b)))]++
-			}
-		}
-	} else {
-		for i := range a {
-			kx, ky := a[i].kx, a[i].ky
-			for b := 0; b < w; b++ {
-				s := uint(8 * b)
-				hist[b&7][byte(ky>>s)]++
-				hist[8+b&7][byte(kx>>s)]++
-			}
-		}
-	}
-	src, dst := a, buf
-	for p := 0; p < 16; p++ {
-		if p%8 >= w {
-			continue // above the highest varying byte
-		}
-		h := &hist[p]
-		shift := uint(8 * (p % 8))
-		useX := p >= 8
-		var first byte
-		if useX {
-			first = byte(src[0].kx >> shift)
-		} else {
-			first = byte(src[0].ky >> shift)
-		}
-		if int(h[first]) == n {
-			continue // uniform byte: the pass would be the identity
-		}
-		sum := int32(0)
-		for b := range h {
-			h[b], sum = sum, sum+h[b]
-		}
-		if useX {
-			for i := range src {
-				b := byte(src[i].kx >> shift)
-				dst[h[b]] = src[i]
-				h[b]++
-			}
-		} else {
-			for i := range src {
-				b := byte(src[i].ky >> shift)
-				dst[h[b]] = src[i]
-				h[b]++
-			}
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &a[0] {
-		copy(a, src)
-	}
 }
 
 // countInversionsBuf counts pairs i<j with ys[i] > ys[j] via bottom-up
@@ -587,10 +387,6 @@ func mustSameLen(x, y []float64) int {
 	return len(x)
 }
 
-// The word layout's functions come last in the file: placed before
-// radixSortKeyPairs they moved its start by 32 bytes, and its
-// (byte-identical) benchmark rows read up to a third slower.
-
 // extendWords sorts the 32-bit keys (kx, ky) in as words.
 func (p *KendallPrefix) extendWords(kx, ky []uint64) {
 	c := len(kx)
@@ -609,19 +405,10 @@ func (p *KendallPrefix) extendWords(kx, ky []uint64) {
 	}
 }
 
-// widen moves the narrow prefix into the keyPair layout, in the same
-// order: a word's order is its (kx, ky) order.
-func (p *KendallPrefix) widen() {
-	p.pts = grow(p.pts, len(p.words))
-	for i, w := range p.words {
-		p.pts[i] = keyPair{w >> 32, w & (1<<32 - 1)}
-	}
-	p.words, p.wide = p.words[:0], true
-}
-
-// scanWords is scanPairs over sorted words (the word prefix, or peel's
-// observations nonzero in both keys): equal high halves are an x tie,
-// equal words a tie in both.
+// scanWords is knight's run-length scan over sorted words (the prefix,
+// or peel's observations nonzero in both keys): it fills p.ks and
+// p.xSizes and returns the pairs tied in x (including both) and in
+// both. Equal high halves are an x tie, equal words a tie in both.
 func (p *KendallPrefix) scanWords(words []uint64) (tiesXpairs, tiesBothPairs int64) {
 	kys := p.ks
 	xSizes := p.xSizes[:0]
@@ -649,7 +436,8 @@ func (p *KendallPrefix) scanWords(words []uint64) (tiesXpairs, tiesBothPairs int
 	return tiesXpairs + pairs(runX), tiesBothPairs + pairs(runXY)
 }
 
-// mergeWords is mergeKeyPairs over words.
+// mergeWords merges the sorted runs a and b into dst (len(dst) ==
+// len(a)+len(b), aliasing neither).
 func mergeWords(dst, a, b []uint64) {
 	i, j := 0, 0
 	for k := range dst {
@@ -663,7 +451,18 @@ func mergeWords(dst, a, b []uint64) {
 	}
 }
 
-// sortWords is sortKeyPairs over words.
+// insertionSortWordsMax is the input size up to which sortWords uses
+// insertion sort: a radix sort's fixed cost (a histogram of 256
+// counters per varying byte) dominates small inputs. The planner's
+// default schedule cuts a sample of 900 into chunks of 64, 64, 128 and
+// 644 observations; the deterministic bound's eighths add chunks of
+// 50–200. On rank words (BenchmarkSortWords), whose radix sort makes
+// four passes, insertion sort takes ~0.7 µs at 64 against ~1.4 µs, and
+// they cross near 112.
+const insertionSortWordsMax = 96
+
+// sortWords sorts words ascending, using buf (len(buf) >= len(a)) as
+// scratch.
 func sortWords(a, buf []uint64) {
 	if len(a) <= insertionSortWordsMax {
 		insertionSortWords(a)
@@ -683,9 +482,12 @@ func insertionSortWords(a []uint64) {
 	}
 }
 
-// radixSortWords is radixSortKeyPairs over words: a histogram and a
-// pass only for the byte positions where some two words differ — four
-// for rank keys below 2^16.
+// radixSortWords is an LSD radix sort of words: a histogram and a pass
+// only for the byte positions where some two words differ — four for
+// rank keys below 2^16. Each pass is a counting sort — no comparisons,
+// no data-dependent branches, which is what beats comparison sorts on
+// density ranks: their heavy ties make every comparison branch a coin
+// flip. All the histograms are filled in one counting sweep.
 func radixSortWords(a, buf []uint64) {
 	orK, andK := uint64(0), ^uint64(0)
 	for _, w := range a {
@@ -738,27 +540,25 @@ const (
 	peelSpan    = 4
 )
 
-// peelGuard is ExtendKeys' narrowness check on the first chunk of an
-// empty prefix, folded into one pass with peel's guard: it reports
-// whether every key fits 32 bits, whether the chunk peels, and the
+// peelGuard is peel's guard on the first chunk of an empty prefix,
+// folded into one pass with ExtendKeys' narrowness check (it panics on
+// a key of 2^32 or more): it reports whether the chunk peels and the
 // lengths of its x and y histograms. Later chunks, which never peel,
 // take the plain check.
-func peelGuard(kx, ky []uint64) (narrow, peel bool, nx, ny int) {
+func peelGuard(kx, ky []uint64) (peel bool, nx, ny int) {
 	var mx, my uint64
 	zeros := 0
 	for i := range kx {
 		x, y := kx[i], ky[i]
-		if (x|y)>>32 != 0 {
-			return false, false, 0, 0
-		}
 		mx, my = max(mx, x), max(my, y)
 		zeros += int(((x - 1) | (y - 1)) >> 63) // x-1 wraps past 2^63 only at 0
 	}
+	mustNarrow(mx | my)
 	c := len(kx)
-	return true, (c-zeros)*peelBothDiv <= c && mx+my < uint64(peelSpan*c), int(mx) + 1, int(my) + 1
+	return (c-zeros)*peelBothDiv <= c && mx+my < uint64(peelSpan*c), int(mx) + 1, int(my) + 1
 }
 
-// peel is Knight's counts of a first chunk of narrow keys (kx below nx,
+// peel is Knight's counts of a first chunk of keys (kx below nx,
 // ky below ny) without sorting it. Its observations fall into four
 // classes: zero in both keys (Z), in x only (X0), in y only (Y0), and
 // in neither (B). Every Z×B pair is concordant and every X0×Y0 pair
@@ -824,17 +624,7 @@ func (p *KendallPrefix) peel(kx, ky []uint64, nx, ny int) TauResult {
 	}
 	tiesXpairs, tiesYpairs := histSizes(hx, &p.xSizes), histSizes(hy, &p.ySizes)
 	p.peeled = true
-	// This repeats knight's last lines on purpose: moved into a helper
-	// both call, they shrank knight by 96 bytes, which moved the start of
-	// radixSortKeyPairs (and of the functions after it) by 32 bytes mod
-	// 64 in the stats, screen and tescperf binaries, and its
-	// byte-identical gate rows read up to 32% slower.
-	r := TauResult{N: n, Discordant: discordant, TiesBoth: tiesBothPairs}
-	r.TiesX = tiesXpairs - tiesBothPairs
-	r.TiesY = tiesYpairs - tiesBothPairs
-	r.Concordant = pairs(int64(n)) - r.TiesX - r.TiesY - r.TiesBoth - r.Discordant
-	finishTau(&r, p.xSizes, p.ySizes)
-	return r
+	return p.result(n, discordant, tiesXpairs, tiesYpairs, tiesBothPairs)
 }
 
 // histSizes sets *sizes to the nonzero counts of h, the tie groups in
@@ -851,58 +641,73 @@ func histSizes(h []int64, sizes *[]int64) (tiePairs int64) {
 	return tiePairs / 2
 }
 
-// The dense-rank front end: Kendall and WeightedTau over a whole
-// sample.
+// The dense-rank front end: each side's dictionary of distinct values,
+// and Kendall and WeightedTau over a whole sample.
 
 // Kendall returns the TauResult of (x, y) as one whole sample: that of
 // Extend on an empty prefix, which it leaves empty. It ranks each
-// side's values densely (rank) and counts the ranks' contingency table
-// when it has at most tableCells cells per observation (table);
-// otherwise Knight's algorithm runs on the ranks through ExtendKeys:
-// sort by (x, y), count pairwise ties from run lengths and discordant
-// pairs as y-inversions via merge sort, and read the tie groups Eq. 6
-// needs off the same sorted orders, in the ascending order TieSizes
-// gives, so the variance sums are bit-identical. A side with more than
-// n/rankDiv distinct values is not ranked: its sample goes through
-// Extend as floats.
+// side's values densely and counts the ranks' contingency table when it
+// has at most tableCells cells per observation (table); otherwise
+// Knight's algorithm runs on the ranks through ExtendKeys: sort by
+// (x, y), count pairwise ties from run lengths and discordant pairs as
+// y-inversions via merge sort, and read the tie groups Eq. 6 needs off
+// the same sorted orders, in the ascending order TieSizes gives, so the
+// variance sums are bit-identical.
 func (p *KendallPrefix) Kendall(x, y []float64) TauResult {
-	n := mustSameLen(x, y)
-	p.Reset()
-	p.kx, p.ky = grow(p.kx, n), grow(p.ky, n)
-	dx, dy := p.rank(x, p.kx, n/rankDiv), 0
-	if dx > 0 {
-		dy = p.rank(y, p.ky, n/rankDiv)
-	}
+	dx, dy := p.rankSample(x, y)
 	var r TauResult
-	switch {
-	case dy == 0:
-		r = p.Extend(x, y)
-	case dx*dy <= tableCells*n:
+	if dx*dy <= tableCells*len(x) {
 		r = p.table(dx, dy)
-	default:
+	} else {
 		r = p.ExtendKeys(p.kx, p.ky)
 	}
 	p.Reset()
 	return r
 }
 
-// rankDiv and tableCells route Kendall. A side with more than
-// n/rankDiv distinct values keeps its float keys. At n = 900
-// (BenchmarkKendallDensities' generator and densitySample) ranking and
-// the word sort beat the floats by about 45% at 0.17n distinct values
-// per side and still by about 20% at 0.35n, but lose about 35% at
-// 0.65n, where the ranks need two bytes and the distinct keys' sort
-// grows; a side that bails has paid n/rankDiv hash inserts, 3–4% of
-// its float Kendall. The contingency table costs about 3 ns a
+// tableCells routes Kendall. The contingency table costs about 3 ns a
 // cell against the word path's 50–60 ns an observation, at n = 323 as
-// at 900: the two cross between 12 and 16 cells per observation.
-const (
-	rankDiv    = 2
-	tableCells = 12
-)
+// at 900 (BenchmarkKendallDensities' generator): the two cross between
+// 12 and 16 cells per observation.
+const tableCells = 12
 
-// rankSlot is one slot of rank's open-addressing table: a distinct
-// key, the stamp of the call that stored it, and the key's rank.
+// rankSample empties the prefix, sets p.kx and p.ky to the dense ranks
+// of x and y, and returns how many values of each are distinct. A whole
+// sample needs only the ranks, so one dictionary serves both sides in
+// turn, and one table stays in cache.
+func (p *KendallPrefix) rankSample(x, y []float64) (dx, dy int) {
+	n := mustSameLen(x, y)
+	p.Reset()
+	p.kx, p.ky = grow(p.kx, n), grow(p.ky, n)
+	p.xDict.add(x, p.kx)
+	dx = len(p.xDict.keys)
+	p.xDict.reset()
+	p.xDict.add(y, p.ky)
+	return dx, len(p.xDict.keys)
+}
+
+// rankDict is one side's dictionary: the distinct FloatKeys of the
+// values a prefix has seen since Reset, sorted, so that a key's
+// position is its dense rank (the number of distinct values below it,
+// −0 tying +0), and an open-addressing table from each key to its rank.
+// The table is linearly probed and holds at least twice as many slots
+// as there may be keys; a slot counts only under the table's current
+// stamp, so the table is never cleared, only restamped when it grows
+// (reset shrinks it to nothing).
+// Only the distinct keys are sorted, by pdqsort: on 150 float keys it
+// took a quarter of sortWords' time, whose radix passes and histograms
+// suit many keys with few varying bytes.
+type rankDict struct {
+	keys, fresh []uint64   // the sorted distinct keys; a chunk's new keys
+	buf         []uint64   // merge scratch
+	remap       []uint32   // old rank → new rank
+	slots       []rankSlot // the table is slots[:1<<width]
+	width       int        // 0 after reset
+	gen         uint32     // the table's stamp
+}
+
+// rankSlot is one slot of a rankDict's table: a distinct key, the stamp
+// of the table that stored it, and the key's rank.
 type rankSlot struct {
 	key       uint64
 	gen, rank uint32
@@ -912,60 +717,113 @@ type rankSlot struct {
 // ratio: a key's product keeps its high bits as the slot.
 const rankHashMul = 0x9e3779b97f4a7c15
 
-// rank sets keys[i] to the dense rank of v[i], the number of distinct
-// values of v below it in FloatKey order (so −0 ties +0), and returns
-// how many values are distinct; it returns 0, leaving keys
-// unspecified, once more than limit are. Each FloatKey is hashed into
-// a table of at least 2n slots, linearly probed; a slot counts only
-// under the current call's stamp, so the table is never cleared
-// between calls. Only the distinct keys are sorted, by pdqsort: on 150
-// float keys it took a quarter of sortWords' time, whose radix passes
-// and histograms suit many keys with few varying bytes.
-func (p *KendallPrefix) rank(v []float64, keys []uint64, limit int) int {
-	if len(v) == 0 {
-		return 0
+// reset empties the dictionary, keeping its scratch.
+func (d *rankDict) reset() { d.keys, d.width = d.keys[:0], 0 }
+
+// probe returns the slot of key k in the table slots (of 2^(64-shift)
+// slots, stamped gen), or the empty slot where k would go.
+func probe(slots []rankSlot, gen uint32, shift uint, k uint64) int {
+	h := int(k * rankHashMul >> shift)
+	for slots[h].gen == gen && slots[h].key != k {
+		h = (h + 1) & (len(slots) - 1)
 	}
-	width := bits.Len(uint(2*len(v) - 1))
-	if len(p.slots) < 1<<width {
-		p.slots = make([]rankSlot, 1<<width)
+	return h
+}
+
+// add merges the FloatKeys of v into the dictionary and sets ranks[i] to
+// v[i]'s dense rank in it. When a new key lands below an old one, it
+// returns the map from the old keys' ranks to their new ones, which is
+// strictly increasing; otherwise nil.
+func (d *rankDict) add(v []float64, ranks []uint64) (remap []uint32) {
+	width := bits.Len(uint(2*max(len(d.keys)+len(v), 1) - 1))
+	grown := width > d.width
+	if grown { // restamp the table, then put the old keys back
+		d.width = width
+		if len(d.slots) < 1<<width {
+			d.slots = make([]rankSlot, 1<<width)
+		}
+		if d.gen++; d.gen == 0 { // the stamp wrapped: forget every stored slot
+			clear(d.slots)
+			d.gen = 1
+		}
 	}
-	p.gen++
-	if p.gen == 0 { // the stamp wrapped: forget every stored slot
-		clear(p.slots)
-		p.gen = 1
+	slots, gen, shift := d.slots[:1<<d.width], d.gen, uint(64-d.width)
+	if grown {
+		for r, k := range d.keys {
+			slots[probe(slots, gen, shift, k)] = rankSlot{key: k, gen: gen, rank: uint32(r)}
+		}
 	}
-	slots, gen := p.slots[:1<<width], p.gen
-	mask, shift := len(slots)-1, uint(64-width)
-	distinct := p.distinct[:0]
+	fresh := d.fresh[:0]
 	for i, f := range v {
 		k := FloatKey(f)
-		h := int(k * rankHashMul >> shift)
-		for slots[h].gen == gen && slots[h].key != k {
-			h = (h + 1) & mask
-		}
+		h := probe(slots, gen, shift, k)
 		if slots[h].gen != gen {
-			if len(distinct) == limit {
-				p.distinct = distinct
-				return 0
-			}
 			slots[h] = rankSlot{key: k, gen: gen}
-			distinct = append(distinct, k)
+			fresh = append(fresh, k)
 		}
-		keys[i] = uint64(h)
+		ranks[i] = uint64(h)
 	}
-	p.distinct = distinct
-	slices.Sort(distinct)
-	for r, k := range distinct {
-		h := int(k * rankHashMul >> shift)
-		for slots[h].gen != gen || slots[h].key != k {
-			h = (h + 1) & mask
+	d.fresh = fresh
+	if len(fresh) > 0 {
+		var from int // the first rank a new key takes or moves
+		from, remap = d.merge()
+		for r := from; r < len(d.keys); r++ {
+			slots[probe(slots, gen, shift, d.keys[r])].rank = uint32(r)
 		}
-		slots[h].rank = uint32(r)
 	}
-	for i, h := range keys[:len(v)] {
-		keys[i] = uint64(slots[h].rank)
+	for i, h := range ranks[:len(v)] {
+		ranks[i] = uint64(slots[h].rank)
 	}
-	return len(distinct)
+	return remap
+}
+
+// merge sorts d.fresh, the new keys, into d.keys and returns the first
+// rank that a new key took or an old key left. When an old key moved,
+// it also returns the map from the old keys' ranks to their new ones.
+func (d *rankDict) merge() (from int, remap []uint32) {
+	old, fresh := d.keys, d.fresh
+	m := len(old)
+	slices.Sort(fresh)
+	if m == 0 || fresh[0] > old[m-1] {
+		d.keys = append(old, fresh...)
+		return m, nil
+	}
+	from, _ = slices.BinarySearch(old, fresh[0])
+	remap = grow(d.remap, m)
+	for r := range from {
+		remap[r] = uint32(r)
+	}
+	n := m + len(fresh)
+	merged := grow(d.buf, n)
+	copy(merged, old[:from])
+	i, j := from, 0
+	for k := from; k < n; k++ {
+		if j == len(fresh) || (i < m && old[i] < fresh[j]) {
+			merged[k], remap[i] = old[i], uint32(k)
+			i++
+		} else {
+			merged[k] = fresh[j]
+			j++
+		}
+	}
+	d.keys, d.buf, d.remap = merged, old, remap
+	return from, remap
+}
+
+// renumber maps the words' x and y ranks through mx and my (nil: the
+// identity). Both maps are strictly increasing, so sorted words stay
+// sorted.
+func renumber(words []uint64, mx, my []uint32) {
+	for i, w := range words {
+		x, y := w>>32, w&(1<<32-1)
+		if mx != nil {
+			x = uint64(mx[x])
+		}
+		if my != nil {
+			y = uint64(my[y])
+		}
+		words[i] = x<<32 | y
+	}
 }
 
 // table is Knight's counts of the dense ranks in p.kx (below dx) and
@@ -999,12 +857,6 @@ func (p *KendallPrefix) table(dx, dy int) TauResult {
 			seen[y] += c
 		}
 	}
-	tiesBoth /= 2
 	tiesXpairs, tiesYpairs := histSizes(hx, &p.xSizes), histSizes(hy, &p.ySizes)
-	r := TauResult{N: n, Discordant: discordant, TiesBoth: tiesBoth}
-	r.TiesX = tiesXpairs - tiesBoth
-	r.TiesY = tiesYpairs - tiesBoth
-	r.Concordant = pairs(int64(n)) - r.TiesX - r.TiesY - r.TiesBoth - r.Discordant
-	finishTau(&r, p.xSizes, p.ySizes)
-	return r
+	return p.result(n, discordant, tiesXpairs, tiesYpairs, tiesBoth/2)
 }

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 	"slices"
 	"sort"
@@ -28,43 +29,51 @@ func tieValue(b byte) float64 {
 	return v
 }
 
-// chainPrefixes are the four prefixes checkPrefixChain extends.
-type chainPrefixes struct{ float, ranked, recoded, mixed KendallPrefix }
+// chainPrefixes are the three prefixes checkPrefixChain extends.
+type chainPrefixes struct{ float, ranked, recoded KendallPrefix }
+
+// chainFates reports what a chain made its prefixes do.
+type chainFates struct {
+	renumbered       bool // a float chunk renumbered a nonempty prefix
+	renumberedPeeled bool // ... a peeled one
+	peeled           bool // a prefix peeled its first chunk
+}
 
 // checkPrefixChain feeds x, y to a KendallPrefix in the chunks cuts
 // gives and requires every Extend to equal Kendall and KendallNaive on
 // the concatenated prefix. Each chunk also goes through ExtendKeys on
-// three other prefixes: one keyed by the values' dense ranks, one by a
-// random strictly monotone re-encoding of those ranks (rng) — keys
-// where only a few bytes vary, at a random byte offset — and one by a
-// code whose keys are narrow (below 2^32) up to a random rank and wide
-// past it, so that prefix holds words until the first chunk with a wide
-// key. All three must return exactly what Extend did. The prefixes are
-// reset first, so scratch a longer earlier chain left must not leak
-// in. It reports whether the mixed prefix switched layouts after its
-// first chunk and whether the ranked or the mixed prefix peeled a
-// chunk (rank 0 is then zero: x and y hold no negative values).
-func checkPrefixChain(t *testing.T, ps *chainPrefixes, x, y []float64, cuts []int, rng *rand.Rand) (switched, peeled bool) {
+// two other prefixes: one keyed by the values' dense ranks, and one by
+// a random strictly monotone re-encoding of those ranks (rng) — keys
+// below 2^32 where only a few bytes vary, at a random byte offset.
+// Both must return exactly what Extend did. The prefixes are reset
+// first, so scratch a longer earlier chain left must not leak in. It
+// reports whether an Extend moved the rank of a value already in the
+// prefix (a new value below an old one renumbers the prefix's words),
+// whether one did so to a peeled prefix, and whether the float or the
+// ranked prefix peeled a chunk (rank 0 is then zero: x and y hold no
+// negative values).
+func checkPrefixChain(t *testing.T, ps *chainPrefixes, x, y []float64, cuts []int, rng *rand.Rand) (fates chainFates) {
 	t.Helper()
 	rx, ry := denseRanks(x), denseRanks(y)
 	ex, ey := monotoneRecode(rx, rng), monotoneRecode(ry, rng)
-	mx, my := mixedRecode(rx, rng), mixedRecode(ry, rng)
-	p, ranked, recoded, mixed := &ps.float, &ps.ranked, &ps.recoded, &ps.mixed
-	for _, q := range []*KendallPrefix{p, ranked, recoded, mixed} {
+	p, ranked, recoded := &ps.float, &ps.ranked, &ps.recoded
+	for _, q := range []*KendallPrefix{p, ranked, recoded} {
 		q.Reset()
 	}
 	m := 0
 	for _, c := range cuts {
+		oldX, oldY, wasPeeled := slices.Clone(p.xDict.keys), slices.Clone(p.yDict.keys), p.peeled
 		got := p.Extend(x[m:m+c], y[m:m+c])
+		if m > 0 && (!slices.Equal(p.xDict.keys[:len(oldX)], oldX) || !slices.Equal(p.yDict.keys[:len(oldY)], oldY)) {
+			fates.renumbered = true
+			fates.renumberedPeeled = fates.renumberedPeeled || wasPeeled
+		}
 		byRank := ranked.ExtendKeys(rx[m:m+c], ry[m:m+c])
 		byCode := recoded.ExtendKeys(ex[m:m+c], ey[m:m+c])
-		wasWide := mixed.wide
-		byMixed := mixed.ExtendKeys(mx[m:m+c], my[m:m+c])
-		switched = switched || (m > 0 && !wasWide && mixed.wide)
-		peeled = peeled || ranked.peeled || mixed.peeled
+		fates.peeled = fates.peeled || p.peeled || ranked.peeled
 		m += c
-		if p.Len() != m || ranked.Len() != m || recoded.Len() != m || mixed.Len() != m {
-			t.Fatalf("Len = %d, %d, %d, %d after %d observations", p.Len(), ranked.Len(), recoded.Len(), mixed.Len(), m)
+		if p.Len() != m || ranked.Len() != m || recoded.Len() != m {
+			t.Fatalf("Len = %d, %d, %d after %d observations", p.Len(), ranked.Len(), recoded.Len(), m)
 		}
 		if want := Kendall(x[:m], y[:m]); got != want {
 			t.Fatalf("prefix %d (cuts %v): Extend %+v != Kendall %+v", m, cuts, got, want)
@@ -78,11 +87,8 @@ func checkPrefixChain(t *testing.T, ps *chainPrefixes, x, y []float64, cuts []in
 		if byCode != got {
 			t.Fatalf("prefix %d (cuts %v): ExtendKeys on re-encoded ranks %+v != Extend %+v", m, cuts, byCode, got)
 		}
-		if byMixed != got {
-			t.Fatalf("prefix %d (cuts %v, wide %v): ExtendKeys on narrow and wide keys %+v != Extend %+v", m, cuts, mixed.wide, byMixed, got)
-		}
 	}
-	return switched, peeled
+	return fates
 }
 
 // denseRanks returns each value's dense rank in FloatKey order: equal
@@ -99,10 +105,11 @@ func denseRanks(v []float64) []uint64 {
 	return keys
 }
 
-// monotoneRecode maps ranks through a random strictly increasing code:
-// a random base plus the running sum of random gaps (1..256) up to each
-// rank, shifted left by a random 0..40 bits. Ranks below 300 then vary
-// in at most three adjacent bytes of the code.
+// monotoneRecode maps ranks through a random strictly increasing code
+// below 2^32: a random base plus the running sum of random gaps
+// (1..256) up to each rank, shifted left by as many random bits as the
+// codes leave room for. Ranks below 400 then vary in at most three
+// adjacent bytes of the code.
 func monotoneRecode(ranks []uint64, rng *rand.Rand) []uint64 {
 	top := uint64(0)
 	for _, r := range ranks {
@@ -112,36 +119,11 @@ func monotoneRecode(ranks []uint64, rng *rand.Rand) []uint64 {
 	for r := uint64(1); r <= top; r++ {
 		code[r] = code[r-1] + 1 + rng.Uint64N(256)
 	}
-	shift := rng.UintN(41)
-	base := rng.Uint64() >> 6 // base + (code << shift) stays below 2^64
+	shift := rng.UintN(uint(32-bits.Len64(code[top])) + 1)
+	base := rng.Uint64N(1<<32 - code[top]<<shift) // base + code[top]<<shift < 2^32
 	out := make([]uint64, len(ranks))
 	for i, r := range ranks {
 		out[i] = base + code[r]<<shift
-	}
-	return out
-}
-
-// mixedRecode keeps the ranks below a split and maps the others to
-// 2^32 + rank: a strictly monotone code that is narrow below the split
-// and wide from it on. The split is uniform on 0..top+1 a third of the
-// time; otherwise it is top or top+1, so that at most the largest
-// value's observations are wide and a first chunk without them stays
-// narrow.
-func mixedRecode(ranks []uint64, rng *rand.Rand) []uint64 {
-	top := uint64(0)
-	for _, r := range ranks {
-		top = max(top, r)
-	}
-	split := top + rng.Uint64N(2)
-	if rng.IntN(3) == 0 {
-		split = rng.Uint64N(top + 2)
-	}
-	out := make([]uint64, len(ranks))
-	for i, r := range ranks {
-		out[i] = r
-		if r >= split {
-			out[i] += 1 << 32
-		}
 	}
 	return out
 }
@@ -167,9 +149,9 @@ func tescPair(a, b byte) (x, y float64) {
 func tiePair(a, b byte) (x, y float64) { return tieValue(a), tieValue(b) }
 
 // FuzzKendallPrefix pits the incremental prefix against from-scratch
-// Kendall at every chunk boundary, on float values and on rank keys,
-// narrow, wide, switching from one layout to the other mid-prefix, and
-// peeled; then the whole sample goes through one-shot Kendall. data
+// Kendall at every chunk boundary, on float values (renumbered as new
+// values arrive) and on rank keys, peeled or not; then the whole sample
+// goes through one-shot Kendall. data
 // holds the observations (two bytes each, decoded once by tiePair and
 // once by tescPair); each byte of cuts is one chunk size (0..159, empty
 // chunks included), the rest of the sample is the last chunk.
@@ -213,12 +195,12 @@ func FuzzKendallPrefix(f *testing.F) {
 // random chunkings over tie-heavy samples on one reused set of
 // prefixes, so scratch left by a longer earlier chain cannot leak into
 // a later one. Every third sample is shaped like an exhaustive screen's
-// (tescPair). Some chains must switch from words to keyPairs
-// mid-prefix, and some must peel.
+// (tescPair). Some float chains must renumber their prefix, at least
+// one of them after a peeled first chunk, and some chains must peel.
 func TestKendallPrefixChains(t *testing.T) {
 	rng := rand.New(rand.NewPCG(20, 26))
 	ps := new(chainPrefixes)
-	switches, peels := 0, 0
+	renumbers, peeledRenumbers, peels := 0, 0, 0
 	for trial := range 120 {
 		n := 2 + rng.IntN(400)
 		decode := tiePair
@@ -243,23 +225,28 @@ func TestKendallPrefixChains(t *testing.T) {
 				m += c
 			}
 		}
-		switched, peeled := checkPrefixChain(t, ps, x, y, cuts, rng)
-		if switched {
-			switches++
+		fates := checkPrefixChain(t, ps, x, y, cuts, rng)
+		if fates.renumbered {
+			renumbers++
 		}
-		if peeled {
+		if fates.renumberedPeeled {
+			peeledRenumbers++
+		}
+		if fates.peeled {
 			peels++
 		}
 	}
-	if switches == 0 || peels == 0 {
-		t.Fatalf("%d chains switched layouts mid-prefix and %d peeled; want some of each", switches, peels)
+	if renumbers == 0 || peeledRenumbers == 0 || peels == 0 {
+		t.Fatalf("%d chains renumbered their prefix, %d a peeled one, and %d peeled; want some of each",
+			renumbers, peeledRenumbers, peels)
 	}
 }
 
 // TestKendallPeel pins the peel guard's edges and its classes on
 // hand-made rank keys, chunk by chunk against KendallNaive on the keys
 // as floats: whether the first chunk peels, and that a peeled prefix
-// extended by narrow or wide chunks stays Kendall of the whole.
+// extended by later chunks, one with a new largest key, stays Kendall
+// of the whole.
 func TestKendallPeel(t *testing.T) {
 	// zeroHeavy is c observations, the i-th keyed (i%7+1, 0), (0, i%5+1)
 	// or (0, 0) by i%3 (the last a tie in both), with the first b moved
@@ -328,8 +315,8 @@ func TestKendallPeel(t *testing.T) {
 	}
 	{
 		kx, ky := zeroHeavy(2*c, 5)
-		kx[c+3] = 1 << 40
-		add("peeled, then a wide chunk", kx, ky, []int{c, c}, true)
+		kx[c+3] = 1<<32 - 1
+		add("peeled, then a new largest key", kx, ky, []int{c, c}, true)
 	}
 	{
 		kx, ky := zeroHeavy(2*c, 0)
@@ -355,6 +342,40 @@ func TestKendallPeel(t *testing.T) {
 				t.Fatalf("%s: prefix %d: ExtendKeys %+v != KendallNaive %+v", tc.name, m, got, want)
 			}
 		}
+	}
+}
+
+// TestExtendKeysWidePanics pins ExtendKeys' panic on a key of 2^32 or
+// more, in x or in y, on both of its narrowness checks: the peel
+// guard's on a first chunk longer than the insertion sort's, and the
+// plain one on a short first chunk and on a later chunk.
+func TestExtendKeysWidePanics(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		first, c int // the first chunk's length, the wide chunk's
+		wideX    bool
+	}{
+		{"long first chunk, x", 0, insertionSortWordsMax + 1, true},
+		{"long first chunk, y", 0, insertionSortWordsMax + 1, false},
+		{"short first chunk, x", 0, 10, true},
+		{"later chunk, y", 20, insertionSortWordsMax + 1, false},
+	} {
+		var p KendallPrefix
+		p.ExtendKeys(make([]uint64, tc.first), make([]uint64, tc.first))
+		kx, ky := make([]uint64, tc.c), make([]uint64, tc.c)
+		if tc.wideX {
+			kx[tc.c/2] = 1 << 32
+		} else {
+			ky[tc.c/2] = 1 << 32
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: ExtendKeys took a key of 2^32 without a panic", tc.name)
+				}
+			}()
+			p.ExtendKeys(kx, ky)
+		}()
 	}
 }
 
@@ -402,23 +423,31 @@ func densitySample(n int, seed uint64) (x, y []float64) {
 // at every checkpoint (64, 128, 256, 450, 512, 562, 675, 787) and at
 // the full sample. "prefix" extends one
 // KendallPrefix by each chunk; "scratch" runs Kendall over each whole
-// prefix, the cost before the prefix existed.
+// prefix, the cost before the prefix existed. Both run densitySample,
+// whose sides hold about 0.65n distinct values each; "prefix-read" is
+// "prefix" on churn-rw's read shape (readSample, 149 × 153 distinct
+// values), whose values repeat as real densities do.
 func BenchmarkKendallCheckpointChain(b *testing.B) {
 	const n = 900
 	x, y := densitySample(n, 1)
+	rx, ry, _ := readSample(n, 24, 0.15, 1)
 	cps := plannerSchedule(n)
-	b.Run("prefix", func(b *testing.B) {
-		p := new(KendallPrefix)
-		b.ReportAllocs()
-		for b.Loop() {
-			p.Reset()
-			prev := 0
-			for _, m := range cps {
-				p.Extend(x[prev:m], y[prev:m])
-				prev = m
+	chain := func(x, y []float64) func(b *testing.B) {
+		return func(b *testing.B) {
+			p := new(KendallPrefix)
+			b.ReportAllocs()
+			for b.Loop() {
+				p.Reset()
+				prev := 0
+				for _, m := range cps {
+					p.Extend(x[prev:m], y[prev:m])
+					prev = m
+				}
 			}
 		}
-	})
+	}
+	b.Run("prefix", chain(x, y))
+	b.Run("prefix-read", chain(rx, ry))
 	b.Run("scratch", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
@@ -427,31 +456,6 @@ func BenchmarkKendallCheckpointChain(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkSortKeyPairs times both sort kernels on density keys at the
-// planner's chunk sizes; insertionSortMax sits where they cross.
-func BenchmarkSortKeyPairs(b *testing.B) {
-	for _, n := range []int{32, 64, 128, 192, 256} {
-		x, y := densitySample(n, 2)
-		src := make([]keyPair, n)
-		for i := range src {
-			src[i] = keyPair{FloatKey(x[i]), FloatKey(y[i])}
-		}
-		a, buf := make([]keyPair, n), make([]keyPair, n)
-		b.Run(fmt.Sprintf("insertion/%d", n), func(b *testing.B) {
-			for b.Loop() {
-				copy(a, src)
-				insertionSortKeyPairs(a)
-			}
-		})
-		b.Run(fmt.Sprintf("radix/%d", n), func(b *testing.B) {
-			for b.Loop() {
-				copy(a, src)
-				radixSortKeyPairs(a, buf)
-			}
-		})
-	}
 }
 
 // BenchmarkSortWords times both word sorts on rank keys packed as
@@ -503,9 +507,9 @@ func tescSample(n int, both float64, seed uint64) (x, y []float64) {
 }
 
 // BenchmarkKendallRankKeys is a whole-sample Kendall at n = 900 on
-// float keys (Extend) against the same sample keyed by its dense ranks
-// (ExtendKeys), which a warm shared memo serves; both return the same
-// TauResult. "float" and "rank" run densitySample, which is zero-light
+// floats (Extend, which ranks them first) against the same sample keyed
+// by its dense ranks (ExtendKeys), which a warm shared memo serves;
+// both return the same TauResult. "float" and "rank" run densitySample, which is zero-light
 // (about 8% of x and almost no y is zero), so its rank keys are sorted:
 // the cost of ExtendKeys' peel guard on a sample it rejects. "tesc"
 // runs tescSample with 1% of the nodes positive for both events, the

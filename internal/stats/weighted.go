@@ -19,13 +19,13 @@ type WeightedTauResult struct {
 // WeightedTau computes Eq. 8 in O(n log n) with a Fenwick tree over
 // y-ranks; omega[i] must hold ωi = wi/p(ri), so the pair weight ωiωj
 // equals wi·wj/(p(ri)p(rj)) as in the paper. Each side is ranked
-// densely (KendallPrefix.rank, on a pooled prefix), and two stable
-// counting sorts of the observations, by y rank and then by x rank,
-// put them in (x, y, input index) order. Elements are processed in that
-// order, one x-tie-group at a time; for each element, the weight mass
-// of already-processed elements with smaller (resp. larger) y gives its
-// concordant (resp. discordant) contribution. The rank histograms the
-// counting sorts run on are the tie groups.
+// densely, as Kendall ranks it (a pooled prefix's dictionaries), and
+// two stable counting sorts of the observations, by y rank and then by
+// x rank, put them in (x, y, input index) order. Elements are processed
+// in that order, one x-tie-group at a time; for each element, the
+// weight mass of already-processed elements with smaller (resp. larger)
+// y gives its concordant (resp. discordant) contribution. The rank
+// histograms the counting sorts run on are the tie groups.
 func WeightedTau(x, y, omega []float64) WeightedTauResult {
 	n := mustSameLen(x, y)
 	if len(omega) != n {
@@ -47,10 +47,9 @@ func WeightedTau(x, y, omega []float64) WeightedTauResult {
 
 	p := prefixPool.Get().(*KendallPrefix)
 	defer prefixPool.Put(p)
-	p.kx, p.ky = grow(p.kx, n), grow(p.ky, n)
+	dx, dy := p.rankSample(x, y)
 	rx, ry := p.kx, p.ky
-	r.TiesX = make([]int64, p.rank(x, rx, n))
-	r.TiesY = make([]int64, p.rank(y, ry, n))
+	r.TiesX, r.TiesY = make([]int64, dx), make([]int64, dy)
 	for i := range n {
 		r.TiesX[rx[i]]++
 		r.TiesY[ry[i]]++
