@@ -21,7 +21,7 @@ set -euo pipefail
 parent=$1
 summary=${2:-}
 rounds=5
-pkgs=(internal/core internal/screen internal/graph internal/stats internal/monitor internal/vicinity internal/server)
+pkgs=(internal/core internal/screen internal/graph internal/graphio internal/stats internal/monitor internal/vicinity internal/server)
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT

@@ -84,3 +84,18 @@ func BenchmarkNewBFSPerQuery(b *testing.B) {
 		_ = e.Collect([]NodeID{benchGraph.srcs[i%len(benchGraph.srcs)]}, 1)
 	}
 }
+
+// BenchmarkBuild100k builds the benchmark graph from its edges, each
+// once and in ascending order, as a parsed edge list adds them.
+func BenchmarkBuild100k(b *testing.B) {
+	benchGraphSetup(b)
+	bld := NewGrowingBuilder()
+	benchGraph.g.ForEachEdge(func(u, v NodeID) bool { bld.AddEdge(u, v); return true })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := bld.Build(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

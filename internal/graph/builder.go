@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Builder accumulates edges and produces an immutable Graph.
@@ -14,8 +14,7 @@ import (
 // largest endpoint seen.
 type Builder struct {
 	n     int
-	us    []NodeID
-	vs    []NodeID
+	edges [][2]NodeID
 	fixed bool
 }
 
@@ -33,17 +32,21 @@ func NewBuilder(n int) *Builder {
 // the largest endpoint added.
 func NewGrowingBuilder() *Builder { return &Builder{} }
 
+// EnsureNodes raises the builder's node count to n when it is smaller,
+// so a growing builder keeps isolated nodes past its largest endpoint
+// (an edge list's "# nodes N" header).
+func (b *Builder) EnsureNodes(n int) {
+	if n > MaxNodes {
+		panic(fmt.Sprintf("graph: invalid node count %d", n))
+	}
+	b.n = max(b.n, n)
+}
+
 // AddEdge records the undirected edge {u, v}.
 func (b *Builder) AddEdge(u, v NodeID) {
-	b.us = append(b.us, u)
-	b.vs = append(b.vs, v)
+	b.edges = append(b.edges, [2]NodeID{u, v})
 	if !b.fixed {
-		if int(u) >= b.n {
-			b.n = int(u) + 1
-		}
-		if int(v) >= b.n {
-			b.n = int(v) + 1
-		}
+		b.n = max(b.n, int(u)+1, int(v)+1)
 	}
 }
 
@@ -53,32 +56,29 @@ func (b *Builder) AddEdge(u, v NodeID) {
 // its pending edges are retained.
 func (b *Builder) Build() (*Graph, error) {
 	n := b.n
-	for i := range b.us {
-		if b.us[i] < 0 || int(b.us[i]) >= n || b.vs[i] < 0 || int(b.vs[i]) >= n {
-			return nil, fmt.Errorf("graph: edge (%d,%d) outside node range [0,%d)", b.us[i], b.vs[i], n)
+	for _, e := range b.edges {
+		if e[0] < 0 || int(e[0]) >= n || e[1] < 0 || int(e[1]) >= n {
+			return nil, fmt.Errorf("graph: edge (%d,%d) outside node range [0,%d)", e[0], e[1], n)
 		}
 	}
 
-	// Count adjacency-list sizes (both directions), excluding self-loops.
-	deg := make([]int64, n+1)
-	for i := range b.us {
-		if b.us[i] == b.vs[i] {
-			continue
-		}
-		deg[b.us[i]+1]++
-		deg[b.vs[i]+1]++
-	}
+	// Count adjacency-list sizes (both directions), excluding self-loops,
+	// into offsets[v+1]; the prefix sum turns them into row starts.
 	offsets := make([]int64, n+1)
-	for i := 0; i < n; i++ {
-		offsets[i+1] = offsets[i] + deg[i+1]
+	for _, e := range b.edges {
+		if e[0] != e[1] {
+			offsets[e[0]+1]++
+			offsets[e[1]+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		offsets[v+1] += offsets[v]
 	}
 	adj := make([]NodeID, offsets[n])
 	cursor := make([]int64, n)
-	for i := range cursor {
-		cursor[i] = offsets[i]
-	}
-	for i := range b.us {
-		u, v := b.us[i], b.vs[i]
+	copy(cursor, offsets)
+	for _, e := range b.edges {
+		u, v := e[0], e[1]
 		if u == v {
 			continue
 		}
@@ -88,14 +88,14 @@ func (b *Builder) Build() (*Graph, error) {
 		cursor[v]++
 	}
 
-	// Sort each adjacency list and remove duplicates in place.
-	newOffsets := make([]int64, n+1)
-	w := int64(0)
+	// Sort each adjacency list and remove duplicates in place. Row v's
+	// compacted start overwrites offsets[v] once the row has been read.
+	w, lo := int64(0), int64(0)
 	for v := 0; v < n; v++ {
-		lo, hi := offsets[v], offsets[v+1]
+		hi := offsets[v+1]
 		ns := adj[lo:hi]
-		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-		newOffsets[v] = w
+		slices.Sort(ns)
+		offsets[v] = w
 		var prev NodeID = -1
 		for _, u := range ns {
 			if u != prev {
@@ -104,12 +104,13 @@ func (b *Builder) Build() (*Graph, error) {
 				prev = u
 			}
 		}
+		lo = hi
 	}
-	newOffsets[n] = w
-	compact := make([]NodeID, w)
-	copy(compact, adj[:w])
-
-	return paged(newOffsets, compact), nil
+	offsets[n] = w
+	if w < int64(len(adj)) {
+		adj = slices.Clone(adj[:w])
+	}
+	return paged(offsets, adj), nil
 }
 
 // MustBuild is Build that panics on error, for tests and generators whose

@@ -90,6 +90,71 @@ func TestGrowingBuilder(t *testing.T) {
 	}
 }
 
+func TestGrowingBuilderEnsureNodes(t *testing.T) {
+	b := NewGrowingBuilder()
+	b.AddEdge(0, 3)
+	b.EnsureNodes(-1) // no header: no change
+	b.EnsureNodes(2)  // below the largest endpoint: no change
+	if g := b.MustBuild(); g.NumNodes() != 4 {
+		t.Fatalf("NumNodes = %d, want 4", g.NumNodes())
+	}
+	b.EnsureNodes(9)
+	b.AddEdge(1, 2) // an endpoint below the raised count keeps it
+	g := b.MustBuild()
+	if g.NumNodes() != 9 || g.NumEdges() != 2 || g.Degree(8) != 0 {
+		t.Fatalf("after EnsureNodes(9): %d nodes, %d edges", g.NumNodes(), g.NumEdges())
+	}
+}
+
+// TestBuildMatchesReference holds Build to a set-of-pairs reference on
+// random multigraphs: duplicates, reversed duplicates, self-loops and
+// isolated nodes. Its CSR must also pass FromCSR's invariant checks.
+func TestBuildMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(43, 1))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.IntN(600)
+		want := make([]map[NodeID]bool, n)
+		for v := range want {
+			want[v] = map[NodeID]bool{}
+		}
+		b := NewBuilder(n)
+		for i := rng.IntN(4 * n); i > 0; i-- {
+			u, v := NodeID(rng.IntN(n)), NodeID(rng.IntN(n))
+			if rng.IntN(4) == 0 {
+				v = u + NodeID(rng.IntN(3)) // self-loops and near neighbours
+				if int(v) >= n {
+					v = u
+				}
+			}
+			b.AddEdge(u, v)
+			if rng.IntN(5) == 0 {
+				b.AddEdge(v, u)
+			}
+			if u != v {
+				want[u][v], want[v][u] = true, true
+			}
+		}
+		g := b.MustBuild()
+		if g.NumNodes() != n {
+			t.Fatalf("trial %d: NumNodes = %d, want %d", trial, g.NumNodes(), n)
+		}
+		for v := range want {
+			row := make([]NodeID, 0, len(want[v]))
+			for u := range want[v] {
+				row = append(row, u)
+			}
+			slices.Sort(row)
+			if got := g.Neighbors(NodeID(v)); !slices.Equal(got, row) {
+				t.Fatalf("trial %d: row %d = %v, want %v", trial, v, got, row)
+			}
+		}
+		off, adj := flatCSR(g)
+		if _, err := FromCSR(off, adj); err != nil {
+			t.Fatalf("trial %d: built CSR fails FromCSR: %v", trial, err)
+		}
+	}
+}
+
 func TestNeighborsSorted(t *testing.T) {
 	b := NewBuilder(5)
 	b.AddEdge(2, 4)

@@ -13,7 +13,8 @@ import (
 // straight into these parsers. The fuzz targets pin two properties:
 // the parsers never panic or explode in allocation on arbitrary input
 // (node universes are capped), and every accepted input round-trips
-// through the writers byte-equivalently.
+// through the writers byte-equivalently. FuzzParseGraph also holds the
+// edge-list parser to readEdgeListOracle on every input.
 
 // fuzzMaxNodes caps the parsed node universe so a three-byte hostile
 // line cannot demand a gigabyte allocation mid-fuzz.
@@ -32,10 +33,16 @@ func FuzzParseGraph(f *testing.F) {
 	f.Add("-1 2\n")
 	f.Add("# nodes 99999999999\n0 1\n")
 	f.Add("0 70000\n")
+	f.Add("+7 3\r\n-0 5\n0\u00a01\n0\u00852\n")
+	f.Add("000000001 0000000002\n2147483648 0\n")
+	f.Add("0 1\n# nodes 4x\n")
 
 	f.Fuzz(func(t *testing.T, input string) {
 		if len(input) > 1<<16 {
 			t.Skip("oversized input")
+		}
+		if diff := sameParse(input, fuzzMaxNodes); diff != "" {
+			t.Fatalf("parser disagrees with the oracle on %q: %s", input, diff)
 		}
 		g, err := ReadEdgeListMax(strings.NewReader(input), fuzzMaxNodes)
 		if err != nil {

@@ -7,6 +7,7 @@ package graphio
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"fmt"
 	"io"
@@ -99,6 +100,11 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 // untrusted input (the tescd inline edge_list endpoint, the fuzz
 // harness) caps it to keep a three-byte line like "0 2000000000" from
 // ballooning into gigabytes.
+//
+// Lines are read in place, without a string per line: a plain "u v"
+// line of ASCII digits and spaces is tokenised by parsePair, and every
+// other line goes through parseFields. A header raises the node count
+// of the one Build.
 func ReadEdgeListMax(r io.Reader, maxNodes int) (*graph.Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -107,13 +113,13 @@ func ReadEdgeListMax(r io.Reader, maxNodes int) (*graph.Graph, error) {
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
-		if strings.HasPrefix(line, "#") {
+		if line[0] == '#' {
 			var n int
-			if _, err := fmt.Sscanf(line, "# nodes %d", &n); err == nil {
+			if _, err := fmt.Sscanf(string(line), "# nodes %d", &n); err == nil {
 				if n > maxNodes {
 					return nil, fmt.Errorf("graphio: line %d: declared %d nodes, cap is %d", lineNo, n, maxNodes)
 				}
@@ -121,20 +127,12 @@ func ReadEdgeListMax(r io.Reader, maxNodes int) (*graph.Graph, error) {
 			}
 			continue
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("graphio: line %d: want 'u v', got %q", lineNo, line)
-		}
-		u, err := strconv.ParseInt(fields[0], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("graphio: line %d: bad node id %q: %w", lineNo, fields[0], err)
-		}
-		v, err := strconv.ParseInt(fields[1], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("graphio: line %d: bad node id %q: %w", lineNo, fields[1], err)
-		}
-		if u < 0 || v < 0 {
-			return nil, fmt.Errorf("graphio: line %d: negative node id", lineNo)
+		u, v, ok := parsePair(line)
+		if !ok {
+			var err error
+			if u, v, err = parseFields(string(line), lineNo); err != nil {
+				return nil, err
+			}
 		}
 		if u >= int64(maxNodes) || v >= int64(maxNodes) {
 			return nil, fmt.Errorf("graphio: line %d: node id %d at or above cap %d", lineNo, max(u, v), maxNodes)
@@ -144,30 +142,86 @@ func ReadEdgeListMax(r io.Reader, maxNodes int) (*graph.Graph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("graphio: %w", err)
 	}
-	g, err := b.Build()
-	if err != nil {
-		return nil, err
+	b.EnsureNodes(declared)
+	return b.Build()
+}
+
+// maxPlainDigits bounds parsePair's IDs: nine decimal digits stay below
+// 10^9 < 2^31, so the value needs no overflow check.
+const maxPlainDigits = 9
+
+// parsePair reads a plain edge line: an ID, a run of ASCII spaces, an
+// ID, then the end of the line or an ASCII space (later fields are
+// ignored). IDs are 1 to maxPlainDigits ASCII digits, unsigned. ok is
+// false for any other line, which parseFields then decides: error
+// text, signs, int32 range errors and Unicode spaces come from it alone.
+func parsePair(line []byte) (u, v int64, ok bool) {
+	u, i := leadingID(line)
+	if i == 0 || i == len(line) || !asciiSpace(line[i]) {
+		return 0, 0, false
 	}
-	if declared > g.NumNodes() {
-		// rebuild with the declared (larger) universe to keep isolated
-		// tail nodes
-		b2 := graph.NewBuilder(declared)
-		g.ForEachEdge(func(u, v graph.NodeID) bool { b2.AddEdge(u, v); return true })
-		return b2.Build()
+	for i < len(line) && asciiSpace(line[i]) {
+		i++
 	}
-	return g, nil
+	v, j := leadingID(line[i:])
+	if j == 0 || (i+j < len(line) && !asciiSpace(line[i+j])) {
+		return 0, 0, false
+	}
+	return u, v, true
+}
+
+// leadingID parses s's leading ASCII digits. n is how many it read: 0
+// when there are none or more than maxPlainDigits.
+func leadingID(s []byte) (id int64, n int) {
+	for ; n < len(s) && '0' <= s[n] && s[n] <= '9'; n++ {
+		if n == maxPlainDigits {
+			return 0, 0
+		}
+		id = id*10 + int64(s[n]-'0')
+	}
+	return id, n
+}
+
+// asciiSpace reports the ASCII bytes unicode.IsSpace accepts.
+func asciiSpace(c byte) bool {
+	return c == ' ' || '\t' <= c && c <= '\r'
+}
+
+// parseFields reads any other edge line: its first two fields
+// (strings.Fields, so any Unicode space separates them) as base-10
+// int32s, either sign allowed, and rejects negative IDs.
+func parseFields(line string, lineNo int) (u, v int64, err error) {
+	fields := strings.Fields(line)
+	if len(fields) < 2 {
+		return 0, 0, fmt.Errorf("graphio: line %d: want 'u v', got %q", lineNo, line)
+	}
+	if u, err = strconv.ParseInt(fields[0], 10, 32); err != nil {
+		return 0, 0, fmt.Errorf("graphio: line %d: bad node id %q: %w", lineNo, fields[0], err)
+	}
+	if v, err = strconv.ParseInt(fields[1], 10, 32); err != nil {
+		return 0, 0, fmt.Errorf("graphio: line %d: bad node id %q: %w", lineNo, fields[1], err)
+	}
+	if u < 0 || v < 0 {
+		return 0, 0, fmt.Errorf("graphio: line %d: negative node id", lineNo)
+	}
+	return u, v, nil
 }
 
 // WriteEdgeList writes g in the ReadEdgeList format, including the
-// "# nodes N" header so isolated nodes survive a round trip.
+// "# nodes N" header so isolated nodes survive a round trip. Each line
+// is formatted into one reused buffer.
 func WriteEdgeList(w io.Writer, g *graph.Graph) error {
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "# nodes %d\n", g.NumNodes()); err != nil {
+	line := make([]byte, 0, 32) // a line is at most 22 bytes
+	line = strconv.AppendInt(append(line, "# nodes "...), int64(g.NumNodes()), 10)
+	if _, err := bw.Write(append(line, '\n')); err != nil {
 		return err
 	}
 	var writeErr error
 	g.ForEachEdge(func(u, v graph.NodeID) bool {
-		if _, err := fmt.Fprintf(bw, "%d %d\n", u, v); err != nil {
+		line = strconv.AppendInt(line[:0], int64(u), 10)
+		line = strconv.AppendInt(append(line, ' '), int64(v), 10)
+		if _, err := bw.Write(append(line, '\n')); err != nil {
 			writeErr = err
 			return false
 		}
