@@ -205,7 +205,9 @@ type PlannerStats struct {
 	Candidates  int `json:"candidates"`
 	FullTests   int `json:"full_tests"`
 	PrunedEarly int `json:"pruned_early"`
-	// PrunedPrior always reads 0: no pair is discarded before sampling.
+	// PrunedPrior counts positive-tail pairs discarded before their
+	// sample was drawn: their events' vicinities overlap too little for
+	// τ to reach the bar.
 	PrunedPrior  int   `json:"pruned_prior"`
 	Checkpoints  int   `json:"checkpoints"`
 	DensityEvals int64 `json:"density_evals"`

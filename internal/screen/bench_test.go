@@ -146,6 +146,7 @@ func benchPlanTopK(b *testing.B, cfg PlanConfig) {
 		}
 		b.ReportMetric(float64(res.Stats.FullTests), "full_tests")
 		b.ReportMetric(float64(res.Stats.PrunedEarly), "pruned_early")
+		b.ReportMetric(float64(res.Stats.PrunedPrior), "pruned_prior")
 		b.ReportMetric(float64(res.Stats.DensityEvals), "density_evals")
 		b.ReportMetric(float64(res.Stats.Checkpoints), "checkpoints")
 	}

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"tesc/internal/stats"
 )
 
 // checkAccounting asserts a sweep's own density accounting: every
@@ -92,12 +94,13 @@ func TestSharedMemoConcurrentSweepAccounting(t *testing.T) {
 }
 
 // TestSharedMemoConcurrentPlanAndRun pins the concurrency contract:
-// a planned and two exhaustive sweeps with different seeds share one
+// two planned and two exhaustive sweeps with different seeds share one
 // memo at the same time, round after round, and each is bit-identical
 // — pairs, τ, z, p and skip reasons — to the same sweep on a memo of
 // its own. From the second round on the memo is settled, so both
 // exhaustive sweeps want a rank table at start while the plan
-// publishes new densities.
+// publishes new densities. The positive-tail threshold plan reads and
+// fills the memo's event vicinity sizes from both its workers.
 func TestSharedMemoConcurrentPlanAndRun(t *testing.T) {
 	g, store := fixture(t)
 	shared, err := NewSharedMemo(g.NumNodes(), store.Names())
@@ -117,13 +120,15 @@ func TestSharedMemoConcurrentPlanAndRun(t *testing.T) {
 			{H: 2, SampleSize: 120, Workers: 2, MinOccurrences: 5, Seed: uint64(100 + round)},
 			{H: 2, SampleSize: 120, Workers: 2, MinOccurrences: 5, Seed: uint64(300 + round)},
 		}
-		planCfg := PlanConfig{Config: runCfgs[0], K: 4}
-		planCfg.Seed = uint64(200 + round)
+		planCfgs := []PlanConfig{{Config: runCfgs[0], K: 4}, {Config: runCfgs[1], Theta: 0.05}}
+		planCfgs[0].Seed = uint64(200 + round)
+		planCfgs[1].Seed = uint64(400 + round)
+		planCfgs[1].Alternative = stats.Greater
 
 		got := make([]Result, len(runCfgs))
 		runErrs := make([]error, len(runCfgs))
-		var gotPlan PlanResult
-		var planErr error
+		gotPlans := make([]PlanResult, len(planCfgs))
+		planErrs := make([]error, len(planCfgs))
 		var wg sync.WaitGroup
 		for i, runCfg := range runCfgs {
 			wg.Add(1)
@@ -134,15 +139,17 @@ func TestSharedMemoConcurrentPlanAndRun(t *testing.T) {
 				got[i], runErrs[i] = Run(g, store, pairs, cfg)
 			}()
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cfg := planCfg
-			cfg.Memo = shared
-			gotPlan, planErr = Plan(g, store, pairs, cfg)
-		}()
+		for i, planCfg := range planCfgs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				cfg := planCfg
+				cfg.Memo = shared
+				gotPlans[i], planErrs[i] = Plan(g, store, pairs, cfg)
+			}()
+		}
 		wg.Wait()
-		if err := errors.Join(append(runErrs, planErr)...); err != nil {
+		if err := errors.Join(append(runErrs, planErrs...)...); err != nil {
 			t.Fatal(err)
 		}
 
@@ -160,14 +167,16 @@ func TestSharedMemoConcurrentPlanAndRun(t *testing.T) {
 				t.Fatalf("round %d: Run on the shared memo diverged from a fresh memo\n got %+v\nwant %+v", round, got[i], want)
 			}
 		}
-		planCfg.Memo = fresh()
-		wantPlan, err := Plan(g, store, pairs, planCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		comparePlanned(t, gotPlan.Pairs, wantPlan.Pairs, "Plan on the shared memo")
-		if gotPlan.Stats.Skipped != wantPlan.Stats.Skipped {
-			t.Fatalf("round %d: plan skipped %d, fresh %d", round, gotPlan.Stats.Skipped, wantPlan.Stats.Skipped)
+		for i, planCfg := range planCfgs {
+			planCfg.Memo = fresh()
+			wantPlan, err := Plan(g, store, pairs, planCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			comparePlanned(t, gotPlans[i].Pairs, wantPlan.Pairs, "Plan on the shared memo")
+			if gotPlans[i].Stats.Skipped != wantPlan.Stats.Skipped {
+				t.Fatalf("round %d plan %d: skipped %d, fresh %d", round, i, gotPlans[i].Stats.Skipped, wantPlan.Stats.Skipped)
+			}
 		}
 	}
 	if shared.rankPairs.Load() == 0 {

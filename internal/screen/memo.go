@@ -112,8 +112,9 @@ func (m *densityMemo) eval(r graph.NodeID, multi *core.MultiEvaluator, scratch [
 // the reverse h-ball around changed occurrence nodes covers event
 // mutations) BEFORE the next sweep. Entries that survive invalidation
 // are served as-is, which is what makes the reuse bit-identical rather
-// than approximate. The per-pair population cache beside the densities
-// needs no invalidation: it is keyed by what it was built from (the
+// than approximate. The per-pair population cache beside the
+// densities, and the per-event vicinity sizes beside it, need no
+// invalidation: they are keyed by what they were built from (the
 // graph, the store and h).
 //
 // Concurrent sweeps may share one memo: density entries are claimed
@@ -149,6 +150,9 @@ type SharedMemo struct {
 	popKey   popKey
 	pops     map[[2]string][]graph.NodeID
 	popBytes int64 // the cached populations' footprint
+	// balls holds each event's |V^h(V_e)| for the planner's prior
+	// bound, under the same kind of key: one word per event.
+	balls ballSizes
 
 	// Rank table (ranks.go): the dense ranks of the published densities
 	// of the events one-pass sweeps have screened, so every sweep's
@@ -332,6 +336,37 @@ func (m *SharedMemo) keepPopulation(g *graph.Graph, store *events.Store, h int, 
 	}
 	m.pops[pair] = kept
 	m.popBytes += int64(len(kept)) * 4
+}
+
+// ballSizes caches each event's h-vicinity size |V^h(V_e)|, which the
+// planner's prior bound reads, keyed like the population cache by the
+// (graph, store, h) it was counted on: a lookup under another key
+// misses, and a put under another key starts the cache over. A
+// SharedMemo keeps one across sweeps; a sweep without one keeps its
+// own.
+type ballSizes struct {
+	mu    sync.Mutex
+	key   popKey
+	sizes map[string]int
+}
+
+func (c *ballSizes) get(key popKey, name string) (int, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.key != key {
+		return 0, false
+	}
+	n, ok := c.sizes[name]
+	return n, ok
+}
+
+func (c *ballSizes) put(key popKey, name string, n int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.key != key || c.sizes == nil {
+		c.key, c.sizes = key, make(map[string]int)
+	}
+	c.sizes[name] = n
 }
 
 // memoSource serves one event pair's (a, b) density pass from the

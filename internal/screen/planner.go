@@ -18,8 +18,14 @@ import (
 // candidate pairs by a cheap co-occurrence prior, evaluates densities
 // incrementally over each pair's reference sample, and terminates a
 // pair as soon as an upper bound on its final score falls below the
-// current bar (the k-th best completed score, or θ). Two bounds are
-// intersected at every checkpoint:
+// current bar (the k-th best completed score, or θ). A positive-tail
+// pair meets one bound before it draws anything:
+//
+//   - priorTauBound — the vicinity-overlap prior: only references
+//     within h of both events can take part in a concordant pair, so
+//     how many of them the sample can hold caps τ (see the function).
+//
+// Two bounds are intersected at every checkpoint:
 //
 //   - stats.TauCompletionInterval — deterministic: the unevaluated
 //     concordance terms are each in {−1,0,+1}, so the final statistic
@@ -81,7 +87,7 @@ type PlanConfig struct {
 }
 
 // PlanStats accounts for the planner's work. Candidates is always
-// Skipped + PrunedEarly + FullTests.
+// Skipped + PrunedPrior + PrunedEarly + FullTests.
 type PlanStats struct {
 	// Candidates is the number of candidate pairs considered.
 	Candidates int
@@ -91,8 +97,9 @@ type PlanStats struct {
 	FullTests int
 	// PrunedEarly counts pairs terminated at a bound checkpoint.
 	PrunedEarly int
-	// PrunedPrior is always 0: the planner has no pass that discards
-	// pairs before sampling. It stays for the callers that read it.
+	// PrunedPrior counts positive-tail pairs discarded before their
+	// draw: their vicinity-overlap bound (priorTauBound) was already
+	// below the bar.
 	PrunedPrior int
 	// Skipped counts degenerate pairs (below MinOccurrences, empty
 	// reference populations, ...) — the same pairs Run marks Skipped.
@@ -334,4 +341,25 @@ func checkpointScoreBound(alt stats.Alternative, k stats.TauResult, m, n int, bo
 		}
 	}
 	return scoreInterval(alt, lo, hi)
+}
+
+// priorTauBound is the planner's prior pass: an upper bound on the τ of
+// any n-reference sample of a pair whose events' h-vicinities share
+// overlap nodes (|V^h(Va)| + |V^h(Vb)| − |V^h(Va∪Vb)|), known before a
+// single reference is drawn. With unit intensities a density is
+// positive exactly when its count is, and every reference is within h
+// of some occurrence, so a reference outside the overlap is zero in
+// exactly one key. Two such references zero in the same key tie in it,
+// and one zero in each key is discordant: every concordant pair needs a
+// reference from the overlap. A sample holds b = min(overlap, n) of
+// those, so C ≤ C(b,2) + b(n−b) and τ = (C−D)/C(n,2) ≤
+// b(2n−b−1)/(n(n−1)). The bound caps only τ from above, so it serves
+// the positive tail alone. Samples of fewer than two references get 1:
+// they are skipped, never pruned.
+func priorTauBound(overlap, n int) float64 {
+	if n < 2 {
+		return 1
+	}
+	b, nn := int64(min(overlap, n)), int64(n)
+	return float64(b*(2*nn-b-1)) / float64(nn*(nn-1))
 }

@@ -31,11 +31,17 @@ type diffWorkload struct {
 // randomDiffWorkload generates the trial's graph and event layout. The
 // layouts deliberately produce ties: events dropped on the same few
 // community blocks yield many reference nodes with identical density
-// vectors, and duplicate Add calls collapse to one occurrence.
+// vectors, and duplicate Add calls collapse to one occurrence. Every
+// other power-law trial is a ring lattice instead, whose events keep
+// to arcs of the ring: their vicinities are local, so some pairs'
+// barely overlap and a positive-tail plan prunes them by their prior.
 func randomDiffWorkload(trial int, rng *rand.Rand) diffWorkload {
 	var g *graph.Graph
-	switch trial % 4 {
-	case 0:
+	ring := trial%8 == 6
+	switch {
+	case ring:
+		g = graphgen.WattsStrogatz(150+rng.IntN(250), 2, 0.02, rng)
+	case trial%4 == 0:
 		cfg := graphgen.PlantedPartitionConfig{
 			Communities: 6 + rng.IntN(6),
 			Size:        20 + rng.IntN(20),
@@ -43,10 +49,10 @@ func randomDiffWorkload(trial int, rng *rand.Rand) diffWorkload {
 			DegreeOut:   0.5,
 		}
 		g = graphgen.PlantedPartition(cfg, rng)
-	case 1:
+	case trial%4 == 1:
 		n := 150 + rng.IntN(250)
 		g = graphgen.ErdosRenyi(n, int64(3*n), rng)
-	case 2:
+	case trial%4 == 2:
 		g = graphgen.RMAT(graphgen.RMATConfig{Scale: 8, EdgeFactor: 4, A: 0.57, B: 0.19, C: 0.19}, rng)
 	default:
 		n := 150 + rng.IntN(250)
@@ -67,11 +73,18 @@ func randomDiffWorkload(trial int, rng *rand.Rand) diffWorkload {
 		if e%2 == 0 {
 			inZone = occ / 2 // co-located half → correlated pairs
 		}
+		arc := 0
+		if ring {
+			arc = rng.IntN(n)
+		}
 		for i := 0; i < occ; i++ {
 			var v int
-			if i < inZone {
+			switch {
+			case i < inZone:
 				v = zoneLo + rng.IntN(zoneW)
-			} else {
+			case ring:
+				v = (arc + rng.IntN(zoneW)) % n
+			default:
 				v = rng.IntN(n)
 			}
 			b.Add(name, graph.NodeID(v))
@@ -107,14 +120,17 @@ func truncTheta(ranked []PairResult, alt stats.Alternative, theta float64) []Pai
 // bit-identical scores, stable tie-break order, and the exhaustive Run
 // ≡ reference plus FDR, FWER or no correction (pair order, AdjP,
 // Significant, skip reasons, summary counts), across graph shapes
-// (community, sparse and denser uniform, power-law), h ∈ {1,2,3}, all three
-// alternatives, k ∈ {1, 5, K²}, tie-heavy event layouts, occurrence
-// thresholds that skip pairs, worker counts, memo on/off, and both
-// bound regimes (statistical+deterministic, and deterministic-only on
-// every fourth trial).
+// (community, sparse and denser uniform, power-law, ring lattice),
+// h ∈ {1,2,3}, all three alternatives, k ∈ {1, 5, K²}, tie-heavy event
+// layouts, occurrence thresholds that skip pairs, worker counts, memo
+// on/off, and both bound regimes (statistical+deterministic, and
+// deterministic-only on every fourth trial). Some positive-tail plans
+// must prune pairs by their prior, so the battery covers that path
+// too; no other plan may.
 func TestPlannerDifferentialBattery(t *testing.T) {
 	const trials = 220
 	alts := []stats.Alternative{stats.Greater, stats.TwoSided, stats.Less}
+	prunedPrior := 0
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewPCG(0xd1ff, uint64(trial)))
 		w := randomDiffWorkload(trial, rng)
@@ -160,9 +176,8 @@ func TestPlannerDifferentialBattery(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d k=%d: %v", trial, k, err)
 			}
-			if s := got.Stats; s.Skipped+s.PrunedPrior+s.PrunedEarly+s.FullTests != s.Candidates {
-				t.Fatalf("trial %d k=%d: stats do not partition candidates: %+v", trial, k, s)
-			}
+			checkBatteryStats(t, fmt.Sprintf("trial %d k=%d", trial, k), got.Stats, base.Alternative)
+			prunedPrior += got.Stats.PrunedPrior
 			want := truncTopK(oracle, k)
 			if len(got.Pairs) != len(want) {
 				t.Fatalf("trial %d k=%d: planner returned %d pairs, oracle %d\n got %+v\nwant %+v",
@@ -191,6 +206,8 @@ func TestPlannerDifferentialBattery(t *testing.T) {
 				if err != nil {
 					t.Fatalf("trial %d θ=%g: %v", trial, theta, err)
 				}
+				checkBatteryStats(t, fmt.Sprintf("trial %d θ=%g", trial, theta), got.Stats, base.Alternative)
+				prunedPrior += got.Stats.PrunedPrior
 				want := truncTheta(oracle, base.Alternative, theta)
 				if len(got.Pairs) != len(want) {
 					t.Fatalf("trial %d θ=%.17g: planner returned %d pairs, oracle %d\n got %+v\nwant %+v",
@@ -204,6 +221,23 @@ func TestPlannerDifferentialBattery(t *testing.T) {
 				}
 			}
 		}
+	}
+	t.Logf("%d pairs pruned by their prior", prunedPrior)
+	if prunedPrior == 0 {
+		t.Fatal("no plan pruned a pair by its prior: the battery misses that path")
+	}
+}
+
+// checkBatteryStats checks that a plan's stats partition its
+// candidates and that only a positive-tail plan pruned pairs by their
+// prior.
+func checkBatteryStats(t *testing.T, label string, s PlanStats, alt stats.Alternative) {
+	t.Helper()
+	if s.Skipped+s.PrunedPrior+s.PrunedEarly+s.FullTests != s.Candidates {
+		t.Fatalf("%s: stats do not partition candidates: %+v", label, s)
+	}
+	if alt != stats.Greater && s.PrunedPrior != 0 {
+		t.Fatalf("%s: a %v plan pruned %d pairs by the positive-tail prior", label, alt, s.PrunedPrior)
 	}
 }
 

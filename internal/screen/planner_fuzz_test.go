@@ -51,13 +51,18 @@ func fuzzPlanSetup() (*graph.Graph, *events.Store) {
 // either reject the config with an error or return a result satisfying
 // the planner invariants — never panic, never report a skipped pair,
 // never exceed k, never return an unsorted or below-θ result, and
-// always account for every candidate exactly once.
+// always account for every candidate exactly once, and never prune by
+// the positive-tail prior in another tail.
 func FuzzPlannerConfig(f *testing.F) {
 	f.Add(1, 0.0, 0.0, 0, 2, 50, uint8(0), uint64(1), 1, 1)
 	f.Add(0, 0.5, 1e-6, 8, 1, 30, uint8(1), uint64(7), 2, 4)
 	f.Add(5, 0.0, -1.0, 4, 3, 64, uint8(2), uint64(9), 3, 2)
 	f.Add(-3, -2.0, 2.0, 1, 0, 0, uint8(9), uint64(0), 0, 0)
 	f.Add(0, math.Inf(1), math.NaN(), -5, 99, 100000, uint8(3), uint64(42), -2, 16)
+	// A positive-tail plan at θ = 0.1 and h = 2, where left and right
+	// have disjoint vicinities: the prior prunes (TestPriorPositiveTailOnly
+	// runs the same plan and checks that it does).
+	f.Add(0, 0.1, 0.0, 0, 2, 50, uint8(stats.Greater), uint64(3), 1, 2)
 	f.Fuzz(func(t *testing.T, k int, theta, boundAlpha float64, firstCP, h, sampleSize int, altRaw uint8, seed uint64, minOcc, workers int) {
 		g, store := fuzzPlanSetup()
 		// Clamp only the axes that drive runtime, not validity.
@@ -96,6 +101,9 @@ func FuzzPlannerConfig(f *testing.F) {
 		s := res.Stats
 		if s.Skipped+s.PrunedPrior+s.PrunedEarly+s.FullTests != s.Candidates {
 			t.Fatalf("stats do not partition candidates: %+v", s)
+		}
+		if alt != stats.Greater && s.PrunedPrior != 0 {
+			t.Fatalf("a %v plan pruned %d pairs by the positive-tail prior", alt, s.PrunedPrior)
 		}
 		if s.Candidates != len(pairs) {
 			t.Fatalf("candidates = %d, want %d", s.Candidates, len(pairs))

@@ -146,7 +146,11 @@ func sweep(g *graph.Graph, store *events.Store, pairs [][2]string, cfg PlanConfi
 	}
 	bar := &planBar{k: cfg.K, theta: cfg.Theta, alt: cfg.Alternative, stream: cfg.Stream}
 	offer := prune || cfg.Stream != nil
+	// The prior bound's event vicinity sizes: a caller-owned memo keeps
+	// them across sweeps, any other sweep counts its own.
+	balls := new(ballSizes)
 	if memo != nil && cfg.Memo != nil {
+		balls = &cfg.Memo.balls
 		// A caller-owned memo is settled by every sweep that finishes
 		// on it; a one-pass sweep on a settled one ranks its events'
 		// densities first (ranks.go); every sweep reads the table.
@@ -180,7 +184,7 @@ func sweep(g *graph.Graph, store *events.Store, pairs [][2]string, cfg PlanConfi
 		defer cfg.Engines.Put(bfs)
 		scratch := scratchPool.Get().(*workerScratch)
 		defer scratchPool.Put(scratch)
-		w := sweepWorker{g: g, store: store, cfg: &cfg, eventIdx: eventIdx, bar: bar, prune: prune, bfs: bfs, workerScratch: scratch}
+		w := sweepWorker{g: g, store: store, cfg: &cfg, eventIdx: eventIdx, bar: bar, prune: prune, balls: balls, bfs: bfs, workerScratch: scratch}
 		if memo != nil {
 			if multi, err := core.NewMultiEvaluator(g, mem, cfg.H, bfs); err == nil {
 				w.src = &memoSource{memo: memo, multi: multi, scratch: make([]int32, mem.NumEvents()), shared: cfg.Memo}
@@ -330,6 +334,7 @@ const (
 	// stopped early).
 	fatePending pairFate = iota
 	fateFull
+	fatePrunedPrior
 	fatePrunedEarly
 	fateSkipped
 	// fateCanceled marks a pair abandoned mid-evaluation because the
@@ -342,6 +347,8 @@ func (s *PlanStats) count(f pairFate) {
 	switch f {
 	case fateFull:
 		s.FullTests++
+	case fatePrunedPrior:
+		s.PrunedPrior++
 	case fatePrunedEarly:
 		s.PrunedEarly++
 	case fateSkipped:
@@ -352,6 +359,7 @@ func (s *PlanStats) count(f pairFate) {
 // add folds a worker's accounting into the sweep's.
 func (s *PlanStats) add(o PlanStats) {
 	s.FullTests += o.FullTests
+	s.PrunedPrior += o.PrunedPrior
 	s.PrunedEarly += o.PrunedEarly
 	s.Skipped += o.Skipped
 	s.Checkpoints += o.Checkpoints
@@ -369,6 +377,7 @@ type sweepWorker struct {
 	eventIdx map[string]int
 	bar      *planBar
 	prune    bool // false: no checkpoints, each pair is one density pass
+	balls    *ballSizes
 
 	bfs   *graph.BFS  // the worker's engine: sampling and density passes
 	src   *memoSource // nil without the memo: per-pair evaluators
@@ -386,14 +395,13 @@ type workerScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(workerScratch) }}
 
-// sample copies the pair's reference population into w.pop and draws
-// the first `first` reference nodes from it — Batch BFS over the
-// population, which a shared memo caches per (graph, store, h) so later
-// sweeps on the snapshot skip both the population BFS and the problem
-// set-up. planPair extends the draw in place as its prefix grows. The
-// returned problem is nil on a cache hit; only the memo-less density
-// path needs it, and that path has no cache.
-func (w *sweepWorker) sample(pair [2]string, first int, rng *rand.Rand) ([]graph.NodeID, *core.Problem, error) {
+// population copies the pair's reference population V^h(Va∪Vb) into
+// w.pop — Batch BFS over the pair's event nodes, which a shared memo
+// caches per (graph, store, h) so later sweeps on the snapshot skip
+// both the population BFS and the problem set-up. planPair draws its
+// sample from w.pop. The returned problem is nil on a cache hit; only
+// the memo-less density path needs it, and that path has no cache.
+func (w *sweepWorker) population(pair [2]string) (*core.Problem, error) {
 	var shared *SharedMemo
 	if w.src != nil {
 		shared = w.src.shared
@@ -407,7 +415,7 @@ func (w *sweepWorker) sample(pair [2]string, first int, rng *rand.Rand) ([]graph
 	if !ok {
 		var err error
 		if p, err = core.NewProblem(w.g, w.store.Set(pair[0]), w.store.Set(pair[1])); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		pop = w.bfs.Collect(p.EventNodes(), w.cfg.H)
 		if shared != nil {
@@ -415,14 +423,33 @@ func (w *sweepWorker) sample(pair [2]string, first int, rng *rand.Rand) ([]graph
 		}
 	}
 	// The draw permutes its input, and the engine's visit buffer (a
-	// miss) is overwritten by the density passes between checkpoints:
-	// draw from a copy.
+	// miss) is overwritten by the prior's ball counts and the density
+	// passes between checkpoints: draw from a copy.
 	w.pop = append(w.pop[:0], pop...)
-	nodes, err := core.DrawFromPopulation(w.pop, 0, first, rng)
-	return nodes, p, err
+	return p, nil
 }
 
-// planPair tests one candidate: draw its reference sample (the pair's
+// overlap returns |V^h(Va)| + |V^h(Vb)| − |V^h(Va∪Vb)|, the number of
+// nodes within h of both of the pair's events, for the population in
+// w.pop. Each event's vicinity is counted by one BFS per (graph, store,
+// h) and kept in w.balls.
+func (w *sweepWorker) overlap(a, b string) int {
+	return w.ballSize(a) + w.ballSize(b) - len(w.pop)
+}
+
+func (w *sweepWorker) ballSize(name string) int {
+	key := popKey{w.g, w.store, w.cfg.H}
+	if n, ok := w.balls.get(key, name); ok {
+		return n
+	}
+	n := len(w.bfs.Collect(w.store.Set(name).Members(), w.cfg.H))
+	w.balls.put(key, name, n)
+	return n
+}
+
+// planPair tests one candidate: collect its reference population, prune
+// it there if the prior bound already falls strictly below the bar (a
+// positive-tail plan only), else draw its reference sample (the pair's
 // own pairSeed PCG stream, so the sample depends only on the seed and
 // the pair), then evaluate densities — in one pass when the bar cannot
 // prune, else along the checkpoint schedule, extending the draw and the
@@ -441,12 +468,26 @@ func (w *sweepWorker) planPair(res PairResult) (PairResult, pairFate) {
 	if w.prune {
 		first = min(cfg.firstCheckpoint, first)
 	}
-	nodes, p, err := w.sample([2]string{res.A, res.B}, first, rng)
+	p, err := w.population([2]string{res.A, res.B})
 	if err != nil {
 		res.Skipped = err.Error()
 		return res, fateSkipped
 	}
 	n := min(cfg.SampleSize, len(w.pop))
+	// The prior pass comes before the draw, so a pair it keeps draws
+	// the stream it always drew. Strictly below the bar, as at the
+	// checkpoints; the bound is never negative, so a bar at or below 0
+	// cannot prune.
+	if w.prune && cfg.Alternative == stats.Greater {
+		if bar := w.bar.bar(); bar > 0 && priorTauBound(w.overlap(res.A, res.B), n) < bar {
+			return res, fatePrunedPrior
+		}
+	}
+	nodes, err := core.DrawFromPopulation(w.pop, 0, first, rng)
+	if err != nil {
+		res.Skipped = err.Error()
+		return res, fateSkipped
+	}
 
 	var eval *core.DensityEvaluator
 	if w.src != nil {

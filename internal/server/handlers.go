@@ -696,7 +696,7 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 				s.bfsRuns.Add(res.Stats.BFSRuns)
 				s.memoHits.Add(res.Stats.MemoHits)
 				s.screensPlanned.Add(1)
-				s.pairsPruned.Add(int64(res.Stats.PrunedEarly))
+				s.pairsPruned.Add(int64(res.Stats.PrunedEarly + res.Stats.PrunedPrior))
 			}
 			return res, err
 		})

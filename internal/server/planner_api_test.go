@@ -41,67 +41,98 @@ func pollJob(t *testing.T, env *testEnv, id string) JobView {
 	}
 }
 
-// TestPlannedScreenJob runs a top-k screening job and compares the
+// TestPlannedScreenJob runs planned screening jobs and compares each
 // polled result with the direct tesc.ScreenTopK call: the ranked pairs
-// must be bit-identical and the planner accounting must surface. One
-// worker on both sides: with several, how many pairs a racing bar
-// prunes depends on scheduling (the ranking does not).
+// must be bit-identical and the planner accounting must surface, in the
+// job and in healthz, whose screen_pairs_pruned grows by the job's
+// pruned_early + pruned_prior. The positive-tail threshold job prunes
+// pairs by their prior. One worker on both sides: with several, how
+// many pairs a racing bar prunes depends on scheduling (the ranking
+// does not).
 func TestPlannedScreenJob(t *testing.T) {
 	env := newTestEnv(t)
 	ev := plannerEvents(t, env)
 
-	want, err := tesc.ScreenTopK(env.graph, ev, tesc.ScreenTopKOptions{
-		ScreenOptions: tesc.ScreenOptions{H: 1, SampleSize: 200, Seed: 11, Workers: 1},
-		K:             2,
-	})
-	if err != nil {
-		t.Fatal(err)
+	base := tesc.ScreenOptions{H: 1, SampleSize: 200, Seed: 11, Workers: 1}
+	positive := base
+	positive.Tail = tesc.PositiveTail
+	cases := []struct {
+		label string
+		opts  tesc.ScreenTopKOptions
+		body  map[string]any
+		prior bool // the prior must prune
+	}{
+		{"top-2", tesc.ScreenTopKOptions{ScreenOptions: base, K: 2},
+			map[string]any{"h": 1, "sample_size": 200, "seed": 11, "top_k": 2, "workers": 1}, false},
+		{"positive θ=0.1", tesc.ScreenTopKOptions{ScreenOptions: positive, Theta: 0.1},
+			map[string]any{"h": 1, "sample_size": 200, "seed": 11, "tail": "positive", "theta": 0.1, "workers": 1}, true},
 	}
-
-	var accepted screenResponse
-	env.do(t, http.StatusAccepted, "POST", "/v1/graphs/g/screen",
-		map[string]any{"h": 1, "sample_size": 200, "seed": 11, "top_k": 2, "workers": 1}, &accepted)
-	view := pollJob(t, env, accepted.JobID)
-	if view.Status != JobDone {
-		t.Fatalf("job failed: %s", view.Error)
-	}
-	if view.Result == nil {
-		t.Fatal("done job has no result")
-	}
-	if len(view.Partial) != 0 {
-		t.Fatalf("done job still exposes a partial ranking: %+v", view.Partial)
-	}
-	if len(view.Result.Pairs) != len(want.Pairs) {
-		t.Fatalf("job returned %d pairs, want %d", len(view.Result.Pairs), len(want.Pairs))
-	}
-	for i, p := range view.Result.Pairs {
-		w := want.Pairs[i]
-		exp := ScreenedPairView{A: w.A, B: w.B, OccA: w.OccA, OccB: w.OccB,
-			Tau: w.Tau, Z: w.Z, P: w.P, AdjP: w.AdjP, Significant: w.Significant, Skipped: w.Skipped}
-		if !reflect.DeepEqual(p, exp) {
-			t.Fatalf("pair %d: %+v != direct %+v", i, p, exp)
+	for _, c := range cases {
+		want, err := tesc.ScreenTopK(env.graph, ev, c.opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	ps := view.Result.Planner
-	if ps == nil {
-		t.Fatal("planned job result has no planner stats")
-	}
-	if ps.Candidates != want.Candidates || ps.FullTests != want.FullTests ||
-		ps.PrunedEarly != want.PrunedEarly || ps.PrunedPrior != want.PrunedPrior {
-		t.Fatalf("planner stats %+v do not match direct run %+v", ps, want)
-	}
-	if view.Result.Tested != want.FullTests {
-		t.Fatalf("tested = %d, want the planner's full-test count %d", view.Result.Tested, want.FullTests)
+		if c.prior && want.PrunedPrior == 0 {
+			t.Fatalf("%s: the prior pruned nothing: %+v", c.label, want)
+		}
+		prunedBefore := healthPruned(t, env)
+
+		var accepted screenResponse
+		env.do(t, http.StatusAccepted, "POST", "/v1/graphs/g/screen", c.body, &accepted)
+		view := pollJob(t, env, accepted.JobID)
+		if view.Status != JobDone {
+			t.Fatalf("%s: job failed: %s", c.label, view.Error)
+		}
+		if view.Result == nil {
+			t.Fatalf("%s: done job has no result", c.label)
+		}
+		if len(view.Partial) != 0 {
+			t.Fatalf("%s: done job still exposes a partial ranking: %+v", c.label, view.Partial)
+		}
+		if len(view.Result.Pairs) != len(want.Pairs) {
+			t.Fatalf("%s: job returned %d pairs, want %d", c.label, len(view.Result.Pairs), len(want.Pairs))
+		}
+		for i, p := range view.Result.Pairs {
+			w := want.Pairs[i]
+			exp := ScreenedPairView{A: w.A, B: w.B, OccA: w.OccA, OccB: w.OccB,
+				Tau: w.Tau, Z: w.Z, P: w.P, AdjP: w.AdjP, Significant: w.Significant, Skipped: w.Skipped}
+			if !reflect.DeepEqual(p, exp) {
+				t.Fatalf("%s: pair %d: %+v != direct %+v", c.label, i, p, exp)
+			}
+		}
+		ps := view.Result.Planner
+		if ps == nil {
+			t.Fatalf("%s: planned job result has no planner stats", c.label)
+		}
+		if ps.Candidates != want.Candidates || ps.FullTests != want.FullTests ||
+			ps.PrunedEarly != want.PrunedEarly || ps.PrunedPrior != want.PrunedPrior {
+			t.Fatalf("%s: planner stats %+v do not match direct run %+v", c.label, ps, want)
+		}
+		if view.Result.Tested != want.FullTests {
+			t.Fatalf("%s: tested = %d, want the planner's full-test count %d", c.label, view.Result.Tested, want.FullTests)
+		}
+		if got, want := healthPruned(t, env)-prunedBefore, ps.PrunedEarly+ps.PrunedPrior; got != want {
+			t.Fatalf("%s: healthz screen_pairs_pruned grew by %d, want pruned_early + pruned_prior = %d", c.label, got, want)
+		}
 	}
 
 	var health map[string]any
 	env.do(t, http.StatusOK, "GET", "/healthz", nil, &health)
-	if got, ok := health["screens_planned"].(float64); !ok || got < 1 {
-		t.Fatalf("healthz screens_planned = %v, want >= 1", health["screens_planned"])
+	if got, ok := health["screens_planned"].(float64); !ok || got < 2 {
+		t.Fatalf("healthz screens_planned = %v, want >= 2", health["screens_planned"])
 	}
-	if _, ok := health["screen_pairs_pruned"]; !ok {
-		t.Fatal("healthz lacks screen_pairs_pruned")
+}
+
+// healthPruned reads healthz's screen_pairs_pruned.
+func healthPruned(t *testing.T, env *testEnv) int {
+	t.Helper()
+	var health map[string]any
+	env.do(t, http.StatusOK, "GET", "/healthz", nil, &health)
+	n, ok := health["screen_pairs_pruned"].(float64)
+	if !ok {
+		t.Fatalf("healthz screen_pairs_pruned = %v", health["screen_pairs_pruned"])
 	}
+	return int(n)
 }
 
 // TestThresholdScreenJob runs a threshold-mode job (theta = 0 must be

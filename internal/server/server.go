@@ -103,8 +103,9 @@ type Server struct {
 
 	// screensPlanned counts planned (top-k / threshold) screening jobs
 	// completed; pairsPruned the candidate pairs those jobs discarded
-	// without a full test — the live view of the sweep work the planner
-	// is saving over exhaustive O(K²) screening.
+	// without a full test, by their prior or at a checkpoint — the live
+	// view of the sweep work the planner is saving over exhaustive O(K²)
+	// screening.
 	screensPlanned atomic.Int64
 	pairsPruned    atomic.Int64
 

@@ -153,7 +153,7 @@ type ScreenTopKResult struct {
 	Candidates  int // candidate pairs considered
 	FullTests   int // pairs whose whole sample was evaluated
 	PrunedEarly int // pairs terminated at a bound checkpoint
-	PrunedPrior int // always 0: no pair is discarded before sampling
+	PrunedPrior int // positive-tail pairs whose vicinity overlap ruled them out before sampling
 	Skipped     int // degenerate pairs
 	Checkpoints int // bound evaluations performed
 
@@ -166,7 +166,9 @@ type ScreenTopKResult struct {
 // "which pairs correlate most" (top-k) or "which pairs reach θ"
 // (threshold) — without paying the exhaustive O(K²) sweep. Candidate
 // pairs are ordered by a cheap co-occurrence prior and evaluated
-// best-first with confidence-bound early termination; the returned
+// best-first with confidence-bound early termination, and a
+// positive-tail pair whose events' vicinities overlap too little to
+// reach the bar is dropped before it samples anything; the returned
 // ranking is provably the one Screen would produce (the differential
 // battery in internal/screen pins bit-identical equivalence). Results
 // carry raw p-values: multiple-testing correction needs the whole
