@@ -141,6 +141,27 @@ func (r Result) String() string {
 		r.Tau, r.Z, r.P, r.Verdict(), r.N, r.SamplerName)
 }
 
+// Validate reports the error Test returns for opts before it draws:
+// H below 1, a sample size below 2, α outside (0,1) or NaN, or
+// Spearman's ρ over an importance sample (ErrSpearmanWeighted). Only
+// the sampler's type is read, so a caller can check a request before
+// it fetches the index the sampler will need.
+func (opts Options) Validate() error {
+	if opts.H < 1 {
+		return fmt.Errorf("tesc: vicinity level H must be >= 1, got %d", opts.H)
+	}
+	if opts.SampleSize < 2 {
+		return fmt.Errorf("tesc: sample size must be >= 2, got %d", opts.SampleSize)
+	}
+	if !(opts.Alpha > 0 && opts.Alpha < 1) { // NaN too: P < NaN is never true
+		return fmt.Errorf("tesc: alpha must be in (0,1), got %g", opts.Alpha)
+	}
+	if _, ok := opts.Sampler.(*ImportanceSampler); ok && opts.Statistic == SpearmanRho {
+		return ErrSpearmanWeighted
+	}
+	return nil
+}
+
 // Test runs the full TESC hypothesis test of §3 on problem p: sample
 // reference nodes, evaluate densities, aggregate concordance, assess
 // significance.
@@ -148,21 +169,12 @@ func Test(p *Problem, opts Options) (Result, error) {
 	if p == nil {
 		return Result{}, fmt.Errorf("tesc: nil problem")
 	}
-	if opts.H < 1 {
-		return Result{}, fmt.Errorf("tesc: vicinity level H must be >= 1, got %d", opts.H)
-	}
-	if opts.SampleSize < 2 {
-		return Result{}, fmt.Errorf("tesc: sample size must be >= 2, got %d", opts.SampleSize)
-	}
-	if !(opts.Alpha > 0 && opts.Alpha < 1) { // NaN too: P < NaN is never true
-		return Result{}, fmt.Errorf("tesc: alpha must be in (0,1), got %g", opts.Alpha)
+	if err := opts.Validate(); err != nil {
+		return Result{}, err
 	}
 	sampler := opts.Sampler
 	if sampler == nil {
 		sampler = &BatchBFSSampler{}
-	}
-	if _, ok := sampler.(*ImportanceSampler); ok && opts.Statistic == SpearmanRho {
-		return Result{}, ErrSpearmanWeighted
 	}
 	rng := opts.Rand
 	if rng == nil {

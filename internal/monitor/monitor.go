@@ -76,12 +76,11 @@ func ParseMode(s string) (Mode, error) {
 	}
 }
 
-// Defaults applied by Definition.normalize.
+// Defaults applied by Definition.Normalize; the sample size and α
+// defaults are the screen's (screen.Config.Normalize).
 const (
-	DefaultSampleSize = 900
-	DefaultAlpha      = 0.05
-	DefaultDebounce   = 250 * time.Millisecond
-	DefaultHistory    = 64
+	DefaultDebounce = 250 * time.Millisecond
+	DefaultHistory  = 64
 	// MaxHistory bounds the per-monitor history ring so a
 	// client-supplied capacity cannot pin unbounded memory.
 	MaxHistory = 4096
@@ -155,21 +154,12 @@ func (d *Definition) Normalize() error {
 			return fmt.Errorf("monitor: a standing query needs two distinct events, got %q twice", d.A)
 		}
 	}
-	if d.H < 1 {
-		return fmt.Errorf("monitor: vicinity level must be >= 1, got %d", d.H)
+	// H, n and α are the re-screen's own: its defaults and ranges.
+	cfg, err := screen.Config{H: d.H, SampleSize: d.SampleSize, Alpha: d.Alpha}.Normalize()
+	if err != nil {
+		return fmt.Errorf("monitor: %w", err)
 	}
-	if d.SampleSize == 0 {
-		d.SampleSize = DefaultSampleSize
-	}
-	if d.SampleSize < 2 {
-		return fmt.Errorf("monitor: sample size must be >= 2, got %d", d.SampleSize)
-	}
-	if d.Alpha == 0 {
-		d.Alpha = DefaultAlpha
-	}
-	if d.Alpha <= 0 || d.Alpha >= 1 {
-		return fmt.Errorf("monitor: alpha must be in (0,1), got %g", d.Alpha)
-	}
+	d.SampleSize, d.Alpha = cfg.SampleSize, cfg.Alpha
 	if d.Debounce == 0 {
 		d.Debounce = DefaultDebounce
 	}

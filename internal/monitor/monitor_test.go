@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"errors"
+	"math"
 	"math/rand/v2"
 	"testing"
 	"time"
@@ -24,7 +25,7 @@ func TestDefinitionDefaultsAndValidation(t *testing.T) {
 	if err := d.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if d.SampleSize != DefaultSampleSize || d.Alpha != DefaultAlpha ||
+	if d.SampleSize != 900 || d.Alpha != 0.05 ||
 		d.Debounce != DefaultDebounce || d.HistoryCap != DefaultHistory {
 		t.Fatalf("defaults not applied: %+v", d)
 	}
@@ -34,6 +35,7 @@ func TestDefinitionDefaultsAndValidation(t *testing.T) {
 		{A: "x", B: "y", H: 0},
 		{A: "x", B: "y", H: 1, SampleSize: 1},
 		{A: "x", B: "y", H: 1, Alpha: 1.5},
+		{A: "x", B: "y", H: 1, Alpha: math.NaN()},
 		{A: "x", B: "y", H: 1, HistoryCap: MaxHistory + 1},
 		{A: "x", B: "y", H: 1, Debounce: -time.Second},
 	}

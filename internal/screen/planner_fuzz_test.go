@@ -48,7 +48,8 @@ func fuzzPlanSetup() (*graph.Graph, *events.Store) {
 }
 
 // FuzzPlannerConfig throws arbitrary knob settings at Plan: it must
-// either reject the config with an error or return a result satisfying
+// reject the config exactly when PlanConfig.Normalize does, with the
+// same error, or else return a result satisfying
 // the planner invariants — never panic, never report a skipped pair,
 // never exceed k, never return an unsorted or below-θ result, and
 // always account for every candidate exactly once, and never prune by
@@ -94,7 +95,11 @@ func FuzzPlannerConfig(f *testing.F) {
 			firstCheckpoint: firstCP,
 		}
 		pairs := AllPairs(store, 1)
+		_, nerr := cfg.Normalize()
 		res, err := Plan(g, store, pairs, cfg)
+		if (err == nil) != (nerr == nil) || err != nil && err.Error() != nerr.Error() {
+			t.Fatalf("Plan and Normalize disagree on %+v: Plan %v, Normalize %v", cfg, err, nerr)
+		}
 		if err != nil {
 			return // rejected configs are fine; panics are not
 		}

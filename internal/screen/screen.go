@@ -196,7 +196,7 @@ func AllPairs(store *events.Store, minOcc int) [][2]string {
 // stale epoch or a cancel that lands after the last pair — returns an
 // empty Result.
 func Run(g *graph.Graph, store *events.Store, pairs [][2]string, cfg Config) (Result, error) {
-	cfg, err := cfg.normalized()
+	cfg, err := cfg.Normalize()
 	if err != nil {
 		return Result{}, err
 	}

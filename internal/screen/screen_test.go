@@ -146,8 +146,9 @@ func TestRunSkipsAndErrors(t *testing.T) {
 
 // TestRunRejectsInvalidConfig is the regression test for an exhaustive
 // sweep that "succeeded" with every pair skipped: an out-of-range alpha
-// or sample size is an error from Run, Plan and Config.Validate alike,
-// while the zero values still select the defaults.
+// or sample size is an error from Run, Plan and Config.Normalize alike,
+// while the zero values still select the defaults. The planner's own
+// fields out of range are an error from PlanConfig.Normalize and Plan.
 func TestRunRejectsInvalidConfig(t *testing.T) {
 	g, store := fixture(t)
 	pairs := AllPairs(store, 5)
@@ -159,8 +160,8 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 		{H: 1, SampleSize: 1},
 		{H: 1, SampleSize: -3},
 	} {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("Validate accepted %+v", cfg)
+		if _, err := cfg.Normalize(); err == nil {
+			t.Errorf("Normalize accepted %+v", cfg)
 		}
 		if res, err := Run(g, store, pairs, cfg); err == nil {
 			t.Errorf("Run accepted %+v: %d tested, %d skipped", cfg, res.Tested, res.Skipped)
@@ -169,9 +170,26 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 			t.Errorf("Plan accepted %+v", cfg)
 		}
 	}
+	for _, pcfg := range []PlanConfig{
+		{K: 3, BoundAlpha: 1.5},
+		{K: 3, BoundAlpha: 1},
+		{K: 3, BoundAlpha: math.NaN()},
+		{Theta: 0.1, BoundAlpha: 1},
+		{K: -1},
+		{Theta: 2},
+		{Theta: math.NaN()},
+	} {
+		pcfg.Config = Config{H: 1, Seed: 1}
+		if _, err := pcfg.Normalize(); err == nil {
+			t.Errorf("PlanConfig.Normalize accepted K=%d Theta=%g BoundAlpha=%g", pcfg.K, pcfg.Theta, pcfg.BoundAlpha)
+		}
+		if _, err := Plan(g, store, pairs, pcfg); err == nil {
+			t.Errorf("Plan accepted K=%d Theta=%g BoundAlpha=%g", pcfg.K, pcfg.Theta, pcfg.BoundAlpha)
+		}
+	}
 	ok := Config{H: 1, SampleSize: 0, Alpha: 0, Seed: 1}
-	if err := ok.Validate(); err != nil {
-		t.Fatalf("defaults rejected: %v", err)
+	if norm, err := ok.Normalize(); err != nil || norm.SampleSize != 900 || norm.Alpha != 0.05 {
+		t.Fatalf("defaults: %+v, %v", norm, err)
 	}
 	if res, err := Run(g, store, pairs[:2], ok); err != nil || res.Tested != 2 {
 		t.Fatalf("defaults: %+v, %v", res, err)

@@ -23,17 +23,10 @@ import (
 // stale-epoch and cancel checks, Progress and the per-pair test all live
 // here, once.
 
-// Validate reports the error Run and Plan return for cfg's shared
-// fields — H, SampleSize and Alpha after the zero-means-default step —
-// so a caller can refuse a bad request before queueing a sweep.
-func (cfg Config) Validate() error {
-	_, err := cfg.normalized()
-	return err
-}
-
-// normalized fills the zero-means-default fields and validates the
-// result.
-func (cfg Config) normalized() (Config, error) {
+// Normalize fills the zero-means-default fields and validates the
+// result: it returns the config Run uses, or the error Run returns, so
+// a caller can refuse a bad request before queueing a sweep.
+func (cfg Config) Normalize() (Config, error) {
 	if cfg.H < 1 {
 		return cfg, fmt.Errorf("screen: H must be >= 1")
 	}
@@ -55,10 +48,11 @@ func (cfg Config) normalized() (Config, error) {
 	return cfg, nil
 }
 
-// normalized is Config.normalized plus the planner's own fields.
-func (cfg PlanConfig) normalized() (PlanConfig, error) {
+// Normalize is Config.Normalize plus the planner's own fields: it
+// returns the config Plan uses, or the error Plan returns.
+func (cfg PlanConfig) Normalize() (PlanConfig, error) {
 	var err error
-	if cfg.Config, err = cfg.Config.normalized(); err != nil {
+	if cfg.Config, err = cfg.Config.Normalize(); err != nil {
 		return cfg, err
 	}
 	switch {
@@ -92,7 +86,7 @@ func (cfg PlanConfig) normalized() (PlanConfig, error) {
 // cancellation the partial results come back with the error; every
 // other error returns nothing.
 func sweep(g *graph.Graph, store *events.Store, pairs [][2]string, cfg PlanConfig) ([]PairResult, PlanStats, error) {
-	cfg, err := cfg.normalized()
+	cfg, err := cfg.Normalize()
 	if err != nil {
 		return nil, PlanStats{}, err
 	}

@@ -14,6 +14,7 @@ import (
 	"tesc/internal/core"
 	"tesc/internal/graphio"
 	"tesc/internal/screen"
+	"tesc/internal/stats"
 )
 
 // ---- wire types -----------------------------------------------------
@@ -97,17 +98,39 @@ func parseMethod(s string) (tesc.Method, error) {
 	}
 }
 
-func parseTail(s string) (tesc.Tail, error) {
-	switch s {
-	case "", "both":
-		return tesc.BothTails, nil
-	case "positive":
-		return tesc.PositiveTail, nil
-	case "negative":
-		return tesc.NegativeTail, nil
-	default:
-		return 0, fmt.Errorf("unknown tail %q (both | positive | negative)", s)
+// tails is the one table of wire tail names: correlates take the
+// facade's tesc.Tail, screens and monitors the statistic's alternative.
+var tails = []struct {
+	name string
+	tail tesc.Tail
+	alt  stats.Alternative
+}{
+	{"both", tesc.BothTails, stats.TwoSided},
+	{"positive", tesc.PositiveTail, stats.Greater},
+	{"negative", tesc.NegativeTail, stats.Less},
+}
+
+// parseTail looks a wire tail name up in tails; "" is "both".
+func parseTail(s string) (tesc.Tail, stats.Alternative, error) {
+	if s == "" {
+		s = tails[0].name
 	}
+	for _, t := range tails {
+		if t.name == s {
+			return t.tail, t.alt, nil
+		}
+	}
+	return 0, 0, fmt.Errorf("unknown tail %q (both | positive | negative)", s)
+}
+
+// tailName is parseTail's inverse on alternatives.
+func tailName(alt stats.Alternative) string {
+	for _, t := range tails {
+		if t.alt == alt {
+			return t.name
+		}
+	}
+	return tails[0].name
 }
 
 func (e *GraphEntry) info() graphInfo {
@@ -393,18 +416,35 @@ func (s *Server) handleCorrelate(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	if req.H < 1 {
-		api.WriteError(w, api.CodeBadRequest, "h must be >= 1")
-		return
-	}
 	method, err := parseMethod(req.Method)
 	if err != nil {
 		api.WriteError(w, api.CodeBadRequest, "%v", err)
 		return
 	}
-	tail, err := parseTail(req.Tail)
+	tail, _, err := parseTail(req.Tail)
 	if err != nil {
 		api.WriteError(w, api.CodeBadRequest, "%v", err)
+		return
+	}
+	opts := tesc.Options{
+		H:               req.H,
+		SampleSize:      req.SampleSize,
+		Method:          method,
+		ImportanceBatch: req.ImportanceBatch,
+		Tail:            tail,
+		Alpha:           req.Alpha,
+		Seed:            req.Seed,
+		UseSpearman:     req.UseSpearman,
+	}
+	// The library's option rules, applied before the flight join and
+	// the index fetch, which a refused request would waste: a bad
+	// option is a 400, Spearman's ρ over an importance sample a 422.
+	if err := opts.Validate(); err != nil {
+		code := api.CodeBadRequest
+		if errors.Is(err, core.ErrSpearmanWeighted) {
+			code = api.CodeUnprocessable
+		}
+		api.WriteError(w, code, "%v", err)
 		return
 	}
 	// Bind the whole query to one snapshot: occurrences, graph and
@@ -419,7 +459,7 @@ func (s *Server) handleCorrelate(w http.ResponseWriter, r *http.Request) {
 	for {
 		c, leader := s.flights.join(key)
 		if leader {
-			s.runCorrelate(r, e, snap, &req, method, tail, c)
+			s.runCorrelate(r, e, snap, &req, opts, c)
 			s.flights.complete(key, c)
 			s.writeCorrelateOutcome(w, c)
 			return
@@ -444,30 +484,14 @@ func (s *Server) handleCorrelate(w http.ResponseWriter, r *http.Request) {
 // runCorrelate performs the actual correlate computation, filling the
 // flight call's outcome fields (it never writes to the wire — the
 // leader and every follower render the outcome themselves).
-func (s *Server) runCorrelate(r *http.Request, e *GraphEntry, snap Snapshot, req *correlateRequest, method tesc.Method, tail tesc.Tail, c *flightCall) {
+func (s *Server) runCorrelate(r *http.Request, e *GraphEntry, snap Snapshot, req *correlateRequest, opts tesc.Options, c *flightCall) {
 	va, vb, code, err := resolveEventPair(snap, req)
 	if err != nil {
 		c.errCode, c.errMsg = code, err.Error()
 		return
 	}
-	opts := tesc.Options{
-		H:               req.H,
-		SampleSize:      req.SampleSize,
-		Method:          method,
-		ImportanceBatch: req.ImportanceBatch,
-		Tail:            tail,
-		Alpha:           req.Alpha,
-		Seed:            req.Seed,
-		UseSpearman:     req.UseSpearman,
-		Ctx:             r.Context(),
-	}
-	if method == tesc.Importance && req.UseSpearman {
-		// Refused before the index fetch and the draw, which it would
-		// waste: an importance sample has no Spearman's ρ.
-		c.errCode, c.errMsg = api.CodeUnprocessable, core.ErrSpearmanWeighted.Error()
-		return
-	}
-	if method == tesc.Importance || method == tesc.Rejection {
+	opts.Ctx = r.Context()
+	if opts.Method == tesc.Importance || opts.Method == tesc.Rejection {
 		idx, err := s.cache.Get(e, snap, req.H, s.indexWorkers)
 		if err != nil {
 			c.errCode, c.errMsg = api.CodeInternal, fmt.Sprintf("building vicinity index: %v", err)
@@ -601,26 +625,16 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	if req.H < 1 {
-		api.WriteError(w, api.CodeBadRequest, "h must be >= 1")
-		return
-	}
-	alt, err := parseTailAlt(req.Tail)
+	_, alt, err := parseTail(req.Tail)
 	if err != nil {
 		api.WriteError(w, api.CodeBadRequest, "%v", err)
 		return
 	}
-	if req.TopK < 0 {
-		api.WriteError(w, api.CodeBadRequest, "top_k must be >= 0")
-		return
-	}
-	planned := req.TopK > 0 || req.Theta != nil
-	if req.TopK > 0 && req.Theta != nil {
+	// A nonzero top_k selects the planner, so a negative one reaches
+	// PlanConfig.Normalize and is refused there.
+	planned := req.TopK != 0 || req.Theta != nil
+	if req.TopK != 0 && req.Theta != nil {
 		api.WriteError(w, api.CodeBadRequest, "top_k and theta are mutually exclusive")
-		return
-	}
-	if req.Theta != nil && (*req.Theta < -1 || *req.Theta > 1) {
-		api.WriteError(w, api.CodeBadRequest, "theta must lie in [-1, 1]")
 		return
 	}
 	if planned && req.Bonferroni {
@@ -631,14 +645,18 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, api.CodeBadRequest, "bound_alpha applies only to planned screens (set top_k or theta)")
 		return
 	}
-	cfg := screen.Config{
-		H:              req.H,
-		SampleSize:     req.SampleSize,
-		Alpha:          req.Alpha,
-		Alternative:    alt,
-		MinOccurrences: req.MinOccurrences,
-		Workers:        req.Workers,
-		Seed:           req.Seed,
+	cfg := screen.PlanConfig{
+		Config: screen.Config{
+			H:              req.H,
+			SampleSize:     req.SampleSize,
+			Alpha:          req.Alpha,
+			Alternative:    alt,
+			MinOccurrences: req.MinOccurrences,
+			Workers:        req.Workers,
+			Seed:           req.Seed,
+		},
+		K:          req.TopK,
+		BoundAlpha: req.BoundAlpha,
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = screen.DefaultSeed
@@ -646,9 +664,17 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 	if req.Bonferroni {
 		cfg.Correction = screen.FWER
 	}
-	// The sweep's own validation of alpha and sample_size, applied
-	// before a job slot is taken: a bad request is a 400, never a job.
-	if err := cfg.Validate(); err != nil {
+	if req.Theta != nil {
+		cfg.Theta = *req.Theta
+	}
+	// The sweep's own validation, applied before a job slot is taken:
+	// a bad request is a 400, never a job.
+	if planned {
+		cfg, err = cfg.Normalize()
+	} else {
+		cfg.Config, err = cfg.Config.Normalize()
+	}
+	if err != nil {
 		api.WriteError(w, api.CodeBadRequest, "%v", err)
 		return
 	}
@@ -674,45 +700,35 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g, store := snap.Graph.Internal(), snap.Store
-	pairs := screen.AllPairs(store, max(1, req.MinOccurrences))
+	pairs := screen.AllPairs(store, cfg.MinOccurrences)
 	cfg.Memo = e.screenMemo(snap, req.H)
 	cfg.Engines = e.EnginePool(snap).Internal()
 	// The job runs under the tracker's cancellable context, NOT
 	// r.Context(): the handler returns at the 202 and Go cancels the
 	// request context with it, which must not kill the async sweep.
 	// Cancellation comes from DELETE /v1/jobs/{id} or server drain.
-	if planned {
-		pcfg := screen.PlanConfig{Config: cfg, K: req.TopK, BoundAlpha: req.BoundAlpha}
-		if req.Theta != nil {
-			pcfg.Theta = *req.Theta
-		}
-		job := s.jobs.StartPlanned(e.Name(), release, func(ctx context.Context, j *Job) (screen.PlanResult, error) {
-			pcfg.Ctx = ctx
-			pcfg.Progress = j.setProgress
-			pcfg.Stream = j.setPartial
-			res, err := screen.Plan(g, store, pairs, pcfg)
+	job := s.jobs.Start(e.Name(), release, func(ctx context.Context, j *Job) (*ScreenResultView, error) {
+		cfg.Ctx = ctx
+		cfg.Progress = j.setProgress
+		if !planned {
+			res, err := screen.Run(g, store, pairs, cfg.Config)
 			e.memos.trim()
 			if err == nil {
-				s.bfsRuns.Add(res.Stats.BFSRuns)
-				s.memoHits.Add(res.Stats.MemoHits)
-				s.screensPlanned.Add(1)
-				s.pairsPruned.Add(int64(res.Stats.PrunedEarly + res.Stats.PrunedPrior))
+				s.bfsRuns.Add(res.BFSRuns)
+				s.memoHits.Add(res.MemoHits)
 			}
-			return res, err
-		})
-		api.WriteJSON(w, http.StatusAccepted, screenResponse{JobID: job.ID})
-		return
-	}
-	job := s.jobs.Start(e.Name(), release, func(ctx context.Context, progress func(done, total int)) (screen.Result, error) {
-		cfg.Ctx = ctx
-		cfg.Progress = progress
-		res, err := screen.Run(g, store, pairs, cfg)
+			return screenResultView(res), err
+		}
+		cfg.Stream = j.setPartial
+		res, err := screen.Plan(g, store, pairs, cfg)
 		e.memos.trim()
 		if err == nil {
-			s.bfsRuns.Add(res.BFSRuns)
-			s.memoHits.Add(res.MemoHits)
+			s.bfsRuns.Add(res.Stats.BFSRuns)
+			s.memoHits.Add(res.Stats.MemoHits)
+			s.screensPlanned.Add(1)
+			s.pairsPruned.Add(int64(res.Stats.PrunedEarly + res.Stats.PrunedPrior))
 		}
-		return res, err
+		return plannedResultView(res), err
 	})
 	api.WriteJSON(w, http.StatusAccepted, screenResponse{JobID: job.ID})
 }

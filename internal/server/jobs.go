@@ -42,9 +42,8 @@ type Job struct {
 	status   JobStatus
 	done     int
 	total    int
-	result   *screen.Result
-	planned  *screen.PlanResult
-	partial  []screen.PairResult
+	result   *ScreenResultView
+	partial  []ScreenedPairView
 	err      string
 	created  time.Time
 	finished time.Time
@@ -72,10 +71,7 @@ func screenedPairViews(pairs []screen.PairResult) []ScreenedPairView {
 	return out
 }
 
-func screenResultView(r *screen.Result) *ScreenResultView {
-	if r == nil {
-		return nil
-	}
+func screenResultView(r screen.Result) *ScreenResultView {
 	return &ScreenResultView{
 		Pairs:    screenedPairViews(r.Pairs),
 		Tested:   r.Tested,
@@ -86,10 +82,7 @@ func screenResultView(r *screen.Result) *ScreenResultView {
 	}
 }
 
-func plannedResultView(r *screen.PlanResult) *ScreenResultView {
-	if r == nil {
-		return nil
-	}
+func plannedResultView(r screen.PlanResult) *ScreenResultView {
 	rejected := 0
 	for _, p := range r.Pairs {
 		if p.Significant {
@@ -132,17 +125,13 @@ func (j *Job) Snapshot() JobView {
 		Done:    j.done,
 		Total:   j.total,
 		Error:   j.err,
+		Result:  j.result,
 		Created: j.created,
-	}
-	if j.planned != nil {
-		v.Result = plannedResultView(j.planned)
-	} else {
-		v.Result = screenResultView(j.result)
 	}
 	// Partial rankings stay visible on a cancelled planned job: the
 	// pairs it finished are exact, and they are all the client gets.
 	if (j.status == JobRunning || j.status == JobCancelled) && len(j.partial) > 0 {
-		v.Partial = screenedPairViews(j.partial)
+		v.Partial = j.partial
 	}
 	if !j.finished.IsZero() {
 		f := j.finished
@@ -165,13 +154,13 @@ func (j *Job) setProgress(done, total int) {
 }
 
 // setPartial replaces the job's in-flight ranked result set, suitable
-// for PlanConfig.Stream (whose calls are serialized). The slice is
-// copied: the planner reuses its backing array across improvements.
+// for PlanConfig.Stream (whose calls are serialized). The pairs are
+// rendered into a new slice: the planner reuses its backing array
+// across improvements.
 func (j *Job) setPartial(top []screen.PairResult) {
-	cp := make([]screen.PairResult, len(top))
-	copy(cp, top)
+	views := screenedPairViews(top)
 	j.mu.Lock()
-	j.partial = cp
+	j.partial = views
 	j.mu.Unlock()
 }
 
@@ -255,20 +244,26 @@ func (js *Jobs) register(graphName string) (*Job, context.Context) {
 	return j, ctx
 }
 
-// finish transitions the job out of JobRunning; commit stores the
-// result under the job lock on success. A cancellation error (the
-// job's context was aborted) lands in JobCancelled, not JobFailed —
-// the job did nothing wrong, somebody stopped wanting it.
-func (j *Job) finish(err error, commit func()) {
+// finish transitions the job out of JobRunning. On success res is the
+// result the job serves. A cancellation error (the job's context was
+// aborted) lands in JobCancelled, not JobFailed — the job did nothing
+// wrong, somebody stopped wanting it — and a cancelled plan's ranking
+// so far (res.Pairs) stays as the job's final partial: the pairs it
+// completed are exact.
+func (j *Job) finish(res *ScreenResultView, err error) {
 	j.mu.Lock()
 	j.finished = time.Now()
 	switch {
 	case err == nil:
 		j.status = JobDone
-		commit()
+		j.result = res
+		j.partial = nil // the final ranking supersedes any partial
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		j.status = JobCancelled
 		j.err = err.Error()
+		if res != nil && len(res.Pairs) > 0 {
+			j.partial = res.Pairs
+		}
 	default:
 		j.status = JobFailed
 		j.err = err.Error()
@@ -280,43 +275,19 @@ func (j *Job) finish(err error, commit func()) {
 	}
 }
 
-// Start registers a new job for the named graph and runs fn in a fresh
-// goroutine. fn receives the job's cancellable context (wire it into
-// screen.Config.Ctx) and progress sink (screen.Config.Progress).
-// release, when non-nil, is the job's admission slot, returned when the
-// job finishes.
-func (js *Jobs) Start(graphName string, release func(), fn func(ctx context.Context, progress func(done, total int)) (screen.Result, error)) *Job {
+// Start registers a new screening job for the named graph and runs fn
+// in a fresh goroutine. fn receives the job's cancellable context
+// (wire it into the sweep's Ctx) and the job, whose setProgress and
+// setPartial are the sweep's Progress and Stream sinks; it returns the
+// job's result, rendered once (see finish). release, when non-nil, is
+// the job's admission slot, returned when the job finishes.
+func (js *Jobs) Start(graphName string, release func(), fn func(ctx context.Context, j *Job) (*ScreenResultView, error)) *Job {
 	j, ctx := js.register(graphName)
 	j.release = release
 	js.wg.Add(1)
 	go func() {
 		defer js.wg.Done()
-		res, err := fn(ctx, j.setProgress)
-		j.finish(err, func() { j.result = &res })
-	}()
-	return j
-}
-
-// StartPlanned registers a planned (top-k / threshold) screening job.
-// fn receives the job's context and the job itself so it can wire the
-// progress sink and the partial-ranking stream (Job.setPartial) into
-// screen.PlanConfig. A cancelled planned sweep returns its ranking so
-// far alongside the error; the pairs it completed are exact, so they
-// are kept as the job's final partial.
-func (js *Jobs) StartPlanned(graphName string, release func(), fn func(ctx context.Context, j *Job) (screen.PlanResult, error)) *Job {
-	j, ctx := js.register(graphName)
-	j.release = release
-	js.wg.Add(1)
-	go func() {
-		defer js.wg.Done()
-		res, err := fn(ctx, j)
-		if err != nil && len(res.Pairs) > 0 {
-			j.setPartial(res.Pairs)
-		}
-		j.finish(err, func() {
-			j.planned = &res
-			j.partial = nil // the final ranking supersedes any partial
-		})
+		j.finish(fn(ctx, j))
 	}()
 	return j
 }

@@ -33,10 +33,10 @@ func waitStatus(t *testing.T, j *Job, want JobStatus) {
 func TestJobCancelLandsInCancelled(t *testing.T) {
 	js := NewJobs()
 	started := make(chan struct{})
-	j := js.Start("g", nil, func(ctx context.Context, progress func(done, total int)) (screen.Result, error) {
+	j := js.Start("g", nil, func(ctx context.Context, _ *Job) (*ScreenResultView, error) {
 		close(started)
 		<-ctx.Done()
-		return screen.Result{}, ctx.Err()
+		return nil, ctx.Err()
 	})
 	<-started
 	j.cancel()
@@ -50,8 +50,8 @@ func TestJobCancelLandsInCancelled(t *testing.T) {
 // Canceled both mean somebody stopped wanting the sweep.
 func TestJobDeadlineLandsInCancelled(t *testing.T) {
 	js := NewJobs()
-	j := js.Start("g", nil, func(ctx context.Context, progress func(done, total int)) (screen.Result, error) {
-		return screen.Result{}, context.DeadlineExceeded
+	j := js.Start("g", nil, func(ctx context.Context, _ *Job) (*ScreenResultView, error) {
+		return nil, context.DeadlineExceeded
 	})
 	waitStatus(t, j, JobCancelled)
 }
@@ -61,10 +61,10 @@ func TestJobDeadlineLandsInCancelled(t *testing.T) {
 func TestPlannedJobCancelKeepsPartial(t *testing.T) {
 	js := NewJobs()
 	partial := []screen.PairResult{{A: "x", B: "y", Tau: 0.4}}
-	j := js.StartPlanned("g", nil, func(ctx context.Context, j *Job) (screen.PlanResult, error) {
+	j := js.Start("g", nil, func(ctx context.Context, _ *Job) (*ScreenResultView, error) {
 		<-ctx.Done()
 		// The planner returns the ranking-so-far alongside the error.
-		return screen.PlanResult{Pairs: partial}, ctx.Err()
+		return plannedResultView(screen.PlanResult{Pairs: partial}), ctx.Err()
 	})
 	j.cancel()
 	waitStatus(t, j, JobCancelled)
@@ -88,9 +88,9 @@ func TestJobReleasesSlotOnCancel(t *testing.T) {
 	if !ok {
 		t.Fatal("no slot on an idle gate")
 	}
-	j := js.Start("g", release, func(ctx context.Context, progress func(done, total int)) (screen.Result, error) {
+	j := js.Start("g", release, func(ctx context.Context, _ *Job) (*ScreenResultView, error) {
 		<-ctx.Done()
-		return screen.Result{}, ctx.Err()
+		return nil, ctx.Err()
 	})
 	if _, ok := a.acquireJobSlot(); ok {
 		t.Fatal("slot free while the job holds it")
@@ -116,9 +116,9 @@ func TestJobsCancelAllAndWait(t *testing.T) {
 	js := NewJobs()
 	var jobs []*Job
 	for i := 0; i < 4; i++ {
-		jobs = append(jobs, js.Start("g", nil, func(ctx context.Context, progress func(done, total int)) (screen.Result, error) {
+		jobs = append(jobs, js.Start("g", nil, func(ctx context.Context, _ *Job) (*ScreenResultView, error) {
 			<-ctx.Done()
-			return screen.Result{}, ctx.Err()
+			return nil, ctx.Err()
 		}))
 	}
 	js.CancelAll()
@@ -133,8 +133,8 @@ func TestJobsCancelAllAndWait(t *testing.T) {
 		}
 	}
 	// A job registered after CancelAll is born with a dead context.
-	late := js.Start("g", nil, func(ctx context.Context, progress func(done, total int)) (screen.Result, error) {
-		return screen.Result{}, ctx.Err()
+	late := js.Start("g", nil, func(ctx context.Context, _ *Job) (*ScreenResultView, error) {
+		return nil, ctx.Err()
 	})
 	waitStatus(t, late, JobCancelled)
 }
@@ -148,9 +148,9 @@ func TestJobsCancelAllAndWait(t *testing.T) {
 // of a real mid-flight sweep is covered at the screen/planner layer.
 func TestCancelJobEndpoint(t *testing.T) {
 	env := newTestEnv(t)
-	j := env.srv.jobs.Start("g", nil, func(ctx context.Context, progress func(done, total int)) (screen.Result, error) {
+	j := env.srv.jobs.Start("g", nil, func(ctx context.Context, _ *Job) (*ScreenResultView, error) {
 		<-ctx.Done()
-		return screen.Result{}, ctx.Err()
+		return nil, ctx.Err()
 	})
 
 	var view JobView

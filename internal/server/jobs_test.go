@@ -30,10 +30,10 @@ func waitFinished(t *testing.T, js *Jobs, id string) JobView {
 
 func TestJobLifecycleAndFailure(t *testing.T) {
 	js := NewJobs()
-	ok := js.Start("g", nil, func(_ context.Context, progress func(done, total int)) (screen.Result, error) {
-		progress(1, 2)
-		progress(2, 2)
-		return screen.Result{Tested: 2}, nil
+	ok := js.Start("g", nil, func(_ context.Context, j *Job) (*ScreenResultView, error) {
+		j.setProgress(1, 2)
+		j.setProgress(2, 2)
+		return screenResultView(screen.Result{Tested: 2}), nil
 	})
 	v := waitFinished(t, js, ok.ID)
 	if v.Status != JobDone || v.Done != 2 || v.Total != 2 || v.Result == nil || v.Result.Tested != 2 {
@@ -43,8 +43,8 @@ func TestJobLifecycleAndFailure(t *testing.T) {
 		t.Fatal("done job must carry a finished timestamp")
 	}
 
-	bad := js.Start("g", nil, func(_ context.Context, progress func(done, total int)) (screen.Result, error) {
-		return screen.Result{}, errors.New("kaput")
+	bad := js.Start("g", nil, func(_ context.Context, j *Job) (*ScreenResultView, error) {
+		return nil, errors.New("kaput")
 	})
 	v = waitFinished(t, js, bad.ID)
 	if v.Status != JobFailed || v.Error != "kaput" || v.Result != nil {
@@ -56,8 +56,8 @@ func TestJobLifecycleAndFailure(t *testing.T) {
 // maxFinishedJobs are evicted oldest-first, running jobs never are.
 func TestJobsPruneFinished(t *testing.T) {
 	js := NewJobs()
-	noop := func(_ context.Context, progress func(done, total int)) (screen.Result, error) {
-		return screen.Result{}, nil
+	noop := func(_ context.Context, j *Job) (*ScreenResultView, error) {
+		return nil, nil
 	}
 	var first *Job
 	for i := 0; i < maxFinishedJobs+10; i++ {
@@ -69,9 +69,9 @@ func TestJobsPruneFinished(t *testing.T) {
 	}
 	// One more Start triggers pruning of the overflow.
 	release := make(chan struct{})
-	running := js.Start("g", nil, func(_ context.Context, progress func(done, total int)) (screen.Result, error) {
+	running := js.Start("g", nil, func(_ context.Context, j *Job) (*ScreenResultView, error) {
 		<-release
-		return screen.Result{}, nil
+		return nil, nil
 	})
 	if got := js.numJobs(); got > maxFinishedJobs+1 {
 		t.Fatalf("%d jobs retained, want <= %d finished + 1 running", got, maxFinishedJobs)
@@ -95,15 +95,15 @@ func TestPlannedJobPartialStreaming(t *testing.T) {
 	release := make(chan struct{})
 	streamed := make(chan *Job, 1)
 	top := []screen.PairResult{{A: "x", B: "y", Tau: 0.5}}
-	j := js.StartPlanned("g", nil, func(_ context.Context, j *Job) (screen.PlanResult, error) {
+	j := js.Start("g", nil, func(_ context.Context, j *Job) (*ScreenResultView, error) {
 		j.setPartial(top)
 		top[0].A = "mutated" // the planner reuses its backing array
 		streamed <- j
 		<-release
-		return screen.PlanResult{
+		return plannedResultView(screen.PlanResult{
 			Pairs: []screen.PairResult{{A: "x", B: "y", Tau: 0.5, Significant: true}},
 			Stats: screen.PlanStats{Candidates: 3, FullTests: 1, PrunedEarly: 2},
-		}, nil
+		}), nil
 	})
 	<-streamed
 	v := j.Snapshot()
@@ -135,10 +135,10 @@ func TestJobProgressGaugeMonotone(t *testing.T) {
 	js := NewJobs()
 	release := make(chan struct{})
 	progressCh := make(chan func(done, total int), 1)
-	j := js.Start("g", nil, func(_ context.Context, p func(done, total int)) (screen.Result, error) {
-		progressCh <- p
+	j := js.Start("g", nil, func(_ context.Context, j *Job) (*ScreenResultView, error) {
+		progressCh <- j.setProgress
 		<-release
-		return screen.Result{}, nil
+		return nil, nil
 	})
 	progress := <-progressCh
 	for _, done := range []int{1, 3, 2, 5, 4} { // out-of-order delivery

@@ -2,7 +2,6 @@ package server
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
 	"time"
 
@@ -11,7 +10,6 @@ import (
 	"tesc/internal/events"
 	"tesc/internal/graph"
 	"tesc/internal/monitor"
-	"tesc/internal/stats"
 )
 
 // ---- wire types -----------------------------------------------------
@@ -79,32 +77,6 @@ func (s *Server) monitorInfo(m *monitor.Monitor) monitorView {
 	return v
 }
 
-func tailName(alt stats.Alternative) string {
-	switch alt {
-	case stats.Greater:
-		return "positive"
-	case stats.Less:
-		return "negative"
-	default:
-		return "both"
-	}
-}
-
-// parseTailAlt maps the wire tail names onto the statistic's
-// alternative hypothesis (the monitor layer works in stats terms).
-func parseTailAlt(s string) (stats.Alternative, error) {
-	switch s {
-	case "", "both":
-		return stats.TwoSided, nil
-	case "positive":
-		return stats.Greater, nil
-	case "negative":
-		return stats.Less, nil
-	default:
-		return 0, fmt.Errorf("unknown tail %q (both | positive | negative)", s)
-	}
-}
-
 // ---- mutation-path plumbing ----------------------------------------
 
 // entrySnapshotFunc adapts a registry entry to the monitor package's
@@ -141,7 +113,7 @@ func (s *Server) handleCreateMonitor(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	alt, err := parseTailAlt(req.Tail)
+	_, alt, err := parseTail(req.Tail)
 	if err != nil {
 		api.WriteError(w, api.CodeBadRequest, "%v", err)
 		return

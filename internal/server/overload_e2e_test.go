@@ -15,7 +15,6 @@ import (
 
 	"tesc"
 	"tesc/api"
-	"tesc/internal/screen"
 )
 
 // newOverloadEnv is newTestEnv with an explicit server config: the
@@ -330,9 +329,9 @@ func TestDrainFlushesAndRecovers(t *testing.T) {
 	ackedEpoch := mut.Epoch
 
 	// A running job to drain away.
-	job := env.srv.jobs.Start("g", nil, func(ctx context.Context, progress func(done, total int)) (screen.Result, error) {
+	job := env.srv.jobs.Start("g", nil, func(ctx context.Context, _ *Job) (*ScreenResultView, error) {
 		<-ctx.Done()
-		return screen.Result{}, ctx.Err()
+		return nil, ctx.Err()
 	})
 
 	// The drain sequence ListenAndServe runs on SIGTERM.

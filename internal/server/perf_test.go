@@ -116,6 +116,42 @@ func waitForJob(t *testing.T, env *testEnv, id string, out *JobView) {
 	t.Fatalf("job %s did not finish", id)
 }
 
+// TestCorrelateRejectsBadOptionsEarly: an out-of-range alpha,
+// sample_size or h is a 400 decided before the flight join and the
+// index fetch, for the index-backed methods too — no index is built or
+// cached and no traversal runs.
+func TestCorrelateRejectsBadOptionsEarly(t *testing.T) {
+	env := newTestEnv(t)
+	var h0 map[string]any
+	env.do(t, http.StatusOK, "GET", "/healthz", nil, &h0)
+	for _, method := range []string{"importance", "rejection"} {
+		for _, bad := range []map[string]any{
+			{"alpha": 1.5},
+			{"alpha": -0.1},
+			{"sample_size": 1},
+			{"h": 0},
+		} {
+			body := map[string]any{"a": "left", "b": "right", "h": 2, "method": method}
+			for k, v := range bad {
+				body[k] = v
+			}
+			if err := env.doErr(http.StatusBadRequest, "POST", "/v1/graphs/g/correlate", body, nil); err != nil {
+				t.Errorf("%+v: %v", body, err)
+			}
+		}
+	}
+	var h1 map[string]any
+	env.do(t, http.StatusOK, "GET", "/healthz", nil, &h1)
+	for _, k := range []string{"index_built", "bfs_runs"} {
+		if h1[k] != h0[k] {
+			t.Fatalf("%s moved from %v to %v on refused requests", k, h0[k], h1[k])
+		}
+	}
+	if n := env.srv.Cache().Len(); n != 0 {
+		t.Fatalf("cache holds %d indexes after refused requests, want 0", n)
+	}
+}
+
 // TestSpearmanImportanceRefusedEarly: Spearman's ρ over an importance
 // sample is refused with 422 before the vicinity index is fetched or
 // built and before any traversal, with the library's message.

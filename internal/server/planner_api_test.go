@@ -178,6 +178,11 @@ func TestPlannedScreenValidation(t *testing.T) {
 		{"h": 1, "bound_alpha": 1e-6},              // bound without a planned mode
 		{"h": 1, "theta": 1.5},                     // theta out of range
 		{"h": 1, "top_k": 2, "workers": 1, "x": 1}, // unknown field
+		{"h": 1, "top_k": 2, "bound_alpha": 1.5},   // bound alpha out of range
+		{"h": 1, "top_k": 2, "bound_alpha": 1},
+		{"h": 1, "theta": 0.1, "bound_alpha": 1.5},
+		{"h": 1, "theta": 0.1, "bound_alpha": 1},
+		{"h": 0, "top_k": 2},
 	}
 	for _, body := range cases {
 		if err := env.doErr(http.StatusBadRequest, "POST", "/v1/graphs/g/screen", body, nil); err != nil {
@@ -186,9 +191,9 @@ func TestPlannedScreenValidation(t *testing.T) {
 	}
 }
 
-// TestScreenRejectsBadAlphaAndSampleSize: an out-of-range alpha or
-// sample_size is a 400 for exhaustive and planned screens alike, decided
-// before a background job slot is taken — with every slot held the bad
+// TestScreenRejectsBadAlphaAndSampleSize: an out-of-range alpha,
+// sample_size, h, top_k or bound_alpha is a 400 for exhaustive and
+// planned screens alike, decided before a background job slot is taken — with every slot held the bad
 // request still gets its 400, not a 503, and no job is ever created.
 func TestScreenRejectsBadAlphaAndSampleSize(t *testing.T) {
 	env := newTestEnv(t)
@@ -216,6 +221,12 @@ func TestScreenRejectsBadAlphaAndSampleSize(t *testing.T) {
 		{"h": 1, "sample_size": -4},
 		{"h": 1, "top_k": 2, "alpha": 1.5},
 		{"h": 1, "theta": 0.1, "sample_size": 1},
+		{"h": 1, "top_k": 2, "bound_alpha": 1.5},
+		{"h": 1, "top_k": 2, "bound_alpha": 1},
+		{"h": 1, "theta": 0.1, "bound_alpha": 1.5},
+		{"h": 1, "theta": 0.1, "bound_alpha": 1},
+		{"h": 0},
+		{"h": 1, "top_k": -1},
 	} {
 		if err := env.doErr(http.StatusBadRequest, "POST", "/v1/graphs/g/screen", body, nil); err != nil {
 			t.Errorf("%+v: %v", body, err)

@@ -8,6 +8,7 @@ import (
 
 	"tesc/internal/events"
 	"tesc/internal/graph"
+	"tesc/internal/screen"
 	"tesc/internal/snapshot"
 	"tesc/internal/vicinity"
 )
@@ -243,8 +244,21 @@ func FuzzLoadSnapshot(f *testing.F) {
 	f.Add(flipped)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := snapshot.Load(bytes.NewReader(data))
-		if err == nil && snap.Graph == nil {
+		if err != nil {
+			return
+		}
+		if snap.Graph == nil {
 			t.Fatal("nil-graph snapshot returned without error")
+		}
+		// Every monitor a snapshot restores re-screens with its H, n
+		// and α, so each must already pass the screen's own rules
+		// (testdata/fuzz holds an MNTR record with a NaN α).
+		for _, st := range snap.Monitors {
+			d := st.Def
+			cfg, err := screen.Config{H: d.H, SampleSize: d.SampleSize, Alpha: d.Alpha}.Normalize()
+			if err != nil || cfg.SampleSize != d.SampleSize || cfg.Alpha != d.Alpha {
+				t.Fatalf("loaded monitor %q (H %d, n %d, alpha %g) fails screen.Config.Normalize: %v", d.ID, d.H, d.SampleSize, d.Alpha, err)
+			}
 		}
 	})
 }

@@ -100,7 +100,7 @@ func TestMonitorSaveNormalizesDefaults(t *testing.T) {
 		t.Fatalf("Save wrote a file its own Load rejects: %v", err)
 	}
 	def := out.Monitors[0].Def
-	if def.SampleSize != monitor.DefaultSampleSize || def.HistoryCap != monitor.DefaultHistory || def.Alpha != monitor.DefaultAlpha {
+	if def.SampleSize != 900 || def.HistoryCap != monitor.DefaultHistory || def.Alpha != 0.05 {
 		t.Fatalf("defaults not normalized on the wire: %+v", def)
 	}
 	if len(out.Monitors[0].History) != 2 {

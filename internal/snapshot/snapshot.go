@@ -829,8 +829,6 @@ func decodeMonitors(b []byte, watchlist bool) ([]monitor.State, error) {
 			c.Failf("snapshot: %s duplicate monitor ID %q", what, def.ID)
 		case h > MaxVicinityLevels:
 			c.Failf("snapshot: %s monitor %q level %d exceeds limit %d", what, def.ID, h, MaxVicinityLevels)
-		case math.IsNaN(alpha) || math.IsInf(alpha, 0):
-			c.Failf("snapshot: %s monitor %q has non-finite alpha", what, def.ID)
 		case alt > uint8(stats.Less):
 			c.Failf("snapshot: %s monitor %q unknown alternative %d", what, def.ID, alt)
 		case mode > uint8(monitor.Manual):

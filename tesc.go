@@ -431,8 +431,8 @@ var ErrNoEventNodes = errors.New("tesc: both events have no occurrences")
 // Correlation runs the TESC hypothesis test between the two events whose
 // occurrence node lists are va and vb.
 func Correlation(g *Graph, va, vb []int, opts Options) (Result, error) {
-	if opts.H < 1 {
-		return Result{}, fmt.Errorf("tesc: Options.H must be >= 1 (the vicinity level)")
+	if err := opts.Validate(); err != nil {
+		return Result{}, err
 	}
 	sa, err := toNodeSet(g, va)
 	if err != nil {
@@ -455,23 +455,7 @@ func Correlation(g *Graph, va, vb []int, opts Options) (Result, error) {
 		}
 	}
 
-	copts := core.Options{
-		H:           opts.H,
-		SampleSize:  opts.SampleSize,
-		Alternative: opts.Tail.alternative(),
-		Alpha:       opts.Alpha,
-		Ctx:         opts.Ctx,
-		Engines:     opts.Engines.Internal(),
-	}
-	if opts.UseSpearman {
-		copts.Statistic = core.SpearmanRho
-	}
-	if copts.SampleSize == 0 {
-		copts.SampleSize = 900
-	}
-	if copts.Alpha == 0 {
-		copts.Alpha = 0.05
-	}
+	copts := opts.core()
 	seed := opts.Seed
 	if seed == 0 {
 		seed = 0x7e5c
@@ -500,6 +484,41 @@ func Correlation(g *Graph, va, vb []int, opts Options) (Result, error) {
 		SamplerBFS:  res.SamplerStats.BFSCount,
 		DensityBFS:  res.DensityBFS,
 	}, nil
+}
+
+// Validate reports the error Correlation returns for opts' own
+// settings: H, SampleSize and Alpha after the zero-means-default step,
+// and UseSpearman with Method Importance. Index is not needed, so a
+// caller can refuse a bad request before it builds one.
+func (opts Options) Validate() error {
+	copts := opts.core()
+	if opts.Method == Importance {
+		copts.Sampler = &core.ImportanceSampler{} // Validate reads only its type
+	}
+	return copts.Validate()
+}
+
+// core maps opts onto core.Options with the facade's defaults applied;
+// the caller adds the sampler and the rng.
+func (opts Options) core() core.Options {
+	copts := core.Options{
+		H:           opts.H,
+		SampleSize:  opts.SampleSize,
+		Alternative: opts.Tail.alternative(),
+		Alpha:       opts.Alpha,
+		Ctx:         opts.Ctx,
+		Engines:     opts.Engines.Internal(),
+	}
+	if opts.UseSpearman {
+		copts.Statistic = core.SpearmanRho
+	}
+	if copts.SampleSize == 0 {
+		copts.SampleSize = 900
+	}
+	if copts.Alpha == 0 {
+		copts.Alpha = 0.05
+	}
+	return copts
 }
 
 func makeSampler(opts Options) (core.Sampler, error) {
