@@ -17,6 +17,7 @@ import (
 
 	"tesc/api"
 	"tesc/client"
+	"tesc/internal/httpbody"
 )
 
 // Config parameterizes a Coordinator.
@@ -331,36 +332,30 @@ func (c *Coordinator) proxyWrite(w http.ResponseWriter, r *http.Request, m *memb
 
 // ---- handlers -------------------------------------------------------
 
-// maxBodyBytes bounds buffered request bodies. Mutation bodies must be
-// buffered (the name decides the route before the bytes are spent), so
-// the bound keeps a hostile request from holding the coordinator's
-// memory.
-const maxBodyBytes = 256 << 20
-
+// readBody buffers a request body. Mutation bodies must be buffered
+// (the name decides the route before the bytes are spent), so
+// api.MaxBodyBytes bounds them: a hostile request must not hold the
+// coordinator's memory.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
-	if err != nil {
-		api.WriteError(w, api.CodeBadRequest, "reading request body: %v", err)
-		return nil, false
-	}
-	if len(body) > maxBodyBytes {
-		api.WriteError(w, api.CodeBadRequest, "request body exceeds %d bytes", maxBodyBytes)
-		return nil, false
-	}
-	return body, true
+	return httpbody.Read(w, r, api.MaxBodyBytes)
 }
 
-// handleCreateGraph decodes just enough of the body to place the graph
-// (the name), then forwards the original bytes to the owner.
+// handleCreateGraph reads just enough of the body to place the graph
+// (the name), then forwards the original bytes to the owner. A
+// canonical body is scanned (api.ScanRegisterGraph); any other body,
+// or one with more than whitespace after its object, is unmarshaled.
 func (c *Coordinator) handleCreateGraph(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r)
 	if !ok {
 		return
 	}
-	var req api.RegisterGraphRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		api.WriteError(w, api.CodeBadRequest, "decoding request: %v", err)
-		return
+	req, _, end, ok := api.ScanRegisterGraph(body)
+	if !ok || len(bytes.TrimLeft(body[end:], " \t\r\n")) > 0 {
+		req = api.RegisterGraphRequest{}
+		if err := json.Unmarshal(body, &req); err != nil {
+			api.WriteError(w, api.CodeBadRequest, "decoding request: %v", err)
+			return
+		}
 	}
 	if err := api.ValidateGraphName(req.Name); err != nil {
 		api.WriteError(w, api.CodeInvalidName, "%v", err)

@@ -256,10 +256,7 @@ func (res *Result) score(stat Statistic, freq []int, omega []float64) error {
 		res.Tau = sp.Rho
 		res.Z = sp.Z
 	} else if freq == nil {
-		// KendallAuto guarantees the O(n log n) path for n >= the pinned
-		// cutoff; the quadratic variant is reserved for tiny samples
-		// where its constant factors win (see stats.KendallNaiveCutoff).
-		k := stats.KendallAuto(sa, sb)
+		k := stats.Kendall(sa, sb)
 		res.Tau = k.Tau
 		res.Z = k.Z
 	} else {

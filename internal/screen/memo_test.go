@@ -10,7 +10,6 @@ import (
 	"tesc/internal/events"
 	"tesc/internal/graph"
 	"tesc/internal/graphgen"
-	"tesc/internal/stats"
 	"tesc/internal/vicinity"
 )
 
@@ -238,16 +237,4 @@ func TestSharedMemoPopulationLifetime(t *testing.T) {
 	}
 	memo.Invalidate(all)
 	check("h change")
-}
-
-// TestScreenSampleRoutesThroughLogLinearKendall audits the satellite
-// requirement: every screening test at the default and paper sample
-// sizes (>= stats.KendallNaiveCutoff) must route through Knight's
-// O(n log n) Kendall, never the quadratic reference kernel.
-func TestScreenSampleRoutesThroughLogLinearKendall(t *testing.T) {
-	for _, n := range []int{64, 300, 900} {
-		if stats.UseNaiveKendall(n) {
-			t.Fatalf("sample size %d would use the quadratic Kendall kernel", n)
-		}
-	}
 }

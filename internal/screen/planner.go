@@ -78,7 +78,7 @@ type PlanConfig struct {
 	Stream func(top []PairResult)
 
 	// firstCheckpoint is the first sample prefix at which bounds are
-	// evaluated (default 64, the Kendall cutoff); the schedule doubles
+	// evaluated (default defaultFirstCheckpoint); the schedule doubles
 	// from there up to half the sample, and with the deterministic
 	// bound alone adds the eighths past half, where that bound
 	// sharpens (checkpointSchedule). Must be ≥ 2 when set; tests lower
@@ -215,6 +215,10 @@ func checkpointSchedule(buf []int, first, n int, statistical bool) []int {
 // that a violation — the only way a planned result can diverge from
 // the exhaustive sweep — needs a ≈ 5σ density fluctuation.
 const defaultBoundAlpha = 1e-6
+
+// defaultFirstCheckpoint is the first sample prefix at which a pair's
+// bounds are evaluated when PlanConfig leaves firstCheckpoint unset.
+const defaultFirstCheckpoint = 64
 
 // planBar is the shared pruning bar: in top-k mode the k-th best
 // COMPLETED exact score (−Inf until k pairs completed), in threshold

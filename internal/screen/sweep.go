@@ -72,7 +72,7 @@ func (cfg PlanConfig) Normalize() (PlanConfig, error) {
 		cfg.BoundAlpha = defaultBoundAlpha
 	}
 	if cfg.firstCheckpoint == 0 {
-		cfg.firstCheckpoint = stats.KendallNaiveCutoff
+		cfg.firstCheckpoint = defaultFirstCheckpoint
 	}
 	if cfg.firstCheckpoint < 2 {
 		return cfg, fmt.Errorf("screen: first checkpoint must be >= 2, got %d", cfg.firstCheckpoint)

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"tesc/api"
 	"tesc/internal/core"
 	"tesc/internal/graphio"
+	"tesc/internal/httpbody"
 	"tesc/internal/screen"
 	"tesc/internal/stats"
 )
@@ -44,14 +47,68 @@ const maxInlineNodes = 1 << 24
 
 // ---- helpers --------------------------------------------------------
 
+// bodyLimit is the largest request body tescd reads, api.MaxBodyBytes;
+// tests lower it to cross the bound without buffering 256 MB.
+var bodyLimit int64 = api.MaxBodyBytes
+
+// decodeJSON decodes the first JSON value of a request body into v,
+// refusing unknown fields; bytes after that value are ignored. The body
+// streams through the decoder under bodyLimit: a declared length over
+// it is refused unread, a streamed one once the decoder reads past it.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+	if r.ContentLength > bodyLimit {
+		httpbody.TooLarge(w, bodyLimit)
+		return false
+	}
+	return decode(w, http.MaxBytesReader(w, r.Body, bodyLimit), v)
+}
+
+// decode decodes the first JSON value of body into v, unknown fields
+// refused, and answers a failure with a 400.
+func decode(w http.ResponseWriter, body io.Reader, v any) bool {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		api.WriteError(w, api.CodeBadRequest, "invalid request body: %v", err)
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			httpbody.TooLarge(w, tooLarge.Limit)
+		} else {
+			api.WriteError(w, api.CodeBadRequest, "invalid request body: %v", err)
+		}
 		return false
 	}
 	return true
+}
+
+// unescapeInPlace rewrites the escapes api.ScanRegisterGraph admits in
+// an edge_list span (\n \t \r \" \\ \/) in place and returns the
+// unescaped prefix of b.
+func unescapeInPlace(b []byte) []byte {
+	w := bytes.IndexByte(b, '\\')
+	if w < 0 {
+		return b
+	}
+	for r := w; r < len(b); {
+		c := b[r+1]
+		switch c {
+		case 'n':
+			c = '\n'
+		case 't':
+			c = '\t'
+		case 'r':
+			c = '\r'
+		}
+		b[w] = c
+		w++
+		r += 2
+		run := bytes.IndexByte(b[r:], '\\')
+		if run < 0 {
+			run = len(b) - r
+		}
+		w += copy(b[w:], b[r:r+run])
+		r += run
+	}
+	return b[:w]
 }
 
 // graphName extracts and validates the {name} path value. Names that do
@@ -147,19 +204,44 @@ func (e *GraphEntry) info() graphInfo {
 
 // ---- handlers -------------------------------------------------------
 
-// handleRegisterGraph implements POST /v1/graphs.
+// handleRegisterGraph implements POST /v1/graphs. A canonical body
+// (api.ScanRegisterGraph) is parsed where it was read: its edge_list is
+// unescaped in place and parsed from those bytes. Every other body goes
+// through encoding/json, which gives the same request for every body
+// the scan accepts, so status codes and error text do not depend on
+// the path taken.
 func (s *Server) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
-	var req registerGraphRequest
-	if !decodeJSON(w, r, &req) {
+	body, ok := httpbody.Read(w, r, bodyLimit)
+	if !ok {
 		return
 	}
+	var inline io.Reader
+	req, edges, _, ok := api.ScanRegisterGraph(body)
+	if ok {
+		if edges = unescapeInPlace(edges); len(edges) > 0 {
+			inline = bytes.NewReader(edges)
+		}
+	} else {
+		if !decode(w, bytes.NewReader(body), &req) {
+			return
+		}
+		if req.EdgeList != "" {
+			inline = strings.NewReader(req.EdgeList)
+		}
+	}
+	s.registerGraph(w, req, inline)
+}
+
+// registerGraph registers req's graph, reading an inline edge list from
+// inline, nil when the body set none (req.EdgeList is not read).
+func (s *Server) registerGraph(w http.ResponseWriter, req registerGraphRequest, inline io.Reader) {
 	if err := api.ValidateGraphName(req.Name); err != nil {
 		api.WriteError(w, api.CodeInvalidName, "%v", err)
 		return
 	}
 	sources := 0
-	for _, src := range []string{req.EdgeList, req.Path, req.Snapshot} {
-		if src != "" {
+	for _, set := range []bool{inline != nil, req.Path != "", req.Snapshot != ""} {
+		if set {
 			sources++
 		}
 	}
@@ -198,11 +280,11 @@ func (s *Server) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
 		g   *tesc.Graph
 		err error
 	)
-	if req.EdgeList != "" {
+	if inline != nil {
 		// Inline bodies are untrusted: cap the universe so a one-line
 		// request can't demand an O(n) allocation in the gigabytes.
 		// Server-side -load/path graphs stay uncapped.
-		g, err = tesc.ReadGraphMax(strings.NewReader(req.EdgeList), maxInlineNodes)
+		g, err = tesc.ReadGraphMax(inline, maxInlineNodes)
 	} else {
 		var f interface {
 			Read([]byte) (int, error)

@@ -5,33 +5,13 @@ import (
 	"testing"
 )
 
-// TestKendallCutoffPinned pins the kernel-selection threshold: samples
-// of size >= KendallNaiveCutoff must route through Knight's O(n log n)
-// algorithm, smaller ones through the quadratic kernel. Changing the
-// cutoff is allowed — but deliberately, with a benchmark, and this test
-// updated in the same commit.
-func TestKendallCutoffPinned(t *testing.T) {
-	if KendallNaiveCutoff != 64 {
-		t.Fatalf("KendallNaiveCutoff = %d, want 64", KendallNaiveCutoff)
-	}
-	if !UseNaiveKendall(KendallNaiveCutoff - 1) {
-		t.Fatalf("n = %d should use the naive kernel", KendallNaiveCutoff-1)
-	}
-	if UseNaiveKendall(KendallNaiveCutoff) {
-		t.Fatalf("n = %d must use the O(n log n) kernel", KendallNaiveCutoff)
-	}
-	if UseNaiveKendall(900) {
-		t.Fatal("the paper's n = 900 must use the O(n log n) kernel")
-	}
-}
-
-// TestKendallAutoMatchesBothKernels verifies KendallAuto is invisible:
-// across the cutoff (including exactly at it) the selected kernel
-// returns the identical TauResult both kernels produce, on tie-heavy
-// data where kernel bugs would show.
+// TestKendallAutoMatchesBothKernels verifies KendallAuto returns the
+// identical TauResult both kernels produce, at sizes from 2 up past the
+// old routing cutoff of 64, on tie-heavy data where kernel bugs would
+// show.
 func TestKendallAutoMatchesBothKernels(t *testing.T) {
 	rng := rand.New(rand.NewPCG(4, 44))
-	for _, n := range []int{2, 10, KendallNaiveCutoff - 1, KendallNaiveCutoff, KendallNaiveCutoff + 1, 257} {
+	for _, n := range []int{2, 10, 63, 64, 65, 257} {
 		x := make([]float64, n)
 		y := make([]float64, n)
 		for i := range x {

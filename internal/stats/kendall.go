@@ -276,32 +276,8 @@ func (p *KendallPrefix) result(n int, discordant, tiesXpairs, tiesYpairs, tiesBo
 // pairs is c choose 2.
 func pairs(c int64) int64 { return c * (c - 1) / 2 }
 
-// KendallNaiveCutoff is the sample size at which KendallAuto switches
-// from the quadratic kernel to Knight's O(n log n) algorithm. Below it
-// the naive double loop wins on constant factors (no sorting, no index
-// permutation, no merge buffer); at or above it the asymptotics take
-// over — and a TESC test at the paper's n = 900 must never pay the
-// O(n²) pair enumeration. The selection test pins this value; change it
-// deliberately, with a benchmark.
-const KendallNaiveCutoff = 64
-
-// UseNaiveKendall reports whether KendallAuto routes a sample of size n
-// through the quadratic kernel. Exported so the routing policy is
-// testable: the core test and the screening sweep must route every
-// n >= KendallNaiveCutoff sample through Knight's algorithm.
-func UseNaiveKendall(n int) bool { return n < KendallNaiveCutoff }
-
-// KendallAuto computes the Kendall τ test, selecting the kernel by
-// sample size: the naive quadratic loop for tiny samples, Knight's
-// O(n log n) algorithm from KendallNaiveCutoff up. Both kernels return
-// identical TauResults (see the cross-validation tests), so the switch
-// is invisible to callers.
-func KendallAuto(x, y []float64) TauResult {
-	if UseNaiveKendall(mustSameLen(x, y)) {
-		return KendallNaive(x, y)
-	}
-	return Kendall(x, y)
-}
+// KendallAuto is Kendall, under the name existing callers use.
+func KendallAuto(x, y []float64) TauResult { return Kendall(x, y) }
 
 // finishTau fills Tau, VarNum and Z from the pair counts and tie-group
 // sizes.

@@ -388,12 +388,12 @@ func plannerSchedule(n int) []int {
 	var cps []int
 	seen := map[int]bool{}
 	add := func(m int) {
-		if m >= KendallNaiveCutoff && m < n && !seen[m] {
+		if m >= 64 && m < n && !seen[m] {
 			seen[m] = true
 			cps = append(cps, m)
 		}
 	}
-	for m := KendallNaiveCutoff; m < n; m *= 2 {
+	for m := 64; m < n; m *= 2 {
 		add(m)
 	}
 	for num := 4; num < 8; num++ {
