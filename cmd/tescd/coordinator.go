@@ -4,13 +4,13 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
 	"tesc/internal/cluster"
+	"tesc/internal/server"
 )
 
 // runCoordinator serves the coordinator tier: the single-node API,
@@ -50,7 +50,7 @@ func runCoordinator(addr, peers, topoFile string, probeIvl time.Duration, failTh
 	defer stop()
 	go coord.Run(ctx)
 
-	hs := &http.Server{Addr: addr, Handler: coord.Handler()}
+	hs := server.NewHTTPServer(addr, coord.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	logger.Printf("coordinating %d member(s), listening on %s", len(top.Members), addr)

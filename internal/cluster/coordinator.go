@@ -49,7 +49,6 @@ type endpoint struct {
 	healthy     bool
 	consecFails int
 	lagEpochs   uint64
-	probed      bool // at least one probe completed
 }
 
 // member is one owner group. endpoints[0] is the owner.
@@ -238,7 +237,7 @@ func (c *Coordinator) forward(w http.ResponseWriter, r *http.Request, ep *endpoi
 }
 
 // send replays the incoming request against ep, returning the member's
-// response, or false on a transport error.
+// response, or false on a transport error, which counts against ep.
 func (c *Coordinator) send(r *http.Request, ep *endpoint, body io.Reader) (*http.Response, bool) {
 	// The escaped form: a decoded "?", "#", "/" or "%" in an event or
 	// monitor name would change the member's route.
@@ -250,6 +249,7 @@ func (c *Coordinator) send(r *http.Request, ep *endpoint, body io.Reader) (*http
 	if err != nil {
 		c.proxyErrors.Add(1)
 		c.logf("cluster: proxy %s %s -> %s: %v", r.Method, r.URL.Path, ep.url, err)
+		c.fail(ep)
 		return nil, false
 	}
 	c.proxied.Add(1)
@@ -290,14 +290,6 @@ func (c *Coordinator) proxyRead(w http.ResponseWriter, r *http.Request, m *membe
 		if c.forward(w, r, ep, rd) {
 			return
 		}
-		// Transport failure: eject immediately so later requests skip it
-		// until a probe brings it back.
-		c.mu.Lock()
-		ep.consecFails++
-		if ep.consecFails >= c.cfg.FailThreshold {
-			ep.healthy = false
-		}
-		c.mu.Unlock()
 	}
 	api.WriteRetryable(w, time.Second, api.CodeUnavailable,
 		"member %s has no routable endpoint for reads (%d tried)", m.name, tried)
@@ -317,12 +309,6 @@ func (c *Coordinator) proxyWrite(w http.ResponseWriter, r *http.Request, m *memb
 		rd = bytes.NewReader(body)
 	}
 	if !c.forward(w, r, ep, rd) {
-		c.mu.Lock()
-		ep.consecFails++
-		if ep.consecFails >= c.cfg.FailThreshold {
-			ep.healthy = false
-		}
-		c.mu.Unlock()
 		api.WriteRetryable(w, time.Second, api.CodeNoOwner,
 			"member %s owner did not answer", m.name)
 		return false
@@ -389,9 +375,16 @@ func (c *Coordinator) handleListGraphs(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		infos, err := ep.cl.ListGraphs(r.Context())
+		if e, ok := err.(*api.Error); ok {
+			// A typed answer is an answer, not a proxy error.
+			c.proxied.Add(1)
+			c.logf("cluster: list via %s: %v", ep.url, e)
+			continue
+		}
 		if err != nil {
 			c.proxyErrors.Add(1)
 			c.logf("cluster: list via %s: %v", ep.url, err)
+			c.fail(ep)
 			continue
 		}
 		c.proxied.Add(1)
@@ -585,28 +578,35 @@ func (c *Coordinator) ProbeNow(ctx context.Context) {
 		probeCtx, cancel := context.WithTimeout(ctx, c.cfg.ProbeInterval)
 		h, err := ep.cl.Health(probeCtx)
 		cancel()
-		c.mu.Lock()
-		ep.probed = true
 		if err != nil {
-			ep.consecFails++
-			if ep.consecFails >= c.cfg.FailThreshold {
-				if ep.healthy {
-					c.logf("cluster: endpoint %s ejected after %d probe failures", ep.url, ep.consecFails)
-				}
-				ep.healthy = false
-			}
-		} else {
-			if !ep.healthy {
-				c.logf("cluster: endpoint %s recovered", ep.url)
-			}
-			ep.healthy = true
-			ep.consecFails = 0
-			ep.lagEpochs = 0
-			if h.ReplicaHealth != nil {
-				ep.lagEpochs = h.ReplicaLagEpochs
-			}
+			c.fail(ep)
+			continue
+		}
+		c.mu.Lock()
+		if !ep.healthy {
+			c.logf("cluster: endpoint %s recovered", ep.url)
+		}
+		ep.healthy = true
+		ep.consecFails = 0
+		ep.lagEpochs = 0
+		if h.ReplicaHealth != nil {
+			ep.lagEpochs = h.ReplicaLagEpochs
 		}
 		c.mu.Unlock()
+	}
+}
+
+// fail counts one transport failure of ep (a probe, or a request it
+// did not answer at all) and ejects ep from routing at FailThreshold
+// consecutive ones, until a probe brings it back. A typed non-2xx
+// answer is an answer and never counts.
+func (c *Coordinator) fail(ep *endpoint) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ep.consecFails++
+	if ep.consecFails >= c.cfg.FailThreshold && ep.healthy {
+		c.logf("cluster: endpoint %s ejected after %d consecutive failures", ep.url, ep.consecFails)
+		ep.healthy = false
 	}
 }
 

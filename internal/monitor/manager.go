@@ -3,13 +3,13 @@ package monitor
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"tesc/internal/graph"
-	"tesc/internal/screen"
 	"tesc/internal/vicinity"
 )
 
@@ -89,24 +89,11 @@ func (mgr *Manager) add(graphName string, st State, snap SnapshotFunc) (*Monitor
 	if err := def.Normalize(); err != nil {
 		return nil, err
 	}
+	m := &Monitor{def: def, graph: graphName, snap: snap, mgr: mgr}
 	g, store, _, _ := snap()
-	var memo *screen.SharedMemo
-	if def.TopK > 0 {
-		// A watchlist's cache spans the whole vocabulary; with no
-		// events yet, screenWatchlist builds it when some appear.
-		if names := store.Names(); len(names) > 0 {
-			var err error
-			if memo, err = screen.NewSharedMemo(g.NumNodes(), names); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		var err error
-		if memo, err = screen.NewSharedMemo(g.NumNodes(), []string{def.A, def.B}); err != nil {
-			return nil, err
-		}
+	if err := m.bindMemo(g, store); err != nil {
+		return nil, err
 	}
-	m := &Monitor{def: def, graph: graphName, snap: snap, mgr: mgr, memo: memo}
 	if len(st.History) > 0 {
 		h := append([]Sample(nil), st.History...)
 		sortSamples(h)
@@ -287,9 +274,7 @@ func (mgr *Manager) NotifyEdgeDelta(graphName string, oldG, newG *graph.Graph, c
 	}
 	maxH := 0
 	for _, m := range monitors {
-		if m.def.H > maxH {
-			maxH = m.def.H
-		}
+		maxH = max(maxH, m.def.H)
 	}
 	d := pendingDelta{epoch: targetEpoch, batches: 1}
 	switch {
@@ -323,35 +308,22 @@ func (mgr *Manager) NotifyEventDelta(graphName string, changed map[string][]grap
 	}
 	var affected []*Monitor
 	maxH := 0
-	anyWatchlist := false
 	for _, m := range mgr.listAndMark(graphName, targetEpoch) {
-		watch := m.def.TopK > 0
-		_, hitA := changed[m.def.A]
-		_, hitB := changed[m.def.B]
-		if !watch && !hitA && !hitB {
-			continue
-		}
-		affected = append(affected, m)
-		anyWatchlist = anyWatchlist || watch
-		if m.def.H > maxH {
-			maxH = m.def.H
+		for name := range changed {
+			if m.watches(name) {
+				affected = append(affected, m)
+				maxH = max(maxH, m.def.H)
+				break
+			}
 		}
 	}
 	if len(affected) == 0 {
 		return
 	}
-	names := make(map[string]bool, 2*len(affected))
-	for _, m := range affected {
-		if m.def.TopK > 0 {
-			continue
-		}
-		names[m.def.A] = true
-		names[m.def.B] = true
-	}
 	var sources []graph.NodeID
 	seen := make(map[graph.NodeID]bool)
 	for name, nodes := range changed {
-		if !anyWatchlist && !names[name] {
+		if !slices.ContainsFunc(affected, func(m *Monitor) bool { return m.watches(name) }) {
 			continue
 		}
 		for _, v := range nodes {

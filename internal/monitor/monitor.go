@@ -28,6 +28,7 @@ package monitor
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -391,7 +392,7 @@ func (m *Monitor) run(force bool) (Sample, bool, error) {
 			break
 		}
 		// A watchlist registered against an empty vocabulary has no
-		// memo yet (screenWatchlist builds one when events appear).
+		// memo yet (bindMemo builds one when events appear).
 		if drainedAll {
 			if m.memo != nil {
 				m.memo.Reset()
@@ -400,7 +401,7 @@ func (m *Monitor) run(force bool) (Sample, bool, error) {
 			m.memo.Invalidate(dirty)
 		}
 
-		sample, err := m.screenOnce(g, store, epoch, engines, batches)
+		sample, err := m.rescreen(g, store, epoch, engines, batches)
 		if errors.Is(err, screen.ErrStaleEpoch) {
 			// A mutation published a newer snapshot mid-run. Its delta
 			// was queued before publication, so the next iteration
@@ -436,83 +437,36 @@ func (m *Monitor) run(force bool) (Sample, bool, error) {
 	return last, ran, nil
 }
 
-// screenOnce runs one epoch-pinned re-screen against the retained
-// density cache: a single-pair sweep for fixed-pair monitors, a
-// planned top-k ranking for watchlists.
-func (m *Monitor) screenOnce(g *graph.Graph, store *events.Store, epoch uint64, engines *graph.EnginePool, batches int) (Sample, error) {
-	if m.def.TopK > 0 {
-		return m.screenWatchlist(g, store, epoch, engines, batches)
-	}
-	cfg := screen.Config{
-		H:           m.def.H,
-		SampleSize:  m.def.SampleSize,
-		Alpha:       m.def.Alpha,
-		Alternative: m.def.Alternative,
-		Seed:        m.def.Seed,
-		Memo:        m.memo,
-		Engines:     engines,
-		Epoch:       epoch,
-		CurrentEpoch: func() uint64 {
-			_, _, e, _ := m.snap()
-			return e
-		},
-	}
-	start := time.Now()
-	res, err := screen.Run(g, store, [][2]string{{m.def.A, m.def.B}}, cfg)
-	if err != nil {
-		return Sample{}, err
-	}
-	p := res.Pairs[0]
-	sample := Sample{
-		Epoch:       epoch,
-		At:          time.Now(),
-		Batches:     batches,
-		Tau:         p.Tau,
-		Z:           p.Z,
-		P:           p.P,
-		AdjP:        p.AdjP,
-		Significant: p.Significant,
-		Skipped:     p.Skipped,
-		Reused:      res.MemoHits,
-		Recomputed:  res.BFSRuns,
-		ElapsedMS:   float64(time.Since(start).Microseconds()) / 1000,
-	}
-	if m.mgr != nil {
-		if batches > 0 {
-			m.mgr.reruns.Add(1)
-		}
-		m.mgr.nodesReused.Add(res.MemoHits)
-	}
-	return sample, nil
+// watches reports whether a mutation of the named event can change the
+// monitor's result: a pair watches its two events, a watchlist the
+// whole vocabulary.
+func (m *Monitor) watches(name string) bool {
+	return m.def.TopK > 0 || name == m.def.A || name == m.def.B
 }
 
-// screenWatchlist runs one epoch-pinned planned ranking over the whole
-// vocabulary. The density cache spans every event, so deltas folded by
-// the drain loop invalidate exactly their dirty ball and the planner
-// serves every untouched reference node from the cache — the same
-// incremental contract fixed-pair monitors have, at watchlist width.
-func (m *Monitor) screenWatchlist(g *graph.Graph, store *events.Store, epoch uint64, engines *graph.EnginePool, batches int) (Sample, error) {
-	// The vocabulary is not fixed at registration: event mutations add
-	// and drop whole events. The memo's dense count vectors are indexed
-	// by its vocabulary, so a changed name set forces a cold rebuild
-	// (rare); occurrence-level changes keep the names and reuse it.
-	if names := store.Names(); m.memo == nil || !sameNames(m.memo.Names(), names) {
-		m.memo = nil
-		if len(names) > 0 {
-			memo, err := screen.NewSharedMemo(g.NumNodes(), names)
-			if err != nil {
-				return Sample{}, err
-			}
-			m.memo = memo
-		}
+// rescreen runs one epoch-pinned planned ranking of the monitor's
+// candidate list against the retained density cache. A fixed pair is
+// the list {A, B} with k = 1: one candidate, so the plan never prunes
+// and tests it in one pass, exactly as an exhaustive screen.Run would
+// (a one-p-value BH adjustment is the p-value itself). A watchlist is
+// every pair of the vocabulary with k = TopK; its cache spans every
+// event, so the deltas the drain loop folded invalidate exactly their
+// dirty ball and the planner serves every untouched reference node
+// from the cache.
+func (m *Monitor) rescreen(g *graph.Graph, store *events.Store, epoch uint64, engines *graph.EnginePool, batches int) (Sample, error) {
+	if err := m.bindMemo(g, store); err != nil {
+		return Sample{}, err
 	}
 	start := time.Now()
-	pairs := screen.AllPairs(store, m.def.MinOccurrences)
-	if len(pairs) == 0 {
-		return Sample{
-			Epoch: epoch, At: time.Now(), Batches: batches,
-			Skipped: "fewer than two screenable events",
-		}, nil
+	pairs, k := [][2]string{{m.def.A, m.def.B}}, 1
+	if m.def.TopK > 0 {
+		pairs, k = screen.AllPairs(store, m.def.MinOccurrences), m.def.TopK
+		if len(pairs) == 0 {
+			return Sample{
+				Epoch: epoch, At: time.Now(), Batches: batches,
+				Skipped: "fewer than two screenable events",
+			}, nil
+		}
 	}
 	cfg := screen.PlanConfig{
 		Config: screen.Config{
@@ -531,7 +485,7 @@ func (m *Monitor) screenWatchlist(g *graph.Graph, store *events.Store, epoch uin
 				return e
 			},
 		},
-		K: m.def.TopK,
+		K: k,
 	}
 	res, err := screen.Plan(g, store, pairs, cfg)
 	if err != nil {
@@ -544,21 +498,27 @@ func (m *Monitor) screenWatchlist(g *graph.Graph, store *events.Store, epoch uin
 		Reused:     res.Stats.MemoHits,
 		Recomputed: res.Stats.BFSRuns,
 		ElapsedMS:  float64(time.Since(start).Microseconds()) / 1000,
-		Top:        make([]TopPair, len(res.Pairs)),
 	}
-	for i, p := range res.Pairs {
-		sample.Top[i] = TopPair{
-			A: p.A, B: p.B,
-			Tau: p.Tau, Z: p.Z, P: p.P,
-			Significant: p.Significant,
+	if m.def.TopK > 0 {
+		sample.Top = make([]TopPair, len(res.Pairs))
+		for i, p := range res.Pairs {
+			sample.Top[i] = TopPair{
+				A: p.A, B: p.B,
+				Tau: p.Tau, Z: p.Z, P: p.P,
+				Significant: p.Significant,
+			}
 		}
 	}
-	if len(res.Pairs) > 0 {
+	switch {
+	case len(res.Pairs) > 0:
 		head := res.Pairs[0]
 		sample.Tau, sample.Z = head.Tau, head.Z
 		sample.P, sample.AdjP = head.P, head.AdjP
 		sample.Significant = head.Significant
-	} else {
+	case m.def.TopK == 0:
+		// One candidate and nothing to prune it against: it was skipped.
+		sample.Skipped = res.Skipped[0].Skipped
+	default:
 		sample.Skipped = "no screenable pair in the vocabulary"
 	}
 	if m.mgr != nil {
@@ -570,20 +530,32 @@ func (m *Monitor) screenWatchlist(g *graph.Graph, store *events.Store, epoch uin
 	return sample, nil
 }
 
-// sameNames reports whether the sorted vocabulary a equals the (not
-// necessarily sorted) name list b as a set.
-func sameNames(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
+// bindMemo keeps the density cache's vocabulary the one the monitor
+// screens: the pair's two events, or a watchlist's whole vocabulary.
+// The vocabulary is not fixed at registration: event mutations add and
+// drop whole events. The memo's dense count vectors are indexed by its
+// vocabulary, so a changed name set forces a cold rebuild (rare for a
+// watchlist, never for a pair); occurrence-level changes keep the
+// names and reuse it. A watchlist with no events yet has no memo.
+func (m *Monitor) bindMemo(g *graph.Graph, store *events.Store) error {
+	names := []string{m.def.A, m.def.B}
+	if m.def.TopK > 0 {
+		names = store.Names()
 	}
-	sorted := append([]string(nil), b...)
-	sort.Strings(sorted)
-	for i := range a {
-		if a[i] != sorted[i] {
-			return false
-		}
+	names = slices.Sorted(slices.Values(names)) // the memo's order
+	if m.memo != nil && slices.Equal(m.memo.Names(), names) {
+		return nil
 	}
-	return true
+	m.memo = nil
+	if len(names) == 0 {
+		return nil
+	}
+	memo, err := screen.NewSharedMemo(g.NumNodes(), names)
+	if err != nil {
+		return err
+	}
+	m.memo = memo
+	return nil
 }
 
 // record appends to the history ring, evicting the oldest entry past

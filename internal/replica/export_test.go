@@ -9,3 +9,7 @@ import "tesc/internal/wal"
 func (f *Follower) ApplyFrames(b []byte) error {
 	return f.consume(wal.ShipBatch{Start: f.cur, Next: f.cur, Frames: b})
 }
+
+// SetMaxPull lowers the follower's per-pull frame budget, so a sweep
+// splits the log across many pulls.
+func (f *Follower) SetMaxPull(n int) { f.maxPull = n }

@@ -39,10 +39,11 @@ type Follower struct {
 	faults     atomic.Int64
 }
 
+// maxPullBytes bounds one pull's frame bytes.
+const maxPullBytes = 1 << 20
+
 // Options tunes a Follower.
 type Options struct {
-	// MaxPullBytes bounds one pull's frame bytes (default 1 MiB).
-	MaxPullBytes int
 	// Logf receives diagnostics; nil disables them.
 	Logf func(format string, args ...any)
 }
@@ -52,14 +53,11 @@ func New(t Transport, st State, opts *Options) *Follower {
 	f := &Follower{
 		t:       t,
 		st:      st,
-		maxPull: 1 << 20,
+		maxPull: maxPullBytes,
 		barrier: make(map[string]wal.ShipCursor),
 		missing: make(map[string]bool),
 	}
 	if opts != nil {
-		if opts.MaxPullBytes > 0 {
-			f.maxPull = opts.MaxPullBytes
-		}
 		f.logf = opts.Logf
 	}
 	return f

@@ -432,11 +432,12 @@ func runSweepSeed(t *testing.T, seed int64, rig sweepRig) (total replica.Metrics
 		wire = &replica.HTTPTransport{Base: "http://primary", Client: &http.Client{Transport: handlerHop{primary.srv.Handler()}}}
 	}
 
-	opts := &replica.Options{MaxPullBytes: 64 + rng.Intn(4096)}
+	maxPull := 64 + rng.Intn(4096)
 	followers := make([]*sweepFollower, rig.followers)
 	for i := range followers {
 		f := &sweepFollower{node: bootNode(t, wal.NewFaultFS(), true), ft: replica.NewFaultTransport(wire, seed*7919+13+int64(i), 0.35)}
-		f.fol = replica.New(f.ft, newCheckingState(t, f.node.srv.FollowerState()), opts)
+		f.fol = replica.New(f.ft, newCheckingState(t, f.node.srv.FollowerState()), nil)
+		f.fol.SetMaxPull(maxPull)
 		followers[i] = f
 	}
 	defer func() {
@@ -471,7 +472,8 @@ func runSweepSeed(t *testing.T, seed int64, rig sweepRig) (total replica.Metrics
 			f.node.srv.Kill()
 			f.node.fs.Crash()
 			f.node = bootNode(t, f.node.fs, true)
-			f.fol = replica.New(f.ft, newCheckingState(t, f.node.srv.FollowerState()), opts)
+			f.fol = replica.New(f.ft, newCheckingState(t, f.node.srv.FollowerState()), nil)
+			f.fol.SetMaxPull(maxPull)
 		}
 	}
 

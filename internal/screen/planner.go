@@ -72,9 +72,11 @@ type PlanConfig struct {
 	BoundAlpha float64
 	// Stream, when non-nil, is called with the current ranked result
 	// set each time a completed pair improves it — top-k results
-	// stream out while the sweep runs. Calls are serialized and the
-	// slice is the callback's to keep; keep the callback cheap, it is
-	// invoked on the worker path.
+	// stream out while the sweep runs. Calls are serialized and arrive
+	// in the order the snapshots were cut, so a later snapshot never
+	// ranks fewer completed pairs than an earlier one. The slice is the
+	// callback's to keep; keep the callback cheap, it is invoked on the
+	// worker path.
 	Stream func(top []PairResult)
 
 	// firstCheckpoint is the first sample prefix at which bounds are
@@ -119,11 +121,13 @@ type PlanStats struct {
 }
 
 // PlanResult is a completed planned screen: the ranked result pairs
-// (score descending, ties by event names) and the work accounting.
-// Skipped and pruned pairs do not appear in Pairs.
+// (score descending, ties by event names), the skipped candidates with
+// their reasons (in input order), and the work accounting. Pruned
+// pairs appear in neither list.
 type PlanResult struct {
-	Pairs []PairResult
-	Stats PlanStats
+	Pairs   []PairResult
+	Skipped []PairResult
+	Stats   PlanStats
 }
 
 // rankScore maps a pair's τ to its ranking score under the tested
@@ -234,6 +238,10 @@ type planBar struct {
 	// completed, which is kept only for it.
 	stream    func([]PairResult)
 	completed []PairResult
+	// streamMu serializes stream calls: offer takes it before it
+	// releases mu, so snapshots arrive one at a time, in the order they
+	// were cut.
+	streamMu sync.Mutex
 }
 
 func (b *planBar) bar() float64 {
@@ -267,10 +275,14 @@ func (b *planBar) offer(res PairResult) {
 			snapshot = rankCut(append([]PairResult(nil), b.completed...), b.k, b.theta, b.alt)
 		}
 	}
-	b.mu.Unlock()
-	if snapshot != nil {
-		b.stream(snapshot)
+	if snapshot == nil {
+		b.mu.Unlock()
+		return
 	}
+	b.streamMu.Lock()
+	b.mu.Unlock()
+	defer b.streamMu.Unlock()
+	b.stream(snapshot)
 }
 
 // visible reports whether a completed score changes the result set a
@@ -319,13 +331,15 @@ type planCandidate struct {
 // error.
 func Plan(g *graph.Graph, store *events.Store, pairs [][2]string, cfg PlanConfig) (PlanResult, error) {
 	results, st, err := sweep(g, store, pairs, cfg)
-	var tested []PairResult
+	var tested, skipped []PairResult
 	for _, r := range results {
 		if r.Skipped == "" {
 			tested = append(tested, r)
+		} else {
+			skipped = append(skipped, r)
 		}
 	}
-	return PlanResult{Pairs: rankCut(tested, cfg.K, cfg.Theta, cfg.Alternative), Stats: st}, err
+	return PlanResult{Pairs: rankCut(tested, cfg.K, cfg.Theta, cfg.Alternative), Skipped: skipped, Stats: st}, err
 }
 
 // checkpointScoreBound is the planner's pruning core: given the

@@ -7,7 +7,9 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"tesc/internal/events"
 	"tesc/internal/graph"
@@ -300,6 +302,69 @@ func TestPlanStream(t *testing.T) {
 	}
 	last := snapshots[len(snapshots)-1]
 	comparePlanned(t, last, res.Pairs, "final snapshot")
+}
+
+// TestPlanStreamSerialized pins "calls are serialized" under several
+// workers: no two Stream calls overlap, and snapshots arrive in the
+// order they were cut. With k = every pair each completed pair joins
+// the visible set, so the i-th snapshot must hold exactly i pairs.
+func TestPlanStreamSerialized(t *testing.T) {
+	g, store := fixture(t)
+	pairs := AllPairs(store, 5)
+	var inFlight atomic.Int32
+	var lens []int // written only inside Stream, so serialization guards it
+	cfg := PlanConfig{
+		Config: Config{H: 1, SampleSize: 40, Alternative: stats.Greater, Seed: 3, Workers: 4, MinOccurrences: 5},
+		K:      len(pairs),
+		Stream: func(top []PairResult) {
+			if inFlight.Add(1) != 1 {
+				t.Error("two Stream calls overlap")
+			}
+			lens = append(lens, len(top))
+			time.Sleep(200 * time.Microsecond) // widen the window a racing call would hit
+			inFlight.Add(-1)
+		},
+	}
+	res, err := Plan(g, store, pairs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lens) != res.Stats.FullTests {
+		t.Fatalf("%d snapshots for %d completed pairs", len(lens), res.Stats.FullTests)
+	}
+	for i, n := range lens {
+		if n != i+1 {
+			t.Fatalf("snapshot %d holds %d pairs, want %d (snapshot sizes %v)", i, n, i+1, lens)
+		}
+	}
+}
+
+// TestPlanReportsSkipped: skipped candidates come back beside the
+// ranking, in input order and with the reason a Run reports.
+func TestPlanReportsSkipped(t *testing.T) {
+	g, store := fixture(t)
+	pairs := AllPairs(store, 1)
+	cfg := Config{H: 1, SampleSize: 40, Seed: 3, MinOccurrences: 5}
+	res, err := Plan(g, store, pairs, PlanConfig{Config: cfg, K: len(pairs)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := Run(g, store, pairs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []PairResult
+	for _, p := range pairs {
+		for _, r := range run.Pairs {
+			if r.Skipped != "" && r.A == p[0] && r.B == p[1] {
+				want = append(want, r)
+			}
+		}
+	}
+	if len(want) == 0 || res.Stats.Skipped != len(want) || len(res.Pairs)+len(want) != len(pairs) {
+		t.Fatalf("plan: %d ranked, %d skipped (stats %d); run skipped %d of %d", len(res.Pairs), len(res.Skipped), res.Stats.Skipped, len(want), len(pairs))
+	}
+	comparePlanned(t, res.Skipped, want, "skipped")
 }
 
 func TestCheckpointSchedule(t *testing.T) {

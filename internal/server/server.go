@@ -260,6 +260,20 @@ func (s *Server) Drain(ctx context.Context) bool {
 	return s.jobs.Wait(ctx)
 }
 
+// ReadHeaderTimeout bounds how long tescd and the coordinator wait for
+// a request's headers. A client that opens connections and never
+// finishes its headers holds each one this long at most: admission
+// only sees a request once its headers are in. An idle keep-alive
+// connection is not timed; the clock starts at the next request's
+// first bytes.
+const ReadHeaderTimeout = 10 * time.Second
+
+// NewHTTPServer returns the http.Server tescd and the coordinator
+// listen with: h at addr, headers bounded by ReadHeaderTimeout.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: ReadHeaderTimeout}
+}
+
 // ListenAndServe runs the service at addr until the context is
 // canceled, then drains gracefully under the configured drain window
 // (AdmissionConfig.DrainTimeout, default 5s):
@@ -279,7 +293,7 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 	if addr == "" {
 		addr = ":8537"
 	}
-	srv := &http.Server{Addr: addr, Handler: s.Handler()}
+	srv := NewHTTPServer(addr, s.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	select {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"reflect"
 	"sync"
@@ -302,4 +303,37 @@ func TestScreenNeedsTwoEvents(t *testing.T) {
 		map[string]any{"events": map[string][]int{"only": {0, 1}}}, nil)
 	env.do(t, http.StatusUnprocessableEntity, "POST", "/v1/graphs/tiny/screen",
 		map[string]any{"h": 1}, nil)
+}
+
+// Both listeners (tescd's ListenAndServe and the coordinator) come from
+// NewHTTPServer, so both bound header reads: a connection that never
+// finishes its headers is closed instead of held forever. The drive
+// below shortens the timeout on a loopback listener; the pin keeps the
+// production value set.
+func TestHTTPServerBoundsHeaderReads(t *testing.T) {
+	hs := NewHTTPServer("127.0.0.1:0", http.NotFoundHandler())
+	if hs.ReadHeaderTimeout != ReadHeaderTimeout || ReadHeaderTimeout <= 0 || ReadHeaderTimeout > time.Minute {
+		t.Fatalf("ReadHeaderTimeout = %v (constant %v), want a bound in (0, 1m]", hs.ReadHeaderTimeout, ReadHeaderTimeout)
+	}
+	hs.ReadHeaderTimeout = 50 * time.Millisecond
+	ln, err := net.Listen("tcp", hs.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = hs.Serve(ln) }()
+	defer hs.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET / HTTP/1.1\r\nHost: tescd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	start := time.Now()
+	_, err = io.ReadAll(conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("the server held a header-less connection for %v", time.Since(start))
+	}
 }

@@ -139,7 +139,8 @@ type ScreenTopKOptions struct {
 	// from the exhaustive sweep, at the cost of late termination.
 	BoundAlpha float64
 	// Stream, when non-nil, receives the current ranked result set
-	// each time a completed pair improves it; calls are serialized.
+	// each time a completed pair improves it; calls are serialized and
+	// arrive in order, so the ranking a caller sees never regresses.
 	Stream func(top []ScreenedPair)
 }
 
