@@ -55,6 +55,13 @@ type Options struct {
 	// engine serves the sampler and the density pass; ignored when bound
 	// to a different graph.
 	Engines *graph.EnginePool
+	// Counts, when its Memo is non-nil, serves the density pass's
+	// counts from a CountMemo of the problem's event pair at level H
+	// and keeps the ones the pass computes (tescd lends one per pair).
+	// Only unit-intensity tests whose sampler carries a vicinity index
+	// covering H (importance and rejection) read it; densities, τ, z
+	// and p are identical with or without it.
+	Counts CountRead
 	// Ctx, when non-nil, lets a caller abandon the test: the rejection,
 	// importance and whole-graph draw loops check it every 64 draws and
 	// the density phase between chunks of traversals (one per reference
@@ -112,9 +119,12 @@ type Result struct {
 	// SamplerStats records the sampler's work; DensityBFS the density
 	// phase's traversals actually run: N, one per reference node, or
 	// |Va∪b|, one per event node, when an h = 1 pass ran from the event
-	// side (a traversal there is the node's adjacency row).
-	SamplerStats SamplerStats
-	DensityBFS   int64
+	// side (a traversal there is the node's adjacency row). With
+	// Options.Counts the pass runs only over the nodes the memo did not
+	// serve, and DensityMemoHits counts the ones it did.
+	SamplerStats    SamplerStats
+	DensityBFS      int64
+	DensityMemoHits int64
 	// SA, SB are the reference-node density vectors (diagnostics; length
 	// N, aligned with the sampled nodes).
 	SA, SB []float64
@@ -213,7 +223,10 @@ func Test(p *Problem, opts Options) (Result, error) {
 		keep = func(i int, d Density) { omega[i] = float64(d.CountUnion) }
 	}
 	var sa, sb []float64
-	if eventSideFree(p, opts.H) && eventSideCheaper(p.G, sample.Nodes, p.EventNodes()) {
+	var hits int
+	if idx := countIndex(p, opts.H, sampler, opts.Counts); idx != nil {
+		sa, sb, hits, err = eval.evalCounts(opts.Ctx, opts.Counts, idx, sample.Nodes, keep)
+	} else if eventSideFree(p, opts.H) && eventSideCheaper(p.G, sample.Nodes, p.EventNodes()) {
 		sa, sb, err = eval.evalEvents(opts.Ctx, sample.Nodes, keep)
 	} else {
 		sa, sb, err = eval.evalAll(opts.Ctx, sample.Nodes, keep)
@@ -223,16 +236,17 @@ func Test(p *Problem, opts Options) (Result, error) {
 	}
 
 	res := Result{
-		N:            len(sample.Nodes),
-		Alternative:  opts.Alternative,
-		Alpha:        opts.Alpha,
-		SamplerName:  sampler.Name(),
-		Weighted:     sample.Weighted(),
-		SamplerStats: sample.Stats,
-		DensityBFS:   eval.BFSCount,
-		SA:           sa,
-		SB:           sb,
-		Nodes:        sample.Nodes,
+		N:               len(sample.Nodes),
+		Alternative:     opts.Alternative,
+		Alpha:           opts.Alpha,
+		SamplerName:     sampler.Name(),
+		Weighted:        sample.Weighted(),
+		SamplerStats:    sample.Stats,
+		DensityBFS:      eval.BFSCount,
+		DensityMemoHits: int64(hits),
+		SA:              sa,
+		SB:              sb,
+		Nodes:           sample.Nodes,
 	}
 
 	if err := res.score(opts.Statistic, sample.Freq, omega); err != nil {

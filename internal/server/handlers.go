@@ -580,6 +580,13 @@ func (s *Server) runCorrelate(r *http.Request, e *GraphEntry, snap Snapshot, req
 			return
 		}
 		opts.Index = idx
+		// A pair of registered events keeps its counts across graph
+		// versions; inline node lists have no identity to key them by.
+		if req.A != "" && req.B != "" {
+			if m := e.countMemo(snap, req.A, req.B, req.H); m != nil {
+				opts.Counts = core.CountRead{Memo: m, Epoch: snap.Epoch}
+			}
+		}
 	}
 	// Pooled BFS engines for this graph version: concurrent queries
 	// stop allocating O(|V|) mark arrays each.
@@ -602,6 +609,7 @@ func (s *Server) runCorrelate(r *http.Request, e *GraphEntry, snap Snapshot, req
 		return
 	}
 	s.bfsRuns.Add(res.DensityBFS)
+	s.memoHits.Add(res.DensityMemoHits)
 	c.resp = correlateResponse{
 		Tau:         res.Tau,
 		Z:           res.Z,

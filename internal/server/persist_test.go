@@ -70,6 +70,13 @@ func TestRestartWarmStart(t *testing.T) {
 		map[string]any{"insert": [][2]int{{0, 161}, {3, 170}}, "delete": [][2]int{{0, 1}}}, nil)
 	var warm1 correlateResponse
 	env1.do(t, http.StatusOK, "POST", "/v1/graphs/g/correlate", correlateBody, &warm1)
+	// warm1 read the pair's count memo, which the restart does not keep;
+	// the same read with the memo dropped is the cold one to compare
+	// the restarted server's first read with.
+	entry, _ := env1.srv.Registry().Get("g")
+	dropCounts(entry)
+	var cold1 correlateResponse
+	env1.do(t, http.StatusOK, "POST", "/v1/graphs/g/correlate", correlateBody, &cold1)
 	screen1 := runScreen(t, env1)
 
 	var ck checkpointInfo
@@ -104,9 +111,17 @@ func TestRestartWarmStart(t *testing.T) {
 	// loaded snapshot: identical answer, zero builds.
 	var warm2 correlateResponse
 	env2.do(t, http.StatusOK, "POST", "/v1/graphs/g/correlate", correlateBody, &warm2)
-	warm1.ElapsedMS, warm2.ElapsedMS = 0, 0
-	if !reflect.DeepEqual(warm1, warm2) {
-		t.Fatalf("correlate diverged across restart:\nbefore %+v\nafter  %+v", warm1, warm2)
+	warm1.ElapsedMS, cold1.ElapsedMS, warm2.ElapsedMS = 0, 0, 0
+	if !reflect.DeepEqual(cold1, warm2) {
+		t.Fatalf("correlate diverged across restart:\nbefore %+v\nafter  %+v", cold1, warm2)
+	}
+	// The memo changes only the traversals run.
+	if warm1.DensityBFS > cold1.DensityBFS {
+		t.Fatalf("memo-served read ran %d density traversals, the cold one %d", warm1.DensityBFS, cold1.DensityBFS)
+	}
+	warm1.DensityBFS = cold1.DensityBFS
+	if !reflect.DeepEqual(warm1, cold1) {
+		t.Fatalf("memo-served read %+v differs from the cold one %+v", warm1, cold1)
 	}
 	screen2 := runScreen(t, env2)
 	if !reflect.DeepEqual(screen1, screen2) {

@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"tesc"
+	"tesc/internal/core"
 	"tesc/internal/events"
 	"tesc/internal/graph"
 	"tesc/internal/screen"
@@ -97,10 +98,12 @@ type GraphEntry struct {
 	builder *events.Builder
 	cur     Snapshot
 
-	// memos bounds the screening memos of all the registry's entries;
-	// memo is this entry's, guarded by memos.mu.
-	memos *screenMemos
-	memo  retainedMemo
+	// memos bounds the retained memos of all the registry's entries:
+	// memo is this entry's screening memo, counts its correlate count
+	// memos by event pair and level, both guarded by memos.mu.
+	memos  *retainedMemos
+	memo   retainedMemo
+	counts map[countKey]*retainedCounts
 }
 
 // retainedMemo is the density memo an entry keeps for the screen jobs
@@ -114,16 +117,33 @@ type retainedMemo struct {
 	removed bool // the entry left the registry; retain nothing more
 }
 
-// screenMemos bounds the screening memos retained across one
-// registry's entries: their total footprint stays under the budget
-// (screen.MemoBudgetBytes), and the least recently used goes first.
-// A memo keeps growing after a job installs it (its population cache,
-// its rank table), so the total is re-checked when
-// a job installs a memo and again when a screen job finishes.
-type screenMemos struct {
+// countKey names a correlate count memo: the ordered event pair and
+// the vicinity level.
+type countKey struct {
+	a, b string
+	h    int
+}
+
+// retainedCounts is a count memo an entry retains, and its place in
+// the LRU.
+type retainedCounts struct {
+	e    *GraphEntry
+	key  countKey
+	memo *core.CountMemo
+	elem *list.Element
+}
+
+// retainedMemos bounds the memos retained across one registry's
+// entries, screening memos and correlate count memos alike: their
+// total footprint stays under the budget (screen.MemoBudgetBytes), and
+// the least recently used goes first. A screening memo keeps growing
+// after a job installs it (its population cache, its rank table), so
+// the total is re-checked whenever a memo is installed and again when
+// a screen job finishes.
+type retainedMemos struct {
 	mu     sync.Mutex
 	budget int64
-	lru    list.List // *GraphEntry; front = most recently used
+	lru    list.List // *GraphEntry (its screening memo) or *retainedCounts; front = most recently used
 }
 
 // screenMemo returns the density memo for a screen job on snap at
@@ -171,35 +191,103 @@ func (e *GraphEntry) screenMemo(snap Snapshot, h int) *screen.SharedMemo {
 	return memo
 }
 
-// evictLocked drops least recently used memos until the retained total
-// fits the budget. The most recently used memo always stays: it fit
-// the budget alone when it was made.
-func (c *screenMemos) evictLocked() {
-	var total int64
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		total += el.Value.(*GraphEntry).memo.memo.Bytes()
+// countMemo returns the count memo of the event pair (a, b) at level h
+// for a correlate on snap, making an empty one stamped with snap's
+// epoch when the entry has none. The memo follows the entry's graph
+// from version to version (advanceCounts); one that missed an epoch
+// bump is stale for good and is replaced. A correlate pinned to an
+// older snapshot gets the retained memo, which it then treats as
+// absent, or nil: it never makes one.
+func (e *GraphEntry) countMemo(snap Snapshot, a, b string, h int) *core.CountMemo {
+	behind := snap.Epoch < e.Epoch()
+	c := e.memos
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	key := countKey{a, b, h}
+	if m := e.counts[key]; m != nil {
+		if m.memo.Epoch() >= snap.Epoch {
+			c.lru.MoveToFront(m.elem)
+			return m.memo
+		}
+		c.dropLocked(m.elem)
 	}
-	for total > c.budget && c.lru.Len() > 1 {
-		e := c.lru.Back().Value.(*GraphEntry)
-		total -= e.memo.memo.Bytes()
-		c.lru.Remove(e.memo.elem)
-		e.memo = retainedMemo{}
+	if behind || e.memo.removed {
+		return nil
+	}
+	if e.counts == nil {
+		e.counts = make(map[countKey]*retainedCounts)
+	}
+	m := &retainedCounts{e: e, key: key, memo: core.NewCountMemo(snap.Graph.NumNodes(), h, snap.Epoch)}
+	m.elem = c.lru.PushFront(m)
+	e.counts[key] = m
+	c.evictLocked()
+	return m.memo
+}
+
+// advanceCounts carries the entry's count memos from epoch from to
+// epoch to, clearing the records of the nodes in dirty, when keep
+// accepts the memo's key; every other memo, and any not at from, is
+// dropped. The mutation paths call it before they publish epoch to.
+func (e *GraphEntry) advanceCounts(from, to uint64, dirty []graph.NodeID, keep func(countKey) bool) {
+	c := e.memos
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for key, m := range e.counts {
+		if !keep(key) || !m.memo.Advance(from, to, dirty) {
+			c.dropLocked(m.elem)
+		}
 	}
 }
 
+// evictLocked drops least recently used memos until the retained total
+// fits the budget. The most recently used memo always stays: it fit
+// the budget alone when it was made.
+func (c *retainedMemos) evictLocked() {
+	var total int64
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		total += memoBytes(el)
+	}
+	for total > c.budget && c.lru.Len() > 1 {
+		el := c.lru.Back()
+		total -= memoBytes(el)
+		c.dropLocked(el)
+	}
+}
+
+func memoBytes(el *list.Element) int64 {
+	if m, ok := el.Value.(*retainedCounts); ok {
+		return m.memo.Bytes()
+	}
+	return el.Value.(*GraphEntry).memo.memo.Bytes()
+}
+
+// dropLocked removes el's memo from the LRU and from its entry.
+func (c *retainedMemos) dropLocked(el *list.Element) {
+	c.lru.Remove(el)
+	if m, ok := el.Value.(*retainedCounts); ok {
+		delete(m.e.counts, m.key)
+		return
+	}
+	el.Value.(*GraphEntry).memo = retainedMemo{}
+}
+
 // trim re-checks the retained total after a screen job grew its memo.
-func (c *screenMemos) trim() {
+func (c *retainedMemos) trim() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.evictLocked()
 }
 
-// release drops the entry's memo for good: the entry left the registry.
-func (c *screenMemos) release(e *GraphEntry) {
+// release drops the entry's memos for good: the entry left the
+// registry.
+func (c *retainedMemos) release(e *GraphEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e.memo.elem != nil {
 		c.lru.Remove(e.memo.elem)
+	}
+	for _, m := range e.counts {
+		c.dropLocked(m.elem)
 	}
 	e.memo = retainedMemo{removed: true}
 }
@@ -419,12 +507,12 @@ func storeOccurrences(store *events.Store, name string) ([]int, error) {
 type Registry struct {
 	mu     sync.RWMutex
 	graphs map[string]*GraphEntry
-	memos  *screenMemos
+	memos  *retainedMemos
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{graphs: make(map[string]*GraphEntry), memos: &screenMemos{budget: screen.MemoBudgetBytes}}
+	return &Registry{graphs: make(map[string]*GraphEntry), memos: &retainedMemos{budget: screen.MemoBudgetBytes}}
 }
 
 // Register adds a graph under a unique name.

@@ -95,9 +95,10 @@ type Server struct {
 
 	// bfsRuns counts density-phase h-hop traversals performed across
 	// all correlate queries and screening sweeps; memoHits the density
-	// evaluations screening served from the cross-pair memo instead of
-	// a traversal. Their ratio is the live view of how much of the
-	// §4.4 traversal bill the flat-kernel/memo path is saving.
+	// evaluations served from a memo instead of a traversal (screening's
+	// cross-pair memo, a correlate's count memo). Their ratio is the
+	// live view of how much of the §4.4 traversal bill the
+	// flat-kernel/memo path is saving.
 	bfsRuns  atomic.Int64
 	memoHits atomic.Int64
 

@@ -85,6 +85,9 @@ func (s *Server) applyEdges(e *GraphEntry, changes []tesc.EdgeChange, logIt bool
 		var dirty []graph.NodeID
 		var dirtyLevel int
 		res.migrated, res.recomputed, dirty, dirtyLevel = s.cache.Refresh(old, next, flips, s.indexWorkers)
+		// Count memos follow the graph when the repair's dirty set
+		// covers their level; the rest are dropped.
+		e.advanceCounts(old.Epoch, next.Epoch, dirty, func(k countKey) bool { return k.h <= dirtyLevel })
 		// Standing queries are notified inside the serialized mutation
 		// path, before the successor snapshot publishes: no re-screen
 		// can bind the new epoch without its invalidation queued. The
@@ -118,6 +121,12 @@ func (s *Server) applyEvents(e *GraphEntry, add, remove map[string][]int, logIt 
 				return fmt.Errorf("%w: wal append: %v", errDurability, err)
 			}
 		}
+		// Only the count memos of the changed events lose their counts.
+		e.advanceCounts(nextEpoch-1, nextEpoch, nil, func(k countKey) bool {
+			_, a := changed[k.a]
+			_, b := changed[k.b]
+			return !a && !b
+		})
 		s.monitors.NotifyEventDelta(e.Name(), changed, nextEpoch)
 		return nil
 	})

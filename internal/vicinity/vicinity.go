@@ -205,6 +205,12 @@ func (idx *Index) Pages(h int) [][]int32 {
 	return idx.pages[h-1]
 }
 
+// Size returns |V^h_v|. It panics if h is outside [1, MaxLevel].
+func (idx *Index) Size(v graph.NodeID, h int) int {
+	idx.checkLevel(h)
+	return int(idx.pages[h-1][v>>pageShift][v&pageMask])
+}
+
 // Weights returns the |V^h_v| values of the given nodes as float64s, the
 // weight vector for alias-table construction.
 func (idx *Index) Weights(nodes []graph.NodeID, h int) []float64 {

@@ -11,11 +11,6 @@ import (
 	"tesc/internal/graphgen"
 )
 
-// Size returns |V^h_v|. It panics if h is outside [1, MaxLevel].
-func (idx *Index) Size(v graph.NodeID, h int) int {
-	return int(idx.Pages(h)[v>>pageShift][v&pageMask])
-}
-
 // Sizes returns the full |V^h_·| column for level h, concatenating its
 // pages into a new slice.
 func (idx *Index) Sizes(h int) []int32 {

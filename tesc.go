@@ -383,6 +383,11 @@ type Options struct {
 	// stop allocating O(NumNodes) scratch each (see
 	// Graph.NewEnginePool). Results are identical with or without it.
 	Engines *EnginePool
+	// Counts lends the repository's serving tier's per-pair count memo
+	// to the density pass (see core.CountMemo); the zero value lends
+	// none. Not part of the stable API. Results are identical with or
+	// without it; only DensityBFS and DensityMemoHits differ.
+	Counts core.CountRead
 	// Ctx, when non-nil, lets the caller abandon the test: the density
 	// phase (the dominant cost) checks it between chunks of traversals
 	// and returns an error wrapping the context's cause
@@ -420,9 +425,11 @@ type Result struct {
 	// densities: N, one per reference node, or one per event node when
 	// h = 1, the intensities are unit and the occurrences' ball sum is
 	// the smaller one. Together they characterize a method's cost
-	// (§4.4).
-	SamplerBFS int64
-	DensityBFS int64
+	// (§4.4). DensityMemoHits counts the reference nodes whose counts
+	// came from Options.Counts instead of a traversal.
+	SamplerBFS      int64
+	DensityBFS      int64
+	DensityMemoHits int64
 }
 
 // ErrNoEventNodes is returned when both events have no occurrences.
@@ -473,16 +480,17 @@ func Correlation(g *Graph, va, vb []int, opts Options) (Result, error) {
 		return Result{}, err
 	}
 	return Result{
-		Tau:         res.Tau,
-		Z:           res.Z,
-		P:           res.P,
-		Significant: res.Significant,
-		Verdict:     res.Verdict(),
-		N:           res.N,
-		Sampler:     res.SamplerName,
-		Population:  res.SamplerStats.Population,
-		SamplerBFS:  res.SamplerStats.BFSCount,
-		DensityBFS:  res.DensityBFS,
+		Tau:             res.Tau,
+		Z:               res.Z,
+		P:               res.P,
+		Significant:     res.Significant,
+		Verdict:         res.Verdict(),
+		N:               res.N,
+		Sampler:         res.SamplerName,
+		Population:      res.SamplerStats.Population,
+		SamplerBFS:      res.SamplerStats.BFSCount,
+		DensityBFS:      res.DensityBFS,
+		DensityMemoHits: res.DensityMemoHits,
 	}, nil
 }
 
@@ -508,6 +516,7 @@ func (opts Options) core() core.Options {
 		Alpha:       opts.Alpha,
 		Ctx:         opts.Ctx,
 		Engines:     opts.Engines.Internal(),
+		Counts:      opts.Counts,
 	}
 	if opts.UseSpearman {
 		copts.Statistic = core.SpearmanRho
