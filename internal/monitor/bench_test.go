@@ -44,8 +44,9 @@ func benchApply(b *testing.B, w *world, flips []graph.EdgeChange, h int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	w.mgr.NotifyEdgeDelta("g", w.g, newG, applied, w.epoch+1, dirty, h)
-	w.g, w.engines = newG, graph.NewEnginePool(newG)
+	engines := graph.NewEnginePool(newG)
+	w.mgr.NotifyEdgeDelta("g", w.g, newG, w.engines, engines, applied, w.epoch+1, dirty, h)
+	w.g, w.engines = newG, engines
 	w.epoch++
 }
 

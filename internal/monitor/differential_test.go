@@ -48,7 +48,7 @@ func (w *world) snap() (*graph.Graph, *events.Store, uint64, *graph.EnginePool) 
 func (w *world) applyEdges(t *testing.T, changes []graph.EdgeChange) {
 	t.Helper()
 	w.mu.Lock()
-	oldG, epoch := w.g, w.epoch
+	oldG, oldEngines, epoch := w.g, w.engines, w.epoch
 	w.mu.Unlock()
 	d := graph.NewDelta(oldG)
 	applied, err := d.Apply(changes)
@@ -59,9 +59,10 @@ func (w *world) applyEdges(t *testing.T, changes []graph.EdgeChange) {
 		return
 	}
 	newG := d.Compact()
-	w.mgr.NotifyEdgeDelta(w.name, oldG, newG, applied, epoch+1, nil, 0)
+	engines := graph.NewEnginePool(newG)
+	w.mgr.NotifyEdgeDelta(w.name, oldG, newG, oldEngines, engines, applied, epoch+1, nil, 0)
 	w.mu.Lock()
-	w.g, w.engines = newG, graph.NewEnginePool(newG)
+	w.g, w.engines = newG, engines
 	w.epoch++
 	w.mu.Unlock()
 }
@@ -254,7 +255,7 @@ func TestDirtySetSuperset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mgr.NotifyEdgeDelta(w.name, w.g, newG, applied, w.epoch+1, dirty, 3)
+		mgr.NotifyEdgeDelta(w.name, w.g, newG, nil, nil, applied, w.epoch+1, dirty, 3)
 		w.g = newG
 		w.epoch++
 		sample, _, err := m.Refresh(false)

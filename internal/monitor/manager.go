@@ -89,8 +89,8 @@ func (mgr *Manager) add(graphName string, st State, snap SnapshotFunc) (*Monitor
 	if err := def.Normalize(); err != nil {
 		return nil, err
 	}
-	m := &Monitor{def: def, graph: graphName, snap: snap, mgr: mgr}
 	g, store, _, _ := snap()
+	m := &Monitor{def: def, graph: graphName, snap: snap, mgr: mgr, nodes: g.NumNodes()}
 	if err := m.bindMemo(g, store); err != nil {
 		return nil, err
 	}
@@ -128,7 +128,7 @@ func (mgr *Manager) add(graphName string, st State, snap SnapshotFunc) (*Monitor
 		// monitor list and not yet published; the catch-all guarantees
 		// this monitor's cache is reset once that epoch is visible
 		// (it drains as a no-op if the baseline already binds it).
-		m.pending = append(m.pending, pendingDelta{epoch: gm.notifiedEpoch, all: true})
+		m.enqueue(pendingDelta{epoch: gm.notifiedEpoch, all: true})
 	}
 	gm.monitors = append(gm.monitors, m)
 	return m, nil
@@ -261,10 +261,11 @@ func (mgr *Manager) NodesReused() int64 { return mgr.nodesReused.Load() }
 // index repair already computed for this delta (ApplyDeltaDirty) at
 // depth surfacedLevel; it is reused when it covers every monitor's
 // level, otherwise the dirty ball is recomputed once at the deepest
-// monitored level. If the dirty set cannot be established the
-// monitors fall back to full invalidation — correctness never depends
-// on locality, only speed does.
-func (mgr *Manager) NotifyEdgeDelta(graphName string, oldG, newG *graph.Graph, changes []graph.EdgeChange, targetEpoch uint64, surfacedDirty []graph.NodeID, surfacedLevel int) {
+// monitored level on engines borrowed from oldEngines and newEngines,
+// the pools of the two graph versions. If the dirty set cannot be
+// established the monitors fall back to full invalidation —
+// correctness never depends on locality, only speed does.
+func (mgr *Manager) NotifyEdgeDelta(graphName string, oldG, newG *graph.Graph, oldEngines, newEngines *graph.EnginePool, changes []graph.EdgeChange, targetEpoch uint64, surfacedDirty []graph.NodeID, surfacedLevel int) {
 	if len(changes) == 0 {
 		return
 	}
@@ -281,7 +282,7 @@ func (mgr *Manager) NotifyEdgeDelta(graphName string, oldG, newG *graph.Graph, c
 	case surfacedDirty != nil && surfacedLevel >= maxH:
 		d.dirty = surfacedDirty
 	default:
-		dirty, err := vicinity.DirtySet(oldG, newG, changes, maxH, nil, nil)
+		dirty, err := vicinity.DirtySet(oldG, newG, changes, maxH, oldEngines, newEngines)
 		if err != nil {
 			d.all = true
 		} else {

@@ -26,7 +26,6 @@
 package monitor
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -246,9 +245,18 @@ type pendingDelta struct {
 	all   bool // invalidate everything (fallback when no dirty set is known)
 	// batches is the number of mutation batches this entry represents:
 	// 1 for a normal notification, 0 for the synthetic catch-all queued
-	// at registration (see Manager.add), N for a re-queued drain a
-	// stale epoch pushed back.
+	// at registration (see Manager.add), N for a fold of N batches.
 	batches int
+}
+
+// weight is what the entry counts toward the queue's fold threshold
+// on a graph of n nodes: its dirty nodes (at least one, so the queue's
+// length is bounded too), or more than the whole graph for a catch-all.
+func (d pendingDelta) weight(n int) int {
+	if d.all {
+		return n + 1
+	}
+	return max(1, len(d.dirty))
 }
 
 // Monitor is one registered standing query. All methods are safe for
@@ -259,15 +267,17 @@ type Monitor struct {
 	snap  SnapshotFunc
 	mgr   *Manager
 
-	// runMu serializes re-screens; the drain loop under it is the only
-	// code that touches the memo, so cache invalidation never races an
+	// runMu serializes re-screens; the drain under it is the only code
+	// that touches the memo, so cache invalidation never races an
 	// in-flight evaluation.
 	runMu sync.Mutex
 	memo  *screen.SharedMemo
+	nodes int // the graph's node count, the queue's fold threshold
 
 	mu      sync.Mutex // guards the fields below
 	pending []pendingDelta
 	batches int // delta batches queued since the last drain
+	weight  int // the pending entries' summed weight
 	timer   *time.Timer
 	closed  bool
 	history []Sample
@@ -310,15 +320,40 @@ func (m *Monitor) State() State {
 }
 
 // notify queues a delta and, in Auto mode, arms the debounce timer.
+//
+// A monitor nobody refreshes must not keep every batch's dirty set
+// alive, so once the queued entries hold more dirty nodes than the
+// graph has, or one of them is already a catch-all, they fold into one
+// catch-all carrying their batch count and largest epoch. Mutations of
+// a graph are serialized and notify runs inside them, so every entry
+// already queued is at a published epoch. A run that bound an older
+// snapshot before the fold resets its memo for the kept catch-all.
 func (m *Monitor) notify(d pendingDelta) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return
 	}
+	if m.weight > m.nodes {
+		folded := pendingDelta{all: true}
+		for _, q := range m.pending {
+			folded.epoch = max(folded.epoch, q.epoch)
+			folded.batches += q.batches
+		}
+		clear(m.pending) // release the folded dirty slices
+		m.pending, m.batches, m.weight = m.pending[:0], 0, 0
+		m.enqueue(folded)
+	}
+	m.enqueue(d)
+	m.armLocked()
+}
+
+// enqueue appends a delta and its tallies; m.mu must be held once the
+// monitor is registered.
+func (m *Monitor) enqueue(d pendingDelta) {
 	m.pending = append(m.pending, d)
 	m.batches += d.batches
-	m.armLocked()
+	m.weight += d.weight(m.nodes)
 }
 
 // armLocked starts the debounce timer when Auto mode needs one.
@@ -339,102 +374,64 @@ func (m *Monitor) Refresh(force bool) (Sample, bool, error) {
 	return m.run(force)
 }
 
-// run is the drain loop: bind the current snapshot, consume every
-// queued delta the snapshot can see, invalidate, re-screen pinned to
-// the snapshot's epoch, repeat if a mutation raced the run. Deltas
-// whose epoch is still ahead of the visible snapshot stay queued and
-// re-arm the timer.
+// run is one re-screen pass: bind the current snapshot, consume every
+// queued delta that snapshot can see, invalidate the memo, re-screen
+// once at the snapshot's epoch and record the sample. The sample is
+// exact for the epoch it bound even when newer epochs publish while it
+// runs: the graph and store are immutable versions, and the memo is
+// invalidated only here, under runMu, before the sweep starts. A delta
+// for a newer epoch — one not yet published, or one a mutation queued
+// during the sweep — stays queued, and the timer re-arms (Auto) to
+// fold it into the next pass.
 func (m *Monitor) run(force bool) (Sample, bool, error) {
 	m.runMu.Lock()
 	defer m.runMu.Unlock()
 
-	// Cap the stale-retry loop: under mutation churn faster than a
-	// re-screen, retrying forever would hold runMu and hang synchronous
-	// refreshes. Past the cap the drained work is re-queued, the timer
-	// re-arms (Auto), and the caller returns — the monitor catches up
-	// once the churn relents, it never livelocks.
-	const maxStaleRetries = 8
-	staleRetries := 0
-
-	var last Sample
-	ran := false
-	for {
-		g, store, epoch, engines := m.snap()
-
-		m.mu.Lock()
-		if m.closed {
-			m.mu.Unlock()
-			return last, ran, nil
-		}
-		var keep []pendingDelta
-		var dirty []graph.NodeID
-		drainedAll := false
-		drained, batches, kept := 0, 0, 0
-		for _, d := range m.pending {
-			if d.epoch > epoch {
-				keep = append(keep, d)
-				kept += d.batches
-				continue
-			}
-			drained++
-			batches += d.batches
-			if d.all {
-				drainedAll = true
-			}
-			dirty = append(dirty, d.dirty...)
-		}
-		m.pending = keep
-		m.batches = kept
-		m.timer = nil
+	g, store, epoch, engines := m.snap()
+	m.mu.Lock()
+	if m.closed {
 		m.mu.Unlock()
-
-		if drained == 0 && !(force && !ran) {
-			break
-		}
-		// A watchlist registered against an empty vocabulary has no
-		// memo yet (bindMemo builds one when events appear).
-		if drainedAll {
-			if m.memo != nil {
-				m.memo.Reset()
-			}
-		} else if len(dirty) > 0 && m.memo != nil {
-			m.memo.Invalidate(dirty)
-		}
-
-		sample, err := m.rescreen(g, store, epoch, engines, batches)
-		if errors.Is(err, screen.ErrStaleEpoch) {
-			// A mutation published a newer snapshot mid-run. Its delta
-			// was queued before publication, so the next iteration
-			// both sees the new epoch and drains its invalidation.
-			// Whatever this drain consumed goes back in the queue so
-			// the retry's history entry reports it (and a consumed
-			// catch-all is never lost).
-			if drained > 0 {
-				m.mu.Lock()
-				m.pending = append(m.pending, pendingDelta{epoch: epoch, dirty: dirty, all: drainedAll, batches: batches})
-				m.batches += batches
-				m.mu.Unlock()
-			}
-			staleRetries++
-			if staleRetries > maxStaleRetries {
-				break
-			}
+		return Sample{}, false, nil
+	}
+	var dirty []graph.NodeID
+	reset := false
+	drained, batches := 0, 0
+	queued := m.pending
+	m.pending, m.batches, m.weight = nil, 0, 0
+	for _, d := range queued {
+		// A kept catch-all still resets: it may fold deltas this
+		// snapshot can see (see notify).
+		reset = reset || d.all
+		if d.epoch > epoch {
+			m.enqueue(d)
 			continue
 		}
-		if err != nil {
-			return last, ran, err
-		}
-		last = sample
-		ran = true
-		m.record(sample)
+		drained++
+		batches += d.batches
+		dirty = append(dirty, d.dirty...)
 	}
-
-	// Deltas bound to a not-yet-visible snapshot stay queued; make
-	// sure a timer exists to come back for them.
-	m.mu.Lock()
-	m.armLocked()
+	m.timer = nil
+	m.armLocked() // for the kept deltas; notify arms for later ones
 	m.mu.Unlock()
-	return last, ran, nil
+
+	if drained == 0 && !force {
+		return Sample{}, false, nil
+	}
+	// A watchlist registered against an empty vocabulary has no memo
+	// yet (bindMemo builds one when events appear).
+	if m.memo != nil {
+		if reset {
+			m.memo.Reset()
+		} else if len(dirty) > 0 {
+			m.memo.Invalidate(dirty)
+		}
+	}
+	sample, err := m.rescreen(g, store, epoch, engines, batches)
+	if err != nil {
+		return Sample{}, false, err
+	}
+	m.record(sample)
+	return sample, true, nil
 }
 
 // watches reports whether a mutation of the named event can change the
@@ -450,7 +447,7 @@ func (m *Monitor) watches(name string) bool {
 // and tests it in one pass, exactly as an exhaustive screen.Run would
 // (a one-p-value BH adjustment is the p-value itself). A watchlist is
 // every pair of the vocabulary with k = TopK; its cache spans every
-// event, so the deltas the drain loop folded invalidate exactly their
+// event, so the deltas the drain folded invalidate exactly their
 // dirty ball and the planner serves every untouched reference node
 // from the cache.
 func (m *Monitor) rescreen(g *graph.Graph, store *events.Store, epoch uint64, engines *graph.EnginePool, batches int) (Sample, error) {
@@ -479,11 +476,6 @@ func (m *Monitor) rescreen(g *graph.Graph, store *events.Store, epoch uint64, en
 			Workers:        1,
 			Memo:           m.memo,
 			Engines:        engines,
-			Epoch:          epoch,
-			CurrentEpoch: func() uint64 {
-				_, _, e, _ := m.snap()
-				return e
-			},
 		},
 		K: k,
 	}

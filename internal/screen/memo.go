@@ -121,9 +121,10 @@ func (m *densityMemo) eval(r graph.NodeID, multi *core.MultiEvaluator, scratch [
 // and published per node without locks, the membership and population
 // caches sit behind a mutex, and each sweep counts its own hits and
 // traversals. Invalidate and Reset must not overlap any sweep's
-// density evaluation: call them between sweeps, or from the
-// Progress callback of a single-worker sweep that has the memo to
-// itself (a monitor does both). Sweeps that run together must see the
+// density evaluation: call them between sweeps (a monitor does, under
+// its run lock, before each re-screen), or from the Progress callback
+// of a single-worker sweep that has the memo to itself. Sweeps that
+// run together must see the
 // same graph and store (tescd keys its shared memos by snapshot
 // epoch): a sweep on another version needs the invalidation above
 // first, which cannot happen while the others run.

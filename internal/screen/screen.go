@@ -13,7 +13,6 @@ package screen
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -21,15 +20,6 @@ import (
 	"tesc/internal/graph"
 	"tesc/internal/stats"
 )
-
-// ErrStaleEpoch reports that the snapshot a sweep was pinned to was
-// superseded while the sweep ran: Config.CurrentEpoch no longer
-// returns Config.Epoch. The partially computed sweep is discarded —
-// some pairs would have been tested against the old version and some
-// against states derived after the mutation, a mixed view no caller
-// should ever see silently. Callers re-bind a fresh snapshot and rerun
-// (the monitor scheduler's drain loop does exactly that).
-var ErrStaleEpoch = errors.New("screen: bound snapshot epoch advanced mid-sweep")
 
 // DefaultSeed is the sweep seed tesc.Screen, tesc.ScreenTopK and tescd
 // screen jobs use when the caller leaves the seed at 0, so a served job
@@ -99,23 +89,16 @@ type Config struct {
 	// must be in the memo's vocabulary and the memo's node universe
 	// must match g. Result.MemoHits counts only this run's hits.
 	Memo *SharedMemo
-	// Epoch and CurrentEpoch, when CurrentEpoch is non-nil, pin the
-	// sweep to one snapshot version: the sweep re-validates before
-	// testing each pair and once more after the last pair, and fails with
-	// ErrStaleEpoch as soon as CurrentEpoch() != Epoch — a mutation
-	// landed mid-sweep and the caller's (graph, store, memo) view can
-	// no longer be assumed internally consistent. Leave CurrentEpoch
-	// nil when g and store are immutable for the sweep's lifetime.
-	Epoch        uint64
-	CurrentEpoch func() uint64
 	// Ctx, when non-nil, lets the caller abandon the sweep: workers
-	// check it before each pair (like the stale-epoch check), and an
-	// in-flight pair checks it at each planner checkpoint and, without
-	// the memo, between traversal chunks. A canceled Run discards its
-	// partial results and returns an error wrapping the context's
-	// cause; Plan instead returns the ranking over the pairs it
-	// completed alongside the error (the planner API already models
-	// partial results). Nil means run to completion.
+	// check it before each pair, and an in-flight pair checks it at
+	// each planner checkpoint and, without the memo, between traversal
+	// chunks. Cancellation is the only thing a sweep re-checks while it
+	// runs: its graph and store are immutable versions, so no two pairs
+	// can see different states. A canceled Run discards its partial
+	// results and returns an error wrapping the context's cause; Plan
+	// instead returns the ranking over the pairs it completed alongside
+	// the error (the planner API already models partial results). Nil
+	// means run to completion.
 	Ctx context.Context
 }
 
@@ -192,9 +175,12 @@ func AllPairs(store *events.Store, minOcc int) [][2]string {
 // exhaustive sweep, a plan with k = every pair whose bar never prunes,
 // followed by the multiple-testing correction over the whole p-value
 // family. Pairs come back ordered by adjusted p-value, then |Z|
-// descending, then names; skipped pairs last. Any error — including a
-// stale epoch or a cancel that lands after the last pair — returns an
-// empty Result.
+// descending, then names; skipped pairs last. g and store are read as
+// one fixed version for the whole sweep: callers pass an immutable
+// snapshot (tescd's and a monitor's bound snapshot, or a library
+// caller's own graph and store), so the result is exact for that
+// version whatever mutations land beside it. Any error — including a
+// cancel that lands after the last pair — returns an empty Result.
 func Run(g *graph.Graph, store *events.Store, pairs [][2]string, cfg Config) (Result, error) {
 	cfg, err := cfg.Normalize()
 	if err != nil {

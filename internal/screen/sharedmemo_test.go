@@ -1,10 +1,7 @@
 package screen
 
 import (
-	"errors"
 	"math/rand/v2"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"tesc/internal/core"
@@ -14,107 +11,10 @@ import (
 	"tesc/internal/vicinity"
 )
 
-// TestRunStaleEpoch is the regression test for the mixed-view hazard:
-// a mutator goroutine advances the live epoch mid-sweep, and Run must
-// come back with the typed ErrStaleEpoch instead of silently finishing
-// a sweep whose pairs straddle two snapshot versions.
-func TestRunStaleEpoch(t *testing.T) {
-	g, store := fixture(t)
-	var epoch atomic.Uint64
-	epoch.Store(1)
-
-	var once sync.Once
-	cfg := Config{
-		H:          1,
-		SampleSize: 50,
-		Seed:       3,
-		Workers:    2,
-		Epoch:      1,
-		CurrentEpoch: func() uint64 {
-			return epoch.Load()
-		},
-		Progress: func(done, total int) {
-			// The "mutator": as soon as the first pair lands, the live
-			// epoch moves past the bound snapshot while pairs are still
-			// in flight. The store happens-before Run's closing
-			// re-validation, so the sweep must come back stale.
-			once.Do(func() { epoch.Store(2) })
-		},
-	}
-	_, err := Run(g, store, AllPairs(store, 1), cfg)
-	if !errors.Is(err, ErrStaleEpoch) {
-		t.Fatalf("Run with a mid-sweep epoch advance returned %v, want ErrStaleEpoch", err)
-	}
-
-	// Already-stale at entry fails fast too.
-	cfg.Progress = nil
-	cfg.Epoch = 7
-	if _, err := Run(g, store, AllPairs(store, 1), cfg); !errors.Is(err, ErrStaleEpoch) {
-		t.Fatalf("Run bound to a dead epoch returned %v, want ErrStaleEpoch", err)
-	}
-
-	// And a quiet epoch completes normally.
-	cfg.Epoch = 2
-	res, err := Run(g, store, AllPairs(store, 1), cfg)
-	if err != nil {
-		t.Fatalf("Run at a stable epoch: %v", err)
-	}
-	if res.Tested == 0 {
-		t.Fatal("stable-epoch run tested nothing")
-	}
-}
-
-// TestPlanStaleEpoch extends the mixed-view regression to the planner:
-// an epoch advance mid-plan must surface as ErrStaleEpoch, a dead
-// epoch fails fast, and a quiet epoch completes.
-func TestPlanStaleEpoch(t *testing.T) {
-	g, store := fixture(t)
-	var epoch atomic.Uint64
-	epoch.Store(1)
-
-	var once sync.Once
-	cfg := PlanConfig{
-		Config: Config{
-			H:          1,
-			SampleSize: 50,
-			Seed:       3,
-			Workers:    2,
-			Epoch:      1,
-			CurrentEpoch: func() uint64 {
-				return epoch.Load()
-			},
-			Progress: func(done, total int) {
-				once.Do(func() { epoch.Store(2) })
-			},
-		},
-		K: 3,
-	}
-	_, err := Plan(g, store, AllPairs(store, 1), cfg)
-	if !errors.Is(err, ErrStaleEpoch) {
-		t.Fatalf("Plan with a mid-run epoch advance returned %v, want ErrStaleEpoch", err)
-	}
-
-	cfg.Progress = nil
-	cfg.Epoch = 7
-	if _, err := Plan(g, store, AllPairs(store, 1), cfg); !errors.Is(err, ErrStaleEpoch) {
-		t.Fatalf("Plan bound to a dead epoch returned %v, want ErrStaleEpoch", err)
-	}
-
-	cfg.Epoch = 2
-	res, err := Plan(g, store, AllPairs(store, 1), cfg)
-	if err != nil {
-		t.Fatalf("Plan at a stable epoch: %v", err)
-	}
-	if res.Stats.FullTests == 0 {
-		t.Fatal("stable-epoch plan tested nothing")
-	}
-}
-
 // TestSharedMemoInvalidateDuringPlan fires Invalidate into an
 // in-flight planner run, at the serialization point the memo's
 // contract allows (a single-worker run's Progress callback executes on
-// the run's own goroutine, between pairs — exactly where a monitor's
-// drain loop would deliver a dirty set). Entries the run already
+// the run's own goroutine, between pairs). Entries the run already
 // published are ripped out mid-flight and must be re-evaluated; on an
 // unchanged snapshot re-evaluation recomputes identical densities, so
 // the planned result must stay bit-identical to the exhaustive oracle

@@ -19,9 +19,8 @@ import (
 // This file is the one screening engine. Run and Plan both call sweep:
 // the exhaustive §5.4 sweep is a plan with k = every pair, whose bar can
 // never prune, and a planned screen is the same sweep with a bar that
-// can. Defaults, validation, memo binding, the worker pool, the
-// stale-epoch and cancel checks, Progress and the per-pair test all live
-// here, once.
+// can. Defaults, validation, memo binding, the worker pool, the cancel
+// check, Progress and the per-pair test all live here, once.
 
 // Normalize fills the zero-means-default fields and validates the
 // result: it returns the config Run uses, or the error Run returns, so
@@ -89,10 +88,6 @@ func sweep(g *graph.Graph, store *events.Store, pairs [][2]string, cfg PlanConfi
 	cfg, err := cfg.Normalize()
 	if err != nil {
 		return nil, PlanStats{}, err
-	}
-	stale := func() bool { return cfg.CurrentEpoch != nil && cfg.CurrentEpoch() != cfg.Epoch }
-	if stale() {
-		return nil, PlanStats{}, ErrStaleEpoch
 	}
 	if err := cfg.canceled(); err != nil {
 		return nil, PlanStats{}, err
@@ -169,7 +164,6 @@ func sweep(g *graph.Graph, store *events.Store, pairs [][2]string, cfg PlanConfi
 	// and worker accounting is folded once at exit.
 	var (
 		next       atomic.Int64
-		staleStop  atomic.Bool
 		cancelStop atomic.Bool
 		mu         sync.Mutex // guards st while workers fold
 	)
@@ -189,13 +183,8 @@ func sweep(g *graph.Graph, store *events.Store, pairs [][2]string, cfg PlanConfi
 			if i >= len(queue) {
 				break
 			}
-			// Re-validate the pinned epoch before spending BFS work on
-			// this pair; a stale sweep is discarded whole. A canceled
-			// sweep stops the same way: the caller is gone.
-			if stale() {
-				staleStop.Store(true)
-				break
-			}
+			// A canceled sweep stops before spending BFS work on this
+			// pair: the caller is gone.
 			if cfg.canceled() != nil {
 				cancelStop.Store(true)
 				break
@@ -232,12 +221,6 @@ func sweep(g *graph.Graph, store *events.Store, pairs [][2]string, cfg PlanConfi
 			}()
 		}
 		wg.Wait()
-	}
-	// The closing re-validation: a delta that landed after the last
-	// per-pair check still invalidates the sweep — some pairs may have
-	// sampled reference nodes from the superseded snapshot's view.
-	if staleStop.Load() || stale() {
-		return nil, PlanStats{}, ErrStaleEpoch
 	}
 	kept := results[:0]
 	for i := range results {

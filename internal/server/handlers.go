@@ -657,16 +657,14 @@ func (s *Server) writeCtxOutcome(w http.ResponseWriter, r *http.Request) {
 // freshEnough enforces a request's min_epoch floor: a graph still
 // behind it (a lagging replica, or a caller racing its own write)
 // answers 503 + Retry-After so clients distinguish "retry here
-// shortly" from a real failure. The error wraps screen.ErrStaleEpoch —
-// the same staleness signal the screening engine raises when a pinned
-// snapshot falls behind — and the body carries the unified
-// backpressure shape (reason "stale_epoch") every 429/503 shares.
+// shortly" from a real failure. The body carries the unified
+// backpressure shape (code "stale_epoch") every 429/503 shares.
 func (s *Server) freshEnough(w http.ResponseWriter, name string, epoch, minEpoch uint64) bool {
 	if minEpoch == 0 || epoch >= minEpoch {
 		return true
 	}
 	api.WriteRetryable(w, time.Second, api.CodeStaleEpoch,
-		"%v: graph %q is at epoch %d, request needs %d", screen.ErrStaleEpoch, name, epoch, minEpoch)
+		"graph %q is at epoch %d, request needs %d", name, epoch, minEpoch)
 	return false
 }
 

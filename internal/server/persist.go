@@ -12,7 +12,6 @@ import (
 
 	"tesc/api"
 	"tesc/internal/snapshot"
-	"tesc/internal/vicinity"
 	"tesc/internal/wal"
 )
 
@@ -297,26 +296,9 @@ func (s *Server) Checkpoint(name string) (checkpointInfo, error) {
 		return checkpointInfo{}, fmt.Errorf("unknown graph %q", name)
 	}
 	cur := entry.Snapshot()
-	var indexes []*vicinity.Index
-	var levels []int
-	for _, idx := range s.cache.indexes(cur) {
-		if idx.MaxLevel() > snapshot.MaxVicinityLevels {
-			s.logf("checkpoint %q: dropping vicinity index with max level %d (format limit %d)", name, idx.MaxLevel(), snapshot.MaxVicinityLevels)
-			continue
-		}
-		indexes = append(indexes, idx.Internal())
-		levels = append(levels, idx.MaxLevel())
-	}
-	monitors := s.monitors.States(name)
+	img := s.snapshotImage(name, cur)
 	path := p.snapshotPath(name)
-	bytes, err := snapshot.SaveFileFS(p.fs, path, &snapshot.Snapshot{
-		Graph:        cur.Graph.Internal(),
-		Store:        cur.Store,
-		Indexes:      indexes,
-		Epoch:        cur.Epoch,
-		GraphVersion: cur.GraphVersion,
-		Monitors:     monitors,
-	})
+	bytes, err := snapshot.SaveFileFS(p.fs, path, img)
 	if err != nil {
 		return checkpointInfo{}, err
 	}
@@ -345,10 +327,35 @@ func (s *Server) Checkpoint(name string) (checkpointInfo, error) {
 		Epoch:        cur.Epoch,
 		GraphVersion: cur.GraphVersion,
 		Events:       cur.Store.NumEvents(),
-		IndexLevels:  levels,
-		Monitors:     len(monitors),
+		Monitors:     len(img.Monitors),
+	}
+	for _, idx := range img.Indexes {
+		info.IndexLevels = append(info.IndexLevels, idx.MaxLevel())
 	}
 	return info, nil
+}
+
+// snapshotImage is the image of the graph's snapshot cur that a
+// checkpoint writes and a replica bootstrap ships: the graph, the
+// store, both epoch stamps, the monitors' states and every completed
+// vicinity index the format can hold. A deeper index is dropped and
+// logged; whoever loads the image rebuilds it on demand.
+func (s *Server) snapshotImage(name string, cur Snapshot) *snapshot.Snapshot {
+	img := &snapshot.Snapshot{
+		Graph:        cur.Graph.Internal(),
+		Store:        cur.Store,
+		Epoch:        cur.Epoch,
+		GraphVersion: cur.GraphVersion,
+		Monitors:     s.monitors.States(name),
+	}
+	for _, idx := range s.cache.indexes(cur) {
+		if idx.MaxLevel() > snapshot.MaxVicinityLevels {
+			s.logf("snapshot of %q: dropping vicinity index with max level %d (format limit %d)", name, idx.MaxLevel(), snapshot.MaxVicinityLevels)
+			continue
+		}
+		img.Indexes = append(img.Indexes, idx.Internal())
+	}
+	return img
 }
 
 // removeSnapshot deletes the named graph's snapshot file and clears

@@ -1,10 +1,14 @@
 package server
 
 import (
+	"bytes"
+	"log"
 	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -294,5 +298,62 @@ func TestCheckpointDuringRefreshKeepsIndexes(t *testing.T) {
 	}
 	if len(snap.Indexes) != 1 || snap.Indexes[0].MaxLevel() != 2 {
 		t.Fatalf("checkpoint persisted %d indexes, want the published version's level-2 index", len(snap.Indexes))
+	}
+}
+
+// lockedLog collects a server's log lines; handlers may log while the
+// test reads.
+type lockedLog struct {
+	mu  sync.Mutex
+	buf strings.Builder
+}
+
+func (l *lockedLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(p)
+}
+
+func (l *lockedLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.String()
+}
+
+// TestBootstrapImageIsTheCheckpoint: a replica bootstrap ships the
+// bytes a checkpoint writes at the same epoch — graph, events, monitor
+// states and every index the format holds — and both paths drop and
+// log an index deeper than the format's limit.
+func TestBootstrapImageIsTheCheckpoint(t *testing.T) {
+	logs := new(lockedLog)
+	env := newOverloadEnv(t, Config{DataDir: t.TempDir(), CheckpointDelay: time.Hour, Log: log.New(logs, "", 0)})
+	env.do(t, http.StatusCreated, "POST", "/v1/graphs/g/monitors",
+		map[string]any{"a": "left", "b": "right", "h": 1, "sample_size": 40, "policy": "manual"}, nil)
+	e, _ := env.srv.registry.Get("g")
+	for _, level := range []int{2, snapshot.MaxVicinityLevels + 1} {
+		if _, err := env.srv.cache.Get(e, e.Snapshot(), level, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ck, err := env.srv.Checkpoint("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := env.srv.replicaSnapshotPart("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(ck.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(part.Data, file) {
+		t.Fatalf("bootstrap image (%d B) differs from the checkpoint file (%d B) at epoch %d", len(part.Data), len(file), ck.Epoch)
+	}
+	if !reflect.DeepEqual(ck.IndexLevels, []int{2}) || ck.Monitors != 1 {
+		t.Fatalf("checkpoint carries index levels %v and %d monitors, want [2] and 1", ck.IndexLevels, ck.Monitors)
+	}
+	if n := strings.Count(logs.String(), "dropping vicinity index"); n != 2 {
+		t.Fatalf("%d logged index drops, want one per path:\n%s", n, logs.String())
 	}
 }

@@ -80,22 +80,8 @@ func (s *Server) replicaSnapshotPart(name string) (replica.SnapshotPart, error) 
 	if !ok {
 		return replica.SnapshotPart{}, fmt.Errorf("%w: %q", replica.ErrUnknownGraph, name)
 	}
-	cur := e.Snapshot()
-	snap := &snapshot.Snapshot{
-		Graph:        cur.Graph.Internal(),
-		Store:        cur.Store,
-		Epoch:        cur.Epoch,
-		GraphVersion: cur.GraphVersion,
-		Monitors:     s.monitors.States(name),
-	}
-	for _, idx := range s.cache.indexes(cur) {
-		if idx.MaxLevel() > snapshot.MaxVicinityLevels {
-			continue
-		}
-		snap.Indexes = append(snap.Indexes, idx.Internal())
-	}
 	var buf bytes.Buffer
-	if err := snapshot.Save(&buf, snap); err != nil {
+	if err := snapshot.Save(&buf, s.snapshotImage(name, e.Snapshot())); err != nil {
 		return replica.SnapshotPart{}, fmt.Errorf("encoding snapshot of %q: %w", name, err)
 	}
 	return replica.SnapshotPart{Name: name, Data: buf.Bytes(), Barrier: barrier}, nil

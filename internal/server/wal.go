@@ -94,7 +94,7 @@ func (s *Server) applyEdges(e *GraphEntry, changes []tesc.EdgeChange, logIt bool
 		// index repair's flipped-vicinity set rides along so the ball
 		// BFS is not paid twice.
 		s.monitors.NotifyEdgeDelta(e.Name(), old.Graph.Internal(), next.Graph.Internal(),
-			flips, next.Epoch, dirty, dirtyLevel)
+			old.state.pool.Internal(), next.state.pool.Internal(), flips, next.Epoch, dirty, dirtyLevel)
 		return nil
 	})
 	if err != nil {
