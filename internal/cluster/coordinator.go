@@ -192,19 +192,21 @@ func (c *Coordinator) memberByName(name string) *member {
 	return nil
 }
 
+// readable reports whether ep may serve reads: it is healthy, and a
+// replica lags the owner by at most MaxLagEpochs. c.mu must be held.
+func (c *Coordinator) readable(ep *endpoint) bool {
+	return ep.healthy && (ep.role == "owner" || ep.lagEpochs <= c.cfg.MaxLagEpochs)
+}
+
 // readEndpoint picks the first routable endpoint for reads: the owner
-// when healthy, else the first healthy replica within the lag bound.
+// when healthy, else the first readable replica.
 func (c *Coordinator) readEndpoint(m *member) *endpoint {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	for _, ep := range m.endpoints {
-		if !ep.healthy {
-			continue
+		if c.readable(ep) {
+			return ep
 		}
-		if ep.role == "replica" && ep.lagEpochs > c.cfg.MaxLagEpochs {
-			continue
-		}
-		return ep
 	}
 	return nil
 }
@@ -272,12 +274,11 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 func (c *Coordinator) proxyRead(w http.ResponseWriter, r *http.Request, m *member, body []byte) {
 	c.mu.RLock()
 	eps := append([]*endpoint(nil), m.endpoints...)
-	maxLag := c.cfg.MaxLagEpochs
 	c.mu.RUnlock()
 	tried := 0
 	for _, ep := range eps {
 		c.mu.RLock()
-		ok := ep.healthy && (ep.role == "owner" || ep.lagEpochs <= maxLag)
+		ok := c.readable(ep)
 		c.mu.RUnlock()
 		if !ok {
 			continue

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,5 +62,54 @@ func TestCoordinatorListCountsTypedAnswers(t *testing.T) {
 	ch := coord.clusterHealth()
 	if owner := ch.Members[0].Endpoints[0]; ch.Proxied != 1 || ch.ProxyErrors != 0 || !owner.Healthy || owner.ConsecutiveFailures != 0 {
 		t.Fatalf("after a typed list answer: %+v", ch)
+	}
+}
+
+// With the owner down, reads route to its replica only while the
+// replica lags by at most MaxLagEpochs: past the bound, per-graph reads
+// and the graph list skip it, and once it catches up it serves both
+// again.
+func TestCoordinatorReplicaLagBound(t *testing.T) {
+	net := newHops()
+	var lag atomic.Uint64
+	replica := net.serve(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/healthz":
+			api.WriteJSON(w, http.StatusOK, api.Health{Status: "ok", ReplicaHealth: &api.ReplicaHealth{ReplicaLagEpochs: lag.Load()}})
+		case "/v1/graphs":
+			api.WriteJSON(w, http.StatusOK, []api.GraphInfo{{Name: "g"}})
+		default:
+			api.WriteJSON(w, http.StatusOK, api.GraphInfo{Name: "g"})
+		}
+	}))
+	owner := net.serve(http.NotFoundHandler())
+	net.down(owner)
+	coord, err := NewCoordinator(Config{
+		Topology:      Topology{Members: []Member{{Name: "m", URL: owner, Replicas: []string{replica}}}},
+		HTTPClient:    net.client(),
+		FailThreshold: 1,
+		MaxLagEpochs:  4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	curl := net.serve(coord.Handler())
+	for _, step := range []struct {
+		lag    uint64
+		code   int
+		graphs int
+	}{{4, http.StatusOK, 1}, {5, http.StatusServiceUnavailable, 0}, {0, http.StatusOK, 1}} {
+		lag.Store(step.lag)
+		coord.ProbeNow(context.Background())
+		code, _ := net.doRaw(t, "GET", curl+"/v1/graphs/g", nil)
+		_, raw := net.doRaw(t, "GET", curl+"/v1/graphs", nil)
+		var list []api.GraphInfo
+		if err := json.Unmarshal(raw, &list); err != nil {
+			t.Fatalf("list: %s", raw)
+		}
+		if code != step.code || len(list) != step.graphs {
+			t.Fatalf("replica lagging %d epochs (bound 4): read %d, list of %d graphs; want %d and %d",
+				step.lag, code, len(list), step.code, step.graphs)
+		}
 	}
 }

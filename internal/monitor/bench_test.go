@@ -45,7 +45,7 @@ func benchApply(b *testing.B, w *world, flips []graph.EdgeChange, h int) {
 		b.Fatal(err)
 	}
 	engines := graph.NewEnginePool(newG)
-	w.mgr.NotifyEdgeDelta("g", w.g, newG, w.engines, engines, applied, w.epoch+1, dirty, h)
+	w.advanceEdges(b, w.g, newG, w.engines, engines, applied, w.epoch+1, dirty, h)
 	w.g, w.engines = newG, engines
 	w.epoch++
 }
@@ -54,7 +54,7 @@ func benchApply(b *testing.B, w *world, flips []graph.EdgeChange, h int) {
 // mutation batch: dirty-set invalidation plus a cache-served sweep.
 func BenchmarkMonitorRescreen(b *testing.B) {
 	mgr, w, stream, _ := benchWorld(b, 20000)
-	m, err := mgr.Create("g", Definition{A: "ev-a", B: "ev-b", H: 2, SampleSize: 900, Seed: 3, Mode: Manual}, w.snap)
+	m, err := mgr.Create("g", Definition{A: "ev-a", B: "ev-b", H: 2, SampleSize: 900, Seed: 3, Mode: Manual}, w.snap, w.lend)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -3,6 +3,8 @@ package monitor
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,10 +18,12 @@ import (
 )
 
 // world is an evolving (graph, events, epoch) triple driven by the
-// tests the way the serving tier drives a registry entry: the monitor
-// manager is notified pre-publication, mutations are serialized, every
-// published state is internally consistent, and each graph version
-// has one engine pool that re-screens borrow from.
+// tests the way the serving tier drives a registry entry: mutations
+// are serialized, each advances the world's density memos by its dirty
+// set and notifies the manager before it publishes, every published
+// state is internally consistent, and each graph version has one
+// engine pool that re-screens borrow from. Monitors borrow the memos
+// through lend, one per (vocabulary, h).
 type world struct {
 	name string
 	mgr  *Manager
@@ -30,11 +34,19 @@ type world struct {
 	builder *events.Builder
 	store   *events.Store
 	epoch   uint64
+	memos   map[memoKey]*screen.SharedMemo
+}
+
+// memoKey names one of the world's memos: its vocabulary and level.
+type memoKey struct {
+	names string
+	h     int
 }
 
 func newWorld(name string, mgr *Manager, g *graph.Graph) *world {
 	b := events.NewBuilder(g.NumNodes())
-	return &world{name: name, mgr: mgr, g: g, engines: graph.NewEnginePool(g), builder: b, store: b.Build(), epoch: 1}
+	return &world{name: name, mgr: mgr, g: g, engines: graph.NewEnginePool(g), builder: b, store: b.Build(), epoch: 1,
+		memos: make(map[memoKey]*screen.SharedMemo)}
 }
 
 func (w *world) snap() (*graph.Graph, *events.Store, uint64, *graph.EnginePool) {
@@ -43,8 +55,62 @@ func (w *world) snap() (*graph.Graph, *events.Store, uint64, *graph.EnginePool) 
 	return w.g, w.store, w.epoch, w.engines
 }
 
-// applyEdges mutates the graph by the flips, notifying the manager
-// before publication — the serving tier's ordering contract.
+// lend is the world's MemoFunc: the memo of the vocabulary at h, made
+// on first use, pinned to epoch.
+func (w *world) lend(names []string, h int, epoch uint64) (*screen.SharedMemo, func()) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	key := memoKey{strings.Join(names, "\x00"), h}
+	memo := w.memos[key]
+	if memo == nil {
+		var err error
+		if memo, err = screen.NewSharedMemo(w.g.NumNodes(), names); err != nil {
+			return nil, func() {}
+		}
+		w.memos[key] = memo
+	}
+	if !memo.Pin(epoch) {
+		return nil, func() {}
+	}
+	return memo, memo.Unpin
+}
+
+// advance moves every memo of the world to epoch to, dropping the
+// dirty set dirty returns for the memo's level and vocabulary.
+func (w *world) advance(to uint64, dirty func(h int, names []string) []graph.NodeID) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for key, memo := range w.memos {
+		memo.Advance(to, dirty(key.h, memo.Names()), false)
+	}
+}
+
+// advanceEdges advances the memos past an edge batch and notifies the
+// manager: a memo's dirty set is surfaced when level covers its h, as
+// an index repair's would be, and otherwise one DirtySet per level on
+// the two versions' pools.
+func (w *world) advanceEdges(t testing.TB, oldG, newG *graph.Graph, oldEngines, newEngines *graph.EnginePool, applied []graph.EdgeChange, to uint64, surfaced []graph.NodeID, level int) {
+	t.Helper()
+	byLevel := make(map[int][]graph.NodeID)
+	w.advance(to, func(h int, _ []string) []graph.NodeID {
+		if surfaced != nil && level >= h {
+			return surfaced
+		}
+		if _, ok := byLevel[h]; !ok {
+			d, err := vicinity.DirtySet(oldG, newG, applied, h, oldEngines, newEngines)
+			if err != nil {
+				t.Fatalf("dirty set: %v", err)
+			}
+			byLevel[h] = d
+		}
+		return byLevel[h]
+	})
+	w.mgr.Notify(w.name, nil, to)
+}
+
+// applyEdges mutates the graph by the flips, advancing the memos and
+// notifying the manager before publication — the serving tier's
+// ordering contract.
 func (w *world) applyEdges(t *testing.T, changes []graph.EdgeChange) {
 	t.Helper()
 	w.mu.Lock()
@@ -60,21 +126,28 @@ func (w *world) applyEdges(t *testing.T, changes []graph.EdgeChange) {
 	}
 	newG := d.Compact()
 	engines := graph.NewEnginePool(newG)
-	w.mgr.NotifyEdgeDelta(w.name, oldG, newG, oldEngines, engines, applied, epoch+1, nil, 0)
+	w.advanceEdges(t, oldG, newG, oldEngines, engines, applied, epoch+1, nil, 0)
 	w.mu.Lock()
 	w.g, w.engines = newG, engines
 	w.epoch++
 	w.mu.Unlock()
 }
 
-// mutateEvent adds or removes one occurrence of the named event.
+// mutateEvent adds or removes one occurrence of the named event. The
+// memos over the event drop the reverse h-ball around v.
 func (w *world) mutateEvent(t *testing.T, name string, v graph.NodeID, add bool) {
 	t.Helper()
 	changed := map[string][]graph.NodeID{name: {v}}
 	w.mu.Lock()
-	epoch := w.epoch
+	g, epoch := w.g, w.epoch
 	w.mu.Unlock()
-	w.mgr.NotifyEventDelta(w.name, changed, epoch+1)
+	w.advance(epoch+1, func(h int, names []string) []graph.NodeID {
+		if !slices.Contains(names, name) {
+			return nil
+		}
+		return graph.NewBFS(g).Collect([]graph.NodeID{v}, h)
+	})
+	w.mgr.Notify(w.name, changed, epoch+1)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if add {
@@ -169,7 +242,7 @@ func TestDifferentialIncrementalRescreen(t *testing.T) {
 				Seed:        0x5eed ^ lg.seed,
 				Mode:        Manual, // the test drives re-screens itself
 			}
-			m, err := mgr.Create(w.name, def, w.snap)
+			m, err := mgr.Create(w.name, def, w.snap, w.lend)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -226,7 +299,7 @@ func mustLast(t *testing.T, m *Monitor) Sample {
 	return s
 }
 
-// TestDirtySetSuperset checks that handing NotifyEdgeDelta a surfaced
+// TestDirtySetSuperset checks that advancing the memo by a surfaced
 // dirty set from a deeper index level (a superset of the monitor-level
 // ball) preserves bit-identity — the path the serving tier takes when
 // an index repair already computed the ball.
@@ -236,7 +309,7 @@ func TestDirtySetSuperset(t *testing.T) {
 	w := newWorld("g", mgr, diffGraph(rng))
 	seedEvents(w, rng, 30)
 	def := Definition{A: "ev-a", B: "ev-b", H: 1, SampleSize: 60, Seed: 99, Mode: Manual}
-	m, err := mgr.Create(w.name, def, w.snap)
+	m, err := mgr.Create(w.name, def, w.snap, w.lend)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +328,7 @@ func TestDirtySetSuperset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mgr.NotifyEdgeDelta(w.name, w.g, newG, nil, nil, applied, w.epoch+1, dirty, 3)
+		w.advanceEdges(t, w.g, newG, nil, nil, applied, w.epoch+1, dirty, 3)
 		w.g = newG
 		w.epoch++
 		sample, _, err := m.Refresh(false)

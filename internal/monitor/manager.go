@@ -3,14 +3,12 @@ package monitor
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"tesc/internal/graph"
-	"tesc/internal/vicinity"
 )
 
 // ErrAlreadyRegistered is wrapped by the error Create and Restore
@@ -18,9 +16,9 @@ import (
 var ErrAlreadyRegistered = errors.New("already registered")
 
 // Manager is the registry and scheduler of standing queries across
-// all graphs of a serving tier. The mutation path notifies it with
-// per-delta dirty sets; it fans each delta out to the graph's
-// monitors, which coalesce and re-screen per their policies.
+// all graphs of a serving tier. The mutation path notifies it of each
+// batch; it fans each one out to the graph's monitors it can affect,
+// which coalesce and re-screen per their policies.
 type Manager struct {
 	mu     sync.Mutex
 	graphs map[string]*graphMonitors
@@ -32,14 +30,13 @@ type Manager struct {
 
 // graphMonitors is one graph's standing queries plus the notification
 // watermark closing the registration race: notifiedEpoch is the
-// highest target epoch any delta notification for this graph has
-// carried. A notification lists the registered monitors before its
-// mutation publishes; a monitor registered AFTER that listing but
-// whose baseline binds the still-published older snapshot would miss
-// the delta and serve a silently stale cache. Queuing every new
-// monitor a catch-all invalidation at the watermark makes the miss
-// impossible: either the baseline already saw the post-mutation epoch,
-// or the catch-all resets the cache once it does.
+// highest target epoch any notification for this graph has carried. A
+// notification lists the registered monitors before its mutation
+// publishes; a monitor registered AFTER that listing but whose
+// baseline binds the still-published older snapshot would never
+// re-screen at the mutation's epoch. Queuing every new monitor an
+// entry at the watermark makes it re-screen once that epoch publishes
+// (the entry drains as a no-op if the baseline already binds it).
 type graphMonitors struct {
 	monitors      []*Monitor // registration order
 	notifiedEpoch uint64
@@ -55,8 +52,8 @@ func NewManager() *Manager {
 // snapshot — the registration response carries a real result, and the
 // density cache is warm before the first delta arrives. An empty
 // Definition.ID gets a generated one.
-func (mgr *Manager) Create(graphName string, def Definition, snap SnapshotFunc) (*Monitor, error) {
-	m, err := mgr.add(graphName, State{Def: def}, snap)
+func (mgr *Manager) Create(graphName string, def Definition, snap SnapshotFunc, memo MemoFunc) (*Monitor, error) {
+	m, err := mgr.add(graphName, State{Def: def}, snap, memo)
 	if err != nil {
 		return nil, err
 	}
@@ -68,32 +65,26 @@ func (mgr *Manager) Create(graphName string, def Definition, snap SnapshotFunc) 
 }
 
 // Restore registers a monitor from persisted state without running a
-// baseline: the history ring continues where the snapshot left off,
-// and the (deliberately unpersisted) density cache refills on the
-// first re-screen.
-func (mgr *Manager) Restore(graphName string, st State, snap SnapshotFunc) (*Monitor, error) {
+// baseline: the history ring continues where the snapshot left off.
+func (mgr *Manager) Restore(graphName string, st State, snap SnapshotFunc, memo MemoFunc) (*Monitor, error) {
 	if st.Def.ID == "" {
 		return nil, fmt.Errorf("monitor: restored state needs an ID")
 	}
-	return mgr.add(graphName, st, snap)
+	return mgr.add(graphName, st, snap, memo)
 }
 
-func (mgr *Manager) add(graphName string, st State, snap SnapshotFunc) (*Monitor, error) {
+func (mgr *Manager) add(graphName string, st State, snap SnapshotFunc, memo MemoFunc) (*Monitor, error) {
 	if graphName == "" {
 		return nil, fmt.Errorf("monitor: empty graph name")
 	}
-	if snap == nil {
-		return nil, fmt.Errorf("monitor: nil snapshot source")
+	if snap == nil || memo == nil {
+		return nil, fmt.Errorf("monitor: nil snapshot or memo source")
 	}
 	def := st.Def
 	if err := def.Normalize(); err != nil {
 		return nil, err
 	}
-	g, store, _, _ := snap()
-	m := &Monitor{def: def, graph: graphName, snap: snap, mgr: mgr, nodes: g.NumNodes()}
-	if err := m.bindMemo(g, store); err != nil {
-		return nil, err
-	}
+	m := &Monitor{def: def, graph: graphName, snap: snap, memo: memo, mgr: mgr}
 	if len(st.History) > 0 {
 		h := append([]Sample(nil), st.History...)
 		sortSamples(h)
@@ -125,10 +116,8 @@ func (mgr *Manager) add(graphName string, st State, snap SnapshotFunc) (*Monitor
 	}
 	if gm.notifiedEpoch > 0 {
 		// A mutation may have been notified to the pre-registration
-		// monitor list and not yet published; the catch-all guarantees
-		// this monitor's cache is reset once that epoch is visible
-		// (it drains as a no-op if the baseline already binds it).
-		m.enqueue(pendingDelta{epoch: gm.notifiedEpoch, all: true})
+		// monitor list and not yet published.
+		m.pending = append(m.pending, pendingDelta{epoch: gm.notifiedEpoch})
 	}
 	gm.monitors = append(gm.monitors, m)
 	return m, nil
@@ -252,115 +241,21 @@ func (mgr *Manager) Reruns() int64 { return mgr.reruns.Load() }
 // scheduler's savings metric (healthz monitor_nodes_reused).
 func (mgr *Manager) NodesReused() int64 { return mgr.nodesReused.Load() }
 
-// NotifyEdgeDelta queues an edge-mutation delta for every monitor of
-// the graph. targetEpoch is the epoch the mutation publishes; callers
-// on a serialized mutation path should notify BEFORE publication so no
-// re-screen can bind the new snapshot without seeing its invalidation.
-//
-// surfacedDirty, when non-nil, is the flipped-vicinity node set an
-// index repair already computed for this delta (ApplyDeltaDirty) at
-// depth surfacedLevel; it is reused when it covers every monitor's
-// level, otherwise the dirty ball is recomputed once at the deepest
-// monitored level on engines borrowed from oldEngines and newEngines,
-// the pools of the two graph versions. If the dirty set cannot be
-// established the monitors fall back to full invalidation —
-// correctness never depends on locality, only speed does.
-func (mgr *Manager) NotifyEdgeDelta(graphName string, oldG, newG *graph.Graph, oldEngines, newEngines *graph.EnginePool, changes []graph.EdgeChange, targetEpoch uint64, surfacedDirty []graph.NodeID, surfacedLevel int) {
-	if len(changes) == 0 {
-		return
-	}
-	monitors := mgr.listAndMark(graphName, targetEpoch)
-	if len(monitors) == 0 {
-		return
-	}
-	maxH := 0
-	for _, m := range monitors {
-		maxH = max(maxH, m.def.H)
-	}
-	d := pendingDelta{epoch: targetEpoch, batches: 1}
-	switch {
-	case surfacedDirty != nil && surfacedLevel >= maxH:
-		d.dirty = surfacedDirty
-	default:
-		dirty, err := vicinity.DirtySet(oldG, newG, changes, maxH, oldEngines, newEngines)
-		if err != nil {
-			d.all = true
-		} else {
-			d.dirty = dirty
-		}
-	}
-	for _, m := range monitors {
-		m.notify(d)
-	}
-}
-
-// NotifyEventDelta queues an event-mutation delta: changed maps event
-// names to the occurrence nodes added or removed (for a whole-event
-// removal, every former occurrence). Only monitors whose pair touches
-// a changed event are affected — except watchlists, which rank the
-// whole vocabulary and so are affected by every event mutation. The
-// dirty set is the reverse h-ball around the changed nodes — exactly
-// the reference nodes whose vicinities contain a changed occurrence —
-// computed once at the deepest affected level. Like NotifyEdgeDelta,
-// call before the mutated snapshot is published.
-func (mgr *Manager) NotifyEventDelta(graphName string, changed map[string][]graph.NodeID, targetEpoch uint64) {
-	if len(changed) == 0 {
-		return
-	}
-	var affected []*Monitor
-	maxH := 0
-	for _, m := range mgr.listAndMark(graphName, targetEpoch) {
+// Notify tells the graph's monitors of a mutation that publishes
+// epoch. changed maps each mutated event to its changed occurrence
+// nodes; it is nil for an edge batch, which can affect every monitor.
+// Each monitor the mutation can affect counts a batch and, in Auto
+// mode, arms its debounce timer. Callers on the serialized mutation
+// path notify before the epoch publishes, so no refresh can bind it
+// without its batch queued.
+func (mgr *Manager) Notify(graphName string, changed map[string][]graph.NodeID, epoch uint64) {
+	for _, m := range mgr.listAndMark(graphName, epoch) {
+		affected := changed == nil
 		for name := range changed {
-			if m.watches(name) {
-				affected = append(affected, m)
-				maxH = max(maxH, m.def.H)
-				break
-			}
+			affected = affected || m.watches(name)
+		}
+		if affected {
+			m.notify(epoch)
 		}
 	}
-	if len(affected) == 0 {
-		return
-	}
-	var sources []graph.NodeID
-	seen := make(map[graph.NodeID]bool)
-	for name, nodes := range changed {
-		if !slices.ContainsFunc(affected, func(m *Monitor) bool { return m.watches(name) }) {
-			continue
-		}
-		for _, v := range nodes {
-			if !seen[v] {
-				seen[v] = true
-				sources = append(sources, v)
-			}
-		}
-	}
-	d := pendingDelta{epoch: targetEpoch, batches: 1}
-	if len(sources) > 0 {
-		// Event mutations leave the graph untouched, so any affected
-		// monitor's current snapshot carries the right structure for
-		// the ball.
-		g, _, _, engines := affected[0].snap()
-		d.dirty = dirtyBall(g, engines, sources, maxH)
-	}
-	for _, m := range affected {
-		m.notify(d)
-	}
-}
-
-// dirtyBall returns every node whose h-vicinity contains one of the
-// sources: the h-ball around the sources, traversed with an engine
-// borrowed from engines.
-func dirtyBall(g *graph.Graph, engines *graph.EnginePool, sources []graph.NodeID, h int) []graph.NodeID {
-	valid := sources[:0:0]
-	for _, v := range sources {
-		if g.Valid(v) {
-			valid = append(valid, v)
-		}
-	}
-	if len(valid) == 0 {
-		return nil
-	}
-	bfs := engines.Acquire(g)
-	defer engines.Put(bfs)
-	return bfs.SetVicinity(valid, h, nil)
 }

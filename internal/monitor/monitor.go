@@ -10,19 +10,18 @@
 // does this pair *become* (or stop being) correlated". Recomputing
 // the full test per mutation wastes the same work the §4.2 vicinity
 // index avoids wasting: a delta only perturbs densities inside a
-// bounded ball. The scheduler therefore intersects each delta's
-// flipped-vicinity node set (vicinity.DirtySet — the exact locality
-// bound the index repair already computes) with each standing query's
-// density cache, invalidates only that intersection, and re-screens
-// with every untouched reference-node density served from the cache
-// (screen.SharedMemo). The re-screen is bit-identical to a
+// bounded ball. Each re-screen therefore borrows a density memo
+// (screen.SharedMemo) that the serving tier keeps and advances by each
+// delta's dirty ball (MemoFunc), so every untouched reference-node
+// density is served from it. The re-screen is bit-identical to a
 // from-scratch screen.Run at the same epoch — the differential tests
-// pin score, p-value and per-node densities — because cached entries
-// outside the dirty ball provably cannot have changed.
+// pin score and p-value — because cached entries outside the dirty
+// ball provably cannot have changed.
 //
-// Bursts of mutations are debounced per monitor: a batch of B deltas
-// inside the coalescing window triggers one re-screen, not B, and the
-// history entry records how many batches it folded.
+// The package itself is a scheduler: history, pending batches and
+// timers. Bursts of mutations are debounced per monitor: a batch of B
+// deltas inside the coalescing window triggers one re-screen, not B,
+// and the history entry records how many batches it folded.
 package monitor
 
 import (
@@ -46,7 +45,7 @@ const (
 	// timer, and the re-screen fires once the window closes, folding
 	// every delta that landed meanwhile into one run.
 	Auto Mode = iota
-	// Manual accumulates invalidations but re-screens only on an
+	// Manual accumulates batches but re-screens only on an
 	// explicit Refresh (the REST layer's refresh endpoint) — the mode
 	// for clients that want to pay re-evaluation on their own clock.
 	Manual
@@ -118,10 +117,9 @@ type Definition struct {
 	// instead of one fixed pair, every (re-)screen ranks the whole
 	// event vocabulary with the top-k planner (screen.Plan) and
 	// records the K best pairs in Sample.Top. A and B must be empty —
-	// a watchlist owns no pair. Watchlists are re-ranked from the same
-	// mutation dirty sets as fixed-pair monitors: the retained density
-	// cache spans the full vocabulary, so a delta invalidates only its
-	// dirty ball and the next ranking reuses every untouched entry.
+	// a watchlist owns no pair. A watchlist borrows the memo of the
+	// whole vocabulary, so the next ranking after a delta reuses every
+	// entry outside the delta's dirty ball.
 	TopK int
 	// MinOccurrences filters watchlist candidates the way the sweep
 	// API does (default 1); fixed-pair monitors must leave it zero.
@@ -198,7 +196,7 @@ type Sample struct {
 	// entries, best first); nil for fixed-pair monitors.
 	Top []TopPair
 	// Reused counts reference-node density evaluations served from the
-	// retained cache; Recomputed the h-hop traversals actually paid.
+	// borrowed memo; Recomputed the h-hop traversals actually paid.
 	// Reused / (Reused+Recomputed) is the incremental win the delta's
 	// locality bought.
 	Reused     int64
@@ -217,9 +215,9 @@ type TopPair struct {
 }
 
 // State is the persistent image of a monitor: its definition plus the
-// history ring (oldest first). The density cache is deliberately not
-// part of it — it is rebuilt lazily after a restore, trading one cold
-// re-screen for not serializing O(|V|) scratch.
+// history ring (oldest first). The density memo is not part of it: the
+// serving tier keeps it, and after a restore the first re-screen runs
+// cold rather than serializing O(|V|) scratch.
 type State struct {
 	Def     Definition
 	History []Sample
@@ -232,31 +230,23 @@ type State struct {
 // must never observe epochs going backwards.
 type SnapshotFunc func() (g *graph.Graph, store *events.Store, epoch uint64, engines *graph.EnginePool)
 
-// pendingDelta is one queued invalidation: the dirty node set of a
-// mutation, tagged with the epoch the mutation produces. Deltas are
-// queued before their snapshot is published (the serving tier notifies
-// inside the serialized mutation path), so a drain only consumes
-// entries whose epoch the bound snapshot has caught up to — otherwise
-// a re-screen could consume an invalidation whose mutation it cannot
-// see yet and leave the cache silently wrong for the next epoch.
+// MemoFunc lends a re-screen the density memo over the sorted event
+// vocabulary names at level h, pinned to the snapshot epoch the
+// re-screen bound (screen.SharedMemo.Pin); the re-screen calls release
+// when its sweep returns. A nil memo runs the sweep on a memo of its
+// own.
+type MemoFunc func(names []string, h int, epoch uint64) (memo *screen.SharedMemo, release func())
+
+// pendingDelta is one queued entry: batches mutation batches, the last
+// of which publishes epoch. The serving tier notifies before it
+// publishes, so a drain only consumes entries whose epoch the bound
+// snapshot has caught up to; a newer one stays queued for the next
+// run, which must see its batch.
 type pendingDelta struct {
 	epoch uint64
-	dirty []graph.NodeID
-	all   bool // invalidate everything (fallback when no dirty set is known)
-	// batches is the number of mutation batches this entry represents:
-	// 1 for a normal notification, 0 for the synthetic catch-all queued
-	// at registration (see Manager.add), N for a fold of N batches.
+	// batches is 1 for a notification, N for a fold of N, and 0 for
+	// the entry queued at registration (see Manager.add).
 	batches int
-}
-
-// weight is what the entry counts toward the queue's fold threshold
-// on a graph of n nodes: its dirty nodes (at least one, so the queue's
-// length is bounded too), or more than the whole graph for a catch-all.
-func (d pendingDelta) weight(n int) int {
-	if d.all {
-		return n + 1
-	}
-	return max(1, len(d.dirty))
 }
 
 // Monitor is one registered standing query. All methods are safe for
@@ -265,19 +255,13 @@ type Monitor struct {
 	def   Definition
 	graph string
 	snap  SnapshotFunc
+	memo  MemoFunc
 	mgr   *Manager
 
-	// runMu serializes re-screens; the drain under it is the only code
-	// that touches the memo, so cache invalidation never races an
-	// in-flight evaluation.
-	runMu sync.Mutex
-	memo  *screen.SharedMemo
-	nodes int // the graph's node count, the queue's fold threshold
+	runMu sync.Mutex // serializes re-screens
 
 	mu      sync.Mutex // guards the fields below
 	pending []pendingDelta
-	batches int // delta batches queued since the last drain
-	weight  int // the pending entries' summed weight
 	timer   *time.Timer
 	closed  bool
 	history []Sample
@@ -311,7 +295,11 @@ func (m *Monitor) Last() (Sample, bool) {
 func (m *Monitor) Pending() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.batches
+	n := 0
+	for _, d := range m.pending {
+		n += d.batches
+	}
+	return n
 }
 
 // State snapshots the monitor for persistence.
@@ -319,41 +307,26 @@ func (m *Monitor) State() State {
 	return State{Def: m.def, History: m.History()}
 }
 
-// notify queues a delta and, in Auto mode, arms the debounce timer.
-//
-// A monitor nobody refreshes must not keep every batch's dirty set
-// alive, so once the queued entries hold more dirty nodes than the
-// graph has, or one of them is already a catch-all, they fold into one
-// catch-all carrying their batch count and largest epoch. Mutations of
-// a graph are serialized and notify runs inside them, so every entry
-// already queued is at a published epoch. A run that bound an older
-// snapshot before the fold resets its memo for the kept catch-all.
-func (m *Monitor) notify(d pendingDelta) {
+// notify queues a batch that publishes epoch and, in Auto mode, arms
+// the debounce timer. Mutations of a graph are serialized and notify
+// runs inside them, so every entry already queued is at a published
+// epoch: they fold into one, and the queue never holds more than two.
+func (m *Monitor) notify(epoch uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return
 	}
-	if m.weight > m.nodes {
-		folded := pendingDelta{all: true}
+	if len(m.pending) > 0 {
+		var folded pendingDelta
 		for _, q := range m.pending {
 			folded.epoch = max(folded.epoch, q.epoch)
 			folded.batches += q.batches
 		}
-		clear(m.pending) // release the folded dirty slices
-		m.pending, m.batches, m.weight = m.pending[:0], 0, 0
-		m.enqueue(folded)
+		m.pending = append(m.pending[:0], folded)
 	}
-	m.enqueue(d)
+	m.pending = append(m.pending, pendingDelta{epoch: epoch, batches: 1})
 	m.armLocked()
-}
-
-// enqueue appends a delta and its tallies; m.mu must be held once the
-// monitor is registered.
-func (m *Monitor) enqueue(d pendingDelta) {
-	m.pending = append(m.pending, d)
-	m.batches += d.batches
-	m.weight += d.weight(m.nodes)
 }
 
 // armLocked starts the debounce timer when Auto mode needs one.
@@ -366,7 +339,7 @@ func (m *Monitor) armLocked() {
 	})
 }
 
-// Refresh synchronously drains pending deltas and re-screens. Without
+// Refresh synchronously drains pending batches and re-screens. Without
 // force it is a no-op (ok == false) when nothing is pending; with
 // force it re-screens at the current epoch regardless. It returns the
 // last recorded sample when a run happened.
@@ -375,14 +348,13 @@ func (m *Monitor) Refresh(force bool) (Sample, bool, error) {
 }
 
 // run is one re-screen pass: bind the current snapshot, consume every
-// queued delta that snapshot can see, invalidate the memo, re-screen
-// once at the snapshot's epoch and record the sample. The sample is
-// exact for the epoch it bound even when newer epochs publish while it
-// runs: the graph and store are immutable versions, and the memo is
-// invalidated only here, under runMu, before the sweep starts. A delta
-// for a newer epoch — one not yet published, or one a mutation queued
-// during the sweep — stays queued, and the timer re-arms (Auto) to
-// fold it into the next pass.
+// queued entry that snapshot can see, re-screen once at the snapshot's
+// epoch and record the sample. The sample is exact for the epoch it
+// bound even when newer epochs publish while it runs: the graph and
+// store are immutable versions, and the borrowed memo is pinned to the
+// bound epoch. An entry for a newer epoch — one not yet published, or
+// one a mutation queued during the sweep — stays queued, and the timer
+// re-arms (Auto) to fold it into the next pass.
 func (m *Monitor) run(force bool) (Sample, bool, error) {
 	m.runMu.Lock()
 	defer m.runMu.Unlock()
@@ -393,38 +365,23 @@ func (m *Monitor) run(force bool) (Sample, bool, error) {
 		m.mu.Unlock()
 		return Sample{}, false, nil
 	}
-	var dirty []graph.NodeID
-	reset := false
 	drained, batches := 0, 0
 	queued := m.pending
-	m.pending, m.batches, m.weight = nil, 0, 0
+	m.pending = nil
 	for _, d := range queued {
-		// A kept catch-all still resets: it may fold deltas this
-		// snapshot can see (see notify).
-		reset = reset || d.all
 		if d.epoch > epoch {
-			m.enqueue(d)
+			m.pending = append(m.pending, d)
 			continue
 		}
 		drained++
 		batches += d.batches
-		dirty = append(dirty, d.dirty...)
 	}
 	m.timer = nil
-	m.armLocked() // for the kept deltas; notify arms for later ones
+	m.armLocked() // for the kept entries; notify arms for later ones
 	m.mu.Unlock()
 
 	if drained == 0 && !force {
 		return Sample{}, false, nil
-	}
-	// A watchlist registered against an empty vocabulary has no memo
-	// yet (bindMemo builds one when events appear).
-	if m.memo != nil {
-		if reset {
-			m.memo.Reset()
-		} else if len(dirty) > 0 {
-			m.memo.Invalidate(dirty)
-		}
 	}
 	sample, err := m.rescreen(g, store, epoch, engines, batches)
 	if err != nil {
@@ -442,21 +399,18 @@ func (m *Monitor) watches(name string) bool {
 }
 
 // rescreen runs one epoch-pinned planned ranking of the monitor's
-// candidate list against the retained density cache. A fixed pair is
-// the list {A, B} with k = 1: one candidate, so the plan never prunes
-// and tests it in one pass, exactly as an exhaustive screen.Run would
-// (a one-p-value BH adjustment is the p-value itself). A watchlist is
-// every pair of the vocabulary with k = TopK; its cache spans every
-// event, so the deltas the drain folded invalidate exactly their
-// dirty ball and the planner serves every untouched reference node
-// from the cache.
+// candidate list on the borrowed density memo. A fixed pair is the
+// list {A, B} with k = 1: one candidate, so the plan never prunes and
+// tests it in one pass, exactly as an exhaustive screen.Run would (a
+// one-p-value BH adjustment is the p-value itself); it borrows the
+// memo of its two events. A watchlist is every pair of the vocabulary
+// with k = TopK, on the memo of the whole vocabulary.
 func (m *Monitor) rescreen(g *graph.Graph, store *events.Store, epoch uint64, engines *graph.EnginePool, batches int) (Sample, error) {
-	if err := m.bindMemo(g, store); err != nil {
-		return Sample{}, err
-	}
 	start := time.Now()
+	names := []string{m.def.A, m.def.B}
 	pairs, k := [][2]string{{m.def.A, m.def.B}}, 1
 	if m.def.TopK > 0 {
+		names = store.Names()
 		pairs, k = screen.AllPairs(store, m.def.MinOccurrences), m.def.TopK
 		if len(pairs) == 0 {
 			return Sample{
@@ -465,6 +419,8 @@ func (m *Monitor) rescreen(g *graph.Graph, store *events.Store, epoch uint64, en
 			}, nil
 		}
 	}
+	memo, release := m.memo(slices.Sorted(slices.Values(names)), m.def.H, epoch)
+	defer release()
 	cfg := screen.PlanConfig{
 		Config: screen.Config{
 			H:              m.def.H,
@@ -474,7 +430,7 @@ func (m *Monitor) rescreen(g *graph.Graph, store *events.Store, epoch uint64, en
 			MinOccurrences: m.def.MinOccurrences,
 			Seed:           m.def.Seed,
 			Workers:        1,
-			Memo:           m.memo,
+			Memo:           memo,
 			Engines:        engines,
 		},
 		K: k,
@@ -522,34 +478,6 @@ func (m *Monitor) rescreen(g *graph.Graph, store *events.Store, epoch uint64, en
 	return sample, nil
 }
 
-// bindMemo keeps the density cache's vocabulary the one the monitor
-// screens: the pair's two events, or a watchlist's whole vocabulary.
-// The vocabulary is not fixed at registration: event mutations add and
-// drop whole events. The memo's dense count vectors are indexed by its
-// vocabulary, so a changed name set forces a cold rebuild (rare for a
-// watchlist, never for a pair); occurrence-level changes keep the
-// names and reuse it. A watchlist with no events yet has no memo.
-func (m *Monitor) bindMemo(g *graph.Graph, store *events.Store) error {
-	names := []string{m.def.A, m.def.B}
-	if m.def.TopK > 0 {
-		names = store.Names()
-	}
-	names = slices.Sorted(slices.Values(names)) // the memo's order
-	if m.memo != nil && slices.Equal(m.memo.Names(), names) {
-		return nil
-	}
-	m.memo = nil
-	if len(names) == 0 {
-		return nil
-	}
-	memo, err := screen.NewSharedMemo(g.NumNodes(), names)
-	if err != nil {
-		return err
-	}
-	m.memo = memo
-	return nil
-}
-
 // record appends to the history ring, evicting the oldest entry past
 // capacity.
 func (m *Monitor) record(s Sample) {
@@ -568,7 +496,6 @@ func (m *Monitor) close() {
 	defer m.mu.Unlock()
 	m.closed = true
 	m.pending = nil
-	m.batches = 0
 	if m.timer != nil {
 		m.timer.Stop()
 		m.timer = nil

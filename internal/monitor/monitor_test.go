@@ -7,8 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"tesc/internal/graph"
 	"tesc/internal/graphgen"
+	"tesc/internal/screen"
 )
 
 func testWorld(t *testing.T, seed uint64) (*Manager, *world, *rand.Rand) {
@@ -50,7 +50,7 @@ func TestDefinitionDefaultsAndValidation(t *testing.T) {
 // whose history entry reports all B batches.
 func TestCoalescing(t *testing.T) {
 	mgr, w, rng := testWorld(t, 5)
-	m, err := mgr.Create("g", Definition{A: "ev-a", B: "ev-b", H: 2, SampleSize: 50, Seed: 3, Mode: Manual}, w.snap)
+	m, err := mgr.Create("g", Definition{A: "ev-a", B: "ev-b", H: 2, SampleSize: 50, Seed: 3, Mode: Manual}, w.snap, w.lend)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,18 +84,17 @@ func TestCoalescing(t *testing.T) {
 	}
 }
 
-// TestFutureEpochDeltaDefers: a delta queued for an epoch the snapshot
-// source has not published yet must not be consumed — consuming it
-// would burn the invalidation before the data it invalidates is
-// visible.
+// TestFutureEpochDeltaDefers: a batch queued for an epoch the
+// snapshot source has not published yet must not be consumed — the
+// re-screen it asks for must see it.
 func TestFutureEpochDeltaDefers(t *testing.T) {
 	mgr, w, _ := testWorld(t, 6)
-	m, err := mgr.Create("g", Definition{A: "ev-a", B: "ev-b", H: 1, SampleSize: 40, Seed: 4, Mode: Manual}, w.snap)
+	m, err := mgr.Create("g", Definition{A: "ev-a", B: "ev-b", H: 1, SampleSize: 40, Seed: 4, Mode: Manual}, w.snap, w.lend)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Queue a delta two epochs ahead of the published snapshot.
-	m.notify(pendingDelta{epoch: w.epoch + 2, dirty: []graph.NodeID{1, 2, 3}, batches: 1})
+	m.notify(w.epoch + 2)
 	if _, ran, _ := m.Refresh(false); ran {
 		t.Fatal("refresh consumed a delta whose epoch is not yet visible")
 	}
@@ -115,7 +114,7 @@ func TestFutureEpochDeltaDefers(t *testing.T) {
 func TestHistoryRingCapacity(t *testing.T) {
 	mgr, w, rng := testWorld(t, 7)
 	const cap = 5
-	m, err := mgr.Create("g", Definition{A: "ev-a", B: "ev-b", H: 1, SampleSize: 40, Seed: 5, Mode: Manual, HistoryCap: cap}, w.snap)
+	m, err := mgr.Create("g", Definition{A: "ev-a", B: "ev-b", H: 1, SampleSize: 40, Seed: 5, Mode: Manual, HistoryCap: cap}, w.snap, w.lend)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +148,7 @@ func TestAutoModeDebounce(t *testing.T) {
 	m, err := mgr.Create("g", Definition{
 		A: "ev-a", B: "ev-b", H: 1, SampleSize: 40, Seed: 6,
 		Mode: Auto, Debounce: 20 * time.Millisecond,
-	}, w.snap)
+	}, w.snap, w.lend)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +181,7 @@ func TestAutoModeDebounce(t *testing.T) {
 func TestManagerLifecycle(t *testing.T) {
 	mgr, w, _ := testWorld(t, 9)
 	def := Definition{A: "ev-a", B: "ev-b", H: 1, SampleSize: 40, Mode: Manual}
-	m1, err := mgr.Create("g", def, w.snap)
+	m1, err := mgr.Create("g", def, w.snap, w.lend)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +190,7 @@ func TestManagerLifecycle(t *testing.T) {
 	}
 	def2 := def
 	def2.Seed = 1
-	if _, err := mgr.Create("g", def2, w.snap); err != nil {
+	if _, err := mgr.Create("g", def2, w.snap, w.lend); err != nil {
 		t.Fatal(err)
 	}
 	if mgr.Active() != 2 {
@@ -200,13 +199,13 @@ func TestManagerLifecycle(t *testing.T) {
 	// Duplicate explicit IDs conflict.
 	dup := def
 	dup.ID = "mon-1"
-	if _, err := mgr.Create("g", dup, w.snap); err == nil {
+	if _, err := mgr.Create("g", dup, w.snap, w.lend); err == nil {
 		t.Fatal("duplicate ID accepted")
 	}
 	// An event with no occurrences yet is allowed at this layer (the
 	// REST layer rejects unknown names): the baseline records a skipped
 	// sample and the monitor starts tracking when occurrences appear.
-	ghost, err := mgr.Create("g", Definition{A: "ev-a", B: "ghost", H: 1, Mode: Manual}, w.snap)
+	ghost, err := mgr.Create("g", Definition{A: "ev-a", B: "ghost", H: 1, Mode: Manual}, w.snap, w.lend)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,23 +233,23 @@ func TestManagerLifecycle(t *testing.T) {
 func TestDuplicateIDSentinel(t *testing.T) {
 	mgr, w, _ := testWorld(t, 17)
 	def := Definition{ID: "dup", A: "ev-a", B: "ev-b", H: 1, SampleSize: 40, Mode: Manual}
-	if _, err := mgr.Create("g", def, w.snap); err != nil {
+	if _, err := mgr.Create("g", def, w.snap, w.lend); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mgr.Create("g", def, w.snap); !errors.Is(err, ErrAlreadyRegistered) {
+	if _, err := mgr.Create("g", def, w.snap, w.lend); !errors.Is(err, ErrAlreadyRegistered) {
 		t.Fatalf("duplicate Create: err = %v, want ErrAlreadyRegistered", err)
 	}
-	if _, err := mgr.Restore("g", State{Def: def}, w.snap); !errors.Is(err, ErrAlreadyRegistered) {
+	if _, err := mgr.Restore("g", State{Def: def}, w.snap, w.lend); !errors.Is(err, ErrAlreadyRegistered) {
 		t.Fatalf("duplicate Restore: err = %v, want ErrAlreadyRegistered", err)
 	}
-	if _, err := mgr.Create("other", def, w.snap); err != nil {
+	if _, err := mgr.Create("other", def, w.snap, w.lend); err != nil {
 		t.Fatalf("the same ID on another graph: %v", err)
 	}
 }
 
 func TestRestoreContinuesHistoryAndIDs(t *testing.T) {
 	mgr, w, rng := testWorld(t, 10)
-	m, err := mgr.Create("g", Definition{A: "ev-a", B: "ev-b", H: 2, SampleSize: 50, Seed: 8, Mode: Manual}, w.snap)
+	m, err := mgr.Create("g", Definition{A: "ev-a", B: "ev-b", H: 2, SampleSize: 50, Seed: 8, Mode: Manual}, w.snap, w.lend)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,8 +265,8 @@ func TestRestoreContinuesHistoryAndIDs(t *testing.T) {
 	// A fresh manager (a restarted daemon) restores the state: history
 	// intact, no baseline re-run, next generated ID does not collide.
 	mgr2 := NewManager()
-	w2 := &world{name: "g", mgr: mgr2, g: w.g, builder: w.builder, store: w.store, epoch: w.epoch}
-	restored, err := mgr2.Restore("g", st, w2.snap)
+	w2 := &world{name: "g", mgr: mgr2, g: w.g, builder: w.builder, store: w.store, epoch: w.epoch, memos: make(map[memoKey]*screen.SharedMemo)}
+	restored, err := mgr2.Restore("g", st, w2.snap, w2.lend)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +276,7 @@ func TestRestoreContinuesHistoryAndIDs(t *testing.T) {
 	if last, _ := restored.Last(); last.Epoch != st.History[len(st.History)-1].Epoch {
 		t.Fatal("restored monitor lost its last epoch")
 	}
-	other, err := mgr2.Create("g", Definition{A: "ev-a", B: "ev-b", H: 1, Seed: 9, Mode: Manual}, w2.snap)
+	other, err := mgr2.Create("g", Definition{A: "ev-a", B: "ev-b", H: 1, Seed: 9, Mode: Manual}, w2.snap, w2.lend)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,8 +295,9 @@ func TestRestoreContinuesHistoryAndIDs(t *testing.T) {
 // TestRegistrationRaceWatermark pins the close of the
 // notify-before-registration race: a delta notified to the graph
 // BEFORE a monitor registers (its mutation not yet published when the
-// baseline runs) must still invalidate that monitor's cache once the
-// epoch becomes visible — via the catch-all queued at registration.
+// baseline runs) must still re-screen that monitor once the epoch
+// becomes visible — via the entry queued at registration — and the
+// memo it borrows, which missed that epoch, resets at its pin.
 func TestRegistrationRaceWatermark(t *testing.T) {
 	mgr, w, _ := testWorld(t, 12)
 	// The in-flight mutation notifies the (empty) monitor list for the
@@ -306,9 +306,9 @@ func TestRegistrationRaceWatermark(t *testing.T) {
 	mgr.listAndMark("g", target)
 
 	// Registration + baseline happen while the old snapshot is still
-	// published: the baseline warms the cache at the old epoch and the
-	// catch-all must stay pending.
-	m, err := mgr.Create("g", Definition{A: "ev-a", B: "ev-b", H: 1, SampleSize: 40, Seed: 13, Mode: Manual}, w.snap)
+	// published: the baseline warms the memo at the old epoch and the
+	// registration entry must stay pending.
+	m, err := mgr.Create("g", Definition{A: "ev-a", B: "ev-b", H: 1, SampleSize: 40, Seed: 13, Mode: Manual}, w.snap, w.lend)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,28 +316,29 @@ func TestRegistrationRaceWatermark(t *testing.T) {
 		t.Fatalf("baseline bound epoch %d, want %d", last.Epoch, w.epoch)
 	}
 	if m.Pending() != 0 {
-		// batches is 0 for the catch-all; the entry itself must still
-		// be queued.
-		t.Fatalf("pending batches = %d, want 0 (catch-all carries no batch count)", m.Pending())
+		// batches is 0 for the registration entry; the entry itself
+		// must still be queued.
+		t.Fatalf("pending batches = %d, want 0 (the registration entry carries no batch count)", m.Pending())
 	}
 
-	// The mutation publishes. The next drain must reset the cache:
-	// zero reuse despite the baseline having just warmed every entry.
+	// The mutation publishes behind the memo's back. The next drain
+	// must reset it: zero reuse despite the baseline having just
+	// warmed every entry.
 	w.epoch = target
 	sample, ran, err := m.Refresh(false)
 	if err != nil || !ran {
 		t.Fatalf("refresh after publication: ran=%v err=%v", ran, err)
 	}
 	if sample.Reused != 0 {
-		t.Fatalf("post-watermark re-screen reused %d cached densities; the catch-all failed to reset a potentially stale cache", sample.Reused)
+		t.Fatalf("post-watermark re-screen reused %d cached densities from a potentially stale memo", sample.Reused)
 	}
 	if sample.Epoch != target {
 		t.Fatalf("re-screen bound epoch %d, want %d", sample.Epoch, target)
 	}
 	// And a normally-registered monitor is unaffected: a later create
-	// sees the watermark already visible, so its catch-all drains with
-	// its own baseline.
-	m2, err := mgr.Create("g", Definition{A: "ev-a", B: "ev-b", H: 1, SampleSize: 40, Seed: 14, Mode: Manual}, w.snap)
+	// sees the watermark already visible, so its registration entry
+	// drains with its own baseline.
+	m2, err := mgr.Create("g", Definition{A: "ev-a", B: "ev-b", H: 1, SampleSize: 40, Seed: 14, Mode: Manual}, w.snap, w.lend)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +354,7 @@ func TestEventDeltaScoping(t *testing.T) {
 	w.builder.Add("other", 5)
 	w.store = w.builder.Build()
 	w.epoch++
-	m, err := mgr.Create("g", Definition{A: "ev-a", B: "ev-b", H: 1, SampleSize: 40, Mode: Manual}, w.snap)
+	m, err := mgr.Create("g", Definition{A: "ev-a", B: "ev-b", H: 1, SampleSize: 40, Mode: Manual}, w.snap, w.lend)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package monitor
 
 import (
-	"math/rand/v2"
-	"runtime"
 	"testing"
 
 	"tesc/internal/events"
@@ -28,7 +26,7 @@ func TestRefreshRecordsItsBoundEpoch(t *testing.T) {
 		}
 		return g, store, epoch, engines
 	}
-	m, err := mgr.Create("g", Definition{A: "ev-a", B: "ev-b", H: 2, SampleSize: 60, Seed: 8, Mode: Manual}, snap)
+	m, err := mgr.Create("g", Definition{A: "ev-a", B: "ev-b", H: 2, SampleSize: 60, Seed: 8, Mode: Manual}, snap, w.lend)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,12 +62,12 @@ func TestRefreshRecordsItsBoundEpoch(t *testing.T) {
 }
 
 // TestPendingQueueFolds: a manual monitor nobody refreshes keeps a
-// bounded queue. Once the queued dirty sets outnumber the graph's
-// nodes they fold into one catch-all, which still counts every batch
-// and still leaves the next refresh exact.
+// bounded queue. Each notification folds the queued entries into one,
+// which still counts every batch and still leaves the next refresh
+// exact.
 func TestPendingQueueFolds(t *testing.T) {
 	mgr, w, rng := testWorld(t, 22)
-	m, err := mgr.Create("g", Definition{A: "ev-a", B: "ev-b", H: 2, SampleSize: 60, Seed: 9, Mode: Manual}, w.snap)
+	m, err := mgr.Create("g", Definition{A: "ev-a", B: "ev-b", H: 2, SampleSize: 60, Seed: 9, Mode: Manual}, w.snap, w.lend)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,10 +97,9 @@ func TestPendingQueueFolds(t *testing.T) {
 }
 
 // TestFoldBehindABoundSnapshot: the queue folds after a refresh bound
-// its snapshot, so a delta that snapshot sees ends up in a catch-all
-// at a newer epoch, which the refresh keeps queued. The refresh must
-// still reset its memo for it, or it would serve densities that delta
-// made stale.
+// its snapshot, so a batch that snapshot sees ends up in an entry at a
+// newer epoch, which the refresh keeps queued. The next refresh counts
+// it, and its memo, which followed every version, keeps it exact.
 func TestFoldBehindABoundSnapshot(t *testing.T) {
 	mgr, w, rng := testWorld(t, 23)
 	stream := graphgen.NewFlipStream(w.g, 0.5, rng)
@@ -114,7 +111,7 @@ func TestFoldBehindABoundSnapshot(t *testing.T) {
 		}
 		return g, store, epoch, engines
 	}
-	m, err := mgr.Create("g", Definition{A: "ev-a", B: "ev-b", H: 2, SampleSize: 120, Seed: 10, Mode: Manual}, snap)
+	m, err := mgr.Create("g", Definition{A: "ev-a", B: "ev-b", H: 2, SampleSize: 120, Seed: 10, Mode: Manual}, snap, w.lend)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,10 +127,10 @@ func TestFoldBehindABoundSnapshot(t *testing.T) {
 		t.Fatalf("forced refresh: ran=%v err=%v", ran, err)
 	}
 	m.mu.Lock()
-	queued, folded := len(m.pending), len(m.pending) > 0 && m.pending[0].all
+	queued := len(m.pending)
 	m.mu.Unlock()
-	if !folded || queued > 2 {
-		t.Fatalf("queue of %d entries (catch-all first: %v); the batches did not fold", queued, folded)
+	if queued > 2 {
+		t.Fatalf("queue of %d entries; the batches did not fold", queued)
 	}
 	if sample.Epoch != bound {
 		t.Fatalf("recorded epoch %d, want the bound %d", sample.Epoch, bound)
@@ -148,44 +145,4 @@ func TestFoldBehindABoundSnapshot(t *testing.T) {
 		t.Fatalf("refresh recorded epoch %d with %d batches, want %d with %d", sample.Epoch, sample.Batches, w.epoch, later+1)
 	}
 	assertSampleEquals(t, "latest epoch", sample, fromScratch(t, w, def))
-}
-
-// TestNotifyEdgeDeltaBorrowsPools: without a surfaced dirty set the
-// notification computes the ball on engines from the two versions'
-// pools. With warm pools it allocates no O(|V|) visit marks; a fresh
-// engine per version would cost at least 2·|V| bytes per batch.
-func TestNotifyEdgeDeltaBorrowsPools(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops engines at random under -race")
-	}
-	rng := rand.New(rand.NewPCG(24, 25))
-	mgr := NewManager()
-	w := newWorld("g", mgr, graphgen.WattsStrogatz(20000, 2, 0.1, rng))
-	seedEvents(w, rng, 25)
-	if _, err := mgr.Create("g", Definition{A: "ev-a", B: "ev-b", H: 1, SampleSize: 40, Mode: Manual}, w.snap); err != nil {
-		t.Fatal(err)
-	}
-	d := graph.NewDelta(w.g)
-	applied, err := d.Apply(graphgen.NewFlipStream(w.g, 0.5, rng).Take(2))
-	if err != nil || len(applied) == 0 {
-		t.Fatalf("apply: %d flips, err %v", len(applied), err)
-	}
-	newG := d.Compact()
-	oldPool, newPool := w.engines, graph.NewEnginePool(newG)
-	for _, p := range []*graph.EnginePool{oldPool, newPool} {
-		p.Put(p.Get()) // warm
-	}
-	notify := func() {
-		mgr.NotifyEdgeDelta("g", w.g, newG, oldPool, newPool, applied, w.epoch+1, nil, 0)
-	}
-	var before, after runtime.MemStats
-	const runs = 50
-	runtime.ReadMemStats(&before)
-	allocs := testing.AllocsPerRun(runs, notify)
-	runtime.ReadMemStats(&after)
-	perOp := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
-	t.Logf("%.0f allocs, %d B per notification on %d nodes", allocs, perOp, w.g.NumNodes())
-	if limit := uint64(w.g.NumNodes() / 4); perOp > limit {
-		t.Fatalf("%d B per notification with warm pools, want at most %d: the ball ran on fresh engines", perOp, limit)
-	}
 }

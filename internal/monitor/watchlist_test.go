@@ -122,7 +122,7 @@ func TestWatchlistBaseline(t *testing.T) {
 		Seed:        0xabc,
 		Mode:        Manual,
 	}
-	m, err := mgr.Create(w.name, def, w.snap)
+	m, err := mgr.Create(w.name, def, w.snap, w.lend)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestWatchlistDifferentialRerank(t *testing.T) {
 		Seed:        0x5eed,
 		Mode:        Manual,
 	}
-	m, err := mgr.Create(w.name, def, w.snap)
+	m, err := mgr.Create(w.name, def, w.snap, w.lend)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +218,11 @@ func TestWatchlistEventDeltaFanout(t *testing.T) {
 	w := newWorld("g", mgr, diffGraph(rng))
 	seedVocab(w, rng, []string{"ev-a", "ev-b", "ev-c"}, 20)
 
-	fixed, err := mgr.Create(w.name, Definition{A: "ev-a", B: "ev-b", H: 1, SampleSize: 40, Mode: Manual, Seed: 1}, w.snap)
+	fixed, err := mgr.Create(w.name, Definition{A: "ev-a", B: "ev-b", H: 1, SampleSize: 40, Mode: Manual, Seed: 1}, w.snap, w.lend)
 	if err != nil {
 		t.Fatal(err)
 	}
-	watch, err := mgr.Create(w.name, Definition{TopK: 1, H: 1, SampleSize: 40, Mode: Manual, Seed: 2}, w.snap)
+	watch, err := mgr.Create(w.name, Definition{TopK: 1, H: 1, SampleSize: 40, Mode: Manual, Seed: 2}, w.snap, w.lend)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestWatchlistEmptyVocabulary(t *testing.T) {
 	mgr := NewManager()
 	w := newWorld("g", mgr, diffGraph(rng))
 
-	m, err := mgr.Create(w.name, Definition{TopK: 2, H: 1, SampleSize: 40, Mode: Manual, Seed: 3}, w.snap)
+	m, err := mgr.Create(w.name, Definition{TopK: 2, H: 1, SampleSize: 40, Mode: Manual, Seed: 3}, w.snap, w.lend)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,33 +101,31 @@ func (m *densityMemo) eval(r graph.NodeID, multi *core.MultiEvaluator, scratch [
 // SharedMemo is a density memo that outlives a single sweep: the caller
 // owns it, hands it to successive sweeps via Config.Memo, and entries
 // published by one run are served to the next. It is the substrate of
-// standing queries — a monitor re-screening the same event pair after
-// a graph delta reuses every reference-node density the delta cannot
-// have changed, and recomputes only the invalidated rest.
+// tescd's reuse across versions: a screen job or a standing query
+// after a graph delta reuses every reference-node density the delta
+// cannot have changed, and recomputes only the dropped rest.
 //
-// The correctness contract is the caller's: after the graph or the
-// occurrence sets of the vocabulary change, Invalidate must be called
-// with every node whose h-vicinity or vicinity event content may have
-// changed (vicinity.DirtySet yields exactly that set for edge flips;
-// the reverse h-ball around changed occurrence nodes covers event
-// mutations) BEFORE the next sweep. Entries that survive invalidation
-// are served as-is, which is what makes the reuse bit-identical rather
-// than approximate. The per-pair population cache beside the
-// densities, and the per-event vicinity sizes beside it, need no
-// invalidation: they are keyed by what they were built from (the
+// A memo that follows a graph through its versions holds one version
+// (epoch) at a time. Advance moves it to the next version, dropping
+// the entries of every node whose h-vicinity or vicinity event content
+// may have changed (vicinity.DirtySet yields exactly that set for edge
+// flips; the reverse h-ball around changed occurrence nodes covers
+// event mutations). Entries that survive are served as-is, which is
+// what makes the reuse bit-identical rather than approximate. A sweep
+// reads such a memo only between Pin(epoch) and Unpin: Pin admits it
+// at the version the memo holds, and a drop that arrives while the
+// memo is pinned is owed until the last Unpin. Pinned sweeps thus all
+// see one version, and an entry they publish is valid at it. A memo
+// that nobody advances needs no pins. The per-pair population cache
+// beside the densities, and the per-event vicinity sizes beside it,
+// need no drops: they are keyed by what they were built from (the
 // graph, the store and h).
 //
 // Concurrent sweeps may share one memo: density entries are claimed
 // and published per node without locks, the membership and population
 // caches sit behind a mutex, and each sweep counts its own hits and
-// traversals. Invalidate and Reset must not overlap any sweep's
-// density evaluation: call them between sweeps (a monitor does, under
-// its run lock, before each re-screen), or from the Progress callback
-// of a single-worker sweep that has the memo to itself. Sweeps that
-// run together must see the
-// same graph and store (tescd keys its shared memos by snapshot
-// epoch): a sweep on another version needs the invalidation above
-// first, which cannot happen while the others run.
+// traversals. Invalidate and Reset, the unversioned drops, must not
+// overlap any sweep's density evaluation.
 type SharedMemo struct {
 	names []string // sorted vocabulary; count vectors are indexed by it
 	memo  *densityMemo
@@ -166,6 +164,16 @@ type SharedMemo struct {
 	rankMu    sync.Mutex
 	ranks     atomic.Pointer[rankTable]
 	rankPairs atomic.Int64 // pairs tested on rank keys to the end; tests and benchmarks read it
+
+	// Version state (Pin, Unpin, Advance), under verMu: version is the
+	// epoch the entries hold, pinned the epoch of the pinned sweeps,
+	// and owed the drops advanced past them (owedAll: every entry).
+	verMu   sync.Mutex
+	version uint64
+	pins    int
+	pinned  uint64
+	owed    []graph.NodeID
+	owedAll bool
 }
 
 // popKey is what a reference population depends on besides the pair.
@@ -261,6 +269,71 @@ func (m *SharedMemo) Reset() {
 	m.unsettle()
 	for i := range m.memo.states {
 		m.memo.states[i].Store(0)
+	}
+}
+
+// Pin admits a sweep on the graph version epoch, reporting whether the
+// sweep may read the memo; an admitted sweep calls Unpin when it
+// returns. A memo admits sweeps at the version it holds, and a memo
+// behind epoch (it missed a version) resets to it first. While the
+// memo is pinned, only sweeps at the pinned version share it. A
+// snapshot older than the memo's version is refused.
+func (m *SharedMemo) Pin(epoch uint64) bool {
+	m.verMu.Lock()
+	defer m.verMu.Unlock()
+	if m.pins > 0 {
+		if epoch != m.pinned {
+			return false
+		}
+		m.pins++
+		return true
+	}
+	switch {
+	case epoch < m.version:
+		return false
+	case epoch > m.version:
+		m.Reset()
+		m.version = epoch
+	}
+	m.pins, m.pinned = 1, epoch
+	return true
+}
+
+// Unpin ends a sweep Pin admitted. The last one applies the drops owed
+// since the pin.
+func (m *SharedMemo) Unpin() {
+	m.verMu.Lock()
+	defer m.verMu.Unlock()
+	if m.pins--; m.pins > 0 {
+		return
+	}
+	if m.owedAll {
+		m.Reset()
+	} else {
+		m.Invalidate(m.owed)
+	}
+	m.owed, m.owedAll = nil, false
+}
+
+// Advance moves the memo to version to, dropping the entries of dirty,
+// or every entry when all is set or to does not directly follow the
+// version the memo holds. While the memo is pinned the drop is owed to
+// the last Unpin; owed drops that outnumber the graph's nodes fold
+// into a reset.
+func (m *SharedMemo) Advance(to uint64, dirty []graph.NodeID, all bool) {
+	m.verMu.Lock()
+	defer m.verMu.Unlock()
+	all = all || to != m.version+1
+	m.version = to
+	switch {
+	case m.pins == 0 && all:
+		m.Reset()
+	case m.pins == 0:
+		m.Invalidate(dirty)
+	case all || m.owedAll || len(m.owed)+len(dirty) > len(m.memo.states):
+		m.owed, m.owedAll = nil, true
+	default:
+		m.owed = append(m.owed, dirty...)
 	}
 }
 

@@ -84,8 +84,9 @@ type Config struct {
 	// Memo, when non-nil (and NoMemo unset), replaces the per-run
 	// density memo with a caller-owned SharedMemo that persists across
 	// runs: entries published by earlier sweeps are served instead of
-	// re-traversed, provided the caller honored the invalidation
-	// contract (see SharedMemo). Every event named by the pair list
+	// re-traversed. A memo that follows a graph's versions must be
+	// pinned to the sweep's epoch for the whole sweep (SharedMemo.Pin);
+	// one nobody advances needs no pin. Every event named by the pair list
 	// must be in the memo's vocabulary and the memo's node universe
 	// must match g. Result.MemoHits counts only this run's hits.
 	Memo *SharedMemo

@@ -24,8 +24,10 @@ import (
 func dropCounts(e *GraphEntry) {
 	e.memos.mu.Lock()
 	defer e.memos.mu.Unlock()
-	for _, m := range e.counts {
-		e.memos.dropLocked(m.elem)
+	for _, r := range e.held {
+		if r.counts != nil {
+			e.memos.dropLocked(r.elem)
+		}
 	}
 }
 
@@ -34,8 +36,8 @@ func dropCounts(e *GraphEntry) {
 func countsOf(e *GraphEntry, a, b string, h int) *core.CountMemo {
 	e.memos.mu.Lock()
 	defer e.memos.mu.Unlock()
-	if m := e.counts[countKey{a, b, h}]; m != nil {
-		return m.memo
+	if r := e.held[memoKey{events: a + "\x00" + b, h: h, counts: true}]; r != nil {
+		return r.counts
 	}
 	return nil
 }
@@ -320,11 +322,10 @@ func publicFlips(cs []graph.EdgeChange) []tesc.EdgeChange {
 	return out
 }
 
-// TestCountMemoLifetime: a count memo follows edge batches when an
-// index at its level repairs them, is dropped when none does, drops
-// with its events' mutations but not other events', is never made by a
-// read pinned behind the entry, and is replaced once it missed an epoch
-// bump.
+// TestCountMemoLifetime: a count memo follows edge batches, whether or
+// not an index at its level repairs them, and event mutations, its own
+// events' and others'; it is never made by a read pinned behind the
+// entry, and is replaced once it missed an epoch bump.
 func TestCountMemoLifetime(t *testing.T) {
 	s := New(Config{})
 	g := tesc.RandomCommunityGraph(3, 60, 4, 0.5, 3)
@@ -356,18 +357,19 @@ func TestCountMemoLifetime(t *testing.T) {
 	if err := s.applyEvents(e, map[string][]int{"b": {11}}, nil, false); err != nil {
 		t.Fatal(err)
 	}
-	if countsOf(e, "a", "b", 2) != nil {
-		t.Fatal("a mutation of the pair's event kept its memo")
+	if countsOf(e, "a", "b", 2) != m || m.Epoch() != snap.Epoch+3 {
+		t.Fatal("a mutation of the pair's event did not advance the memo")
 	}
 	memoRead(t, s, e, e.Snapshot(), "a", "b", 2, "importance", 1)
 	s.cache.EvictGraph(e)
 	if _, err := s.applyEdges(e, []tesc.EdgeChange{{U: 1, V: 151, Insert: true}}, false); err != nil {
 		t.Fatal(err)
 	}
-	if countsOf(e, "a", "b", 2) != nil {
-		t.Fatal("a batch no index repaired kept the memo")
+	if countsOf(e, "a", "b", 2) != m || m.Epoch() != snap.Epoch+4 {
+		t.Fatal("a batch no index repaired did not advance the memo")
 	}
 	// A read pinned behind the entry makes nothing.
+	dropCounts(e)
 	memoRead(t, s, e, snap, "a", "b", 2, "importance", 1)
 	if countsOf(e, "a", "b", 2) != nil {
 		t.Fatal("a read pinned behind the entry made a memo")
@@ -385,8 +387,8 @@ func TestCountMemoLifetime(t *testing.T) {
 	}
 	// Batch-bfs reads keep no memo.
 	memoRead(t, s, e, e.Snapshot(), "a", "c", 2, "batch-bfs", 1)
-	if len(e.counts) != 1 {
-		t.Fatalf("%d memos, want 1", len(e.counts))
+	if len(e.held) != 1 {
+		t.Fatalf("%d memos, want 1", len(e.held))
 	}
 }
 
@@ -419,7 +421,7 @@ func TestCountMemoBudgetEvicts(t *testing.T) {
 		t.Fatalf("%d memos retained under a two-memo budget", n)
 	}
 	s.Registry().Remove("g")
-	if n := s.registry.memos.lru.Len(); n != 0 || len(e.counts) != 0 {
+	if n := s.registry.memos.lru.Len(); n != 0 || len(e.held) != 0 {
 		t.Fatalf("%d memos retained after the graph's removal", n)
 	}
 }

@@ -701,8 +701,9 @@ func resolveEventPair(snap Snapshot, req *correlateRequest) (va, vb []int, code 
 // asynchronous all-pairs screening sweep over the graph's registered
 // events. Returns 202 with a job ID for progress polling. The sweep
 // runs on the snapshot's own graph and event store with the entry's
-// retained density memo, so jobs on an unchanged snapshot share their
-// traversals; results are bit-identical to tesc.Screen/ScreenTopK on
+// density memo for the vocabulary and h, pinned to the snapshot's
+// epoch, so later jobs reuse every traversal no mutation since has
+// invalidated; results are bit-identical to tesc.Screen/ScreenTopK on
 // the same events.
 func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 	e, ok := s.entry(w, r)
@@ -789,18 +790,19 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 	}
 	g, store := snap.Graph.Internal(), snap.Store
 	pairs := screen.AllPairs(store, cfg.MinOccurrences)
-	cfg.Memo = e.screenMemo(snap, req.H)
+	memo, unpin := e.lendMemo(store.Names(), req.H, snap.Epoch)
+	cfg.Memo = memo
 	cfg.Engines = e.EnginePool(snap).Internal()
 	// The job runs under the tracker's cancellable context, NOT
 	// r.Context(): the handler returns at the 202 and Go cancels the
 	// request context with it, which must not kill the async sweep.
 	// Cancellation comes from DELETE /v1/jobs/{id} or server drain.
 	job := s.jobs.Start(e.Name(), release, func(ctx context.Context, j *Job) (*ScreenResultView, error) {
+		defer unpin()
 		cfg.Ctx = ctx
 		cfg.Progress = j.setProgress
 		if !planned {
 			res, err := screen.Run(g, store, pairs, cfg.Config)
-			e.memos.trim()
 			if err == nil {
 				s.bfsRuns.Add(res.BFSRuns)
 				s.memoHits.Add(res.MemoHits)
@@ -809,7 +811,6 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 		}
 		cfg.Stream = j.setPartial
 		res, err := screen.Plan(g, store, pairs, cfg)
-		e.memos.trim()
 		if err == nil {
 			s.bfsRuns.Add(res.Stats.BFSRuns)
 			s.memoHits.Add(res.Stats.MemoHits)

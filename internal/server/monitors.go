@@ -145,7 +145,7 @@ func (s *Server) handleCreateMonitor(w http.ResponseWriter, r *http.Request) {
 		Debounce:       time.Duration(req.DebounceMS) * time.Millisecond,
 		HistoryCap:     req.History,
 	}
-	m, err := s.monitors.Create(e.Name(), def, entrySnapshotFunc(e))
+	m, err := s.monitors.Create(e.Name(), def, entrySnapshotFunc(e), e.lendMemo)
 	if err != nil {
 		code := api.CodeBadRequest
 		if errors.Is(err, monitor.ErrAlreadyRegistered) {

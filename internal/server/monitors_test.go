@@ -4,12 +4,15 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"tesc"
 	"tesc/internal/graphgen"
+	"tesc/internal/monitor"
+	"tesc/internal/screen"
 )
 
 // monitorJSON mirrors the monitor wire views for test decoding.
@@ -256,5 +259,131 @@ func TestMonitorAutoPolicyHTTP(t *testing.T) {
 			t.Fatalf("auto monitor never caught up: %+v", detail)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// monitorGraph registers a 120-node graph with events a and b and a
+// fixed-pair manual monitor on them at h = 1, returning its entry and
+// the monitor's ID.
+func monitorGraph(t *testing.T, env *testEnv, srv *Server) (*GraphEntry, string) {
+	t.Helper()
+	g := tesc.RandomCommunityGraph(4, 30, 6, 0.5, 9)
+	var edges strings.Builder
+	if err := g.WriteGraph(&edges); err != nil {
+		t.Fatal(err)
+	}
+	env.do(t, http.StatusCreated, "POST", "/v1/graphs", map[string]any{"name": "g", "edge_list": edges.String()}, nil)
+	env.do(t, http.StatusOK, "POST", "/v1/graphs/g/events",
+		map[string]any{"events": map[string][]int{"a": {0, 1, 2, 3, 4, 5}, "b": {60, 61, 62, 63, 64}}}, nil)
+	var mon monitorJSON
+	env.do(t, http.StatusCreated, "POST", "/v1/graphs/g/monitors",
+		map[string]any{"a": "a", "b": "b", "h": 1, "sample_size": 60, "seed": 3, "policy": "manual"}, &mon)
+	e, _ := srv.Registry().Get("g")
+	return e, mon.ID
+}
+
+// TestMonitorMemoInRegistryLRU: a fixed-pair monitor borrows the
+// entry's memo of its two events, which the registry's LRU holds under
+// the memo budget. The budget can evict it, and the next refresh then
+// runs cold and stays bit-identical to a from-scratch screen.
+func TestMonitorMemoInRegistryLRU(t *testing.T) {
+	srv := New(Config{IndexCacheCapacity: 4})
+	env := serve(srv)
+	e, id := monitorGraph(t, env, srv)
+	memos := srv.registry.memos
+	if denseMemo(e, []string{"a", "b"}, 1) == nil || memos.lru.Len() != 1 {
+		t.Fatalf("the LRU holds %d memos, want the monitor's", memos.lru.Len())
+	}
+
+	// A screen job's memo is more recent; a squeezed budget keeps it
+	// alone.
+	var acc screenResponse
+	env.do(t, http.StatusAccepted, "POST", "/v1/graphs/g/screen", map[string]any{"h": 2, "sample_size": 60, "seed": 1}, &acc)
+	if v := pollJob(t, env, acc.JobID); v.Status != JobDone {
+		t.Fatalf("job: %s", v.Error)
+	}
+	memos.mu.Lock()
+	memos.budget = 1
+	memos.evictLocked()
+	memos.budget = screen.MemoBudgetBytes
+	memos.mu.Unlock()
+	if denseMemo(e, []string{"a", "b"}, 1) != nil || memos.lru.Len() != 1 {
+		t.Fatal("the squeezed budget did not evict the monitor's memo")
+	}
+
+	env.do(t, http.StatusOK, "POST", "/v1/graphs/g/edges", map[string]any{"insert": [][2]int{{0, 90}}}, nil)
+	var got monitorJSON
+	env.do(t, http.StatusOK, "POST", "/v1/graphs/g/monitors/"+id+"/refresh", map[string]any{}, &got)
+	snap := e.Snapshot()
+	res, err := screen.Run(snap.Graph.Internal(), snap.Store, [][2]string{{"a", "b"}}, screen.Config{H: 1, SampleSize: 60, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := res.Pairs[0]
+	if !got.Ran || got.Last.Epoch != snap.Epoch || got.Last.Reused != 0 ||
+		got.Last.Tau != want.Tau || got.Last.Z != want.Z || got.Last.P != want.P || got.Last.Significant != want.Significant {
+		t.Fatalf("refresh after the eviction: %+v, from scratch tau=%v z=%v p=%v", got.Last, want.Tau, want.Z, want.P)
+	}
+	if denseMemo(e, []string{"a", "b"}, 1) == nil {
+		t.Fatal("the refresh did not make the monitor's memo again")
+	}
+}
+
+// TestEdgeBatchBallBorrowsPools: an edge batch advances a memo that no
+// cached index's repair covers by its own dirty ball, on engines from
+// the two versions' pools. The old version's pool is warm; the new
+// one's engine is new and stays in that version's pool for its
+// queries. So the batch costs at most 1.5·|V| bytes more than on an
+// entry with no memo; fresh engines on both sides would cost 2·|V|.
+func TestEdgeBatchBallBorrowsPools(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops engines at random under -race")
+	}
+	g := tesc.FromInternal(graphgen.WattsStrogatz(20000, 2, 0.1, rand.New(rand.NewPCG(24, 25))))
+	s := New(Config{})
+	bare, err := s.Registry().Register("bare", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	watched, err := s.Registry().Register("watched", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := map[string][]int{"a": {1, 2, 3, 4, 5}, "b": {9, 10, 11}}
+	for _, e := range []*GraphEntry{bare, watched} {
+		if err := s.applyEvents(e, ev, nil, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	def := monitor.Definition{A: "a", B: "b", H: 1, SampleSize: 40, Mode: monitor.Manual}
+	if _, err := s.monitors.Create("watched", def, entrySnapshotFunc(watched), watched.lendMemo); err != nil {
+		t.Fatal(err)
+	}
+	if len(watched.held) != 1 || len(bare.held) != 0 {
+		t.Fatalf("memos: %d on the watched entry, %d on the bare one; want 1 and 0", len(watched.held), len(bare.held))
+	}
+	flip := func(e *GraphEntry) {
+		for _, insert := range []bool{true, false} {
+			if _, err := s.applyEdges(e, []tesc.EdgeChange{{U: 7, V: 15007, Insert: insert}}, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	perBatch := func(e *GraphEntry) int64 {
+		flip(e) // warm both versions' pools
+		var before, after runtime.MemStats
+		const runs = 20
+		runtime.ReadMemStats(&before)
+		for range runs {
+			flip(e)
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc-before.TotalAlloc) / (2 * runs)
+	}
+	base, withMemo := perBatch(bare), perBatch(watched)
+	n := int64(g.NumNodes())
+	t.Logf("%d B per batch on the bare entry, %d with the monitor's memo, on %d nodes", base, withMemo, n)
+	if withMemo-base > n*3/2 {
+		t.Fatalf("the memo's ball costs %d B per batch, want at most %d: it ran on fresh engines", withMemo-base, n*3/2)
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -98,103 +99,90 @@ type GraphEntry struct {
 	builder *events.Builder
 	cur     Snapshot
 
-	// memos bounds the retained memos of all the registry's entries:
-	// memo is this entry's screening memo, counts its correlate count
-	// memos by event pair and level, both guarded by memos.mu.
-	memos  *retainedMemos
-	memo   retainedMemo
-	counts map[countKey]*retainedCounts
+	// memos bounds the retained memos of all the registry's entries;
+	// held is this entry's, and removed marks an entry that left the
+	// registry and retains nothing more, both guarded by memos.mu.
+	memos   *retainedMemos
+	held    map[memoKey]*retained
+	removed bool
 }
 
-// retainedMemo is the density memo an entry keeps for the screen jobs
-// of one (epoch, h). elem is the entry's place in the LRU, nil when
-// nothing is retained.
-type retainedMemo struct {
-	memo    *screen.SharedMemo
-	epoch   uint64
-	h       int
-	elem    *list.Element
-	removed bool // the entry left the registry; retain nothing more
+// memoKey names a memo an entry retains: the events its entries count,
+// NUL-separated, and the vicinity level. A density memo's events are
+// its sorted vocabulary, a count memo's its ordered event pair.
+type memoKey struct {
+	events string
+	h      int
+	counts bool
 }
 
-// countKey names a correlate count memo: the ordered event pair and
-// the vicinity level.
-type countKey struct {
-	a, b string
-	h    int
+// retained is one memo an entry retains, a density memo or a count
+// memo, and its place in the LRU.
+type retained struct {
+	e      *GraphEntry
+	key    memoKey
+	events []string
+	dense  *screen.SharedMemo
+	counts *core.CountMemo
+	elem   *list.Element
 }
 
-// retainedCounts is a count memo an entry retains, and its place in
-// the LRU.
-type retainedCounts struct {
-	e    *GraphEntry
-	key  countKey
-	memo *core.CountMemo
-	elem *list.Element
+func (r *retained) bytes() int64 {
+	if r.dense != nil {
+		return r.dense.Bytes()
+	}
+	return r.counts.Bytes()
 }
 
 // retainedMemos bounds the memos retained across one registry's
-// entries, screening memos and correlate count memos alike: their
-// total footprint stays under the budget (screen.MemoBudgetBytes), and
-// the least recently used goes first. A screening memo keeps growing
-// after a job installs it (its population cache, its rank table), so
-// the total is re-checked whenever a memo is installed and again when
-// a screen job finishes.
+// entries, density memos and correlate count memos alike: their total
+// footprint stays under the budget (screen.MemoBudgetBytes), and the
+// least recently used goes first. A density memo keeps growing after
+// it is made (its population cache, its rank table), so the total is
+// re-checked whenever a memo is made and again when a lent memo comes
+// back.
 type retainedMemos struct {
 	mu     sync.Mutex
 	budget int64
-	lru    list.List // *GraphEntry (its screening memo) or *retainedCounts; front = most recently used
+	lru    list.List // *retained; front = most recently used
 }
 
-// screenMemo returns the density memo for a screen job on snap at
-// vicinity level h. A memo holds densities of one graph, store and h,
-// and Epoch bumps on every edge or event mutation, so the entry retains
-// one memo keyed by (Epoch, h), shared by every job on that key; a job
-// on the current epoch with another key replaces it. A job pinned to
-// an older snapshot shares the retained memo only if it is still keyed
-// by that snapshot; otherwise it gets nil and its sweep builds a
-// per-run memo, so it never serves from, makes or replaces a newer
-// one. Nil also comes back when a memo over the
-// snapshot's vocabulary exceeds the budget on its own.
-func (e *GraphEntry) screenMemo(snap Snapshot, h int) *screen.SharedMemo {
+// lendMemo lends the density memo over the sorted event vocabulary
+// names at level h to a sweep bound to epoch, pinned to that epoch
+// (screen.SharedMemo.Pin). The sweep calls release when it returns,
+// which unpins the memo and re-checks the budget. The memo follows
+// the entry's graph from version to version (advanceMemos), so screen
+// jobs, watchlists and monitors on one key share it across mutations.
+// The entry makes the memo only for the current epoch. It lends nil
+// for a stale snapshot without a memo, for a pin the memo refuses, and
+// when a memo over the vocabulary exceeds the budget on its own.
+func (e *GraphEntry) lendMemo(names []string, h int, epoch uint64) (memo *screen.SharedMemo, release func()) {
 	c := e.memos
+	key := memoKey{events: strings.Join(names, "\x00"), h: h}
 	c.mu.Lock()
-	r := &e.memo
-	if r.elem != nil && r.epoch == snap.Epoch && r.h == h {
+	r := e.held[key]
+	if r != nil {
 		c.lru.MoveToFront(r.elem)
-		defer c.mu.Unlock()
-		return r.memo
 	}
 	c.mu.Unlock()
-	if snap.Epoch < e.Epoch() {
-		return nil
+	if r == nil && epoch == e.Epoch() {
+		if memo, err := screen.NewSharedMemo(e.Graph().NumNodes(), names); err == nil {
+			r = c.hold(&retained{e: e, key: key, events: memo.Names(), dense: memo})
+		}
 	}
-	memo, err := screen.NewSharedMemo(snap.Graph.NumNodes(), snap.Store.Names())
-	if err != nil {
-		return nil
+	if r == nil || !r.dense.Pin(epoch) {
+		return nil, func() {}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	switch {
-	case r.elem != nil && r.epoch == snap.Epoch && r.h == h:
-		// A concurrent job installed this key first; share its memo.
-		c.lru.MoveToFront(r.elem)
-		return r.memo
-	case r.removed || (r.elem != nil && r.epoch > snap.Epoch):
-		return nil
+	return r.dense, func() {
+		r.dense.Unpin()
+		c.trim()
 	}
-	if r.elem != nil {
-		c.lru.Remove(r.elem)
-	}
-	*r = retainedMemo{memo: memo, epoch: snap.Epoch, h: h, elem: c.lru.PushFront(e)}
-	c.evictLocked()
-	return memo
 }
 
 // countMemo returns the count memo of the event pair (a, b) at level h
 // for a correlate on snap, making an empty one stamped with snap's
 // epoch when the entry has none. The memo follows the entry's graph
-// from version to version (advanceCounts); one that missed an epoch
+// from version to version (advanceMemos); one that missed an epoch
 // bump is stale for good and is replaced. A correlate pinned to an
 // older snapshot gets the retained memo, which it then treats as
 // absent, or nil: it never makes one.
@@ -203,40 +191,63 @@ func (e *GraphEntry) countMemo(snap Snapshot, a, b string, h int) *core.CountMem
 	c := e.memos
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := countKey{a, b, h}
-	if m := e.counts[key]; m != nil {
-		if m.memo.Epoch() >= snap.Epoch {
-			c.lru.MoveToFront(m.elem)
-			return m.memo
+	key := memoKey{events: a + "\x00" + b, h: h, counts: true}
+	if r := e.held[key]; r != nil {
+		if r.counts.Epoch() >= snap.Epoch {
+			c.lru.MoveToFront(r.elem)
+			return r.counts
 		}
-		c.dropLocked(m.elem)
+		c.dropLocked(r.elem)
 	}
-	if behind || e.memo.removed {
+	if behind {
 		return nil
 	}
-	if e.counts == nil {
-		e.counts = make(map[countKey]*retainedCounts)
+	r := c.holdLocked(&retained{e: e, key: key, events: []string{a, b}, counts: core.NewCountMemo(snap.Graph.NumNodes(), h, snap.Epoch)})
+	if r == nil {
+		return nil
 	}
-	m := &retainedCounts{e: e, key: key, memo: core.NewCountMemo(snap.Graph.NumNodes(), h, snap.Epoch)}
-	m.elem = c.lru.PushFront(m)
-	e.counts[key] = m
-	c.evictLocked()
-	return m.memo
+	return r.counts
 }
 
-// advanceCounts carries the entry's count memos from epoch from to
-// epoch to, clearing the records of the nodes in dirty, when keep
-// accepts the memo's key; every other memo, and any not at from, is
-// dropped. The mutation paths call it before they publish epoch to.
-func (e *GraphEntry) advanceCounts(from, to uint64, dirty []graph.NodeID, keep func(countKey) bool) {
+// heldMemos lists the memos the entry retains.
+func (e *GraphEntry) heldMemos() []*retained {
 	c := e.memos
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for key, m := range e.counts {
-		if !keep(key) || !m.memo.Advance(from, to, dirty) {
-			c.dropLocked(m.elem)
-		}
+	out := make([]*retained, 0, len(e.held))
+	for _, r := range e.held {
+		out = append(out, r)
 	}
+	return out
+}
+
+// hold retains r unless its entry already retains a memo under r's key
+// (made concurrently), which it returns instead, or left the registry,
+// when it returns nil.
+func (c *retainedMemos) hold(r *retained) *retained {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if held := r.e.held[r.key]; held != nil {
+		c.lru.MoveToFront(held.elem)
+		return held
+	}
+	return c.holdLocked(r)
+}
+
+// holdLocked retains r, the most recently used memo, and evicts others
+// past the budget. It returns nil when r's entry left the registry.
+func (c *retainedMemos) holdLocked(r *retained) *retained {
+	e := r.e
+	if e.removed {
+		return nil
+	}
+	if e.held == nil {
+		e.held = make(map[memoKey]*retained)
+	}
+	r.elem = c.lru.PushFront(r)
+	e.held[r.key] = r
+	c.evictLocked()
+	return r
 }
 
 // evictLocked drops least recently used memos until the retained total
@@ -245,33 +256,31 @@ func (e *GraphEntry) advanceCounts(from, to uint64, dirty []graph.NodeID, keep f
 func (c *retainedMemos) evictLocked() {
 	var total int64
 	for el := c.lru.Front(); el != nil; el = el.Next() {
-		total += memoBytes(el)
+		total += el.Value.(*retained).bytes()
 	}
 	for total > c.budget && c.lru.Len() > 1 {
 		el := c.lru.Back()
-		total -= memoBytes(el)
+		total -= el.Value.(*retained).bytes()
 		c.dropLocked(el)
 	}
 }
 
-func memoBytes(el *list.Element) int64 {
-	if m, ok := el.Value.(*retainedCounts); ok {
-		return m.memo.Bytes()
-	}
-	return el.Value.(*GraphEntry).memo.memo.Bytes()
-}
-
 // dropLocked removes el's memo from the LRU and from its entry.
 func (c *retainedMemos) dropLocked(el *list.Element) {
-	c.lru.Remove(el)
-	if m, ok := el.Value.(*retainedCounts); ok {
-		delete(m.e.counts, m.key)
-		return
-	}
-	el.Value.(*GraphEntry).memo = retainedMemo{}
+	r := c.lru.Remove(el).(*retained)
+	delete(r.e.held, r.key)
 }
 
-// trim re-checks the retained total after a screen job grew its memo.
+// drop removes r, when its entry still retains it.
+func (c *retainedMemos) drop(r *retained) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if r.e.held[r.key] == r {
+		c.dropLocked(r.elem)
+	}
+}
+
+// trim re-checks the retained total after a sweep grew a memo.
 func (c *retainedMemos) trim() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -283,13 +292,10 @@ func (c *retainedMemos) trim() {
 func (c *retainedMemos) release(e *GraphEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e.memo.elem != nil {
-		c.lru.Remove(e.memo.elem)
+	for _, r := range e.held {
+		c.dropLocked(r.elem)
 	}
-	for _, m := range e.counts {
-		c.dropLocked(m.elem)
-	}
-	e.memo = retainedMemo{removed: true}
+	e.removed = true
 }
 
 // Name returns the registry name of the graph.

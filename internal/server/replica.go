@@ -358,7 +358,7 @@ func (s *Server) restoreSnapshot(name string, snap *snapshot.Snapshot) (*GraphEn
 	// writer) is skipped with a log line, like a bad snapshot file —
 	// the graph must still serve.
 	for _, st := range snap.Monitors {
-		if _, err := s.monitors.Restore(name, st, entrySnapshotFunc(entry)); err != nil {
+		if _, err := s.monitors.Restore(name, st, entrySnapshotFunc(entry), entry.lendMemo); err != nil {
 			s.logf("snapshot %s: monitor %q skipped: %v", name, st.Def.ID, err)
 		}
 	}

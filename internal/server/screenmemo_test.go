@@ -10,11 +10,15 @@ import (
 	"tesc/internal/screen"
 )
 
-// retained returns a copy of the entry's retained screening state.
-func retained(e *GraphEntry) retainedMemo {
+// denseMemo returns the density memo the entry retains for the sorted
+// vocabulary names at level h, or nil.
+func denseMemo(e *GraphEntry, names []string, h int) *screen.SharedMemo {
 	e.memos.mu.Lock()
 	defer e.memos.mu.Unlock()
-	return e.memo
+	if r := e.held[memoKey{events: strings.Join(names, "\x00"), h: h}]; r != nil {
+		return r.dense
+	}
+	return nil
 }
 
 // pairViews converts library results to their wire shape.
@@ -91,8 +95,8 @@ func screenRound(t *testing.T, env *testEnv, e *GraphEntry, seeds ...uint64) (bf
 				snap.Epoch, j.seed, got, want)
 		}
 	}
-	if r := retained(e); r.memo == nil || r.epoch != snap.Epoch || r.h != 1 {
-		t.Fatalf("after jobs at epoch %d the entry retains epoch %d h %d (memo %v)", snap.Epoch, r.epoch, r.h, r.memo != nil)
+	if denseMemo(e, snap.Store.Names(), 1) == nil {
+		t.Fatalf("after jobs at epoch %d the entry retains no memo for them", snap.Epoch)
 	}
 	return bfsRuns
 }
@@ -100,9 +104,10 @@ func screenRound(t *testing.T, env *testEnv, e *GraphEntry, seeds ...uint64) (bf
 // TestScreenJobsShareSnapshotMemo is the lifecycle of the memo tescd
 // keeps per graph: concurrent jobs on one snapshot share it and stay
 // bit-identical to the library, later jobs pay fewer traversals (an
-// exact repeat pays none), edge and event mutations start a fresh memo
-// at the new epoch, a stale snapshot never takes or displaces the
-// current memo, and DELETE releases it.
+// exact repeat pays none), the first jobs after edge and event
+// mutations recompute what the mutation dirtied, a pin admits only
+// sweeps at its epoch, a stale snapshot never takes or makes a memo,
+// and DELETE releases it.
 func TestScreenJobsShareSnapshotMemo(t *testing.T) {
 	env := newTestEnv(t)
 	plannerEvents(t, env)
@@ -134,8 +139,9 @@ func TestScreenJobsShareSnapshotMemo(t *testing.T) {
 		t.Fatal("the first job after an event mutation served the old epoch's memo")
 	}
 
-	// A job pinned to an older snapshot may share the memo retained for
-	// its own epoch, but never gets, makes or displaces a newer one.
+	// The memo follows the entry's versions. A snapshot behind it is
+	// refused; while it is pinned, only sweeps at the pinned epoch share
+	// it, and the next batch's drop waits for the last unpin.
 	mutate := func(edge [2]int) (old, cur Snapshot) {
 		old = e.Snapshot()
 		env.do(t, http.StatusOK, "POST", "/v1/graphs/g/edges", map[string]any{"insert": [][2]int{edge}}, nil)
@@ -144,38 +150,46 @@ func TestScreenJobsShareSnapshotMemo(t *testing.T) {
 		}
 		return old, cur
 	}
-	oldMemo := retained(e).memo
+	names := e.Snapshot().Store.Names()
+	memo := denseMemo(e, names, 1)
 	old, cur := mutate([2]int{1, 198})
-	if m := e.screenMemo(old, 1); m != oldMemo {
-		t.Fatal("a stale snapshot did not share the memo retained for its epoch")
+	if m, _ := e.lendMemo(names, 1, old.Epoch); m != nil {
+		t.Fatal("a stale snapshot was lent the memo that moved past it")
 	}
-	memo := e.screenMemo(cur, 1)
-	if memo == nil {
-		t.Fatal("the current snapshot got no memo")
+	m, release := e.lendMemo(names, 1, cur.Epoch)
+	if m != memo {
+		t.Fatal("the current snapshot was not lent the memo that followed the batch")
 	}
-	if m := e.screenMemo(old, 1); m != nil {
-		t.Fatal("a stale snapshot was handed the current memo")
+	_, next := mutate([2]int{2, 197})
+	if m, _ := e.lendMemo(names, 1, next.Epoch); m != nil {
+		t.Fatal("a memo pinned to one epoch was lent at another")
 	}
-	if m := e.screenMemo(cur, 1); m != memo {
-		t.Fatal("a stale lookup displaced the current memo")
+	if m, again := e.lendMemo(names, 1, cur.Epoch); m != memo {
+		t.Fatal("a second sweep at the pinned epoch did not share the memo")
+	} else {
+		again()
 	}
-	_, skipped := mutate([2]int{2, 197}) // an epoch no job ran on
-	mutate([2]int{3, 196})
-	if m := e.screenMemo(skipped, 1); m != nil || retained(e).memo != memo {
-		t.Fatal("a stale snapshot made a memo, or displaced the retained one")
+	release()
+	if m, release := e.lendMemo(names, 1, next.Epoch); m != memo {
+		t.Fatal("after the last unpin the memo did not admit the current epoch")
+	} else {
+		release()
+	}
+	if m, _ := e.lendMemo(names, 2, old.Epoch); m != nil || denseMemo(e, names, 2) != nil {
+		t.Fatal("a stale snapshot made a memo")
 	}
 	now := e.Snapshot()
-	if m1 := e.screenMemo(now, 1); m1 == nil || m1 == memo {
-		t.Fatal("the current epoch did not replace the older memo")
-	} else if m2 := e.screenMemo(now, 2); m2 == nil || m2 == m1 || retained(e).h != 2 {
+	if m, release := e.lendMemo(names, 2, now.Epoch); m == nil || m == memo {
 		t.Fatal("another vicinity level shared the h=1 memo")
+	} else {
+		release()
 	}
 
 	env.do(t, http.StatusNoContent, "DELETE", "/v1/graphs/g", nil, nil)
-	if r := retained(e); r.memo != nil || r.elem != nil || e.memos.lru.Len() != 0 {
-		t.Fatal("DELETE left the graph's memo retained")
+	if len(e.held) != 0 || e.memos.lru.Len() != 0 {
+		t.Fatal("DELETE left the graph's memos retained")
 	}
-	if m := e.screenMemo(now, 2); m != nil {
+	if m, _ := e.lendMemo(names, 2, now.Epoch); m != nil {
 		t.Fatal("a removed graph retained a new memo")
 	}
 }
@@ -185,12 +199,13 @@ func TestScreenJobsShareSnapshotMemo(t *testing.T) {
 func TestScreenMemoBudgetEvictsLRU(t *testing.T) {
 	r := NewRegistry()
 	entries := make([]*GraphEntry, 3)
-	memo := func(i int) *retainedMemo {
+	memo := func(i int) *screen.SharedMemo {
 		snap := entries[i].Snapshot()
-		entries[i].screenMemo(snap, 1)
-		m := retained(entries[i])
-		return &m
+		m, release := entries[i].lendMemo(snap.Store.Names(), 1, snap.Epoch)
+		release()
+		return m
 	}
+	held := func(i int) *screen.SharedMemo { return denseMemo(entries[i], []string{"x", "y"}, 1) }
 	for i, name := range []string{"a", "b", "c"} {
 		entries[i] = testEntry(t, r, name)
 		if err := entries[i].AddEvents(map[string][]int{"x": {0, 1}, "y": {2}}); err != nil {
@@ -198,17 +213,17 @@ func TestScreenMemoBudgetEvictsLRU(t *testing.T) {
 		}
 	}
 	a := memo(0)
-	r.memos.budget = 2 * a.memo.Bytes()
+	r.memos.budget = 2 * a.Bytes()
 	b := memo(1)
-	if memo(0).memo != a.memo {
+	if memo(0) != a {
 		t.Fatal("a retained memo was not reused")
 	}
 	memo(2) // over budget: b is the least recently used
-	if retained(entries[1]).memo != nil || retained(entries[0]).memo != a.memo || retained(entries[2]).memo == nil {
+	if held(1) != nil || held(0) != a || held(2) == nil {
 		t.Fatal("eviction did not drop the least recently used memo")
 	}
 	// LRU order is now c, a: b comes back fresh and evicts a.
-	if again := memo(1); again.memo == b.memo || retained(entries[0]).memo != nil || retained(entries[2]).memo == nil {
+	if again := memo(1); again == b || held(0) != nil || held(2) == nil {
 		t.Fatal("b did not come back fresh, evicting a")
 	}
 	if n := r.memos.lru.Len(); n != 2 {
@@ -244,7 +259,8 @@ func TestScreenMemoBudgetTrimsGrowth(t *testing.T) {
 	}
 
 	job("g")
-	gMemo := retained(g).memo
+	vocab := g.Snapshot().Store.Names()
+	gMemo := denseMemo(g, vocab, 1)
 	snap := h.Snapshot()
 	fresh, err := screen.NewSharedMemo(snap.Graph.NumNodes(), snap.Store.Names())
 	if err != nil {
@@ -255,15 +271,57 @@ func TestScreenMemoBudgetTrimsGrowth(t *testing.T) {
 	reg.memos.mu.Unlock()
 
 	job("h")
-	hMemo := retained(h).memo
+	hMemo := denseMemo(h, vocab, 1)
 	if hMemo == nil || hMemo.Bytes() <= fresh.Bytes() {
 		t.Fatal("h's job retained no memo, or did not grow it; the test proves nothing")
 	}
-	if retained(g).memo != nil {
+	if denseMemo(g, vocab, 1) != nil {
 		t.Fatalf("g's memo (%d B) stayed beside h's grown one (%d B) over the %d B budget",
 			gMemo.Bytes(), hMemo.Bytes(), reg.memos.budget)
 	}
 	if n := reg.memos.lru.Len(); n != 1 {
 		t.Fatalf("%d memos retained, want h's alone", n)
+	}
+}
+
+// TestScreenJobAfterBatchReusesMemo: a screen job after a one-edge
+// batch reuses the densities the batch cannot have changed, so it pays
+// fewer traversals than the same job before the batch, and it stays
+// bit-identical to the library on the new graph.
+func TestScreenJobAfterBatchReusesMemo(t *testing.T) {
+	env := newTestEnv(t)
+	ev := plannerEvents(t, env)
+	run := func() *ScreenResultView {
+		t.Helper()
+		var acc screenResponse
+		env.do(t, http.StatusAccepted, "POST", "/v1/graphs/g/screen",
+			map[string]any{"h": 1, "sample_size": 150, "seed": 5, "workers": 1}, &acc)
+		view := pollJob(t, env, acc.JobID)
+		if view.Status != JobDone {
+			t.Fatalf("job %s: %s", acc.JobID, view.Error)
+		}
+		return view.Result
+	}
+	before := run()
+	batch := []tesc.EdgeChange{{U: 0, V: 199, Insert: true}}
+	env.do(t, http.StatusOK, "POST", "/v1/graphs/g/edges", map[string]any{"insert": [][2]int{{0, 199}}}, nil)
+	after := run()
+
+	g, applied, err := env.graph.ApplyEdgeChanges(batch)
+	if err != nil || len(applied) != 1 {
+		t.Fatalf("library batch: %d applied, err %v", len(applied), err)
+	}
+	want, err := tesc.Screen(g, ev, tesc.ScreenOptions{H: 1, SampleSize: 150, Seed: 5, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(after.Pairs, pairViews(want.Pairs)) || after.Tested != want.Tested ||
+		after.Skipped != want.Skipped || after.Rejected != want.Rejected {
+		t.Fatalf("the job after the batch differs from the library\n got %+v\nwant %+v", after, want)
+	}
+	t.Logf("traversals: %d before the batch, %d after (%d hits)", before.BFSRuns, after.BFSRuns, after.MemoHits)
+	if after.BFSRuns >= before.BFSRuns || after.MemoHits == 0 {
+		t.Fatalf("the job after the batch paid %d traversals with %d hits, the one before %d: it reused nothing",
+			after.BFSRuns, after.MemoHits, before.BFSRuns)
 	}
 }

@@ -3,9 +3,11 @@ package server
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"tesc"
 	"tesc/internal/graph"
+	"tesc/internal/vicinity"
 	"tesc/internal/wal"
 )
 
@@ -82,19 +84,14 @@ func (s *Server) applyEdges(e *GraphEntry, changes []tesc.EdgeChange, logIt bool
 			}
 		}
 		flips := internalChanges(applied)
-		var dirty []graph.NodeID
-		var dirtyLevel int
-		res.migrated, res.recomputed, dirty, dirtyLevel = s.cache.Refresh(old, next, flips, s.indexWorkers)
-		// Count memos follow the graph when the repair's dirty set
-		// covers their level; the rest are dropped.
-		e.advanceCounts(old.Epoch, next.Epoch, dirty, func(k countKey) bool { return k.h <= dirtyLevel })
+		var repaired []graph.NodeID
+		var level int
+		res.migrated, res.recomputed, repaired, level = s.cache.Refresh(old, next, flips, s.indexWorkers)
+		e.advanceMemos(old.Epoch, next.Epoch, edgeDirty(old, next, flips, repaired, level))
 		// Standing queries are notified inside the serialized mutation
 		// path, before the successor snapshot publishes: no re-screen
-		// can bind the new epoch without its invalidation queued. The
-		// index repair's flipped-vicinity set rides along so the ball
-		// BFS is not paid twice.
-		s.monitors.NotifyEdgeDelta(e.Name(), old.Graph.Internal(), next.Graph.Internal(),
-			old.state.pool.Internal(), next.state.pool.Internal(), flips, next.Epoch, dirty, dirtyLevel)
+		// can bind the new epoch without its batch queued.
+		s.monitors.Notify(e.Name(), nil, next.Epoch)
 		return nil
 	})
 	if err != nil {
@@ -121,13 +118,9 @@ func (s *Server) applyEvents(e *GraphEntry, add, remove map[string][]int, logIt 
 				return fmt.Errorf("%w: wal append: %v", errDurability, err)
 			}
 		}
-		// Only the count memos of the changed events lose their counts.
-		e.advanceCounts(nextEpoch-1, nextEpoch, nil, func(k countKey) bool {
-			_, a := changed[k.a]
-			_, b := changed[k.b]
-			return !a && !b
-		})
-		s.monitors.NotifyEventDelta(e.Name(), changed, nextEpoch)
+		// Mutations are serialized: e still publishes the old epoch.
+		e.advanceMemos(nextEpoch-1, nextEpoch, eventDirty(e.Snapshot(), changed))
+		s.monitors.Notify(e.Name(), changed, nextEpoch)
 		return nil
 	})
 	if err != nil {
@@ -135,6 +128,77 @@ func (s *Server) applyEvents(e *GraphEntry, add, remove map[string][]int, logIt 
 	}
 	s.markDirty(e.Name())
 	return nil
+}
+
+// dirtyFunc returns the dirty set of a mutation for a memo at level h
+// over events: the nodes whose densities may differ between the two
+// versions, or all when any node's may.
+type dirtyFunc func(h int, events []string) (dirty []graph.NodeID, all bool)
+
+// advanceMemos carries every memo the entry retains, density and count
+// memos alike, from epoch from to epoch to, dropping each one's dirty
+// set. The mutation paths call it before they publish to. The memos
+// are listed under the registry's memo lock and advanced outside it,
+// so no ball traversal holds up another graph's reads. A count memo
+// that cannot advance (it is not at from, or any node may be dirty)
+// is dropped.
+func (e *GraphEntry) advanceMemos(from, to uint64, dirty dirtyFunc) {
+	for _, r := range e.heldMemos() {
+		nodes, all := dirty(r.key.h, r.events)
+		switch {
+		case r.dense != nil:
+			r.dense.Advance(to, nodes, all)
+		case all || !r.counts.Advance(from, to, nodes):
+			e.memos.drop(r)
+		}
+	}
+}
+
+// edgeDirty is an edge batch's dirtyFunc. At a level the index
+// repair's set covers, it is that set; at any other level it is one
+// vicinity.DirtySet, computed once per level on engines from the two
+// versions' pools.
+func edgeDirty(old, next Snapshot, flips []graph.EdgeChange, repaired []graph.NodeID, repairedLevel int) dirtyFunc {
+	byLevel := make(map[int][]graph.NodeID)
+	return func(h int, _ []string) ([]graph.NodeID, bool) {
+		if repaired != nil && repairedLevel >= h {
+			return repaired, false
+		}
+		if d, ok := byLevel[h]; ok {
+			return d, false
+		}
+		d, err := vicinity.DirtySet(old.Graph.Internal(), next.Graph.Internal(), flips, h,
+			old.state.pool.Internal(), next.state.pool.Internal())
+		if err != nil {
+			return nil, true
+		}
+		byLevel[h] = d
+		return d, false
+	}
+}
+
+// eventDirty is an event mutation's dirtyFunc on snap, the graph both
+// versions share. A memo over a changed event drops the reverse h-ball
+// around the changed occurrences, the nodes whose h-vicinity holds
+// one, computed once per level; other memos drop nothing.
+func eventDirty(snap Snapshot, changed map[string][]graph.NodeID) dirtyFunc {
+	var sources []graph.NodeID
+	for _, nodes := range changed {
+		sources = append(sources, nodes...)
+	}
+	byLevel := make(map[int][]graph.NodeID)
+	return func(h int, events []string) ([]graph.NodeID, bool) {
+		if !slices.ContainsFunc(events, func(name string) bool { _, ok := changed[name]; return ok }) {
+			return nil, false
+		}
+		if _, ok := byLevel[h]; !ok {
+			g, pool := snap.Graph.Internal(), snap.state.pool.Internal()
+			bfs := pool.Acquire(g)
+			byLevel[h] = bfs.SetVicinity(sources, h, nil)
+			pool.Put(bfs)
+		}
+		return byLevel[h], false
+	}
 }
 
 // applyRecord is the one record applier boot replay and replication
